@@ -70,11 +70,8 @@ from .solvers import (
     OimParams,
     SolveOutcome,
     SolverConfig,
-    bpim_solve,
     default_parameters,
-    dpim_solve,
-    oim_solve,
-    run_replicated,
     sample_pdit_chain,
     sample_spin_chain,
+    solve_many,
 )

@@ -25,6 +25,7 @@ from .harness import (
     report,
     run_ber_sweep,
 )
+from .solvers import PARADIGMS
 
 log = logging.getLogger("isingmimo")
 
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit-beta", help="annealing-peak calibration sweep")
     p_fit.add_argument("--n", default=None, help="antenna counts (comma-separated)")
     p_fit.add_argument("--mod", default=None, help="modulation orders (comma-separated)")
-    p_fit.add_argument("--paradigm", default=None, choices=("bpim", "dpim", "oim"))
+    p_fit.add_argument("--paradigm", default=None, choices=tuple(PARADIGMS))
     p_fit.add_argument("--beta-grid", dest="beta_grid", default=None,
                        help="comma-separated annealing peaks")
     p_fit.add_argument("--instances", type=int, default=None,

@@ -39,19 +39,10 @@ from .ising_map import (
     build_binary_model,
     build_pdit_model,
     build_transform,
+    random_state_energies,
     spins_to_symbols,
 )
-from .solvers import (
-    AnnealSchedule,
-    SolverConfig,
-    bpim_solve,
-    bpim_solve_many,
-    default_parameters,
-    dpim_solve,
-    dpim_solve_many,
-    oim_solve,
-    oim_solve_many,
-)
+from .solvers import PARADIGMS, SolverConfig, default_parameters, solve_many
 
 __all__ = [
     "ExperimentPlan",
@@ -73,8 +64,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-KNOWN_DETECTORS = ("zf", "mmse", "ml", "bpim", "dpim", "oim")
-HEURISTIC_DETECTORS = ("bpim", "dpim", "oim")
+KNOWN_DETECTORS = ("zf", "mmse", "ml") + tuple(PARADIGMS)
 
 # Extra role tags for harness-owned streams (continuing the channel module's).
 ROLE_RANDOM_CONFIG = 4
@@ -138,8 +128,11 @@ def plan_experiment(
 
     Each channel carries ``messages_per_channel`` messages of
     n * log2(order) bits, so total_bits must be a multiple of that block;
-    otherwise the error suggests the nearest valid budget.
+    otherwise the error suggests the nearest valid budget. Every check of
+    the plan happens here, so an invalid plan fails before any work.
     """
+    if n < 1 or messages_per_channel < 1:
+        raise ValueError("n and messages_per_channel must be at least 1")
     build_constellation(order)  # validates the order
     bits_per_message = n * int(round(math.log2(order)))
     block = bits_per_message * messages_per_channel
@@ -154,14 +147,16 @@ def plan_experiment(
     for det in detectors:
         if det not in KNOWN_DETECTORS:
             raise ValueError(f"unknown detector {det!r}; known: {KNOWN_DETECTORS}")
-    if "oim" in detectors and order != 2:
-        raise ValueError("oim detector is only validated for BPSK (order 2)")
-    if "dpim" in detectors and order < 4:
-        raise ValueError("dpim detector needs a QAM order >= 4")
     ebn0_list = tuple(float(v) for v in ebn0_list)
     if not ebn0_list:
         raise ValueError("need at least one Eb/N0 point")
-    return ExperimentPlan(
+    if any(math.isnan(v) or v == -math.inf for v in ebn0_list):
+        raise ValueError(f"Eb/N0 values must be real or +inf; got {ebn0_list}")
+    if "ml" in detectors and float(order) ** n > 2.0**48:
+        raise ValueError(
+            f"exact-ml detector refused: {order}**{n} exceeds the search budget"
+        )
+    plan = ExperimentPlan(
         n=n,
         order=order,
         ebn0_list=ebn0_list,
@@ -174,6 +169,10 @@ def plan_experiment(
         iterations=iterations,
         master_seed=int(seed),
     )
+    for det in detectors:
+        if det in PARADIGMS:
+            _heuristic_config(det, plan)  # checks the order, replicas and iterations
+    return plan
 
 
 def _heuristic_config(detector: str, plan: ExperimentPlan) -> SolverConfig:
@@ -188,37 +187,28 @@ def _heuristic_config(detector: str, plan: ExperimentPlan) -> SolverConfig:
 
 
 def _detect_bits(
-    detector: str,
-    H: np.ndarray,
-    y: np.ndarray,
-    sigma_sq: float,
-    c: Constellation,
-    plan: ExperimentPlan,
-    solver_seed,
+    detector: str, H: np.ndarray, y: np.ndarray, sigma_sq: float, c: Constellation
 ) -> np.ndarray:
-    """Recovered bit vector for one instance under one detector."""
+    """Recovered bit vector for one instance under one baseline detector."""
     if detector == "zf":
         return zf_detect(H, y, c).bits
     if detector == "mmse":
         return mmse_detect(H, y, sigma_sq, c.symbol_energy, c).bits
     if detector == "ml":
         return ml_exact(H, y, c).bits
-    if detector in ("bpim", "oim"):
-        rc = realify(H, y, c.order)
-        transform = None if c.order == 2 else build_transform(plan.n, c.order)
-        model = build_binary_model(rc, transform)
-        cfg = replace(_heuristic_config(detector, plan), seed=solver_seed)
-        solve = bpim_solve if detector == "bpim" else oim_solve
-        outcome = solve(model, cfg)
-        symbols = spins_to_symbols(outcome.best_state, plan.n, c.order)
-        return demodulate_symbols(symbols, c)
-    if detector == "dpim":
-        model = build_pdit_model(H, y, c.order)
-        cfg = replace(_heuristic_config(detector, plan), seed=solver_seed)
-        outcome = dpim_solve(model, c, cfg)
-        symbols = outcome.best_state[:, 0] + 1j * outcome.best_state[:, 1]
-        return demodulate_symbols(symbols, c)
     raise ValueError(f"unknown detector {detector!r}")
+
+
+def _paradigm_models(paradigm: str, H: np.ndarray, ys, order: int) -> tuple:
+    """The paradigm's Ising models of received vectors ``ys`` over channel
+    ``H``, and the map from one of its solver states to symbols."""
+    n = H.shape[1]
+    if PARADIGMS[paradigm].model == "pdit":
+        models = [build_pdit_model(H, y, order) for y in ys]
+        return models, lambda d: d[:, 0] + 1j * d[:, 1]
+    transform = None if order == 2 else build_transform(n, order)
+    models = [build_binary_model(realify(H, y, order), transform) for y in ys]
+    return models, lambda s: spins_to_symbols(s, n, order)
 
 
 def _heuristic_batch_bits(
@@ -240,23 +230,9 @@ def _heuristic_batch_bits(
         derive_seed(plan.master_seed, ROLE_SOLVER, d_idx, channel_index, msg, e_idx)
         for msg, e_idx, _, _, _ in cells
     ]
-    cfg = _heuristic_config(detector, plan)
-    if detector in ("bpim", "oim"):
-        transform = None if c.order == 2 else build_transform(plan.n, c.order)
-        models = [
-            build_binary_model(realify(H, y, c.order), transform)
-            for _, _, _, y, _ in cells
-        ]
-        solve_many = bpim_solve_many if detector == "bpim" else oim_solve_many
-        outcomes = solve_many(models, cfg, seeds)
-        symbol_vectors = [
-            spins_to_symbols(o.best_state, plan.n, c.order) for o in outcomes
-        ]
-    else:
-        models = [build_pdit_model(H, y, c.order) for _, _, _, y, _ in cells]
-        outcomes = dpim_solve_many(models, c, cfg, seeds)
-        symbol_vectors = [o.best_state[:, 0] + 1j * o.best_state[:, 1] for o in outcomes]
-    return [demodulate_symbols(sym, c) for sym in symbol_vectors]
+    models, to_symbols = _paradigm_models(detector, H, [y for _, _, _, y, _ in cells], c.order)
+    outcomes = solve_many(detector, models, _heuristic_config(detector, plan), seeds)
+    return [demodulate_symbols(to_symbols(o.best_state), c) for o in outcomes]
 
 
 def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
@@ -278,7 +254,7 @@ def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
             )
             cells.append((msg, e_idx, bits, y, sigma_sq))
     for d_idx, detector in enumerate(plan.detectors):
-        if detector in HEURISTIC_DETECTORS:
+        if detector in PARADIGMS:
             try:
                 recovered = _heuristic_batch_bits(
                     detector, H, cells, c, plan, channel_index, d_idx
@@ -298,7 +274,7 @@ def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
         else:
             for msg, e_idx, bits, y, sigma_sq in cells:
                 try:
-                    det_bits = _detect_bits(detector, H, y, sigma_sq, c, plan, None)
+                    det_bits = _detect_bits(detector, H, y, sigma_sq, c)
                     errors[d_idx, e_idx] += int(np.count_nonzero(det_bits != bits))
                 except Exception:
                     logger.exception(
@@ -316,10 +292,6 @@ def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
 
 def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
     """Run every (channel, message, point, detector) cell and aggregate BER."""
-    if "ml" in plan.detectors and float(plan.order) ** plan.n > 2.0**48:
-        raise ValueError(
-            f"exact-ml detector refused: {plan.order}**{plan.n} exceeds the search budget"
-        )
     if threads > 1 and plan.n_channels > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             per_channel = list(
@@ -331,7 +303,7 @@ def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
     bits_per_point = plan.n_channels * plan.messages_per_channel * plan.bits_per_message
     points = []
     for d_idx, detector in enumerate(plan.detectors):
-        heuristic = detector in HEURISTIC_DETECTORS
+        heuristic = detector in PARADIGMS
         cfg = _heuristic_config(detector, plan) if heuristic else None
         for e_idx, ebn0 in enumerate(plan.ebn0_list):
             err = int(errors[d_idx, e_idx])
@@ -410,12 +382,10 @@ def beta_sweep(
     beta_grid = np.asarray(sorted(float(b) for b in beta_grid))
     if beta_grid.size == 0 or beta_grid[0] <= 0:
         raise ValueError("grid values must be positive")
-    if paradigm not in ("bpim", "dpim", "oim"):
-        raise ValueError(f"unknown paradigm {paradigm!r}")
+    base_cfg = default_parameters(paradigm, n, order)  # rejects unknown paradigms
     from .channel import build_instance  # local import avoids a cycle at module load
 
     c = build_constellation(order)
-    base_cfg = default_parameters(paradigm, n, order)
     models = []
     scales = []
     random_refs = []
@@ -426,19 +396,9 @@ def beta_sweep(
                 c, n, ebn0, seed, channel_index=pool_index, ebn0_index=e_idx
             )
             pool_index += 1
+            (model,), _ = _paradigm_models(paradigm, inst.channel, [inst.rx_vector], order)
             rng = derive_rng(seed, ROLE_RANDOM_CONFIG, pool_index)
-            if paradigm == "dpim":
-                model = build_pdit_model(inst.channel, inst.rx_vector, order)
-                samples = model.pam_levels[
-                    rng.integers(0, model.pam_levels.size, (1000, n, 2))
-                ]
-                energies = _pdit_energies(samples, model)
-            else:
-                rc = realify(inst.channel, inst.rx_vector, order)
-                transform = None if order == 2 else build_transform(n, order)
-                model = build_binary_model(rc, transform)
-                spins = rng.integers(0, 2, (1000, model.n)) * 2.0 - 1.0
-                energies = _binary_energies(spins, model)
+            energies = random_state_energies(model, rng, 1000)
             models.append(model)
             scales.append(np.mean(np.abs(energies)))
             random_refs.append(np.mean(energies))
@@ -448,22 +408,16 @@ def beta_sweep(
     means = np.empty(beta_grid.size)
     stderrs = np.empty(beta_grid.size)
     for b_idx, peak in enumerate(beta_grid):
+        cfg = replace(
+            base_cfg,
+            replicas=n_trials,
+            schedule=replace(base_cfg.schedule, peak=float(peak), n_iterations=n_iterations),
+        )
         finals = []
         for m_idx, model in enumerate(models):
-            cfg = replace(
-                base_cfg,
-                replicas=n_trials,
-                schedule=replace(
-                    base_cfg.schedule, peak=float(peak), n_iterations=n_iterations
-                ),
-                seed=derive_seed(seed, ROLE_SOLVER, b_idx, m_idx),
+            (outcome,) = solve_many(
+                paradigm, [model], cfg, [derive_seed(seed, ROLE_SOLVER, b_idx, m_idx)]
             )
-            if paradigm == "dpim":
-                outcome = dpim_solve(model, c, cfg)
-            elif paradigm == "bpim":
-                outcome = bpim_solve(model, cfg)
-            else:
-                outcome = oim_solve(model, cfg)
             finals.append(outcome.final_energies / scales[m_idx])
         finals = np.concatenate(finals)
         means[b_idx] = finals.mean()
@@ -478,22 +432,6 @@ def beta_sweep(
             random_refs.std(ddof=1) / np.sqrt(random_refs.size)
         ),
     )
-
-
-def _binary_energies(states: np.ndarray, model) -> np.ndarray:
-    quad = np.einsum("ri,ri->r", states @ model.j_matrix, states)
-    return -0.5 * quad - states @ model.h_vector
-
-
-def _pdit_energies(states: np.ndarray, model) -> np.ndarray:
-    d1, d2 = states[:, :, 0], states[:, :, 1]
-    lin = d1 @ model.h_vector[:, 0] + d2 @ model.h_vector[:, 1]
-    quad = (
-        np.einsum("ri,ri->r", d1 @ model.j11, d1)
-        + np.einsum("ri,ri->r", d2 @ model.j11, d2)
-        + 2.0 * np.einsum("ri,ri->r", d1 @ model.j12, d2)
-    )
-    return -(lin + 0.5 * quad)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,9 +25,13 @@ __all__ = [
     "symbols_to_spins",
     "spins_to_symbols",
     "build_binary_model",
+    "ising_energies",
     "binary_energy",
     "build_pdit_model",
+    "pdit_flat",
+    "pdit_flat_coupling",
     "pdit_energy",
+    "random_state_energies",
     "pdit_local_field",
     "pdit_delta_energy",
 ]
@@ -156,12 +160,22 @@ def build_binary_model(
     return BinaryIsingModel(j_matrix, h_vector, offset, n=h_vector.size)
 
 
+def ising_energies(x: np.ndarray, j: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """-1/2 x'Jx - h'x for each row of a (rows, m) stack; ``h`` has the same shape.
+
+    The one energy of both encodings: a binary model passes spins with its
+    ``j_matrix``, a p-dit model passes :func:`pdit_flat` states with
+    :func:`pdit_flat_coupling`.
+    """
+    return -0.5 * np.einsum("ri,ri->r", x @ j, x) - np.einsum("ri,ri->r", x, h)
+
+
 def binary_energy(s: np.ndarray, model: BinaryIsingModel) -> float:
     """-1/2 s'Js - h's for one spin vector."""
     s = np.asarray(s, dtype=float)
     if s.shape != (model.n,):
         raise ValueError(f"expected {model.n} spins, got {s.shape}")
-    return float(-0.5 * s @ (model.j_matrix @ s) - model.h_vector @ s)
+    return float(ising_energies(s[None], model.j_matrix, model.h_vector[None])[0])
 
 
 def build_pdit_model(H: np.ndarray, y: np.ndarray, order: int) -> PditModel:
@@ -206,12 +220,30 @@ def pdit_energy(d: np.ndarray, model: PditModel) -> float:
     with x(d) = d[:, 0] + 1j d[:, 1].
     """
     d = _check_state(d, model)
-    d1, d2 = d[:, 0], d[:, 1]
-    lin = model.h_vector[:, 0] @ d1 + model.h_vector[:, 1] @ d2
-    quad = (
-        d1 @ (model.j11 @ d1) + d2 @ (model.j11 @ d2) + 2.0 * (d1 @ (model.j12 @ d2))
-    )
-    return float(-(lin + 0.5 * quad))
+    h = pdit_flat(model.h_vector)[None]
+    return float(ising_energies(pdit_flat(d)[None], pdit_flat_coupling(model), h)[0])
+
+
+def pdit_flat(d: np.ndarray) -> np.ndarray:
+    """(..., N, 2) symbol-axis values as (..., 2N) rows: real axes, then imaginary."""
+    return np.concatenate([d[..., 0], d[..., 1]], axis=-1)
+
+
+def pdit_flat_coupling(model: PditModel) -> np.ndarray:
+    """The full block coupling matrix, acting on :func:`pdit_flat` rows."""
+    return np.block([[model.j11, model.j12], [-model.j12, model.j11]])
+
+
+def random_state_energies(model, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Energies of ``count`` uniformly random states of a binary or p-dit model."""
+    if isinstance(model, PditModel):
+        levels = model.pam_levels
+        x = pdit_flat(levels[rng.integers(0, levels.size, (count, model.n, 2))])
+        j, h = pdit_flat_coupling(model), pdit_flat(model.h_vector)
+    else:
+        x = rng.integers(0, 2, (count, model.n)) * 2.0 - 1.0
+        j, h = model.j_matrix, model.h_vector
+    return ising_energies(x, j, np.broadcast_to(h, x.shape))
 
 
 def pdit_local_field(i: int, d: np.ndarray, model: PditModel) -> np.ndarray:

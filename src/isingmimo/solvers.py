@@ -1,45 +1,47 @@
 """Heuristic ground-state search: p-bit sweeps, p-dit sweeps, oscillator phases.
 
-All three solvers run R independent replicas and report the best energy seen
-across every sweep of every replica. Replica streams are spawned from the
-configured seed, so replica r draws the same numbers whether it runs alone,
-inside a batch, or under :func:`run_replicated`; results depend only on
-seeds, never on execution order.
+All three solvers run R independent replicas per model and report the best
+energy seen across every sweep of every replica. Each model's replica
+streams are spawned from that model's seed, so replica r draws the same
+numbers whatever batch, chunk or position its model is solved in; results
+depend only on seeds, never on execution order.
 
-The kernels operate on a stack of rows, one row per replica. Because the
-coupling matrix of a MIMO instance depends only on the channel, many
-instances that share a channel can be solved in one kernel call with
-per-row bias vectors; the ``*_solve_many`` entry points exploit this while
-keeping each instance's replica streams identical to a standalone solve.
+The kernels operate on a stack of rows, one row per (model, replica).
+Because the coupling matrix of a MIMO instance depends only on the channel,
+the models of one channel are solved in one kernel call with per-row bias
+vectors. Each solver has one such batched entry point, ``*_solve_many``,
+with the signature ``(models, cfg, seeds)``. :data:`PARADIGMS` holds one
+:class:`Paradigm` record per solver, and :func:`solve_many` dispatches on
+its name.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation
-from .ising_map import BinaryIsingModel, PditModel
+from .ising_map import (
+    BinaryIsingModel,
+    PditModel,
+    ising_energies,
+    pdit_flat,
+    pdit_flat_coupling,
+)
 
 __all__ = [
     "AnnealSchedule",
     "OimParams",
     "SolverConfig",
-    "ReplicaResult",
     "SolveOutcome",
+    "Paradigm",
+    "PARADIGMS",
     "default_parameters",
-    "bpim_solve",
-    "dpim_solve",
-    "oim_solve",
+    "solve_many",
     "bpim_solve_many",
     "dpim_solve_many",
     "oim_solve_many",
-    "bpim_replica",
-    "dpim_replica",
-    "oim_replica",
-    "run_replicated",
     "sample_spin_chain",
     "sample_pdit_chain",
 ]
@@ -105,34 +107,19 @@ class OimParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Replica count, schedule, seed, and paradigm-specific extras.
+    """Replica count, annealing schedule, and the oscillator constants.
 
-    ``random_scan`` switches the in-sweep site order from the default fixed
-    index scan to a fresh random permutation per sweep (shared by all
-    replicas of the run); single-model solves only.
+    ``oim`` is required by oscillator runs and ignored by the others. Seeds
+    are not part of the config: the batched solvers take one per model.
     """
 
     replicas: int
     schedule: AnnealSchedule
-    seed: object = None
     oim: OimParams | None = None
-    random_scan: bool = False
 
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-
-
-@dataclass(frozen=True, eq=False)
-class ReplicaResult:
-    """Outcome of one replica: best-ever state/energy plus the final state."""
-
-    best_state: np.ndarray
-    best_energy: float
-    best_iteration: int
-    final_energy: float
-    final_state: np.ndarray | None = None
-    states: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +132,28 @@ class SolveOutcome:
     n_iterations: int
 
 
+@dataclass(frozen=True)
+class Paradigm:
+    """What the planner and the harness need to know about one solver."""
+
+    schedule_kind: str  # "beta" (inverse temperature) or "temperature" (noise)
+    modulations: tuple  # "BPSK" (order 2) and/or "QAM" (orders >= 4)
+    model: str  # "binary" spin model or "pdit" symbol-native model
+    shared: tuple  # model arrays that every model of one batch must share
+    peak: Callable[[int, int], float]  # default annealing peak for (n, order)
+    solve: Callable  # the batched solver, (models, cfg, seeds) -> outcomes
+    oim: Callable[[int], OimParams] | None = None  # default oscillator constants
+
+
+def _paradigm(name: str) -> Paradigm:
+    try:
+        return PARADIGMS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown paradigm {name!r}; expected one of {tuple(PARADIGMS)}"
+        ) from None
+
+
 def default_parameters(paradigm: str, n: int, order: int = 2) -> SolverConfig:
     """Size- and modulation-scaled solver settings.
 
@@ -155,28 +164,21 @@ def default_parameters(paradigm: str, n: int, order: int = 2) -> SolverConfig:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if paradigm == "bpim":
-        peak = np.sqrt(3.0) * n ** (-2.0 / 3.0) if order == 2 else 13.0 / (n * np.sqrt(order))
-        return SolverConfig(
-            replicas=DEFAULT_REPLICAS,
-            schedule=AnnealSchedule("beta", float(peak), DEFAULT_ITERATIONS),
+    p = _paradigm(paradigm)
+    if ("BPSK" if order == 2 else "QAM") not in p.modulations:
+        raise ValueError(
+            f"{paradigm} solver supports {' and '.join(p.modulations)} only; got order {order}"
         )
-    if paradigm == "dpim":
-        peak = np.sqrt(2.0) * n ** (-4.0 / 5.0)
-        return SolverConfig(
-            replicas=DEFAULT_REPLICAS,
-            schedule=AnnealSchedule("beta", float(peak), DEFAULT_ITERATIONS),
-        )
-    if paradigm == "oim":
-        if order != 2:
-            raise ValueError("oscillator solver is only validated for BPSK (order 2)")
-        scale = n ** (-2.0 / 3.0)
-        return SolverConfig(
-            replicas=DEFAULT_REPLICAS,
-            schedule=AnnealSchedule("temperature", 30.0, DEFAULT_ITERATIONS),
-            oim=OimParams(coupling=3.5 * scale, binarization=1.3 * scale),
-        )
-    raise ValueError(f"unknown paradigm {paradigm!r}; expected bpim, dpim, or oim")
+    return SolverConfig(
+        replicas=DEFAULT_REPLICAS,
+        schedule=AnnealSchedule(p.schedule_kind, float(p.peak(n, order)), DEFAULT_ITERATIONS),
+        oim=None if p.oim is None else p.oim(n),
+    )
+
+
+def solve_many(paradigm: str, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
+    """Solve models that share one channel with the named paradigm's solver."""
+    return _paradigm(paradigm).solve(models, cfg, seeds)
 
 
 def _spawn_rngs(seed, n: int) -> list[np.random.Generator]:
@@ -189,98 +191,45 @@ def _spawn_rngs(seed, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in ss.spawn(n)]
 
 
-def _scan_rng(cfg: SolverConfig, n_models: int) -> np.random.Generator | None:
-    if not cfg.random_scan:
-        return None
-    if n_models > 1:
-        raise ValueError("random_scan is only supported for single-model solves")
-    ss = (
-        cfg.seed
-        if isinstance(cfg.seed, np.random.SeedSequence)
-        else np.random.SeedSequence(cfg.seed)
-    )
-    return np.random.default_rng(ss)
+def _solve_many(name: str, kernel, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
+    """Validation, chunking and per-model reduction shared by the batched solvers.
 
-
-def _reduce_rows(
-    best_state: np.ndarray,
-    best_energy: np.ndarray,
-    best_iter: np.ndarray,
-    final_energy: np.ndarray,
-    n_iterations: int,
-) -> SolveOutcome:
-    best = int(np.argmin(best_energy))
-    return SolveOutcome(
-        best_state=best_state[best],
-        best_energy=float(best_energy[best]),
-        final_energies=final_energy.copy(),
-        best_iteration=int(best_iter[best]),
-        best_replica=best,
-        n_iterations=n_iterations,
-    )
-
-
-def _reduce_replicas(results: list[ReplicaResult], n_iterations: int) -> SolveOutcome:
-    return _reduce_rows(
-        np.stack([r.best_state for r in results]),
-        np.array([r.best_energy for r in results]),
-        np.array([r.best_iteration for r in results]),
-        np.array([r.final_energy for r in results]),
-        n_iterations,
-    )
-
-
-def run_replicated(
-    kernel,
-    n_replicas: int,
-    seed,
-    max_workers: int | None = None,
-    n_iterations: int | None = None,
-) -> SolveOutcome:
-    """Run ``kernel(rng)`` over independently seeded replicas, keep the best.
-
-    Replica streams come from spawning the seed, so the result is identical
-    for serial and parallel execution, and replica r's stream does not
-    depend on ``n_replicas``.
+    ``kernel(model, h_rows, rngs)`` runs one chunk's rows on the couplings of
+    ``model``, which every model of the chunk shares.
     """
-    if n_replicas < 1:
-        raise ValueError("need at least one replica")
-    rngs = _spawn_rngs(seed, n_replicas)
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(kernel, rngs))
-    else:
-        results = [kernel(rng) for rng in rngs]
-    if n_iterations is None:
-        n_iterations = max(1, max(r.best_iteration for r in results))
-    return _reduce_replicas(results, n_iterations=n_iterations)
-
-
-def _chunks(count: int, size: int):
-    for start in range(0, count, size):
-        yield start, min(start + size, count)
-
-
-def _solve_many(core, models, cfg: SolverConfig, seeds, per_model: int) -> list[SolveOutcome]:
-    """Shared chunking/reduction for the batched entry points."""
+    paradigm = PARADIGMS[name]
+    if cfg.schedule.kind != paradigm.schedule_kind:
+        raise ValueError(f"{name} anneals a {paradigm.schedule_kind!r} schedule")
     if len(seeds) != len(models):
         raise ValueError("need one seed per model")
+    for attr in paradigm.shared:
+        ref = getattr(models[0], attr)
+        for m in models[1:]:
+            other = getattr(m, attr)
+            if other is not ref and not np.array_equal(other, ref):
+                raise ValueError("batched models must share one coupling matrix")
+    per_model = cfg.schedule.n_iterations * models[0].n
     chunk = max(1, _MAX_PREDRAW // max(1, per_model * cfg.replicas))
     outcomes = []
-    for lo, hi in _chunks(len(models), chunk):
-        rngs = []
-        for seed in seeds[lo:hi]:
-            rngs.extend(_spawn_rngs(seed, cfg.replicas))
-        best_s, best_e, best_it, final_e = core(models[lo:hi], rngs)
-        for g in range(hi - lo):
-            rows = slice(g * cfg.replicas, (g + 1) * cfg.replicas)
+    for lo in range(0, len(models), chunk):
+        hi = min(lo + chunk, len(models))
+        rngs = [rng for seed in seeds[lo:hi] for rng in _spawn_rngs(seed, cfg.replicas)]
+        biases = [m.h_vector for m in models[lo:hi]]
+        if paradigm.model == "pdit":
+            biases = [pdit_flat(h) for h in biases]
+        h_rows = np.repeat(np.stack(biases), cfg.replicas, axis=0)
+        best_s, best_e, best_it, final_e = kernel(models[lo], h_rows, rngs)[:4]
+        for first in range(0, (hi - lo) * cfg.replicas, cfg.replicas):
+            rows = slice(first, first + cfg.replicas)
+            best = int(np.argmin(best_e[rows]))
             outcomes.append(
-                _reduce_rows(
-                    best_s[rows],
-                    best_e[rows],
-                    best_it[rows],
-                    final_e[rows],
-                    cfg.schedule.n_iterations,
+                SolveOutcome(
+                    best_state=best_s[first + best],
+                    best_energy=float(best_e[first + best]),
+                    final_energies=final_e[rows].copy(),
+                    best_iteration=int(best_it[first + best]),
+                    best_replica=best,
+                    n_iterations=cfg.schedule.n_iterations,
                 )
             )
     return outcomes
@@ -290,18 +239,6 @@ def _solve_many(core, models, cfg: SolverConfig, seeds, per_model: int) -> list[
 # binary-spin probabilistic sweeps
 
 
-def _check_shared_binary(models: list[BinaryIsingModel]) -> None:
-    j = models[0].j_matrix
-    for m in models[1:]:
-        if m.j_matrix is not j and not np.array_equal(m.j_matrix, j):
-            raise ValueError("batched models must share one coupling matrix")
-
-
-def _binary_energy_rows(s: np.ndarray, j: np.ndarray, h_rows: np.ndarray) -> np.ndarray:
-    quad = np.einsum("ri,ri->r", s @ j, s)
-    return -0.5 * quad - np.einsum("ri,ri->r", s, h_rows)
-
-
 def _bpim_core(
     j: np.ndarray,
     h_rows: np.ndarray,
@@ -309,7 +246,6 @@ def _bpim_core(
     rngs: list[np.random.Generator],
     record_states: bool = False,
     track_best: bool = True,
-    scan_rng: np.random.Generator | None = None,
 ):
     """Sequential p-bit sweeps over a stack of rows (replicas and/or instances)."""
     n = j.shape[0]
@@ -325,94 +261,39 @@ def _bpim_core(
     best_s = s.copy()
     best_it = np.zeros(rows, dtype=int)
     for k, beta in enumerate(betas):
-        scan = range(n) if scan_rng is None else scan_rng.permutation(n)
-        for i in scan:
+        for i in range(n):
             local = s @ j[:, i] + h_rows[:, i]
             s[:, i] = np.where(u[:, k, i] + np.tanh(beta * local) >= 0, 1.0, -1.0)
         if record_states:
             history[:, k] = s
         if track_best:
-            e = _binary_energy_rows(s, j, h_rows)
+            e = ising_energies(s, j, h_rows)
             improved = e < best_e
             best_e[improved] = e[improved]
             best_s[improved] = s[improved]
             best_it[improved] = k + 1
-    final = _binary_energy_rows(s, j, h_rows)
+    final = ising_energies(s, j, h_rows)
     return best_s, best_e, best_it, final, s, history
-
-
-def bpim_replica(
-    model: BinaryIsingModel,
-    betas: np.ndarray,
-    rng: np.random.Generator,
-    record_states: bool = False,
-) -> ReplicaResult:
-    """One p-bit chain: sequential sweeps of s_i <- sgn(u + tanh(beta I_i))."""
-    h_rows = np.broadcast_to(model.h_vector, (1, model.n))
-    best_s, best_e, best_it, final, final_s, history = _bpim_core(
-        model.j_matrix, h_rows, np.asarray(betas, dtype=float), [rng], record_states
-    )
-    return ReplicaResult(
-        best_s[0],
-        float(best_e[0]),
-        int(best_it[0]),
-        float(final[0]),
-        final_state=final_s[0],
-        states=None if history is None else history[0],
-    )
-
-
-def bpim_solve(model: BinaryIsingModel, cfg: SolverConfig) -> SolveOutcome:
-    """Best-of-R p-bit annealing run on a binary spin model."""
-    if cfg.schedule.kind != "beta":
-        raise ValueError("p-bit sweeps anneal an inverse temperature ('beta' schedule)")
-    return bpim_solve_many([model], cfg, [cfg.seed])[0]
 
 
 def bpim_solve_many(
     models: list[BinaryIsingModel], cfg: SolverConfig, seeds
 ) -> list[SolveOutcome]:
-    """Solve several models that share a coupling matrix in one kernel pass."""
-    if cfg.schedule.kind != "beta":
-        raise ValueError("p-bit sweeps anneal an inverse temperature ('beta' schedule)")
-    _check_shared_binary(models)
+    """Best-of-R p-bit annealing of models that share one coupling matrix."""
     betas = cfg.schedule.values()
-    j = models[0].j_matrix
-    n = models[0].n
 
-    scan = _scan_rng(cfg, len(models))
+    def kernel(model, h_rows, rngs):
+        return _bpim_core(model.j_matrix, h_rows, betas, rngs)
 
-    def core(chunk_models, rngs):
-        h_rows = np.repeat(
-            np.stack([m.h_vector for m in chunk_models]), cfg.replicas, axis=0
-        )
-        return _bpim_core(j, h_rows, betas, rngs, scan_rng=scan)[:4]
-
-    return _solve_many(core, models, cfg, seeds, per_model=cfg.schedule.n_iterations * n)
+    return _solve_many("bpim", kernel, models, cfg, seeds)
 
 
 # ---------------------------------------------------------------------------
 # symbol-native probabilistic sweeps
 
 
-def _check_shared_pdit(models: list[PditModel]) -> None:
-    j11, j12 = models[0].j11, models[0].j12
-    for m in models[1:]:
-        same = (m.j11 is j11 or np.array_equal(m.j11, j11)) and (
-            m.j12 is j12 or np.array_equal(m.j12, j12)
-        )
-        if not same:
-            raise ValueError("batched models must share one coupling matrix")
-
-
-def _pdit_big_j(model: PditModel) -> np.ndarray:
-    return np.block([[model.j11, model.j12], [-model.j12, model.j11]])
-
-
-def _pdit_energy_rows(d: np.ndarray, j_big: np.ndarray, h_rows: np.ndarray) -> np.ndarray:
-    lin = np.einsum("ri,ri->r", d, h_rows)
-    quad = np.einsum("ri,ri->r", d @ j_big, d)
-    return -(lin + 0.5 * quad)
+def _pdit_unflat(d: np.ndarray, n: int) -> np.ndarray:
+    return np.stack([d[..., :n], d[..., n:]], axis=-1)
 
 
 def _dpim_core(
@@ -422,14 +303,14 @@ def _dpim_core(
     rngs: list[np.random.Generator],
     record_states: bool = False,
     track_best: bool = True,
-    scan_rng: np.random.Generator | None = None,
 ):
     """Sequential p-dit sweeps; every site resamples among all M symbol values.
 
-    ``h_rows`` stacks per-row biases as (rows, 2N): real-axis then imag-axis.
-    The state is kept the same way. Each site update computes the two-axis
-    local field once, forms the move costs toward every candidate from it,
-    and draws the new value from the softmax of those costs.
+    ``h_rows`` stacks per-row biases in the flat (rows, 2N) layout of
+    :func:`pdit_flat`, and the state is kept the same way. Each site update
+    computes the two-axis local field once, forms the move costs toward
+    every candidate from it, and draws the new value from the softmax of
+    those costs. States are returned as (rows, N, 2) axis values.
     """
     n = model.n
     levels = model.pam_levels
@@ -442,22 +323,19 @@ def _dpim_core(
     d = np.empty((rows, 2 * n))
     u = np.empty((rows, n_it, n))
     for r, rng in enumerate(rngs):
-        init = rng.integers(0, n_lev, (n, 2))
-        d[r, :n] = levels[init[:, 0]]
-        d[r, n:] = levels[init[:, 1]]
+        d[r] = pdit_flat(levels[rng.integers(0, n_lev, (n, 2))])
         u[r] = rng.random((n_it, n))
     # Per-site local-field columns: f = h_i + d @ field_cols[i] gives both axes.
     field_cols = np.empty((n, 2 * n, 2))
     field_cols[:, :, 0] = np.concatenate([model.j11, model.j12], axis=1)
     field_cols[:, :, 1] = np.concatenate([-model.j12, model.j11], axis=1)
-    j_big = _pdit_big_j(model)
+    j_big = pdit_flat_coupling(model)
     history = np.empty((rows, n_it, n, 2), dtype=np.int8) if record_states else None
     best_e = np.full(rows, np.inf)
     best_d = d.copy()
     best_it = np.zeros(rows, dtype=int)
     for k, beta in enumerate(betas):
-        scan = range(n) if scan_rng is None else scan_rng.permutation(n)
-        for i in scan:
+        for i in range(n):
             f = d @ field_cols[i]
             f1 = f[:, 0] + h_rows[:, i]
             f2 = f[:, 1] + h_rows[:, n + i]
@@ -472,90 +350,29 @@ def _dpim_core(
             d[:, i] = l1g[pick]
             d[:, n + i] = l2g[pick]
         if record_states:
-            history[:, k, :, 0] = d[:, :n]
-            history[:, k, :, 1] = d[:, n:]
+            history[:, k] = _pdit_unflat(d, n)
         if track_best:
-            e = _pdit_energy_rows(d, j_big, h_rows)
+            e = ising_energies(d, j_big, h_rows)
             improved = e < best_e
             best_e[improved] = e[improved]
             best_d[improved] = d[improved]
             best_it[improved] = k + 1
-    final = _pdit_energy_rows(d, j_big, h_rows)
-    return best_d, best_e, best_it, final, d, history
+    final = ising_energies(d, j_big, h_rows)
+    return _pdit_unflat(best_d, n), best_e, best_it, final, _pdit_unflat(d, n), history
 
 
-def _pdit_rows_to_state(row: np.ndarray, n: int) -> np.ndarray:
-    return np.stack([row[:n], row[n:]], axis=1)
+def dpim_solve_many(models: list[PditModel], cfg: SolverConfig, seeds) -> list[SolveOutcome]:
+    """Best-of-R p-dit annealing of channel-sharing symbol-native models.
 
-
-def dpim_replica(
-    model: PditModel,
-    betas: np.ndarray,
-    rng: np.random.Generator,
-    record_states: bool = False,
-) -> ReplicaResult:
-    """One p-dit chain over the model's level grid."""
-    h_rows = np.broadcast_to(
-        np.concatenate([model.h_vector[:, 0], model.h_vector[:, 1]]), (1, 2 * model.n)
-    )
-    best_d, best_e, best_it, final, final_d, history = _dpim_core(
-        model, h_rows, np.asarray(betas, dtype=float), [rng], record_states
-    )
-    return ReplicaResult(
-        _pdit_rows_to_state(best_d[0], model.n),
-        float(best_e[0]),
-        int(best_it[0]),
-        float(final[0]),
-        final_state=_pdit_rows_to_state(final_d[0], model.n),
-        states=None if history is None else history[0],
-    )
-
-
-def dpim_solve(model: PditModel, c: Constellation, cfg: SolverConfig) -> SolveOutcome:
-    """Best-of-R p-dit annealing run; candidate states are c's alphabet."""
-    return dpim_solve_many([model], c, cfg, [cfg.seed])[0]
-
-
-def dpim_solve_many(
-    models: list[PditModel], c: Constellation, cfg: SolverConfig, seeds
-) -> list[SolveOutcome]:
-    """Solve several channel-sharing symbol-native models in one kernel pass."""
-    if cfg.schedule.kind != "beta":
-        raise ValueError("p-dit sweeps anneal an inverse temperature ('beta' schedule)")
-    if models[0].pam_levels.size ** 2 != c.order:
-        raise ValueError(
-            f"constellation order {c.order} does not match model levels "
-            f"(PAM({models[0].pam_levels.size}))"
-        )
-    _check_shared_pdit(models)
+    Candidate values are each model's own PAM levels; best states are
+    (N, 2) real/imaginary axis values.
+    """
     betas = cfg.schedule.values()
-    n = models[0].n
-    scan = _scan_rng(cfg, len(models))
 
-    def core(chunk_models, rngs):
-        h_rows = np.repeat(
-            np.stack(
-                [np.concatenate([m.h_vector[:, 0], m.h_vector[:, 1]]) for m in chunk_models]
-            ),
-            cfg.replicas,
-            axis=0,
-        )
-        return _dpim_core(chunk_models[0], h_rows, betas, rngs, scan_rng=scan)[:4]
+    def kernel(model, h_rows, rngs):
+        return _dpim_core(model, h_rows, betas, rngs)
 
-    outcomes = _solve_many(
-        core, models, cfg, seeds, per_model=cfg.schedule.n_iterations * n
-    )
-    return [
-        SolveOutcome(
-            best_state=_pdit_rows_to_state(o.best_state, n),
-            best_energy=o.best_energy,
-            final_energies=o.final_energies,
-            best_iteration=o.best_iteration,
-            best_replica=o.best_replica,
-            n_iterations=o.n_iterations,
-        )
-        for o in outcomes
-    ]
+    return _solve_many("dpim", kernel, models, cfg, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -610,57 +427,62 @@ def _oim_core(
         phi += 0.5 * params.dt * (f0 + f1) + kick
         sin_phi, cos_phi = np.sin(phi), np.cos(phi)
         s = _phase_readout(cos_phi)
-        e = _binary_energy_rows(s, j, h_rows)
+        e = ising_energies(s, j, h_rows)
         improved = e < best_e
         best_e[improved] = e[improved]
         best_s[improved] = s[improved]
         best_it[improved] = k + 1
     readout = _phase_readout(cos_phi)
-    final = _binary_energy_rows(readout, j, h_rows)
+    final = ising_energies(readout, j, h_rows)
     return best_s, best_e, best_it, final, readout, None
-
-
-def oim_replica(
-    model: BinaryIsingModel,
-    temps: np.ndarray,
-    params: OimParams,
-    rng: np.random.Generator,
-) -> ReplicaResult:
-    """One oscillator trajectory; spins are read out as sign(cos phase)."""
-    h_rows = np.broadcast_to(model.h_vector, (1, model.n))
-    best_s, best_e, best_it, final, final_s, _ = _oim_core(
-        model.j_matrix, h_rows, np.asarray(temps, dtype=float), params, [rng]
-    )
-    return ReplicaResult(
-        best_s[0], float(best_e[0]), int(best_it[0]), float(final[0]), final_state=final_s[0]
-    )
-
-
-def oim_solve(model: BinaryIsingModel, cfg: SolverConfig) -> SolveOutcome:
-    """Best-of-R oscillator integration with a linearly decaying noise level."""
-    return oim_solve_many([model], cfg, [cfg.seed])[0]
 
 
 def oim_solve_many(
     models: list[BinaryIsingModel], cfg: SolverConfig, seeds
 ) -> list[SolveOutcome]:
-    """Oscillator runs for several models sharing one coupling matrix."""
-    if cfg.schedule.kind != "temperature":
-        raise ValueError("oscillator runs anneal a noise level ('temperature' schedule)")
+    """Best-of-R oscillator runs, with a decaying noise level, of models that
+    share one coupling matrix; spins are read out as sign(cos phase)."""
     if cfg.oim is None:
         raise ValueError("oscillator runs need OimParams in the config")
-    _check_shared_binary(models)
     temps = cfg.schedule.values()
-    j = models[0].j_matrix
-    n = models[0].n
 
-    def core(chunk_models, rngs):
-        h_rows = np.repeat(
-            np.stack([m.h_vector for m in chunk_models]), cfg.replicas, axis=0
-        )
-        return _oim_core(j, h_rows, temps, cfg.oim, rngs)[:4]
+    def kernel(model, h_rows, rngs):
+        return _oim_core(model.j_matrix, h_rows, temps, cfg.oim, rngs)
 
-    return _solve_many(core, models, cfg, seeds, per_model=cfg.schedule.n_iterations * n)
+    return _solve_many("oim", kernel, models, cfg, seeds)
+
+
+PARADIGMS = {
+    "bpim": Paradigm(
+        schedule_kind="beta",
+        modulations=("BPSK", "QAM"),
+        model="binary",
+        shared=("j_matrix",),
+        peak=lambda n, order: (
+            np.sqrt(3.0) * n ** (-2.0 / 3.0) if order == 2 else 13.0 / (n * np.sqrt(order))
+        ),
+        solve=bpim_solve_many,
+    ),
+    "dpim": Paradigm(
+        schedule_kind="beta",
+        modulations=("QAM",),
+        model="pdit",
+        shared=("j11", "j12"),
+        peak=lambda n, order: np.sqrt(2.0) * n ** (-4.0 / 5.0),
+        solve=dpim_solve_many,
+    ),
+    "oim": Paradigm(
+        schedule_kind="temperature",
+        modulations=("BPSK",),
+        model="binary",
+        shared=("j_matrix",),
+        peak=lambda n, order: 30.0,
+        solve=oim_solve_many,
+        oim=lambda n: OimParams(
+            coupling=3.5 * n ** (-2.0 / 3.0), binarization=1.3 * n ** (-2.0 / 3.0)
+        ),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +507,7 @@ def sample_pdit_chain(
     """Post-sweep states of p-dit chains at fixed beta: (chains, sweeps, n, 2) levels."""
     betas = np.full(n_sweeps, beta)
     rngs = _spawn_rngs(seed, n_chains)
-    h_flat = np.concatenate([model.h_vector[:, 0], model.h_vector[:, 1]])
-    h_rows = np.broadcast_to(h_flat, (n_chains, 2 * model.n))
+    h_rows = np.broadcast_to(pdit_flat(model.h_vector), (n_chains, 2 * model.n))
     return _dpim_core(
         model, h_rows, betas, rngs, record_states=True, track_best=False
     )[5]

@@ -1,10 +1,14 @@
 """Command-line interface: flags, config files, exit codes, reproduction."""
 
+import functools
 import json
+import math
 
 import pytest
 
 from isingmimo.cli import main
+from isingmimo.harness import plan_experiment
+from isingmimo.solvers import PARADIGMS, default_parameters
 
 
 def run_cli(*args):
@@ -39,6 +43,16 @@ class TestRun:
         )
         assert code == 1
         assert "448" in capsys.readouterr().err  # nearest valid budget
+
+    def test_zero_antennas_fails_without_traceback(self, tmp_path, capsys):
+        code = run_cli(
+            "run",
+            "--n", "0", "--mod", "4", "--ebn0", "8", "--bits", "448",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_unwritable_output_rejected_before_compute(self, tmp_path, capsys):
         blocker = tmp_path / "file.txt"
@@ -124,3 +138,33 @@ class TestFitBetaCommand:
         assert lines[0] == "n,order,beta_max,mean_final_energy,stderr"
         assert len(lines) == 4
         assert "optimal peak" in capsys.readouterr().out
+
+
+# Modulation orders each solver supports, out of BPSK (2) and 4-QAM (4).
+SUPPORTED_ORDERS = {"bpim": (2, 4), "dpim": (4,), "oim": (2,)}
+
+
+@pytest.mark.parametrize("paradigm", sorted(PARADIGMS))
+def test_registry_names_accepted_and_orders_checked_alike(paradigm, tmp_path):
+    assert set(SUPPORTED_ORDERS) == set(PARADIGMS)
+    for order in (2, 4):
+        plan = functools.partial(
+            plan_experiment, 2, order, [10.0], 2 * int(math.log2(order)), seed=1,
+            detectors=(paradigm,), messages_per_channel=1,
+        )
+        if order in SUPPORTED_ORDERS[paradigm]:
+            default_parameters(paradigm, 2, order)
+            plan()
+            code = run_cli(
+                "fit-beta",
+                "--n", "2", "--mod", str(order), "--paradigm", paradigm,
+                "--beta-grid", "0.5", "--instances", "1", "--trials", "2", "--iters", "2",
+                "--out", str(tmp_path / f"m{order}"),
+            )
+            assert code == 0
+        else:
+            with pytest.raises(ValueError) as planned:
+                plan()
+            with pytest.raises(ValueError) as defaults:
+                default_parameters(paradigm, 2, order)
+            assert str(planned.value) == str(defaults.value)

@@ -1,0 +1,66 @@
+"""Golden CSV bytes: small seeded plans covering every detector.
+
+Each plan runs with few replicas and iterations, so the heuristics make
+search errors and their error counts depend on every replica stream. A
+change that alters RNG streams, kernel arithmetic or reporting changes a
+hash here; such a change must say so and record the new hashes on purpose.
+"""
+
+import hashlib
+
+import pytest
+
+from isingmimo import plan_experiment, report, run_ber_sweep
+
+GOLDENS = {
+    "bpsk-n8": (
+        dict(
+            n=8,
+            order=2,
+            ebn0_list=(0.0, 5.0, 10.0),
+            total_bits=8 * 4 * 6,
+            seed=11,
+            detectors=("bpim", "oim"),
+            messages_per_channel=4,
+            replicas=3,
+            iterations=12,
+        ),
+        "289f37365a6846c1ff82afe70af2291b0e095df428efe815fd9b92af0ae7b56f",
+    ),
+    "qam4-n6": (
+        dict(
+            n=6,
+            order=4,
+            ebn0_list=(2.0, 8.0, 14.0),
+            total_bits=12 * 4 * 6,
+            seed=12,
+            detectors=("zf", "mmse", "bpim", "dpim"),
+            messages_per_channel=4,
+            replicas=3,
+            iterations=12,
+        ),
+        "eedacbb8a9f1398a53db6672ef8c1f4c30390a1d059561204defe59feb3166f6",
+    ),
+    "qam16-n4": (
+        dict(
+            n=4,
+            order=16,
+            ebn0_list=(8.0, 14.0, 20.0),
+            total_bits=16 * 3 * 6,
+            seed=13,
+            detectors=("dpim", "ml"),
+            messages_per_channel=3,
+            replicas=3,
+            iterations=12,
+        ),
+        "27f03b00542ab0f288412ffb6ca37543888437bdc22dc8dec8322b8d376e222b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_report_csv_matches_golden_hash(name, tmp_path):
+    kwargs, digest = GOLDENS[name]
+    plan = plan_experiment(**kwargs)
+    csv_path, _ = report(run_ber_sweep(plan, threads=1), plan, tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest

@@ -49,9 +49,24 @@ class TestPlanExperiment:
             plan_experiment(4, 2, [], 112, seed=1)
 
     def test_ml_budget_checked_before_running(self):
-        plan = plan_experiment(64, 4, [10.0], 64 * 2 * 14, seed=1, detectors=("ml",))
         with pytest.raises(ValueError, match="budget"):
-            run_ber_sweep(plan)
+            plan_experiment(64, 4, [10.0], 64 * 2 * 14, seed=1, detectors=("ml",))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(n=0),
+            dict(messages_per_channel=0),
+            dict(replicas=0),
+            dict(iterations=0),
+            dict(ebn0_list=[10.0, float("nan")]),
+            dict(ebn0_list=[-math.inf]),
+        ],
+    )
+    def test_invalid_plan_fails_at_planning(self, change):
+        kwargs = dict(n=4, order=4, ebn0_list=[10.0], total_bits=448, seed=1, detectors=("bpim",))
+        with pytest.raises(ValueError):
+            plan_experiment(**{**kwargs, **change})
 
 
 class TestConfidenceBounds:

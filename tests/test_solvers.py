@@ -12,25 +12,23 @@ from isingmimo import (
     OimParams,
     SolverConfig,
     binary_energy,
-    bpim_solve,
     build_constellation,
     build_instance,
     build_pdit_model,
     default_parameters,
-    dpim_solve,
     ml_exhaustive,
-    oim_solve,
     pdit_energy,
-    run_replicated,
     sample_pdit_chain,
     sample_spin_chain,
 )
+from isingmimo import solvers
 from isingmimo.solvers import (
-    bpim_replica,
-    bpim_solve_many,
-    dpim_replica,
-    oim_replica,
+    _bpim_core,
+    _oim_core,
     _spawn_rngs,
+    bpim_solve_many,
+    dpim_solve_many,
+    oim_solve_many,
 )
 
 
@@ -131,10 +129,8 @@ class TestPbitKernel:
     def test_ferromagnet_ground_state(self):
         model = ferromagnet()
         sched = AnnealSchedule("beta", 5.0, 100)
-        aligned = 0
-        for seed in range(100):
-            out = bpim_solve(model, SolverConfig(1, sched, seed=seed))
-            aligned += out.best_state[0] == out.best_state[1]
+        outcomes = bpim_solve_many([model] * 100, SolverConfig(1, sched), list(range(100)))
+        aligned = sum(out.best_state[0] == out.best_state[1] for out in outcomes)
         assert aligned >= 99
 
     def test_stationary_distribution_small_model(self):
@@ -193,8 +189,7 @@ class TestPditKernel:
         model = build_pdit_model(inst.channel, inst.rx_vector, 4)
         cfg = default_parameters("dpim", 8, 4)
         hits = 0
-        for seed in range(100):
-            out = dpim_solve(model, c, replace(cfg, seed=seed))
+        for out in dpim_solve_many([model] * 100, cfg, list(range(100))):
             symbols = out.best_state[:, 0] + 1j * out.best_state[:, 1]
             hits += bool(np.array_equal(symbols, oracle.symbols))
         assert hits >= 95
@@ -203,18 +198,12 @@ class TestPditKernel:
         c = build_constellation(16)
         inst, _ = build_instance(c, 6, 10.0, 77)
         model = build_pdit_model(inst.channel, inst.rx_vector, 16)
-        out = dpim_solve(model, c, replace(default_parameters("dpim", 6, 16), seed=1))
+        (out,) = dpim_solve_many([model], default_parameters("dpim", 6, 16), [1])
         assert out.best_energy == pytest.approx(
             pdit_energy(out.best_state, model), rel=1e-9
         )
         assert out.best_energy <= out.final_energies.min() + 1e-12
         assert out.final_energies.shape == (64,)
-
-    def test_order_mismatch_rejected(self):
-        c = build_constellation(16)
-        model = build_pdit_model(np.eye(2, dtype=complex), np.ones(2) + 0j, 4)
-        with pytest.raises(ValueError, match="order"):
-            dpim_solve(model, c, replace(default_parameters("dpim", 2, 4), seed=0))
 
 
 class TestOscillatorKernel:
@@ -243,10 +232,14 @@ class TestOscillatorKernel:
         # Noiseless relaxation from a small phase split locks in phase and
         # reads out aligned spins.
         model = ferromagnet()
-        rep = oim_replica(
-            model, np.zeros(3000), OimParams(1.0, 1.0), np.random.default_rng(12)
-        )
-        assert rep.final_state[0] == rep.final_state[1]
+        readout = _oim_core(
+            model.j_matrix,
+            np.zeros((1, 2)),
+            np.zeros(3000),
+            OimParams(1.0, 1.0),
+            [np.random.default_rng(12)],
+        )[4][0]
+        assert readout[0] == readout[1]
 
     def test_field_pinning(self):
         # Positive bias must pull the readout to +1 (annealed run).
@@ -255,9 +248,8 @@ class TestOscillatorKernel:
             replicas=8,
             schedule=AnnealSchedule("temperature", 2.0, 500),
             oim=OimParams(1.0, 0.2),
-            seed=3,
         )
-        out = oim_solve(model, cfg)
+        (out,) = oim_solve_many([model], cfg, [3])
         assert out.best_state[0] == 1.0
 
     def test_readout_local_minimum_property(self):
@@ -270,14 +262,13 @@ class TestOscillatorKernel:
             a = rng.standard_normal((8, 8))
             j = (a + a.T) / 2
             np.fill_diagonal(j, 0.0)
-            model = BinaryIsingModel(j, np.zeros(8), 0.0, 8)
-            rep = oim_replica(
-                model,
+            s = _oim_core(
+                j,
+                np.zeros((1, 8)),
                 np.zeros(5000),
                 OimParams(coupling=1.0, binarization=0.15),
-                np.random.default_rng(5000 + trial),
-            )
-            s = rep.final_state
+                [np.random.default_rng(5000 + trial)],
+            )[4][0]
             flip_gain = 2 * s * (j @ s)
             ok += bool((flip_gain >= -1e-9).all())
         assert ok >= 0.9 * n_models
@@ -285,70 +276,79 @@ class TestOscillatorKernel:
     def test_requires_temperature_schedule_and_params(self):
         model = ferromagnet()
         with pytest.raises(ValueError):
-            oim_solve(model, SolverConfig(2, AnnealSchedule("beta", 1.0, 10), seed=0))
-        with pytest.raises(ValueError):
-            oim_solve(
-                model, SolverConfig(2, AnnealSchedule("temperature", 1.0, 10), seed=0)
+            oim_solve_many(
+                [model], SolverConfig(2, AnnealSchedule("beta", 1.0, 10), oim=OimParams(1, 1)), [0]
             )
+        with pytest.raises(ValueError):
+            oim_solve_many([model], SolverConfig(2, AnnealSchedule("temperature", 1.0, 10)), [0])
+
+
+def binary_instance(n, ebn0_db, seed):
+    from isingmimo import build_binary_model, realify
+
+    inst, _ = build_instance(build_constellation(2), n, ebn0_db, seed)
+    return build_binary_model(realify(inst.channel, inst.rx_vector, 2))
 
 
 class TestReplication:
     def test_r1_identical_to_kernel_run(self):
         model = ferromagnet()
-        betas = AnnealSchedule("beta", 2.0, 50).values()
-
-        def kernel(rng):
-            return bpim_replica(model, betas, rng)
-
-        out = run_replicated(kernel, 1, seed=9, n_iterations=50)
-        direct = kernel(_spawn_rngs(9, 1)[0])
-        np.testing.assert_array_equal(out.best_state, direct.best_state)
-        assert out.best_energy == direct.best_energy
+        sched = AnnealSchedule("beta", 2.0, 50)
+        (out,) = bpim_solve_many([model], SolverConfig(1, sched), [9])
+        best_s, best_e, _, _, _, _ = _bpim_core(
+            model.j_matrix, model.h_vector[None], sched.values(), _spawn_rngs(9, 1)
+        )
+        np.testing.assert_array_equal(out.best_state, best_s[0])
+        assert out.best_energy == best_e[0]
 
     def test_best_energy_monotone_in_replicas(self):
-        c = build_constellation(2)
-        inst, _ = build_instance(c, 10, 3.0, 8)
-        from isingmimo import build_binary_model, realify
-
-        model = build_binary_model(realify(inst.channel, inst.rx_vector, 2))
+        model = binary_instance(10, 3.0, 8)
         sched = AnnealSchedule("beta", 0.2, 30)
         energies = [
-            bpim_solve(model, SolverConfig(r, sched, seed=13)).best_energy
+            bpim_solve_many([model], SolverConfig(r, sched), [13])[0].best_energy
             for r in (1, 2, 4, 8, 16)
         ]
         assert all(a >= b for a, b in zip(energies, energies[1:]))
 
-    def test_parallel_serial_bit_identical(self):
-        model = ferromagnet()
-        betas = AnnealSchedule("beta", 1.5, 40).values()
+    def test_parallel_serial_bit_identical(self, monkeypatch):
+        # All models in one kernel call (rows in parallel) against one call
+        # per model (chunks in series): outcomes must not depend on how the
+        # batch is split or in which order its parts run.
+        c = build_constellation(4)
+        from isingmimo import build_binary_model, build_transform, realify
 
-        def kernel(rng):
-            return bpim_replica(model, betas, rng)
-
-        serial = run_replicated(kernel, 6, seed=21, n_iterations=40)
-        threaded = run_replicated(kernel, 6, seed=21, max_workers=3, n_iterations=40)
-        np.testing.assert_array_equal(serial.best_state, threaded.best_state)
-        np.testing.assert_array_equal(serial.final_energies, threaded.final_energies)
-        assert serial.best_replica == threaded.best_replica
+        t = build_transform(4, 4)
+        models = []
+        for msg in range(5):
+            inst, _ = build_instance(c, 4, 6.0, 21, message_index=msg)
+            models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4), t))
+        cfg = SolverConfig(6, AnnealSchedule("beta", 1.5, 40))
+        seeds = [21, 3, 8, 13, 5]
+        parallel = bpim_solve_many(models, cfg, seeds)
+        monkeypatch.setattr(solvers, "_MAX_PREDRAW", 1)
+        serial = bpim_solve_many(models, cfg, seeds)
+        for a, b in zip(parallel, serial):
+            np.testing.assert_array_equal(a.best_state, b.best_state)
+            np.testing.assert_array_equal(a.final_energies, b.final_energies)
+            assert a.best_replica == b.best_replica
 
     def test_solve_matches_replica_kernels(self):
-        c = build_constellation(2)
-        inst, _ = build_instance(c, 6, 8.0, 30)
-        from isingmimo import build_binary_model, realify
-
-        model = build_binary_model(realify(inst.channel, inst.rx_vector, 2))
-        cfg = SolverConfig(5, AnnealSchedule("beta", 0.5, 25), seed=77)
-        out = bpim_solve(model, cfg)
-        via_kernels = run_replicated(
-            lambda rng: bpim_replica(model, cfg.schedule.values(), rng),
-            cfg.replicas,
-            cfg.seed,
-            n_iterations=25,
+        # Each row of a batched solve equals that replica's chain run alone.
+        model = binary_instance(6, 8.0, 30)
+        cfg = SolverConfig(5, AnnealSchedule("beta", 0.5, 25))
+        (out,) = bpim_solve_many([model], cfg, [77])
+        singles = [
+            _bpim_core(model.j_matrix, model.h_vector[None], cfg.schedule.values(), [rng])
+            for rng in _spawn_rngs(77, cfg.replicas)
+        ]
+        best_s, best_e, best_it, final = (
+            np.concatenate([run[k] for run in singles]) for k in range(4)
         )
-        np.testing.assert_array_equal(out.best_state, via_kernels.best_state)
-        np.testing.assert_array_equal(out.final_energies, via_kernels.final_energies)
-        assert out.best_energy == via_kernels.best_energy
-        assert out.best_iteration == via_kernels.best_iteration
+        best = int(np.argmin(best_e))
+        np.testing.assert_array_equal(out.best_state, best_s[best])
+        np.testing.assert_array_equal(out.final_energies, final)
+        assert out.best_energy == best_e[best]
+        assert out.best_iteration == best_it[best]
 
     def test_batched_solve_matches_singles(self):
         c = build_constellation(4)
@@ -356,7 +356,6 @@ class TestReplication:
 
         cfg = replace(default_parameters("bpim", 5, 4), replicas=10)
         t = build_transform(5, 4)
-        inst0, _ = build_instance(c, 5, 8.0, 40, message_index=0)
         models = []
         for msg in range(6):
             inst, _ = build_instance(c, 5, 8.0, 40, message_index=msg)
@@ -364,7 +363,7 @@ class TestReplication:
         seeds = list(range(6))
         batched = bpim_solve_many(models, cfg, seeds)
         for model, seed, out in zip(models, seeds, batched):
-            single = bpim_solve(model, replace(cfg, seed=seed))
+            (single,) = bpim_solve_many([model], cfg, [seed])
             np.testing.assert_array_equal(out.best_state, single.best_state)
             assert out.best_energy == single.best_energy
             np.testing.assert_array_equal(out.final_energies, single.final_energies)
@@ -382,27 +381,13 @@ class TestReplication:
             bpim_solve_many(models, default_parameters("bpim", 3, 4), [0, 1])
 
     def test_outcome_energy_consistent(self):
-        c = build_constellation(2)
-        inst, _ = build_instance(c, 12, 6.0, 19)
-        from isingmimo import build_binary_model, realify
-
-        model = build_binary_model(realify(inst.channel, inst.rx_vector, 2))
-        out = bpim_solve(model, replace(default_parameters("bpim", 12, 2), seed=4))
+        model = binary_instance(12, 6.0, 19)
+        (out,) = bpim_solve_many([model], default_parameters("bpim", 12, 2), [4])
         assert out.best_energy == pytest.approx(
             binary_energy(out.best_state, model), rel=1e-9
         )
         assert out.best_energy <= out.final_energies.min() + 1e-12
         assert 1 <= out.best_iteration <= out.n_iterations
-
-    def test_random_scan_supported_and_seeded(self):
-        model = ferromagnet()
-        cfg = SolverConfig(
-            3, AnnealSchedule("beta", 2.0, 30), seed=5, random_scan=True
-        )
-        a = bpim_solve(model, cfg)
-        b = bpim_solve(model, cfg)
-        np.testing.assert_array_equal(a.best_state, b.best_state)
-        assert a.best_energy == b.best_energy
 
 
 class TestChainSampling:
