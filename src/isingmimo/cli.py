@@ -29,6 +29,8 @@ from .solvers import PARADIGMS
 
 log = logging.getLogger("isingmimo")
 
+THREADS_HELP = "worker processes, each running one BLAS thread (default 1: no pool)"
+
 
 def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v != ""]
@@ -48,7 +50,7 @@ def _add_plan_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
     p.add_argument("--replicas", type=int, default=None, help="heuristic replica count")
     p.add_argument("--iters", type=int, default=None, help="heuristic iteration count")
     p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--threads", type=int, default=None, help="parallel worker processes")
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--config", default=None, help="JSON file with the same keys as the flags")
 
@@ -209,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="re-run the plan stored in a manifest")
     p_rep.add_argument("--manifest", default=None, help="path to manifest.json")
     p_rep.add_argument("--out", default=None)
-    p_rep.add_argument("--threads", type=int, default=None)
+    p_rep.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p_rep.add_argument("--config", default=None)
 
     return parser

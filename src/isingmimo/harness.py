@@ -10,6 +10,7 @@ results do not depend on scheduling.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import logging
 import math
@@ -18,10 +19,15 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
-from .baselines import ml_exact, mmse_detect, zf_detect
+from .baselines import (
+    SearchBudgetError,
+    SingularChannelError,
+    ml_exact,
+    mmse_detect,
+    zf_detect,
+)
 from .channel import (
     ROLE_CHANNEL,
     ROLE_MESSAGE,
@@ -68,6 +74,16 @@ KNOWN_DETECTORS = ("zf", "mmse", "ml") + tuple(PARADIGMS)
 
 # Extra role tags for harness-owned streams (continuing the channel module's).
 ROLE_RANDOM_CONFIG = 4
+
+# Expected detector failures: counted as all-bits-wrong, never raised.
+_DETECTOR_FAILURES = (SingularChannelError, SearchBudgetError)
+
+# OpenBLAS thread setters, by the names its builds export, in order of preference.
+_BLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 CSV_COLUMNS = (
     "detector",
@@ -259,7 +275,7 @@ def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
                 recovered = _heuristic_batch_bits(
                     detector, H, cells, c, plan, channel_index, d_idx
                 )
-            except Exception:
+            except _DETECTOR_FAILURES:
                 # Conservative accounting keeps denominators fixed.
                 logger.exception(
                     "detector %s failed on channel %d; counting all its bits as errors",
@@ -276,7 +292,7 @@ def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
                 try:
                     det_bits = _detect_bits(detector, H, y, sigma_sq, c)
                     errors[d_idx, e_idx] += int(np.count_nonzero(det_bits != bits))
-                except Exception:
+                except _DETECTOR_FAILURES:
                     logger.exception(
                         "detector %s failed on channel %d message %d point %g dB; "
                         "counting all %d bits as errors",
@@ -290,10 +306,44 @@ def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
     return errors
 
 
+def _one_blas_thread() -> None:
+    """Set numpy's BLAS to one thread in this process, if it is an OpenBLAS.
+
+    ``dlsym`` on numpy's own extension searches that library's dependency
+    tree, so this finds the BLAS numpy loaded whatever its file is called.
+    """
+    core = getattr(np, "_core", None) or np.core  # numpy 1.x names it core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for name in _BLAS_SET_THREADS:
+        set_threads = getattr(lib, name, None)
+        if set_threads is not None:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            set_threads(1)
+            return
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """Processes that each run one BLAS thread.
+
+    The workers share the cores, so a BLAS that threads inside each of them
+    would oversubscribe the cores. The calling process keeps its setting.
+    """
+    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+
+
 def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
-    """Run every (channel, message, point, detector) cell and aggregate BER."""
-    if threads > 1 and plan.n_channels > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    """Run every (channel, message, point, detector) cell and aggregate BER.
+
+    ``threads`` is the number of worker processes, at most one per channel;
+    each worker runs one BLAS thread. With one, the sweep runs in this
+    process under the caller's BLAS setting. The result does not depend on it.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1; got {threads}")
+    workers = min(threads, plan.n_channels)
+    if workers > 1:
+        with _worker_pool(workers) as pool:
             per_channel = list(
                 pool.map(_channel_errors, [plan] * plan.n_channels, range(plan.n_channels))
             )
@@ -333,6 +383,8 @@ def binomial_interval(errors: int, n_bits: int, confidence: float = 0.95) -> tup
     """Clopper-Pearson confidence interval for an error proportion."""
     if not 0 <= errors <= n_bits:
         raise ValueError("need 0 <= errors <= n_bits")
+    from scipy import stats  # imported here: it is slow, and only this uses it
+
     alpha = 1.0 - confidence
     lo = 0.0 if errors == 0 else float(stats.beta.ppf(alpha / 2, errors, n_bits - errors + 1))
     hi = (

@@ -315,7 +315,10 @@ def _dpim_core(
     n = model.n
     levels = model.pam_levels
     n_lev = levels.size
-    # Flat candidate grid, real-axis major.
+    # Flat candidate grid, real-axis major. The per-site candidate arrays are
+    # (M, rows), so the max, cumsum and count over the M candidates run along
+    # axis 0 as whole-row vector operations; cumsum still adds the candidates
+    # in the same order, so the draws are those of a (rows, M) layout.
     l1g = np.repeat(levels, n_lev)
     l2g = np.tile(levels, n_lev)
     n_it = len(betas)
@@ -340,13 +343,13 @@ def _dpim_core(
             f1 = f[:, 0] + h_rows[:, i]
             f2 = f[:, 1] + h_rows[:, n + i]
             g = model.j11[i, i]
-            t1 = d[:, i : i + 1] - l1g
-            t2 = d[:, n + i : n + i + 1] - l2g
-            w = -beta * (t1 * f1[:, None] + t2 * f2[:, None] - 0.5 * g * (t1 * t1 + t2 * t2))
-            w -= w.max(axis=1, keepdims=True)
+            t1 = d[:, i] - l1g[:, None]
+            t2 = d[:, n + i] - l2g[:, None]
+            w = -beta * (t1 * f1 + t2 * f2 - 0.5 * g * (t1 * t1 + t2 * t2))
+            w -= w.max(axis=0)
             p = np.exp(w)
-            cdf = np.cumsum(p, axis=1)
-            pick = (cdf < u[:, k, i, None] * cdf[:, -1:]).sum(axis=1)
+            cdf = np.cumsum(p, axis=0)
+            pick = (cdf < u[:, k, i] * cdf[-1]).sum(axis=0)
             d[:, i] = l1g[pick]
             d[:, n + i] = l2g[pick]
         if record_states:

@@ -3,9 +3,13 @@
 import functools
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isingmimo
 from isingmimo.cli import main
 from isingmimo.harness import plan_experiment
 from isingmimo.solvers import PARADIGMS, default_parameters
@@ -53,6 +57,16 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_zero_threads_fails_without_traceback(self, tmp_path, capsys):
+        code = run_cli(
+            "run",
+            "--n", "4", "--mod", "4", "--ebn0", "8", "--bits", "896",
+            "--threads", "0", "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "threads" in err and "Traceback" not in err
 
     def test_unwritable_output_rejected_before_compute(self, tmp_path, capsys):
         blocker = tmp_path / "file.txt"
@@ -168,3 +182,15 @@ def test_registry_names_accepted_and_orders_checked_alike(paradigm, tmp_path):
             with pytest.raises(ValueError) as defaults:
                 default_parameters(paradigm, 2, order)
             assert str(planned.value) == str(defaults.value)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(isingmimo.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import isingmimo.cli; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert proc.stdout.strip() == "False"

@@ -64,3 +64,11 @@ def test_report_csv_matches_golden_hash(name, tmp_path):
     plan = plan_experiment(**kwargs)
     csv_path, _ = report(run_ber_sweep(plan, threads=1), plan, tmp_path)
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
+
+def test_pool_run_matches_golden_hash(tmp_path):
+    kwargs, digest = GOLDENS["qam4-n6"]
+    plan = plan_experiment(**kwargs)
+    assert plan.n_channels > 1
+    csv_path, _ = report(run_ber_sweep(plan, threads=2), plan, tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest

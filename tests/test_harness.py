@@ -1,11 +1,13 @@
 """Experiment planning, BER sweeps, confidence bounds, calibration, reporting."""
 
+import ctypes
 import math
 
 import numpy as np
 import pytest
 
 from isingmimo import (
+    SingularChannelError,
     ber_upper_bound,
     beta_sweep,
     binomial_interval,
@@ -15,6 +17,18 @@ from isingmimo import (
     run_ber_sweep,
 )
 from isingmimo import harness
+
+
+def blas_threads():
+    """Thread count of numpy's OpenBLAS in this process; None if it has no getter."""
+    core = getattr(np, "_core", None) or np.core  # numpy 1.x names it core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if get is None:
+        return None
+    get.argtypes = []
+    get.restype = ctypes.c_int
+    return get()
 
 
 class TestPlanExperiment:
@@ -152,7 +166,7 @@ class TestRunBerSweep:
 
         def broken(detector, *args, **kwargs):
             if detector == "zf":
-                raise RuntimeError("injected failure")
+                raise SingularChannelError("injected failure")
             return real_detect(detector, *args, **kwargs)
 
         real_detect = harness._detect_bits
@@ -162,6 +176,43 @@ class TestRunBerSweep:
         mmse = [p for p in points if p.detector == "mmse"][0]
         assert zf.errors == plan.total_bits and zf.ber == 1.0
         assert mmse.errors < plan.total_bits
+
+    @pytest.mark.parametrize("detector, call", [("zf", "_detect_bits"), ("bpim", "solve_many")])
+    def test_unexpected_detector_error_propagates(self, monkeypatch, detector, call):
+        plan = plan_experiment(4, 4, [10.0], 448, seed=7, detectors=(detector,))
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected bug")
+
+        monkeypatch.setattr(harness, call, broken)
+        with pytest.raises(RuntimeError, match="injected bug"):
+            run_ber_sweep(plan, threads=1)
+
+    def test_threads_below_one_rejected_before_work(self, monkeypatch):
+        plan = plan_experiment(4, 4, [10.0], 896, seed=8, detectors=("mmse",))
+
+        def no_work(*args):
+            raise AssertionError("a channel ran")
+
+        monkeypatch.setattr(harness, "_channel_errors", no_work)
+        with pytest.raises(ValueError, match="threads"):
+            run_ber_sweep(plan, threads=0)
+
+
+class TestWorkerPool:
+    def test_workers_run_one_blas_thread(self):
+        if blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread-count getter")
+        with harness._worker_pool(2) as pool:
+            assert pool.submit(blas_threads).result(timeout=60) == 1
+
+    def test_caller_blas_threads_unchanged(self):
+        before = blas_threads()
+        if before is None:
+            pytest.skip("numpy's BLAS exports no thread-count getter")
+        plan = plan_experiment(4, 4, [10.0], 896, seed=9, detectors=("mmse", "dpim"))
+        run_ber_sweep(plan, threads=2)
+        assert blas_threads() == before
 
 
 class TestBetaSweep:
