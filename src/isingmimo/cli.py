@@ -83,6 +83,9 @@ def _check_writable(out_dir: str) -> Path:
 
 
 def _run_plan(plan, threads: int, out_dir: str, csv_name: str = "results.csv") -> None:
+    # Checked here too, so a rejected run leaves no output directory behind.
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1; got {threads}")
     out = _check_writable(out_dir)
     points = run_ber_sweep(plan, threads=threads)
     csv_path, manifest_path = report(points, plan, out, csv_name)

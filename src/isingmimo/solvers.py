@@ -315,10 +315,10 @@ def _dpim_core(
     n = model.n
     levels = model.pam_levels
     n_lev = levels.size
-    # Flat candidate grid, real-axis major. The per-site candidate arrays are
-    # (M, rows), so the max, cumsum and count over the M candidates run along
-    # axis 0 as whole-row vector operations; cumsum still adds the candidates
-    # in the same order, so the draws are those of a (rows, M) layout.
+    # Flat candidate grid, real-axis major. Per-site candidate arrays are
+    # (M, rows), so the reductions over the M candidates are whole-row vector
+    # operations; cumsum must keep adding candidates in grid order, or the
+    # draws (and the golden CSVs) change.
     l1g = np.repeat(levels, n_lev)
     l2g = np.tile(levels, n_lev)
     n_it = len(betas)

@@ -67,6 +67,7 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "threads" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_unwritable_output_rejected_before_compute(self, tmp_path, capsys):
         blocker = tmp_path / "file.txt"
