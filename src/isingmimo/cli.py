@@ -93,12 +93,10 @@ def _run_plan(plan, threads: int, out_dir: str, csv_name: str = "results.csv") -
     print(f"wrote {csv_path} and {manifest_path}")
 
 
-def _cmd_run(args: argparse.Namespace) -> None:
-    merged = _merged(args, {"detectors": "mmse", "seed": 0, "threads": 1, "bits": None})
-    _require(merged, "n", "mod", "ebn0", "bits", "out")
-    plan = plan_experiment(
-        n=int(merged["n"]),
-        order=int(merged["mod"]),
+def _plan(merged: dict, n: int, order: int):
+    return plan_experiment(
+        n=n,
+        order=order,
         ebn0_list=_parse_floats(str(merged["ebn0"])),
         total_bits=int(merged["bits"]),
         seed=int(merged["seed"]),
@@ -106,6 +104,12 @@ def _cmd_run(args: argparse.Namespace) -> None:
         replicas=merged.get("replicas"),
         iterations=merged.get("iters"),
     )
+
+
+def _cmd_run(args: argparse.Namespace) -> None:
+    merged = _merged(args, {"detectors": "mmse", "seed": 0, "threads": 1})
+    _require(merged, "n", "mod", "ebn0", "bits", "out")
+    plan = _plan(merged, int(merged["n"]), int(merged["mod"]))
     _run_plan(plan, int(merged["threads"]), merged["out"])
 
 
@@ -114,16 +118,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     _require(merged, "n", "mod", "ebn0", "bits", "out")
     for n in _parse_ints(str(merged["n"])):
         for order in _parse_ints(str(merged["mod"])):
-            plan = plan_experiment(
-                n=n,
-                order=order,
-                ebn0_list=_parse_floats(str(merged["ebn0"])),
-                total_bits=int(merged["bits"]),
-                seed=int(merged["seed"]),
-                detectors=str(merged["detectors"]).split(","),
-                replicas=merged.get("replicas"),
-                iterations=merged.get("iters"),
-            )
+            plan = _plan(merged, n, order)
             sub = Path(merged["out"]) / f"n{n}_m{order}"
             print(f"== n={n} order={order}")
             _run_plan(plan, int(merged["threads"]), sub)
@@ -164,7 +159,7 @@ def _cmd_fit_beta(args: argparse.Namespace) -> None:
             for b, m, s in zip(
                 result.beta_grid, result.mean_final_energy, result.stderr
             ):
-                fh.write(f"{n},{order},{b!r},{m!r},{s!r}\n")
+                fh.write(f"{n},{order},{float(b)!r},{float(m)!r},{float(s)!r}\n")
     print(f"wrote {curve_path}")
     if len(rows) >= 3:
         try:

@@ -434,6 +434,8 @@ def beta_sweep(
     beta_grid = np.asarray(sorted(float(b) for b in beta_grid))
     if beta_grid.size == 0 or beta_grid[0] <= 0:
         raise ValueError("grid values must be positive")
+    if n_instances < 1 or len(ebn0_list) == 0:
+        raise ValueError("the instance pool needs n_instances >= 1 and at least one Eb/N0 value")
     base_cfg = default_parameters(paradigm, n, order)  # rejects unknown paradigms
     from .channel import build_instance  # local import avoids a cycle at module load
 

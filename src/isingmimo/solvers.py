@@ -6,13 +6,15 @@ streams are spawned from that model's seed, so replica r draws the same
 numbers whatever batch, chunk or position its model is solved in; results
 depend only on seeds, never on execution order.
 
-The kernels operate on a stack of rows, one row per (model, replica).
-Because the coupling matrix of a MIMO instance depends only on the channel,
-the models of one channel are solved in one kernel call with per-row bias
-vectors. Each solver has one such batched entry point, ``*_solve_many``,
-with the signature ``(models, cfg, seeds)``. :data:`PARADIGMS` holds one
-:class:`Paradigm` record per solver, and :func:`solve_many` dispatches on
-its name.
+The kernels operate on a stack of rows, one row per (model, replica), and
+yield the rows' state after every iteration. One loop, ``_solve_many``,
+scores each state and keeps every row's best state, energy and iteration
+and its final energy. Because the coupling matrix of a MIMO instance
+depends only on the channel, the models of one channel are solved in one
+kernel call with per-row bias vectors. Each solver has one such batched
+entry point, ``*_solve_many``, with the signature ``(models, cfg, seeds)``.
+:data:`PARADIGMS` holds one :class:`Paradigm` record per solver, and
+:func:`solve_many` dispatches on its name.
 """
 
 from __future__ import annotations
@@ -58,22 +60,18 @@ _MAX_PREDRAW = 8_000_000
 class AnnealSchedule:
     """Per-iteration control parameter: a beta ramp up or a temperature ramp down.
 
-    Linear shape: beta(k) = peak * k / n_iterations for k = 1..n_iterations,
+    Linear: beta(k) = peak * k / n_iterations for k = 1..n_iterations,
     temperature(k) = peak * (1 - k / n_iterations), reaching 0 at the final
-    step. The "constant" shape holds the peak throughout (used for fixed-
-    temperature sampling runs).
+    step.
     """
 
     kind: str
     peak: float
     n_iterations: int
-    shape: str = "linear"
 
     def __post_init__(self):
         if self.kind not in ("beta", "temperature"):
             raise ValueError(f"schedule kind must be 'beta' or 'temperature'; got {self.kind!r}")
-        if self.shape not in ("linear", "constant"):
-            raise ValueError(f"schedule shape must be 'linear' or 'constant'; got {self.shape!r}")
         if self.kind == "beta":
             if not self.peak > 0:
                 raise ValueError("beta schedules need a positive peak")
@@ -84,8 +82,6 @@ class AnnealSchedule:
 
     def values(self) -> np.ndarray:
         """The control parameter at iterations 1..n_iterations."""
-        if self.shape == "constant":
-            return np.full(self.n_iterations, self.peak)
         ramp = np.arange(1, self.n_iterations + 1) / self.n_iterations
         if self.kind == "beta":
             return self.peak * ramp
@@ -128,7 +124,6 @@ class SolveOutcome:
     best_energy: float
     final_energies: np.ndarray
     best_iteration: int
-    best_replica: int
     n_iterations: int
 
 
@@ -192,10 +187,12 @@ def _spawn_rngs(seed, n: int) -> list[np.random.Generator]:
 
 
 def _solve_many(name: str, kernel, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
-    """Validation, chunking and per-model reduction shared by the batched solvers.
+    """The annealing loop of every batched solver.
 
-    ``kernel(model, h_rows, rngs)`` runs one chunk's rows on the couplings of
-    ``model``, which every model of the chunk shares.
+    ``kernel(model, h_rows, rngs)`` yields the rows' state after every
+    iteration, in the layout of ``h_rows``, on the couplings of ``model``,
+    which every model of the chunk shares. Each row keeps its first state of
+    lowest energy, and the energy of its last state is its final energy.
     """
     paradigm = PARADIGMS[name]
     if cfg.schedule.kind != paradigm.schedule_kind:
@@ -208,27 +205,36 @@ def _solve_many(name: str, kernel, models, cfg: SolverConfig, seeds) -> list[Sol
             other = getattr(m, attr)
             if other is not ref and not np.array_equal(other, ref):
                 raise ValueError("batched models must share one coupling matrix")
+    pdit = paradigm.model == "pdit"
+    j = pdit_flat_coupling(models[0]) if pdit else models[0].j_matrix
     per_model = cfg.schedule.n_iterations * models[0].n
     chunk = max(1, _MAX_PREDRAW // max(1, per_model * cfg.replicas))
     outcomes = []
     for lo in range(0, len(models), chunk):
         hi = min(lo + chunk, len(models))
         rngs = [rng for seed in seeds[lo:hi] for rng in _spawn_rngs(seed, cfg.replicas)]
-        biases = [m.h_vector for m in models[lo:hi]]
-        if paradigm.model == "pdit":
-            biases = [pdit_flat(h) for h in biases]
+        biases = [pdit_flat(m.h_vector) if pdit else m.h_vector for m in models[lo:hi]]
         h_rows = np.repeat(np.stack(biases), cfg.replicas, axis=0)
-        best_s, best_e, best_it, final_e = kernel(models[lo], h_rows, rngs)[:4]
+        best_s = np.empty(h_rows.shape)
+        best_e = np.full(len(h_rows), np.inf)
+        best_it = np.zeros(len(h_rows), dtype=int)
+        for it, s in enumerate(kernel(models[lo], h_rows, rngs), 1):
+            e = ising_energies(s, j, h_rows)
+            improved = e < best_e
+            best_e[improved] = e[improved]
+            best_s[improved] = s[improved]
+            best_it[improved] = it
+        if pdit:
+            best_s = _pdit_unflat(best_s, models[0].n)
         for first in range(0, (hi - lo) * cfg.replicas, cfg.replicas):
             rows = slice(first, first + cfg.replicas)
-            best = int(np.argmin(best_e[rows]))
+            best = first + int(np.argmin(best_e[rows]))
             outcomes.append(
                 SolveOutcome(
-                    best_state=best_s[first + best],
-                    best_energy=float(best_e[first + best]),
-                    final_energies=final_e[rows].copy(),
-                    best_iteration=int(best_it[first + best]),
-                    best_replica=best,
+                    best_state=best_s[best],
+                    best_energy=float(best_e[best]),
+                    final_energies=e[rows].copy(),
+                    best_iteration=int(best_it[best]),
                     n_iterations=cfg.schedule.n_iterations,
                 )
             )
@@ -239,15 +245,10 @@ def _solve_many(name: str, kernel, models, cfg: SolverConfig, seeds) -> list[Sol
 # binary-spin probabilistic sweeps
 
 
-def _bpim_core(
-    j: np.ndarray,
-    h_rows: np.ndarray,
-    betas: np.ndarray,
-    rngs: list[np.random.Generator],
-    record_states: bool = False,
-    track_best: bool = True,
+def _bpim_sweeps(
+    j: np.ndarray, h_rows: np.ndarray, betas: np.ndarray, rngs: list[np.random.Generator]
 ):
-    """Sequential p-bit sweeps over a stack of rows (replicas and/or instances)."""
+    """Sequential p-bit sweeps over a stack of rows; yields the live spins after each."""
     n = j.shape[0]
     n_it = len(betas)
     rows = len(rngs)
@@ -256,24 +257,11 @@ def _bpim_core(
     for r, rng in enumerate(rngs):
         s[r] = rng.integers(0, 2, n) * 2 - 1
         u[r] = rng.uniform(-1.0, 1.0, (n_it, n))
-    history = np.empty((rows, n_it, n), dtype=np.int8) if record_states else None
-    best_e = np.full(rows, np.inf)
-    best_s = s.copy()
-    best_it = np.zeros(rows, dtype=int)
     for k, beta in enumerate(betas):
         for i in range(n):
             local = s @ j[:, i] + h_rows[:, i]
             s[:, i] = np.where(u[:, k, i] + np.tanh(beta * local) >= 0, 1.0, -1.0)
-        if record_states:
-            history[:, k] = s
-        if track_best:
-            e = ising_energies(s, j, h_rows)
-            improved = e < best_e
-            best_e[improved] = e[improved]
-            best_s[improved] = s[improved]
-            best_it[improved] = k + 1
-    final = ising_energies(s, j, h_rows)
-    return best_s, best_e, best_it, final, s, history
+        yield s
 
 
 def bpim_solve_many(
@@ -283,7 +271,7 @@ def bpim_solve_many(
     betas = cfg.schedule.values()
 
     def kernel(model, h_rows, rngs):
-        return _bpim_core(model.j_matrix, h_rows, betas, rngs)
+        return _bpim_sweeps(model.j_matrix, h_rows, betas, rngs)
 
     return _solve_many("bpim", kernel, models, cfg, seeds)
 
@@ -296,13 +284,8 @@ def _pdit_unflat(d: np.ndarray, n: int) -> np.ndarray:
     return np.stack([d[..., :n], d[..., n:]], axis=-1)
 
 
-def _dpim_core(
-    model: PditModel,
-    h_rows: np.ndarray,
-    betas: np.ndarray,
-    rngs: list[np.random.Generator],
-    record_states: bool = False,
-    track_best: bool = True,
+def _dpim_sweeps(
+    model: PditModel, h_rows: np.ndarray, betas: np.ndarray, rngs: list[np.random.Generator]
 ):
     """Sequential p-dit sweeps; every site resamples among all M symbol values.
 
@@ -310,7 +293,7 @@ def _dpim_core(
     :func:`pdit_flat`, and the state is kept the same way. Each site update
     computes the two-axis local field once, forms the move costs toward
     every candidate from it, and draws the new value from the softmax of
-    those costs. States are returned as (rows, N, 2) axis values.
+    those costs. The live state is yielded after every sweep.
     """
     n = model.n
     levels = model.pam_levels
@@ -332,11 +315,6 @@ def _dpim_core(
     field_cols = np.empty((n, 2 * n, 2))
     field_cols[:, :, 0] = np.concatenate([model.j11, model.j12], axis=1)
     field_cols[:, :, 1] = np.concatenate([-model.j12, model.j11], axis=1)
-    j_big = pdit_flat_coupling(model)
-    history = np.empty((rows, n_it, n, 2), dtype=np.int8) if record_states else None
-    best_e = np.full(rows, np.inf)
-    best_d = d.copy()
-    best_it = np.zeros(rows, dtype=int)
     for k, beta in enumerate(betas):
         for i in range(n):
             f = d @ field_cols[i]
@@ -352,16 +330,7 @@ def _dpim_core(
             pick = (cdf < u[:, k, i] * cdf[-1]).sum(axis=0)
             d[:, i] = l1g[pick]
             d[:, n + i] = l2g[pick]
-        if record_states:
-            history[:, k] = _pdit_unflat(d, n)
-        if track_best:
-            e = ising_energies(d, j_big, h_rows)
-            improved = e < best_e
-            best_e[improved] = e[improved]
-            best_d[improved] = d[improved]
-            best_it[improved] = k + 1
-    final = ising_energies(d, j_big, h_rows)
-    return _pdit_unflat(best_d, n), best_e, best_it, final, _pdit_unflat(d, n), history
+        yield d
 
 
 def dpim_solve_many(models: list[PditModel], cfg: SolverConfig, seeds) -> list[SolveOutcome]:
@@ -373,7 +342,7 @@ def dpim_solve_many(models: list[PditModel], cfg: SolverConfig, seeds) -> list[S
     betas = cfg.schedule.values()
 
     def kernel(model, h_rows, rngs):
-        return _dpim_core(model, h_rows, betas, rngs)
+        return _dpim_sweeps(model, h_rows, betas, rngs)
 
     return _solve_many("dpim", kernel, models, cfg, seeds)
 
@@ -397,18 +366,14 @@ def _oim_drift(
     return -params.coupling * coupling - params.binarization * binarize
 
 
-def _phase_readout(cos_phi: np.ndarray) -> np.ndarray:
-    return np.where(cos_phi >= 0, 1.0, -1.0)
-
-
-def _oim_core(
+def _oim_sweeps(
     j: np.ndarray,
     h_rows: np.ndarray,
     temps: np.ndarray,
     params: OimParams,
     rngs: list[np.random.Generator],
 ):
-    """Heun integration of the phase dynamics with annealed noise kicks."""
+    """Heun-integrated phase dynamics with annealed noise; yields sign(cos phase) per step."""
     n = j.shape[0]
     n_it = len(temps)
     rows = len(rngs)
@@ -419,9 +384,6 @@ def _oim_core(
         noise[r] = rng.standard_normal((n_it, n))
     sqrt_dt = np.sqrt(params.dt)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    best_e = np.full(rows, np.inf)
-    best_s = _phase_readout(cos_phi)
-    best_it = np.zeros(rows, dtype=int)
     for k, temp in enumerate(temps):
         kick = (temp * sqrt_dt) * noise[:, k]
         f0 = _oim_drift(sin_phi, cos_phi, j, h_rows, params)
@@ -429,15 +391,7 @@ def _oim_core(
         f1 = _oim_drift(np.sin(pred), np.cos(pred), j, h_rows, params)
         phi += 0.5 * params.dt * (f0 + f1) + kick
         sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-        s = _phase_readout(cos_phi)
-        e = ising_energies(s, j, h_rows)
-        improved = e < best_e
-        best_e[improved] = e[improved]
-        best_s[improved] = s[improved]
-        best_it[improved] = k + 1
-    readout = _phase_readout(cos_phi)
-    final = ising_energies(readout, j, h_rows)
-    return best_s, best_e, best_it, final, readout, None
+        yield np.where(cos_phi >= 0, 1.0, -1.0)
 
 
 def oim_solve_many(
@@ -450,7 +404,7 @@ def oim_solve_many(
     temps = cfg.schedule.values()
 
     def kernel(model, h_rows, rngs):
-        return _oim_core(model.j_matrix, h_rows, temps, cfg.oim, rngs)
+        return _oim_sweeps(model.j_matrix, h_rows, temps, cfg.oim, rngs)
 
     return _solve_many("oim", kernel, models, cfg, seeds)
 
@@ -499,9 +453,8 @@ def sample_spin_chain(
     betas = np.full(n_sweeps, beta)
     rngs = _spawn_rngs(seed, n_chains)
     h_rows = np.broadcast_to(model.h_vector, (n_chains, model.n))
-    return _bpim_core(
-        model.j_matrix, h_rows, betas, rngs, record_states=True, track_best=False
-    )[5]
+    sweeps = _bpim_sweeps(model.j_matrix, h_rows, betas, rngs)
+    return np.stack([s.astype(np.int8) for s in sweeps], axis=1)
 
 
 def sample_pdit_chain(
@@ -511,6 +464,5 @@ def sample_pdit_chain(
     betas = np.full(n_sweeps, beta)
     rngs = _spawn_rngs(seed, n_chains)
     h_rows = np.broadcast_to(pdit_flat(model.h_vector), (n_chains, 2 * model.n))
-    return _dpim_core(
-        model, h_rows, betas, rngs, record_states=True, track_best=False
-    )[5]
+    sweeps = _dpim_sweeps(model, h_rows, betas, rngs)
+    return _pdit_unflat(np.stack([d.astype(np.int8) for d in sweeps], axis=1), model.n)

@@ -152,6 +152,9 @@ class TestFitBetaCommand:
         lines = (out / "beta_sweep.csv").read_text().splitlines()
         assert lines[0] == "n,order,beta_max,mean_final_energy,stderr"
         assert len(lines) == 4
+        for line in lines[1:]:
+            fields = [float(v) for v in line.split(",")]
+            assert len(fields) == 5
         assert "optimal peak" in capsys.readouterr().out
 
 

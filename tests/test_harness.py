@@ -236,6 +236,10 @@ class TestBetaSweep:
             beta_sweep(4, 4, "bpim", [-0.1, 0.2])
         with pytest.raises(ValueError):
             beta_sweep(4, 4, "annealer", [0.1])
+        with pytest.raises(ValueError, match="instance pool"):
+            beta_sweep(4, 4, "bpim", [0.1], n_instances=0)
+        with pytest.raises(ValueError, match="instance pool"):
+            beta_sweep(4, 4, "bpim", [0.1], ebn0_list=[])
         res = beta_sweep(
             2, 4, "dpim", [0.05, 0.5], n_instances=2, n_trials=10, n_iterations=20, seed=1
         )

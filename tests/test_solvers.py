@@ -22,9 +22,10 @@ from isingmimo import (
     sample_spin_chain,
 )
 from isingmimo import solvers
+from isingmimo.ising_map import ising_energies
 from isingmimo.solvers import (
-    _bpim_core,
-    _oim_core,
+    _bpim_sweeps,
+    _oim_sweeps,
     _spawn_rngs,
     bpim_solve_many,
     dpim_solve_many,
@@ -49,11 +50,6 @@ class TestAnnealSchedule:
         vals = AnnealSchedule("temperature", 30.0, 4).values()
         np.testing.assert_allclose(vals, [22.5, 15.0, 7.5, 0.0])
 
-    def test_constant_shape(self):
-        np.testing.assert_array_equal(
-            AnnealSchedule("beta", 0.5, 3, shape="constant").values(), [0.5] * 3
-        )
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AnnealSchedule("gamma", 1.0, 10)
@@ -61,8 +57,6 @@ class TestAnnealSchedule:
             AnnealSchedule("beta", 0.0, 10)
         with pytest.raises(ValueError):
             AnnealSchedule("beta", 1.0, 0)
-        with pytest.raises(ValueError):
-            AnnealSchedule("beta", 1.0, 10, shape="cubic")
 
 
 class TestDefaultParameters:
@@ -182,6 +176,27 @@ class TestPditKernel:
         tv = 0.5 * np.abs(emp - exact).sum()
         assert tv < 0.01
 
+    @pytest.mark.parametrize("order", [4, 16])
+    def test_stationary_distribution_two_sites(self, order):
+        # Two coupled p-dits: the chain must sample the exact joint Boltzmann
+        # distribution, which the cross-site field shapes.
+        inst, _ = build_instance(build_constellation(order), 2, 6.0, 3)
+        model = build_pdit_model(inst.channel, inst.rx_vector, order)
+        beta = 0.15
+        levels = model.pam_levels
+        states = np.array(list(itertools.product(levels, repeat=4))).reshape(-1, 2, 2)
+        energies = np.array([pdit_energy(d, model) for d in states])
+        exact = np.exp(-beta * (energies - energies.min()))
+        exact /= exact.sum()
+        chains = sample_pdit_chain(model, beta, 20000, seed=7, n_chains=25)
+        samples = chains[:, 1000:].reshape(-1, 4)
+        keys = np.zeros(len(samples), dtype=int)
+        for col in range(4):
+            keys = keys * levels.size + np.searchsorted(levels, samples[:, col])
+        emp = np.bincount(keys, minlength=len(states)) / keys.size
+        tv = 0.5 * np.abs(emp - exact).sum()
+        assert tv < 0.01
+
     def test_finds_exhaustive_argmin(self):
         c = build_constellation(4)
         inst, _ = build_instance(c, 8, 12.0, 55)
@@ -232,14 +247,14 @@ class TestOscillatorKernel:
         # Noiseless relaxation from a small phase split locks in phase and
         # reads out aligned spins.
         model = ferromagnet()
-        readout = _oim_core(
+        *_, readout = _oim_sweeps(
             model.j_matrix,
             np.zeros((1, 2)),
             np.zeros(3000),
             OimParams(1.0, 1.0),
             [np.random.default_rng(12)],
-        )[4][0]
-        assert readout[0] == readout[1]
+        )
+        assert readout[0, 0] == readout[0, 1]
 
     def test_field_pinning(self):
         # Positive bias must pull the readout to +1 (annealed run).
@@ -262,13 +277,14 @@ class TestOscillatorKernel:
             a = rng.standard_normal((8, 8))
             j = (a + a.T) / 2
             np.fill_diagonal(j, 0.0)
-            s = _oim_core(
+            *_, last = _oim_sweeps(
                 j,
                 np.zeros((1, 8)),
                 np.zeros(5000),
                 OimParams(coupling=1.0, binarization=0.15),
                 [np.random.default_rng(5000 + trial)],
-            )[4][0]
+            )
+            s = last[0]
             flip_gain = 2 * s * (j @ s)
             ok += bool((flip_gain >= -1e-9).all())
         assert ok >= 0.9 * n_models
@@ -290,16 +306,27 @@ def binary_instance(n, ebn0_db, seed):
     return build_binary_model(realify(inst.channel, inst.rx_vector, 2))
 
 
+def sweep_energies(model, betas, rng):
+    """States and energies after every sweep of a one-row p-bit run."""
+    h = model.h_vector[None]
+    states, energies = [], []
+    for s in _bpim_sweeps(model.j_matrix, h, betas, [rng]):
+        states.append(s[0].copy())
+        energies.append(ising_energies(s, model.j_matrix, h)[0])
+    return np.array(states), np.array(energies)
+
+
 class TestReplication:
     def test_r1_identical_to_kernel_run(self):
         model = ferromagnet()
         sched = AnnealSchedule("beta", 2.0, 50)
         (out,) = bpim_solve_many([model], SolverConfig(1, sched), [9])
-        best_s, best_e, _, _, _, _ = _bpim_core(
-            model.j_matrix, model.h_vector[None], sched.values(), _spawn_rngs(9, 1)
-        )
-        np.testing.assert_array_equal(out.best_state, best_s[0])
-        assert out.best_energy == best_e[0]
+        states, energies = sweep_energies(model, sched.values(), _spawn_rngs(9, 1)[0])
+        best = int(np.argmin(energies))
+        np.testing.assert_array_equal(out.best_state, states[best])
+        assert out.best_energy == energies[best]
+        assert out.best_iteration == best + 1
+        np.testing.assert_array_equal(out.final_energies, energies[-1:])
 
     def test_best_energy_monotone_in_replicas(self):
         model = binary_instance(10, 3.0, 8)
@@ -330,25 +357,25 @@ class TestReplication:
         for a, b in zip(parallel, serial):
             np.testing.assert_array_equal(a.best_state, b.best_state)
             np.testing.assert_array_equal(a.final_energies, b.final_energies)
-            assert a.best_replica == b.best_replica
 
     def test_solve_matches_replica_kernels(self):
         # Each row of a batched solve equals that replica's chain run alone.
         model = binary_instance(6, 8.0, 30)
-        cfg = SolverConfig(5, AnnealSchedule("beta", 0.5, 25))
+        # A low peak, so replicas end at different energies above their best.
+        cfg = SolverConfig(5, AnnealSchedule("beta", 0.1, 25))
         (out,) = bpim_solve_many([model], cfg, [77])
         singles = [
-            _bpim_core(model.j_matrix, model.h_vector[None], cfg.schedule.values(), [rng])
+            sweep_energies(model, cfg.schedule.values(), rng)
             for rng in _spawn_rngs(77, cfg.replicas)
         ]
-        best_s, best_e, best_it, final = (
-            np.concatenate([run[k] for run in singles]) for k in range(4)
-        )
+        # Per replica the first lowest-energy sweep, then the first best replica.
+        best_it = [int(np.argmin(e)) for _, e in singles]
+        best_e = [e[k] for (_, e), k in zip(singles, best_it)]
         best = int(np.argmin(best_e))
-        np.testing.assert_array_equal(out.best_state, best_s[best])
-        np.testing.assert_array_equal(out.final_energies, final)
+        np.testing.assert_array_equal(out.best_state, singles[best][0][best_it[best]])
+        np.testing.assert_array_equal(out.final_energies, [e[-1] for _, e in singles])
         assert out.best_energy == best_e[best]
-        assert out.best_iteration == best_it[best]
+        assert out.best_iteration == best_it[best] + 1
 
     def test_batched_solve_matches_singles(self):
         c = build_constellation(4)
