@@ -23,12 +23,9 @@ from .channel import (
     build_instance,
     derive_rng,
     derive_seed,
-    dump_instance,
     generate_channel,
-    load_instance,
     noise_sigma_sq,
     realify,
-    realify_symbols,
     transmit,
 )
 from .constellation import (
@@ -46,7 +43,6 @@ from .harness import (
     ScalingFit,
     ber_upper_bound,
     beta_sweep,
-    binomial_interval,
     fit_scaling_law,
     plan_experiment,
     report,
@@ -60,7 +56,6 @@ from .ising_map import (
     build_binary_model,
     build_pdit_model,
     build_transform,
-    pdit_delta_energy,
     pdit_energy,
     spins_to_symbols,
     symbols_to_spins,

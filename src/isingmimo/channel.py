@@ -9,7 +9,6 @@ role tags are the module-level ``ROLE_*`` constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -18,17 +17,13 @@ from .constellation import Constellation, modulate_bits
 __all__ = [
     "MimoInstance",
     "RealizedChannel",
-    "SeedInfo",
     "derive_seed",
     "derive_rng",
     "generate_channel",
     "noise_sigma_sq",
     "transmit",
     "realify",
-    "realify_symbols",
     "build_instance",
-    "dump_instance",
-    "load_instance",
     "ROLE_CHANNEL",
     "ROLE_MESSAGE",
     "ROLE_NOISE",
@@ -50,15 +45,6 @@ def derive_rng(master_seed: int, *fields: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master_seed, *fields))
 
 
-@dataclass(frozen=True)
-class SeedInfo:
-    """Seed tuples used for the channel, message, and noise draws."""
-
-    channel: tuple
-    message: tuple
-    noise: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class MimoInstance:
     """One detection problem: y = H x0 + n at a given noise level."""
@@ -70,7 +56,6 @@ class MimoInstance:
     rx_vector: np.ndarray
     sigma_sq: float
     ebn0_db: float
-    seed_info: SeedInfo | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,14 +124,6 @@ def realify(H: np.ndarray, y: np.ndarray, order: int) -> RealizedChannel:
     return RealizedChannel(h_real, y_real, bpsk_mode=False)
 
 
-def realify_symbols(x: np.ndarray, order: int) -> np.ndarray:
-    """Real-valued unknown matching :func:`realify`: [Re x; Im x], or Re x for BPSK."""
-    x = np.asarray(x)
-    if order == 2:
-        return x.real.astype(float)
-    return np.concatenate([x.real, x.imag])
-
-
 def build_instance(
     c: Constellation,
     n: int,
@@ -173,83 +150,6 @@ def build_instance(
         rx_vector=y,
         sigma_sq=float(sigma_sq),
         ebn0_db=float(ebn0_db),
-        seed_info=SeedInfo(ch_seed, msg_seed, noise_seed),
     )
     return inst, bits
 
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def dump_instance(inst: MimoInstance, path) -> None:
-    """Write an instance as line-oriented text (one matrix entry per line)."""
-    lines = [
-        "isingmimo-instance v1",
-        f"n_rx {inst.n_rx}",
-        f"n_tx {inst.n_tx}",
-        f"sigma_sq {_fmt(inst.sigma_sq)}",
-        f"ebn0_db {_fmt(inst.ebn0_db)}",
-    ]
-    if inst.seed_info is not None:
-        for tag in ("channel", "message", "noise"):
-            vals = " ".join(str(int(v)) for v in getattr(inst.seed_info, tag))
-            lines.append(f"seed_{tag} {vals}")
-    lines.append("H")
-    for v in inst.channel.ravel():
-        lines.append(f"{_fmt(v.real)} {_fmt(v.imag)}")
-    lines.append("x0")
-    for v in inst.tx_symbols:
-        lines.append(f"{_fmt(v.real)} {_fmt(v.imag)}")
-    lines.append("y")
-    for v in inst.rx_vector:
-        lines.append(f"{_fmt(v.real)} {_fmt(v.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_instance(path) -> MimoInstance:
-    """Inverse of :func:`dump_instance`."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "isingmimo-instance v1":
-        raise ValueError(f"{path}: not an isingmimo instance file")
-    header: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i] != "H":
-        key, _, val = lines[i].partition(" ")
-        header[key] = val
-        i += 1
-
-    def read_complex(count):
-        nonlocal i
-        out = np.empty(count, dtype=complex)
-        for k in range(count):
-            re, im = lines[i].split()
-            out[k] = float(re) + 1j * float(im)
-            i += 1
-        return out
-
-    n_rx = int(header["n_rx"])
-    n_tx = int(header["n_tx"])
-    i += 1  # skip "H"
-    H = read_complex(n_rx * n_tx).reshape(n_rx, n_tx)
-    i += 1  # skip "x0"
-    x0 = read_complex(n_tx)
-    i += 1  # skip "y"
-    y = read_complex(n_rx)
-    seed_info = None
-    if "seed_channel" in header:
-        seed_info = SeedInfo(
-            tuple(int(v) for v in header["seed_channel"].split()),
-            tuple(int(v) for v in header["seed_message"].split()),
-            tuple(int(v) for v in header["seed_noise"].split()),
-        )
-    return MimoInstance(
-        n_tx=n_tx,
-        n_rx=n_rx,
-        channel=H,
-        tx_symbols=x0,
-        rx_vector=y,
-        sigma_sq=float(header["sigma_sq"]),
-        ebn0_db=float(header["ebn0_db"]),
-        seed_info=seed_info,
-    )

@@ -75,17 +75,21 @@ def _require(merged: dict, *keys: str) -> None:
 
 
 def _check_writable(out_dir: str) -> Path:
+    """Reject an output directory that cannot be created, without creating it.
+
+    Its nearest existing ancestor must be a writable directory. The directory
+    is made only when output is written, so a rejected run leaves none behind.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if not os.access(out, os.W_OK):
+    existing = out.absolute()
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir() or not os.access(existing, os.W_OK):
         raise ValueError(f"output directory {out} is not writable")
     return out
 
 
 def _run_plan(plan, threads: int, out_dir: str, csv_name: str = "results.csv") -> None:
-    # Checked here too, so a rejected run leaves no output directory behind.
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1; got {threads}")
     out = _check_writable(out_dir)
     points = run_ber_sweep(plan, threads=threads)
     csv_path, manifest_path = report(points, plan, out, csv_name)
@@ -152,6 +156,7 @@ def _cmd_fit_beta(args: argparse.Namespace) -> None:
             )
             rows.append((n, order, result))
             print(f"n={n} order={order}: optimal peak {result.beta_opt:.6g}")
+    out.mkdir(parents=True, exist_ok=True)
     curve_path = out / "beta_sweep.csv"
     with open(curve_path, "w") as fh:
         fh.write("n,order,beta_max,mean_final_energy,stderr\n")

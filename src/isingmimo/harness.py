@@ -33,6 +33,7 @@ from .channel import (
     ROLE_MESSAGE,
     ROLE_NOISE,
     ROLE_SOLVER,
+    build_instance,
     derive_rng,
     derive_seed,
     generate_channel,
@@ -59,7 +60,6 @@ __all__ = [
     "plan_experiment",
     "run_ber_sweep",
     "ber_upper_bound",
-    "binomial_interval",
     "beta_sweep",
     "fit_scaling_law",
     "report",
@@ -379,22 +379,6 @@ def ber_upper_bound(n_bits: int, confidence: float = 0.95) -> float:
     return -math.log(1.0 - confidence) / n_bits
 
 
-def binomial_interval(errors: int, n_bits: int, confidence: float = 0.95) -> tuple:
-    """Clopper-Pearson confidence interval for an error proportion."""
-    if not 0 <= errors <= n_bits:
-        raise ValueError("need 0 <= errors <= n_bits")
-    from scipy import stats  # imported here: it is slow, and only this uses it
-
-    alpha = 1.0 - confidence
-    lo = 0.0 if errors == 0 else float(stats.beta.ppf(alpha / 2, errors, n_bits - errors + 1))
-    hi = (
-        1.0
-        if errors == n_bits
-        else float(stats.beta.ppf(1 - alpha / 2, errors + 1, n_bits - errors))
-    )
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # annealing-peak calibration
 
@@ -437,7 +421,16 @@ def beta_sweep(
     if n_instances < 1 or len(ebn0_list) == 0:
         raise ValueError("the instance pool needs n_instances >= 1 and at least one Eb/N0 value")
     base_cfg = default_parameters(paradigm, n, order)  # rejects unknown paradigms
-    from .channel import build_instance  # local import avoids a cycle at module load
+    # Every peak's config is built before the pool, so that invalid trial or
+    # iteration counts fail before any instance is generated.
+    cfgs = [
+        replace(
+            base_cfg,
+            replicas=n_trials,
+            schedule=replace(base_cfg.schedule, peak=float(peak), n_iterations=n_iterations),
+        )
+        for peak in beta_grid
+    ]
 
     c = build_constellation(order)
     models = []
@@ -461,12 +454,7 @@ def beta_sweep(
 
     means = np.empty(beta_grid.size)
     stderrs = np.empty(beta_grid.size)
-    for b_idx, peak in enumerate(beta_grid):
-        cfg = replace(
-            base_cfg,
-            replicas=n_trials,
-            schedule=replace(base_cfg.schedule, peak=float(peak), n_iterations=n_iterations),
-        )
+    for b_idx, cfg in enumerate(cfgs):
         finals = []
         for m_idx, model in enumerate(models):
             (outcome,) = solve_many(

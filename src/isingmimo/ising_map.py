@@ -32,8 +32,6 @@ __all__ = [
     "pdit_flat_coupling",
     "pdit_energy",
     "random_state_energies",
-    "pdit_local_field",
-    "pdit_delta_energy",
 ]
 
 
@@ -245,36 +243,3 @@ def random_state_energies(model, rng: np.random.Generator, count: int) -> np.nda
         j, h = model.j_matrix, model.h_vector
     return ising_energies(x, j, np.broadcast_to(h, x.shape))
 
-
-def pdit_local_field(i: int, d: np.ndarray, model: PditModel) -> np.ndarray:
-    """Two-axis local field at site i, including the j = i self term."""
-    d = _check_state(d, model)
-    d1, d2 = d[:, 0], d[:, 1]
-    f1 = model.h_vector[i, 0] + model.j11[i] @ d1 + model.j12[i] @ d2
-    f2 = model.h_vector[i, 1] - model.j12[i] @ d1 + model.j11[i] @ d2
-    return np.array([f1, f2])
-
-
-def pdit_delta_energy(
-    i: int, d0: np.ndarray, d1: np.ndarray, state: np.ndarray, model: PditModel
-) -> float:
-    """Energy change from moving site i from d0 to d1, via the local field.
-
-    Computed as (d0 - d1) . I_i minus the self-coupling correction, which
-    reproduces the direct full-energy difference exactly.
-    """
-    state = _check_state(state, model)
-    d0 = np.asarray(d0, dtype=float)
-    d1 = np.asarray(d1, dtype=float)
-    if not np.array_equal(state[i], d0):
-        raise ValueError(f"d0 {d0} is not the current value of site {i}")
-    field = pdit_local_field(i, state, model)
-    j_self = np.array(
-        [
-            [model.j11[i, i], model.j12[i, i]],
-            [-model.j12[i, i], model.j11[i, i]],
-        ]
-    )
-    diff = d1 - d0
-    correction = d1 @ (j_self @ d1) - 2.0 * (d1 @ (j_self @ d0)) + d0 @ (j_self @ d0)
-    return float(-(diff @ field) - 0.5 * correction)

@@ -15,6 +15,11 @@ kernel call with per-row bias vectors. Each solver has one such batched
 entry point, ``*_solve_many``, with the signature ``(models, cfg, seeds)``.
 :data:`PARADIGMS` holds one :class:`Paradigm` record per solver, and
 :func:`solve_many` dispatches on its name.
+
+Each solver fixes its own ramp direction and constants: the p-bit and p-dit
+sweeps raise the inverse temperature to the schedule's peak, and the
+oscillator dynamics lower the noise level from it to zero, with constants
+from :func:`oim_params` scaled by the model size.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "Paradigm",
     "PARADIGMS",
     "default_parameters",
+    "oim_params",
     "solve_many",
     "bpim_solve_many",
     "dpim_solve_many",
@@ -55,63 +61,51 @@ DEFAULT_ITERATIONS = 100
 # larger than this are solved in chunks.
 _MAX_PREDRAW = 8_000_000
 
+# Time step of the oscillator phase integration.
+_OIM_DT = 0.01
+
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Per-iteration control parameter: a beta ramp up or a temperature ramp down.
+    """A linear annealing ramp to ``peak``; each solver fixes its direction.
 
-    Linear: beta(k) = peak * k / n_iterations for k = 1..n_iterations,
-    temperature(k) = peak * (1 - k / n_iterations), reaching 0 at the final
-    step.
+    With ramp(k) = k / n_iterations for k = 1..n_iterations, the p-bit and
+    p-dit solvers anneal beta(k) = peak * ramp(k) up, and the oscillator
+    solver anneals temperature(k) = peak * (1 - ramp(k)) down, reaching 0 at
+    the final step.
     """
 
-    kind: str
     peak: float
     n_iterations: int
 
     def __post_init__(self):
-        if self.kind not in ("beta", "temperature"):
-            raise ValueError(f"schedule kind must be 'beta' or 'temperature'; got {self.kind!r}")
-        if self.kind == "beta":
-            if not self.peak > 0:
-                raise ValueError("beta schedules need a positive peak")
-        elif self.peak < 0:
-            raise ValueError("temperature schedules need a nonnegative peak")
+        if not self.peak > 0:
+            raise ValueError("schedules need a positive peak")
         if self.n_iterations < 1:
             raise ValueError("schedule needs at least one iteration")
 
-    def values(self) -> np.ndarray:
-        """The control parameter at iterations 1..n_iterations."""
-        ramp = np.arange(1, self.n_iterations + 1) / self.n_iterations
-        if self.kind == "beta":
-            return self.peak * ramp
-        return self.peak * (1.0 - ramp)
+    def ramp(self) -> np.ndarray:
+        """k / n_iterations at iterations k = 1..n_iterations."""
+        return np.arange(1, self.n_iterations + 1) / self.n_iterations
 
 
 @dataclass(frozen=True)
 class OimParams:
-    """Oscillator constants: coupling gain, binarization gain, time step."""
+    """Oscillator constants: coupling gain and binarization gain."""
 
     coupling: float
     binarization: float
-    dt: float = 0.01
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Replica count, annealing schedule, and the oscillator constants.
+    """Replica count and annealing schedule.
 
-    ``oim`` is required by oscillator runs and ignored by the others. Seeds
-    are not part of the config: the batched solvers take one per model.
+    Seeds are not part of the config: the batched solvers take one per model.
     """
 
     replicas: int
     schedule: AnnealSchedule
-    oim: OimParams | None = None
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -131,13 +125,10 @@ class SolveOutcome:
 class Paradigm:
     """What the planner and the harness need to know about one solver."""
 
-    schedule_kind: str  # "beta" (inverse temperature) or "temperature" (noise)
     modulations: tuple  # "BPSK" (order 2) and/or "QAM" (orders >= 4)
     model: str  # "binary" spin model or "pdit" symbol-native model
-    shared: tuple  # model arrays that every model of one batch must share
     peak: Callable[[int, int], float]  # default annealing peak for (n, order)
     solve: Callable  # the batched solver, (models, cfg, seeds) -> outcomes
-    oim: Callable[[int], OimParams] | None = None  # default oscillator constants
 
 
 def _paradigm(name: str) -> Paradigm:
@@ -154,8 +145,8 @@ def default_parameters(paradigm: str, n: int, order: int = 2) -> SolverConfig:
 
     Peak inverse temperature: sqrt(3) * n^(-2/3) for binary-spin sweeps on
     BPSK, 13 / (n sqrt(order)) for QAM; sqrt(2) * n^(-4/5) for symbol-native
-    sweeps regardless of order. Oscillator runs (BPSK only) use coupling
-    3.5 n^(-2/3), binarization 1.3 n^(-2/3), and a 30-to-0 noise ramp.
+    sweeps regardless of order. Oscillator runs (BPSK only) ramp their
+    noise level down from 30 to 0, with the constants of :func:`oim_params`.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -166,8 +157,7 @@ def default_parameters(paradigm: str, n: int, order: int = 2) -> SolverConfig:
         )
     return SolverConfig(
         replicas=DEFAULT_REPLICAS,
-        schedule=AnnealSchedule(p.schedule_kind, float(p.peak(n, order)), DEFAULT_ITERATIONS),
-        oim=None if p.oim is None else p.oim(n),
+        schedule=AnnealSchedule(float(p.peak(n, order)), DEFAULT_ITERATIONS),
     )
 
 
@@ -194,18 +184,15 @@ def _solve_many(name: str, kernel, models, cfg: SolverConfig, seeds) -> list[Sol
     which every model of the chunk shares. Each row keeps its first state of
     lowest energy, and the energy of its last state is its final energy.
     """
-    paradigm = PARADIGMS[name]
-    if cfg.schedule.kind != paradigm.schedule_kind:
-        raise ValueError(f"{name} anneals a {paradigm.schedule_kind!r} schedule")
     if len(seeds) != len(models):
         raise ValueError("need one seed per model")
-    for attr in paradigm.shared:
+    pdit = PARADIGMS[name].model == "pdit"
+    for attr in ("j11", "j12") if pdit else ("j_matrix",):
         ref = getattr(models[0], attr)
         for m in models[1:]:
             other = getattr(m, attr)
             if other is not ref and not np.array_equal(other, ref):
                 raise ValueError("batched models must share one coupling matrix")
-    pdit = paradigm.model == "pdit"
     j = pdit_flat_coupling(models[0]) if pdit else models[0].j_matrix
     per_model = cfg.schedule.n_iterations * models[0].n
     chunk = max(1, _MAX_PREDRAW // max(1, per_model * cfg.replicas))
@@ -268,7 +255,7 @@ def bpim_solve_many(
     models: list[BinaryIsingModel], cfg: SolverConfig, seeds
 ) -> list[SolveOutcome]:
     """Best-of-R p-bit annealing of models that share one coupling matrix."""
-    betas = cfg.schedule.values()
+    betas = cfg.schedule.peak * cfg.schedule.ramp()
 
     def kernel(model, h_rows, rngs):
         return _bpim_sweeps(model.j_matrix, h_rows, betas, rngs)
@@ -339,7 +326,7 @@ def dpim_solve_many(models: list[PditModel], cfg: SolverConfig, seeds) -> list[S
     Candidate values are each model's own PAM levels; best states are
     (N, 2) real/imaginary axis values.
     """
-    betas = cfg.schedule.values()
+    betas = cfg.schedule.peak * cfg.schedule.ramp()
 
     def kernel(model, h_rows, rngs):
         return _dpim_sweeps(model, h_rows, betas, rngs)
@@ -382,14 +369,14 @@ def _oim_sweeps(
     for r, rng in enumerate(rngs):
         phi[r] = rng.uniform(0.0, 2.0 * np.pi, n)
         noise[r] = rng.standard_normal((n_it, n))
-    sqrt_dt = np.sqrt(params.dt)
+    sqrt_dt = np.sqrt(_OIM_DT)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     for k, temp in enumerate(temps):
         kick = (temp * sqrt_dt) * noise[:, k]
         f0 = _oim_drift(sin_phi, cos_phi, j, h_rows, params)
-        pred = phi + params.dt * f0 + kick
+        pred = phi + _OIM_DT * f0 + kick
         f1 = _oim_drift(np.sin(pred), np.cos(pred), j, h_rows, params)
-        phi += 0.5 * params.dt * (f0 + f1) + kick
+        phi += 0.5 * _OIM_DT * (f0 + f1) + kick
         sin_phi, cos_phi = np.sin(phi), np.cos(phi)
         yield np.where(cos_phi >= 0, 1.0, -1.0)
 
@@ -399,45 +386,39 @@ def oim_solve_many(
 ) -> list[SolveOutcome]:
     """Best-of-R oscillator runs, with a decaying noise level, of models that
     share one coupling matrix; spins are read out as sign(cos phase)."""
-    if cfg.oim is None:
-        raise ValueError("oscillator runs need OimParams in the config")
-    temps = cfg.schedule.values()
+    temps = cfg.schedule.peak * (1.0 - cfg.schedule.ramp())
 
     def kernel(model, h_rows, rngs):
-        return _oim_sweeps(model.j_matrix, h_rows, temps, cfg.oim, rngs)
+        return _oim_sweeps(model.j_matrix, h_rows, temps, oim_params(model.n), rngs)
 
     return _solve_many("oim", kernel, models, cfg, seeds)
 
 
+def oim_params(n: int) -> OimParams:
+    """Oscillator constants for n spins: coupling 3.5 n^(-2/3), binarization 1.3 n^(-2/3)."""
+    return OimParams(coupling=3.5 * n ** (-2.0 / 3.0), binarization=1.3 * n ** (-2.0 / 3.0))
+
+
 PARADIGMS = {
     "bpim": Paradigm(
-        schedule_kind="beta",
         modulations=("BPSK", "QAM"),
         model="binary",
-        shared=("j_matrix",),
         peak=lambda n, order: (
             np.sqrt(3.0) * n ** (-2.0 / 3.0) if order == 2 else 13.0 / (n * np.sqrt(order))
         ),
         solve=bpim_solve_many,
     ),
     "dpim": Paradigm(
-        schedule_kind="beta",
         modulations=("QAM",),
         model="pdit",
-        shared=("j11", "j12"),
         peak=lambda n, order: np.sqrt(2.0) * n ** (-4.0 / 5.0),
         solve=dpim_solve_many,
     ),
     "oim": Paradigm(
-        schedule_kind="temperature",
         modulations=("BPSK",),
         model="binary",
-        shared=("j_matrix",),
         peak=lambda n, order: 30.0,
         solve=oim_solve_many,
-        oim=lambda n: OimParams(
-            coupling=3.5 * n ** (-2.0 / 3.0), binarization=1.3 * n ** (-2.0 / 3.0)
-        ),
     ),
 }
 

@@ -157,6 +157,19 @@ class TestFitBetaCommand:
             assert len(fields) == 5
         assert "optimal peak" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--instances", "--trials", "--iters"])
+    def test_invalid_count_leaves_no_output_directory(self, flag, tmp_path, capsys):
+        args = {"--instances": "1", "--trials": "2", "--iters": "2", flag: "0"}
+        code = run_cli(
+            "fit-beta",
+            "--n", "2", "--mod", "4", "--beta-grid", "0.5",
+            *[v for item in args.items() for v in item],
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x").exists()
+
 
 # Modulation orders each solver supports, out of BPSK (2) and 4-QAM (4).
 SUPPORTED_ORDERS = {"bpim": (2, 4), "dpim": (4,), "oim": (2,)}
@@ -188,13 +201,23 @@ def test_registry_names_accepted_and_orders_checked_alike(paradigm, tmp_path):
             assert str(planned.value) == str(defaults.value)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # The library runs on numpy alone: with scipy blocked, a tiny run and a
+    # tiny fit-beta both exit 0.
     src = str(Path(isingmimo.__file__).resolve().parent.parent)
+    run = ["run", "--n", "2", "--mod", "4", "--ebn0", "10", "--bits", "56",
+           "--detectors", "mmse,bpim", "--replicas", "2", "--iters", "2",
+           "--out", str(tmp_path / "run")]
+    fit = ["fit-beta", "--n", "2", "--mod", "4", "--beta-grid", "0.5",
+           "--instances", "1", "--trials", "2", "--iters", "2",
+           "--out", str(tmp_path / "fit")]
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import isingmimo.cli; "
-        "print('scipy.stats' in sys.modules)"
+        f"import sys; sys.modules['scipy'] = None; sys.path.insert(0, {src!r}); "
+        f"from isingmimo.cli import main; print([main({run!r}), main({fit!r})])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0]", proc.stderr
+    assert (tmp_path / "run" / "results.csv").exists()
+    assert (tmp_path / "fit" / "beta_sweep.csv").exists()

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from isingmimo import (
     SingularChannelError,
     ber_upper_bound,
     beta_sweep,
-    binomial_interval,
+    build_constellation,
+    build_instance,
     fit_scaling_law,
     plan_experiment,
     report,
@@ -98,16 +100,6 @@ class TestConfidenceBounds:
         with pytest.raises(ValueError):
             ber_upper_bound(0)
 
-    def test_binomial_interval(self):
-        lo, hi = binomial_interval(0, 1000)
-        assert lo == 0.0 and 0 < hi < 0.005
-        lo, hi = binomial_interval(500, 1000)
-        assert lo < 0.5 < hi
-        lo2, hi2 = binomial_interval(1000, 1000)
-        assert hi2 == 1.0
-        with pytest.raises(ValueError):
-            binomial_interval(5, 4)
-
 
 class TestRunBerSweep:
     def test_noiseless_gives_zero_errors(self):
@@ -133,14 +125,23 @@ class TestRunBerSweep:
         assert per_detector == {"mmse": [8.0, 12.0], "zf": [8.0, 12.0]}
 
     def test_monotone_ber_up_to_binomial_noise(self):
+        def clopper_pearson(errors, n_bits, alpha=0.05):
+            lo = 0.0 if errors == 0 else stats.beta.ppf(alpha / 2, errors, n_bits - errors + 1)
+            hi = (
+                1.0
+                if errors == n_bits
+                else stats.beta.ppf(1 - alpha / 2, errors + 1, n_bits - errors)
+            )
+            return lo, hi
+
         plan = plan_experiment(
             8, 2, [2.0, 6.0, 10.0, 14.0], 13440, seed=4, detectors=("mmse",)
         )
         points = run_ber_sweep(plan)
         for a, b in zip(points, points[1:]):
             if a.ber < b.ber:  # allowed only when intervals overlap
-                lo_a, hi_a = binomial_interval(a.errors, a.bits)
-                lo_b, hi_b = binomial_interval(b.errors, b.bits)
+                lo_a, hi_a = clopper_pearson(a.errors, a.bits)
+                lo_b, hi_b = clopper_pearson(b.errors, b.bits)
                 assert max(lo_a, lo_b) <= min(hi_a, hi_b)
 
     def test_heuristic_metadata_recorded(self):
@@ -160,6 +161,30 @@ class TestRunBerSweep:
         a = run_ber_sweep(plan, threads=1)
         b = run_ber_sweep(plan, threads=2)
         assert a == b
+
+    def test_build_instance_replays_every_cell(self, monkeypatch):
+        # The plan's seed rebuilds any cell, so a failed one needs no instance file.
+        plan = plan_experiment(
+            3, 4, [6.0, 12.0], 24, seed=11, detectors=("zf",), messages_per_channel=2
+        )
+        seen = []
+
+        def recording(detector, H, y, sigma_sq, c):
+            seen.append((H, y, sigma_sq))
+            return real_detect(detector, H, y, sigma_sq, c)
+
+        real_detect = harness._detect_bits
+        monkeypatch.setattr(harness, "_detect_bits", recording)
+        run_ber_sweep(plan)
+        cells = [(ch, msg, e) for ch in range(2) for msg in range(2) for e in range(2)]
+        assert len(seen) == len(cells)
+        for (H, y, sigma_sq), (ch, msg, e) in zip(seen, cells):
+            inst, _ = build_instance(
+                build_constellation(4), 3, plan.ebn0_list[e], 11, ch, msg, e
+            )
+            np.testing.assert_array_equal(inst.channel, H)
+            np.testing.assert_array_equal(inst.rx_vector, y)
+            assert inst.sigma_sq == sigma_sq
 
     def test_detector_failure_counts_all_bits(self, monkeypatch, caplog):
         plan = plan_experiment(4, 4, [10.0], 448, seed=7, detectors=("zf", "mmse"))
@@ -229,7 +254,7 @@ class TestBetaSweep:
         # and annealing at a sensible peak does strictly better
         assert res.mean_final_energy[1] < res.mean_final_energy[0] - 5 * res.stderr[1]
 
-    def test_grid_validation_and_result_fields(self):
+    def test_grid_validation_and_result_fields(self, monkeypatch):
         with pytest.raises(ValueError):
             beta_sweep(4, 4, "bpim", [])
         with pytest.raises(ValueError):
@@ -240,6 +265,17 @@ class TestBetaSweep:
             beta_sweep(4, 4, "bpim", [0.1], n_instances=0)
         with pytest.raises(ValueError, match="instance pool"):
             beta_sweep(4, 4, "bpim", [0.1], ebn0_list=[])
+        # Bad trial and iteration counts fail before any instance is built.
+        with monkeypatch.context() as m:
+
+            def no_instances(*args, **kwargs):
+                raise AssertionError("an instance was built before validation")
+
+            m.setattr(harness, "build_instance", no_instances)
+            with pytest.raises(ValueError, match="replica"):
+                beta_sweep(4, 4, "bpim", [0.1], n_trials=0)
+            with pytest.raises(ValueError, match="iteration"):
+                beta_sweep(4, 4, "bpim", [0.1], n_iterations=0)
         res = beta_sweep(
             2, 4, "dpim", [0.05, 0.5], n_instances=2, n_trials=10, n_iterations=20, seed=1
         )

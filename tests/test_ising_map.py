@@ -14,7 +14,6 @@ from isingmimo import (
     build_pdit_model,
     build_transform,
     generate_channel,
-    pdit_delta_energy,
     pdit_energy,
     realify,
     spins_to_symbols,
@@ -172,9 +171,6 @@ class TestPditModel:
         np.testing.assert_allclose(model.j12, [[0.0]])
         d = np.array([[3.0, 1.0]])
         assert pdit_energy(d, model) == pytest.approx(-10.0)
-        assert pdit_delta_energy(
-            0, np.array([3.0, 1.0]), np.array([1.0, 1.0]), d, model
-        ) == pytest.approx(4.0)
 
     def test_energy_equals_residual_minus_norm(self):
         rng = np.random.default_rng(14)
@@ -206,36 +202,6 @@ class TestPditModel:
         np.testing.assert_array_equal(m1.j11, m2.j11)
         np.testing.assert_array_equal(m1.j12, m2.j12)
         assert not np.array_equal(m1.h_vector, m2.h_vector)
-
-    def test_delta_matches_direct_difference(self):
-        rng = np.random.default_rng(23)
-        c = build_constellation(16)
-        inst, _ = build_instance(c, 16, 9.0, 31)
-        model = build_pdit_model(inst.channel, inst.rx_vector, 16)
-        levels = model.pam_levels
-        state = levels[rng.integers(0, levels.size, (16, 2))]
-        for _ in range(2000):
-            i = int(rng.integers(16))
-            d0 = state[i].copy()
-            d1 = levels[rng.integers(0, levels.size, 2)]
-            delta = pdit_delta_energy(i, d0, d1, state, model)
-            e0 = pdit_energy(state, model)
-            new_state = state.copy()
-            new_state[i] = d1
-            e1 = pdit_energy(new_state, model)
-            assert delta == pytest.approx(e1 - e0, rel=1e-9, abs=1e-7)
-            state = new_state  # walk the chain so many states get covered
-
-    def test_delta_zero_for_no_move(self):
-        model = build_pdit_model(generate_channel(3, 3, 1), np.ones(3) + 0j, 4)
-        state = model.pam_levels[np.ones((3, 2), dtype=int)]
-        assert pdit_delta_energy(0, state[0].copy(), state[0].copy(), state, model) == 0.0
-
-    def test_delta_requires_current_value(self):
-        model = build_pdit_model(generate_channel(2, 2, 1), np.ones(2) + 0j, 4)
-        state = np.array([[1.0, 1.0], [-1.0, 1.0]])
-        with pytest.raises(ValueError, match="current value"):
-            pdit_delta_energy(0, np.array([-1.0, -1.0]), np.array([1.0, 1.0]), state, model)
 
     def test_off_level_state_rejected(self):
         model = build_pdit_model(generate_channel(2, 2, 1), np.ones(2) + 0j, 4)

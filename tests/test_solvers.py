@@ -29,6 +29,7 @@ from isingmimo.solvers import (
     _spawn_rngs,
     bpim_solve_many,
     dpim_solve_many,
+    oim_params,
     oim_solve_many,
 )
 
@@ -40,23 +41,30 @@ def ferromagnet(coupling=1.0):
 
 class TestAnnealSchedule:
     def test_beta_ramp_boundaries(self):
-        sched = AnnealSchedule("beta", 0.8, 100)
-        vals = sched.values()
+        sched = AnnealSchedule(0.8, 100)
+        vals = sched.peak * sched.ramp()
         assert vals[0] == pytest.approx(0.008)
         assert vals[-1] == pytest.approx(0.8)
         assert (np.diff(vals) > 0).all()
 
-    def test_temperature_ramp_reaches_zero(self):
-        vals = AnnealSchedule("temperature", 30.0, 4).values()
-        np.testing.assert_allclose(vals, [22.5, 15.0, 7.5, 0.0])
+    def test_temperature_ramp_reaches_zero(self, monkeypatch):
+        # The noise levels the oscillator solver hands its kernel.
+        seen = []
+
+        def recording(j, h_rows, temps, params, rngs):
+            seen.append(temps)
+            return _oim_sweeps(j, h_rows, temps, params, rngs)
+
+        monkeypatch.setattr(solvers, "_oim_sweeps", recording)
+        oim_solve_many([ferromagnet()], SolverConfig(1, AnnealSchedule(30.0, 4)), [0])
+        (temps,) = seen
+        np.testing.assert_allclose(temps, [22.5, 15.0, 7.5, 0.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AnnealSchedule("gamma", 1.0, 10)
+            AnnealSchedule(0.0, 10)
         with pytest.raises(ValueError):
-            AnnealSchedule("beta", 0.0, 10)
-        with pytest.raises(ValueError):
-            AnnealSchedule("beta", 1.0, 0)
+            AnnealSchedule(1.0, 0)
 
 
 class TestDefaultParameters:
@@ -76,11 +84,10 @@ class TestDefaultParameters:
 
     def test_oim_parameters(self):
         cfg = default_parameters("oim", 64, 2)
-        assert cfg.schedule.kind == "temperature"
         assert cfg.schedule.peak == 30.0
-        assert cfg.oim.coupling == pytest.approx(3.5 / 16)
-        assert cfg.oim.binarization == pytest.approx(1.3 / 16)
-        assert cfg.oim.dt == 0.01
+        params = oim_params(64)
+        assert params.coupling == pytest.approx(3.5 / 16)
+        assert params.binarization == pytest.approx(1.3 / 16)
 
     def test_oim_rejected_for_qam(self):
         with pytest.raises(ValueError):
@@ -122,7 +129,7 @@ class TestPbitKernel:
 
     def test_ferromagnet_ground_state(self):
         model = ferromagnet()
-        sched = AnnealSchedule("beta", 5.0, 100)
+        sched = AnnealSchedule(5.0, 100)
         outcomes = bpim_solve_many([model] * 100, SolverConfig(1, sched), list(range(100)))
         aligned = sum(out.best_state[0] == out.best_state[1] for out in outcomes)
         assert aligned >= 99
@@ -259,13 +266,15 @@ class TestOscillatorKernel:
     def test_field_pinning(self):
         # Positive bias must pull the readout to +1 (annealed run).
         model = BinaryIsingModel(np.zeros((1, 1)), np.array([2.0]), 0.0, 1)
-        cfg = SolverConfig(
-            replicas=8,
-            schedule=AnnealSchedule("temperature", 2.0, 500),
-            oim=OimParams(1.0, 0.2),
+        sched = AnnealSchedule(2.0, 500)
+        *_, readout = _oim_sweeps(
+            model.j_matrix,
+            np.repeat(model.h_vector[None], 8, axis=0),
+            sched.peak * (1.0 - sched.ramp()),
+            OimParams(1.0, 0.2),
+            _spawn_rngs(3, 8),
         )
-        (out,) = oim_solve_many([model], cfg, [3])
-        assert out.best_state[0] == 1.0
+        assert (readout[:, 0] == 1.0).all()
 
     def test_readout_local_minimum_property(self):
         # At zero noise with a binarizing slope the converged readout should
@@ -289,15 +298,6 @@ class TestOscillatorKernel:
             ok += bool((flip_gain >= -1e-9).all())
         assert ok >= 0.9 * n_models
 
-    def test_requires_temperature_schedule_and_params(self):
-        model = ferromagnet()
-        with pytest.raises(ValueError):
-            oim_solve_many(
-                [model], SolverConfig(2, AnnealSchedule("beta", 1.0, 10), oim=OimParams(1, 1)), [0]
-            )
-        with pytest.raises(ValueError):
-            oim_solve_many([model], SolverConfig(2, AnnealSchedule("temperature", 1.0, 10)), [0])
-
 
 def binary_instance(n, ebn0_db, seed):
     from isingmimo import build_binary_model, realify
@@ -319,9 +319,10 @@ def sweep_energies(model, betas, rng):
 class TestReplication:
     def test_r1_identical_to_kernel_run(self):
         model = ferromagnet()
-        sched = AnnealSchedule("beta", 2.0, 50)
+        sched = AnnealSchedule(2.0, 50)
         (out,) = bpim_solve_many([model], SolverConfig(1, sched), [9])
-        states, energies = sweep_energies(model, sched.values(), _spawn_rngs(9, 1)[0])
+        betas = sched.peak * sched.ramp()
+        states, energies = sweep_energies(model, betas, _spawn_rngs(9, 1)[0])
         best = int(np.argmin(energies))
         np.testing.assert_array_equal(out.best_state, states[best])
         assert out.best_energy == energies[best]
@@ -330,7 +331,7 @@ class TestReplication:
 
     def test_best_energy_monotone_in_replicas(self):
         model = binary_instance(10, 3.0, 8)
-        sched = AnnealSchedule("beta", 0.2, 30)
+        sched = AnnealSchedule(0.2, 30)
         energies = [
             bpim_solve_many([model], SolverConfig(r, sched), [13])[0].best_energy
             for r in (1, 2, 4, 8, 16)
@@ -349,7 +350,7 @@ class TestReplication:
         for msg in range(5):
             inst, _ = build_instance(c, 4, 6.0, 21, message_index=msg)
             models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4), t))
-        cfg = SolverConfig(6, AnnealSchedule("beta", 1.5, 40))
+        cfg = SolverConfig(6, AnnealSchedule(1.5, 40))
         seeds = [21, 3, 8, 13, 5]
         parallel = bpim_solve_many(models, cfg, seeds)
         monkeypatch.setattr(solvers, "_MAX_PREDRAW", 1)
@@ -362,10 +363,10 @@ class TestReplication:
         # Each row of a batched solve equals that replica's chain run alone.
         model = binary_instance(6, 8.0, 30)
         # A low peak, so replicas end at different energies above their best.
-        cfg = SolverConfig(5, AnnealSchedule("beta", 0.1, 25))
+        cfg = SolverConfig(5, AnnealSchedule(0.1, 25))
         (out,) = bpim_solve_many([model], cfg, [77])
         singles = [
-            sweep_energies(model, cfg.schedule.values(), rng)
+            sweep_energies(model, cfg.schedule.peak * cfg.schedule.ramp(), rng)
             for rng in _spawn_rngs(77, cfg.replicas)
         ]
         # Per replica the first lowest-energy sweep, then the first best replica.
