@@ -66,7 +66,5 @@ from .solvers import (
     SolveOutcome,
     SolverConfig,
     default_parameters,
-    sample_pdit_chain,
-    sample_spin_chain,
     solve_many,
 )

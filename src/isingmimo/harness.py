@@ -75,7 +75,7 @@ KNOWN_DETECTORS = ("zf", "mmse", "ml") + tuple(PARADIGMS)
 # Extra role tags for harness-owned streams (continuing the channel module's).
 ROLE_RANDOM_CONFIG = 4
 
-# Expected detector failures: counted as all-bits-wrong, never raised.
+# Expected baseline failures: the cell counts as all-bits-wrong, never raised.
 _DETECTOR_FAILURES = (SingularChannelError, SearchBudgetError)
 
 # OpenBLAS thread setters, by the names its builds export, in order of preference.
@@ -215,13 +215,38 @@ def _detect_bits(
     raise ValueError(f"unknown detector {detector!r}")
 
 
+def _baseline_bits(
+    detector: str,
+    H: np.ndarray,
+    cell: tuple,
+    c: Constellation,
+    plan: ExperimentPlan,
+    channel_index: int,
+) -> np.ndarray | None:
+    """Recovered bits of one cell under a baseline, or None if it failed as expected."""
+    msg, e_idx, _, y, sigma_sq = cell
+    try:
+        return _detect_bits(detector, H, y, sigma_sq, c)
+    except _DETECTOR_FAILURES:
+        logger.exception(
+            "detector %s failed on channel %d message %d point %g dB; "
+            "counting all %d bits as errors",
+            detector,
+            channel_index,
+            msg,
+            plan.ebn0_list[e_idx],
+            plan.bits_per_message,
+        )
+        return None
+
+
 def _paradigm_models(paradigm: str, H: np.ndarray, ys, order: int) -> tuple:
     """The paradigm's Ising models of received vectors ``ys`` over channel
     ``H``, and the map from one of its solver states to symbols."""
     n = H.shape[1]
     if PARADIGMS[paradigm].model == "pdit":
         models = [build_pdit_model(H, y, order) for y in ys]
-        return models, lambda d: d[:, 0] + 1j * d[:, 1]
+        return models, lambda d: d[:n] + 1j * d[n:]
     transform = None if order == 2 else build_transform(n, order)
     models = [build_binary_model(realify(H, y, order), transform) for y in ys]
     return models, lambda s: spins_to_symbols(s, n, order)
@@ -271,38 +296,19 @@ def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
             cells.append((msg, e_idx, bits, y, sigma_sq))
     for d_idx, detector in enumerate(plan.detectors):
         if detector in PARADIGMS:
-            try:
-                recovered = _heuristic_batch_bits(
-                    detector, H, cells, c, plan, channel_index, d_idx
-                )
-            except _DETECTOR_FAILURES:
-                # Conservative accounting keeps denominators fixed.
-                logger.exception(
-                    "detector %s failed on channel %d; counting all its bits as errors",
-                    detector,
-                    channel_index,
-                )
-                for _, e_idx, _, _, _ in cells:
-                    errors[d_idx, e_idx] += plan.bits_per_message
-                continue
-            for (m, e_idx, bits, _, _), det_bits in zip(cells, recovered):
-                errors[d_idx, e_idx] += int(np.count_nonzero(det_bits != bits))
+            recovered = _heuristic_batch_bits(detector, H, cells, c, plan, channel_index, d_idx)
         else:
-            for msg, e_idx, bits, y, sigma_sq in cells:
-                try:
-                    det_bits = _detect_bits(detector, H, y, sigma_sq, c)
-                    errors[d_idx, e_idx] += int(np.count_nonzero(det_bits != bits))
-                except _DETECTOR_FAILURES:
-                    logger.exception(
-                        "detector %s failed on channel %d message %d point %g dB; "
-                        "counting all %d bits as errors",
-                        detector,
-                        channel_index,
-                        msg,
-                        plan.ebn0_list[e_idx],
-                        plan.bits_per_message,
-                    )
-                    errors[d_idx, e_idx] += plan.bits_per_message
+            recovered = [
+                _baseline_bits(detector, H, cell, c, plan, channel_index)
+                for cell in cells
+            ]
+        for (_, e_idx, bits, _, _), det_bits in zip(cells, recovered):
+            # A failed cell counts all its bits as errors; denominators stay fixed.
+            errors[d_idx, e_idx] += (
+                plan.bits_per_message
+                if det_bits is None
+                else int(np.count_nonzero(det_bits != bits))
+            )
     return errors
 
 
@@ -584,7 +590,11 @@ def write_manifest(plan: ExperimentPlan, out_dir, csv_name: str) -> Path:
 
 
 def plan_from_manifest(path) -> tuple:
-    """Rebuild (plan, csv_name) from a manifest written by :func:`report`."""
+    """Rebuild (plan, csv_name) from a manifest written by :func:`report`.
+
+    The CSV name must be a plain file name, so the CSV is written inside
+    the output directory and does not overwrite the manifest.
+    """
     manifest = json.loads(Path(path).read_text())
     if manifest.get("format") != "isingmimo-manifest v1":
         raise ValueError(f"{path}: not an isingmimo manifest")
@@ -600,7 +610,16 @@ def plan_from_manifest(path) -> tuple:
         replicas=p["replicas"],
         iterations=p["iterations"],
     )
-    return plan, manifest.get("csv", "results.csv")
+    csv_name = manifest.get("csv", "results.csv")
+    if (
+        not isinstance(csv_name, str)
+        or Path(csv_name).name != csv_name
+        or csv_name in ("", ".", "..", "manifest.json")
+    ):
+        raise ValueError(
+            f"{path}: csv must be a plain file name other than manifest.json; got {csv_name!r}"
+        )
+    return plan, csv_name
 
 
 def format_summary(points: list) -> str:

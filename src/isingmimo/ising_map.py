@@ -2,9 +2,11 @@
 
 Two equivalent encodings of the residual objective ||y - Hx||^2 are built
 here: a binary spin model over {-1,+1}^n obtained through a per-axis
-binary-expansion transform, and a symbol-native model whose variables take
-PAM-level values on two axes (one variable per transmitted symbol). Both
-store enough constants that their energies can be compared directly against
+binary-expansion transform, and a symbol-native model with one variable per
+transmitted symbol, whose two axes take PAM-level values. Both act on real
+vectors with one coupling matrix and one bias vector: spins, or the symbol
+axes [Re x; Im x] in the layout of the real-stacked channel. Both store
+enough constants that their energies can be compared directly against
 residual norms in tests.
 """
 
@@ -28,8 +30,6 @@ __all__ = [
     "ising_energies",
     "binary_energy",
     "build_pdit_model",
-    "pdit_flat",
-    "pdit_flat_coupling",
     "pdit_energy",
     "random_state_energies",
 ]
@@ -63,16 +63,17 @@ class BinaryIsingModel:
 
 @dataclass(frozen=True, eq=False)
 class PditModel:
-    """Symbol-native Hamiltonian over N two-axis variables with PAM-level values.
+    """Symbol-native Hamiltonian -1/2 d'Jd - h'd over N symbols with PAM-level axes.
 
-    Only the (1,1) and (1,2) coupling blocks are stored; the full block
-    structure is J22 = J11, J21 = -J12. Couplings depend on the channel
-    only; the bias depends on channel and received vector.
+    The state d = [Re x; Im x] has 2N entries, the layout of the real-stacked
+    channel. ``j_matrix`` is the block matrix [[J11, J12], [-J12, J11]] with
+    J11 symmetric and J12 antisymmetric, so it is symmetric; its diagonal is
+    not zero. Couplings depend on the channel only; ``h_vector`` (2N,)
+    depends on channel and received vector. ``n`` counts symbols, N.
     """
 
-    j11: np.ndarray
-    j12: np.ndarray
-    h_vector: np.ndarray  # shape (N, 2): real-axis and imag-axis biases
+    j_matrix: np.ndarray
+    h_vector: np.ndarray
     pam_levels: np.ndarray
     n: int
 
@@ -161,9 +162,8 @@ def build_binary_model(
 def ising_energies(x: np.ndarray, j: np.ndarray, h: np.ndarray) -> np.ndarray:
     """-1/2 x'Jx - h'x for each row of a (rows, m) stack; ``h`` has the same shape.
 
-    The one energy of both encodings: a binary model passes spins with its
-    ``j_matrix``, a p-dit model passes :func:`pdit_flat` states with
-    :func:`pdit_flat_coupling`.
+    The one energy of both encodings: each model passes its own states, spins
+    or [Re x; Im x] level values, with its ``j_matrix``.
     """
     return -0.5 * np.einsum("ri,ri->r", x @ j, x) - np.einsum("ri,ri->r", x, h)
 
@@ -194,52 +194,33 @@ def build_pdit_model(H: np.ndarray, y: np.ndarray, order: int) -> PditModel:
     j12 = -2.0 * (-h1.T @ h2 + h2.T @ h1)
     n_lev = int(round(np.sqrt(order)))
     return PditModel(
-        j11=j11,
-        j12=j12,
-        h_vector=np.stack([bias_re, bias_im], axis=1),
+        j_matrix=np.block([[j11, j12], [-j12, j11]]),
+        h_vector=np.concatenate([bias_re, bias_im]),
         pam_levels=pam_levels(n_lev),
         n=H.shape[1],
     )
 
 
-def _check_state(d: np.ndarray, model: PditModel) -> np.ndarray:
+def pdit_energy(d: np.ndarray, model: PditModel) -> float:
+    """Full-system energy of a (2N,) state [Re x; Im x] of PAM levels.
+
+    Equals ||y - H x||^2 - ||y||^2 for models built from an instance.
+    """
     d = np.asarray(d, dtype=float)
-    if d.shape != (model.n, 2):
-        raise ValueError(f"state must have shape ({model.n}, 2); got {d.shape}")
+    if d.shape != (2 * model.n,):
+        raise ValueError(f"state must have shape ({2 * model.n},); got {d.shape}")
     if not np.isin(d, model.pam_levels).all():
         raise ValueError("state values must lie on the model's PAM levels")
-    return d
-
-
-def pdit_energy(d: np.ndarray, model: PditModel) -> float:
-    """Full-system energy of a (N, 2) symbol-axis state.
-
-    Equals ||y - H x(d)||^2 - ||y||^2 for models built from an instance,
-    with x(d) = d[:, 0] + 1j d[:, 1].
-    """
-    d = _check_state(d, model)
-    h = pdit_flat(model.h_vector)[None]
-    return float(ising_energies(pdit_flat(d)[None], pdit_flat_coupling(model), h)[0])
-
-
-def pdit_flat(d: np.ndarray) -> np.ndarray:
-    """(..., N, 2) symbol-axis values as (..., 2N) rows: real axes, then imaginary."""
-    return np.concatenate([d[..., 0], d[..., 1]], axis=-1)
-
-
-def pdit_flat_coupling(model: PditModel) -> np.ndarray:
-    """The full block coupling matrix, acting on :func:`pdit_flat` rows."""
-    return np.block([[model.j11, model.j12], [-model.j12, model.j11]])
+    return float(ising_energies(d[None], model.j_matrix, model.h_vector[None])[0])
 
 
 def random_state_energies(model, rng: np.random.Generator, count: int) -> np.ndarray:
     """Energies of ``count`` uniformly random states of a binary or p-dit model."""
     if isinstance(model, PditModel):
         levels = model.pam_levels
-        x = pdit_flat(levels[rng.integers(0, levels.size, (count, model.n, 2))])
-        j, h = pdit_flat_coupling(model), pdit_flat(model.h_vector)
+        # Drawn per site, (count, n, 2): the beta_sweep goldens pin this order.
+        draw = levels[rng.integers(0, levels.size, (count, model.n, 2))]
+        x = draw.transpose(0, 2, 1).reshape(count, 2 * model.n)
     else:
         x = rng.integers(0, 2, (count, model.n)) * 2.0 - 1.0
-        j, h = model.j_matrix, model.h_vector
-    return ising_energies(x, j, np.broadcast_to(h, x.shape))
-
+    return ising_energies(x, model.j_matrix, np.broadcast_to(model.h_vector, x.shape))

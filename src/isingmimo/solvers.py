@@ -29,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising_map import (
-    BinaryIsingModel,
-    PditModel,
-    ising_energies,
-    pdit_flat,
-    pdit_flat_coupling,
-)
+from .ising_map import BinaryIsingModel, PditModel, ising_energies
 
 __all__ = [
     "AnnealSchedule",
@@ -50,8 +44,6 @@ __all__ = [
     "bpim_solve_many",
     "dpim_solve_many",
     "oim_solve_many",
-    "sample_spin_chain",
-    "sample_pdit_chain",
 ]
 
 DEFAULT_REPLICAS = 64
@@ -114,6 +106,12 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolveOutcome:
+    """One model's result over its replicas.
+
+    ``best_state`` is in the model's own variables: spins of a binary model,
+    or the 2N axis values [Re x; Im x] of a p-dit model.
+    """
+
     best_state: np.ndarray
     best_energy: float
     final_energies: np.ndarray
@@ -176,7 +174,7 @@ def _spawn_rngs(seed, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in ss.spawn(n)]
 
 
-def _solve_many(name: str, kernel, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
+def _solve_many(kernel, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
     """The annealing loop of every batched solver.
 
     ``kernel(model, h_rows, rngs)`` yields the rows' state after every
@@ -186,22 +184,17 @@ def _solve_many(name: str, kernel, models, cfg: SolverConfig, seeds) -> list[Sol
     """
     if len(seeds) != len(models):
         raise ValueError("need one seed per model")
-    pdit = PARADIGMS[name].model == "pdit"
-    for attr in ("j11", "j12") if pdit else ("j_matrix",):
-        ref = getattr(models[0], attr)
-        for m in models[1:]:
-            other = getattr(m, attr)
-            if other is not ref and not np.array_equal(other, ref):
-                raise ValueError("batched models must share one coupling matrix")
-    j = pdit_flat_coupling(models[0]) if pdit else models[0].j_matrix
+    j = models[0].j_matrix
+    for m in models[1:]:
+        if m.j_matrix is not j and not np.array_equal(m.j_matrix, j):
+            raise ValueError("batched models must share one coupling matrix")
     per_model = cfg.schedule.n_iterations * models[0].n
     chunk = max(1, _MAX_PREDRAW // max(1, per_model * cfg.replicas))
     outcomes = []
     for lo in range(0, len(models), chunk):
         hi = min(lo + chunk, len(models))
         rngs = [rng for seed in seeds[lo:hi] for rng in _spawn_rngs(seed, cfg.replicas)]
-        biases = [pdit_flat(m.h_vector) if pdit else m.h_vector for m in models[lo:hi]]
-        h_rows = np.repeat(np.stack(biases), cfg.replicas, axis=0)
+        h_rows = np.repeat(np.stack([m.h_vector for m in models[lo:hi]]), cfg.replicas, axis=0)
         best_s = np.empty(h_rows.shape)
         best_e = np.full(len(h_rows), np.inf)
         best_it = np.zeros(len(h_rows), dtype=int)
@@ -211,8 +204,6 @@ def _solve_many(name: str, kernel, models, cfg: SolverConfig, seeds) -> list[Sol
             best_e[improved] = e[improved]
             best_s[improved] = s[improved]
             best_it[improved] = it
-        if pdit:
-            best_s = _pdit_unflat(best_s, models[0].n)
         for first in range(0, (hi - lo) * cfg.replicas, cfg.replicas):
             rows = slice(first, first + cfg.replicas)
             best = first + int(np.argmin(best_e[rows]))
@@ -260,15 +251,11 @@ def bpim_solve_many(
     def kernel(model, h_rows, rngs):
         return _bpim_sweeps(model.j_matrix, h_rows, betas, rngs)
 
-    return _solve_many("bpim", kernel, models, cfg, seeds)
+    return _solve_many(kernel, models, cfg, seeds)
 
 
 # ---------------------------------------------------------------------------
 # symbol-native probabilistic sweeps
-
-
-def _pdit_unflat(d: np.ndarray, n: int) -> np.ndarray:
-    return np.stack([d[..., :n], d[..., n:]], axis=-1)
 
 
 def _dpim_sweeps(
@@ -276,13 +263,14 @@ def _dpim_sweeps(
 ):
     """Sequential p-dit sweeps; every site resamples among all M symbol values.
 
-    ``h_rows`` stacks per-row biases in the flat (rows, 2N) layout of
-    :func:`pdit_flat`, and the state is kept the same way. Each site update
-    computes the two-axis local field once, forms the move costs toward
-    every candidate from it, and draws the new value from the softmax of
-    those costs. The live state is yielded after every sweep.
+    The state of a row is [Re x; Im x], the layout of ``h_rows`` and of the
+    model's ``j_matrix``, so site i has its axes at columns i and n + i.
+    Each site update computes the two-axis local field once, forms the move
+    costs toward every candidate from it, and draws the new value from the
+    softmax of those costs. The live state is yielded after every sweep.
     """
     n = model.n
+    j = model.j_matrix
     levels = model.pam_levels
     n_lev = levels.size
     # Flat candidate grid, real-axis major. Per-site candidate arrays are
@@ -296,18 +284,17 @@ def _dpim_sweeps(
     d = np.empty((rows, 2 * n))
     u = np.empty((rows, n_it, n))
     for r, rng in enumerate(rngs):
-        d[r] = pdit_flat(levels[rng.integers(0, n_lev, (n, 2))])
+        # Drawn per site, (n, 2): the golden CSVs pin this draw order.
+        d[r] = levels[rng.integers(0, n_lev, (n, 2))].T.ravel()
         u[r] = rng.random((n_it, n))
     # Per-site local-field columns: f = h_i + d @ field_cols[i] gives both axes.
-    field_cols = np.empty((n, 2 * n, 2))
-    field_cols[:, :, 0] = np.concatenate([model.j11, model.j12], axis=1)
-    field_cols[:, :, 1] = np.concatenate([-model.j12, model.j11], axis=1)
+    field_cols = np.stack([j[:n], j[n:]], axis=-1)
     for k, beta in enumerate(betas):
         for i in range(n):
             f = d @ field_cols[i]
             f1 = f[:, 0] + h_rows[:, i]
             f2 = f[:, 1] + h_rows[:, n + i]
-            g = model.j11[i, i]
+            g = j[i, i]
             t1 = d[:, i] - l1g[:, None]
             t2 = d[:, n + i] - l2g[:, None]
             w = -beta * (t1 * f1 + t2 * f2 - 0.5 * g * (t1 * t1 + t2 * t2))
@@ -323,15 +310,15 @@ def _dpim_sweeps(
 def dpim_solve_many(models: list[PditModel], cfg: SolverConfig, seeds) -> list[SolveOutcome]:
     """Best-of-R p-dit annealing of channel-sharing symbol-native models.
 
-    Candidate values are each model's own PAM levels; best states are
-    (N, 2) real/imaginary axis values.
+    Candidate values are each model's own PAM levels; best states are the
+    (2N,) axis values [Re x; Im x].
     """
     betas = cfg.schedule.peak * cfg.schedule.ramp()
 
     def kernel(model, h_rows, rngs):
         return _dpim_sweeps(model, h_rows, betas, rngs)
 
-    return _solve_many("dpim", kernel, models, cfg, seeds)
+    return _solve_many(kernel, models, cfg, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +378,7 @@ def oim_solve_many(
     def kernel(model, h_rows, rngs):
         return _oim_sweeps(model.j_matrix, h_rows, temps, oim_params(model.n), rngs)
 
-    return _solve_many("oim", kernel, models, cfg, seeds)
+    return _solve_many(kernel, models, cfg, seeds)
 
 
 def oim_params(n: int) -> OimParams:
@@ -421,29 +408,3 @@ PARADIGMS = {
         solve=oim_solve_many,
     ),
 }
-
-
-# ---------------------------------------------------------------------------
-# fixed-temperature sampling (stationary-distribution checks)
-
-
-def sample_spin_chain(
-    model: BinaryIsingModel, beta: float, n_sweeps: int, seed, n_chains: int = 1
-) -> np.ndarray:
-    """Post-sweep states of p-bit chains at fixed beta: (chains, sweeps, n) of +-1."""
-    betas = np.full(n_sweeps, beta)
-    rngs = _spawn_rngs(seed, n_chains)
-    h_rows = np.broadcast_to(model.h_vector, (n_chains, model.n))
-    sweeps = _bpim_sweeps(model.j_matrix, h_rows, betas, rngs)
-    return np.stack([s.astype(np.int8) for s in sweeps], axis=1)
-
-
-def sample_pdit_chain(
-    model: PditModel, beta: float, n_sweeps: int, seed, n_chains: int = 1
-) -> np.ndarray:
-    """Post-sweep states of p-dit chains at fixed beta: (chains, sweeps, n, 2) levels."""
-    betas = np.full(n_sweeps, beta)
-    rngs = _spawn_rngs(seed, n_chains)
-    h_rows = np.broadcast_to(pdit_flat(model.h_vector), (n_chains, 2 * model.n))
-    sweeps = _dpim_sweeps(model, h_rows, betas, rngs)
-    return _pdit_unflat(np.stack([d.astype(np.int8) for d in sweeps], axis=1), model.n)

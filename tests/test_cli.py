@@ -125,6 +125,35 @@ class TestReportCommand:
         assert (first / "results.csv").read_bytes() == (second / "results.csv").read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "csv_name",
+        ["../escaped.csv", "{tmp}/escaped.csv", "sub/results.csv", "", ".", "..", "manifest.json"],
+    )
+    def test_csv_name_must_be_a_plain_file_name(self, csv_name, tmp_path, capsys):
+        # Anything else would write outside --out, or over the manifest.
+        first = tmp_path / "first"
+        assert (
+            run_cli(
+                "run",
+                "--n", "4", "--mod", "4", "--ebn0", "9", "--bits", "448",
+                "--seed", "8", "--out", str(first),
+            )
+            == 0
+        )
+        manifest_path = first / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["csv"] = csv_name.format(tmp=tmp_path)
+        manifest_path.write_text(json.dumps(manifest))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        code = run_cli(
+            "report", "--manifest", str(manifest_path), "--out", str(tmp_path / "b" / "c")
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestSweepCommand:
     def test_grid_of_plans(self, tmp_path):
         out = tmp_path / "grid"

@@ -1,4 +1,5 @@
-"""Golden CSV bytes: small seeded plans covering every detector.
+"""Golden bytes: small seeded BER plans covering every detector, and small
+annealing-peak calibration grids.
 
 Each plan runs with few replicas and iterations, so the heuristics make
 search errors and their error counts depend on every replica stream. A
@@ -6,11 +7,13 @@ change that alters RNG streams, kernel arithmetic or reporting changes a
 hash here; such a change must say so and record the new hashes on purpose.
 """
 
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
-from isingmimo import plan_experiment, report, run_ber_sweep
+from isingmimo import beta_sweep, plan_experiment, report, run_ber_sweep
 
 GOLDENS = {
     "bpsk-n8": (
@@ -72,3 +75,55 @@ def test_pool_run_matches_golden_hash(tmp_path):
     assert plan.n_channels > 1
     csv_path, _ = report(run_ber_sweep(plan, threads=2), plan, tmp_path)
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
+
+# beta_sweep grids: the only check on the fit-beta numbers, including the
+# random-state reference that normalises every energy.
+BETA_GOLDENS = {
+    "dpim-qam16-n3": (
+        dict(
+            n=3,
+            order=16,
+            paradigm="dpim",
+            beta_grid=(0.1, 0.4, 1.2),
+            n_instances=2,
+            n_trials=4,
+            n_iterations=10,
+            ebn0_list=(4.0, 12.0),
+            seed=21,
+        ),
+        "aa187b9702fca19e6d67c44d4ca81b7b1115195b5c831834fe9d6a3a68b524c1",
+    ),
+    "bpim-qam4-n4": (
+        dict(
+            n=4,
+            order=4,
+            paradigm="bpim",
+            beta_grid=(0.2, 0.8),
+            n_instances=2,
+            n_trials=4,
+            n_iterations=10,
+            ebn0_list=(4.0, 12.0),
+            seed=22,
+        ),
+        "0b6a841595c64e77e85c7d9c3d78e3962cb4b8aa578cbcbac37ba9475b93d919",
+    ),
+}
+
+
+def beta_sweep_digest(result) -> str:
+    """sha256 of the repr of every field; arrays as lists, so every float
+    is written in full."""
+    lines = []
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        lines.append(f"{f.name}={value!r}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BETA_GOLDENS))
+def test_beta_sweep_matches_golden_hash(name):
+    kwargs, digest = BETA_GOLDENS[name]
+    assert beta_sweep_digest(beta_sweep(**kwargs)) == digest

@@ -166,10 +166,9 @@ class TestBinaryModel:
 class TestPditModel:
     def test_1x1_worked_example(self):
         model = build_pdit_model(np.array([[1.0 + 0j]]), np.array([3.0 + 1j]), 16)
-        np.testing.assert_allclose(model.h_vector, [[6.0, 2.0]])
-        np.testing.assert_allclose(model.j11, [[-2.0]])
-        np.testing.assert_allclose(model.j12, [[0.0]])
-        d = np.array([[3.0, 1.0]])
+        np.testing.assert_allclose(model.h_vector, [6.0, 2.0])
+        np.testing.assert_allclose(model.j_matrix, [[-2.0, 0.0], [0.0, -2.0]])
+        d = np.array([3.0, 1.0])
         assert pdit_energy(d, model) == pytest.approx(-10.0)
 
     def test_energy_equals_residual_minus_norm(self):
@@ -181,14 +180,14 @@ class TestPditModel:
             y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             model = build_pdit_model(H, y, order)
             levels = model.pam_levels
-            d = levels[rng.integers(0, levels.size, (n, 2))]
-            x = d[:, 0] + 1j * d[:, 1]
+            d = levels[rng.integers(0, levels.size, 2 * n)]
+            x = d[:n] + 1j * d[n:]
             oracle = np.linalg.norm(y - H @ x) ** 2 - np.linalg.norm(y) ** 2
             assert pdit_energy(d, model) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
     def test_zero_channel_zero_energy(self):
         model = build_pdit_model(np.zeros((3, 3), dtype=complex), np.ones(3) * 1j, 4)
-        d = model.pam_levels[np.zeros((3, 2), dtype=int)]
+        d = model.pam_levels[np.zeros(6, dtype=int)]
         assert pdit_energy(d, model) == 0.0
 
     def test_structure_and_channel_dependence(self):
@@ -197,16 +196,22 @@ class TestPditModel:
         y2 = 2j * np.ones(5, dtype=complex)
         m1 = build_pdit_model(H, y1, 16)
         m2 = build_pdit_model(H, y2, 16)
-        np.testing.assert_allclose(m1.j11, m1.j11.T, atol=1e-12)
-        np.testing.assert_allclose(m1.j12, -m1.j12.T, atol=1e-12)
-        np.testing.assert_array_equal(m1.j11, m2.j11)
-        np.testing.assert_array_equal(m1.j12, m2.j12)
+        j = m1.j_matrix
+        assert j.shape == (10, 10) and m1.h_vector.shape == (10,)
+        np.testing.assert_allclose(j, j.T, atol=1e-12)
+        a, b = j[:5, :5], j[:5, 5:]
+        np.testing.assert_array_equal(j[5:, 5:], a)
+        np.testing.assert_array_equal(j[5:, :5], -b)
+        np.testing.assert_allclose(b, -b.T, atol=1e-12)
+        np.testing.assert_array_equal(m1.j_matrix, m2.j_matrix)
         assert not np.array_equal(m1.h_vector, m2.h_vector)
 
     def test_off_level_state_rejected(self):
         model = build_pdit_model(generate_channel(2, 2, 1), np.ones(2) + 0j, 4)
         with pytest.raises(ValueError, match="PAM"):
-            pdit_energy(np.array([[2.0, 1.0], [1.0, 1.0]]), model)
+            pdit_energy(np.array([2.0, 1.0, 1.0, 1.0]), model)
+        with pytest.raises(ValueError, match="shape"):
+            pdit_energy(np.ones((2, 2)), model)
 
 
 class TestCrossEncodingConsistency:
@@ -222,7 +227,7 @@ class TestCrossEncodingConsistency:
         for _ in range(50):
             x = rng.choice(c.alphabet, n)
             s = symbols_to_spins(x, order)
-            d = np.stack([x.real, x.imag], axis=1)
+            d = np.concatenate([x.real, x.imag])
             binary_side = binary_energy(s, bm) + bm.offset
             pdit_side = pdit_energy(d, pm) + y_norm
             resid = np.linalg.norm(inst.rx_vector - inst.channel @ x) ** 2

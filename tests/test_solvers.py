@@ -18,13 +18,12 @@ from isingmimo import (
     default_parameters,
     ml_exhaustive,
     pdit_energy,
-    sample_pdit_chain,
-    sample_spin_chain,
 )
 from isingmimo import solvers
 from isingmimo.ising_map import ising_energies
 from isingmimo.solvers import (
     _bpim_sweeps,
+    _dpim_sweeps,
     _oim_sweeps,
     _spawn_rngs,
     bpim_solve_many,
@@ -32,6 +31,23 @@ from isingmimo.solvers import (
     oim_params,
     oim_solve_many,
 )
+
+
+def sample_spin_chain(model, beta, n_sweeps, seed, n_chains=1):
+    """Post-sweep states of p-bit chains at fixed beta: (chains, sweeps, n) of +-1."""
+    h_rows = np.broadcast_to(model.h_vector, (n_chains, model.n))
+    sweeps = _bpim_sweeps(
+        model.j_matrix, h_rows, np.full(n_sweeps, beta), _spawn_rngs(seed, n_chains)
+    )
+    return np.stack([s.astype(np.int8) for s in sweeps], axis=1)
+
+
+def sample_pdit_chain(model, beta, n_sweeps, seed, n_chains=1):
+    """Post-sweep states of p-dit chains at fixed beta: (chains, sweeps, 2N)
+    levels, [Re x; Im x] in each state."""
+    h_rows = np.broadcast_to(model.h_vector, (n_chains, 2 * model.n))
+    sweeps = _dpim_sweeps(model, h_rows, np.full(n_sweeps, beta), _spawn_rngs(seed, n_chains))
+    return np.stack([d.astype(np.int8) for d in sweeps], axis=1)
 
 
 def ferromagnet(coupling=1.0):
@@ -158,7 +174,7 @@ class TestPditKernel:
         c = build_constellation(4)
         model = build_pdit_model(np.eye(2, dtype=complex), np.ones(2) + 1j, 4)
         chains = sample_pdit_chain(model, 0.0, 3000, seed=2, n_chains=8)
-        symbols = chains[..., 0] + 1j * chains[..., 1]
+        symbols = chains[..., :2] + 1j * chains[..., 2:]
         counts = np.array([(symbols == p).mean() for p in c.alphabet])
         sigma = np.sqrt(0.25 * 0.75 / symbols.size)
         assert np.abs(counts - 0.25).max() < 4 * sigma
@@ -172,7 +188,7 @@ class TestPditKernel:
         beta = 0.3
         levels = model.pam_levels
         cand = np.array([(a, b) for a in levels for b in levels])
-        energies = np.array([pdit_energy(d.reshape(1, 2), model) for d in cand])
+        energies = np.array([pdit_energy(d, model) for d in cand])
         exact = np.exp(-beta * (energies - energies.min()))
         exact /= exact.sum()
         chains = sample_pdit_chain(model, beta, 40000, seed=5, n_chains=5)
@@ -191,7 +207,7 @@ class TestPditKernel:
         model = build_pdit_model(inst.channel, inst.rx_vector, order)
         beta = 0.15
         levels = model.pam_levels
-        states = np.array(list(itertools.product(levels, repeat=4))).reshape(-1, 2, 2)
+        states = np.array(list(itertools.product(levels, repeat=4)))
         energies = np.array([pdit_energy(d, model) for d in states])
         exact = np.exp(-beta * (energies - energies.min()))
         exact /= exact.sum()
@@ -212,7 +228,7 @@ class TestPditKernel:
         cfg = default_parameters("dpim", 8, 4)
         hits = 0
         for out in dpim_solve_many([model] * 100, cfg, list(range(100))):
-            symbols = out.best_state[:, 0] + 1j * out.best_state[:, 1]
+            symbols = out.best_state[:8] + 1j * out.best_state[8:]
             hits += bool(np.array_equal(symbols, oracle.symbols))
         assert hits >= 95
 
@@ -396,7 +412,8 @@ class TestReplication:
             assert out.best_energy == single.best_energy
             np.testing.assert_array_equal(out.final_energies, single.final_energies)
 
-    def test_batched_requires_shared_coupling(self):
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim"])
+    def test_batched_requires_shared_coupling(self, paradigm):
         c = build_constellation(4)
         from isingmimo import build_binary_model, build_transform, realify
 
@@ -404,9 +421,12 @@ class TestReplication:
         models = []
         for ch in range(2):
             inst, _ = build_instance(c, 3, 8.0, ch)
-            models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4), t))
+            if paradigm == "dpim":
+                models.append(build_pdit_model(inst.channel, inst.rx_vector, 4))
+            else:
+                models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4), t))
         with pytest.raises(ValueError, match="share"):
-            bpim_solve_many(models, default_parameters("bpim", 3, 4), [0, 1])
+            solvers.solve_many(paradigm, models, default_parameters(paradigm, 3, 4), [0, 1])
 
     def test_outcome_energy_consistent(self):
         model = binary_instance(12, 6.0, 19)
@@ -428,5 +448,5 @@ class TestChainSampling:
     def test_pdit_chain_shapes_and_values(self):
         model = build_pdit_model(np.eye(2, dtype=complex), np.ones(2) + 0j, 16)
         chains = sample_pdit_chain(model, 0.2, 9, seed=0, n_chains=2)
-        assert chains.shape == (2, 9, 2, 2)
+        assert chains.shape == (2, 9, 4)
         assert set(np.unique(chains)) <= {-3, -1, 1, 3}
