@@ -55,13 +55,45 @@ def _add_plan_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
     p.add_argument("--config", default=None, help="JSON file with the same keys as the flags")
 
 
+def _option_types(p: argparse.ArgumentParser) -> dict:
+    """Each option's type and choices, which its --config value must meet."""
+    return {a.dest: (a.type, a.choices) for a in p._actions if a.option_strings}
+
+
+def _check_config_value(key: str, value, spec) -> None:
+    """Reject a config value that its flag would not accept.
+
+    An option parsed with ``type=int`` takes a JSON integer; any other option
+    takes a string or a number, as written on the command line.
+    """
+    if spec is None or value is None:
+        return
+    kind, choices = spec
+    if isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, int)
+    else:
+        ok = isinstance(value, (str, int, float))
+    if not ok:
+        wanted = "an integer" if kind is int else "a string or a number"
+        raise ValueError(f"config value {key}={value!r} must be {wanted}")
+    if choices is not None and value not in choices:
+        raise ValueError(f"config value {key}={value!r} must be one of {tuple(choices)}")
+
+
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
     """Config-file values overridden by any flag given on the command line."""
     merged = dict(defaults)
     if getattr(args, "config", None):
-        merged.update(json.loads(Path(args.config).read_text()))
+        config = json.loads(Path(args.config).read_text())
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        for key, value in config.items():
+            _check_config_value(key, value, args.option_types.get(key))
+        merged.update(config)
     for key, value in vars(args).items():
-        if key in ("command", "config"):
+        if key in ("command", "config", "option_types"):
             continue
         if value is not None:
             merged[key] = value
@@ -217,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p_rep.add_argument("--config", default=None)
 
+    for p in (p_run, p_sweep, p_fit, p_rep):
+        p.set_defaults(option_types=_option_types(p))
     return parser
 
 

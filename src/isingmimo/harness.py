@@ -567,6 +567,20 @@ def report(points: list, plan: ExperimentPlan, out_dir, csv_name: str = "results
     return csv_path, manifest_path
 
 
+# The keys of a manifest's plan, which are also plan_experiment's parameters.
+_MANIFEST_PLAN_KEYS = (
+    "n",
+    "order",
+    "ebn0_list",
+    "total_bits",
+    "seed",
+    "detectors",
+    "messages_per_channel",
+    "replicas",
+    "iterations",
+)
+
+
 def write_manifest(plan: ExperimentPlan, out_dir, csv_name: str) -> Path:
     manifest = {
         "format": "isingmimo-manifest v1",
@@ -596,20 +610,15 @@ def plan_from_manifest(path) -> tuple:
     the output directory and does not overwrite the manifest.
     """
     manifest = json.loads(Path(path).read_text())
-    if manifest.get("format") != "isingmimo-manifest v1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "isingmimo-manifest v1":
         raise ValueError(f"{path}: not an isingmimo manifest")
-    p = manifest["plan"]
-    plan = plan_experiment(
-        n=p["n"],
-        order=p["order"],
-        ebn0_list=p["ebn0_list"],
-        total_bits=p["total_bits"],
-        seed=p["seed"],
-        detectors=p["detectors"],
-        messages_per_channel=p["messages_per_channel"],
-        replicas=p["replicas"],
-        iterations=p["iterations"],
-    )
+    p = manifest.get("plan")
+    if not isinstance(p, dict):
+        raise ValueError(f"{path}: manifest lacks a plan object")
+    missing = [key for key in _MANIFEST_PLAN_KEYS if key not in p]
+    if missing:
+        raise ValueError(f"{path}: manifest plan lacks {', '.join(missing)}")
+    plan = plan_experiment(**{key: p[key] for key in _MANIFEST_PLAN_KEYS})
     csv_name = manifest.get("csv", "results.csv")
     if (
         not isinstance(csv_name, str)

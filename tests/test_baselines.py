@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from isingmimo import baselines
 from isingmimo import (
     SearchBudgetError,
     SingularChannelError,
@@ -15,7 +16,9 @@ from isingmimo import (
     mmse_detect,
     modulate_bits,
     noise_sigma_sq,
+    pam_levels,
     quantize_to_alphabet,
+    realify,
     transmit,
     zf_detect,
 )
@@ -101,6 +104,42 @@ class TestMmse:
             mmse_detect(np.eye(2, dtype=complex), np.ones(2, dtype=complex), -1.0, 1.0, bpsk)
 
 
+def _argsort_sphere_decode(r_mat, z, levels):
+    """Reference decoder: the same search on numpy scalars, each node's
+    children ordered by a stable argsort of their distance to its centre."""
+    q = r_mat.shape[0]
+    n_lev = levels.size
+    x = np.zeros(q)
+    cand = np.zeros((q, n_lev), dtype=np.intp)
+    pos = np.zeros(q, dtype=np.intp)
+    acc = np.zeros(q)
+    e = np.zeros(q)
+    best_x, best_cost = None, np.inf
+
+    def enter(k):
+        e[k] = z[k] - r_mat[k, k + 1 :] @ x[k + 1 :]
+        cand[k] = np.argsort(np.abs(levels - e[k] / r_mat[k, k]), kind="stable")
+        pos[k] = 0
+
+    k = q - 1
+    enter(k)
+    while k < q:
+        if pos[k] < n_lev:
+            lev = levels[cand[k, pos[k]]]
+            pos[k] += 1
+            cost = acc[k] + (e[k] - r_mat[k, k] * lev) ** 2
+            if cost < best_cost:
+                x[k] = lev
+                if k > 0:
+                    acc[k - 1] = cost
+                    k -= 1
+                    enter(k)
+                    continue
+                best_cost, best_x = cost, x.copy()
+        k += 1
+    return best_x
+
+
 class TestExactMl:
     def test_1x1_bpsk(self, bpsk):
         res = ml_exact(np.array([[1.0 + 0j]]), np.array([0.3 + 0j]), bpsk)
@@ -108,10 +147,11 @@ class TestExactMl:
 
     @pytest.mark.parametrize(
         "order,n,count",
-        [(2, 16, 40), (4, 8, 40), (16, 4, 20)],
+        [(2, 16, 40), (4, 8, 40), (16, 4, 20), (64, 2, 30), (64, 3, 6), (256, 2, 12)],
     )
     def test_matches_exhaustive_oracle(self, order, n, count):
-        # search spaces up to 2^16; decisions must agree exactly
+        # search spaces up to 2^18; decisions must agree exactly. 64- and
+        # 256-QAM step outward through 8 and 16 levels per axis.
         c = build_constellation(order)
         for trial in range(count):
             ebn0 = (5.0, 9.0, 13.0)[trial % 3]
@@ -122,6 +162,96 @@ class TestExactMl:
             assert sd.residual_energy == pytest.approx(
                 brute.residual_energy, rel=1e-9
             )
+
+    @pytest.mark.parametrize(
+        "order,n,count", [(2, 24, 20), (4, 10, 20), (16, 6, 20), (64, 4, 10), (256, 3, 10)]
+    )
+    def test_matches_argsort_reference_beyond_oracle_sizes(self, order, n, count):
+        c = build_constellation(order)
+        for trial in range(count):
+            inst, _ = build_instance(c, n, (4.0, 10.0, 16.0)[trial % 3], 3000 + trial)
+            rc = realify(inst.channel, inst.rx_vector, order)
+            q_mat, r_mat = np.linalg.qr(rc.h_real)
+            z = q_mat.T @ rc.y_real
+            np.testing.assert_array_equal(
+                baselines._sphere_decode(r_mat, z, c.levels),
+                _argsort_sphere_decode(r_mat, z, c.levels),
+            )
+
+    @pytest.mark.parametrize(
+        "n_levels,z,expected",
+        [
+            (2, 0.0, -1.0),  # midway between the two BPSK levels
+            (4, 0.0, -1.0),
+            (4, 2.0, 1.0),
+            (16, 4.0, 3.0),
+            (16, -8.0, -9.0),
+            (4, 1.0, 1.0),  # on a level
+            (4, 100.0, 3.0),  # beyond the outermost level
+            (16, -1e6, -15.0),
+        ],
+    )
+    def test_equidistant_levels_pick_the_lower(self, n_levels, z, expected):
+        levels = pam_levels(n_levels)
+        x = baselines._sphere_decode(np.eye(1), np.array([z]), levels)
+        assert x.tolist() == [expected]
+        # The same rule with a scaled diagonal: the centre is z / R[0, 0].
+        x = baselines._sphere_decode(2.0 * np.eye(1), np.array([2.0 * z]), levels)
+        assert x.tolist() == [expected]
+
+    def test_shared_factor_does_not_leak_between_channels(self, monkeypatch):
+        # Cells of channels A, B, A, then A as 4-QAM and BPSK, and a singular
+        # channel, solved in turn: each must equal a result computed with
+        # nothing cached.
+        qam16 = build_constellation(16)
+        qam4 = build_constellation(4)
+        bpsk = build_constellation(2)
+        a, _ = build_instance(qam16, 3, 8.0, 41)
+        b, _ = build_instance(qam16, 3, 8.0, 42)
+        singular = np.ones((3, 3), dtype=complex)
+        rng = np.random.default_rng(900)
+        cells = []
+        for H, c in (
+            (a.channel, qam16),
+            (b.channel, qam16),
+            (a.channel, qam16),
+            (a.channel, qam4),
+            (a.channel, bpsk),
+            (singular, qam16),
+            (a.channel, qam16),
+        ):
+            for _ in range(3):
+                noise = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                cells.append((H, a.rx_vector + noise, c))
+
+        def decide(H, y, c):
+            try:
+                return ml_exact(H, y, c).symbols
+            except SingularChannelError:
+                return None
+
+        shared = [decide(*cell) for cell in cells]
+        assert sum(s is None for s in shared) == 3
+        for (H, y, c), got in zip(cells, shared):
+            monkeypatch.setattr(baselines, "_last_factor", (None, None, None))
+            fresh = decide(H.copy(), y, c)
+            if fresh is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, fresh)
+
+    def test_one_factorization_per_channel(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_last_factor", (None, None, None))
+        calls = []
+        monkeypatch.setattr(
+            baselines, "realify", lambda *args: calls.append(1) or realify(*args)
+        )
+        qam16 = build_constellation(16)
+        for channel in range(3):
+            for message in range(4):
+                inst, _ = build_instance(qam16, 3, 10.0, 5, channel, message)
+                ml_exact(inst.channel, inst.rx_vector, qam16)
+        assert len(calls) == 3
 
     def test_never_beaten_on_residual(self, qam4):
         for trial in range(30):

@@ -101,6 +101,35 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["plan"]["seed"] == 5  # config value survived
 
+    @pytest.mark.parametrize(
+        "config", [{"iters": "x"}, {"seed": 1.5}, {"replicas": True}, {"ebn0": [9]}]
+    )
+    def test_config_value_of_wrong_type_fails(self, config, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        code = run_cli(
+            "run",
+            "--n", "4", "--mod", "4", "--ebn0", "9", "--bits", "448",
+            "--detectors", "bpim", "--config", str(cfg), "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        key = next(iter(config))
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_fit_beta_config_paradigm_must_be_a_choice(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"paradigm": "sa"}))
+        code = run_cli(
+            "fit-beta",
+            "--n", "2", "--mod", "4", "--beta-grid", "0.5",
+            "--config", str(cfg), "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert "paradigm" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestReportCommand:
     def test_reproduces_byte_identical_csv(self, tmp_path):
@@ -152,6 +181,33 @@ class TestReportCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("missing", [None, "plan", "seed", "iterations"])
+    def test_manifest_lacking_a_key_fails_naming_it(self, missing, tmp_path, capsys):
+        manifest = {"format": "isingmimo-manifest v1"}
+        if missing is not None:
+            first = tmp_path / "first"
+            assert (
+                run_cli(
+                    "run",
+                    "--n", "4", "--mod", "4", "--ebn0", "9", "--bits", "448",
+                    "--seed", "8", "--out", str(first),
+                )
+                == 0
+            )
+            manifest = json.loads((first / "manifest.json").read_text())
+            if missing == "plan":
+                del manifest["plan"]
+            else:
+                del manifest["plan"][missing]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = run_cli("report", "--manifest", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and (missing or "plan") in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSweepCommand:
