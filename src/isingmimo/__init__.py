@@ -52,11 +52,9 @@ from .ising_map import (
     BinaryIsingModel,
     PditModel,
     TransformSpec,
-    binary_energy,
     build_binary_model,
     build_pdit_model,
     build_transform,
-    pdit_energy,
     spins_to_symbols,
     symbols_to_spins,
 )

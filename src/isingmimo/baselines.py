@@ -32,7 +32,13 @@ __all__ = [
     "mmse_detect",
     "ml_exact",
     "ml_exhaustive",
+    "ML_SEARCH_BUDGET",
 ]
+
+
+# The largest order**n_tx that the exact detector searches; plan_experiment
+# refuses an ml plan beyond it before any work.
+ML_SEARCH_BUDGET = 2.0**48
 
 
 class SingularChannelError(ValueError):
@@ -172,7 +178,7 @@ def _channel_factor(H: np.ndarray, y: np.ndarray, order: int) -> tuple:
 
 
 def ml_exact(
-    H: np.ndarray, y: np.ndarray, c: Constellation, max_search_space: float = 2.0**48
+    H: np.ndarray, y: np.ndarray, c: Constellation, max_search_space: float = ML_SEARCH_BUDGET
 ) -> DetectionResult:
     """Exact minimizer of ||y - Hx||^2 over the constellation grid.
 

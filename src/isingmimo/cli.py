@@ -3,8 +3,15 @@
 Subcommands: ``run`` executes one experiment plan and writes a CSV plus a
 reproduction manifest, ``sweep`` runs a grid of (n, order) plans, ``fit-beta``
 performs the annealing-peak calibration sweep, and ``report`` re-runs the
-plan stored in a manifest (byte-identical CSV for the same seed). Flags
-override values from an optional JSON config file with the same keys.
+plan stored in a manifest (byte-identical CSV for the same seed).
+
+``--config`` names a JSON object of option values. Its keys are the flag
+names, with ``_`` in place of ``-`` where it suits, and must match a flag of
+the command exactly; its values are strings or numbers written as on the
+command line (``"ebn0": "0,5,10"``). Each entry is parsed as the token
+``--key=value`` ahead of the command line, so both meet the same checks and a
+flag given on the command line wins. Every rejected invocation, whether of a
+flag, a config entry or the plan, prints ``error: ...`` and exits 1.
 """
 
 from __future__ import annotations
@@ -30,78 +37,80 @@ from .solvers import PARADIGMS
 log = logging.getLogger("isingmimo")
 
 THREADS_HELP = "worker processes, each running one BLAS thread (default 1: no pool)"
+CONFIG_HELP = (
+    "JSON file of flag values: keys are flag names (_ may stand for -), matched "
+    "exactly; values are written as on the command line; flags on the command line win"
+)
 
 
-def _parse_floats(text: str) -> list[float]:
+class _Parser(argparse.ArgumentParser):
+    """Options matched exactly; a rejected invocation raises ValueError."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v != ""]
+
+
+def float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v != ""]
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
+def name_list(text: str) -> list[str]:
+    return text.split(",")
 
 
 def _add_plan_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
     many = " (comma-separated list)" if grid else ""
-    p.add_argument("--n", help=f"antenna count{many}", default=None)
-    p.add_argument("--mod", help=f"modulation order{many}", default=None)
-    p.add_argument("--ebn0", help="Eb/N0 grid in dB, comma-separated", default=None)
-    p.add_argument("--bits", type=int, help="total transmitted bits per plan", default=None)
-    p.add_argument("--detectors", help="comma-separated detector names", default=None)
-    p.add_argument("--replicas", type=int, default=None, help="heuristic replica count")
-    p.add_argument("--iters", type=int, default=None, help="heuristic iteration count")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--config", default=None, help="JSON file with the same keys as the flags")
+    size = int_list if grid else int
+    p.add_argument("--n", type=size, help=f"antenna count{many}")
+    p.add_argument("--mod", type=size, help=f"modulation order{many}")
+    p.add_argument("--ebn0", type=float_list, help="Eb/N0 grid in dB, comma-separated")
+    p.add_argument("--bits", type=int, help="total transmitted bits per plan")
+    p.add_argument("--detectors", type=name_list, default=["mmse"],
+                   help="comma-separated detector names (default mmse)")
+    p.add_argument("--replicas", type=int, help="heuristic replica count")
+    p.add_argument("--iters", type=int, help="heuristic iteration count")
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--config", help=CONFIG_HELP)
 
 
-def _option_types(p: argparse.ArgumentParser) -> dict:
-    """Each option's type and choices, which its --config value must meet."""
-    return {a.dest: (a.type, a.choices) for a in p._actions if a.option_strings}
+def _config_tokens(path: str) -> list[str]:
+    """The entries of a JSON config file as ``--key=value`` tokens.
 
-
-def _check_config_value(key: str, value, spec) -> None:
-    """Reject a config value that its flag would not accept.
-
-    An option parsed with ``type=int`` takes a JSON integer; any other option
-    takes a string or a number, as written on the command line.
+    The ``=`` form keeps a value such as ``-3,0`` from reading as an option.
     """
-    if spec is None or value is None:
-        return
-    kind, choices = spec
-    if isinstance(value, bool):
-        ok = False
-    elif kind is int:
-        ok = isinstance(value, int)
-    else:
-        ok = isinstance(value, (str, int, float))
-    if not ok:
-        wanted = "an integer" if kind is int else "a string or a number"
-        raise ValueError(f"config value {key}={value!r} must be {wanted}")
-    if choices is not None and value not in choices:
-        raise ValueError(f"config value {key}={value!r} must be one of {tuple(choices)}")
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    tokens = []
+    for key, value in config.items():
+        if key == "config":
+            raise ValueError(f"{path}: a config file cannot name another config")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config value {key}={value!r} must be a string or a number")
+        tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Config-file values overridden by any flag given on the command line."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        config = json.loads(Path(args.config).read_text())
-        if not isinstance(config, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        for key, value in config.items():
-            _check_config_value(key, value, args.option_types.get(key))
-        merged.update(config)
-    for key, value in vars(args).items():
-        if key in ("command", "config", "option_types"):
-            continue
-        if value is not None:
-            merged[key] = value
-    return merged
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``; the tokens of its ``--config`` file go just after the
+    command, so the same checks apply to both and a flag overrides the file."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    return parser.parse_args([argv[0], *_config_tokens(args.config), *argv[1:]])
 
 
-def _require(merged: dict, *keys: str) -> None:
-    missing = [k for k in keys if merged.get(k) is None]
+def _require(args: argparse.Namespace, *keys: str) -> None:
+    missing = [k for k in keys if getattr(args, k) is None]
     if missing:
         raise ValueError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
 
@@ -129,62 +138,49 @@ def _run_plan(plan, threads: int, out_dir: str, csv_name: str = "results.csv") -
     print(f"wrote {csv_path} and {manifest_path}")
 
 
-def _plan(merged: dict, n: int, order: int):
+def _plan(args: argparse.Namespace, n: int, order: int):
     return plan_experiment(
         n=n,
         order=order,
-        ebn0_list=_parse_floats(str(merged["ebn0"])),
-        total_bits=int(merged["bits"]),
-        seed=int(merged["seed"]),
-        detectors=str(merged["detectors"]).split(","),
-        replicas=merged.get("replicas"),
-        iterations=merged.get("iters"),
+        ebn0_list=args.ebn0,
+        total_bits=args.bits,
+        seed=args.seed,
+        detectors=args.detectors,
+        replicas=args.replicas,
+        iterations=args.iters,
     )
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    merged = _merged(args, {"detectors": "mmse", "seed": 0, "threads": 1})
-    _require(merged, "n", "mod", "ebn0", "bits", "out")
-    plan = _plan(merged, int(merged["n"]), int(merged["mod"]))
-    _run_plan(plan, int(merged["threads"]), merged["out"])
+    _require(args, "n", "mod", "ebn0", "bits", "out")
+    _run_plan(_plan(args, args.n, args.mod), args.threads, args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    merged = _merged(args, {"detectors": "mmse", "seed": 0, "threads": 1})
-    _require(merged, "n", "mod", "ebn0", "bits", "out")
-    for n in _parse_ints(str(merged["n"])):
-        for order in _parse_ints(str(merged["mod"])):
-            plan = _plan(merged, n, order)
-            sub = Path(merged["out"]) / f"n{n}_m{order}"
+    _require(args, "n", "mod", "ebn0", "bits", "out")
+    for n in args.n:
+        for order in args.mod:
+            plan = _plan(args, n, order)
+            sub = Path(args.out) / f"n{n}_m{order}"
             print(f"== n={n} order={order}")
-            _run_plan(plan, int(merged["threads"]), sub)
+            _run_plan(plan, args.threads, sub)
 
 
 def _cmd_fit_beta(args: argparse.Namespace) -> None:
-    merged = _merged(
-        args,
-        {
-            "seed": 0,
-            "paradigm": "bpim",
-            "instances": 20,
-            "trials": 100,
-            "iters": 100,
-        },
-    )
-    _require(merged, "n", "mod", "beta_grid", "out")
-    out = _check_writable(merged["out"])
+    _require(args, "n", "mod", "beta_grid", "out")
+    out = _check_writable(args.out)
     rows = []
-    for n in _parse_ints(str(merged["n"])):
-        for order in _parse_ints(str(merged["mod"])):
+    for n in args.n:
+        for order in args.mod:
             result = beta_sweep(
                 n=n,
                 order=order,
-                paradigm=merged["paradigm"],
-                beta_grid=_parse_floats(str(merged["beta_grid"])),
-                n_instances=int(merged["instances"]),
-                n_trials=int(merged["trials"]),
-                n_iterations=int(merged["iters"]),
-                seed=int(merged["seed"]),
+                paradigm=args.paradigm,
+                beta_grid=args.beta_grid,
+                n_instances=args.instances,
+                n_trials=args.trials,
+                n_iterations=args.iters,
+                seed=args.seed,
             )
             rows.append((n, order, result))
             print(f"n={n} order={order}: optimal peak {result.beta_opt:.6g}")
@@ -210,14 +206,13 @@ def _cmd_fit_beta(args: argparse.Namespace) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
-    merged = _merged(args, {"threads": 1})
-    _require(merged, "manifest", "out")
-    plan, csv_name = plan_from_manifest(merged["manifest"])
-    _run_plan(plan, int(merged["threads"]), merged["out"], csv_name)
+    _require(args, "manifest", "out")
+    plan, csv_name = plan_from_manifest(args.manifest)
+    _run_plan(plan, args.threads, args.out, csv_name)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isingmimo",
         description="BER benchmarks for Ising-machine MIMO detectors",
     )
@@ -225,47 +220,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment plan")
     _add_plan_flags(p_run)
+    p_run.set_defaults(handler=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a grid of (n, order) plans")
     _add_plan_flags(p_sweep, grid=True)
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_fit = sub.add_parser("fit-beta", help="annealing-peak calibration sweep")
-    p_fit.add_argument("--n", default=None, help="antenna counts (comma-separated)")
-    p_fit.add_argument("--mod", default=None, help="modulation orders (comma-separated)")
-    p_fit.add_argument("--paradigm", default=None, choices=tuple(PARADIGMS))
-    p_fit.add_argument("--beta-grid", dest="beta_grid", default=None,
-                       help="comma-separated annealing peaks")
-    p_fit.add_argument("--instances", type=int, default=None,
-                       help="instances per Eb/N0 value")
-    p_fit.add_argument("--trials", type=int, default=None, help="trials per instance")
-    p_fit.add_argument("--iters", type=int, default=None, help="iterations per trial")
-    p_fit.add_argument("--seed", type=int, default=None)
-    p_fit.add_argument("--out", default=None)
-    p_fit.add_argument("--config", default=None)
+    p_fit.add_argument("--n", type=int_list, help="antenna counts (comma-separated)")
+    p_fit.add_argument("--mod", type=int_list, help="modulation orders (comma-separated)")
+    p_fit.add_argument("--paradigm", default="bpim", choices=tuple(PARADIGMS))
+    p_fit.add_argument("--beta-grid", type=float_list, help="comma-separated annealing peaks")
+    p_fit.add_argument("--instances", type=int, default=20, help="instances per Eb/N0 value")
+    p_fit.add_argument("--trials", type=int, default=100, help="trials per instance")
+    p_fit.add_argument("--iters", type=int, default=100, help="iterations per trial")
+    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--out")
+    p_fit.add_argument("--config", help=CONFIG_HELP)
+    p_fit.set_defaults(handler=_cmd_fit_beta)
 
     p_rep = sub.add_parser("report", help="re-run the plan stored in a manifest")
-    p_rep.add_argument("--manifest", default=None, help="path to manifest.json")
-    p_rep.add_argument("--out", default=None)
-    p_rep.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
-    p_rep.add_argument("--config", default=None)
-
-    for p in (p_run, p_sweep, p_fit, p_rep):
-        p.set_defaults(option_types=_option_types(p))
+    p_rep.add_argument("--manifest", help="path to manifest.json")
+    p_rep.add_argument("--out")
+    p_rep.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    p_rep.add_argument("--config", help=CONFIG_HELP)
+    p_rep.set_defaults(handler=_cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "fit-beta": _cmd_fit_beta,
-        "report": _cmd_report,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        handlers[args.command](args)
+        args = _parse(build_parser(), argv)
+        args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

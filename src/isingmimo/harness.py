@@ -15,13 +15,14 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .baselines import (
+    ML_SEARCH_BUDGET,
     SearchBudgetError,
     SingularChannelError,
     ml_exact,
@@ -102,19 +103,29 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Fully seeded description of one BER experiment."""
+    """Fully seeded description of one BER experiment.
+
+    The fields are :func:`plan_experiment`'s parameters, in the order the
+    manifest records them.
+    """
 
     n: int
     order: int
     ebn0_list: tuple
-    n_channels: int
-    messages_per_channel: int
-    bits_per_message: int
     total_bits: int
+    seed: int
     detectors: tuple
+    messages_per_channel: int
     replicas: int | None
     iterations: int | None
-    master_seed: int
+
+    @property
+    def bits_per_message(self) -> int:
+        return self.n * int(round(math.log2(self.order)))
+
+    @property
+    def n_channels(self) -> int:
+        return self.total_bits // (self.bits_per_message * self.messages_per_channel)
 
 
 @dataclass(frozen=True)
@@ -150,42 +161,37 @@ def plan_experiment(
     if n < 1 or messages_per_channel < 1:
         raise ValueError("n and messages_per_channel must be at least 1")
     build_constellation(order)  # validates the order
-    bits_per_message = n * int(round(math.log2(order)))
-    block = bits_per_message * messages_per_channel
+    plan = ExperimentPlan(
+        n=n,
+        order=order,
+        ebn0_list=tuple(float(v) for v in ebn0_list),
+        total_bits=total_bits,
+        seed=int(seed),
+        detectors=tuple(detectors),
+        messages_per_channel=messages_per_channel,
+        replicas=replicas,
+        iterations=iterations,
+    )
+    block = plan.bits_per_message * messages_per_channel
     if total_bits <= 0 or total_bits % block != 0:
         nearest = max(block, round(total_bits / block) * block)
         raise ValueError(
             f"total_bits={total_bits} does not split into {messages_per_channel} "
-            f"messages of {bits_per_message} bits per channel; nearest valid value "
+            f"messages of {plan.bits_per_message} bits per channel; nearest valid value "
             f"is {nearest}"
         )
-    detectors = tuple(detectors)
-    for det in detectors:
+    for det in plan.detectors:
         if det not in KNOWN_DETECTORS:
             raise ValueError(f"unknown detector {det!r}; known: {KNOWN_DETECTORS}")
-    ebn0_list = tuple(float(v) for v in ebn0_list)
-    if not ebn0_list:
+    if not plan.ebn0_list:
         raise ValueError("need at least one Eb/N0 point")
-    if any(math.isnan(v) or v == -math.inf for v in ebn0_list):
-        raise ValueError(f"Eb/N0 values must be real or +inf; got {ebn0_list}")
-    if "ml" in detectors and float(order) ** n > 2.0**48:
+    if any(math.isnan(v) or v == -math.inf for v in plan.ebn0_list):
+        raise ValueError(f"Eb/N0 values must be real or +inf; got {plan.ebn0_list}")
+    if "ml" in plan.detectors and float(order) ** n > ML_SEARCH_BUDGET:
         raise ValueError(
             f"exact-ml detector refused: {order}**{n} exceeds the search budget"
         )
-    plan = ExperimentPlan(
-        n=n,
-        order=order,
-        ebn0_list=ebn0_list,
-        n_channels=total_bits // block,
-        messages_per_channel=messages_per_channel,
-        bits_per_message=bits_per_message,
-        total_bits=total_bits,
-        detectors=detectors,
-        replicas=replicas,
-        iterations=iterations,
-        master_seed=int(seed),
-    )
-    for det in detectors:
+    for det in plan.detectors:
         if det in PARADIGMS:
             _heuristic_config(det, plan)  # checks the order, replicas and iterations
     return plan
@@ -268,7 +274,7 @@ def _heuristic_batch_bits(
     streams per cell match a standalone solve of that cell.
     """
     seeds = [
-        derive_seed(plan.master_seed, ROLE_SOLVER, d_idx, channel_index, msg, e_idx)
+        derive_seed(plan.seed, ROLE_SOLVER, d_idx, channel_index, msg, e_idx)
         for msg, e_idx, _, _, _ in cells
     ]
     models, to_symbols = _paradigm_models(detector, H, [y for _, _, _, y, _ in cells], c.order)
@@ -279,7 +285,7 @@ def _heuristic_batch_bits(
 def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
     """Bit-error counts for one channel: shape (detectors, ebn0 points)."""
     c = build_constellation(plan.order)
-    seed = plan.master_seed
+    seed = plan.seed
     H = generate_channel(plan.n, plan.n, derive_seed(seed, ROLE_CHANNEL, channel_index))
     errors = np.zeros((len(plan.detectors), len(plan.ebn0_list)), dtype=np.int64)
     cells = []  # (message index, point index, tx bits, received vector, sigma^2)
@@ -560,25 +566,11 @@ def report(points: list, plan: ExperimentPlan, out_dir, csv_name: str = "results
                     _csv_value(p.ber_upper_95),
                     _csv_value(p.replicas),
                     _csv_value(p.iterations),
-                    plan.master_seed,
+                    plan.seed,
                 ]
             )
     manifest_path = write_manifest(plan, out, csv_name)
     return csv_path, manifest_path
-
-
-# The keys of a manifest's plan, which are also plan_experiment's parameters.
-_MANIFEST_PLAN_KEYS = (
-    "n",
-    "order",
-    "ebn0_list",
-    "total_bits",
-    "seed",
-    "detectors",
-    "messages_per_channel",
-    "replicas",
-    "iterations",
-)
 
 
 def write_manifest(plan: ExperimentPlan, out_dir, csv_name: str) -> Path:
@@ -586,17 +578,7 @@ def write_manifest(plan: ExperimentPlan, out_dir, csv_name: str) -> Path:
         "format": "isingmimo-manifest v1",
         "version": __version__,
         "csv": csv_name,
-        "plan": {
-            "n": plan.n,
-            "order": plan.order,
-            "ebn0_list": list(plan.ebn0_list),
-            "total_bits": plan.total_bits,
-            "seed": plan.master_seed,
-            "detectors": list(plan.detectors),
-            "messages_per_channel": plan.messages_per_channel,
-            "replicas": plan.replicas,
-            "iterations": plan.iterations,
-        },
+        "plan": asdict(plan),
     }
     path = Path(out_dir) / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -615,10 +597,11 @@ def plan_from_manifest(path) -> tuple:
     p = manifest.get("plan")
     if not isinstance(p, dict):
         raise ValueError(f"{path}: manifest lacks a plan object")
-    missing = [key for key in _MANIFEST_PLAN_KEYS if key not in p]
+    keys = [f.name for f in fields(ExperimentPlan)]
+    missing = [key for key in keys if key not in p]
     if missing:
         raise ValueError(f"{path}: manifest plan lacks {', '.join(missing)}")
-    plan = plan_experiment(**{key: p[key] for key in _MANIFEST_PLAN_KEYS})
+    plan = plan_experiment(**{key: p[key] for key in keys})
     csv_name = manifest.get("csv", "results.csv")
     if (
         not isinstance(csv_name, str)

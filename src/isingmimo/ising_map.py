@@ -28,9 +28,7 @@ __all__ = [
     "spins_to_symbols",
     "build_binary_model",
     "ising_energies",
-    "binary_energy",
     "build_pdit_model",
-    "pdit_energy",
     "random_state_energies",
 ]
 
@@ -138,9 +136,9 @@ def build_binary_model(
 ) -> BinaryIsingModel:
     """Expand ||y_real - H_real T s||^2 into couplings, biases, and an offset.
 
-    The returned model satisfies binary_energy(s) + offset == residual for
-    every spin assignment; the quadratic diagonal (s_i^2 = 1) is folded into
-    the offset and the coupling diagonal is zero.
+    The model's energy -1/2 s'Js - h's plus its offset equals the residual
+    for every spin assignment; the quadratic diagonal (s_i^2 = 1) is folded
+    into the offset and the coupling diagonal is zero.
     """
     if transform is None:
         if not rc.bpsk_mode:
@@ -168,14 +166,6 @@ def ising_energies(x: np.ndarray, j: np.ndarray, h: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("ri,ri->r", x @ j, x) - np.einsum("ri,ri->r", x, h)
 
 
-def binary_energy(s: np.ndarray, model: BinaryIsingModel) -> float:
-    """-1/2 s'Js - h's for one spin vector."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (model.n,):
-        raise ValueError(f"expected {model.n} spins, got {s.shape}")
-    return float(ising_energies(s[None], model.j_matrix, model.h_vector[None])[0])
-
-
 def build_pdit_model(H: np.ndarray, y: np.ndarray, order: int) -> PditModel:
     """Symbol-native couplings and biases from the complex instance.
 
@@ -199,19 +189,6 @@ def build_pdit_model(H: np.ndarray, y: np.ndarray, order: int) -> PditModel:
         pam_levels=pam_levels(n_lev),
         n=H.shape[1],
     )
-
-
-def pdit_energy(d: np.ndarray, model: PditModel) -> float:
-    """Full-system energy of a (2N,) state [Re x; Im x] of PAM levels.
-
-    Equals ||y - H x||^2 - ||y||^2 for models built from an instance.
-    """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (2 * model.n,):
-        raise ValueError(f"state must have shape ({2 * model.n},); got {d.shape}")
-    if not np.isin(d, model.pam_levels).all():
-        raise ValueError("state values must lie on the model's PAM levels")
-    return float(ising_energies(d[None], model.j_matrix, model.h_vector[None])[0])
 
 
 def random_state_energies(model, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -270,6 +270,15 @@ class TestExactMl:
         y = np.zeros(40, dtype=complex)
         with pytest.raises(SearchBudgetError):
             ml_exact(H, y, qam4)  # 4^40 > 2^48
+        # A space of exactly the default budget, 4^24 == 2^48, is searched;
+        # a budget just below it refuses.
+        budget = baselines.ML_SEARCH_BUDGET
+        assert 4.0**24 == budget
+        x = qam4.alphabet[np.arange(24) % 4]
+        H = generate_channel(24, 24, 1)
+        np.testing.assert_array_equal(ml_exact(H, H @ x, qam4).symbols, x)
+        with pytest.raises(SearchBudgetError):
+            ml_exact(H, H @ x, qam4, max_search_space=np.nextafter(budget, 0))
         with pytest.raises(SearchBudgetError):
             ml_exhaustive(H, y, qam4, max_candidates=2**10)
 

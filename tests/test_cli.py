@@ -102,7 +102,15 @@ class TestRun:
         assert manifest["plan"]["seed"] == 5  # config value survived
 
     @pytest.mark.parametrize(
-        "config", [{"iters": "x"}, {"seed": 1.5}, {"replicas": True}, {"ebn0": [9]}]
+        "config",
+        [
+            {"iters": "x"},
+            {"seed": 1.5},
+            {"replicas": True},
+            {"ebn0": [9]},
+            {"config": "other.json"},
+            {"iters": None},
+        ],
     )
     def test_config_value_of_wrong_type_fails(self, config, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -117,6 +125,60 @@ class TestRun:
         key = next(iter(config))
         assert err.startswith("error: ") and key in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "config,named",
+        [
+            ({"iter": 5}, "--iter=5"),  # an abbreviation of --iters
+            ({"n": 4.5}, "--n"),
+            ({"mod": "4,16"}, "--mod"),
+        ],
+    )
+    def test_config_entry_its_flag_would_reject_fails(self, config, named, tmp_path, capsys):
+        # Each entry is parsed as its flag: an unknown key or a value that the
+        # flag's type rejects fails, rather than being dropped or truncated.
+        flags = {"n": "4", "mod": "4", "ebn0": "9", "bits": "448", "detectors": "bpim"}
+        given = [tok for k, v in flags.items() if k not in config for tok in (f"--{k}", v)]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        code = run_cli("run", *given, "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [("--iters", "x"), ("--iter", "5"), ("--n", "4.5"), ("--ebn0", "-3,0"), ("--bogus",)],
+    )
+    def test_rejected_flag_exits_1(self, extra, tmp_path, capsys):
+        code = run_cli(
+            "run",
+            "--n", "4", "--mod", "4", "--ebn0", "9", "--bits", "448",
+            *extra, "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and extra[0] in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "config,key,planned",
+        [
+            ({"ebn0": "-3,0"}, "ebn0_list", [-3.0, 0.0]),  # not read as an option
+            ({"ebn0": 9}, "ebn0_list", [9.0]),
+            ({"detectors": "mmse,zf"}, "detectors", ["mmse", "zf"]),
+            ({"detectors": "bpim", "iters": 3}, "iterations", 3),
+        ],
+    )
+    def test_config_values_read_as_on_the_command_line(self, config, key, planned, tmp_path):
+        flags = {"n": "4", "mod": "4", "ebn0": "9", "bits": "448"}
+        given = [tok for k, v in flags.items() if k not in config for tok in (f"--{k}", v)]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("run", *given, "--config", str(cfg), "--out", str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["plan"][key] == planned
 
     def test_fit_beta_config_paradigm_must_be_a_choice(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -241,6 +303,20 @@ class TestFitBetaCommand:
             fields = [float(v) for v in line.split(",")]
             assert len(fields) == 5
         assert "optimal peak" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["beta_grid", "beta-grid"])
+    def test_config_key_takes_underscore_or_dash(self, key, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: "0.5,1", "paradigm": "dpim"}))
+        out = tmp_path / "beta"
+        code = run_cli(
+            "fit-beta",
+            "--n", "2", "--mod", "4", "--instances", "1", "--trials", "2", "--iters", "2",
+            "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 0
+        lines = (out / "beta_sweep.csv").read_text().splitlines()
+        assert [float(line.split(",")[2]) for line in lines[1:]] == [0.5, 1.0]
 
     @pytest.mark.parametrize("flag", ["--instances", "--trials", "--iters"])
     def test_invalid_count_leaves_no_output_directory(self, flag, tmp_path, capsys):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from isingmimo import beta_sweep, plan_experiment, report, run_ber_sweep
+from isingmimo.harness import plan_from_manifest, write_manifest
 
 GOLDENS = {
     "bpsk-n8": (
@@ -67,6 +68,25 @@ def test_report_csv_matches_golden_hash(name, tmp_path):
     plan = plan_experiment(**kwargs)
     csv_path, _ = report(run_ber_sweep(plan, threads=1), plan, tmp_path)
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
+
+# sha256 of each golden plan's manifest.json, byte for byte as the first
+# release of the v1 format wrote it: a manifest written earlier still
+# reproduces its run.
+MANIFEST_GOLDENS = {
+    "bpsk-n8": "e3fecc4f4ed9c87da53c4c29c6afe89b687013eb803be764dba691b9ff9f3c9c",
+    "qam4-n6": "cc3ab5c081614adf817129619511366215a381f32c914c2eef3f9716913dd7e5",
+    "qam16-n4": "3e9cbd8bcf65bf84e3346c28c29429047a067553f61f27a8626ea967136c08b5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_manifest_matches_golden_hash(name, tmp_path):
+    kwargs, _ = GOLDENS[name]
+    plan = plan_experiment(**kwargs)
+    path = write_manifest(plan, tmp_path, "results.csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MANIFEST_GOLDENS[name]
+    assert plan_from_manifest(path) == (plan, "results.csv")
 
 
 def test_pool_run_matches_golden_hash(tmp_path):

@@ -19,6 +19,7 @@ from isingmimo import (
     run_ber_sweep,
 )
 from isingmimo import harness
+from isingmimo.baselines import ML_SEARCH_BUDGET
 
 
 def blas_threads():
@@ -67,6 +68,11 @@ class TestPlanExperiment:
     def test_ml_budget_checked_before_running(self):
         with pytest.raises(ValueError, match="budget"):
             plan_experiment(64, 4, [10.0], 64 * 2 * 14, seed=1, detectors=("ml",))
+        # The boundary is the exact detector's own: 4**24 == 2**48 is planned.
+        assert 4.0**24 == ML_SEARCH_BUDGET
+        plan_experiment(24, 4, [10.0], 24 * 2 * 14, seed=1, detectors=("ml",))
+        with pytest.raises(ValueError, match="budget"):
+            plan_experiment(25, 4, [10.0], 25 * 2 * 14, seed=1, detectors=("ml",))
 
     @pytest.mark.parametrize(
         "change",

@@ -11,13 +11,11 @@ from isingmimo import (
     BinaryIsingModel,
     OimParams,
     SolverConfig,
-    binary_energy,
     build_constellation,
     build_instance,
     build_pdit_model,
     default_parameters,
     ml_exhaustive,
-    pdit_energy,
 )
 from isingmimo import solvers
 from isingmimo.ising_map import ising_energies
@@ -31,6 +29,11 @@ from isingmimo.solvers import (
     oim_params,
     oim_solve_many,
 )
+
+
+def energy(x: np.ndarray, model) -> float:
+    """The model's energy -1/2 x'Jx - h'x of one state."""
+    return ising_energies(x[None], model.j_matrix, model.h_vector[None])[0]
 
 
 def sample_spin_chain(model, beta, n_sweeps, seed, n_chains=1):
@@ -158,7 +161,7 @@ class TestPbitKernel:
         model = build_binary_model(realify(inst.channel, inst.rx_vector, 2))
         beta = 0.15
         states = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
-        exact = np.exp(-beta * np.array([binary_energy(s, model) for s in states]))
+        exact = np.exp(-beta * np.array([energy(s, model) for s in states]))
         exact /= exact.sum()
         chains = sample_spin_chain(model, beta, 20000, seed=6, n_chains=25)
         samples = chains[:, 1000:, :].reshape(-1, 3)
@@ -188,7 +191,7 @@ class TestPditKernel:
         beta = 0.3
         levels = model.pam_levels
         cand = np.array([(a, b) for a in levels for b in levels])
-        energies = np.array([pdit_energy(d, model) for d in cand])
+        energies = np.array([energy(d, model) for d in cand])
         exact = np.exp(-beta * (energies - energies.min()))
         exact /= exact.sum()
         chains = sample_pdit_chain(model, beta, 40000, seed=5, n_chains=5)
@@ -208,7 +211,7 @@ class TestPditKernel:
         beta = 0.15
         levels = model.pam_levels
         states = np.array(list(itertools.product(levels, repeat=4)))
-        energies = np.array([pdit_energy(d, model) for d in states])
+        energies = np.array([energy(d, model) for d in states])
         exact = np.exp(-beta * (energies - energies.min()))
         exact /= exact.sum()
         chains = sample_pdit_chain(model, beta, 20000, seed=7, n_chains=25)
@@ -238,7 +241,7 @@ class TestPditKernel:
         model = build_pdit_model(inst.channel, inst.rx_vector, 16)
         (out,) = dpim_solve_many([model], default_parameters("dpim", 6, 16), [1])
         assert out.best_energy == pytest.approx(
-            pdit_energy(out.best_state, model), rel=1e-9
+            energy(out.best_state, model), rel=1e-9
         )
         assert out.best_energy <= out.final_energies.min() + 1e-12
         assert out.final_energies.shape == (64,)
@@ -432,7 +435,7 @@ class TestReplication:
         model = binary_instance(12, 6.0, 19)
         (out,) = bpim_solve_many([model], default_parameters("bpim", 12, 2), [4])
         assert out.best_energy == pytest.approx(
-            binary_energy(out.best_state, model), rel=1e-9
+            energy(out.best_state, model), rel=1e-9
         )
         assert out.best_energy <= out.final_energies.min() + 1e-12
         assert 1 <= out.best_iteration <= out.n_iterations
