@@ -21,6 +21,7 @@ from .channel import (
     MimoInstance,
     RealizedChannel,
     build_instance,
+    complex_symbols,
     derive_rng,
     derive_seed,
     generate_channel,
@@ -51,10 +52,9 @@ from .harness import (
 from .ising_map import (
     BinaryIsingModel,
     PditModel,
-    TransformSpec,
     build_binary_model,
     build_pdit_model,
-    build_transform,
+    spin_weights,
     spins_to_symbols,
     symbols_to_spins,
 )

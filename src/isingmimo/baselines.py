@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import realify
+from .channel import complex_symbols, realify
 from .constellation import Constellation, demodulate_symbols, quantize_to_alphabet
 
 __all__ = [
@@ -200,11 +200,7 @@ def ml_exact(
     if q_mat is None:
         raise SingularChannelError("real-valued channel is numerically rank deficient")
     z = q_mat.T @ np.concatenate([y.real, y.imag])  # y_real, as realify stacks it
-    x_real = _sphere_decode(r_mat, z, c.levels)
-    if c.order == 2:
-        symbols = x_real.astype(complex)
-    else:
-        symbols = x_real[:n] + 1j * x_real[n:]
+    symbols = complex_symbols(_sphere_decode(r_mat, z, c.levels), n)
     return _result(symbols, H, y, c, "ml")
 
 

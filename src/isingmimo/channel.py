@@ -23,6 +23,7 @@ __all__ = [
     "noise_sigma_sq",
     "transmit",
     "realify",
+    "complex_symbols",
     "build_instance",
     "ROLE_CHANNEL",
     "ROLE_MESSAGE",
@@ -60,17 +61,18 @@ class MimoInstance:
 
 @dataclass(frozen=True, eq=False)
 class RealizedChannel:
-    """Real-valued stacking of a complex instance.
+    """Real-valued stacking of a complex instance of modulation ``order``.
 
     QAM: h_real is the 2Nr x 2Nt block matrix [[Re H, -Im H], [Im H, Re H]]
     and the unknown is [Re x; Im x]. BPSK: h_real is the 2Nr x Nt stack
     [Re H; Im H] and the unknown is the real x itself. In both cases
-    y_real = [Re y; Im y] and residual norms match the complex model.
+    y_real = [Re y; Im y] and residual norms match the complex model;
+    :func:`complex_symbols` turns the unknown back into symbols.
     """
 
     h_real: np.ndarray
     y_real: np.ndarray
-    bpsk_mode: bool
+    order: int
 
 
 def generate_channel(n_rx: int, n_tx: int, seed) -> np.ndarray:
@@ -119,9 +121,22 @@ def realify(H: np.ndarray, y: np.ndarray, order: int) -> RealizedChannel:
     y_real = np.concatenate([y.real, y.imag])
     if order == 2:
         h_real = np.concatenate([H.real, H.imag], axis=0)
-        return RealizedChannel(h_real, y_real, bpsk_mode=True)
-    h_real = np.block([[H.real, -H.imag], [H.imag, H.real]])
-    return RealizedChannel(h_real, y_real, bpsk_mode=False)
+    else:
+        h_real = np.block([[H.real, -H.imag], [H.imag, H.real]])
+    return RealizedChannel(h_real, y_real, order)
+
+
+def complex_symbols(x_real: np.ndarray, n: int) -> np.ndarray:
+    """The n symbols of a real unknown in :func:`realify`'s layout.
+
+    n reals are BPSK symbols; 2n reals are [Re x; Im x].
+    """
+    x_real = np.asarray(x_real, dtype=float)
+    if x_real.shape == (n,):
+        return x_real.astype(complex)
+    if x_real.shape != (2 * n,):
+        raise ValueError(f"expected {n} or {2 * n} reals for {n} symbols; got {x_real.shape}")
+    return x_real[:n] + 1j * x_real[n:]
 
 
 def build_instance(

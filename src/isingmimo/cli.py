@@ -70,7 +70,9 @@ def _add_plan_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
     size = int_list if grid else int
     p.add_argument("--n", type=size, help=f"antenna count{many}")
     p.add_argument("--mod", type=size, help=f"modulation order{many}")
-    p.add_argument("--ebn0", type=float_list, help="Eb/N0 grid in dB, comma-separated")
+    p.add_argument("--ebn0", type=float_list,
+                   help="Eb/N0 grid in dB, comma-separated; a list that starts "
+                   "with a negative value is written --ebn0=-3,0")
     p.add_argument("--bits", type=int, help="total transmitted bits per plan")
     p.add_argument("--detectors", type=name_list, default=["mmse"],
                    help="comma-separated detector names (default mmse)")

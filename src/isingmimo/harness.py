@@ -35,6 +35,7 @@ from .channel import (
     ROLE_NOISE,
     ROLE_SOLVER,
     build_instance,
+    complex_symbols,
     derive_rng,
     derive_seed,
     generate_channel,
@@ -46,7 +47,6 @@ from .constellation import Constellation, build_constellation, demodulate_symbol
 from .ising_map import (
     build_binary_model,
     build_pdit_model,
-    build_transform,
     random_state_energies,
     spins_to_symbols,
 )
@@ -155,9 +155,16 @@ def plan_experiment(
 
     Each channel carries ``messages_per_channel`` messages of
     n * log2(order) bits, so total_bits must be a multiple of that block;
-    otherwise the error suggests the nearest valid budget. Every check of
-    the plan happens here, so an invalid plan fails before any work.
+    otherwise the error suggests the nearest valid budget. The counts and
+    the seed must be ints, never rounded. Every check of the plan happens
+    here, so an invalid plan fails before any work.
     """
+    counts = dict(n=n, total_bits=total_bits, seed=seed, messages_per_channel=messages_per_channel)
+    for name, value in {**counts, "replicas": replicas, "iterations": iterations}.items():
+        if value is None and name not in counts:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int; got {value!r}")
     if n < 1 or messages_per_channel < 1:
         raise ValueError("n and messages_per_channel must be at least 1")
     build_constellation(order)  # validates the order
@@ -166,7 +173,7 @@ def plan_experiment(
         order=order,
         ebn0_list=tuple(float(v) for v in ebn0_list),
         total_bits=total_bits,
-        seed=int(seed),
+        seed=seed,
         detectors=tuple(detectors),
         messages_per_channel=messages_per_channel,
         replicas=replicas,
@@ -252,9 +259,8 @@ def _paradigm_models(paradigm: str, H: np.ndarray, ys, order: int) -> tuple:
     n = H.shape[1]
     if PARADIGMS[paradigm].model == "pdit":
         models = [build_pdit_model(H, y, order) for y in ys]
-        return models, lambda d: d[:n] + 1j * d[n:]
-    transform = None if order == 2 else build_transform(n, order)
-    models = [build_binary_model(realify(H, y, order), transform) for y in ys]
+        return models, lambda d: complex_symbols(d, n)
+    models = [build_binary_model(realify(H, y, order)) for y in ys]
     return models, lambda s: spins_to_symbols(s, n, order)
 
 

@@ -1,29 +1,31 @@
 """Hamiltonian encodings of a MIMO instance.
 
 Two equivalent encodings of the residual objective ||y - Hx||^2 are built
-here: a binary spin model over {-1,+1}^n obtained through a per-axis
-binary-expansion transform, and a symbol-native model with one variable per
-transmitted symbol, whose two axes take PAM-level values. Both act on real
-vectors with one coupling matrix and one bias vector: spins, or the symbol
-axes [Re x; Im x] in the layout of the real-stacked channel. Both store
-enough constants that their energies can be compared directly against
-residual norms in tests.
+here: a binary spin model over {-1,+1}^n and a symbol-native model with one
+variable per transmitted symbol, whose two axes take PAM-level values. The
+binary model writes each real axis of the unknown as a binary expansion
+L/2 s_1 + ... + 2 s_{B-1} + s_B over its L PAM levels (BPSK: one spin of
+weight 1), so the modulation order enters it only through these per-spin
+weights. Both act on real vectors with one coupling matrix and one bias
+vector: spins, or the symbol axes [Re x; Im x] in the layout of the
+real-stacked channel. Both store enough constants that their energies can be
+compared directly against residual norms in tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RealizedChannel
-from .constellation import pam_levels
+from .channel import RealizedChannel, complex_symbols
+from .constellation import build_constellation, pam_levels
 
 __all__ = [
-    "TransformSpec",
     "BinaryIsingModel",
     "PditModel",
-    "build_transform",
+    "spin_weights",
     "symbols_to_spins",
     "spins_to_symbols",
     "build_binary_model",
@@ -31,22 +33,6 @@ __all__ = [
     "build_pdit_model",
     "random_state_energies",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class TransformSpec:
-    """Spin-to-amplitude transform x_real = t_matrix @ s.
-
-    ``t_matrix`` is sqrt(M) * kron(v, I_2N) with v = [2^-1, ..., 2^-B],
-    B = log2(sqrt(M)); the spin vector is laid out as B significance groups
-    of 2N spins, most significant group first.
-    """
-
-    order: int
-    n_sym: int
-    b_per_axis: int
-    v: np.ndarray
-    t_matrix: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,78 +62,64 @@ class PditModel:
     n: int
 
 
-def build_transform(n_sym: int, order: int) -> TransformSpec:
-    """Build the spin transform for an n_sym-symbol M-QAM instance."""
-    if order < 4:
-        raise ValueError("transform is defined for QAM orders >= 4; BPSK bypasses it")
-    b = int(round(np.log2(np.sqrt(order))))
-    if 4**b != order:
-        raise ValueError(f"order must be an even power of 2; got {order}")
-    v = 2.0 ** -np.arange(1, b + 1)
-    t_matrix = np.sqrt(order) * np.kron(v, np.eye(2 * n_sym))
-    return TransformSpec(order, n_sym, b, v, t_matrix)
+def spin_weights(order: int) -> np.ndarray:
+    """Weights L/2, L/4, ..., 1 of the B spins behind one real axis.
+
+    L = 2^B is the number of PAM levels per axis: 2 for BPSK (one spin of
+    weight 1), sqrt(M) for M-QAM. A spin vector holds B significance groups,
+    most significant first, each with one spin per entry of the real unknown,
+    and the unknown is ``weights @ s.reshape(B, -1)``.
+    """
+    n_levels = build_constellation(order).levels.size  # rejects invalid orders
+    return n_levels / 2.0 ** np.arange(1, n_levels.bit_length())
 
 
 def symbols_to_spins(x: np.ndarray, order: int) -> np.ndarray:
-    """Binarize symbols into the spin layout of :func:`build_transform`.
+    """Binarize symbols into the spin layout of :func:`spin_weights`.
 
-    BPSK passes through (s = x). For QAM each axis value is peeled into B
-    signed halvings: the most significant spin is the sign of the remainder
-    at weight sqrt(M)/2, and so on down to weight 1.
+    Each entry of the real unknown (x for BPSK, [Re x; Im x] for QAM) is
+    peeled into signed halvings: the most significant spin is the sign of the
+    value at weight L/2, the next the sign of the remainder at L/4, and so on
+    down to weight 1.
     """
     x = np.asarray(x, dtype=complex)
-    if order == 2:
-        if not np.isin(x.real, (-1.0, 1.0)).all() or (x.imag != 0).any():
-            raise ValueError("BPSK symbols must be -1 or +1")
-        return x.real.astype(float)
-    b = int(round(np.log2(np.sqrt(order))))
-    levels = pam_levels(1 << b)
-    axes = np.concatenate([x.real, x.imag])
-    if not np.isin(axes, levels).all():
-        raise ValueError(f"symbol axis values must lie on PAM({1 << b}) levels")
+    weights = spin_weights(order)
+    # B of a symbol's log2(M) spins carry one axis: one axis per BPSK
+    # symbol, two per QAM symbol.
+    n_axes = x.size * round(math.log2(order)) // weights.size
+    rem = np.concatenate([x.real, x.imag])[:n_axes]
     groups = []
-    rem = axes.copy()
-    for k in range(1, b + 1):
-        weight = np.sqrt(order) * 2.0**-k
+    for weight in weights:
         s_k = np.where(rem >= 0, 1.0, -1.0)
         rem = rem - weight * s_k
         groups.append(s_k)
-    return np.concatenate(groups)
+    spins = np.concatenate(groups)
+    if not np.array_equal(spins_to_symbols(spins, x.size, order), x):
+        raise ValueError(f"symbols must lie on the order-{order} alphabet")
+    return spins
 
 
 def spins_to_symbols(s: np.ndarray, n_sym: int, order: int) -> np.ndarray:
-    """Inverse of :func:`symbols_to_spins`: apply the transform, recombine axes."""
+    """Inverse of :func:`symbols_to_spins`: weigh the spin groups, recombine axes."""
     s = np.asarray(s, dtype=float)
-    if order == 2:
-        if s.shape != (n_sym,):
-            raise ValueError(f"expected {n_sym} spins for BPSK, got {s.shape}")
-        return s.astype(complex)
-    t = build_transform(n_sym, order)
-    if s.shape != (t.t_matrix.shape[1],):
-        raise ValueError(
-            f"expected {t.t_matrix.shape[1]} spins for N={n_sym}, M={order}; got {s.shape}"
-        )
-    x_real = t.t_matrix @ s
-    return x_real[:n_sym] + 1j * x_real[n_sym:]
+    n_spins = n_sym * round(math.log2(order))
+    if s.shape != (n_spins,):
+        raise ValueError(f"expected {n_spins} spins for N={n_sym}, M={order}; got {s.shape}")
+    weights = spin_weights(order)
+    return complex_symbols(weights @ s.reshape(weights.size, -1), n_sym)
 
 
-def build_binary_model(
-    rc: RealizedChannel, transform: TransformSpec | None = None
-) -> BinaryIsingModel:
-    """Expand ||y_real - H_real T s||^2 into couplings, biases, and an offset.
+def build_binary_model(rc: RealizedChannel) -> BinaryIsingModel:
+    """Expand ||y_real - H_real x||^2, x = weights @ s.reshape(B, -1), into
+    couplings, biases, and an offset.
 
     The model's energy -1/2 s'Js - h's plus its offset equals the residual
     for every spin assignment; the quadratic diagonal (s_i^2 = 1) is folded
     into the offset and the coupling diagonal is zero.
     """
-    if transform is None:
-        if not rc.bpsk_mode:
-            raise ValueError("QAM realization requires a TransformSpec")
-        heff = rc.h_real
-    else:
-        if rc.bpsk_mode:
-            raise ValueError("BPSK realization does not take a transform")
-        heff = rc.h_real @ transform.t_matrix
+    # Column block k is H_real times the k-th spin weight: a power of two, so
+    # every entry is exact.
+    heff = np.kron(spin_weights(rc.order), rc.h_real)
     gram = heff.T @ heff
     lin = heff.T @ rc.y_real
     j_matrix = -2.0 * gram

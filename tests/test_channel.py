@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from isingmimo import (
     build_constellation,
     build_instance,
+    complex_symbols,
     derive_rng,
     derive_seed,
     generate_channel,
@@ -107,13 +108,13 @@ class TestRealify:
         rc = realify(np.array([[1j]]), np.array([1.0 + 0j]), 4)
         np.testing.assert_array_equal(rc.h_real, [[0, -1], [1, 0]])
         np.testing.assert_array_equal(rc.y_real, [1, 0])
-        assert not rc.bpsk_mode
+        assert rc.order == 4
 
     def test_bpsk_example(self):
         rc = realify(np.array([[1 + 1j]]), np.array([2.0 + 0j]), 2)
         np.testing.assert_array_equal(rc.h_real, [[1], [1]])
         np.testing.assert_array_equal(rc.y_real, [2, 0])
-        assert rc.bpsk_mode
+        assert rc.order == 2
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 16]))
@@ -131,6 +132,13 @@ class TestRealify:
         complex_resid = np.linalg.norm(y - H @ x) ** 2
         real_resid = np.linalg.norm(rc.y_real - rc.h_real @ xr) ** 2
         assert real_resid == pytest.approx(complex_resid, rel=1e-12)
+        np.testing.assert_array_equal(complex_symbols(xr, n), x)
+
+    def test_complex_symbols_reads_the_length(self):
+        np.testing.assert_array_equal(complex_symbols([1.0, -1.0], 2), [1, -1])
+        np.testing.assert_array_equal(complex_symbols([1.0, -1.0], 1), [1 - 1j])
+        with pytest.raises(ValueError):
+            complex_symbols(np.ones(3), 2)
 
 
 class TestSeedDerivation:

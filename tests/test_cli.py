@@ -272,6 +272,29 @@ class TestReportCommand:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("key,value", [("total_bits", 448.0), ("seed", 1.5), ("n", 4.5)])
+    def test_edited_manifest_with_a_non_int_count_fails(self, key, value, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert (
+            run_cli(
+                "run",
+                "--n", "4", "--mod", "4", "--ebn0", "9", "--bits", "448",
+                "--seed", "8", "--out", str(first),
+            )
+            == 0
+        )
+        path = first / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["plan"][key] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = run_cli("report", "--manifest", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestSweepCommand:
     def test_grid_of_plans(self, tmp_path):
         out = tmp_path / "grid"

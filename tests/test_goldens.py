@@ -59,6 +59,21 @@ GOLDENS = {
         ),
         "27f03b00542ab0f288412ffb6ca37543888437bdc22dc8dec8322b8d376e222b",
     ),
+    # bpim above 4-QAM: two spins per axis, at weights 2 and 1.
+    "qam16-n3-bpim": (
+        dict(
+            n=3,
+            order=16,
+            ebn0_list=(6.0, 12.0, 18.0),
+            total_bits=12 * 3 * 4,
+            seed=14,
+            detectors=("bpim", "mmse"),
+            messages_per_channel=3,
+            replicas=3,
+            iterations=12,
+        ),
+        "15efcc88f8e8f8fdf0edda7d73adc7e7b1c3f14e3e7ffd30aa36037ea89511ec",
+    ),
 }
 
 
@@ -71,12 +86,14 @@ def test_report_csv_matches_golden_hash(name, tmp_path):
 
 
 # sha256 of each golden plan's manifest.json, byte for byte as the first
-# release of the v1 format wrote it: a manifest written earlier still
-# reproduces its run.
+# release of the v1 format wrote it (qam16-n3-bpim: as the v1 writer wrote
+# it when that plan was added): a manifest written earlier still reproduces
+# its run.
 MANIFEST_GOLDENS = {
     "bpsk-n8": "e3fecc4f4ed9c87da53c4c29c6afe89b687013eb803be764dba691b9ff9f3c9c",
     "qam4-n6": "cc3ab5c081614adf817129619511366215a381f32c914c2eef3f9716913dd7e5",
     "qam16-n4": "3e9cbd8bcf65bf84e3346c28c29429047a067553f61f27a8626ea967136c08b5",
+    "qam16-n3-bpim": "0e89e7f2f4b499e857b08763f70a4fb7f34ae0fdbfb94cfc54bc59b9ec009ed7",
 }
 
 
@@ -127,6 +144,20 @@ BETA_GOLDENS = {
             seed=22,
         ),
         "0b6a841595c64e77e85c7d9c3d78e3962cb4b8aa578cbcbac37ba9475b93d919",
+    ),
+    "bpim-qam16-n3": (
+        dict(
+            n=3,
+            order=16,
+            paradigm="bpim",
+            beta_grid=(0.1, 0.4, 1.2),
+            n_instances=2,
+            n_trials=4,
+            n_iterations=10,
+            ebn0_list=(4.0, 12.0),
+            seed=23,
+        ),
+        "00e5e931389b90fb3eed18421f865b362ed1f82d4577fa59a5fdd5013d3f8a9b",
     ),
 }
 

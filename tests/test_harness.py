@@ -83,6 +83,15 @@ class TestPlanExperiment:
             dict(iterations=0),
             dict(ebn0_list=[10.0, float("nan")]),
             dict(ebn0_list=[-math.inf]),
+            # Counts and the seed are ints, never rounded.
+            dict(n=4.0),
+            dict(n=None),
+            dict(total_bits=448.0),
+            dict(seed=1.5),
+            dict(seed=True),
+            dict(messages_per_channel=14.0),
+            dict(replicas=2.5),
+            dict(iterations=True),
         ],
     )
     def test_invalid_plan_fails_at_planning(self, change):

@@ -11,14 +11,13 @@ from isingmimo import (
     build_constellation,
     build_instance,
     build_pdit_model,
-    build_transform,
     generate_channel,
     realify,
+    spin_weights,
     spins_to_symbols,
     symbols_to_spins,
 )
 from isingmimo.channel import RealizedChannel
-from isingmimo.constellation import pam_levels
 from isingmimo.ising_map import ising_energies
 
 
@@ -33,33 +32,74 @@ def random_instance(n, order, seed, ebn0_db=9.0):
     return c, inst
 
 
+def dense_transform(n_sym, order):
+    """The dense spin-to-axis matrix sqrt(M) kron(v, I_2N), v = [2^-1, ..., 2^-B],
+    of an N-symbol QAM instance: the reference the per-axis weights reproduce."""
+    b = int(round(np.log2(np.sqrt(order))))
+    v = 2.0 ** -np.arange(1, b + 1)
+    return np.sqrt(order) * np.kron(v, np.eye(2 * n_sym))
+
+
 class TestTransform:
+    """The spin-to-axis transform: one weight per spin of an axis."""
+
     def test_m4_is_identity(self):
-        t = build_transform(5, 4)
-        np.testing.assert_allclose(t.t_matrix, np.eye(10), atol=1e-15)
+        np.testing.assert_array_equal(spin_weights(4), [1.0])
+
+    def test_bpsk_is_identity(self):
+        # BPSK is the one-axis case of the same map.
+        np.testing.assert_array_equal(spin_weights(2), [1.0])
 
     def test_m16_block_levels(self):
         # One axis of one symbol: spins (s1, s2) at weights (2, 1).
-        t = build_transform(1, 16)
+        weights = spin_weights(16)
         expected = {(1, 1): 3, (1, -1): 1, (-1, 1): -1, (-1, -1): -3}
-        for (s1, s2), level in expected.items():
-            s = np.array([s1, 0, s2, 0], dtype=float)
-            assert (t.t_matrix @ s)[0] == pytest.approx(level)
+        for spins, level in expected.items():
+            assert weights @ np.array(spins, dtype=float) == level
 
-    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    @pytest.mark.parametrize("order", [2, 4, 16, 64, 256])
     def test_axis_image_is_pam_grid(self, order):
-        t = build_transform(1, order)
-        b = t.b_per_axis
-        images = set()
-        for spins in itertools.product((-1.0, 1.0), repeat=b):
-            s = np.zeros(2 * b)
-            s[::2] = spins  # real-axis slots of the significance groups
-            images.add(round((t.t_matrix @ s)[0]))
-        assert images == set(int(v) for v in pam_levels(1 << b))
+        weights = spin_weights(order)
+        images = sorted(
+            weights @ np.array(spins)
+            for spins in itertools.product((-1.0, 1.0), repeat=weights.size)
+        )
+        np.testing.assert_array_equal(images, build_constellation(order).levels)
 
-    def test_bpsk_rejected(self):
+    @pytest.mark.parametrize("order", [1, 3, 8, 32])
+    def test_invalid_order_rejected(self, order):
         with pytest.raises(ValueError):
-            build_transform(4, 2)
+            spin_weights(order)
+
+
+class TestDenseTransformOracle:
+    """The weights give the bytes of the dense path, in which BPSK takes the
+    channel as it is and QAM multiplies it by :func:`dense_transform`."""
+
+    @pytest.mark.parametrize("order", [2, 4, 16, 64, 256])
+    def test_model_and_symbols_equal_the_dense_path(self, order):
+        rng = np.random.default_rng(order)
+        for trial in range(40):
+            n = int(rng.integers(1, 7))
+            _, inst = random_instance(n, order, seed=1000 * order + trial)
+            rc = realify(inst.channel, inst.rx_vector, order)
+            t = None if order == 2 else dense_transform(n, order)
+            heff = rc.h_real if t is None else rc.h_real @ t
+            gram = heff.T @ heff
+            j_matrix = -2.0 * gram
+            np.fill_diagonal(j_matrix, 0.0)
+            model = build_binary_model(rc)
+            assert np.array_equal(model.j_matrix, j_matrix)
+            assert np.array_equal(model.h_vector, 2.0 * (heff.T @ rc.y_real))
+            assert model.offset == float(np.trace(gram) + rc.y_real @ rc.y_real)
+
+            s = rng.integers(0, 2, model.n) * 2.0 - 1.0
+            if t is None:
+                dense = s.astype(complex)
+            else:
+                x_real = t @ s
+                dense = x_real[:n] + 1j * x_real[n:]
+            assert np.array_equal(spins_to_symbols(s, n, order), dense)
 
 
 class TestSpinConversions:
@@ -99,12 +139,19 @@ class TestSpinConversions:
         with pytest.raises(ValueError):
             symbols_to_spins(np.array([0.5 + 0j]), 4)
         with pytest.raises(ValueError):
+            symbols_to_spins(np.array([5 + 1j]), 16)
+        with pytest.raises(ValueError):
+            symbols_to_spins(np.array([1 + 1j]), 2)
+        with pytest.raises(ValueError):
             spins_to_symbols(np.ones(3), 4, 4)
+        with pytest.raises(ValueError):
+            # n * log2(M) spins: 4 spins are two 4-QAM symbols, not four.
+            spins_to_symbols(np.ones(4), 4, 4)
 
 
 class TestBinaryModel:
     def test_1x1_bpsk_example(self):
-        rc = RealizedChannel(np.array([[1.0], [0.0]]), np.array([0.5, 0.0]), True)
+        rc = RealizedChannel(np.array([[1.0], [0.0]]), np.array([0.5, 0.0]), 2)
         model = build_binary_model(rc)
         assert model.n == 1
         np.testing.assert_allclose(model.h_vector, [1.0])
@@ -114,14 +161,12 @@ class TestBinaryModel:
     @pytest.mark.parametrize("order,n", [(2, 8), (4, 8), (16, 4), (64, 2)])
     def test_energy_equals_residual(self, order, n):
         c, inst = random_instance(n, order, seed=11 * order + n)
-        rc = realify(inst.channel, inst.rx_vector, order)
-        transform = None if order == 2 else build_transform(n, order)
-        model = build_binary_model(rc, transform)
+        model = build_binary_model(realify(inst.channel, inst.rx_vector, order))
         rng = np.random.default_rng(0)
-        heff = rc.h_real if transform is None else rc.h_real @ transform.t_matrix
         for _ in range(32):
             s = rng.integers(0, 2, model.n) * 2.0 - 1.0
-            resid = np.linalg.norm(rc.y_real - heff @ s) ** 2
+            x = spins_to_symbols(s, n, order)
+            resid = np.linalg.norm(inst.rx_vector - inst.channel @ x) ** 2
             assert energy(s, model) + model.offset == pytest.approx(
                 resid, rel=1e-9
             )
@@ -129,7 +174,7 @@ class TestBinaryModel:
     def test_structure(self):
         c, inst = random_instance(6, 16, seed=5)
         rc = realify(inst.channel, inst.rx_vector, 16)
-        model = build_binary_model(rc, build_transform(6, 16))
+        model = build_binary_model(rc)
         np.testing.assert_array_equal(np.diag(model.j_matrix), np.zeros(model.n))
         np.testing.assert_allclose(model.j_matrix, model.j_matrix.T, atol=1e-12)
 
@@ -138,9 +183,8 @@ class TestBinaryModel:
         inst1, _ = build_instance(c, 4, 9.0, 21, message_index=0)
         inst2, _ = build_instance(c, 4, 9.0, 21, message_index=1)
         np.testing.assert_array_equal(inst1.channel, inst2.channel)
-        t = build_transform(4, 4)
-        m1 = build_binary_model(realify(inst1.channel, inst1.rx_vector, 4), t)
-        m2 = build_binary_model(realify(inst2.channel, inst2.rx_vector, 4), t)
+        m1 = build_binary_model(realify(inst1.channel, inst1.rx_vector, 4))
+        m2 = build_binary_model(realify(inst2.channel, inst2.rx_vector, 4))
         np.testing.assert_array_equal(m1.j_matrix, m2.j_matrix)
         assert not np.array_equal(m1.h_vector, m2.h_vector)
 
@@ -156,13 +200,12 @@ class TestBinaryModel:
         # Exhaustive over 2^12 spin states on a 6x6 4-QAM instance.
         c, inst = random_instance(6, 4, seed=9, ebn0_db=6.0)
         rc = realify(inst.channel, inst.rx_vector, 4)
-        t = build_transform(6, 4)
-        model = build_binary_model(rc, t)
-        heff = rc.h_real @ t.t_matrix
+        model = build_binary_model(rc)
         states = np.array(list(itertools.product((-1.0, 1.0), repeat=model.n)))
         energies = np.array([energy(s, model) for s in states])
+        # 4-QAM: one spin of weight 1 per axis, so the states are the unknowns.
         resids = np.linalg.norm(
-            rc.y_real[None, :] - states @ heff.T, axis=1
+            rc.y_real[None, :] - states @ rc.h_real.T, axis=1
         ) ** 2
         assert np.argmin(energies) == np.argmin(resids)
 
@@ -215,9 +258,7 @@ class TestCrossEncodingConsistency:
     @pytest.mark.parametrize("order,n", [(4, 5), (16, 3), (64, 2)])
     def test_both_encodings_equal_the_residual(self, order, n):
         c, inst = random_instance(n, order, seed=order + n)
-        rc = realify(inst.channel, inst.rx_vector, order)
-        t = build_transform(n, order)
-        bm = build_binary_model(rc, t)
+        bm = build_binary_model(realify(inst.channel, inst.rx_vector, order))
         pm = build_pdit_model(inst.channel, inst.rx_vector, order)
         rng = np.random.default_rng(1)
         y_norm = np.linalg.norm(inst.rx_vector) ** 2

@@ -362,13 +362,12 @@ class TestReplication:
         # per model (chunks in series): outcomes must not depend on how the
         # batch is split or in which order its parts run.
         c = build_constellation(4)
-        from isingmimo import build_binary_model, build_transform, realify
+        from isingmimo import build_binary_model, realify
 
-        t = build_transform(4, 4)
         models = []
         for msg in range(5):
             inst, _ = build_instance(c, 4, 6.0, 21, message_index=msg)
-            models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4), t))
+            models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4)))
         cfg = SolverConfig(6, AnnealSchedule(1.5, 40))
         seeds = [21, 3, 8, 13, 5]
         parallel = bpim_solve_many(models, cfg, seeds)
@@ -399,14 +398,13 @@ class TestReplication:
 
     def test_batched_solve_matches_singles(self):
         c = build_constellation(4)
-        from isingmimo import build_binary_model, build_transform, realify
+        from isingmimo import build_binary_model, realify
 
         cfg = replace(default_parameters("bpim", 5, 4), replicas=10)
-        t = build_transform(5, 4)
         models = []
         for msg in range(6):
             inst, _ = build_instance(c, 5, 8.0, 40, message_index=msg)
-            models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4), t))
+            models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4)))
         seeds = list(range(6))
         batched = bpim_solve_many(models, cfg, seeds)
         for model, seed, out in zip(models, seeds, batched):
@@ -418,16 +416,15 @@ class TestReplication:
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim"])
     def test_batched_requires_shared_coupling(self, paradigm):
         c = build_constellation(4)
-        from isingmimo import build_binary_model, build_transform, realify
+        from isingmimo import build_binary_model, realify
 
-        t = build_transform(3, 4)
         models = []
         for ch in range(2):
             inst, _ = build_instance(c, 3, 8.0, ch)
             if paradigm == "dpim":
                 models.append(build_pdit_model(inst.channel, inst.rx_vector, 4))
             else:
-                models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4), t))
+                models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4)))
         with pytest.raises(ValueError, match="share"):
             solvers.solve_many(paradigm, models, default_parameters(paradigm, 3, 4), [0, 1])
 
