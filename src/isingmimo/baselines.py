@@ -1,16 +1,23 @@
 """Classical detectors: zero-forcing, MMSE, and exact maximum likelihood.
 
+All the cells of a channel share H, so what a detector takes from H alone is
+computed once per channel, on first use, and kept for the last channel seen,
+keyed on H's contents (shape, dtype and bytes), never its identity: ZF's
+pseudo-inverse from one SVD, rank-checked by ``lstsq``'s default test; MMSE's
+H^H and Gram matrix H^H H; and the QR factor of the real-valued channel of
+each order. A cell is then one matvec (ZF), one small solve (MMSE) or one
+rotation of y and a search (ML), followed by the constellation's
+table-driven decision.
+
 The exact detector is a depth-first sphere decoder on the real-valued model
 with closest-first (Schnorr-Euchner) child ordering and an initially
 unbounded radius that shrinks at each leaf, so it returns the true residual
 minimizer. A node's children are generated on demand: bisect its centre into
 the sorted PAM levels, then step outward one level at a time, the lower level
 first when two are equally far. The search runs on Python floats and lists,
-which are several times faster than numpy scalars at these sizes. The QR
-factor of the real-valued channel is computed once per channel: all the cells
-of a channel share H, so :func:`ml_exact` keeps the factor of the last
-(H, order) it saw. A brute-force enumerator over the full candidate space is
-kept alongside as an independent oracle for tests.
+which are several times faster than numpy scalars at these sizes. A
+brute-force enumerator over the full candidate space is kept alongside as an
+independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,20 +66,79 @@ class DetectionResult:
 
 
 def _result(symbols: np.ndarray, H: np.ndarray, y: np.ndarray, c: Constellation, method: str) -> DetectionResult:
-    residual = float(np.linalg.norm(y - H @ symbols) ** 2)
+    r = y - H @ symbols
+    residual = float(np.vdot(r, r).real)
     return DetectionResult(symbols, demodulate_symbols(symbols, c), residual, method)
 
 
+class _ChannelFactors:
+    """What the detectors take from one channel H alone, each part computed
+    on first use: the ZF pseudo-inverse, the MMSE Gram matrix, and the QR
+    factor of the real-valued channel of each order."""
+
+    def __init__(self, key: tuple, H: np.ndarray):
+        self.key = key
+        self.H = H.copy()
+        self._qr: dict = {}
+
+    @cached_property
+    def zf(self) -> tuple:
+        """(pseudo-inverse, rank) from one SVD; the pseudo-inverse is None
+        when H is rank deficient by ``lstsq``'s default test."""
+        u, sv, vh = np.linalg.svd(self.H, full_matrices=False)
+        n_rx, n_tx = self.H.shape
+        rank = int(np.count_nonzero(sv > np.finfo(self.H.dtype).eps * max(n_rx, n_tx) * sv[0]))
+        if rank < n_tx:
+            return None, rank
+        return (vh.conj().T / sv) @ u.conj().T, rank
+
+    @cached_property
+    def mmse(self) -> tuple:
+        """(H^H, H^H H, I): a cell adds (sigma^2/Es) I to the Gram and solves."""
+        h_herm = self.H.conj().T
+        return h_herm, h_herm @ self.H, np.eye(self.H.shape[1])
+
+    def ml(self, y: np.ndarray, order: int) -> tuple:
+        """(Q, R) of the real-valued channel of ``order``.
+
+        ``y`` only completes the ``realify`` call; the factor does not depend
+        on it. Q is None when R's diagonal shows H to be numerically rank
+        deficient.
+        """
+        if order not in self._qr:
+            q_mat, r_mat = np.linalg.qr(realify(self.H, y, order).h_real)
+            diag = np.abs(np.diag(r_mat))
+            if diag.min() <= 1e-12 * max(diag.max(), 1.0):
+                q_mat = None
+            self._qr[order] = (q_mat, r_mat)
+        return self._qr[order]
+
+
+# The factors of the last channel a detector saw. One entry is enough: the
+# harness solves all the cells of a channel in a row.
+_last_channel: _ChannelFactors | None = None
+
+
+def _channel(H: np.ndarray) -> _ChannelFactors:
+    """The factors of H, reused while calls repeat H's contents (shape, dtype
+    and bytes; never its identity)."""
+    global _last_channel
+    key = (H.shape, H.dtype.str, H.tobytes())
+    if _last_channel is None or _last_channel.key != key:
+        _last_channel = _ChannelFactors(key, H)
+    return _last_channel
+
+
 def zf_detect(H: np.ndarray, y: np.ndarray, c: Constellation) -> DetectionResult:
-    """Least-squares inversion followed by per-entry quantization."""
+    """Pseudo-inverse of H applied to y, followed by per-entry quantization."""
     H = np.asarray(H)
     y = np.asarray(y)
-    soft, _, rank, _ = np.linalg.lstsq(H, y, rcond=None)
-    if rank < H.shape[1]:
+    pinv, rank = _channel(H).zf
+    if pinv is None:
         raise SingularChannelError(
             f"channel has rank {rank} < {H.shape[1]} transmit antennas"
         )
-    symbols = quantize_to_alphabet(soft, c)
+    symbols = quantize_to_alphabet(pinv @ y, c)
     return _result(symbols, H, y, c, "zf")
 
 
@@ -83,9 +150,9 @@ def mmse_detect(
     y = np.asarray(y)
     if sigma_sq < 0:
         raise ValueError("sigma_sq must be nonnegative")
-    gram = H.conj().T @ H + (sigma_sq / es) * np.eye(H.shape[1])
+    h_herm, gram, eye = _channel(H).mmse
     try:
-        soft = np.linalg.solve(gram, H.conj().T @ y)
+        soft = np.linalg.solve(gram + (sigma_sq / es) * eye, h_herm @ y)
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError(str(exc)) from exc
     symbols = quantize_to_alphabet(soft, c)
@@ -155,28 +222,6 @@ def _sphere_decode(r_mat: np.ndarray, z: np.ndarray, levels: np.ndarray) -> np.n
     return None if best_x is None else np.array(best_x)
 
 
-# The last (key, q_mat, r_mat) that _channel_factor computed. One entry is
-# enough: the harness solves all the cells of a channel in a row.
-_last_factor: tuple = (None, None, None)
-
-
-def _channel_factor(H: np.ndarray, y: np.ndarray, order: int) -> tuple:
-    """(Q, R) of the real-valued channel, reused while H and order repeat.
-
-    ``y`` only completes the ``realify`` call; the factor does not depend on
-    it. Q is None when R's diagonal shows H to be numerically rank deficient.
-    """
-    global _last_factor
-    key = (order, H.shape, H.dtype.str, H.tobytes())
-    if _last_factor[0] != key:
-        q_mat, r_mat = np.linalg.qr(realify(H, y, order).h_real)
-        diag = np.abs(np.diag(r_mat))
-        if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-            q_mat = None
-        _last_factor = (key, q_mat, r_mat)
-    return _last_factor[1], _last_factor[2]
-
-
 def ml_exact(
     H: np.ndarray, y: np.ndarray, c: Constellation, max_search_space: float = ML_SEARCH_BUDGET
 ) -> DetectionResult:
@@ -196,7 +241,7 @@ def ml_exact(
         raise SearchBudgetError(
             f"search space {c.order}**{n} = {space:.3g} exceeds budget {max_search_space:.3g}"
         )
-    q_mat, r_mat = _channel_factor(H, y, c.order)
+    q_mat, r_mat = _channel(H).ml(y, c.order)
     if q_mat is None:
         raise SingularChannelError("real-valued channel is numerically rank deficient")
     z = q_mat.T @ np.concatenate([y.real, y.imag])  # y_real, as realify stacks it

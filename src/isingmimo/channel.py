@@ -74,6 +74,16 @@ class RealizedChannel:
     y_real: np.ndarray
     order: int
 
+    def with_received(self, y: np.ndarray) -> RealizedChannel:
+        """The same channel with received vector ``y`` in place of its own."""
+        return RealizedChannel(self.h_real, _stacked(y), self.order)
+
+
+def _stacked(y: np.ndarray) -> np.ndarray:
+    """[Re y; Im y]: a received vector in the real-valued layout."""
+    y = np.asarray(y)
+    return np.concatenate([y.real, y.imag])
+
 
 def generate_channel(n_rx: int, n_tx: int, seed) -> np.ndarray:
     """i.i.d. Rayleigh channel: entries CN(0, 1), deterministic given seed."""
@@ -117,13 +127,16 @@ def transmit(H: np.ndarray, x0: np.ndarray, sigma_sq: float, seed) -> np.ndarray
 def realify(H: np.ndarray, y: np.ndarray, order: int) -> RealizedChannel:
     """Stack a complex instance into its real-valued form."""
     H = np.asarray(H)
-    y = np.asarray(y)
-    y_real = np.concatenate([y.real, y.imag])
     if order == 2:
         h_real = np.concatenate([H.real, H.imag], axis=0)
     else:
-        h_real = np.block([[H.real, -H.imag], [H.imag, H.real]])
-    return RealizedChannel(h_real, y_real, order)
+        n_rx, n_tx = H.shape
+        h_real = np.empty((2 * n_rx, 2 * n_tx), dtype=H.real.dtype)
+        h_real[:n_rx, :n_tx] = H.real
+        np.negative(H.imag, out=h_real[:n_rx, n_tx:])
+        h_real[n_rx:, :n_tx] = H.imag
+        h_real[n_rx:, n_tx:] = H.real
+    return RealizedChannel(h_real, _stacked(y), order)
 
 
 def complex_symbols(x_real: np.ndarray, n: int) -> np.ndarray:

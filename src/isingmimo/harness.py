@@ -45,8 +45,10 @@ from .channel import (
 )
 from .constellation import Constellation, build_constellation, demodulate_symbols, modulate_bits
 from .ising_map import (
+    binary_couplings,
     build_binary_model,
     build_pdit_model,
+    pdit_couplings,
     random_state_energies,
     spins_to_symbols,
 )
@@ -257,10 +259,15 @@ def _paradigm_models(paradigm: str, H: np.ndarray, ys, order: int) -> tuple:
     """The paradigm's Ising models of received vectors ``ys`` over channel
     ``H``, and the map from one of its solver states to symbols."""
     n = H.shape[1]
+    # The couplings depend on H only: build them once, and per cell only the
+    # bias (and offset). Every model then shares one j_matrix object.
     if PARADIGMS[paradigm].model == "pdit":
-        models = [build_pdit_model(H, y, order) for y in ys]
+        j_matrix = pdit_couplings(H)
+        models = [build_pdit_model(H, y, order, j_matrix) for y in ys]
         return models, lambda d: complex_symbols(d, n)
-    models = [build_binary_model(realify(H, y, order)) for y in ys]
+    rc = realify(H, ys[0], order)
+    couplings = binary_couplings(rc)
+    models = [build_binary_model(rc.with_received(y), couplings) for y in ys]
     return models, lambda s: spins_to_symbols(s, n, order)
 
 
@@ -288,9 +295,11 @@ def _heuristic_batch_bits(
     return [demodulate_symbols(to_symbols(o.best_state), c) for o in outcomes]
 
 
-def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
-    """Bit-error counts for one channel: shape (detectors, ebn0 points)."""
-    c = build_constellation(plan.order)
+def _channel_errors(plan: ExperimentPlan, c: Constellation, channel_index: int) -> np.ndarray:
+    """Bit-error counts for one channel: shape (detectors, ebn0 points).
+
+    ``c`` is the plan's constellation, built once per sweep.
+    """
     seed = plan.seed
     H = generate_channel(plan.n, plan.n, derive_seed(seed, ROLE_CHANNEL, channel_index))
     errors = np.zeros((len(plan.detectors), len(plan.ebn0_list)), dtype=np.int64)
@@ -360,13 +369,19 @@ def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
     if threads < 1:
         raise ValueError(f"threads must be at least 1; got {threads}")
     workers = min(threads, plan.n_channels)
+    c = build_constellation(plan.order)
     if workers > 1:
         with _worker_pool(workers) as pool:
             per_channel = list(
-                pool.map(_channel_errors, [plan] * plan.n_channels, range(plan.n_channels))
+                pool.map(
+                    _channel_errors,
+                    [plan] * plan.n_channels,
+                    [c] * plan.n_channels,
+                    range(plan.n_channels),
+                )
             )
     else:
-        per_channel = [_channel_errors(plan, ch) for ch in range(plan.n_channels)]
+        per_channel = [_channel_errors(plan, c, ch) for ch in range(plan.n_channels)]
     errors = np.sum(per_channel, axis=0)
     bits_per_point = plan.n_channels * plan.messages_per_channel * plan.bits_per_message
     points = []

@@ -28,8 +28,10 @@ __all__ = [
     "spin_weights",
     "symbols_to_spins",
     "spins_to_symbols",
+    "binary_couplings",
     "build_binary_model",
     "ising_energies",
+    "pdit_couplings",
     "build_pdit_model",
     "random_state_energies",
 ]
@@ -109,23 +111,33 @@ def spins_to_symbols(s: np.ndarray, n_sym: int, order: int) -> np.ndarray:
     return complex_symbols(weights @ s.reshape(weights.size, -1), n_sym)
 
 
-def build_binary_model(rc: RealizedChannel) -> BinaryIsingModel:
+def binary_couplings(rc: RealizedChannel) -> tuple:
+    """The part of a binary model that depends on the channel alone.
+
+    Returns (heff, J, trace of heff'heff), where heff is the real-valued
+    channel with column block k scaled by the k-th spin weight: a power of
+    two, so every entry is exact.
+    """
+    heff = np.kron(spin_weights(rc.order), rc.h_real)
+    gram = heff.T @ heff
+    j_matrix = -2.0 * gram
+    np.fill_diagonal(j_matrix, 0.0)
+    return heff, j_matrix, np.trace(gram)
+
+
+def build_binary_model(rc: RealizedChannel, couplings: tuple | None = None) -> BinaryIsingModel:
     """Expand ||y_real - H_real x||^2, x = weights @ s.reshape(B, -1), into
     couplings, biases, and an offset.
 
     The model's energy -1/2 s'Js - h's plus its offset equals the residual
     for every spin assignment; the quadratic diagonal (s_i^2 = 1) is folded
-    into the offset and the coupling diagonal is zero.
+    into the offset and the coupling diagonal is zero. ``couplings``, the
+    :func:`binary_couplings` of rc's channel, leaves only the bias and the
+    offset to compute, and every model built from it shares its J.
     """
-    # Column block k is H_real times the k-th spin weight: a power of two, so
-    # every entry is exact.
-    heff = np.kron(spin_weights(rc.order), rc.h_real)
-    gram = heff.T @ heff
-    lin = heff.T @ rc.y_real
-    j_matrix = -2.0 * gram
-    np.fill_diagonal(j_matrix, 0.0)
-    h_vector = 2.0 * lin
-    offset = float(np.trace(gram) + rc.y_real @ rc.y_real)
+    heff, j_matrix, gram_trace = binary_couplings(rc) if couplings is None else couplings
+    h_vector = 2.0 * (heff.T @ rc.y_real)
+    offset = float(gram_trace + rc.y_real @ rc.y_real)
     return BinaryIsingModel(j_matrix, h_vector, offset, n=h_vector.size)
 
 
@@ -138,11 +150,23 @@ def ising_energies(x: np.ndarray, j: np.ndarray, h: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("ri,ri->r", x @ j, x) - np.einsum("ri,ri->r", x, h)
 
 
-def build_pdit_model(H: np.ndarray, y: np.ndarray, order: int) -> PditModel:
+def pdit_couplings(H: np.ndarray) -> np.ndarray:
+    """The p-dit coupling matrix [[J11, J12], [-J12, J11]] of channel H."""
+    H = np.asarray(H)
+    h1, h2 = H.real, H.imag
+    j11 = -2.0 * (h1.T @ h1 + h2.T @ h2)
+    j12 = -2.0 * (-h1.T @ h2 + h2.T @ h1)
+    return np.block([[j11, j12], [-j12, j11]])
+
+
+def build_pdit_model(
+    H: np.ndarray, y: np.ndarray, order: int, j_matrix: np.ndarray | None = None
+) -> PditModel:
     """Symbol-native couplings and biases from the complex instance.
 
     ``order`` fixes only the admissible PAM levels; the couplings depend on
-    H alone and the bias on (H, y).
+    H alone and the bias on (H, y). ``j_matrix``, the :func:`pdit_couplings`
+    of H, leaves only the bias to compute, and is shared by the model.
     """
     if order < 4:
         raise ValueError("symbol-native model is defined for QAM orders >= 4")
@@ -152,11 +176,9 @@ def build_pdit_model(H: np.ndarray, y: np.ndarray, order: int) -> PditModel:
     y1, y2 = y.real, y.imag
     bias_re = 2.0 * (h1.T @ y1 + h2.T @ y2)
     bias_im = 2.0 * (h1.T @ y2 - h2.T @ y1)
-    j11 = -2.0 * (h1.T @ h1 + h2.T @ h2)
-    j12 = -2.0 * (-h1.T @ h2 + h2.T @ h1)
     n_lev = int(round(np.sqrt(order)))
     return PditModel(
-        j_matrix=np.block([[j11, j12], [-j12, j11]]),
+        j_matrix=pdit_couplings(H) if j_matrix is None else j_matrix,
         h_vector=np.concatenate([bias_re, bias_im]),
         pam_levels=pam_levels(n_lev),
         n=H.shape[1],

@@ -233,7 +233,7 @@ class TestExactMl:
         shared = [decide(*cell) for cell in cells]
         assert sum(s is None for s in shared) == 3
         for (H, y, c), got in zip(cells, shared):
-            monkeypatch.setattr(baselines, "_last_factor", (None, None, None))
+            monkeypatch.setattr(baselines, "_last_channel", None)
             fresh = decide(H.copy(), y, c)
             if fresh is None:
                 assert got is None
@@ -241,7 +241,7 @@ class TestExactMl:
                 np.testing.assert_array_equal(got, fresh)
 
     def test_one_factorization_per_channel(self, monkeypatch):
-        monkeypatch.setattr(baselines, "_last_factor", (None, None, None))
+        monkeypatch.setattr(baselines, "_last_channel", None)
         calls = []
         monkeypatch.setattr(
             baselines, "realify", lambda *args: calls.append(1) or realify(*args)
@@ -288,6 +288,116 @@ class TestExactMl:
             ml_exact(inst.channel, inst.rx_vector, bpsk, max_search_space=2**7)
         res = ml_exact(inst.channel, inst.rx_vector, bpsk, max_search_space=2**8)
         assert res.method == "ml"
+
+
+class TestPerChannelFactors:
+    """ZF, MMSE and ML keep one channel's factors, keyed on H's contents."""
+
+    @staticmethod
+    def _detect(H, y, sigma_sq, c):
+        out = []
+        for detect in (
+            lambda: zf_detect(H, y, c),
+            lambda: mmse_detect(H, y, sigma_sq, c.symbol_energy, c),
+            lambda: ml_exact(H, y, c),
+        ):
+            try:
+                res = detect()
+            except SingularChannelError:
+                out.append(None)
+            else:
+                out.append((res.symbols.tobytes(), res.bits.tobytes(), res.residual_energy))
+        return out
+
+    def test_alternating_channels_match_a_fresh_cache(self, monkeypatch):
+        # Two channels of one shape, their cells interleaved, each detector
+        # called on every cell: nothing of one channel may reach the other.
+        qam16 = build_constellation(16)
+        cells = []
+        for message in range(4):
+            for channel in (0, 1):
+                inst, _ = build_instance(qam16, 4, 9.0, 61, channel, message)
+                cells.append((inst.channel, inst.rx_vector, inst.sigma_sq))
+        assert cells[0][0].shape == cells[1][0].shape
+        assert not np.array_equal(cells[0][0], cells[1][0])
+        shared = [self._detect(H, y, s, qam16) for H, y, s in cells]
+        for (H, y, s), got in zip(cells, shared):
+            monkeypatch.setattr(baselines, "_last_channel", None)
+            assert got == self._detect(H.copy(), y, s, qam16)
+
+    def test_key_is_the_contents_not_the_object(self):
+        qam4 = build_constellation(4)
+        x = qam4.alphabet[[0, 1, 2]]
+        h0 = generate_channel(3, 3, 62)
+        H = h0.copy()
+        zf_detect(H, H @ x, qam4)
+        # The same array changed in place is a new channel ...
+        H[:] = generate_channel(3, 3, 63)
+        np.testing.assert_array_equal(zf_detect(H, H @ x, qam4).symbols, x)
+        # ... and an entry keeps its own copy of H: MMSE's Gram, first
+        # needed after the caller's array changed, is still h0's.
+        H[:] = h0
+        zf_detect(H, H @ x, qam4)
+        H[:] = generate_channel(3, 3, 63)
+        res = mmse_detect(h0, h0 @ x, 0.0, qam4.symbol_energy, qam4)
+        np.testing.assert_array_equal(res.symbols, x)
+
+    def test_zf_raises_on_every_cell_of_a_rank_deficient_channel(self, qam4):
+        # Every column is a multiple of the first: rank 1, decided by the
+        # SVD's relative threshold as lstsq decides it.
+        rng = np.random.default_rng(64)
+        col = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        H = np.stack([col, 2 * col, -col], axis=1)
+        assert np.linalg.lstsq(H, col, rcond=None)[2] < 3
+        for _ in range(4):
+            y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            with pytest.raises(SingularChannelError, match="rank 1 < 3"):
+                zf_detect(H, y, qam4)
+        # A well-conditioned channel after it decides again.
+        good = generate_channel(3, 3, 65)
+        x = qam4.alphabet[[0, 1, 2]]
+        np.testing.assert_array_equal(zf_detect(good, good @ x, qam4).symbols, x)
+
+    def test_bpsk_and_qam_ml_get_their_own_factors(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_last_channel", None)
+        bpsk, qam4 = build_constellation(2), build_constellation(4)
+        H = generate_channel(3, 3, 66)
+        xb = bpsk.alphabet[[0, 1, 1]]
+        xq = qam4.alphabet[[3, 0, 2]]
+        np.testing.assert_array_equal(ml_exact(H, H @ xb, bpsk).symbols, xb)
+        np.testing.assert_array_equal(ml_exact(H, H @ xq, qam4).symbols, xq)
+        np.testing.assert_array_equal(ml_exact(H, H @ xb, bpsk).symbols, xb)
+        factors = baselines._last_channel._qr
+        assert set(factors) == {2, 4}
+        assert factors[2][1].shape == (3, 3)
+        assert factors[4][1].shape == (6, 6)
+
+    def test_one_factorization_per_channel_and_none_per_cell(self, monkeypatch):
+        # ZF takes one SVD and MMSE one Gram matrix per channel; no cell
+        # calls lstsq.
+        monkeypatch.setattr(baselines, "_last_channel", None)
+        svd_calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda *a, **k: svd_calls.append(1) or svd(*a, **k)
+        )
+
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("a cell called lstsq")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        qam16 = build_constellation(16)
+        grams = []
+        for channel in range(3):
+            for message in range(4):
+                inst, _ = build_instance(qam16, 3, 10.0, 67, channel, message)
+                zf_detect(inst.channel, inst.rx_vector, qam16)
+                mmse_detect(
+                    inst.channel, inst.rx_vector, inst.sigma_sq, qam16.symbol_energy, qam16
+                )
+                grams.append(baselines._last_channel.mmse[1])
+        assert len(svd_calls) == 3
+        assert len({id(g) for g in grams}) == 3
 
 
 class TestOrderings:

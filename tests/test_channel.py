@@ -134,6 +134,22 @@ class TestRealify:
         assert real_resid == pytest.approx(complex_resid, rel=1e-12)
         np.testing.assert_array_equal(complex_symbols(xr, n), x)
 
+    @pytest.mark.parametrize("order", [2, 4, 16])
+    def test_block_layout_and_with_received(self, order):
+        H = generate_channel(5, 3, 71)
+        rng = np.random.default_rng(72)
+        y, y2 = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+        rc = realify(H, y, order)
+        if order == 2:
+            expected = np.concatenate([H.real, H.imag])
+        else:
+            expected = np.block([[H.real, -H.imag], [H.imag, H.real]])
+        assert rc.h_real.shape == expected.shape
+        assert rc.h_real.tobytes() == expected.tobytes()
+        other = rc.with_received(y2)
+        assert other.h_real is rc.h_real and other.order == order
+        np.testing.assert_array_equal(other.y_real, realify(H, y2, order).y_real)
+
     def test_complex_symbols_reads_the_length(self):
         np.testing.assert_array_equal(complex_symbols([1.0, -1.0], 2), [1, -1])
         np.testing.assert_array_equal(complex_symbols([1.0, -1.0], 1), [1 - 1j])

@@ -11,6 +11,7 @@ from isingmimo import (
     build_constellation,
     demodulate_symbols,
     modulate_bits,
+    pam_levels,
     quantize_to_alphabet,
 )
 
@@ -51,10 +52,28 @@ class TestBuildConstellation:
         assert len(c.alphabet) == order
         assert len({(p.real, p.imag) for p in c.alphabet}) == order
 
-    @pytest.mark.parametrize("bad", [0, 1, 3, 8, 32, 128, -4, 2.5])
+    # 4.0 == 4 and hashes alike, so a cache keyed on the order would let it
+    # through; the int check runs on every call.
+    @pytest.mark.parametrize("bad", [0, 1, 3, 8, 32, 128, -4, 2.5, 4.0])
     def test_invalid_orders_rejected(self, bad):
+        build_constellation(4)
         with pytest.raises(ValueError):
             build_constellation(bad)
+
+    @pytest.mark.parametrize(
+        "order,levels", [(2, (2, 1)), (4, (2, 2)), (16, (4, 4)), (64, (8, 8)), (256, (16, 16))]
+    )
+    def test_axis_levels(self, order, levels):
+        c = build_constellation(order)
+        assert c.axis_levels == levels
+        np.testing.assert_array_equal(c.levels, pam_levels(levels[0]))
+
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_bit_table_is_the_msb_first_word(self, order):
+        c = build_constellation(order)
+        for word, row in enumerate(c.bit_table):
+            assert "".join(map(str, row)) == format(word, f"0{c.bits_per_symbol}b")
+        assert not c.bit_table.flags.writeable
 
 
 class TestGrayProperty:
@@ -123,6 +142,16 @@ class TestModulateDemodulate:
         with pytest.raises(ValueError, match="alphabet"):
             demodulate_symbols(np.array([3 + 1j]), c)
 
+    @pytest.mark.parametrize("imag", [1.0, -1.0, 1e-300, np.nan])
+    def test_bpsk_symbol_with_imaginary_part_rejected(self, imag):
+        c = build_constellation(2)
+        with pytest.raises(ValueError, match="alphabet"):
+            demodulate_symbols(np.array([1.0 + 0j, complex(-1.0, imag)]), c)
+        # -0.0 is zero.
+        np.testing.assert_array_equal(
+            demodulate_symbols(np.array([complex(1.0, -0.0)]), c), [1]
+        )
+
 
 class TestQuantize:
     def test_bpsk_examples(self):
@@ -152,9 +181,97 @@ class TestQuantize:
         brute = c.alphabet[np.argmin(dists, axis=1)]
         np.testing.assert_array_equal(q, brute)
 
+    @pytest.mark.parametrize("z", [0.3 + 0j, -2.7 - 5j, 0.0 - 0j, 4.0 + 1e300j])
+    def test_bpsk_imaginary_part_is_positive_zero(self, z):
+        c = build_constellation(2)
+        q = quantize_to_alphabet(np.array([z, -z]), c)
+        np.testing.assert_array_equal(q.imag, [0.0, 0.0])
+        assert not np.signbit(q.imag).any()
+        assert not np.signbit(quantize_to_alphabet(z, c).imag)
+
     def test_non_finite_rejected(self):
         c = build_constellation(4)
         with pytest.raises(ValueError):
             quantize_to_alphabet(np.array([np.inf + 0j]), c)
         with pytest.raises(ValueError):
             quantize_to_alphabet(complex(np.nan, 0), c)
+
+
+# The decision rules as they were written per axis, with a separate BPSK
+# case, before quantization and labelling became one table-driven pass over
+# both axes. Kept here as an oracle for the table-driven code.
+
+
+def _old_quantize(z, c):
+    arr = np.asarray(z, dtype=complex)
+    n_lev = 2 if c.order == 2 else int(round(np.sqrt(c.order)))
+
+    def nearest(axis):
+        rank = np.floor((axis + (n_lev - 1)) / 2 + 0.5)
+        return 2 * np.clip(rank, 0, n_lev - 1) - (n_lev - 1)
+
+    if c.order == 2:
+        return nearest(arr.real).astype(complex)
+    return nearest(arr.real) + 1j * nearest(arr.imag)
+
+
+def _old_demodulate(symbols, c):
+    """Bits of each symbol, or None if one of them is off the alphabet."""
+    symbols = np.asarray(symbols, dtype=complex)
+    gray = lambda rank: rank ^ (rank >> 1)  # noqa: E731
+    with np.errstate(invalid="ignore"):
+        if c.order == 2:
+            rank = (symbols.real + 1) / 2
+            words = np.rint(rank).astype(np.int64)
+            ok = (symbols.imag == 0) & (rank == words) & (words >= 0) & (words <= 1)
+        else:
+            n_lev = int(round(np.sqrt(c.order)))
+            ranks = []
+            ok = np.ones(symbols.shape, dtype=bool)
+            for axis in (symbols.real, symbols.imag):
+                rank = (axis + (n_lev - 1)) / 2
+                rank_int = np.rint(rank).astype(np.int64)
+                ok &= (rank == rank_int) & (rank_int >= 0) & (rank_int < n_lev)
+                ranks.append(rank_int)
+            words = (gray(ranks[0]) << (c.bits_per_symbol // 2)) | gray(ranks[1])
+    if not ok.all():
+        return None
+    shifts = np.arange(c.bits_per_symbol - 1, -1, -1)
+    return ((words[:, None] >> shifts) & 1).astype(np.int64).ravel()
+
+
+class TestPerAxisOracle:
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_same_bits_as_the_per_axis_rules(self, order):
+        c = build_constellation(order)
+        side = c.axis_levels[0]
+        rng = np.random.default_rng(order)
+        cases = []
+        for trial in range(600):
+            size = int(rng.integers(1, 9))
+            if trial % 4 == 0:  # continuous values, inside and beyond the grid
+                z = side * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+            elif trial % 4 == 1:  # exact ties: even integers sit between levels
+                z = rng.integers(-side - 2, side + 3, size) + 1j * rng.integers(
+                    -side - 2, side + 3, size
+                )
+            elif trial % 4 == 2:  # alphabet points
+                z = c.alphabet[rng.integers(0, order, size)]
+            else:  # alphabet points, some pushed off the grid
+                z = c.alphabet[rng.integers(0, order, size)] + (rng.random(size) < 0.3) * (
+                    0.5 + 0.5j * rng.integers(0, 2, size)
+                )
+            cases.append(np.asarray(z, dtype=complex))
+        rejected = 0
+        for z in cases:
+            assert quantize_to_alphabet(z, c).tobytes() == _old_quantize(z, c).tobytes()
+            expected = _old_demodulate(z, c)
+            if expected is None:
+                rejected += 1
+                with pytest.raises(ValueError, match="alphabet"):
+                    demodulate_symbols(z, c)
+            else:
+                got = demodulate_symbols(z, c)
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
+        assert 0 < rejected < len(cases)

@@ -74,6 +74,32 @@ GOLDENS = {
         ),
         "15efcc88f8e8f8fdf0edda7d73adc7e7b1c3f14e3e7ffd30aa36037ea89511ec",
     ),
+    # ZF and MMSE on the one-axis alphabet (a one-level imaginary axis) and
+    # on eight levels per axis.
+    "bpsk-n6-linear": (
+        dict(
+            n=6,
+            order=2,
+            ebn0_list=(0.0, 6.0, 12.0),
+            total_bits=6 * 4 * 6,
+            seed=15,
+            detectors=("zf", "mmse"),
+            messages_per_channel=4,
+        ),
+        "7bf8e3d814b20b539b329473670e8509d6d8bc0e06686f93dc8a036977b0f430",
+    ),
+    "qam64-n3-linear": (
+        dict(
+            n=3,
+            order=64,
+            ebn0_list=(10.0, 18.0, 26.0),
+            total_bits=18 * 3 * 6,
+            seed=16,
+            detectors=("zf", "mmse"),
+            messages_per_channel=3,
+        ),
+        "464b410239f2f63fff1cadef376b7e0ad0bc0b6bd8c931272120f09270dd50a8",
+    ),
 }
 
 
@@ -86,14 +112,16 @@ def test_report_csv_matches_golden_hash(name, tmp_path):
 
 
 # sha256 of each golden plan's manifest.json, byte for byte as the first
-# release of the v1 format wrote it (qam16-n3-bpim: as the v1 writer wrote
-# it when that plan was added): a manifest written earlier still reproduces
-# its run.
+# release of the v1 format wrote it (later plans: as the v1 writer wrote
+# them when each plan was added): a manifest written earlier still
+# reproduces its run.
 MANIFEST_GOLDENS = {
     "bpsk-n8": "e3fecc4f4ed9c87da53c4c29c6afe89b687013eb803be764dba691b9ff9f3c9c",
     "qam4-n6": "cc3ab5c081614adf817129619511366215a381f32c914c2eef3f9716913dd7e5",
     "qam16-n4": "3e9cbd8bcf65bf84e3346c28c29429047a067553f61f27a8626ea967136c08b5",
     "qam16-n3-bpim": "0e89e7f2f4b499e857b08763f70a4fb7f34ae0fdbfb94cfc54bc59b9ec009ed7",
+    "bpsk-n6-linear": "33d845ab120068ed42215e063e2a6561f5ac063d1ad02fbd33e8708680455e05",
+    "qam64-n3-linear": "1609f70b3069a8b58212d30543b8daf5d9925156efba0b1a77a96d4c3d7e74d5",
 }
 
 

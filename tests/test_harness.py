@@ -11,10 +11,13 @@ from isingmimo import (
     SingularChannelError,
     ber_upper_bound,
     beta_sweep,
+    build_binary_model,
     build_constellation,
     build_instance,
+    build_pdit_model,
     fit_scaling_law,
     plan_experiment,
+    realify,
     report,
     run_ber_sweep,
 )
@@ -227,6 +230,41 @@ class TestRunBerSweep:
         monkeypatch.setattr(harness, call, broken)
         with pytest.raises(RuntimeError, match="injected bug"):
             run_ber_sweep(plan, threads=1)
+
+    @pytest.mark.parametrize(
+        "paradigm, order", [("bpim", 2), ("bpim", 4), ("bpim", 16), ("dpim", 4), ("dpim", 64)]
+    )
+    def test_models_share_couplings_built_once(self, paradigm, order):
+        # A channel's models share one j_matrix object and equal, bit for bit,
+        # the models built one cell at a time.
+        c = build_constellation(order)
+        insts = [build_instance(c, 3, 8.0, 31, 0, msg, e)[0] for msg in range(3) for e in range(2)]
+        H = insts[0].channel
+        models, _ = harness._paradigm_models(paradigm, H, [i.rx_vector for i in insts], order)
+        assert all(m.j_matrix is models[0].j_matrix for m in models)
+        for inst, model in zip(insts, models):
+            if paradigm == "bpim":
+                alone = build_binary_model(realify(H, inst.rx_vector, order))
+                assert model.offset == alone.offset
+            else:
+                alone = build_pdit_model(H, inst.rx_vector, order)
+                np.testing.assert_array_equal(model.pam_levels, alone.pam_levels)
+            assert np.array_equal(model.j_matrix, alone.j_matrix)
+            assert np.array_equal(model.h_vector, alone.h_vector)
+            assert model.n == alone.n
+
+    def test_constellation_built_once_per_sweep(self, monkeypatch):
+        plan = plan_experiment(
+            3, 16, [6.0, 12.0], 72, seed=9, detectors=("zf", "mmse", "ml"), messages_per_channel=2
+        )
+        assert plan.n_channels > 1
+        built = []
+        build = harness.build_constellation
+        monkeypatch.setattr(
+            harness, "build_constellation", lambda order: built.append(order) or build(order)
+        )
+        run_ber_sweep(plan, threads=1)
+        assert built == [16]
 
     def test_threads_below_one_rejected_before_work(self, monkeypatch):
         plan = plan_experiment(4, 4, [10.0], 896, seed=8, detectors=("mmse",))
