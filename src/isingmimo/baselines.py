@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import complex_symbols, realify
+from .channel import complex_symbols, real_channel, stack_real
 from .constellation import Constellation, demodulate_symbols, quantize_to_alphabet
 
 __all__ = [
@@ -98,15 +98,11 @@ class _ChannelFactors:
         h_herm = self.H.conj().T
         return h_herm, h_herm @ self.H, np.eye(self.H.shape[1])
 
-    def ml(self, y: np.ndarray, order: int) -> tuple:
-        """(Q, R) of the real-valued channel of ``order``.
-
-        ``y`` only completes the ``realify`` call; the factor does not depend
-        on it. Q is None when R's diagonal shows H to be numerically rank
-        deficient.
-        """
+    def ml(self, order: int) -> tuple:
+        """(Q, R) of the real-valued channel of ``order``; Q is None when R's
+        diagonal shows H to be numerically rank deficient."""
         if order not in self._qr:
-            q_mat, r_mat = np.linalg.qr(realify(self.H, y, order).h_real)
+            q_mat, r_mat = np.linalg.qr(real_channel(self.H, order))
             diag = np.abs(np.diag(r_mat))
             if diag.min() <= 1e-12 * max(diag.max(), 1.0):
                 q_mat = None
@@ -241,10 +237,10 @@ def ml_exact(
         raise SearchBudgetError(
             f"search space {c.order}**{n} = {space:.3g} exceeds budget {max_search_space:.3g}"
         )
-    q_mat, r_mat = _channel(H).ml(y, c.order)
+    q_mat, r_mat = _channel(H).ml(c.order)
     if q_mat is None:
         raise SingularChannelError("real-valued channel is numerically rank deficient")
-    z = q_mat.T @ np.concatenate([y.real, y.imag])  # y_real, as realify stacks it
+    z = q_mat.T @ stack_real(y)
     symbols = complex_symbols(_sphere_decode(r_mat, z, c.levels), n)
     return _result(symbols, H, y, c, "ml")
 

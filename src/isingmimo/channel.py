@@ -23,6 +23,8 @@ __all__ = [
     "noise_sigma_sq",
     "transmit",
     "realify",
+    "real_channel",
+    "stack_real",
     "complex_symbols",
     "build_instance",
     "ROLE_CHANNEL",
@@ -76,13 +78,12 @@ class RealizedChannel:
 
     def with_received(self, y: np.ndarray) -> RealizedChannel:
         """The same channel with received vector ``y`` in place of its own."""
-        return RealizedChannel(self.h_real, _stacked(y), self.order)
+        return RealizedChannel(self.h_real, stack_real(y), self.order)
 
 
-def _stacked(y: np.ndarray) -> np.ndarray:
-    """[Re y; Im y]: a received vector in the real-valued layout."""
-    y = np.asarray(y)
-    return np.concatenate([y.real, y.imag])
+def stack_real(v: np.ndarray) -> np.ndarray:
+    """[Re v; Im v]: a complex vector, or the rows of a matrix, in the real-valued layout."""
+    return np.concatenate([np.real(v), np.imag(v)])
 
 
 def generate_channel(n_rx: int, n_tx: int, seed) -> np.ndarray:
@@ -124,19 +125,22 @@ def transmit(H: np.ndarray, x0: np.ndarray, sigma_sq: float, seed) -> np.ndarray
     return y
 
 
-def realify(H: np.ndarray, y: np.ndarray, order: int) -> RealizedChannel:
-    """Stack a complex instance into its real-valued form."""
+def real_channel(H: np.ndarray, order: int) -> np.ndarray:
+    """The ``h_real`` of :class:`RealizedChannel`: H in the real-valued layout."""
     H = np.asarray(H)
     if order == 2:
-        h_real = np.concatenate([H.real, H.imag], axis=0)
-    else:
-        n_rx, n_tx = H.shape
-        h_real = np.empty((2 * n_rx, 2 * n_tx), dtype=H.real.dtype)
-        h_real[:n_rx, :n_tx] = H.real
-        np.negative(H.imag, out=h_real[:n_rx, n_tx:])
-        h_real[n_rx:, :n_tx] = H.imag
-        h_real[n_rx:, n_tx:] = H.real
-    return RealizedChannel(h_real, _stacked(y), order)
+        return stack_real(H)
+    n_rx, n_tx = H.shape
+    h_real = np.empty((2 * n_rx, 2 * n_tx), dtype=H.real.dtype)
+    h_real[:n_rx, :n_tx] = h_real[n_rx:, n_tx:] = H.real
+    np.negative(H.imag, out=h_real[:n_rx, n_tx:])
+    h_real[n_rx:, :n_tx] = H.imag
+    return h_real
+
+
+def realify(H: np.ndarray, y: np.ndarray, order: int) -> RealizedChannel:
+    """Stack a complex instance into its real-valued form."""
+    return RealizedChannel(real_channel(H, order), stack_real(y), order)
 
 
 def complex_symbols(x_real: np.ndarray, n: int) -> np.ndarray:

@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "Constellation",
     "build_constellation",
+    "axis_level_count",
     "modulate_bits",
     "demodulate_symbols",
     "quantize_to_alphabet",
@@ -45,16 +46,6 @@ def _gray_decode(code: np.ndarray) -> np.ndarray:
         rank = rank ^ (code >> shift)
         shift += 1
     return rank
-
-
-def _valid_order(order: int) -> bool:
-    # 2, or an even power of two (4, 16, 64, 256, ...).
-    if order == 2:
-        return True
-    if order < 4:
-        return False
-    exp = order.bit_length() - 1
-    return (1 << exp) == order and exp % 2 == 0
 
 
 def _axis_bits(bits_per_symbol: int) -> tuple[int, int]:
@@ -119,6 +110,17 @@ class Constellation:
         return words
 
 
+def axis_level_count(order: int) -> int:
+    """Real-axis PAM level count of a valid order: 2 for BPSK, sqrt(M) for M-QAM."""
+    if isinstance(order, (int, np.integer)):
+        exp = int(order).bit_length() - 1  # bits per symbol, if order is a power of 2
+        if order == 2 or (order >= 4 and (1 << exp) == order and exp % 2 == 0):
+            return 1 << _axis_bits(exp)[0]
+    raise ValueError(
+        f"modulation order must be 2 or an even power of 2 (4, 16, 64, ...); got {order!r}"
+    )
+
+
 def build_constellation(order: int) -> Constellation:
     """Build the Gray-labelled constellation of the given modulation order.
 
@@ -128,10 +130,7 @@ def build_constellation(order: int) -> Constellation:
     Returns:
         An immutable :class:`Constellation`.
     """
-    if not isinstance(order, (int, np.integer)) or not _valid_order(int(order)):
-        raise ValueError(
-            f"modulation order must be 2 or an even power of 2 (4, 16, 64, ...); got {order!r}"
-        )
+    axis_level_count(order)  # rejects invalid orders
     order = int(order)
     bits_per_symbol = order.bit_length() - 1
     re_bits, im_bits = _axis_bits(bits_per_symbol)

@@ -259,13 +259,13 @@ def _paradigm_models(paradigm: str, H: np.ndarray, ys, order: int) -> tuple:
     """The paradigm's Ising models of received vectors ``ys`` over channel
     ``H``, and the map from one of its solver states to symbols."""
     n = H.shape[1]
+    rc = realify(H, ys[0], order)
     # The couplings depend on H only: build them once, and per cell only the
     # bias (and offset). Every model then shares one j_matrix object.
     if PARADIGMS[paradigm].model == "pdit":
-        j_matrix = pdit_couplings(H)
-        models = [build_pdit_model(H, y, order, j_matrix) for y in ys]
+        j_matrix = pdit_couplings(rc)
+        models = [build_pdit_model(rc.with_received(y), j_matrix) for y in ys]
         return models, lambda d: complex_symbols(d, n)
-    rc = realify(H, ys[0], order)
     couplings = binary_couplings(rc)
     models = [build_binary_model(rc.with_received(y), couplings) for y in ys]
     return models, lambda s: spins_to_symbols(s, n, order)

@@ -1,15 +1,15 @@
 """Hamiltonian encodings of a MIMO instance.
 
 Two equivalent encodings of the residual objective ||y - Hx||^2 are built
-here: a binary spin model over {-1,+1}^n and a symbol-native model with one
-variable per transmitted symbol, whose two axes take PAM-level values. The
-binary model writes each real axis of the unknown as a binary expansion
+here, both from the real-valued channel of :func:`realify`: a binary spin
+model over {-1,+1}^n and a symbol-native model with one variable per
+transmitted symbol, whose two axes take PAM-level values. The binary model
+writes each real axis of the unknown as a binary expansion
 L/2 s_1 + ... + 2 s_{B-1} + s_B over its L PAM levels (BPSK: one spin of
 weight 1), so the modulation order enters it only through these per-spin
 weights. Both act on real vectors with one coupling matrix and one bias
-vector: spins, or the symbol axes [Re x; Im x] in the layout of the
-real-stacked channel. Both store enough constants that their energies can be
-compared directly against residual norms in tests.
+vector: spins, or the symbol axes [Re x; Im x] in realify's layout. Both store
+enough constants that their energies can be compared against residual norms.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RealizedChannel, complex_symbols
-from .constellation import build_constellation, pam_levels
+from .channel import RealizedChannel, complex_symbols, stack_real
+from .constellation import axis_level_count, pam_levels
 
 __all__ = [
     "BinaryIsingModel",
@@ -51,11 +51,11 @@ class BinaryIsingModel:
 class PditModel:
     """Symbol-native Hamiltonian -1/2 d'Jd - h'd over N symbols with PAM-level axes.
 
-    The state d = [Re x; Im x] has 2N entries, the layout of the real-stacked
-    channel. ``j_matrix`` is the block matrix [[J11, J12], [-J12, J11]] with
-    J11 symmetric and J12 antisymmetric, so it is symmetric; its diagonal is
-    not zero. Couplings depend on the channel only; ``h_vector`` (2N,)
-    depends on channel and received vector. ``n`` counts symbols, N.
+    The state d = [Re x; Im x] has 2N entries, the unknown of the
+    :func:`realify` channel it is built from. ``j_matrix`` is the block matrix
+    [[J11, J12], [-J12, J11]], J11 symmetric and J12 antisymmetric, so it is
+    symmetric; its diagonal is not zero. Couplings depend on the channel only;
+    ``h_vector`` (2N,) on channel and received vector. ``n`` counts symbols, N.
     """
 
     j_matrix: np.ndarray
@@ -72,7 +72,7 @@ def spin_weights(order: int) -> np.ndarray:
     most significant first, each with one spin per entry of the real unknown,
     and the unknown is ``weights @ s.reshape(B, -1)``.
     """
-    n_levels = build_constellation(order).levels.size  # rejects invalid orders
+    n_levels = axis_level_count(order)  # rejects invalid orders
     return n_levels / 2.0 ** np.arange(1, n_levels.bit_length())
 
 
@@ -89,7 +89,7 @@ def symbols_to_spins(x: np.ndarray, order: int) -> np.ndarray:
     # B of a symbol's log2(M) spins carry one axis: one axis per BPSK
     # symbol, two per QAM symbol.
     n_axes = x.size * round(math.log2(order)) // weights.size
-    rem = np.concatenate([x.real, x.imag])[:n_axes]
+    rem = stack_real(x)[:n_axes]
     groups = []
     for weight in weights:
         s_k = np.where(rem >= 0, 1.0, -1.0)
@@ -150,48 +150,48 @@ def ising_energies(x: np.ndarray, j: np.ndarray, h: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("ri,ri->r", x @ j, x) - np.einsum("ri,ri->r", x, h)
 
 
-def pdit_couplings(H: np.ndarray) -> np.ndarray:
-    """The p-dit coupling matrix [[J11, J12], [-J12, J11]] of channel H."""
-    H = np.asarray(H)
-    h1, h2 = H.real, H.imag
-    j11 = -2.0 * (h1.T @ h1 + h2.T @ h2)
-    j12 = -2.0 * (-h1.T @ h2 + h2.T @ h1)
+def _symbol_count(rc: RealizedChannel) -> int:
+    """N of a QAM channel, whose unknown [Re x; Im x] has 2N entries."""
+    if rc.order < 4:
+        raise ValueError("symbol-native model is defined for QAM orders >= 4")
+    return rc.h_real.shape[1] // 2
+
+
+def pdit_couplings(rc: RealizedChannel) -> np.ndarray:
+    """The p-dit coupling matrix [[J11, J12], [-J12, J11]] of rc's channel:
+    -2 h_real'h_real, from h_real's Re and Im column blocks. J12's lower
+    triangle is its negated upper one, not a sum in another order, so J is
+    exactly symmetric and J12's diagonal exactly 0. It depends on neither
+    rc's order nor its received vector."""
+    n = _symbol_count(rc)
+    re_cols, im_cols = rc.h_real[:, :n], rc.h_real[:, n:]
+    j11 = -2.0 * (re_cols.T @ re_cols)
+    upper = np.triu(-2.0 * (re_cols.T @ im_cols), 1)
+    j12 = upper - upper.T
     return np.block([[j11, j12], [-j12, j11]])
 
 
-def build_pdit_model(
-    H: np.ndarray, y: np.ndarray, order: int, j_matrix: np.ndarray | None = None
-) -> PditModel:
-    """Symbol-native couplings and biases from the complex instance.
+def build_pdit_model(rc: RealizedChannel, j_matrix: np.ndarray | None = None) -> PditModel:
+    """Expand ||y_real - H_real d||^2 - ||y_real||^2 into couplings and biases.
 
-    ``order`` fixes only the admissible PAM levels; the couplings depend on
-    H alone and the bias on (H, y). ``j_matrix``, the :func:`pdit_couplings`
-    of H, leaves only the bias to compute, and is shared by the model.
+    Like :func:`build_binary_model`, it takes the instance from a
+    :func:`realify` channel, and its bias 2 h_real'y_real is the binary one at
+    spin weight 1; ``rc.order`` fixes only the admissible PAM levels.
+    ``j_matrix``, the :func:`pdit_couplings` of rc's channel, leaves only the
+    bias to compute, and every model built from it shares its J.
     """
-    if order < 4:
-        raise ValueError("symbol-native model is defined for QAM orders >= 4")
-    H = np.asarray(H)
-    y = np.asarray(y)
-    h1, h2 = H.real, H.imag
-    y1, y2 = y.real, y.imag
-    bias_re = 2.0 * (h1.T @ y1 + h2.T @ y2)
-    bias_im = 2.0 * (h1.T @ y2 - h2.T @ y1)
-    n_lev = int(round(np.sqrt(order)))
+    n = _symbol_count(rc)
     return PditModel(
-        j_matrix=pdit_couplings(H) if j_matrix is None else j_matrix,
-        h_vector=np.concatenate([bias_re, bias_im]),
-        pam_levels=pam_levels(n_lev),
-        n=H.shape[1],
+        j_matrix=pdit_couplings(rc) if j_matrix is None else j_matrix,
+        h_vector=2.0 * (rc.h_real.T @ rc.y_real),
+        pam_levels=pam_levels(axis_level_count(rc.order)),
+        n=n,
     )
 
 
 def random_state_energies(model, rng: np.random.Generator, count: int) -> np.ndarray:
     """Energies of ``count`` uniformly random states of a binary or p-dit model."""
-    if isinstance(model, PditModel):
-        levels = model.pam_levels
-        # Drawn per site, (count, n, 2): the beta_sweep goldens pin this order.
-        draw = levels[rng.integers(0, levels.size, (count, model.n, 2))]
-        x = draw.transpose(0, 2, 1).reshape(count, 2 * model.n)
-    else:
-        x = rng.integers(0, 2, (count, model.n)) * 2.0 - 1.0
+    levels = model.pam_levels if isinstance(model, PditModel) else np.array([-1.0, 1.0])
+    # One level index per state entry, drawn in the model's own layout.
+    x = levels[rng.integers(0, levels.size, (count, model.h_vector.size))]
     return ising_energies(x, model.j_matrix, np.broadcast_to(model.h_vector, x.shape))

@@ -71,8 +71,8 @@ class AnnealSchedule:
     n_iterations: int
 
     def __post_init__(self):
-        if not self.peak > 0:
-            raise ValueError("schedules need a positive peak")
+        if not 0 < self.peak < np.inf:
+            raise ValueError(f"schedules need a positive, finite peak; got {self.peak!r}")
         if self.n_iterations < 1:
             raise ValueError("schedule needs at least one iteration")
 

@@ -354,6 +354,18 @@ class TestFitBetaCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "x").exists()
 
+    def test_infinite_peak_exits_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "beta"
+        code = run_cli(
+            "fit-beta",
+            "--n", "2", "--mod", "2", "--paradigm", "oim", "--beta-grid", "inf,10",
+            "--instances", "1", "--trials", "2", "--iters", "2", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite peak" in err
+        assert not (out / "beta_sweep.csv").exists()
+
 
 # Modulation orders each solver supports, out of BPSK (2) and 4-QAM (4).
 SUPPORTED_ORDERS = {"bpim": (2, 4), "dpim": (4,), "oim": (2,)}

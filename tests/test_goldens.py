@@ -157,7 +157,7 @@ BETA_GOLDENS = {
             ebn0_list=(4.0, 12.0),
             seed=21,
         ),
-        "aa187b9702fca19e6d67c44d4ca81b7b1115195b5c831834fe9d6a3a68b524c1",
+        "d4a990fc931782f3c371a41867df94681b251a78d2ce43dd44137a7baccfa221",
     ),
     "bpim-qam4-n4": (
         dict(

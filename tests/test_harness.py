@@ -247,7 +247,7 @@ class TestRunBerSweep:
                 alone = build_binary_model(realify(H, inst.rx_vector, order))
                 assert model.offset == alone.offset
             else:
-                alone = build_pdit_model(H, inst.rx_vector, order)
+                alone = build_pdit_model(realify(H, inst.rx_vector, order))
                 np.testing.assert_array_equal(model.pam_levels, alone.pam_levels)
             assert np.array_equal(model.j_matrix, alone.j_matrix)
             assert np.array_equal(model.h_vector, alone.h_vector)

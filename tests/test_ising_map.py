@@ -17,8 +17,9 @@ from isingmimo import (
     spins_to_symbols,
     symbols_to_spins,
 )
+from isingmimo import ising_map
 from isingmimo.channel import RealizedChannel
-from isingmimo.ising_map import ising_energies
+from isingmimo.ising_map import ising_energies, pdit_couplings
 
 
 def energy(x: np.ndarray, model) -> float:
@@ -70,6 +71,20 @@ class TestTransform:
     def test_invalid_order_rejected(self, order):
         with pytest.raises(ValueError):
             spin_weights(order)
+
+    def test_decoding_builds_no_constellation(self, monkeypatch):
+        calls = []
+
+        def spy(order):
+            calls.append(order)
+            return build_constellation(order)
+
+        monkeypatch.setattr("isingmimo.constellation.build_constellation", spy)
+        monkeypatch.setattr(ising_map, "build_constellation", spy, raising=False)
+        for order in (2, 4, 16, 256):
+            n_spins = 3 * round(np.log2(order))
+            spins_to_symbols(np.ones(n_spins), 3, order)
+        assert calls == []
 
 
 class TestDenseTransformOracle:
@@ -212,7 +227,7 @@ class TestBinaryModel:
 
 class TestPditModel:
     def test_1x1_worked_example(self):
-        model = build_pdit_model(np.array([[1.0 + 0j]]), np.array([3.0 + 1j]), 16)
+        model = build_pdit_model(realify(np.array([[1.0 + 0j]]), np.array([3.0 + 1j]), 16))
         np.testing.assert_allclose(model.h_vector, [6.0, 2.0])
         np.testing.assert_allclose(model.j_matrix, [[-2.0, 0.0], [0.0, -2.0]])
         d = np.array([3.0, 1.0])
@@ -225,7 +240,7 @@ class TestPditModel:
             order = int(rng.choice([4, 16, 64]))
             H = generate_channel(n, n, int(rng.integers(2**31)))
             y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            model = build_pdit_model(H, y, order)
+            model = build_pdit_model(realify(H, y, order))
             levels = model.pam_levels
             d = levels[rng.integers(0, levels.size, 2 * n)]
             x = d[:n] + 1j * d[n:]
@@ -233,7 +248,7 @@ class TestPditModel:
             assert energy(d, model) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
     def test_zero_channel_zero_energy(self):
-        model = build_pdit_model(np.zeros((3, 3), dtype=complex), np.ones(3) * 1j, 4)
+        model = build_pdit_model(realify(np.zeros((3, 3), dtype=complex), np.ones(3) * 1j, 4))
         d = model.pam_levels[np.zeros(6, dtype=int)]
         assert energy(d, model) == 0.0
 
@@ -241,8 +256,8 @@ class TestPditModel:
         H = generate_channel(5, 5, 8)
         y1 = np.ones(5, dtype=complex)
         y2 = 2j * np.ones(5, dtype=complex)
-        m1 = build_pdit_model(H, y1, 16)
-        m2 = build_pdit_model(H, y2, 16)
+        m1 = build_pdit_model(realify(H, y1, 16))
+        m2 = build_pdit_model(realify(H, y2, 16))
         j = m1.j_matrix
         assert j.shape == (10, 10) and m1.h_vector.shape == (10,)
         np.testing.assert_allclose(j, j.T, atol=1e-12)
@@ -253,13 +268,41 @@ class TestPditModel:
         np.testing.assert_array_equal(m1.j_matrix, m2.j_matrix)
         assert not np.array_equal(m1.h_vector, m2.h_vector)
 
+    def test_couplings_independent_of_order_and_received_vector(self):
+        # The abstract's claim: the p-dit interaction matrix does not depend
+        # on the QAM order, nor on what was received.
+        rng = np.random.default_rng(21)
+        for n in (1, 3, 8):
+            H = generate_channel(n, n, 100 + n)
+            ys = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
+            reference = pdit_couplings(realify(H, ys[0], 4)).tobytes()
+            for order in (4, 16, 64, 256):
+                for y in ys:
+                    assert pdit_couplings(realify(H, y, order)).tobytes() == reference
+
+    def test_exactly_symmetric_with_zero_j12_diagonal(self):
+        rng = np.random.default_rng(22)
+        for n in (2, 3, 5, 8, 16, 32, 64):
+            for trial in range(5):
+                H = generate_channel(n, n, int(rng.integers(2**31)))
+                j = pdit_couplings(realify(H, np.zeros(n, dtype=complex), 16))
+                np.testing.assert_array_equal(j, j.T)
+                assert (np.diag(j[:n, n:]) == 0.0).all()
+
+    def test_bpsk_rejected(self):
+        rc = realify(generate_channel(2, 2, 3), np.ones(2, dtype=complex), 2)
+        with pytest.raises(ValueError, match="QAM orders"):
+            pdit_couplings(rc)
+        with pytest.raises(ValueError, match="QAM orders"):
+            build_pdit_model(rc)
+
 
 class TestCrossEncodingConsistency:
     @pytest.mark.parametrize("order,n", [(4, 5), (16, 3), (64, 2)])
     def test_both_encodings_equal_the_residual(self, order, n):
         c, inst = random_instance(n, order, seed=order + n)
         bm = build_binary_model(realify(inst.channel, inst.rx_vector, order))
-        pm = build_pdit_model(inst.channel, inst.rx_vector, order)
+        pm = build_pdit_model(realify(inst.channel, inst.rx_vector, order))
         rng = np.random.default_rng(1)
         y_norm = np.linalg.norm(inst.rx_vector) ** 2
         for _ in range(50):

@@ -16,6 +16,7 @@ from isingmimo import (
     build_pdit_model,
     default_parameters,
     ml_exhaustive,
+    realify,
 )
 from isingmimo import solvers
 from isingmimo.ising_map import ising_energies
@@ -84,6 +85,11 @@ class TestAnnealSchedule:
             AnnealSchedule(0.0, 10)
         with pytest.raises(ValueError):
             AnnealSchedule(1.0, 0)
+
+    @pytest.mark.parametrize("peak", [np.inf, np.nan])
+    def test_non_finite_peak_rejected(self, peak):
+        with pytest.raises(ValueError, match="finite peak"):
+            AnnealSchedule(peak, 10)
 
 
 class TestDefaultParameters:
@@ -175,7 +181,7 @@ class TestPbitKernel:
 class TestPditKernel:
     def test_zero_beta_uniform(self):
         c = build_constellation(4)
-        model = build_pdit_model(np.eye(2, dtype=complex), np.ones(2) + 1j, 4)
+        model = build_pdit_model(realify(np.eye(2, dtype=complex), np.ones(2) + 1j, 4))
         chains = sample_pdit_chain(model, 0.0, 3000, seed=2, n_chains=8)
         symbols = chains[..., :2] + 1j * chains[..., 2:]
         counts = np.array([(symbols == p).mean() for p in c.alphabet])
@@ -187,7 +193,7 @@ class TestPditKernel:
         rng = np.random.default_rng(4)
         H = np.array([[0.7 - 0.2j]])
         y = np.array([1.1 + 0.4j])
-        model = build_pdit_model(H, y, 16)
+        model = build_pdit_model(realify(H, y, 16))
         beta = 0.3
         levels = model.pam_levels
         cand = np.array([(a, b) for a in levels for b in levels])
@@ -207,7 +213,7 @@ class TestPditKernel:
         # Two coupled p-dits: the chain must sample the exact joint Boltzmann
         # distribution, which the cross-site field shapes.
         inst, _ = build_instance(build_constellation(order), 2, 6.0, 3)
-        model = build_pdit_model(inst.channel, inst.rx_vector, order)
+        model = build_pdit_model(realify(inst.channel, inst.rx_vector, order))
         beta = 0.15
         levels = model.pam_levels
         states = np.array(list(itertools.product(levels, repeat=4)))
@@ -227,7 +233,7 @@ class TestPditKernel:
         c = build_constellation(4)
         inst, _ = build_instance(c, 8, 12.0, 55)
         oracle = ml_exhaustive(inst.channel, inst.rx_vector, c)
-        model = build_pdit_model(inst.channel, inst.rx_vector, 4)
+        model = build_pdit_model(realify(inst.channel, inst.rx_vector, 4))
         cfg = default_parameters("dpim", 8, 4)
         hits = 0
         for out in dpim_solve_many([model] * 100, cfg, list(range(100))):
@@ -238,7 +244,7 @@ class TestPditKernel:
     def test_energy_bookkeeping(self):
         c = build_constellation(16)
         inst, _ = build_instance(c, 6, 10.0, 77)
-        model = build_pdit_model(inst.channel, inst.rx_vector, 16)
+        model = build_pdit_model(realify(inst.channel, inst.rx_vector, 16))
         (out,) = dpim_solve_many([model], default_parameters("dpim", 6, 16), [1])
         assert out.best_energy == pytest.approx(
             energy(out.best_state, model), rel=1e-9
@@ -422,7 +428,7 @@ class TestReplication:
         for ch in range(2):
             inst, _ = build_instance(c, 3, 8.0, ch)
             if paradigm == "dpim":
-                models.append(build_pdit_model(inst.channel, inst.rx_vector, 4))
+                models.append(build_pdit_model(realify(inst.channel, inst.rx_vector, 4)))
             else:
                 models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4)))
         with pytest.raises(ValueError, match="share"):
@@ -446,7 +452,7 @@ class TestChainSampling:
         assert set(np.unique(chains)) <= {-1, 1}
 
     def test_pdit_chain_shapes_and_values(self):
-        model = build_pdit_model(np.eye(2, dtype=complex), np.ones(2) + 0j, 16)
+        model = build_pdit_model(realify(np.eye(2, dtype=complex), np.ones(2) + 0j, 16))
         chains = sample_pdit_chain(model, 0.2, 9, seed=0, n_chains=2)
         assert chains.shape == (2, 9, 4)
         assert set(np.unique(chains)) <= {-3, -1, 1, 3}
