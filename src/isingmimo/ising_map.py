@@ -116,12 +116,16 @@ def binary_couplings(rc: RealizedChannel) -> tuple:
 
     Returns (heff, J, trace of heff'heff), where heff is the real-valued
     channel with column block k scaled by the k-th spin weight: a power of
-    two, so every entry is exact.
+    two, so every entry is exact. J is -2 heff'heff with a zero diagonal, and
+    its lower triangle is its upper one mirrored, not a sum in another order,
+    so J is exactly symmetric.
     """
     heff = np.kron(spin_weights(rc.order), rc.h_real)
     gram = heff.T @ heff
     j_matrix = -2.0 * gram
     np.fill_diagonal(j_matrix, 0.0)
+    lower = np.tril_indices_from(j_matrix, -1)
+    j_matrix[lower] = j_matrix.T[lower]
     return heff, j_matrix, np.trace(gram)
 
 

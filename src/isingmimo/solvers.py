@@ -20,6 +20,13 @@ Each solver fixes its own ramp direction and constants: the p-bit and p-dit
 sweeps raise the inverse temperature to the schedule's peak, and the
 oscillator dynamics lower the noise level from it to zero, with constants
 from :func:`oim_params` scaled by the model size.
+
+The oscillator drift visits each unordered site pair once: the pairs form
+the circulant bands (i, i+d mod n), d = 1..n//2, and each pair's odd
+coupling term enters both its sites. Its kernel keeps phases sites-major,
+(n, rows), so that each band is one contiguous block of a doubled
+[x; x] buffer, and runs over row chunks whose buffers fit a fixed byte
+budget.
 """
 
 from __future__ import annotations
@@ -55,6 +62,10 @@ _MAX_PREDRAW = 8_000_000
 
 # Time step of the oscillator phase integration.
 _OIM_DT = 0.01
+
+# Upper bound on the oscillator drift's band buffers; larger row stacks are
+# processed in row chunks.
+_OIM_BAND_BYTES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -325,19 +336,110 @@ def dpim_solve_many(models: list[PditModel], cfg: SolverConfig, seeds) -> list[S
 # oscillator phase dynamics
 
 
-def _oim_drift(
-    sin_phi: np.ndarray,
-    cos_phi: np.ndarray,
-    j: np.ndarray,
-    h_rows: np.ndarray,
-    params: OimParams,
-) -> np.ndarray:
-    # sin(phi_i - phi_j) factorized through the per-row sin/cos vectors.
-    pair = sin_phi[:, :, None] * cos_phi[:, None, :] - cos_phi[:, :, None] * sin_phi[:, None, :]
-    coupling = np.einsum("ij,rij->ri", j, np.tanh(10.0 * pair))
-    coupling += h_rows * sin_phi
-    binarize = 2.0 * sin_phi * cos_phi
-    return -params.coupling * coupling - params.binarization * binarize
+class _OimBands:
+    """One oscillator kernel call's couplings as circulant bands, with its
+    gains and its row chunks.
+
+    Band d = 1..n//2 holds the site pairs (i, i+d mod n), i = 0..n-1, so
+    every unordered pair lies in exactly one band; on even n the last band
+    meets each pair twice, and its second half has weight 0. A pair's value
+    enters its first site i with weight J[i, i+d] and its second site k = i+d
+    negated, with weight -J[k-d, k]; J must be symmetric, and its diagonal
+    never enters. ``weights[i]`` holds site i's 2 x bands weights, first-site
+    ones first. The drift runs over the rows in chunks whose
+    :class:`_OimBuffers` fit ``_OIM_BAND_BYTES``, or hold one row.
+    """
+
+    def __init__(self, j: np.ndarray, h_rows: np.ndarray, params: OimParams):
+        n = j.shape[0]
+        rows = len(h_rows)
+        n_bands = n // 2
+        sites = np.arange(n)
+        shift = np.arange(1, n_bands + 1)[:, None]
+        j_to = j[sites, (sites + shift) % n]
+        if n % 2 == 0:
+            j_to[n_bands - 1, n_bands:] = 0.0
+        # Flat (band, site) index of the first site of the pair that ends
+        # at site k in band d.
+        self.from_index = ((shift - 1) * n + (sites - shift) % n).ravel()
+        j_from = j_to.ravel()[self.from_index].reshape(j_to.shape)
+        self.weights = np.concatenate([j_to, -j_from]).T[:, None, :].copy()
+        self.coupling = params.coupling
+        self.binarization = params.binarization
+        h_sites = np.ascontiguousarray(h_rows.T)
+        per_row = 8 * (4 * n + 2 * n_bands * n)
+        width = max(1, min(rows, _OIM_BAND_BYTES // per_row))
+        # (rows, bias, buffers) per chunk; all full chunks share one set of
+        # buffers.
+        full = _OimBuffers(n, n_bands, width)
+        self.chunks = []
+        for lo in range(0, rows, width):
+            hi = min(lo + width, rows)
+            buffers = full if hi - lo == width else _OimBuffers(n, n_bands, hi - lo)
+            self.chunks.append((slice(lo, hi), h_sites[:, lo:hi], buffers))
+
+
+class _OimBuffers:
+    """The work buffers of the oscillator drift for a chunk of ``width``
+    rows, and the views that read them. Every buffer is sites-major, so that
+    a band is one contiguous block:
+
+    - ``sin_cos`` (2, 2, n, width) holds [sin; sin] and [cos; cos] of the
+      chunk's phases, doubled along the sites, so that every band's partner
+      phases x[i + d mod n] are one zero-copy strided view, ``partners``;
+    - ``pairs`` (2, bands, n, width) holds each band's values at their first
+      site, and the same values gathered to their second site:
+      ``pairs[1, d-1, k] = pairs[0, d-1, k-d mod n]``.
+    """
+
+    def __init__(self, n: int, n_bands: int, width: int):
+        sin_cos = np.empty((2, 2, n, width))
+        self.sin2, self.cos2 = sin_cos
+        self.sin_phi, self.cos_phi = sin_cos[:, 0]
+        self.heads = sin_cos[:, :1]
+        plane, _, site, row = sin_cos.strides
+        # [cos; sin] and [sin; cos] at x[i + d], d = 1..n_bands, so that one
+        # product with ``heads``, [sin; cos] at x[i], gives sin_i cos_j and
+        # cos_i sin_j.
+        self.partners = np.lib.stride_tricks.as_strided(
+            sin_cos[::-1, :, 1:], (2, n_bands, n, width), (-plane, site, site, row)
+        )
+        self.pairs = np.empty((2, n_bands, n, width))
+        self.first, self.second = self.pairs
+        # Row views for the gather, and site i's (2 x bands, width) block.
+        self.first_rows, self.second_rows = (x.reshape(-1, width) for x in self.pairs)
+        self.by_site = self.pairs.reshape(-1, n, width).transpose(1, 0, 2)
+
+
+def _oim_drift(sin_phi: np.ndarray, cos_phi: np.ndarray, bands: _OimBands) -> np.ndarray:
+    """Phase velocities of a sites-major (n, rows) stack of oscillators, from
+    the sines and cosines of their phases.
+
+    Site i moves at -coupling * (sum_j J_ij tanh(10 sin(phi_i - phi_j)) +
+    h_i sin(phi_i)) - binarization * sin(2 phi_i). sin and tanh are odd, so
+    each pair's tanh is taken once, in its band (see :class:`_OimBands`), and
+    enters both its sites.
+    """
+    drift = np.empty(sin_phi.shape)
+    for rows, h, c in bands.chunks:
+        np.copyto(c.sin2, sin_phi[:, rows])
+        np.copyto(c.cos2, cos_phi[:, rows])
+        t = c.first
+        np.multiply(c.heads, c.partners, out=c.pairs)
+        t -= c.second  # sin(phi_i - phi_{i+d})
+        t *= 10.0
+        np.tanh(t, out=t)
+        # The indices are in range; "clip" lets take write straight into out.
+        np.take(c.first_rows, bands.from_index, axis=0, out=c.second_rows, mode="clip")
+        coupling = np.matmul(bands.weights, c.by_site)[:, 0]
+        coupling += h * c.sin_phi
+        coupling *= -bands.coupling
+        # binarization * (2 sin cos): a factor 2 is exact wherever it is
+        # applied, so this is bit for bit the same.
+        binarize = c.sin_phi * c.cos_phi
+        binarize *= 2.0 * bands.binarization
+        np.subtract(coupling, binarize, out=drift[:, rows])
+    return drift
 
 
 def _oim_sweeps(
@@ -347,25 +449,33 @@ def _oim_sweeps(
     params: OimParams,
     rngs: list[np.random.Generator],
 ):
-    """Heun-integrated phase dynamics with annealed noise; yields sign(cos phase) per step."""
+    """Heun-integrated phase dynamics with annealed noise; yields sign(cos phase) per step.
+
+    Phases and noise live sites-major, (n, rows), the layout of
+    :func:`_oim_drift`; each row's stream is drawn as (n_it, n), as in the
+    row-major layout. The readout is a C-contiguous (rows, n) array.
+    """
     n = j.shape[0]
     n_it = len(temps)
     rows = len(rngs)
-    phi = np.empty((rows, n))
-    noise = np.empty((rows, n_it, n))
+    phi = np.empty((n, rows))
+    noise = np.empty((n_it, n, rows))
     for r, rng in enumerate(rngs):
-        phi[r] = rng.uniform(0.0, 2.0 * np.pi, n)
-        noise[r] = rng.standard_normal((n_it, n))
+        phi[:, r] = rng.uniform(0.0, 2.0 * np.pi, n)
+        noise[:, :, r] = rng.standard_normal((n_it, n))
+    bands = _OimBands(j, h_rows, params)
     sqrt_dt = np.sqrt(_OIM_DT)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     for k, temp in enumerate(temps):
-        kick = (temp * sqrt_dt) * noise[:, k]
-        f0 = _oim_drift(sin_phi, cos_phi, j, h_rows, params)
+        kick = (temp * sqrt_dt) * noise[k]
+        f0 = _oim_drift(sin_phi, cos_phi, bands)
         pred = phi + _OIM_DT * f0 + kick
-        f1 = _oim_drift(np.sin(pred), np.cos(pred), j, h_rows, params)
+        f1 = _oim_drift(np.sin(pred), np.cos(pred), bands)
         phi += 0.5 * _OIM_DT * (f0 + f1) + kick
         sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-        yield np.where(cos_phi >= 0, 1.0, -1.0)
+        # cos of a finite phase is never +-0, so its sign is +1 exactly
+        # where cos >= 0.
+        yield np.copysign(1.0, cos_phi.T, order="C")
 
 
 def oim_solve_many(

@@ -187,6 +187,21 @@ BETA_GOLDENS = {
         ),
         "00e5e931389b90fb3eed18421f865b362ed1f82d4577fa59a5fdd5013d3f8a9b",
     ),
+    # fit-beta's oscillator path; the grid is read as peak noise levels.
+    "oim-bpsk-n6": (
+        dict(
+            n=6,
+            order=2,
+            paradigm="oim",
+            beta_grid=(10.0, 30.0),
+            n_instances=2,
+            n_trials=20,
+            n_iterations=30,
+            ebn0_list=(4.0, 12.0),
+            seed=24,
+        ),
+        "65106e23efa24a250e7835d21e6f77447696b42371db1d8d77dbeab0849c57f4",
+    ),
 }
 
 

@@ -19,7 +19,7 @@ from isingmimo import (
 )
 from isingmimo import ising_map
 from isingmimo.channel import RealizedChannel
-from isingmimo.ising_map import ising_energies, pdit_couplings
+from isingmimo.ising_map import binary_couplings, ising_energies, pdit_couplings
 
 
 def energy(x: np.ndarray, model) -> float:
@@ -192,6 +192,17 @@ class TestBinaryModel:
         model = build_binary_model(rc)
         np.testing.assert_array_equal(np.diag(model.j_matrix), np.zeros(model.n))
         np.testing.assert_allclose(model.j_matrix, model.j_matrix.T, atol=1e-12)
+
+    def test_exactly_symmetric_with_zero_diagonal(self):
+        # The oscillator drift reads each pair's coupling from one triangle.
+        rng = np.random.default_rng(23)
+        for order in (2, 4, 16):
+            for n in (2, 3, 4, 5, 8, 16, 32, 64):
+                for trial in range(20):
+                    H = generate_channel(n, n, int(rng.integers(2**31)))
+                    _, j, _ = binary_couplings(realify(H, np.zeros(n, dtype=complex), order))
+                    np.testing.assert_array_equal(j, j.T)
+                    assert (np.diag(j) == 0.0).all()
 
     def test_coupling_depends_on_channel_only(self):
         c = build_constellation(4)

@@ -21,8 +21,11 @@ from isingmimo import (
 from isingmimo import solvers
 from isingmimo.ising_map import ising_energies
 from isingmimo.solvers import (
+    _OIM_DT,
     _bpim_sweeps,
     _dpim_sweeps,
+    _oim_drift,
+    _OimBands,
     _oim_sweeps,
     _spawn_rngs,
     bpim_solve_many,
@@ -255,24 +258,18 @@ class TestPditKernel:
 
 class TestOscillatorKernel:
     def test_coupling_vanishes_at_equal_phases(self):
-        from isingmimo.solvers import _oim_drift
-
         model = ferromagnet()
-        phi = np.full((1, 2), 0.83)
-        drift = _oim_drift(
-            np.sin(phi), np.cos(phi), model.j_matrix, np.zeros((1, 2)), OimParams(1.0, 0.0)
-        )
+        phi = np.full((2, 1), 0.83)
+        bands = _OimBands(model.j_matrix, np.zeros((1, 2)), OimParams(1.0, 0.0))
+        drift = _oim_drift(np.sin(phi), np.cos(phi), bands)
         np.testing.assert_allclose(drift, 0.0, atol=1e-12)
 
     def test_binarization_term_values(self):
-        from isingmimo.solvers import _oim_drift
-
         model = BinaryIsingModel(np.zeros((1, 1)), np.zeros(1), 0.0, 1)
+        bands = _OimBands(model.j_matrix, np.zeros((1, 1)), OimParams(0.0, 1.0))
         for phi_val, expected in ((np.pi / 2, 0.0), (np.pi / 4, -1.0)):
             phi = np.array([[phi_val]])
-            drift = _oim_drift(
-                np.sin(phi), np.cos(phi), model.j_matrix, np.zeros((1, 1)), OimParams(0.0, 1.0)
-            )
+            drift = _oim_drift(np.sin(phi), np.cos(phi), bands)
             assert drift[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_two_oscillator_locking(self):
@@ -322,6 +319,96 @@ class TestOscillatorKernel:
             flip_gain = 2 * s * (j @ s)
             ok += bool((flip_gain >= -1e-9).all())
         assert ok >= 0.9 * n_models
+
+
+def full_matrix_drift(sin_phi, cos_phi, j, h_rows, params):
+    """The oscillator drift over every ordered site pair, rows-major: the
+    reference the band drift must reproduce."""
+    # sin(phi_i - phi_j) factorized through the per-row sin/cos vectors.
+    pair = sin_phi[:, :, None] * cos_phi[:, None, :] - cos_phi[:, :, None] * sin_phi[:, None, :]
+    coupling = np.einsum("ij,rij->ri", j, np.tanh(10.0 * pair))
+    coupling += h_rows * sin_phi
+    binarize = 2.0 * sin_phi * cos_phi
+    return -params.coupling * coupling - params.binarization * binarize
+
+
+def full_matrix_sweeps(j, h_rows, temps, params, rngs):
+    """The Heun loop of the oscillator kernel on :func:`full_matrix_drift`,
+    rows-major, with the kernel's per-row draws."""
+    n = j.shape[0]
+    phi = np.stack([rng.uniform(0.0, 2.0 * np.pi, n) for rng in rngs])
+    noise = np.stack([rng.standard_normal((len(temps), n)) for rng in rngs])
+    for k, temp in enumerate(temps):
+        kick = (temp * np.sqrt(_OIM_DT)) * noise[:, k]
+        f0 = full_matrix_drift(np.sin(phi), np.cos(phi), j, h_rows, params)
+        pred = phi + _OIM_DT * f0 + kick
+        f1 = full_matrix_drift(np.sin(pred), np.cos(pred), j, h_rows, params)
+        phi += 0.5 * _OIM_DT * (f0 + f1) + kick
+        yield np.where(np.cos(phi) >= 0, 1.0, -1.0)
+
+
+class TestOscillatorBands:
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 15, 16, 17, 64])
+    def test_drift_matches_full_matrix(self, n, rows, chunk_rows, monkeypatch):
+        # n = 1 has no band and n = 2 one half-zeroed band. J's diagonal is
+        # not zero, and must not enter. Three-row chunks of seven rows end
+        # in a one-row chunk.
+        if chunk_rows is not None:
+            buffer_bytes = 8 * (4 * n + 2 * n * (n // 2))
+            monkeypatch.setattr(solvers, "_OIM_BAND_BYTES", chunk_rows * buffer_bytes)
+        rng = np.random.default_rng(100 * n + rows)
+        a = rng.standard_normal((n, n))
+        j = a + a.T
+        h_rows = rng.standard_normal((rows, n))
+        phi = rng.uniform(0.0, 2.0 * np.pi, (rows, n))
+        params = OimParams(0.7, 0.3)
+        expected = full_matrix_drift(np.sin(phi), np.cos(phi), j, h_rows, params)
+        bands = _OimBands(j, h_rows, params)
+        assert len(bands.chunks) == -(-rows // (chunk_rows or rows))
+        phi_sites = np.ascontiguousarray(phi.T)
+        drift = _oim_drift(np.sin(phi_sites), np.cos(phi_sites), bands)
+        np.testing.assert_allclose(drift.T, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_readouts_match_full_matrix_sweeps(self):
+        # The pair sums run in another order, by about 1e-15 of the drift;
+        # no readout flips over a seeded n = 16 run.
+        model = binary_instance(16, 6.0, 41)
+        h_rows = np.repeat(model.h_vector[None], 100, axis=0)
+        sched = AnnealSchedule(30.0, 100)
+        temps = sched.peak * (1.0 - sched.ramp())
+        params = oim_params(16)
+        bands = _oim_sweeps(model.j_matrix, h_rows, temps, params, _spawn_rngs(6, 100))
+        full = full_matrix_sweeps(model.j_matrix, h_rows, temps, params, _spawn_rngs(6, 100))
+        for readout, expected in itertools.zip_longest(bands, full):
+            assert readout.shape == (100, 16) and readout.flags.c_contiguous
+            np.testing.assert_array_equal(readout, expected)
+
+    def test_one_row_chunks_bit_identical(self, monkeypatch):
+        model = binary_instance(16, 6.0, 42)
+        h_rows = np.repeat(model.h_vector[None], 12, axis=0)
+        temps = np.linspace(30.0, 0.0, 40)
+        cfg = SolverConfig(6, AnnealSchedule(30.0, 40))
+
+        def run():
+            readouts = [
+                s.copy()
+                for s in _oim_sweeps(
+                    model.j_matrix, h_rows, temps, oim_params(16), _spawn_rngs(8, 12)
+                )
+            ]
+            return readouts, oim_solve_many([model, model], cfg, [3, 4])
+
+        whole_readouts, whole = run()
+        monkeypatch.setattr(solvers, "_OIM_BAND_BYTES", 1)
+        chunked_readouts, chunked = run()
+        np.testing.assert_array_equal(whole_readouts, chunked_readouts)
+        for a, b in zip(whole, chunked):
+            np.testing.assert_array_equal(a.best_state, b.best_state)
+            assert a.best_energy == b.best_energy
+            np.testing.assert_array_equal(a.final_energies, b.final_energies)
+            assert a.best_iteration == b.best_iteration
 
 
 def binary_instance(n, ebn0_db, seed):
