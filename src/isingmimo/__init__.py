@@ -21,6 +21,7 @@ from .channel import (
     MimoInstance,
     RealizedChannel,
     build_instance,
+    channel_instances,
     complex_symbols,
     derive_rng,
     derive_seed,

@@ -3,7 +3,9 @@
 All randomness flows through explicit seeds. Derived streams are built from
 ``numpy.random.SeedSequence((master, role, *indices))`` so that distinct
 (role, indices) tuples yield statistically independent, reproducible streams;
-role tags are the module-level ``ROLE_*`` constants.
+role tags are the module-level ``ROLE_*`` constants. :func:`channel_instances`
+owns the cell recipe; the harness draws every cell through it, and
+:func:`build_instance` rebuilds any one cell from the same indices.
 """
 
 from __future__ import annotations
@@ -26,17 +28,20 @@ __all__ = [
     "real_channel",
     "stack_real",
     "complex_symbols",
+    "channel_instances",
     "build_instance",
     "ROLE_CHANNEL",
     "ROLE_MESSAGE",
     "ROLE_NOISE",
     "ROLE_SOLVER",
+    "ROLE_RANDOM_CONFIG",
 ]
 
 ROLE_CHANNEL = 0
 ROLE_MESSAGE = 1
 ROLE_NOISE = 2
 ROLE_SOLVER = 3
+ROLE_RANDOM_CONFIG = 4
 
 
 def derive_seed(master_seed: int, *fields: int) -> np.random.SeedSequence:
@@ -59,6 +64,9 @@ class MimoInstance:
     rx_vector: np.ndarray
     sigma_sq: float
     ebn0_db: float
+    channel_index: int = 0
+    message_index: int = 0
+    ebn0_index: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +164,44 @@ def complex_symbols(x_real: np.ndarray, n: int) -> np.ndarray:
     return x_real[:n] + 1j * x_real[n:]
 
 
+def channel_instances(
+    c: Constellation, n: int, master_seed: int, channel_index: int, messages, points
+) -> list[tuple[MimoInstance, np.ndarray]]:
+    """One ``(instance, bits)`` per (message, point) of a seeded square
+    channel, message-major; every instance shares one H object.
+
+    ``messages`` are message indices and ``points`` (index, Eb/N0 in dB)
+    pairs, as ``enumerate`` yields them. Each draw has its own stream, keyed
+    by the indices it depends on, so a cell does not depend on which other
+    cells are drawn with it.
+    """
+    points = list(points)
+    H = generate_channel(n, n, derive_seed(master_seed, ROLE_CHANNEL, channel_index))
+    cells = []
+    for msg in messages:
+        bits = derive_rng(master_seed, ROLE_MESSAGE, channel_index, msg).integers(
+            0, 2, n * c.bits_per_symbol
+        )
+        x0 = modulate_bits(bits, c)
+        for e_idx, ebn0 in points:
+            sigma_sq = noise_sigma_sq(n, c.symbol_energy, c.order, ebn0)
+            noise_seed = derive_seed(master_seed, ROLE_NOISE, channel_index, msg, e_idx)
+            inst = MimoInstance(
+                n_tx=n,
+                n_rx=n,
+                channel=H,
+                tx_symbols=x0,
+                rx_vector=transmit(H, x0, sigma_sq, noise_seed),
+                sigma_sq=float(sigma_sq),
+                ebn0_db=float(ebn0),
+                channel_index=channel_index,
+                message_index=msg,
+                ebn0_index=e_idx,
+            )
+            cells.append((inst, bits))
+    return cells
+
+
 def build_instance(
     c: Constellation,
     n: int,
@@ -165,23 +211,8 @@ def build_instance(
     message_index: int = 0,
     ebn0_index: int = 0,
 ) -> tuple[MimoInstance, np.ndarray]:
-    """Generate a seeded square-channel instance plus its transmitted bits."""
-    ch_seed = (master_seed, ROLE_CHANNEL, channel_index)
-    msg_seed = (master_seed, ROLE_MESSAGE, channel_index, message_index)
-    noise_seed = (master_seed, ROLE_NOISE, channel_index, message_index, ebn0_index)
-    H = generate_channel(n, n, derive_seed(*ch_seed))
-    bits = derive_rng(*msg_seed).integers(0, 2, n * c.bits_per_symbol)
-    x0 = modulate_bits(bits, c)
-    sigma_sq = noise_sigma_sq(n, c.symbol_energy, c.order, ebn0_db)
-    y = transmit(H, x0, sigma_sq, derive_seed(*noise_seed))
-    inst = MimoInstance(
-        n_tx=n,
-        n_rx=n,
-        channel=H,
-        tx_symbols=x0,
-        rx_vector=y,
-        sigma_sq=float(sigma_sq),
-        ebn0_db=float(ebn0_db),
+    """The cell of :func:`channel_instances` at one (message, point)."""
+    (cell,) = channel_instances(
+        c, n, master_seed, channel_index, [message_index], [(ebn0_index, ebn0_db)]
     )
-    return inst, bits
-
+    return cell

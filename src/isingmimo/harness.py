@@ -4,7 +4,8 @@ A run is a pure function of its plan (which embeds the master seed), so
 repeated runs produce byte-identical CSVs regardless of worker count.
 Channels are the parallel unit; every random draw inside a channel worker
 comes from a seed derived from (master, role, channel, message, point), so
-results do not depend on scheduling.
+results do not depend on scheduling. ``channel.channel_instances`` owns the
+cell recipe; this module seeds only the solvers and the random references.
 """
 
 from __future__ import annotations
@@ -30,20 +31,16 @@ from .baselines import (
     zf_detect,
 )
 from .channel import (
-    ROLE_CHANNEL,
-    ROLE_MESSAGE,
-    ROLE_NOISE,
+    ROLE_RANDOM_CONFIG,
     ROLE_SOLVER,
     build_instance,
+    channel_instances,
     complex_symbols,
     derive_rng,
     derive_seed,
-    generate_channel,
-    noise_sigma_sq,
     realify,
-    transmit,
 )
-from .constellation import Constellation, build_constellation, demodulate_symbols, modulate_bits
+from .constellation import Constellation, axis_level_count, build_constellation, demodulate_symbols
 from .ising_map import (
     binary_couplings,
     build_binary_model,
@@ -74,9 +71,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 KNOWN_DETECTORS = ("zf", "mmse", "ml") + tuple(PARADIGMS)
-
-# Extra role tags for harness-owned streams (continuing the channel module's).
-ROLE_RANDOM_CONFIG = 4
 
 # Expected baseline failures: the cell counts as all-bits-wrong, never raised.
 _DETECTOR_FAILURES = (SingularChannelError, SearchBudgetError)
@@ -169,7 +163,7 @@ def plan_experiment(
             raise ValueError(f"{name} must be an int; got {value!r}")
     if n < 1 or messages_per_channel < 1:
         raise ValueError("n and messages_per_channel must be at least 1")
-    build_constellation(order)  # validates the order
+    axis_level_count(order)  # validates the order
     plan = ExperimentPlan(
         n=n,
         order=order,
@@ -217,44 +211,6 @@ def _heuristic_config(detector: str, plan: ExperimentPlan) -> SolverConfig:
     return cfg
 
 
-def _detect_bits(
-    detector: str, H: np.ndarray, y: np.ndarray, sigma_sq: float, c: Constellation
-) -> np.ndarray:
-    """Recovered bit vector for one instance under one baseline detector."""
-    if detector == "zf":
-        return zf_detect(H, y, c).bits
-    if detector == "mmse":
-        return mmse_detect(H, y, sigma_sq, c.symbol_energy, c).bits
-    if detector == "ml":
-        return ml_exact(H, y, c).bits
-    raise ValueError(f"unknown detector {detector!r}")
-
-
-def _baseline_bits(
-    detector: str,
-    H: np.ndarray,
-    cell: tuple,
-    c: Constellation,
-    plan: ExperimentPlan,
-    channel_index: int,
-) -> np.ndarray | None:
-    """Recovered bits of one cell under a baseline, or None if it failed as expected."""
-    msg, e_idx, _, y, sigma_sq = cell
-    try:
-        return _detect_bits(detector, H, y, sigma_sq, c)
-    except _DETECTOR_FAILURES:
-        logger.exception(
-            "detector %s failed on channel %d message %d point %g dB; "
-            "counting all %d bits as errors",
-            detector,
-            channel_index,
-            msg,
-            plan.ebn0_list[e_idx],
-            plan.bits_per_message,
-        )
-        return None
-
-
 def _paradigm_models(paradigm: str, H: np.ndarray, ys, order: int) -> tuple:
     """The paradigm's Ising models of received vectors ``ys`` over channel
     ``H``, and the map from one of its solver states to symbols."""
@@ -271,28 +227,51 @@ def _paradigm_models(paradigm: str, H: np.ndarray, ys, order: int) -> tuple:
     return models, lambda s: spins_to_symbols(s, n, order)
 
 
-def _heuristic_batch_bits(
-    detector: str,
-    H: np.ndarray,
-    cells: list,
-    c: Constellation,
-    plan: ExperimentPlan,
-    channel_index: int,
-    d_idx: int,
+def _detector_bits(
+    detector: str, d_idx: int, cells: list, c: Constellation, plan: ExperimentPlan
 ) -> list:
-    """Recovered bits for all of a channel's cells under one heuristic.
-
-    The coupling matrix depends on the channel only, so the whole channel
-    (messages x noise points) is solved in one batched kernel call; replica
-    streams per cell match a standalone solve of that cell.
-    """
-    seeds = [
-        derive_seed(plan.seed, ROLE_SOLVER, d_idx, channel_index, msg, e_idx)
-        for msg, e_idx, _, _, _ in cells
-    ]
-    models, to_symbols = _paradigm_models(detector, H, [y for _, _, _, y, _ in cells], c.order)
-    outcomes = solve_many(detector, models, _heuristic_config(detector, plan), seeds)
-    return [demodulate_symbols(to_symbols(o.best_state), c) for o in outcomes]
+    """The recovered bits of each of a channel's cells under one detector, or
+    None where a baseline failed as expected. A heuristic solves all the
+    cells in one batched kernel call, since its couplings depend on the
+    channel only; each cell's replica streams match a standalone solve."""
+    if detector in PARADIGMS:
+        seeds = [
+            derive_seed(
+                plan.seed, ROLE_SOLVER, d_idx, i.channel_index, i.message_index, i.ebn0_index
+            )
+            for i in cells
+        ]
+        models, to_symbols = _paradigm_models(
+            detector, cells[0].channel, [i.rx_vector for i in cells], c.order
+        )
+        outcomes = solve_many(detector, models, _heuristic_config(detector, plan), seeds)
+        return [demodulate_symbols(to_symbols(o.best_state), c) for o in outcomes]
+    recovered = []
+    for inst in cells:
+        try:
+            if detector == "zf":
+                result = zf_detect(inst.channel, inst.rx_vector, c)
+            elif detector == "mmse":
+                result = mmse_detect(
+                    inst.channel, inst.rx_vector, inst.sigma_sq, c.symbol_energy, c
+                )
+            else:
+                result = ml_exact(inst.channel, inst.rx_vector, c)
+        except _DETECTOR_FAILURES:
+            logger.exception(
+                "detector %s failed on channel %d message %d point %d (%g dB); "
+                "counting all %d bits as errors",
+                detector,
+                inst.channel_index,
+                inst.message_index,
+                inst.ebn0_index,
+                inst.ebn0_db,
+                plan.bits_per_message,
+            )
+            recovered.append(None)
+        else:
+            recovered.append(result.bits)
+    return recovered
 
 
 def _channel_errors(plan: ExperimentPlan, c: Constellation, channel_index: int) -> np.ndarray:
@@ -300,32 +279,15 @@ def _channel_errors(plan: ExperimentPlan, c: Constellation, channel_index: int) 
 
     ``c`` is the plan's constellation, built once per sweep.
     """
-    seed = plan.seed
-    H = generate_channel(plan.n, plan.n, derive_seed(seed, ROLE_CHANNEL, channel_index))
+    messages, points = range(plan.messages_per_channel), enumerate(plan.ebn0_list)
+    cells = channel_instances(c, plan.n, plan.seed, channel_index, messages, points)
+    instances = [inst for inst, _ in cells]
     errors = np.zeros((len(plan.detectors), len(plan.ebn0_list)), dtype=np.int64)
-    cells = []  # (message index, point index, tx bits, received vector, sigma^2)
-    for msg in range(plan.messages_per_channel):
-        bits = derive_rng(seed, ROLE_MESSAGE, channel_index, msg).integers(
-            0, 2, plan.bits_per_message
-        )
-        x0 = modulate_bits(bits, c)
-        for e_idx, ebn0 in enumerate(plan.ebn0_list):
-            sigma_sq = noise_sigma_sq(plan.n, c.symbol_energy, plan.order, ebn0)
-            y = transmit(
-                H, x0, sigma_sq, derive_seed(seed, ROLE_NOISE, channel_index, msg, e_idx)
-            )
-            cells.append((msg, e_idx, bits, y, sigma_sq))
     for d_idx, detector in enumerate(plan.detectors):
-        if detector in PARADIGMS:
-            recovered = _heuristic_batch_bits(detector, H, cells, c, plan, channel_index, d_idx)
-        else:
-            recovered = [
-                _baseline_bits(detector, H, cell, c, plan, channel_index)
-                for cell in cells
-            ]
-        for (_, e_idx, bits, _, _), det_bits in zip(cells, recovered):
+        recovered = _detector_bits(detector, d_idx, instances, c, plan)
+        for (inst, bits), det_bits in zip(cells, recovered):
             # A failed cell counts all its bits as errors; denominators stay fixed.
-            errors[d_idx, e_idx] += (
+            errors[d_idx, inst.ebn0_index] += (
                 plan.bits_per_message
                 if det_bits is None
                 else int(np.count_nonzero(det_bits != bits))
@@ -365,7 +327,9 @@ def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
     ``threads`` is the number of worker processes, at most one per channel;
     each worker runs one BLAS thread. With one, the sweep runs in this
     process under the caller's BLAS setting. The result does not depend on it.
+    An invalid plan fails in :func:`plan_experiment` before any work.
     """
+    plan = plan_experiment(**{f.name: getattr(plan, f.name) for f in fields(ExperimentPlan)})
     if threads < 1:
         raise ValueError(f"threads must be at least 1; got {threads}")
     workers = min(threads, plan.n_channels)

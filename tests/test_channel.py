@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from isingmimo import (
     build_constellation,
     build_instance,
+    channel_instances,
     complex_symbols,
     derive_rng,
     derive_seed,
@@ -180,3 +181,53 @@ class TestInstanceIO:
         c = build_constellation(16)
         inst, bits = build_instance(c, 8, 12.0, 77)
         np.testing.assert_array_equal(inst.tx_symbols, modulate_bits(bits, c))
+
+
+class TestChannelInstances:
+    POINTS = (6.0, 12.0, np.inf)
+
+    def cells(self, c, messages=(0, 1, 2), points=None):
+        points = enumerate(self.POINTS) if points is None else points
+        return channel_instances(c, 3, 97, 4, messages, points)
+
+    def test_message_major_with_indices(self):
+        cells = self.cells(build_constellation(4))
+        indices = [(i.channel_index, i.message_index, i.ebn0_index) for i, _ in cells]
+        assert indices == [(4, msg, e) for msg in range(3) for e in range(3)]
+        assert [i.ebn0_db for i, _ in cells] == list(self.POINTS) * 3
+
+    def test_cells_share_one_channel_and_each_message_its_bits(self):
+        cells = self.cells(build_constellation(16))
+        H = cells[0][0].channel
+        assert all(inst.channel is H for inst, _ in cells)
+        for msg in range(3):
+            first, bits = cells[3 * msg]
+            for inst, other in cells[3 * msg : 3 * msg + 3]:
+                assert other is bits and inst.tx_symbols is first.tx_symbols
+
+    @pytest.mark.parametrize("order", [2, 4, 16])
+    def test_each_cell_equals_build_instance(self, order):
+        c = build_constellation(order)
+        for inst, bits in self.cells(c):
+            alone, alone_bits = build_instance(
+                c, 3, inst.ebn0_db, 97, 4, inst.message_index, inst.ebn0_index
+            )
+            for field in ("channel", "tx_symbols", "rx_vector"):
+                assert getattr(inst, field).tobytes() == getattr(alone, field).tobytes()
+            assert bits.tobytes() == alone_bits.tobytes()
+            assert (inst.sigma_sq, inst.ebn0_db) == (alone.sigma_sq, alone.ebn0_db)
+            assert (inst.channel_index, inst.message_index, inst.ebn0_index) == (
+                alone.channel_index,
+                alone.message_index,
+                alone.ebn0_index,
+            )
+
+    def test_one_shot_iterators_accepted(self):
+        c = build_constellation(4)
+        listed = self.cells(c, messages=[0, 1, 2], points=list(enumerate(self.POINTS)))
+        streamed = self.cells(c, messages=iter(range(3)), points=enumerate(self.POINTS))
+        assert len(streamed) == len(listed) == 9
+        for (a, a_bits), (b, b_bits) in zip(listed, streamed):
+            assert a.rx_vector.tobytes() == b.rx_vector.tobytes()
+            assert a_bits.tobytes() == b_bits.tobytes()
+            assert (a.message_index, a.ebn0_index) == (b.message_index, b.ebn0_index)

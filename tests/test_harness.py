@@ -1,7 +1,9 @@
 """Experiment planning, BER sweeps, confidence bounds, calibration, reporting."""
 
 import ctypes
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,16 +185,16 @@ class TestRunBerSweep:
     def test_build_instance_replays_every_cell(self, monkeypatch):
         # The plan's seed rebuilds any cell, so a failed one needs no instance file.
         plan = plan_experiment(
-            3, 4, [6.0, 12.0], 24, seed=11, detectors=("zf",), messages_per_channel=2
+            3, 4, [6.0, 12.0], 24, seed=11, detectors=("mmse",), messages_per_channel=2
         )
         seen = []
 
-        def recording(detector, H, y, sigma_sq, c):
+        def recording(H, y, sigma_sq, es, c):
             seen.append((H, y, sigma_sq))
-            return real_detect(detector, H, y, sigma_sq, c)
+            return real_detect(H, y, sigma_sq, es, c)
 
-        real_detect = harness._detect_bits
-        monkeypatch.setattr(harness, "_detect_bits", recording)
+        real_detect = harness.mmse_detect
+        monkeypatch.setattr(harness, "mmse_detect", recording)
         run_ber_sweep(plan)
         cells = [(ch, msg, e) for ch in range(2) for msg in range(2) for e in range(2)]
         assert len(seen) == len(cells)
@@ -205,22 +207,42 @@ class TestRunBerSweep:
             assert inst.sigma_sq == sigma_sq
 
     def test_detector_failure_counts_all_bits(self, monkeypatch, caplog):
-        plan = plan_experiment(4, 4, [10.0], 448, seed=7, detectors=("zf", "mmse"))
+        plan = plan_experiment(
+            4, 4, [6.0, 10.0], 48, seed=7, detectors=("zf", "mmse"), messages_per_channel=2
+        )
+        assert plan.n_channels == 3
+        seen = []
 
-        def broken(detector, *args, **kwargs):
-            if detector == "zf":
-                raise SingularChannelError("injected failure")
-            return real_detect(detector, *args, **kwargs)
+        def broken(H, y, c):
+            seen.append(y)
+            raise SingularChannelError("injected failure")
 
-        real_detect = harness._detect_bits
-        monkeypatch.setattr(harness, "_detect_bits", broken)
-        points = run_ber_sweep(plan, threads=1)
+        monkeypatch.setattr(harness, "zf_detect", broken)
+        with caplog.at_level(logging.ERROR, logger=harness.logger.name):
+            points = run_ber_sweep(plan, threads=1)
         zf = [p for p in points if p.detector == "zf"][0]
         mmse = [p for p in points if p.detector == "mmse"][0]
         assert zf.errors == plan.total_bits and zf.ber == 1.0
         assert mmse.errors < plan.total_bits
+        # Each failure log names the indices that rebuild the failed cell.
+        logged = [
+            re.search(r"channel (\d+) message (\d+) point (\d+) \((\S+) dB\)", r.getMessage())
+            for r in caplog.records
+        ]
+        assert len(logged) == len(seen) == 3 * 2 * 2
+        cells = set()
+        for match, y in zip(logged, seen):
+            channel, message, point = (int(g) for g in match.groups()[:3])
+            cells.add((channel, message, point))
+            ebn0 = plan.ebn0_list[point]
+            assert float(match.group(4)) == ebn0
+            inst, _ = build_instance(
+                build_constellation(4), 4, ebn0, plan.seed, channel, message, point
+            )
+            assert inst.rx_vector.tobytes() == y.tobytes()
+        assert len(cells) == len(seen)
 
-    @pytest.mark.parametrize("detector, call", [("zf", "_detect_bits"), ("bpim", "solve_many")])
+    @pytest.mark.parametrize("detector, call", [("zf", "zf_detect"), ("bpim", "solve_many")])
     def test_unexpected_detector_error_propagates(self, monkeypatch, detector, call):
         plan = plan_experiment(4, 4, [10.0], 448, seed=7, detectors=(detector,))
 
@@ -275,6 +297,29 @@ class TestRunBerSweep:
         monkeypatch.setattr(harness, "_channel_errors", no_work)
         with pytest.raises(ValueError, match="threads"):
             run_ber_sweep(plan, threads=0)
+
+    @pytest.mark.parametrize("total_bits", [100, 232])
+    def test_plan_not_from_plan_experiment_rejected_before_work(self, monkeypatch, total_bits):
+        # 100 bits make no whole channel of 14 messages x 8 bits, and 232 make
+        # two with 8 bits left over; plan_experiment refuses both.
+        plan = harness.ExperimentPlan(
+            n=4,
+            order=4,
+            ebn0_list=(10.0,),
+            total_bits=total_bits,
+            seed=8,
+            detectors=("mmse",),
+            messages_per_channel=14,
+            replicas=None,
+            iterations=None,
+        )
+
+        def no_work(*args):
+            raise AssertionError("a channel ran")
+
+        monkeypatch.setattr(harness, "_channel_errors", no_work)
+        with pytest.raises(ValueError, match="total_bits"):
+            run_ber_sweep(plan)
 
 
 class TestWorkerPool:
