@@ -136,6 +136,13 @@ class BerPoint:
     iterations: int | None
 
 
+def _require_ints(**values) -> None:
+    """Counts, orders and seeds are ints, never rounded; a bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int; got {value!r}")
+
+
 def plan_experiment(
     n: int,
     order: int,
@@ -151,16 +158,16 @@ def plan_experiment(
 
     Each channel carries ``messages_per_channel`` messages of
     n * log2(order) bits, so total_bits must be a multiple of that block;
-    otherwise the error suggests the nearest valid budget. The counts and
-    the seed must be ints, never rounded. Every check of the plan happens
-    here, so an invalid plan fails before any work.
+    otherwise the error suggests the nearest valid budget. Counts, order and
+    seed must be ints, never rounded, and no list may be a string. Every
+    check of the plan happens here, so an invalid plan fails before any work.
     """
     counts = dict(n=n, total_bits=total_bits, seed=seed, messages_per_channel=messages_per_channel)
-    for name, value in {**counts, "replicas": replicas, "iterations": iterations}.items():
-        if value is None and name not in counts:
-            continue
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int; got {value!r}")
+    optional = dict(replicas=replicas, iterations=iterations)
+    _require_ints(order=order, **counts, **{k: v for k, v in optional.items() if v is not None})
+    for name, value in dict(ebn0_list=ebn0_list, detectors=detectors).items():
+        if isinstance(value, str):
+            raise ValueError(f"{name} must be a sequence, not the string {value!r}")
     if n < 1 or messages_per_channel < 1:
         raise ValueError("n and messages_per_channel must be at least 1")
     axis_level_count(order)  # validates the order
@@ -412,6 +419,9 @@ def beta_sweep(
     the minimizing peak unchanged. For the oscillator paradigm the grid is
     interpreted as peak noise levels.
     """
+    _require_ints(
+        n=n, n_instances=n_instances, n_trials=n_trials, n_iterations=n_iterations, seed=seed
+    )
     beta_grid = np.asarray(sorted(float(b) for b in beta_grid))
     if beta_grid.size == 0 or beta_grid[0] <= 0:
         raise ValueError("grid values must be positive")

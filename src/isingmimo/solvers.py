@@ -21,6 +21,11 @@ sweeps raise the inverse temperature to the schedule's peak, and the
 oscillator dynamics lower the noise level from it to zero, with constants
 from :func:`oim_params` scaled by the model size.
 
+The p-dit kernel draws a site's Re and Im axes together, each from its own
+softmax over the sqrt(M) PAM levels. This is the site's exact conditional
+because the one coupling that could join its axes, J[i, n + i] (J12's
+diagonal), is 0 by construction.
+
 The oscillator drift visits each unordered site pair once: the pairs form
 the circulant bands (i, i+d mod n), d = 1..n//2, and each pair's odd
 coupling term enters both its sites. Its kernel keeps phases sites-major,
@@ -56,8 +61,8 @@ __all__ = [
 DEFAULT_REPLICAS = 64
 DEFAULT_ITERATIONS = 100
 
-# Upper bound on pre-drawn random numbers held in memory at once; batches
-# larger than this are solved in chunks.
+# Upper bound on pre-drawn random numbers held in memory at once, one per
+# state entry per iteration; batches larger than this are solved in chunks.
 _MAX_PREDRAW = 8_000_000
 
 # Time step of the oscillator phase integration.
@@ -199,7 +204,7 @@ def _solve_many(kernel, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
     for m in models[1:]:
         if m.j_matrix is not j and not np.array_equal(m.j_matrix, j):
             raise ValueError("batched models must share one coupling matrix")
-    per_model = cfg.schedule.n_iterations * models[0].n
+    per_model = cfg.schedule.n_iterations * models[0].h_vector.size
     chunk = max(1, _MAX_PREDRAW // max(1, per_model * cfg.replicas))
     outcomes = []
     for lo in range(0, len(models), chunk):
@@ -272,49 +277,43 @@ def bpim_solve_many(
 def _dpim_sweeps(
     model: PditModel, h_rows: np.ndarray, betas: np.ndarray, rngs: list[np.random.Generator]
 ):
-    """Sequential p-dit sweeps; every site resamples among all M symbol values.
+    """Sequential p-dit sweeps; each site redraws its two axes, each from the
+    softmax of its own move costs over the PAM levels (exact as J[i, n + i] = 0).
 
     The state of a row is [Re x; Im x], the layout of ``h_rows`` and of the
-    model's ``j_matrix``, so site i has its axes at columns i and n + i.
-    Each site update computes the two-axis local field once, forms the move
-    costs toward every candidate from it, and draws the new value from the
-    softmax of those costs. The live state is yielded after every sweep.
+    model's ``j_matrix``, so site i has its axes at columns i and n + i. The
+    live state is yielded after every sweep.
     """
     n = model.n
     j = model.j_matrix
     levels = model.pam_levels
-    n_lev = levels.size
-    # Flat candidate grid, real-axis major. Per-site candidate arrays are
-    # (M, rows), so the reductions over the M candidates are whole-row vector
-    # operations; cumsum must keep adding candidates in grid order, or the
-    # draws (and the golden CSVs) change.
-    l1g = np.repeat(levels, n_lev)
-    l2g = np.tile(levels, n_lev)
     n_it = len(betas)
     rows = len(rngs)
     d = np.empty((rows, 2 * n))
-    u = np.empty((rows, n_it, n))
+    u = np.empty((rows, n_it, n, 2))
     for r, rng in enumerate(rngs):
         # Drawn per site, (n, 2): the golden CSVs pin this draw order.
-        d[r] = levels[rng.integers(0, n_lev, (n, 2))].T.ravel()
-        u[r] = rng.random((n_it, n))
-    # Per-site local-field columns: f = h_i + d @ field_cols[i] gives both axes.
+        d[r] = levels[rng.integers(0, levels.size, (n, 2))].T.ravel()
+        u[r] = rng.random((n_it, n, 2))
+    # Site i's axes are the (rows, 2) basic-index views [:, :, i]: no gather.
+    axes, h_axes = d.reshape(rows, 2, n), h_rows.reshape(rows, 2, n)
+    # Per-site local-field columns: d @ field_cols[i] gives both axes.
     field_cols = np.stack([j[:n], j[n:]], axis=-1)
+    # Per (level, row, axis): steps t = x - level, then the move costs
+    # -beta t (f - J[i, i] t / 2) turned in place into their softmax cdf.
+    t, w = np.empty((2, levels.size, rows, 2))
     for k, beta in enumerate(betas):
         for i in range(n):
-            f = d @ field_cols[i]
-            f1 = f[:, 0] + h_rows[:, i]
-            f2 = f[:, 1] + h_rows[:, n + i]
-            g = j[i, i]
-            t1 = d[:, i] - l1g[:, None]
-            t2 = d[:, n + i] - l2g[:, None]
-            w = -beta * (t1 * f1 + t2 * f2 - 0.5 * g * (t1 * t1 + t2 * t2))
+            x = axes[:, :, i]
+            f = d @ field_cols[i] + h_axes[:, :, i]
+            np.subtract(x, levels[:, None, None], out=t)
+            np.multiply(t, 0.5 * beta * j[i, i], out=w)
+            w -= beta * f
+            w *= t
             w -= w.max(axis=0)
-            p = np.exp(w)
-            cdf = np.cumsum(p, axis=0)
-            pick = (cdf < u[:, k, i] * cdf[-1]).sum(axis=0)
-            d[:, i] = l1g[pick]
-            d[:, n + i] = l2g[pick]
+            np.exp(w, out=w)
+            np.cumsum(w, axis=0, out=w)
+            x[...] = levels[(w < u[:, k, i] * w[-1]).sum(axis=0)]
         yield d
 
 

@@ -43,7 +43,7 @@ GOLDENS = {
             replicas=3,
             iterations=12,
         ),
-        "eedacbb8a9f1398a53db6672ef8c1f4c30390a1d059561204defe59feb3166f6",
+        "d03b7e3bcbfbdd392c5fee20cd9a0d401f47c825a25f40d439957e7fad15e94c",
     ),
     "qam16-n4": (
         dict(
@@ -57,7 +57,7 @@ GOLDENS = {
             replicas=3,
             iterations=12,
         ),
-        "27f03b00542ab0f288412ffb6ca37543888437bdc22dc8dec8322b8d376e222b",
+        "13c57663d433359f463f7d7aad1e670ab734ddff75a069fe7509f4020f11159f",
     ),
     # bpim above 4-QAM: two spins per axis, at weights 2 and 1.
     "qam16-n3-bpim": (
@@ -157,7 +157,7 @@ BETA_GOLDENS = {
             ebn0_list=(4.0, 12.0),
             seed=21,
         ),
-        "d4a990fc931782f3c371a41867df94681b251a78d2ce43dd44137a7baccfa221",
+        "40d9ac42365d6f66f5939ce0bb1e5156debf6149d322fbdd7bf18572d02f79dc",
     ),
     "bpim-qam4-n4": (
         dict(

@@ -97,12 +97,20 @@ class TestPlanExperiment:
             dict(messages_per_channel=14.0),
             dict(replicas=2.5),
             dict(iterations=True),
+            # A numpy int would plan and run, then fail to reach the manifest.
+            dict(order=np.int64(4)),
+            # A string is not split into characters.
+            dict(ebn0_list="10"),
+            dict(detectors="mmse"),
         ],
     )
     def test_invalid_plan_fails_at_planning(self, change):
         kwargs = dict(n=4, order=4, ebn0_list=[10.0], total_bits=448, seed=1, detectors=("bpim",))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             plan_experiment(**{**kwargs, **change})
+        ((name, value),) = change.items()
+        if isinstance(value, str):
+            assert name in str(info.value)
 
 
 class TestConfidenceBounds:
@@ -374,6 +382,18 @@ class TestBetaSweep:
                 beta_sweep(4, 4, "bpim", [0.1], n_trials=0)
             with pytest.raises(ValueError, match="iteration"):
                 beta_sweep(4, 4, "bpim", [0.1], n_iterations=0)
+            # Counts and the seed are ints, never rounded.
+            for name, value in [
+                ("n", 4.0),
+                ("n_instances", 1.5),
+                ("n_trials", 10.0),
+                ("n_iterations", 20.0),
+                ("seed", 1.5),
+                ("seed", True),
+            ]:
+                kwargs = {**dict(n=4, order=4, paradigm="bpim", beta_grid=[0.1]), name: value}
+                with pytest.raises(ValueError, match=f"{name} must be an int"):
+                    beta_sweep(**kwargs)
         res = beta_sweep(
             2, 4, "dpim", [0.05, 0.5], n_instances=2, n_trials=10, n_iterations=20, seed=1
         )

@@ -191,12 +191,13 @@ class TestPditKernel:
         sigma = np.sqrt(0.25 * 0.75 / symbols.size)
         assert np.abs(counts - 0.25).max() < 4 * sigma
 
-    def test_single_site_conditional_exact(self):
-        # One p-dit: the chain must sample the exact Boltzmann distribution.
-        rng = np.random.default_rng(4)
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    def test_single_site_conditional_exact(self, order):
+        # One p-dit: the chain must sample the exact Boltzmann distribution
+        # over all M symbols, which the per-axis draws factorize.
         H = np.array([[0.7 - 0.2j]])
         y = np.array([1.1 + 0.4j])
-        model = build_pdit_model(realify(H, y, 16))
+        model = build_pdit_model(realify(H, y, order))
         beta = 0.3
         levels = model.pam_levels
         cand = np.array([(a, b) for a in levels for b in levels])
@@ -244,6 +245,38 @@ class TestPditKernel:
             hits += bool(np.array_equal(symbols, oracle.symbols))
         assert hits >= 95
 
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_greedy_trajectory_matches_joint_grid(self, order, n):
+        # At beta = 1e6 every draw is the argmax of the site's conditional,
+        # so the per-axis kernel and the joint-grid reference must take the
+        # same states after every sweep, whatever their uniforms.
+        c = build_constellation(order)
+        inst, _ = build_instance(c, n, 10.0, 60 + n)
+        model = build_pdit_model(realify(inst.channel, inst.rx_vector, order))
+        h_rows = np.repeat(model.h_vector[None], 6, axis=0)
+        betas = np.full(5, 1e6)
+        per_axis = _dpim_sweeps(model, h_rows, betas, _spawn_rngs(9, 6))
+        joint = joint_grid_sweeps(model, h_rows, betas, _spawn_rngs(9, 6))
+        for d, expected in itertools.zip_longest(per_axis, joint):
+            np.testing.assert_array_equal(d, expected)
+
+    def test_predraw_bound_counts_state_entries(self, monkeypatch):
+        # A p-dit row pre-draws 2N uniforms per sweep, two per symbol: the
+        # chunks must keep that, not N per sweep, under the bound.
+        model = build_pdit_model(realify(np.eye(3, dtype=complex), np.ones(3) + 1j, 4))
+        cfg = SolverConfig(2, AnnealSchedule(0.5, 5))
+        predrawn = []
+
+        def spy(model, h_rows, betas, rngs):
+            predrawn.append(len(rngs) * len(betas) * h_rows.shape[1])
+            return _dpim_sweeps(model, h_rows, betas, rngs)
+
+        monkeypatch.setattr(solvers, "_dpim_sweeps", spy)
+        monkeypatch.setattr(solvers, "_MAX_PREDRAW", 2 * 5 * 6)
+        dpim_solve_many([model] * 3, cfg, [0, 1, 2])
+        assert predrawn and max(predrawn) <= solvers._MAX_PREDRAW
+
     def test_energy_bookkeeping(self):
         c = build_constellation(16)
         inst, _ = build_instance(c, 6, 10.0, 77)
@@ -254,6 +287,39 @@ class TestPditKernel:
         )
         assert out.best_energy <= out.final_energies.min() + 1e-12
         assert out.final_energies.shape == (64,)
+
+
+def joint_grid_sweeps(model, h_rows, betas, rngs):
+    """p-dit sweeps that draw each site among all M symbols at once, from
+    one softmax over the flat sqrt(M) x sqrt(M) candidate grid: the
+    reference the per-axis kernel must reproduce."""
+    n = model.n
+    j = model.j_matrix
+    levels = model.pam_levels
+    n_lev = levels.size
+    l1g = np.repeat(levels, n_lev)
+    l2g = np.tile(levels, n_lev)
+    d = np.empty((len(rngs), 2 * n))
+    u = np.empty((len(rngs), len(betas), n))
+    for r, rng in enumerate(rngs):
+        d[r] = levels[rng.integers(0, n_lev, (n, 2))].T.ravel()
+        u[r] = rng.random((len(betas), n))
+    field_cols = np.stack([j[:n], j[n:]], axis=-1)
+    for k, beta in enumerate(betas):
+        for i in range(n):
+            f = d @ field_cols[i]
+            f1 = f[:, 0] + h_rows[:, i]
+            f2 = f[:, 1] + h_rows[:, n + i]
+            g = j[i, i]
+            t1 = d[:, i] - l1g[:, None]
+            t2 = d[:, n + i] - l2g[:, None]
+            w = -beta * (t1 * f1 + t2 * f2 - 0.5 * g * (t1 * t1 + t2 * t2))
+            w -= w.max(axis=0)
+            cdf = np.cumsum(np.exp(w), axis=0)
+            pick = (cdf < u[:, k, i] * cdf[-1]).sum(axis=0)
+            d[:, i] = l1g[pick]
+            d[:, n + i] = l2g[pick]
+        yield d
 
 
 class TestOscillatorKernel:
