@@ -143,6 +143,19 @@ def _require_ints(**values) -> None:
             raise ValueError(f"{name} must be an int; got {value!r}")
 
 
+def _ebn0_points(ebn0_list) -> tuple:
+    """The Eb/N0 points of a plan or an instance pool as floats: a sequence,
+    not a string, with at least one value, none NaN or -inf."""
+    if isinstance(ebn0_list, str):
+        raise ValueError(f"ebn0_list must be a sequence, not the string {ebn0_list!r}")
+    points = tuple(float(v) for v in ebn0_list)
+    if not points:
+        raise ValueError("need at least one Eb/N0 point")
+    if any(math.isnan(v) or v == -math.inf for v in points):
+        raise ValueError(f"Eb/N0 values must be real or +inf; got {points}")
+    return points
+
+
 def plan_experiment(
     n: int,
     order: int,
@@ -165,16 +178,16 @@ def plan_experiment(
     counts = dict(n=n, total_bits=total_bits, seed=seed, messages_per_channel=messages_per_channel)
     optional = dict(replicas=replicas, iterations=iterations)
     _require_ints(order=order, **counts, **{k: v for k, v in optional.items() if v is not None})
-    for name, value in dict(ebn0_list=ebn0_list, detectors=detectors).items():
-        if isinstance(value, str):
-            raise ValueError(f"{name} must be a sequence, not the string {value!r}")
+    ebn0_points = _ebn0_points(ebn0_list)
+    if isinstance(detectors, str):
+        raise ValueError(f"detectors must be a sequence, not the string {detectors!r}")
     if n < 1 or messages_per_channel < 1:
         raise ValueError("n and messages_per_channel must be at least 1")
     axis_level_count(order)  # validates the order
     plan = ExperimentPlan(
         n=n,
         order=order,
-        ebn0_list=tuple(float(v) for v in ebn0_list),
+        ebn0_list=ebn0_points,
         total_bits=total_bits,
         seed=seed,
         detectors=tuple(detectors),
@@ -193,10 +206,6 @@ def plan_experiment(
     for det in plan.detectors:
         if det not in KNOWN_DETECTORS:
             raise ValueError(f"unknown detector {det!r}; known: {KNOWN_DETECTORS}")
-    if not plan.ebn0_list:
-        raise ValueError("need at least one Eb/N0 point")
-    if any(math.isnan(v) or v == -math.inf for v in plan.ebn0_list):
-        raise ValueError(f"Eb/N0 values must be real or +inf; got {plan.ebn0_list}")
     if "ml" in plan.detectors and float(order) ** n > ML_SEARCH_BUDGET:
         raise ValueError(
             f"exact-ml detector refused: {order}**{n} exceeds the search budget"
@@ -417,7 +426,8 @@ def beta_sweep(
     averages their final energies. Energies are normalized per instance by
     the mean |energy| of 1000 uniformly random configurations, which leaves
     the minimizing peak unchanged. For the oscillator paradigm the grid is
-    interpreted as peak noise levels.
+    interpreted as peak noise levels. Every argument is checked, the Eb/N0
+    list as a plan's is, before any instance is built.
     """
     _require_ints(
         n=n, n_instances=n_instances, n_trials=n_trials, n_iterations=n_iterations, seed=seed
@@ -427,6 +437,7 @@ def beta_sweep(
         raise ValueError("grid values must be positive")
     if n_instances < 1 or len(ebn0_list) == 0:
         raise ValueError("the instance pool needs n_instances >= 1 and at least one Eb/N0 value")
+    ebn0_list = _ebn0_points(ebn0_list)
     base_cfg = default_parameters(paradigm, n, order)  # rejects unknown paradigms
     # Every peak's config is built before the pool, so that invalid trial or
     # iteration counts fail before any instance is generated.
@@ -497,10 +508,12 @@ def fit_scaling_law(points) -> ScalingFit:
     """Least-squares power law through (n, order, beta_opt) triples.
 
     BPSK points (order 2) are fitted as c * n**p; QAM points as
-    c * (n * sqrt(order))**p. Mixing families or giving fewer than three
-    points is rejected.
+    c * (n * sqrt(order))**p. Sizes and orders must be ints, never rounded.
+    Mixing families or giving fewer than three points is rejected.
     """
-    points = [(int(n), int(order), float(b)) for n, order, b in points]
+    points = [(n, order, float(b)) for n, order, b in points]
+    for n, order, _ in points:
+        _require_ints(n=n, order=order)
     if len(points) < 3:
         raise ValueError("need at least three points to fit a scaling law")
     orders = {order for _, order, _ in points}

@@ -21,6 +21,14 @@ sweeps raise the inverse temperature to the schedule's peak, and the
 oscillator dynamics lower the noise level from it to zero, with constants
 from :func:`oim_params` scaled by the model size.
 
+All three kernels keep their live state sites-major, (sites, rows), and
+yield it as a C-contiguous (rows, sites) array. A site step then reads and
+writes contiguous per-site rows: the p-bit and p-dit kernels take a site's
+local field as one product of the contiguous row J[i] (J is symmetric) with
+the state, and read the site's bias and uniforms as contiguous rows. Each
+row's random stream is still drawn as in a row-major layout, so the layout
+changes no draw.
+
 The p-dit kernel draws a site's Re and Im axes together, each from its own
 softmax over the sqrt(M) PAM levels. This is the site's exact conditional
 because the one coupling that could join its axes, J[i, n + i] (J12's
@@ -28,10 +36,9 @@ diagonal), is 0 by construction.
 
 The oscillator drift visits each unordered site pair once: the pairs form
 the circulant bands (i, i+d mod n), d = 1..n//2, and each pair's odd
-coupling term enters both its sites. Its kernel keeps phases sites-major,
-(n, rows), so that each band is one contiguous block of a doubled
-[x; x] buffer, and runs over row chunks whose buffers fit a fixed byte
-budget.
+coupling term enters both its sites. In the sites-major layout each band is
+one contiguous block of a doubled [x; x] buffer, and the drift runs over row
+chunks whose buffers fit a fixed byte budget.
 """
 
 from __future__ import annotations
@@ -242,20 +249,42 @@ def _solve_many(kernel, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
 def _bpim_sweeps(
     j: np.ndarray, h_rows: np.ndarray, betas: np.ndarray, rngs: list[np.random.Generator]
 ):
-    """Sequential p-bit sweeps over a stack of rows; yields the live spins after each."""
+    """Sequential p-bit sweeps over a stack of rows; yields the spins after each.
+
+    Spins, bias and each sweep's uniforms live sites-major, (n, rows), so a
+    site step is one product of the contiguous row J[i] (J is symmetric) with
+    the spins, and writes one contiguous row. Each row's uniforms u are drawn
+    as (n_it, n), as in the row-major layout, and each sweep's slice is
+    turned sites-major into U = 2u - 1 once. A site takes +1 where
+    U + tanh(beta * field) >= 0 and -1 elsewhere: U is never -0.0, so
+    neither is that sum, and ``copysign`` gives exactly this sign. The
+    yielded (rows, n) array is C-contiguous and rewritten after every sweep.
+    """
     n = j.shape[0]
     n_it = len(betas)
     rows = len(rngs)
-    s = np.empty((rows, n))
+    s = np.empty((n, rows))
     u = np.empty((rows, n_it, n))
     for r, rng in enumerate(rngs):
-        s[r] = rng.integers(0, 2, n) * 2 - 1
-        u[r] = rng.uniform(-1.0, 1.0, (n_it, n))
+        s[:, r] = rng.integers(0, 2, n) * 2 - 1
+        rng.random(out=u[r])
+    h = np.ascontiguousarray(h_rows.T)
+    u_k = np.empty((n, rows))
+    field = np.empty(rows)
+    out = np.empty((rows, n))
     for k, beta in enumerate(betas):
+        # rng.uniform(-1, 1) is -1 + 2u, bit for bit.
+        np.multiply(u[:, k].T, 2.0, out=u_k)
+        u_k -= 1.0
         for i in range(n):
-            local = s @ j[:, i] + h_rows[:, i]
-            s[:, i] = np.where(u[:, k, i] + np.tanh(beta * local) >= 0, 1.0, -1.0)
-        yield s
+            np.matmul(j[i], s, out=field)
+            field += h[i]
+            field *= beta
+            np.tanh(field, out=field)
+            field += u_k[i]
+            np.copysign(1.0, field, out=s[i])
+        np.copyto(out, s.T)
+        yield out
 
 
 def bpim_solve_many(
@@ -280,41 +309,72 @@ def _dpim_sweeps(
     """Sequential p-dit sweeps; each site redraws its two axes, each from the
     softmax of its own move costs over the PAM levels (exact as J[i, n + i] = 0).
 
-    The state of a row is [Re x; Im x], the layout of ``h_rows`` and of the
-    model's ``j_matrix``, so site i has its axes at columns i and n + i. The
-    live state is yielded after every sweep.
+    A row's state is [Re x; Im x], the layout of ``h_rows`` and of the
+    model's ``j_matrix``. State, bias and each sweep's uniforms live
+    sites-major, (2n, rows), so site i's axes are the contiguous rows i and
+    n + i, and both their fields are one product of the rows J[i] and
+    J[n + i] (J is symmetric) with the state. Each row's uniforms are drawn as
+    (n_it, n, 2), as in the row-major layout, and each sweep's slice is copied
+    sites-major once. The yielded (rows, 2n) array is C-contiguous and
+    rewritten after every sweep.
+
+    The softmax CDF is built by L - 1 in-place adds over the level planes:
+    the same sequential sums as ``np.cumsum`` along the levels, which numpy
+    runs as a scalar loop. A draw picks the number of CDF values below
+    u * c, with c the total, the last plane; u < 1 gives u * c <= c even
+    after rounding, so the last plane never counts and is not compared.
     """
     n = model.n
     j = model.j_matrix
     levels = model.pam_levels
+    n_lev = levels.size
     n_it = len(betas)
     rows = len(rngs)
-    d = np.empty((rows, 2 * n))
+    d = np.empty((2 * n, rows))
     u = np.empty((rows, n_it, n, 2))
     for r, rng in enumerate(rngs):
         # Drawn per site, (n, 2): the golden CSVs pin this draw order.
-        d[r] = levels[rng.integers(0, levels.size, (n, 2))].T.ravel()
-        u[r] = rng.random((n_it, n, 2))
-    # Site i's axes are the (rows, 2) basic-index views [:, :, i]: no gather.
-    axes, h_axes = d.reshape(rows, 2, n), h_rows.reshape(rows, 2, n)
-    # Per-site local-field columns: d @ field_cols[i] gives both axes.
-    field_cols = np.stack([j[:n], j[n:]], axis=-1)
-    # Per (level, row, axis): steps t = x - level, then the move costs
-    # -beta t (f - J[i, i] t / 2) turned in place into their softmax cdf.
-    t, w = np.empty((2, levels.size, rows, 2))
+        d[:, r] = levels[rng.integers(0, n_lev, (n, 2))].T.ravel()
+        rng.random(out=u[r])
+    # Site i's axes are the (2, rows) basic-index views [:, i]: no gather.
+    axes = d.reshape(2, n, rows)
+    h_axes = np.ascontiguousarray(h_rows.T).reshape(2, n, rows)
+    # field_rows[i] @ d gives both axes' local fields.
+    field_rows = np.stack([j[:n], j[n:]], axis=1)
+    u_axes = np.empty((2, n, rows))
+    field, threshold = np.empty((2, 2, rows))
+    peak = np.empty((2, rows))
+    below = np.empty((n_lev - 1, 2, rows), dtype=bool)
+    pick = np.empty((2, rows), dtype=np.intp)
+    out = np.empty((rows, 2 * n))
+    # Per (level, axis, row): steps t = x - level, then the move costs
+    # -beta t (f - J[i, i] t / 2) turned in place into their softmax CDF.
+    t, w = np.empty((2, n_lev, 2, rows))
+    planes = list(w)
+    level_col = levels[:, None, None]
     for k, beta in enumerate(betas):
+        np.copyto(u_axes, u[:, k].T)
         for i in range(n):
-            x = axes[:, :, i]
-            f = d @ field_cols[i] + h_axes[:, :, i]
-            np.subtract(x, levels[:, None, None], out=t)
+            x = axes[:, i]
+            np.matmul(field_rows[i], d, out=field)
+            field += h_axes[:, i]
+            field *= beta
+            np.subtract(x, level_col, out=t)
             np.multiply(t, 0.5 * beta * j[i, i], out=w)
-            w -= beta * f
+            w -= field
             w *= t
-            w -= w.max(axis=0)
+            np.maximum.reduce(w, axis=0, out=peak)
+            w -= peak
             np.exp(w, out=w)
-            np.cumsum(w, axis=0, out=w)
-            x[...] = levels[(w < u[:, k, i] * w[-1]).sum(axis=0)]
-        yield d
+            for lower, plane in zip(planes, planes[1:]):
+                plane += lower
+            np.multiply(u_axes[:, i], planes[-1], out=threshold)
+            np.less(w[:-1], threshold, out=below)
+            np.add.reduce(below, axis=0, out=pick)
+            # The indices are in range; "clip" lets take write straight into x.
+            np.take(levels, pick, out=x, mode="clip")
+        np.copyto(out, d.T)
+        yield out
 
 
 def dpim_solve_many(models: list[PditModel], cfg: SolverConfig, seeds) -> list[SolveOutcome]:

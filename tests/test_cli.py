@@ -327,6 +327,18 @@ class TestFitBetaCommand:
             assert len(fields) == 5
         assert "optimal peak" in capsys.readouterr().out
 
+    def test_three_sizes_are_fitted(self, tmp_path, capsys, caplog):
+        # The sizes and orders the command passes to the fit are plain ints.
+        code = run_cli(
+            "fit-beta",
+            "--n", "2,3,4", "--mod", "4", "--paradigm", "dpim", "--beta-grid", "0.5,2",
+            "--instances", "1", "--trials", "2", "--iters", "2",
+            "--out", str(tmp_path / "beta"),
+        )
+        assert code == 0
+        assert "scaling fit (qam)" in capsys.readouterr().out
+        assert "scaling fit skipped" not in caplog.text
+
     @pytest.mark.parametrize("key", ["beta_grid", "beta-grid"])
     def test_config_key_takes_underscore_or_dash(self, key, tmp_path):
         cfg = tmp_path / "c.json"

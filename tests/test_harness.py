@@ -401,6 +401,21 @@ class TestBetaSweep:
         assert res.beta_opt in res.beta_grid
 
 
+    @pytest.mark.parametrize(
+        "ebn0_list, message",
+        [("10", "ebn0_list"), ([10.0, float("nan")], "Eb/N0"), ([-math.inf], "Eb/N0")],
+    )
+    def test_invalid_ebn0_fails_before_any_instance(self, ebn0_list, message, monkeypatch):
+        def no_instances(*args, **kwargs):
+            raise AssertionError("an instance was built before validation")
+
+        monkeypatch.setattr(harness, "build_instance", no_instances)
+        with pytest.raises(ValueError, match=message):
+            beta_sweep(
+                2, 4, "dpim", [0.5], ebn0_list=ebn0_list, n_instances=1, n_trials=2, n_iterations=2
+            )
+
+
 class TestFitScalingLaw:
     def test_recovers_qam_law_exactly(self):
         points = [(n, m, 13.0 / (n * math.sqrt(m))) for n in (8, 16, 32) for m in (4, 16, 64)]
@@ -426,6 +441,20 @@ class TestFitScalingLaw:
             fit_scaling_law([(8, 2, 0.1), (8, 2, 0.11), (8, 2, 0.12)])
         with pytest.raises(ValueError, match="positive"):
             fit_scaling_law([(8, 2, 0.1), (16, 2, -0.05), (32, 2, 0.02)])
+
+    @pytest.mark.parametrize(
+        "points, name",
+        [
+            ([(4.7, 2, 0.5), (8.2, 2, 0.3), (16.9, 2, 0.2)], "n"),
+            ([(4, 2, 0.5), (8, 2.0, 0.3), (16, 2, 0.2)], "order"),
+            ([(4, 4, 0.5), (np.int64(8), 4, 0.3), (16, 4, 0.2)], "n"),
+            ([(4, 4, 0.5), (8, 4, 0.3), (16, True, 0.2)], "order"),
+        ],
+    )
+    def test_sizes_and_orders_are_ints(self, points, name):
+        # (4.7, 8.2, 16.9) would otherwise fit exactly as (4, 8, 16) do.
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            fit_scaling_law(points)
 
 
 class TestReport:

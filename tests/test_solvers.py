@@ -322,6 +322,134 @@ def joint_grid_sweeps(model, h_rows, betas, rngs):
         yield d
 
 
+def rowmajor_bpim_sweeps(j, h_rows, betas, rngs):
+    """p-bit sweeps on a (rows, n) state that read J's column per site: the
+    reference the sites-major kernel must reproduce."""
+    n = j.shape[0]
+    n_it = len(betas)
+    rows = len(rngs)
+    s = np.empty((rows, n))
+    u = np.empty((rows, n_it, n))
+    for r, rng in enumerate(rngs):
+        s[r] = rng.integers(0, 2, n) * 2 - 1
+        u[r] = rng.uniform(-1.0, 1.0, (n_it, n))
+    for k, beta in enumerate(betas):
+        for i in range(n):
+            local = s @ j[:, i] + h_rows[:, i]
+            s[:, i] = np.where(u[:, k, i] + np.tanh(beta * local) >= 0, 1.0, -1.0)
+        yield s
+
+
+def rowmajor_dpim_sweeps(model, h_rows, betas, rngs):
+    """Per-axis p-dit sweeps on a (rows, 2N) state with ``np.cumsum`` CDFs:
+    the reference the sites-major kernel must reproduce."""
+    n = model.n
+    j = model.j_matrix
+    levels = model.pam_levels
+    n_it = len(betas)
+    rows = len(rngs)
+    d = np.empty((rows, 2 * n))
+    u = np.empty((rows, n_it, n, 2))
+    for r, rng in enumerate(rngs):
+        d[r] = levels[rng.integers(0, levels.size, (n, 2))].T.ravel()
+        u[r] = rng.random((n_it, n, 2))
+    axes, h_axes = d.reshape(rows, 2, n), h_rows.reshape(rows, 2, n)
+    field_cols = np.stack([j[:n], j[n:]], axis=-1)
+    t, w = np.empty((2, levels.size, rows, 2))
+    for k, beta in enumerate(betas):
+        for i in range(n):
+            x = axes[:, :, i]
+            f = d @ field_cols[i] + h_axes[:, :, i]
+            np.subtract(x, levels[:, None, None], out=t)
+            np.multiply(t, 0.5 * beta * j[i, i], out=w)
+            w -= beta * f
+            w *= t
+            w -= w.max(axis=0)
+            np.exp(w, out=w)
+            np.cumsum(w, axis=0, out=w)
+            x[...] = levels[(w < u[:, k, i] * w[-1]).sum(axis=0)]
+        yield d
+
+
+def channel_models(model_kind, order, n, count, seed):
+    """``count`` models of one channel, one per message; they share equal couplings."""
+    from isingmimo import build_binary_model
+
+    build = build_pdit_model if model_kind == "pdit" else build_binary_model
+    c = build_constellation(order)
+    models = []
+    for msg in range(count):
+        inst, _ = build_instance(c, n, 8.0, seed, message_index=msg)
+        models.append(build(realify(inst.channel, inst.rx_vector, order)))
+    return models
+
+
+def kernel_rows(models, layout, replicas=4):
+    """The bias rows and row count of one kernel call in a given row layout:
+    one row, one model broadcast to several rows (as the chain samplers pass
+    it), or a batch of models with their replicas."""
+    h = models[0].h_vector
+    if layout == "one":
+        return h[None], 1
+    if layout == "broadcast":
+        return np.broadcast_to(h, (replicas, h.size)), replicas
+    return np.repeat(np.stack([m.h_vector for m in models]), replicas, axis=0), len(models) * replicas
+
+
+class TestSitesMajorKernels:
+    """The sites-major kernels against their row-major references: the same
+    states after every sweep, at the default ramp and at a hot one."""
+
+    @pytest.mark.parametrize("layout", ["one", "broadcast", "batch"])
+    @pytest.mark.parametrize("hot", [False, True])
+    @pytest.mark.parametrize("order", [2, 4, 16, 256])
+    def test_bpim_states_match_rowmajor(self, order, hot, layout):
+        n = 6
+        models = channel_models("binary", order, n, 3, 80 + order)
+        h_rows, rows = kernel_rows(models, layout)
+        sched = default_parameters("bpim", n, order).schedule
+        betas = (0.05 if hot else 1.0) * sched.peak * sched.ramp()[:30]
+        j = models[0].j_matrix
+        sites = _bpim_sweeps(j, h_rows, betas, _spawn_rngs(5, rows))
+        reference = rowmajor_bpim_sweeps(j, h_rows, betas, _spawn_rngs(5, rows))
+        for s, expected in itertools.zip_longest(sites, reference):
+            assert s.shape == expected.shape and s.flags.c_contiguous
+            np.testing.assert_array_equal(s, expected)
+
+    @pytest.mark.parametrize("layout", ["one", "broadcast", "batch"])
+    @pytest.mark.parametrize("hot", [False, True])
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_dpim_states_match_rowmajor(self, order, hot, layout):
+        n = 6
+        models = channel_models("pdit", order, n, 3, 90 + order)
+        h_rows, rows = kernel_rows(models, layout)
+        sched = default_parameters("dpim", n, order).schedule
+        betas = (0.05 if hot else 1.0) * sched.peak * sched.ramp()[:30]
+        sites = _dpim_sweeps(models[0], h_rows, betas, _spawn_rngs(6, rows))
+        reference = rowmajor_dpim_sweeps(models[0], h_rows, betas, _spawn_rngs(6, rows))
+        for d, expected in itertools.zip_longest(sites, reference):
+            assert d.shape == expected.shape and d.flags.c_contiguous
+            np.testing.assert_array_equal(d, expected)
+
+    @pytest.mark.parametrize(
+        "paradigm, kind, order",
+        [("bpim", "binary", 2), ("bpim", "binary", 16), ("dpim", "pdit", 16), ("dpim", "pdit", 256)],
+    )
+    def test_outcomes_match_rowmajor(self, paradigm, kind, order, monkeypatch):
+        n = 8
+        models = channel_models(kind, order, n, 3, 70 + order)
+        cfg = replace(default_parameters(paradigm, n, order), replicas=16)
+        sites = solvers.solve_many(paradigm, models, cfg, [11, 12, 13])
+        reference = {"bpim": rowmajor_bpim_sweeps, "dpim": rowmajor_dpim_sweeps}[paradigm]
+        monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", reference)
+        rowmajor = solvers.solve_many(paradigm, models, cfg, [11, 12, 13])
+        for a, b in zip(sites, rowmajor, strict=True):
+            np.testing.assert_array_equal(a.best_state, b.best_state)
+            assert a.best_energy == b.best_energy
+            np.testing.assert_array_equal(a.final_energies, b.final_energies)
+            assert (a.best_iteration, a.n_iterations) == (b.best_iteration, b.n_iterations)
+
+
 class TestOscillatorKernel:
     def test_coupling_vanishes_at_equal_phases(self):
         model = ferromagnet()
