@@ -47,6 +47,7 @@ from .ising_map import (
     build_pdit_model,
     pdit_couplings,
     random_state_energies,
+    require_ints,
     spins_to_symbols,
 )
 from .solvers import PARADIGMS, SolverConfig, default_parameters, solve_many
@@ -136,13 +137,6 @@ class BerPoint:
     iterations: int | None
 
 
-def _require_ints(**values) -> None:
-    """Counts, orders and seeds are ints, never rounded; a bool is not one."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int; got {value!r}")
-
-
 def _ebn0_points(ebn0_list) -> tuple:
     """The Eb/N0 points of a plan or an instance pool as floats: a sequence,
     not a string, with at least one value, none NaN or -inf."""
@@ -177,7 +171,7 @@ def plan_experiment(
     """
     counts = dict(n=n, total_bits=total_bits, seed=seed, messages_per_channel=messages_per_channel)
     optional = dict(replicas=replicas, iterations=iterations)
-    _require_ints(order=order, **counts, **{k: v for k, v in optional.items() if v is not None})
+    require_ints(order=order, **counts, **{k: v for k, v in optional.items() if v is not None})
     ebn0_points = _ebn0_points(ebn0_list)
     if isinstance(detectors, str):
         raise ValueError(f"detectors must be a sequence, not the string {detectors!r}")
@@ -429,7 +423,7 @@ def beta_sweep(
     interpreted as peak noise levels. Every argument is checked, the Eb/N0
     list as a plan's is, before any instance is built.
     """
-    _require_ints(
+    require_ints(
         n=n, n_instances=n_instances, n_trials=n_trials, n_iterations=n_iterations, seed=seed
     )
     beta_grid = np.asarray(sorted(float(b) for b in beta_grid))
@@ -513,7 +507,7 @@ def fit_scaling_law(points) -> ScalingFit:
     """
     points = [(n, order, float(b)) for n, order, b in points]
     for n, order, _ in points:
-        _require_ints(n=n, order=order)
+        require_ints(n=n, order=order)
     if len(points) < 3:
         raise ValueError("need at least three points to fit a scaling law")
     orders = {order for _, order, _ in points}

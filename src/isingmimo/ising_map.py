@@ -37,6 +37,13 @@ __all__ = [
 ]
 
 
+def require_ints(**values) -> None:
+    """Counts, orders and seeds are ints, never rounded; a bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int; got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class BinaryIsingModel:
     """Spin Hamiltonian -1/2 s'Js - h's whose value + offset is the residual norm."""

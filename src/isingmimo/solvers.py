@@ -7,7 +7,10 @@ numbers whatever batch, chunk or position its model is solved in; results
 depend only on seeds, never on execution order.
 
 The kernels operate on a stack of rows, one row per (model, replica), and
-yield the rows' state after every iteration. One loop, ``_solve_many``,
+yield the rows' state after every iteration. They draw nothing: each
+solver's ``_*_draws`` hands its initial-state rule and noise fill to
+``_predraw``, the one loop that draws from the rows' own generators. One
+loop, ``_solve_many``, draws each chunk of rows, sweeps it with the kernel,
 scores each state and keeps every row's best state, energy and iteration
 and its final energy. Because the coupling matrix of a MIMO instance
 depends only on the channel, the models of one channel are solved in one
@@ -25,9 +28,9 @@ All three kernels keep their live state sites-major, (sites, rows), and
 yield it as a C-contiguous (rows, sites) array. A site step then reads and
 writes contiguous per-site rows: the p-bit and p-dit kernels take a site's
 local field as one product of the contiguous row J[i] (J is symmetric) with
-the state, and read the site's bias and uniforms as contiguous rows. Each
-row's random stream is still drawn as in a row-major layout, so the layout
-changes no draw.
+the state, and read the site's bias and uniforms as contiguous rows. The
+draws are row-major, so the layout changes no draw: each kernel copies its
+initial state and each iteration's noise sites-major, and writes no input.
 
 The p-dit kernel draws a site's Re and Im axes together, each from its own
 softmax over the sqrt(M) PAM levels. This is the site's exact conditional
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising_map import BinaryIsingModel, PditModel, ising_energies
+from .ising_map import BinaryIsingModel, PditModel, ising_energies, require_ints
 
 __all__ = [
     "AnnealSchedule",
@@ -96,6 +99,7 @@ class AnnealSchedule:
     def __post_init__(self):
         if not 0 < self.peak < np.inf:
             raise ValueError(f"schedules need a positive, finite peak; got {self.peak!r}")
+        require_ints(n_iterations=self.n_iterations)
         if self.n_iterations < 1:
             raise ValueError("schedule needs at least one iteration")
 
@@ -123,6 +127,7 @@ class SolverConfig:
     schedule: AnnealSchedule
 
     def __post_init__(self):
+        require_ints(replicas=self.replicas)
         if self.replicas < 1:
             raise ValueError("need at least one replica")
 
@@ -197,14 +202,34 @@ def _spawn_rngs(seed, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in ss.spawn(n)]
 
 
-def _solve_many(kernel, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
+def _predraw(seeds, cfg: SolverConfig, initial, fill: str):
+    """Each row's initial state, ``initial(rng)``, then its noise from the
+    generator method named ``fill``, with ``out=`` its (n_iterations, *state
+    shape) slot, both from the row's own generator: the only loop over
+    per-row generators. Rows are seed-major, ``cfg.replicas`` per seed."""
+    rows = len(seeds) * cfg.replicas
+    for r, rng in enumerate(rng for seed in seeds for rng in _spawn_rngs(seed, cfg.replicas)):
+        x = initial(rng)
+        if r == 0:
+            x0 = np.empty((rows, *x.shape))
+            noise = np.empty((rows, cfg.schedule.n_iterations, *x.shape))
+        x0[r] = x
+        getattr(rng, fill)(out=noise[r])
+    return x0, noise
+
+
+def _solve_many(kernel, draw, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
     """The annealing loop of every batched solver.
 
-    ``kernel(model, h_rows, rngs)`` yields the rows' state after every
-    iteration, in the layout of ``h_rows``, on the couplings of ``model``,
-    which every model of the chunk shares. Each row keeps its first state of
-    lowest energy, and the energy of its last state is its final energy.
+    ``kernel(model, h_rows, x0, noise)`` sweeps the draws of a chunk's
+    seeds, ``draw(model, seeds, cfg)``, and yields the rows' state after
+    every iteration, in the layout of ``h_rows``, on the couplings of
+    ``model``, which every model of the chunk shares. Each row keeps its
+    first state of lowest energy, and the energy of its last state is its
+    final energy.
     """
+    if not models:
+        raise ValueError("need at least one model")
     if len(seeds) != len(models):
         raise ValueError("need one seed per model")
     j = models[0].j_matrix
@@ -216,12 +241,13 @@ def _solve_many(kernel, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
     outcomes = []
     for lo in range(0, len(models), chunk):
         hi = min(lo + chunk, len(models))
-        rngs = [rng for seed in seeds[lo:hi] for rng in _spawn_rngs(seed, cfg.replicas)]
         h_rows = np.repeat(np.stack([m.h_vector for m in models[lo:hi]]), cfg.replicas, axis=0)
         best_s = np.empty(h_rows.shape)
         best_e = np.full(len(h_rows), np.inf)
         best_it = np.zeros(len(h_rows), dtype=int)
-        for it, s in enumerate(kernel(models[lo], h_rows, rngs), 1):
+        # Only the kernel holds the draws, so they are freed when it ends.
+        sweeps = kernel(models[lo], h_rows, *draw(models[lo], seeds[lo:hi], cfg))
+        for it, s in enumerate(sweeps, 1):
             e = ising_energies(s, j, h_rows)
             improved = e < best_e
             best_e[improved] = e[improved]
@@ -246,28 +272,24 @@ def _solve_many(kernel, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
 # binary-spin probabilistic sweeps
 
 
-def _bpim_sweeps(
-    j: np.ndarray, h_rows: np.ndarray, betas: np.ndarray, rngs: list[np.random.Generator]
-):
-    """Sequential p-bit sweeps over a stack of rows; yields the spins after each.
+def _bpim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
+    return _predraw(seeds, cfg, lambda rng: rng.integers(0, 2, model.n) * 2 - 1, "random")
+
+
+def _bpim_sweeps(j: np.ndarray, h_rows: np.ndarray, betas: np.ndarray, s0, u):
+    """Sequential p-bit sweeps from the spins ``s0`` (rows, n), with the
+    uniforms ``u`` (rows, n_it, n); yields the spins after each.
 
     Spins, bias and each sweep's uniforms live sites-major, (n, rows), so a
     site step is one product of the contiguous row J[i] (J is symmetric) with
-    the spins, and writes one contiguous row. Each row's uniforms u are drawn
-    as (n_it, n), as in the row-major layout, and each sweep's slice is
+    the spins, and writes one contiguous row. Each sweep's slice of u is
     turned sites-major into U = 2u - 1 once. A site takes +1 where
     U + tanh(beta * field) >= 0 and -1 elsewhere: U is never -0.0, so
     neither is that sum, and ``copysign`` gives exactly this sign. The
     yielded (rows, n) array is C-contiguous and rewritten after every sweep.
     """
-    n = j.shape[0]
-    n_it = len(betas)
-    rows = len(rngs)
-    s = np.empty((n, rows))
-    u = np.empty((rows, n_it, n))
-    for r, rng in enumerate(rngs):
-        s[:, r] = rng.integers(0, 2, n) * 2 - 1
-        rng.random(out=u[r])
+    rows, n = s0.shape
+    s = s0.T.copy()
     h = np.ascontiguousarray(h_rows.T)
     u_k = np.empty((n, rows))
     field = np.empty(rows)
@@ -293,29 +315,36 @@ def bpim_solve_many(
     """Best-of-R p-bit annealing of models that share one coupling matrix."""
     betas = cfg.schedule.peak * cfg.schedule.ramp()
 
-    def kernel(model, h_rows, rngs):
-        return _bpim_sweeps(model.j_matrix, h_rows, betas, rngs)
+    def kernel(model, h_rows, s0, u):
+        return _bpim_sweeps(model.j_matrix, h_rows, betas, s0, u)
 
-    return _solve_many(kernel, models, cfg, seeds)
+    return _solve_many(kernel, _bpim_draws, models, cfg, seeds)
 
 
 # ---------------------------------------------------------------------------
 # symbol-native probabilistic sweeps
 
 
-def _dpim_sweeps(
-    model: PditModel, h_rows: np.ndarray, betas: np.ndarray, rngs: list[np.random.Generator]
-):
-    """Sequential p-dit sweeps; each site redraws its two axes, each from the
-    softmax of its own move costs over the PAM levels (exact as J[i, n + i] = 0).
+def _dpim_draws(model: PditModel, seeds, cfg: SolverConfig):
+    def initial(rng):
+        # Drawn per site, (n, 2): the golden CSVs pin this draw order.
+        return model.pam_levels[rng.integers(0, model.pam_levels.size, (model.n, 2))]
+
+    return _predraw(seeds, cfg, initial, "random")
+
+
+def _dpim_sweeps(model: PditModel, h_rows: np.ndarray, betas: np.ndarray, d0, u):
+    """Sequential p-dit sweeps from the per-site axes ``d0`` (rows, n, 2),
+    with the uniforms ``u`` (rows, n_it, n, 2); each site redraws its two
+    axes, each from the softmax of its own move costs over the PAM levels
+    (exact as J[i, n + i] = 0).
 
     A row's state is [Re x; Im x], the layout of ``h_rows`` and of the
     model's ``j_matrix``. State, bias and each sweep's uniforms live
     sites-major, (2n, rows), so site i's axes are the contiguous rows i and
     n + i, and both their fields are one product of the rows J[i] and
-    J[n + i] (J is symmetric) with the state. Each row's uniforms are drawn as
-    (n_it, n, 2), as in the row-major layout, and each sweep's slice is copied
-    sites-major once. The yielded (rows, 2n) array is C-contiguous and
+    J[n + i] (J is symmetric) with the state. Each sweep's slice of u is
+    copied sites-major once. The yielded (rows, 2n) array is C-contiguous and
     rewritten after every sweep.
 
     The softmax CDF is built by L - 1 in-place adds over the level planes:
@@ -324,18 +353,11 @@ def _dpim_sweeps(
     u * c, with c the total, the last plane; u < 1 gives u * c <= c even
     after rounding, so the last plane never counts and is not compared.
     """
-    n = model.n
+    rows, n, _ = d0.shape
     j = model.j_matrix
     levels = model.pam_levels
     n_lev = levels.size
-    n_it = len(betas)
-    rows = len(rngs)
-    d = np.empty((2 * n, rows))
-    u = np.empty((rows, n_it, n, 2))
-    for r, rng in enumerate(rngs):
-        # Drawn per site, (n, 2): the golden CSVs pin this draw order.
-        d[:, r] = levels[rng.integers(0, n_lev, (n, 2))].T.ravel()
-        rng.random(out=u[r])
+    d = d0.T.copy().reshape(2 * n, rows)
     # Site i's axes are the (2, rows) basic-index views [:, i]: no gather.
     axes = d.reshape(2, n, rows)
     h_axes = np.ascontiguousarray(h_rows.T).reshape(2, n, rows)
@@ -385,10 +407,10 @@ def dpim_solve_many(models: list[PditModel], cfg: SolverConfig, seeds) -> list[S
     """
     betas = cfg.schedule.peak * cfg.schedule.ramp()
 
-    def kernel(model, h_rows, rngs):
-        return _dpim_sweeps(model, h_rows, betas, rngs)
+    def kernel(model, h_rows, d0, u):
+        return _dpim_sweeps(model, h_rows, betas, d0, u)
 
-    return _solve_many(kernel, models, cfg, seeds)
+    return _solve_many(kernel, _dpim_draws, models, cfg, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -501,32 +523,30 @@ def _oim_drift(sin_phi: np.ndarray, cos_phi: np.ndarray, bands: _OimBands) -> np
     return drift
 
 
-def _oim_sweeps(
-    j: np.ndarray,
-    h_rows: np.ndarray,
-    temps: np.ndarray,
-    params: OimParams,
-    rngs: list[np.random.Generator],
-):
-    """Heun-integrated phase dynamics with annealed noise; yields sign(cos phase) per step.
+def _oim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
+    def initial(rng):
+        return rng.uniform(0.0, 2.0 * np.pi, model.n)
 
-    Phases and noise live sites-major, (n, rows), the layout of
-    :func:`_oim_drift`; each row's stream is drawn as (n_it, n), as in the
-    row-major layout. The readout is a C-contiguous (rows, n) array.
+    return _predraw(seeds, cfg, initial, "standard_normal")
+
+
+def _oim_sweeps(
+    j: np.ndarray, h_rows: np.ndarray, temps: np.ndarray, params: OimParams, phi0, noise
+):
+    """Heun-integrated phase dynamics from the phases ``phi0`` (rows, n), with
+    the normal ``noise`` (rows, n_it, n) scaled by each step's noise level;
+    yields sign(cos phase) per step.
+
+    Phases and each step's noise live sites-major, (n, rows), the layout of
+    :func:`_oim_drift`. The readout is a C-contiguous (rows, n) array.
     """
-    n = j.shape[0]
-    n_it = len(temps)
-    rows = len(rngs)
-    phi = np.empty((n, rows))
-    noise = np.empty((n_it, n, rows))
-    for r, rng in enumerate(rngs):
-        phi[:, r] = rng.uniform(0.0, 2.0 * np.pi, n)
-        noise[:, :, r] = rng.standard_normal((n_it, n))
+    phi = phi0.T.copy()
+    kick = np.empty(phi.shape)
     bands = _OimBands(j, h_rows, params)
     sqrt_dt = np.sqrt(_OIM_DT)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     for k, temp in enumerate(temps):
-        kick = (temp * sqrt_dt) * noise[k]
+        np.multiply(noise[:, k].T, temp * sqrt_dt, out=kick)
         f0 = _oim_drift(sin_phi, cos_phi, bands)
         pred = phi + _OIM_DT * f0 + kick
         f1 = _oim_drift(np.sin(pred), np.cos(pred), bands)
@@ -544,10 +564,10 @@ def oim_solve_many(
     share one coupling matrix; spins are read out as sign(cos phase)."""
     temps = cfg.schedule.peak * (1.0 - cfg.schedule.ramp())
 
-    def kernel(model, h_rows, rngs):
-        return _oim_sweeps(model.j_matrix, h_rows, temps, oim_params(model.n), rngs)
+    def kernel(model, h_rows, phi0, noise):
+        return _oim_sweeps(model.j_matrix, h_rows, temps, oim_params(model.n), phi0, noise)
 
-    return _solve_many(kernel, models, cfg, seeds)
+    return _solve_many(kernel, _oim_draws, models, cfg, seeds)
 
 
 def oim_params(n: int) -> OimParams:

@@ -11,9 +11,11 @@ from isingmimo import (
     BinaryIsingModel,
     OimParams,
     SolverConfig,
+    build_binary_model,
     build_constellation,
     build_instance,
     build_pdit_model,
+    channel_instances,
     default_parameters,
     ml_exhaustive,
     realify,
@@ -22,12 +24,12 @@ from isingmimo import solvers
 from isingmimo.ising_map import ising_energies
 from isingmimo.solvers import (
     _OIM_DT,
+    PARADIGMS,
     _bpim_sweeps,
     _dpim_sweeps,
     _oim_drift,
     _OimBands,
     _oim_sweeps,
-    _spawn_rngs,
     bpim_solve_many,
     dpim_solve_many,
     oim_params,
@@ -40,12 +42,20 @@ def energy(x: np.ndarray, model) -> float:
     return ising_energies(x[None], model.j_matrix, model.h_vector[None])[0]
 
 
+def predrawn(paradigm, model, n_it, seed, rows):
+    """The initial states and noise a solve draws for ``rows`` replicas of
+    one seed, read-only, so that a kernel that writes its inputs fails."""
+    cfg = SolverConfig(rows, AnnealSchedule(1.0, n_it))
+    x0, noise = getattr(solvers, f"_{paradigm}_draws")(model, [seed], cfg)
+    x0.flags.writeable = noise.flags.writeable = False
+    return x0, noise
+
+
 def sample_spin_chain(model, beta, n_sweeps, seed, n_chains=1):
     """Post-sweep states of p-bit chains at fixed beta: (chains, sweeps, n) of +-1."""
     h_rows = np.broadcast_to(model.h_vector, (n_chains, model.n))
-    sweeps = _bpim_sweeps(
-        model.j_matrix, h_rows, np.full(n_sweeps, beta), _spawn_rngs(seed, n_chains)
-    )
+    draws = predrawn("bpim", model, n_sweeps, seed, n_chains)
+    sweeps = _bpim_sweeps(model.j_matrix, h_rows, np.full(n_sweeps, beta), *draws)
     return np.stack([s.astype(np.int8) for s in sweeps], axis=1)
 
 
@@ -53,13 +63,30 @@ def sample_pdit_chain(model, beta, n_sweeps, seed, n_chains=1):
     """Post-sweep states of p-dit chains at fixed beta: (chains, sweeps, 2N)
     levels, [Re x; Im x] in each state."""
     h_rows = np.broadcast_to(model.h_vector, (n_chains, 2 * model.n))
-    sweeps = _dpim_sweeps(model, h_rows, np.full(n_sweeps, beta), _spawn_rngs(seed, n_chains))
+    draws = predrawn("dpim", model, n_sweeps, seed, n_chains)
+    sweeps = _dpim_sweeps(model, h_rows, np.full(n_sweeps, beta), *draws)
     return np.stack([d.astype(np.int8) for d in sweeps], axis=1)
 
 
 def ferromagnet(coupling=1.0):
     j = np.array([[0.0, coupling], [coupling, 0.0]])
     return BinaryIsingModel(j, np.zeros(2), 0.0, 2)
+
+
+def assert_same_states(got, expected):
+    """Equal states after every iteration, ``got`` as C-contiguous arrays."""
+    for s, e in itertools.zip_longest(got, expected):
+        assert s.shape == e.shape and s.flags.c_contiguous
+        np.testing.assert_array_equal(s, e)
+
+
+def assert_same_outcomes(got, expected):
+    """Equal outcomes, model by model, in every field."""
+    for a, b in zip(got, expected, strict=True):
+        np.testing.assert_array_equal(a.best_state, b.best_state)
+        np.testing.assert_array_equal(a.final_energies, b.final_energies)
+        assert (a.best_energy, a.best_iteration) == (b.best_energy, b.best_iteration)
+        assert a.n_iterations == b.n_iterations
 
 
 class TestAnnealSchedule:
@@ -74,9 +101,9 @@ class TestAnnealSchedule:
         # The noise levels the oscillator solver hands its kernel.
         seen = []
 
-        def recording(j, h_rows, temps, params, rngs):
+        def recording(j, h_rows, temps, *rest):
             seen.append(temps)
-            return _oim_sweeps(j, h_rows, temps, params, rngs)
+            return _oim_sweeps(j, h_rows, temps, *rest)
 
         monkeypatch.setattr(solvers, "_oim_sweeps", recording)
         oim_solve_many([ferromagnet()], SolverConfig(1, AnnealSchedule(30.0, 4)), [0])
@@ -88,6 +115,14 @@ class TestAnnealSchedule:
             AnnealSchedule(0.0, 10)
         with pytest.raises(ValueError):
             AnnealSchedule(1.0, 0)
+
+    @pytest.mark.parametrize("count", [2.5, True, np.int64(3)])
+    def test_counts_must_be_ints(self, count):
+        # A float count would ramp past the peak: (1, 2.5) gave [0.4, 0.8, 1.2].
+        with pytest.raises(ValueError, match="must be an int"):
+            AnnealSchedule(1.0, count)
+        with pytest.raises(ValueError, match="must be an int"):
+            SolverConfig(count, AnnealSchedule(1.0, 3))
 
     @pytest.mark.parametrize("peak", [np.inf, np.nan])
     def test_non_finite_peak_rejected(self, peak):
@@ -163,11 +198,7 @@ class TestPbitKernel:
         assert aligned >= 99
 
     def test_stationary_distribution_small_model(self):
-        c = build_constellation(2)
-        inst, _ = build_instance(c, 3, 6.0, 17)
-        from isingmimo import build_binary_model, realify
-
-        model = build_binary_model(realify(inst.channel, inst.rx_vector, 2))
+        (model,) = channel_models("binary", 2, 3, 1, 17, ebn0_db=6.0)
         beta = 0.15
         states = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
         exact = np.exp(-beta * np.array([energy(s, model) for s in states]))
@@ -216,8 +247,7 @@ class TestPditKernel:
     def test_stationary_distribution_two_sites(self, order):
         # Two coupled p-dits: the chain must sample the exact joint Boltzmann
         # distribution, which the cross-site field shapes.
-        inst, _ = build_instance(build_constellation(order), 2, 6.0, 3)
-        model = build_pdit_model(realify(inst.channel, inst.rx_vector, order))
+        (model,) = channel_models("pdit", order, 2, 1, 3, ebn0_db=6.0)
         beta = 0.15
         levels = model.pam_levels
         states = np.array(list(itertools.product(levels, repeat=4)))
@@ -251,36 +281,16 @@ class TestPditKernel:
         # At beta = 1e6 every draw is the argmax of the site's conditional,
         # so the per-axis kernel and the joint-grid reference must take the
         # same states after every sweep, whatever their uniforms.
-        c = build_constellation(order)
-        inst, _ = build_instance(c, n, 10.0, 60 + n)
-        model = build_pdit_model(realify(inst.channel, inst.rx_vector, order))
+        (model,) = channel_models("pdit", order, n, 1, 60 + n, ebn0_db=10.0)
         h_rows = np.repeat(model.h_vector[None], 6, axis=0)
         betas = np.full(5, 1e6)
-        per_axis = _dpim_sweeps(model, h_rows, betas, _spawn_rngs(9, 6))
-        joint = joint_grid_sweeps(model, h_rows, betas, _spawn_rngs(9, 6))
-        for d, expected in itertools.zip_longest(per_axis, joint):
-            np.testing.assert_array_equal(d, expected)
-
-    def test_predraw_bound_counts_state_entries(self, monkeypatch):
-        # A p-dit row pre-draws 2N uniforms per sweep, two per symbol: the
-        # chunks must keep that, not N per sweep, under the bound.
-        model = build_pdit_model(realify(np.eye(3, dtype=complex), np.ones(3) + 1j, 4))
-        cfg = SolverConfig(2, AnnealSchedule(0.5, 5))
-        predrawn = []
-
-        def spy(model, h_rows, betas, rngs):
-            predrawn.append(len(rngs) * len(betas) * h_rows.shape[1])
-            return _dpim_sweeps(model, h_rows, betas, rngs)
-
-        monkeypatch.setattr(solvers, "_dpim_sweeps", spy)
-        monkeypatch.setattr(solvers, "_MAX_PREDRAW", 2 * 5 * 6)
-        dpim_solve_many([model] * 3, cfg, [0, 1, 2])
-        assert predrawn and max(predrawn) <= solvers._MAX_PREDRAW
+        draws = predrawn("dpim", model, 5, 9, 6)
+        per_axis = _dpim_sweeps(model, h_rows, betas, *draws)
+        joint = joint_grid_sweeps(model, h_rows, betas, *draws)
+        assert_same_states(per_axis, joint)
 
     def test_energy_bookkeeping(self):
-        c = build_constellation(16)
-        inst, _ = build_instance(c, 6, 10.0, 77)
-        model = build_pdit_model(realify(inst.channel, inst.rx_vector, 16))
+        (model,) = channel_models("pdit", 16, 6, 1, 77, ebn0_db=10.0)
         (out,) = dpim_solve_many([model], default_parameters("dpim", 6, 16), [1])
         assert out.best_energy == pytest.approx(
             energy(out.best_state, model), rel=1e-9
@@ -289,21 +299,18 @@ class TestPditKernel:
         assert out.final_energies.shape == (64,)
 
 
-def joint_grid_sweeps(model, h_rows, betas, rngs):
+def joint_grid_sweeps(model, h_rows, betas, d0, u):
     """p-dit sweeps that draw each site among all M symbols at once, from
-    one softmax over the flat sqrt(M) x sqrt(M) candidate grid: the
-    reference the per-axis kernel must reproduce."""
+    one softmax over the flat sqrt(M) x sqrt(M) candidate grid, with the
+    first of the site's two uniforms: the reference the per-axis kernel must
+    reproduce."""
     n = model.n
     j = model.j_matrix
     levels = model.pam_levels
     n_lev = levels.size
     l1g = np.repeat(levels, n_lev)
     l2g = np.tile(levels, n_lev)
-    d = np.empty((len(rngs), 2 * n))
-    u = np.empty((len(rngs), len(betas), n))
-    for r, rng in enumerate(rngs):
-        d[r] = levels[rng.integers(0, n_lev, (n, 2))].T.ravel()
-        u[r] = rng.random((len(betas), n))
+    d = np.hstack([d0[:, :, 0], d0[:, :, 1]])
     field_cols = np.stack([j[:n], j[n:]], axis=-1)
     for k, beta in enumerate(betas):
         for i in range(n):
@@ -316,43 +323,32 @@ def joint_grid_sweeps(model, h_rows, betas, rngs):
             w = -beta * (t1 * f1 + t2 * f2 - 0.5 * g * (t1 * t1 + t2 * t2))
             w -= w.max(axis=0)
             cdf = np.cumsum(np.exp(w), axis=0)
-            pick = (cdf < u[:, k, i] * cdf[-1]).sum(axis=0)
+            pick = (cdf < u[:, k, i, 0] * cdf[-1]).sum(axis=0)
             d[:, i] = l1g[pick]
             d[:, n + i] = l2g[pick]
         yield d
 
 
-def rowmajor_bpim_sweeps(j, h_rows, betas, rngs):
+def rowmajor_bpim_sweeps(j, h_rows, betas, s0, u):
     """p-bit sweeps on a (rows, n) state that read J's column per site: the
     reference the sites-major kernel must reproduce."""
-    n = j.shape[0]
-    n_it = len(betas)
-    rows = len(rngs)
-    s = np.empty((rows, n))
-    u = np.empty((rows, n_it, n))
-    for r, rng in enumerate(rngs):
-        s[r] = rng.integers(0, 2, n) * 2 - 1
-        u[r] = rng.uniform(-1.0, 1.0, (n_it, n))
+    s = s0.copy()
+    # What rng.uniform(-1, 1) draws from the same uniforms.
+    v = -1.0 + 2.0 * u
     for k, beta in enumerate(betas):
-        for i in range(n):
+        for i in range(j.shape[0]):
             local = s @ j[:, i] + h_rows[:, i]
-            s[:, i] = np.where(u[:, k, i] + np.tanh(beta * local) >= 0, 1.0, -1.0)
+            s[:, i] = np.where(v[:, k, i] + np.tanh(beta * local) >= 0, 1.0, -1.0)
         yield s
 
 
-def rowmajor_dpim_sweeps(model, h_rows, betas, rngs):
+def rowmajor_dpim_sweeps(model, h_rows, betas, d0, u):
     """Per-axis p-dit sweeps on a (rows, 2N) state with ``np.cumsum`` CDFs:
     the reference the sites-major kernel must reproduce."""
-    n = model.n
+    rows, n, _ = d0.shape
     j = model.j_matrix
     levels = model.pam_levels
-    n_it = len(betas)
-    rows = len(rngs)
-    d = np.empty((rows, 2 * n))
-    u = np.empty((rows, n_it, n, 2))
-    for r, rng in enumerate(rngs):
-        d[r] = levels[rng.integers(0, levels.size, (n, 2))].T.ravel()
-        u[r] = rng.random((n_it, n, 2))
+    d = np.hstack([d0[:, :, 0], d0[:, :, 1]])
     axes, h_axes = d.reshape(rows, 2, n), h_rows.reshape(rows, 2, n)
     field_cols = np.stack([j[:n], j[n:]], axis=-1)
     t, w = np.empty((2, levels.size, rows, 2))
@@ -371,17 +367,12 @@ def rowmajor_dpim_sweeps(model, h_rows, betas, rngs):
         yield d
 
 
-def channel_models(model_kind, order, n, count, seed):
+def channel_models(model_kind, order, n, count, seed, ebn0_db=8.0):
     """``count`` models of one channel, one per message; they share equal couplings."""
-    from isingmimo import build_binary_model
-
     build = build_pdit_model if model_kind == "pdit" else build_binary_model
     c = build_constellation(order)
-    models = []
-    for msg in range(count):
-        inst, _ = build_instance(c, n, 8.0, seed, message_index=msg)
-        models.append(build(realify(inst.channel, inst.rx_vector, order)))
-    return models
+    cells = channel_instances(c, n, seed, 0, range(count), [(0, ebn0_db)])
+    return [build(realify(inst.channel, inst.rx_vector, order)) for inst, _ in cells]
 
 
 def kernel_rows(models, layout, replicas=4):
@@ -410,11 +401,9 @@ class TestSitesMajorKernels:
         sched = default_parameters("bpim", n, order).schedule
         betas = (0.05 if hot else 1.0) * sched.peak * sched.ramp()[:30]
         j = models[0].j_matrix
-        sites = _bpim_sweeps(j, h_rows, betas, _spawn_rngs(5, rows))
-        reference = rowmajor_bpim_sweeps(j, h_rows, betas, _spawn_rngs(5, rows))
-        for s, expected in itertools.zip_longest(sites, reference):
-            assert s.shape == expected.shape and s.flags.c_contiguous
-            np.testing.assert_array_equal(s, expected)
+        draws = predrawn("bpim", models[0], len(betas), 5, rows)
+        sites = _bpim_sweeps(j, h_rows, betas, *draws)
+        assert_same_states(sites, rowmajor_bpim_sweeps(j, h_rows, betas, *draws))
 
     @pytest.mark.parametrize("layout", ["one", "broadcast", "batch"])
     @pytest.mark.parametrize("hot", [False, True])
@@ -425,11 +414,9 @@ class TestSitesMajorKernels:
         h_rows, rows = kernel_rows(models, layout)
         sched = default_parameters("dpim", n, order).schedule
         betas = (0.05 if hot else 1.0) * sched.peak * sched.ramp()[:30]
-        sites = _dpim_sweeps(models[0], h_rows, betas, _spawn_rngs(6, rows))
-        reference = rowmajor_dpim_sweeps(models[0], h_rows, betas, _spawn_rngs(6, rows))
-        for d, expected in itertools.zip_longest(sites, reference):
-            assert d.shape == expected.shape and d.flags.c_contiguous
-            np.testing.assert_array_equal(d, expected)
+        draws = predrawn("dpim", models[0], len(betas), 6, rows)
+        sites = _dpim_sweeps(models[0], h_rows, betas, *draws)
+        assert_same_states(sites, rowmajor_dpim_sweeps(models[0], h_rows, betas, *draws))
 
     @pytest.mark.parametrize(
         "paradigm, kind, order",
@@ -442,12 +429,25 @@ class TestSitesMajorKernels:
         sites = solvers.solve_many(paradigm, models, cfg, [11, 12, 13])
         reference = {"bpim": rowmajor_bpim_sweeps, "dpim": rowmajor_dpim_sweeps}[paradigm]
         monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", reference)
-        rowmajor = solvers.solve_many(paradigm, models, cfg, [11, 12, 13])
-        for a, b in zip(sites, rowmajor, strict=True):
-            np.testing.assert_array_equal(a.best_state, b.best_state)
-            assert a.best_energy == b.best_energy
-            np.testing.assert_array_equal(a.final_energies, b.final_energies)
-            assert (a.best_iteration, a.n_iterations) == (b.best_iteration, b.n_iterations)
+        assert_same_outcomes(sites, solvers.solve_many(paradigm, models, cfg, [11, 12, 13]))
+
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    def test_kernels_leave_inputs_unwritten(self, paradigm):
+        # A kernel and its reference share their arrays, so neither may write
+        # them: predrawn's arrays are read-only, and a rerun must repeat.
+        (model,) = channel_models(PARADIGMS[paradigm].model, 4, 3, 1, 8)
+        h_rows = np.repeat(model.h_vector[None], 3, axis=0)
+        ramp = np.linspace(0.1, 1.0, 10)
+        x0, noise = predrawn(paradigm, model, ramp.size, 4, 3)
+        assert not (x0.flags.writeable or noise.flags.writeable)
+        args = {
+            "bpim": (model.j_matrix, h_rows, ramp),
+            "dpim": (model, h_rows, ramp),
+            "oim": (model.j_matrix, h_rows, 30.0 * ramp[::-1], oim_params(model.n)),
+        }[paradigm]
+        kernel = getattr(solvers, f"_{paradigm}_sweeps")
+        first, again = ([s.copy() for s in kernel(*args, x0, noise)] for _ in range(2))
+        np.testing.assert_array_equal(first, again)
 
 
 class TestOscillatorKernel:
@@ -475,7 +475,8 @@ class TestOscillatorKernel:
             np.zeros((1, 2)),
             np.zeros(3000),
             OimParams(1.0, 1.0),
-            [np.random.default_rng(12)],
+            np.random.default_rng(12).uniform(0.0, 2.0 * np.pi, (1, 2)),
+            np.zeros((1, 3000, 2)),
         )
         assert readout[0, 0] == readout[0, 1]
 
@@ -488,7 +489,7 @@ class TestOscillatorKernel:
             np.repeat(model.h_vector[None], 8, axis=0),
             sched.peak * (1.0 - sched.ramp()),
             OimParams(1.0, 0.2),
-            _spawn_rngs(3, 8),
+            *predrawn("oim", model, 500, 3, 8),
         )
         assert (readout[:, 0] == 1.0).all()
 
@@ -507,7 +508,8 @@ class TestOscillatorKernel:
                 np.zeros((1, 8)),
                 np.zeros(5000),
                 OimParams(coupling=1.0, binarization=0.15),
-                [np.random.default_rng(5000 + trial)],
+                np.random.default_rng(5000 + trial).uniform(0.0, 2.0 * np.pi, (1, 8)),
+                np.zeros((1, 5000, 8)),
             )
             s = last[0]
             flip_gain = 2 * s * (j @ s)
@@ -526,12 +528,10 @@ def full_matrix_drift(sin_phi, cos_phi, j, h_rows, params):
     return -params.coupling * coupling - params.binarization * binarize
 
 
-def full_matrix_sweeps(j, h_rows, temps, params, rngs):
+def full_matrix_sweeps(j, h_rows, temps, params, phi0, noise):
     """The Heun loop of the oscillator kernel on :func:`full_matrix_drift`,
-    rows-major, with the kernel's per-row draws."""
-    n = j.shape[0]
-    phi = np.stack([rng.uniform(0.0, 2.0 * np.pi, n) for rng in rngs])
-    noise = np.stack([rng.standard_normal((len(temps), n)) for rng in rngs])
+    rows-major."""
+    phi = phi0.copy()
     for k, temp in enumerate(temps):
         kick = (temp * np.sqrt(_OIM_DT)) * noise[:, k]
         f0 = full_matrix_drift(np.sin(phi), np.cos(phi), j, h_rows, params)
@@ -568,55 +568,39 @@ class TestOscillatorBands:
     def test_readouts_match_full_matrix_sweeps(self):
         # The pair sums run in another order, by about 1e-15 of the drift;
         # no readout flips over a seeded n = 16 run.
-        model = binary_instance(16, 6.0, 41)
+        (model,) = channel_models("binary", 2, 16, 1, 41, ebn0_db=6.0)
         h_rows = np.repeat(model.h_vector[None], 100, axis=0)
         sched = AnnealSchedule(30.0, 100)
         temps = sched.peak * (1.0 - sched.ramp())
         params = oim_params(16)
-        bands = _oim_sweeps(model.j_matrix, h_rows, temps, params, _spawn_rngs(6, 100))
-        full = full_matrix_sweeps(model.j_matrix, h_rows, temps, params, _spawn_rngs(6, 100))
-        for readout, expected in itertools.zip_longest(bands, full):
-            assert readout.shape == (100, 16) and readout.flags.c_contiguous
-            np.testing.assert_array_equal(readout, expected)
+        draws = predrawn("oim", model, 100, 6, 100)
+        bands = _oim_sweeps(model.j_matrix, h_rows, temps, params, *draws)
+        full = full_matrix_sweeps(model.j_matrix, h_rows, temps, params, *draws)
+        assert_same_states(bands, full)
 
     def test_one_row_chunks_bit_identical(self, monkeypatch):
-        model = binary_instance(16, 6.0, 42)
+        (model,) = channel_models("binary", 2, 16, 1, 42, ebn0_db=6.0)
         h_rows = np.repeat(model.h_vector[None], 12, axis=0)
         temps = np.linspace(30.0, 0.0, 40)
+        draws = predrawn("oim", model, 40, 8, 12)
         cfg = SolverConfig(6, AnnealSchedule(30.0, 40))
 
         def run():
-            readouts = [
-                s.copy()
-                for s in _oim_sweeps(
-                    model.j_matrix, h_rows, temps, oim_params(16), _spawn_rngs(8, 12)
-                )
-            ]
-            return readouts, oim_solve_many([model, model], cfg, [3, 4])
+            sweeps = _oim_sweeps(model.j_matrix, h_rows, temps, oim_params(16), *draws)
+            return [s.copy() for s in sweeps], oim_solve_many([model, model], cfg, [3, 4])
 
         whole_readouts, whole = run()
         monkeypatch.setattr(solvers, "_OIM_BAND_BYTES", 1)
         chunked_readouts, chunked = run()
         np.testing.assert_array_equal(whole_readouts, chunked_readouts)
-        for a, b in zip(whole, chunked):
-            np.testing.assert_array_equal(a.best_state, b.best_state)
-            assert a.best_energy == b.best_energy
-            np.testing.assert_array_equal(a.final_energies, b.final_energies)
-            assert a.best_iteration == b.best_iteration
+        assert_same_outcomes(whole, chunked)
 
 
-def binary_instance(n, ebn0_db, seed):
-    from isingmimo import build_binary_model, realify
-
-    inst, _ = build_instance(build_constellation(2), n, ebn0_db, seed)
-    return build_binary_model(realify(inst.channel, inst.rx_vector, 2))
-
-
-def sweep_energies(model, betas, rng):
+def sweep_energies(model, betas, s0, u):
     """States and energies after every sweep of a one-row p-bit run."""
     h = model.h_vector[None]
     states, energies = [], []
-    for s in _bpim_sweeps(model.j_matrix, h, betas, [rng]):
+    for s in _bpim_sweeps(model.j_matrix, h, betas, s0, u):
         states.append(s[0].copy())
         energies.append(ising_energies(s, model.j_matrix, h)[0])
     return np.array(states), np.array(energies)
@@ -628,7 +612,7 @@ class TestReplication:
         sched = AnnealSchedule(2.0, 50)
         (out,) = bpim_solve_many([model], SolverConfig(1, sched), [9])
         betas = sched.peak * sched.ramp()
-        states, energies = sweep_energies(model, betas, _spawn_rngs(9, 1)[0])
+        states, energies = sweep_energies(model, betas, *predrawn("bpim", model, 50, 9, 1))
         best = int(np.argmin(energies))
         np.testing.assert_array_equal(out.best_state, states[best])
         assert out.best_energy == energies[best]
@@ -636,7 +620,7 @@ class TestReplication:
         np.testing.assert_array_equal(out.final_energies, energies[-1:])
 
     def test_best_energy_monotone_in_replicas(self):
-        model = binary_instance(10, 3.0, 8)
+        (model,) = channel_models("binary", 2, 10, 1, 8, ebn0_db=3.0)
         sched = AnnealSchedule(0.2, 30)
         energies = [
             bpim_solve_many([model], SolverConfig(r, sched), [13])[0].best_energy
@@ -648,32 +632,44 @@ class TestReplication:
         # All models in one kernel call (rows in parallel) against one call
         # per model (chunks in series): outcomes must not depend on how the
         # batch is split or in which order its parts run.
-        c = build_constellation(4)
-        from isingmimo import build_binary_model, realify
-
-        models = []
-        for msg in range(5):
-            inst, _ = build_instance(c, 4, 6.0, 21, message_index=msg)
-            models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4)))
+        models = channel_models("binary", 4, 4, 5, 21, ebn0_db=6.0)
         cfg = SolverConfig(6, AnnealSchedule(1.5, 40))
         seeds = [21, 3, 8, 13, 5]
         parallel = bpim_solve_many(models, cfg, seeds)
         monkeypatch.setattr(solvers, "_MAX_PREDRAW", 1)
-        serial = bpim_solve_many(models, cfg, seeds)
-        for a, b in zip(parallel, serial):
-            np.testing.assert_array_equal(a.best_state, b.best_state)
-            np.testing.assert_array_equal(a.final_energies, b.final_energies)
+        assert_same_outcomes(parallel, bpim_solve_many(models, cfg, seeds))
+
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    def test_predraw_bound_counts_state_entries(self, paradigm, monkeypatch):
+        # A row pre-draws one number per state entry per sweep, two per p-dit
+        # symbol: the chunks must keep that, not one per symbol, under the bound.
+        (model,) = channel_models(PARADIGMS[paradigm].model, 4, 3, 1, 0)
+        kernel = getattr(solvers, f"_{paradigm}_sweeps")
+        sizes = []
+
+        def spy(*args):
+            sizes.append(args[-1].size)  # the noise
+            return kernel(*args)
+
+        monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", spy)
+        monkeypatch.setattr(solvers, "_MAX_PREDRAW", 2 * 5 * 6)
+        cfg = SolverConfig(2, AnnealSchedule(0.5, 5))
+        solvers.solve_many(paradigm, [model] * 3, cfg, [0, 1, 2])
+        assert sizes == [solvers._MAX_PREDRAW] * 3
+
+    def test_solve_needs_a_model(self):
+        with pytest.raises(ValueError, match="at least one model"):
+            solvers.solve_many("bpim", [], default_parameters("bpim", 4, 2), [])
 
     def test_solve_matches_replica_kernels(self):
         # Each row of a batched solve equals that replica's chain run alone.
-        model = binary_instance(6, 8.0, 30)
+        (model,) = channel_models("binary", 2, 6, 1, 30)
         # A low peak, so replicas end at different energies above their best.
         cfg = SolverConfig(5, AnnealSchedule(0.1, 25))
         (out,) = bpim_solve_many([model], cfg, [77])
-        singles = [
-            sweep_energies(model, cfg.schedule.peak * cfg.schedule.ramp(), rng)
-            for rng in _spawn_rngs(77, cfg.replicas)
-        ]
+        s0, u = predrawn("bpim", model, 25, 77, cfg.replicas)
+        betas = cfg.schedule.peak * cfg.schedule.ramp()
+        singles = [sweep_energies(model, betas, s, v) for s, v in zip(s0[:, None], u[:, None])]
         # Per replica the first lowest-energy sweep, then the first best replica.
         best_it = [int(np.argmin(e)) for _, e in singles]
         best_e = [e[k] for (_, e), k in zip(singles, best_it)]
@@ -684,39 +680,21 @@ class TestReplication:
         assert out.best_iteration == best_it[best] + 1
 
     def test_batched_solve_matches_singles(self):
-        c = build_constellation(4)
-        from isingmimo import build_binary_model, realify
-
         cfg = replace(default_parameters("bpim", 5, 4), replicas=10)
-        models = []
-        for msg in range(6):
-            inst, _ = build_instance(c, 5, 8.0, 40, message_index=msg)
-            models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4)))
+        models = channel_models("binary", 4, 5, 6, 40)
         seeds = list(range(6))
-        batched = bpim_solve_many(models, cfg, seeds)
-        for model, seed, out in zip(models, seeds, batched):
-            (single,) = bpim_solve_many([model], cfg, [seed])
-            np.testing.assert_array_equal(out.best_state, single.best_state)
-            assert out.best_energy == single.best_energy
-            np.testing.assert_array_equal(out.final_energies, single.final_energies)
+        singles = [bpim_solve_many([m], cfg, [seed])[0] for m, seed in zip(models, seeds)]
+        assert_same_outcomes(bpim_solve_many(models, cfg, seeds), singles)
 
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim"])
     def test_batched_requires_shared_coupling(self, paradigm):
-        c = build_constellation(4)
-        from isingmimo import build_binary_model, realify
-
-        models = []
-        for ch in range(2):
-            inst, _ = build_instance(c, 3, 8.0, ch)
-            if paradigm == "dpim":
-                models.append(build_pdit_model(realify(inst.channel, inst.rx_vector, 4)))
-            else:
-                models.append(build_binary_model(realify(inst.channel, inst.rx_vector, 4)))
+        kind = PARADIGMS[paradigm].model
+        models = [channel_models(kind, 4, 3, 1, ch)[0] for ch in range(2)]
         with pytest.raises(ValueError, match="share"):
             solvers.solve_many(paradigm, models, default_parameters(paradigm, 3, 4), [0, 1])
 
     def test_outcome_energy_consistent(self):
-        model = binary_instance(12, 6.0, 19)
+        (model,) = channel_models("binary", 2, 12, 1, 19, ebn0_db=6.0)
         (out,) = bpim_solve_many([model], default_parameters("bpim", 12, 2), [4])
         assert out.best_energy == pytest.approx(
             energy(out.best_state, model), rel=1e-9
