@@ -415,9 +415,9 @@ def beta_sweep(
 ) -> BetaSweepResult:
     """Mean final solver energy as a function of the annealing peak.
 
-    The instance pool mixes ``n_instances`` fresh instances per Eb/N0 value;
-    each (peak, instance) cell runs ``n_trials`` independent replicas and
-    averages their final energies. Energies are normalized per instance by
+    The instance pool mixes ``n_instances`` fresh instances per Eb/N0 value,
+    at least two in all; each (peak, instance) cell runs ``n_trials``
+    independent replicas and averages their final energies. Energies are normalized per instance by
     the mean |energy| of 1000 uniformly random configurations, which leaves
     the minimizing peak unchanged. For the oscillator paradigm the grid is
     interpreted as peak noise levels. Every argument is checked, the Eb/N0
@@ -426,12 +426,18 @@ def beta_sweep(
     require_ints(
         n=n, n_instances=n_instances, n_trials=n_trials, n_iterations=n_iterations, seed=seed
     )
+    if isinstance(beta_grid, str):
+        raise ValueError(f"beta_grid must be a sequence, not the string {beta_grid!r}")
     beta_grid = np.asarray(sorted(float(b) for b in beta_grid))
     if beta_grid.size == 0 or beta_grid[0] <= 0:
         raise ValueError("grid values must be positive")
-    if n_instances < 1 or len(ebn0_list) == 0:
-        raise ValueError("the instance pool needs n_instances >= 1 and at least one Eb/N0 value")
     ebn0_list = _ebn0_points(ebn0_list)
+    # The random reference's standard error needs two pool instances.
+    if n_instances * len(ebn0_list) < 2:
+        raise ValueError(
+            "the instance pool needs at least two instances, n_instances per Eb/N0 value;"
+            f" got {n_instances} x {len(ebn0_list)}"
+        )
     base_cfg = default_parameters(paradigm, n, order)  # rejects unknown paradigms
     # Every peak's config is built before the pool, so that invalid trial or
     # iteration counts fail before any instance is generated.

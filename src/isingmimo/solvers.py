@@ -1,23 +1,24 @@
 """Heuristic ground-state search: p-bit sweeps, p-dit sweeps, oscillator phases.
 
 All three solvers run R independent replicas per model and report the best
-energy seen across every sweep of every replica. Each model's replica
-streams are spawned from that model's seed, so replica r draws the same
-numbers whatever batch, chunk or position its model is solved in; results
-depend only on seeds, never on execution order.
+energy seen across every sweep of every replica. One generator per model,
+replicas as columns: each model's ``default_rng(seed)`` draws its R
+replicas' initial states and then their noise, one replica per column. A
+model's draw therefore depends only on its seed and R, never on the batch,
+chunk or position it is solved in; results depend only on seeds, never on
+execution order.
 
 The kernels operate on a stack of rows, one row per (model, replica), and
 yield the rows' state after every iteration. They draw nothing: each
-solver's ``_*_draws`` hands its initial-state rule and noise fill to
-``_predraw``, the one loop that draws from the rows' own generators. One
-loop, ``_solve_many``, draws each chunk of rows, sweeps it with the kernel,
-scores each state and keeps every row's best state, energy and iteration
-and its final energy. Because the coupling matrix of a MIMO instance
-depends only on the channel, the models of one channel are solved in one
-kernel call with per-row bias vectors. Each solver has one such batched
-entry point, ``*_solve_many``, with the signature ``(models, cfg, seeds)``.
-:data:`PARADIGMS` holds one :class:`Paradigm` record per solver, and
-:func:`solve_many` dispatches on its name.
+solver's ``_*_draws`` hands its draw rule to ``_predraw``, the one loop over
+the models' generators. One loop, ``_solve_many``, draws each chunk of
+models, sweeps it with the kernel, scores each state and keeps every row's
+best state, energy and iteration and its final energy. Because the coupling
+matrix of a MIMO instance depends only on the channel, the models of one
+channel are solved in one kernel call with per-row bias vectors. Each solver
+has one such batched entry point, ``*_solve_many``, with the signature
+``(models, cfg, seeds)``. :data:`PARADIGMS` holds one :class:`Paradigm`
+record per solver, and :func:`solve_many` dispatches on its name.
 
 Each solver fixes its own ramp direction and constants: the p-bit and p-dit
 sweeps raise the inverse temperature to the schedule's peak, and the
@@ -29,8 +30,9 @@ yield it as a C-contiguous (rows, sites) array. A site step then reads and
 writes contiguous per-site rows: the p-bit and p-dit kernels take a site's
 local field as one product of the contiguous row J[i] (J is symmetric) with
 the state, and read the site's bias and uniforms as contiguous rows. The
-draws are row-major, so the layout changes no draw: each kernel copies its
-initial state and each iteration's noise sites-major, and writes no input.
+draws are sites-major too: the initial states are (sites, rows) and the
+noise (n_iterations, sites, rows), so sweep k reads ``noise[k]`` as it is.
+No kernel writes its inputs.
 
 The p-dit kernel draws a site's Re and Im axes together, each from its own
 softmax over the sqrt(M) PAM levels. This is the site's exact conditional
@@ -192,29 +194,25 @@ def solve_many(paradigm: str, models, cfg: SolverConfig, seeds) -> list[SolveOut
     return _paradigm(paradigm).solve(models, cfg, seeds)
 
 
-def _spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    # Rebuild the sequence so spawning is idempotent: SeedSequence.spawn
-    # advances an internal child counter on the original object.
-    if isinstance(seed, np.random.SeedSequence):
-        ss = np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key)
-    else:
-        ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
-
-
-def _predraw(seeds, cfg: SolverConfig, initial, fill: str):
-    """Each row's initial state, ``initial(rng)``, then its noise from the
-    generator method named ``fill``, with ``out=`` its (n_iterations, *state
-    shape) slot, both from the row's own generator: the only loop over
-    per-row generators. Rows are seed-major, ``cfg.replicas`` per seed."""
-    rows = len(seeds) * cfg.replicas
-    for r, rng in enumerate(rng for seed in seeds for rng in _spawn_rngs(seed, cfg.replicas)):
-        x = initial(rng)
-        if r == 0:
-            x0 = np.empty((rows, *x.shape))
-            noise = np.empty((rows, cfg.schedule.n_iterations, *x.shape))
-        x0[r] = x
-        getattr(rng, fill)(out=noise[r])
+def _predraw(seeds, cfg: SolverConfig, sites: int, initial, fill: str):
+    """Each model's initial states, ``initial(rng, (sites, replicas))``, then
+    its noise by the generator method named ``fill``, (n_iterations, sites,
+    replicas), from the model's one generator ``default_rng(seed)``: the only
+    loop over generators. A model's replicas are its consecutive columns of
+    the chunk's (sites, rows) and (n_iterations, sites, rows) arrays; a
+    one-model chunk's arrays are its draws, uncopied."""
+    replicas = cfg.replicas
+    rows = len(seeds) * replicas
+    for lo, seed in zip(range(0, rows, replicas), seeds):
+        rng = np.random.default_rng(seed)
+        x = initial(rng, (sites, replicas))
+        u = getattr(rng, fill)((cfg.schedule.n_iterations, sites, replicas))
+        if len(seeds) == 1:
+            return x, u
+        if lo == 0:
+            x0, noise = np.empty((sites, rows)), np.empty((len(u), sites, rows))
+        x0[:, lo : lo + replicas] = x
+        noise[..., lo : lo + replicas] = u
     return x0, noise
 
 
@@ -273,30 +271,33 @@ def _solve_many(kernel, draw, models, cfg: SolverConfig, seeds) -> list[SolveOut
 
 
 def _bpim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
-    return _predraw(seeds, cfg, lambda rng: rng.integers(0, 2, model.n) * 2 - 1, "random")
+    def initial(rng, size):
+        return rng.integers(0, 2, size) * 2.0 - 1.0
+
+    return _predraw(seeds, cfg, model.n, initial, "random")
 
 
 def _bpim_sweeps(j: np.ndarray, h_rows: np.ndarray, betas: np.ndarray, s0, u):
-    """Sequential p-bit sweeps from the spins ``s0`` (rows, n), with the
-    uniforms ``u`` (rows, n_it, n); yields the spins after each.
+    """Sequential p-bit sweeps from the spins ``s0`` (n, rows), with the
+    uniforms ``u`` (n_it, n, rows); yields the spins after each.
 
     Spins, bias and each sweep's uniforms live sites-major, (n, rows), so a
     site step is one product of the contiguous row J[i] (J is symmetric) with
-    the spins, and writes one contiguous row. Each sweep's slice of u is
-    turned sites-major into U = 2u - 1 once. A site takes +1 where
+    the spins, and writes one contiguous row. Each sweep's uniforms u[k] are
+    turned into U = 2u - 1 once. A site takes +1 where
     U + tanh(beta * field) >= 0 and -1 elsewhere: U is never -0.0, so
     neither is that sum, and ``copysign`` gives exactly this sign. The
     yielded (rows, n) array is C-contiguous and rewritten after every sweep.
     """
-    rows, n = s0.shape
-    s = s0.T.copy()
+    n, rows = s0.shape
+    s = s0.copy()
     h = np.ascontiguousarray(h_rows.T)
     u_k = np.empty((n, rows))
     field = np.empty(rows)
     out = np.empty((rows, n))
     for k, beta in enumerate(betas):
         # rng.uniform(-1, 1) is -1 + 2u, bit for bit.
-        np.multiply(u[:, k].T, 2.0, out=u_k)
+        np.multiply(u[k], 2.0, out=u_k)
         u_k -= 1.0
         for i in range(n):
             np.matmul(j[i], s, out=field)
@@ -326,26 +327,25 @@ def bpim_solve_many(
 
 
 def _dpim_draws(model: PditModel, seeds, cfg: SolverConfig):
-    def initial(rng):
-        # Drawn per site, (n, 2): the golden CSVs pin this draw order.
-        return model.pam_levels[rng.integers(0, model.pam_levels.size, (model.n, 2))]
+    def initial(rng, size):
+        return model.pam_levels[rng.integers(0, model.pam_levels.size, size)]
 
-    return _predraw(seeds, cfg, initial, "random")
+    # 2n sites, the [Re x; Im x] layout of the model's state.
+    return _predraw(seeds, cfg, 2 * model.n, initial, "random")
 
 
 def _dpim_sweeps(model: PditModel, h_rows: np.ndarray, betas: np.ndarray, d0, u):
-    """Sequential p-dit sweeps from the per-site axes ``d0`` (rows, n, 2),
-    with the uniforms ``u`` (rows, n_it, n, 2); each site redraws its two
-    axes, each from the softmax of its own move costs over the PAM levels
-    (exact as J[i, n + i] = 0).
+    """Sequential p-dit sweeps from the axes ``d0`` (2n, rows), with the
+    uniforms ``u`` (n_it, 2n, rows); each site redraws its two axes, each
+    from the softmax of its own move costs over the PAM levels (exact as
+    J[i, n + i] = 0).
 
     A row's state is [Re x; Im x], the layout of ``h_rows`` and of the
     model's ``j_matrix``. State, bias and each sweep's uniforms live
-    sites-major, (2n, rows), so site i's axes are the contiguous rows i and
-    n + i, and both their fields are one product of the rows J[i] and
-    J[n + i] (J is symmetric) with the state. Each sweep's slice of u is
-    copied sites-major once. The yielded (rows, 2n) array is C-contiguous and
-    rewritten after every sweep.
+    sites-major, (2n, rows), so site i's axes and their uniforms are the
+    contiguous rows i and n + i, and both their fields are one product of the
+    rows J[i] and J[n + i] (J is symmetric) with the state. The yielded
+    (rows, 2n) array is C-contiguous and rewritten after every sweep.
 
     The softmax CDF is built by L - 1 in-place adds over the level planes:
     the same sequential sums as ``np.cumsum`` along the levels, which numpy
@@ -353,17 +353,16 @@ def _dpim_sweeps(model: PditModel, h_rows: np.ndarray, betas: np.ndarray, d0, u)
     u * c, with c the total, the last plane; u < 1 gives u * c <= c even
     after rounding, so the last plane never counts and is not compared.
     """
-    rows, n, _ = d0.shape
+    n, rows = model.n, d0.shape[1]
     j = model.j_matrix
     levels = model.pam_levels
     n_lev = levels.size
-    d = d0.T.copy().reshape(2 * n, rows)
+    d = d0.copy()
     # Site i's axes are the (2, rows) basic-index views [:, i]: no gather.
     axes = d.reshape(2, n, rows)
     h_axes = np.ascontiguousarray(h_rows.T).reshape(2, n, rows)
     # field_rows[i] @ d gives both axes' local fields.
     field_rows = np.stack([j[:n], j[n:]], axis=1)
-    u_axes = np.empty((2, n, rows))
     field, threshold = np.empty((2, 2, rows))
     peak = np.empty((2, rows))
     below = np.empty((n_lev - 1, 2, rows), dtype=bool)
@@ -375,7 +374,7 @@ def _dpim_sweeps(model: PditModel, h_rows: np.ndarray, betas: np.ndarray, d0, u)
     planes = list(w)
     level_col = levels[:, None, None]
     for k, beta in enumerate(betas):
-        np.copyto(u_axes, u[:, k].T)
+        u_axes = u[k].reshape(2, n, rows)
         for i in range(n):
             x = axes[:, i]
             np.matmul(field_rows[i], d, out=field)
@@ -524,29 +523,29 @@ def _oim_drift(sin_phi: np.ndarray, cos_phi: np.ndarray, bands: _OimBands) -> np
 
 
 def _oim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
-    def initial(rng):
-        return rng.uniform(0.0, 2.0 * np.pi, model.n)
+    def initial(rng, size):
+        return rng.uniform(0.0, 2.0 * np.pi, size)
 
-    return _predraw(seeds, cfg, initial, "standard_normal")
+    return _predraw(seeds, cfg, model.n, initial, "standard_normal")
 
 
 def _oim_sweeps(
     j: np.ndarray, h_rows: np.ndarray, temps: np.ndarray, params: OimParams, phi0, noise
 ):
-    """Heun-integrated phase dynamics from the phases ``phi0`` (rows, n), with
-    the normal ``noise`` (rows, n_it, n) scaled by each step's noise level;
+    """Heun-integrated phase dynamics from the phases ``phi0`` (n, rows), with
+    the normal ``noise`` (n_it, n, rows) scaled by each step's noise level;
     yields sign(cos phase) per step.
 
-    Phases and each step's noise live sites-major, (n, rows), the layout of
+    Phases and noise are sites-major, (n, rows), the layout of
     :func:`_oim_drift`. The readout is a C-contiguous (rows, n) array.
     """
-    phi = phi0.T.copy()
+    phi = phi0.copy()
     kick = np.empty(phi.shape)
     bands = _OimBands(j, h_rows, params)
     sqrt_dt = np.sqrt(_OIM_DT)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     for k, temp in enumerate(temps):
-        np.multiply(noise[:, k].T, temp * sqrt_dt, out=kick)
+        np.multiply(noise[k], temp * sqrt_dt, out=kick)
         f0 = _oim_drift(sin_phi, cos_phi, bands)
         pred = phi + _OIM_DT * f0 + kick
         f1 = _oim_drift(np.sin(pred), np.cos(pred), bands)

@@ -29,7 +29,7 @@ GOLDENS = {
             replicas=3,
             iterations=12,
         ),
-        "289f37365a6846c1ff82afe70af2291b0e095df428efe815fd9b92af0ae7b56f",
+        "6b930b332dc37bf7f059fe08138cb236b5b6dd03c79d733f76803c10a7916c3b",
     ),
     "qam4-n6": (
         dict(
@@ -43,7 +43,7 @@ GOLDENS = {
             replicas=3,
             iterations=12,
         ),
-        "d03b7e3bcbfbdd392c5fee20cd9a0d401f47c825a25f40d439957e7fad15e94c",
+        "e833b8a7d7a6205c4625322043a9d6dab03b79e563d4aafe680fa71db0d9c5b1",
     ),
     "qam16-n4": (
         dict(
@@ -57,7 +57,7 @@ GOLDENS = {
             replicas=3,
             iterations=12,
         ),
-        "13c57663d433359f463f7d7aad1e670ab734ddff75a069fe7509f4020f11159f",
+        "bb4c04ce52c7fbf4df54e1c1f8a63e55433f9b1c1d0d92c5173648784094e6a2",
     ),
     # bpim above 4-QAM: two spins per axis, at weights 2 and 1.
     "qam16-n3-bpim": (
@@ -72,7 +72,7 @@ GOLDENS = {
             replicas=3,
             iterations=12,
         ),
-        "15efcc88f8e8f8fdf0edda7d73adc7e7b1c3f14e3e7ffd30aa36037ea89511ec",
+        "62881d52617260bd5780fd0cfd051a6739fc9c5923e8e357f996caa9834d9369",
     ),
     # ZF and MMSE on the one-axis alphabet (a one-level imaginary axis) and
     # on eight levels per axis.
@@ -157,7 +157,7 @@ BETA_GOLDENS = {
             ebn0_list=(4.0, 12.0),
             seed=21,
         ),
-        "40d9ac42365d6f66f5939ce0bb1e5156debf6149d322fbdd7bf18572d02f79dc",
+        "8f2cbea7bc4d5296b86caf63820ccac820a0103ffd4c92597e006214853b80fe",
     ),
     "bpim-qam4-n4": (
         dict(
@@ -171,7 +171,7 @@ BETA_GOLDENS = {
             ebn0_list=(4.0, 12.0),
             seed=22,
         ),
-        "0b6a841595c64e77e85c7d9c3d78e3962cb4b8aa578cbcbac37ba9475b93d919",
+        "4cfc1acd30c69b8c5c58f804c9f3a8486b931d2e4108b5d1b9024747418c8be9",
     ),
     "bpim-qam16-n3": (
         dict(
@@ -185,7 +185,7 @@ BETA_GOLDENS = {
             ebn0_list=(4.0, 12.0),
             seed=23,
         ),
-        "00e5e931389b90fb3eed18421f865b362ed1f82d4577fa59a5fdd5013d3f8a9b",
+        "492a811abe4f264da40827366d0b64274203242f323825fffd3980648a27b40b",
     ),
     # fit-beta's oscillator path; the grid is read as peak noise levels.
     "oim-bpsk-n6": (
@@ -200,7 +200,7 @@ BETA_GOLDENS = {
             ebn0_list=(4.0, 12.0),
             seed=24,
         ),
-        "65106e23efa24a250e7835d21e6f77447696b42371db1d8d77dbeab0849c57f4",
+        "4b52c32364317395221d0f9d55a98801e5588a6f11d3c5d53a005b8467733c43",
     ),
 }
 

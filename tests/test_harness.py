@@ -369,7 +369,7 @@ class TestBetaSweep:
             beta_sweep(4, 4, "annealer", [0.1])
         with pytest.raises(ValueError, match="instance pool"):
             beta_sweep(4, 4, "bpim", [0.1], n_instances=0)
-        with pytest.raises(ValueError, match="instance pool"):
+        with pytest.raises(ValueError, match="Eb/N0 point"):
             beta_sweep(4, 4, "bpim", [0.1], ebn0_list=[])
         # Bad trial and iteration counts fail before any instance is built.
         with monkeypatch.context() as m:
@@ -414,6 +414,32 @@ class TestBetaSweep:
             beta_sweep(
                 2, 4, "dpim", [0.5], ebn0_list=ebn0_list, n_instances=1, n_trials=2, n_iterations=2
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # A string grid would be split into characters: "12" ran [1.0, 2.0].
+            (dict(beta_grid="12"), "beta_grid must be a sequence"),
+            # One instance in all leaves the random reference no standard error.
+            (dict(n_instances=1, ebn0_list=[6.0]), "instance pool"),
+        ],
+    )
+    def test_invalid_pool_or_grid_fails_before_any_instance(self, kwargs, message, monkeypatch):
+        def no_instances(*args, **kwargs):
+            raise AssertionError("an instance was built before validation")
+
+        monkeypatch.setattr(harness, "build_instance", no_instances)
+        args = dict(n=2, order=4, paradigm="dpim", beta_grid=[0.5], n_trials=2, n_iterations=2)
+        with pytest.raises(ValueError, match=message):
+            beta_sweep(**{**args, **kwargs})
+
+    def test_ebn0_list_may_be_a_generator(self):
+        # As plan_experiment takes it: the list is checked in one place.
+        args = dict(n_instances=1, n_trials=2, n_iterations=2, seed=3)
+        res = beta_sweep(2, 4, "dpim", [0.5], ebn0_list=(v for v in (4.0, 8.0)), **args)
+        listed = beta_sweep(2, 4, "dpim", [0.5], ebn0_list=[4.0, 8.0], **args)
+        np.testing.assert_array_equal(res.mean_final_energy, listed.mean_final_energy)
+        assert res.random_reference_stderr == listed.random_reference_stderr > 0
 
 
 class TestFitScalingLaw:

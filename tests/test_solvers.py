@@ -43,8 +43,9 @@ def energy(x: np.ndarray, model) -> float:
 
 
 def predrawn(paradigm, model, n_it, seed, rows):
-    """The initial states and noise a solve draws for ``rows`` replicas of
-    one seed, read-only, so that a kernel that writes its inputs fails."""
+    """The sites-major initial states (sites, rows) and noise (n_it, sites,
+    rows) a solve draws for ``rows`` replicas of one seed, read-only, so that
+    a kernel that writes its inputs fails."""
     cfg = SolverConfig(rows, AnnealSchedule(1.0, n_it))
     x0, noise = getattr(solvers, f"_{paradigm}_draws")(model, [seed], cfg)
     x0.flags.writeable = noise.flags.writeable = False
@@ -302,7 +303,7 @@ class TestPditKernel:
 def joint_grid_sweeps(model, h_rows, betas, d0, u):
     """p-dit sweeps that draw each site among all M symbols at once, from
     one softmax over the flat sqrt(M) x sqrt(M) candidate grid, with the
-    first of the site's two uniforms: the reference the per-axis kernel must
+    site's Re-axis uniform: the reference the per-axis kernel must
     reproduce."""
     n = model.n
     j = model.j_matrix
@@ -310,7 +311,7 @@ def joint_grid_sweeps(model, h_rows, betas, d0, u):
     n_lev = levels.size
     l1g = np.repeat(levels, n_lev)
     l2g = np.tile(levels, n_lev)
-    d = np.hstack([d0[:, :, 0], d0[:, :, 1]])
+    d = d0.T.copy()
     field_cols = np.stack([j[:n], j[n:]], axis=-1)
     for k, beta in enumerate(betas):
         for i in range(n):
@@ -323,7 +324,7 @@ def joint_grid_sweeps(model, h_rows, betas, d0, u):
             w = -beta * (t1 * f1 + t2 * f2 - 0.5 * g * (t1 * t1 + t2 * t2))
             w -= w.max(axis=0)
             cdf = np.cumsum(np.exp(w), axis=0)
-            pick = (cdf < u[:, k, i, 0] * cdf[-1]).sum(axis=0)
+            pick = (cdf < u[k, i] * cdf[-1]).sum(axis=0)
             d[:, i] = l1g[pick]
             d[:, n + i] = l2g[pick]
         yield d
@@ -332,24 +333,25 @@ def joint_grid_sweeps(model, h_rows, betas, d0, u):
 def rowmajor_bpim_sweeps(j, h_rows, betas, s0, u):
     """p-bit sweeps on a (rows, n) state that read J's column per site: the
     reference the sites-major kernel must reproduce."""
-    s = s0.copy()
+    s = s0.T.copy()
     # What rng.uniform(-1, 1) draws from the same uniforms.
     v = -1.0 + 2.0 * u
     for k, beta in enumerate(betas):
         for i in range(j.shape[0]):
             local = s @ j[:, i] + h_rows[:, i]
-            s[:, i] = np.where(v[:, k, i] + np.tanh(beta * local) >= 0, 1.0, -1.0)
+            s[:, i] = np.where(v[k, i] + np.tanh(beta * local) >= 0, 1.0, -1.0)
         yield s
 
 
 def rowmajor_dpim_sweeps(model, h_rows, betas, d0, u):
     """Per-axis p-dit sweeps on a (rows, 2N) state with ``np.cumsum`` CDFs:
     the reference the sites-major kernel must reproduce."""
-    rows, n, _ = d0.shape
+    n, rows = model.n, d0.shape[1]
     j = model.j_matrix
     levels = model.pam_levels
-    d = np.hstack([d0[:, :, 0], d0[:, :, 1]])
+    d = d0.T.copy()
     axes, h_axes = d.reshape(rows, 2, n), h_rows.reshape(rows, 2, n)
+    u_axes = u.reshape(len(u), 2, n, rows)
     field_cols = np.stack([j[:n], j[n:]], axis=-1)
     t, w = np.empty((2, levels.size, rows, 2))
     for k, beta in enumerate(betas):
@@ -363,7 +365,7 @@ def rowmajor_dpim_sweeps(model, h_rows, betas, d0, u):
             w -= w.max(axis=0)
             np.exp(w, out=w)
             np.cumsum(w, axis=0, out=w)
-            x[...] = levels[(w < u[:, k, i] * w[-1]).sum(axis=0)]
+            x[...] = levels[(w < u_axes[k, :, i].T * w[-1]).sum(axis=0)]
         yield d
 
 
@@ -475,8 +477,8 @@ class TestOscillatorKernel:
             np.zeros((1, 2)),
             np.zeros(3000),
             OimParams(1.0, 1.0),
-            np.random.default_rng(12).uniform(0.0, 2.0 * np.pi, (1, 2)),
-            np.zeros((1, 3000, 2)),
+            np.random.default_rng(12).uniform(0.0, 2.0 * np.pi, (2, 1)),
+            np.zeros((3000, 2, 1)),
         )
         assert readout[0, 0] == readout[0, 1]
 
@@ -508,8 +510,8 @@ class TestOscillatorKernel:
                 np.zeros((1, 8)),
                 np.zeros(5000),
                 OimParams(coupling=1.0, binarization=0.15),
-                np.random.default_rng(5000 + trial).uniform(0.0, 2.0 * np.pi, (1, 8)),
-                np.zeros((1, 5000, 8)),
+                np.random.default_rng(5000 + trial).uniform(0.0, 2.0 * np.pi, (8, 1)),
+                np.zeros((5000, 8, 1)),
             )
             s = last[0]
             flip_gain = 2 * s * (j @ s)
@@ -531,9 +533,9 @@ def full_matrix_drift(sin_phi, cos_phi, j, h_rows, params):
 def full_matrix_sweeps(j, h_rows, temps, params, phi0, noise):
     """The Heun loop of the oscillator kernel on :func:`full_matrix_drift`,
     rows-major."""
-    phi = phi0.copy()
+    phi = phi0.T.copy()
     for k, temp in enumerate(temps):
-        kick = (temp * np.sqrt(_OIM_DT)) * noise[:, k]
+        kick = (temp * np.sqrt(_OIM_DT)) * noise[k].T
         f0 = full_matrix_drift(np.sin(phi), np.cos(phi), j, h_rows, params)
         pred = phi + _OIM_DT * f0 + kick
         f1 = full_matrix_drift(np.sin(pred), np.cos(pred), j, h_rows, params)
@@ -657,6 +659,39 @@ class TestReplication:
         solvers.solve_many(paradigm, [model] * 3, cfg, [0, 1, 2])
         assert sizes == [solvers._MAX_PREDRAW] * 3
 
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    def test_one_generator_draws_each_model(self, paradigm):
+        # A model's generator, default_rng(seed), draws its replicas' initial
+        # states and then their noise, sites-major with one replica per
+        # column; in a batch each model's draws are its own columns.
+        (model,) = channel_models(PARADIGMS[paradigm].model, 4, 3, 1, 5)
+        cfg = SolverConfig(4, AnnealSchedule(1.0, 6))
+        n, r = model.n, cfg.replicas
+
+        def expected(seed):
+            rng = np.random.default_rng(seed)
+            if paradigm == "bpim":
+                return rng.integers(0, 2, (n, r)) * 2 - 1, rng.random((6, n, r))
+            if paradigm == "dpim":
+                levels = model.pam_levels
+                return levels[rng.integers(0, levels.size, (2 * n, r))], rng.random((6, 2 * n, r))
+            return rng.uniform(0.0, 2.0 * np.pi, (n, r)), rng.standard_normal((6, n, r))
+
+        draw = getattr(solvers, f"_{paradigm}_draws")
+        seed = np.random.SeedSequence((5, 1, 2))
+        for got, want in zip(draw(model, [seed], cfg), expected(seed), strict=True):
+            np.testing.assert_array_equal(got, want)
+        x0, noise = draw(model, [3, seed], cfg)
+        for lo, s in ((0, 3), (r, seed)):
+            want_x0, want_noise = expected(s)
+            np.testing.assert_array_equal(x0[:, lo : lo + r], want_x0)
+            np.testing.assert_array_equal(noise[..., lo : lo + r], want_noise)
+        # One SeedSequence object solves alike every time: drawing from it
+        # spawns nothing and leaves it as it was.
+        first = solvers.solve_many(paradigm, [model], cfg, [seed])
+        assert_same_outcomes(solvers.solve_many(paradigm, [model], cfg, [seed]), first)
+        assert seed.n_children_spawned == 0
+
     def test_solve_needs_a_model(self):
         with pytest.raises(ValueError, match="at least one model"):
             solvers.solve_many("bpim", [], default_parameters("bpim", 4, 2), [])
@@ -669,7 +704,10 @@ class TestReplication:
         (out,) = bpim_solve_many([model], cfg, [77])
         s0, u = predrawn("bpim", model, 25, 77, cfg.replicas)
         betas = cfg.schedule.peak * cfg.schedule.ramp()
-        singles = [sweep_energies(model, betas, s, v) for s, v in zip(s0[:, None], u[:, None])]
+        singles = [
+            sweep_energies(model, betas, s0[:, r : r + 1], u[..., r : r + 1])
+            for r in range(cfg.replicas)
+        ]
         # Per replica the first lowest-energy sweep, then the first best replica.
         best_it = [int(np.argmin(e)) for _, e in singles]
         best_e = [e[k] for (_, e), k in zip(singles, best_it)]
