@@ -27,6 +27,7 @@ from .harness import (
     beta_sweep,
     fit_scaling_law,
     format_summary,
+    plan_beta_sweep,
     plan_experiment,
     plan_from_manifest,
     report,
@@ -53,12 +54,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _nonempty(values: list) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one value")
+    return values
+
+
 def int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
+    return _nonempty([int(v) for v in text.split(",") if v != ""])
 
 
 def float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v != ""]
+    return _nonempty([float(v) for v in text.split(",") if v != ""])
 
 
 def name_list(text: str) -> list[str]:
@@ -160,32 +167,33 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     _require(args, "n", "mod", "ebn0", "bits", "out")
-    for n in args.n:
-        for order in args.mod:
-            plan = _plan(args, n, order)
-            sub = Path(args.out) / f"n{n}_m{order}"
-            print(f"== n={n} order={order}")
-            _run_plan(plan, args.threads, sub)
+    # Every plan is checked before the first one runs.
+    plans = [_plan(args, n, order) for n in args.n for order in args.mod]
+    for plan in plans:
+        print(f"== n={plan.n} order={plan.order}")
+        _run_plan(plan, args.threads, Path(args.out) / f"n{plan.n}_m{plan.order}")
 
 
 def _cmd_fit_beta(args: argparse.Namespace) -> None:
     _require(args, "n", "mod", "beta_grid", "out")
     out = _check_writable(args.out)
+    pairs = [(n, order) for n in args.n for order in args.mod]
+    settings = dict(
+        paradigm=args.paradigm,
+        beta_grid=args.beta_grid,
+        n_instances=args.instances,
+        n_trials=args.trials,
+        n_iterations=args.iters,
+        seed=args.seed,
+    )
+    # Every pair is checked before the first solve.
+    for n, order in pairs:
+        plan_beta_sweep(n, order, **settings)
     rows = []
-    for n in args.n:
-        for order in args.mod:
-            result = beta_sweep(
-                n=n,
-                order=order,
-                paradigm=args.paradigm,
-                beta_grid=args.beta_grid,
-                n_instances=args.instances,
-                n_trials=args.trials,
-                n_iterations=args.iters,
-                seed=args.seed,
-            )
-            rows.append((n, order, result))
-            print(f"n={n} order={order}: optimal peak {result.beta_opt:.6g}")
+    for n, order in pairs:
+        result = beta_sweep(n, order, **settings)
+        rows.append((n, order, result))
+        print(f"n={n} order={order}: optimal peak {result.beta_opt:.6g}")
     out.mkdir(parents=True, exist_ok=True)
     curve_path = out / "beta_sweep.csv"
     with open(curve_path, "w") as fh:

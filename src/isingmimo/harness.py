@@ -61,6 +61,7 @@ __all__ = [
     "plan_experiment",
     "run_ber_sweep",
     "ber_upper_bound",
+    "plan_beta_sweep",
     "beta_sweep",
     "fit_scaling_law",
     "report",
@@ -340,6 +341,7 @@ def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
     An invalid plan fails in :func:`plan_experiment` before any work.
     """
     plan = plan_experiment(**{f.name: getattr(plan, f.name) for f in fields(ExperimentPlan)})
+    require_ints(threads=threads)
     if threads < 1:
         raise ValueError(f"threads must be at least 1; got {threads}")
     workers = min(threads, plan.n_channels)
@@ -402,7 +404,7 @@ class BetaSweepResult:
     random_reference_stderr: float
 
 
-def beta_sweep(
+def plan_beta_sweep(
     n: int,
     order: int,
     paradigm: str,
@@ -412,16 +414,13 @@ def beta_sweep(
     n_iterations: int = 100,
     ebn0_list=(3.0, 6.0, 9.0),
     seed: int = 0,
-) -> BetaSweepResult:
-    """Mean final solver energy as a function of the annealing peak.
+) -> tuple:
+    """Every check of :func:`beta_sweep`'s arguments, the Eb/N0 list as a
+    plan's is, made before any instance is built, as :func:`plan_experiment`
+    checks a plan.
 
-    The instance pool mixes ``n_instances`` fresh instances per Eb/N0 value,
-    at least two in all; each (peak, instance) cell runs ``n_trials``
-    independent replicas and averages their final energies. Energies are normalized per instance by
-    the mean |energy| of 1000 uniformly random configurations, which leaves
-    the minimizing peak unchanged. For the oscillator paradigm the grid is
-    interpreted as peak noise levels. Every argument is checked, the Eb/N0
-    list as a plan's is, before any instance is built.
+    Returns the sorted peak grid, the Eb/N0 points and one solver config per
+    peak.
     """
     require_ints(
         n=n, n_instances=n_instances, n_trials=n_trials, n_iterations=n_iterations, seed=seed
@@ -449,7 +448,33 @@ def beta_sweep(
         )
         for peak in beta_grid
     ]
+    return beta_grid, ebn0_list, cfgs
 
+
+def beta_sweep(
+    n: int,
+    order: int,
+    paradigm: str,
+    beta_grid,
+    n_instances: int = 20,
+    n_trials: int = 100,
+    n_iterations: int = 100,
+    ebn0_list=(3.0, 6.0, 9.0),
+    seed: int = 0,
+) -> BetaSweepResult:
+    """Mean final solver energy as a function of the annealing peak.
+
+    The instance pool mixes ``n_instances`` fresh instances per Eb/N0 value,
+    at least two in all; each (peak, instance) cell runs ``n_trials``
+    independent replicas and averages their final energies. Energies are normalized per instance by
+    the mean |energy| of 1000 uniformly random configurations, which leaves
+    the minimizing peak unchanged. For the oscillator paradigm the grid is
+    interpreted as peak noise levels. :func:`plan_beta_sweep` checks every
+    argument before any instance is built.
+    """
+    beta_grid, ebn0_list, cfgs = plan_beta_sweep(
+        n, order, paradigm, beta_grid, n_instances, n_trials, n_iterations, ebn0_list, seed
+    )
     c = build_constellation(order)
     models = []
     scales = []
@@ -526,8 +551,8 @@ def fit_scaling_law(points) -> ScalingFit:
     else:
         raise ValueError("cannot mix BPSK and QAM points in one fit")
     betas = np.array([b for _, _, b in points])
-    if (betas <= 0).any():
-        raise ValueError("beta values must be positive")
+    if not (np.isfinite(betas) & (betas > 0)).all():
+        raise ValueError(f"beta values must be positive and finite; got {betas.tolist()}")
     design = np.stack([np.ones_like(x), x], axis=1)
     if np.linalg.matrix_rank(design) < 2:
         raise ValueError("degenerate fit: all points share one size")

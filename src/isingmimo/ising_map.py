@@ -153,12 +153,16 @@ def build_binary_model(rc: RealizedChannel, couplings: tuple | None = None) -> B
 
 
 def ising_energies(x: np.ndarray, j: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """-1/2 x'Jx - h'x for each row of a (rows, m) stack; ``h`` has the same shape.
+    """-1/2 x'Jx - h'x for each column of an (m, rows) stack; ``h`` is (m, rows) or (m, 1).
 
     The one energy of both encodings: each model passes its own states, spins
-    or [Re x; Im x] level values, with its ``j_matrix``.
+    or [Re x; Im x] level values, one per column, with its ``j_matrix``.
     """
-    return -0.5 * np.einsum("ri,ri->r", x @ j, x) - np.einsum("ri,ri->r", x, h)
+    # x'J written sites-major, not Jx: OpenBLAS sums Jx's trailing columns in
+    # another order, while x'J scores an equal state alike in every column.
+    jx = np.empty(x.shape)
+    np.matmul(x.T, j, out=jx.T)
+    return -0.5 * np.einsum("ir,ir->r", jx, x) - np.einsum("ir,ir->r", x, h)
 
 
 def _symbol_count(rc: RealizedChannel) -> int:
@@ -205,4 +209,4 @@ def random_state_energies(model, rng: np.random.Generator, count: int) -> np.nda
     levels = model.pam_levels if isinstance(model, PditModel) else np.array([-1.0, 1.0])
     # One level index per state entry, drawn in the model's own layout.
     x = levels[rng.integers(0, levels.size, (count, model.h_vector.size))]
-    return ising_energies(x, model.j_matrix, np.broadcast_to(model.h_vector, x.shape))
+    return ising_energies(x.T, model.j_matrix, model.h_vector[:, None])

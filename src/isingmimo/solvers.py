@@ -25,14 +25,14 @@ sweeps raise the inverse temperature to the schedule's peak, and the
 oscillator dynamics lower the noise level from it to zero, with constants
 from :func:`oim_params` scaled by the model size.
 
-All three kernels keep their live state sites-major, (sites, rows), and
-yield it as a C-contiguous (rows, sites) array. A site step then reads and
-writes contiguous per-site rows: the p-bit and p-dit kernels take a site's
-local field as one product of the contiguous row J[i] (J is symmetric) with
-the state, and read the site's bias and uniforms as contiguous rows. The
-draws are sites-major too: the initial states are (sites, rows) and the
-noise (n_iterations, sites, rows), so sweep k reads ``noise[k]`` as it is.
-No kernel writes its inputs.
+A solve's rows stay sites-major, (sites, rows), from the draw to the best
+state: initial states and bias are (sites, rows) and the noise
+(n_iterations, sites, rows), so sweep k reads ``noise[k]`` as it is, and
+each kernel yields its live state, which ``_solve_many`` scores and keeps as
+it is. A site step reads and writes contiguous per-site rows: the p-bit and
+p-dit kernels take a site's local field as one product of the contiguous row
+J[i] (J is symmetric) with the state, and read the site's bias and uniforms
+as contiguous rows. No kernel writes its inputs.
 
 The p-dit kernel draws a site's Re and Im axes together, each from its own
 softmax over the sqrt(M) PAM levels. This is the site's exact conditional
@@ -219,12 +219,12 @@ def _predraw(seeds, cfg: SolverConfig, sites: int, initial, fill: str):
 def _solve_many(kernel, draw, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
     """The annealing loop of every batched solver.
 
-    ``kernel(model, h_rows, x0, noise)`` sweeps the draws of a chunk's
-    seeds, ``draw(model, seeds, cfg)``, and yields the rows' state after
-    every iteration, in the layout of ``h_rows``, on the couplings of
-    ``model``, which every model of the chunk shares. Each row keeps its
-    first state of lowest energy, and the energy of its last state is its
-    final energy.
+    ``kernel(model, h, x0, noise)`` sweeps the draws of a chunk's seeds,
+    ``draw(model, seeds, cfg)``, with the (sites, rows) bias ``h`` on the
+    couplings of ``model``, which every model of the chunk shares, and
+    yields the rows' (sites, rows) state after every iteration. Each row
+    keeps its first state of lowest energy, and the energy of its last state
+    is its final energy.
     """
     if not models:
         raise ValueError("need at least one model")
@@ -239,24 +239,24 @@ def _solve_many(kernel, draw, models, cfg: SolverConfig, seeds) -> list[SolveOut
     outcomes = []
     for lo in range(0, len(models), chunk):
         hi = min(lo + chunk, len(models))
-        h_rows = np.repeat(np.stack([m.h_vector for m in models[lo:hi]]), cfg.replicas, axis=0)
-        best_s = np.empty(h_rows.shape)
-        best_e = np.full(len(h_rows), np.inf)
-        best_it = np.zeros(len(h_rows), dtype=int)
+        h = np.repeat(np.stack([m.h_vector for m in models[lo:hi]], axis=1), cfg.replicas, axis=1)
+        best_s = np.empty(h.shape)
+        best_e = np.full(h.shape[1], np.inf)
+        best_it = np.zeros(h.shape[1], dtype=int)
         # Only the kernel holds the draws, so they are freed when it ends.
-        sweeps = kernel(models[lo], h_rows, *draw(models[lo], seeds[lo:hi], cfg))
+        sweeps = kernel(models[lo], h, *draw(models[lo], seeds[lo:hi], cfg))
         for it, s in enumerate(sweeps, 1):
-            e = ising_energies(s, j, h_rows)
+            e = ising_energies(s, j, h)
             improved = e < best_e
             best_e[improved] = e[improved]
-            best_s[improved] = s[improved]
+            best_s[:, improved] = s[:, improved]
             best_it[improved] = it
         for first in range(0, (hi - lo) * cfg.replicas, cfg.replicas):
             rows = slice(first, first + cfg.replicas)
             best = first + int(np.argmin(best_e[rows]))
             outcomes.append(
                 SolveOutcome(
-                    best_state=best_s[best],
+                    best_state=best_s[:, best].copy(),
                     best_energy=float(best_e[best]),
                     final_energies=e[rows].copy(),
                     best_iteration=int(best_it[best]),
@@ -277,9 +277,9 @@ def _bpim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
     return _predraw(seeds, cfg, model.n, initial, "random")
 
 
-def _bpim_sweeps(j: np.ndarray, h_rows: np.ndarray, betas: np.ndarray, s0, u):
-    """Sequential p-bit sweeps from the spins ``s0`` (n, rows), with the
-    uniforms ``u`` (n_it, n, rows); yields the spins after each.
+def _bpim_sweeps(j: np.ndarray, h: np.ndarray, betas: np.ndarray, s0, u):
+    """Sequential p-bit sweeps from the spins ``s0`` with the bias ``h``, both
+    (n, rows), and the uniforms ``u`` (n_it, n, rows); yields the spins after each.
 
     Spins, bias and each sweep's uniforms live sites-major, (n, rows), so a
     site step is one product of the contiguous row J[i] (J is symmetric) with
@@ -287,14 +287,13 @@ def _bpim_sweeps(j: np.ndarray, h_rows: np.ndarray, betas: np.ndarray, s0, u):
     turned into U = 2u - 1 once. A site takes +1 where
     U + tanh(beta * field) >= 0 and -1 elsewhere: U is never -0.0, so
     neither is that sum, and ``copysign`` gives exactly this sign. The
-    yielded (rows, n) array is C-contiguous and rewritten after every sweep.
+    yielded array is the live C-contiguous (n, rows) state: the next sweep
+    rewrites it, and the caller only reads it.
     """
     n, rows = s0.shape
     s = s0.copy()
-    h = np.ascontiguousarray(h_rows.T)
     u_k = np.empty((n, rows))
     field = np.empty(rows)
-    out = np.empty((rows, n))
     for k, beta in enumerate(betas):
         # rng.uniform(-1, 1) is -1 + 2u, bit for bit.
         np.multiply(u[k], 2.0, out=u_k)
@@ -306,8 +305,7 @@ def _bpim_sweeps(j: np.ndarray, h_rows: np.ndarray, betas: np.ndarray, s0, u):
             np.tanh(field, out=field)
             field += u_k[i]
             np.copysign(1.0, field, out=s[i])
-        np.copyto(out, s.T)
-        yield out
+        yield s
 
 
 def bpim_solve_many(
@@ -316,8 +314,8 @@ def bpim_solve_many(
     """Best-of-R p-bit annealing of models that share one coupling matrix."""
     betas = cfg.schedule.peak * cfg.schedule.ramp()
 
-    def kernel(model, h_rows, s0, u):
-        return _bpim_sweeps(model.j_matrix, h_rows, betas, s0, u)
+    def kernel(model, h, s0, u):
+        return _bpim_sweeps(model.j_matrix, h, betas, s0, u)
 
     return _solve_many(kernel, _bpim_draws, models, cfg, seeds)
 
@@ -334,18 +332,19 @@ def _dpim_draws(model: PditModel, seeds, cfg: SolverConfig):
     return _predraw(seeds, cfg, 2 * model.n, initial, "random")
 
 
-def _dpim_sweeps(model: PditModel, h_rows: np.ndarray, betas: np.ndarray, d0, u):
+def _dpim_sweeps(model: PditModel, h: np.ndarray, betas: np.ndarray, d0, u):
     """Sequential p-dit sweeps from the axes ``d0`` (2n, rows), with the
-    uniforms ``u`` (n_it, 2n, rows); each site redraws its two axes, each
-    from the softmax of its own move costs over the PAM levels (exact as
-    J[i, n + i] = 0).
+    bias ``h`` (2n, rows) and the uniforms ``u`` (n_it, 2n, rows); each site
+    redraws its two axes, each from the softmax of its own move costs over
+    the PAM levels (exact as J[i, n + i] = 0).
 
-    A row's state is [Re x; Im x], the layout of ``h_rows`` and of the
-    model's ``j_matrix``. State, bias and each sweep's uniforms live
-    sites-major, (2n, rows), so site i's axes and their uniforms are the
-    contiguous rows i and n + i, and both their fields are one product of the
-    rows J[i] and J[n + i] (J is symmetric) with the state. The yielded
-    (rows, 2n) array is C-contiguous and rewritten after every sweep.
+    A state column is [Re x; Im x], the layout of ``h`` and of the model's
+    ``j_matrix``. State, bias and each sweep's uniforms live sites-major,
+    (2n, rows), so site i's axes and their uniforms are the contiguous rows
+    i and n + i, and both their fields are one product of the rows J[i] and
+    J[n + i] (J is symmetric) with the state. The yielded array is the live
+    C-contiguous (2n, rows) state: the next sweep rewrites it, and the
+    caller only reads it.
 
     The softmax CDF is built by L - 1 in-place adds over the level planes:
     the same sequential sums as ``np.cumsum`` along the levels, which numpy
@@ -360,14 +359,13 @@ def _dpim_sweeps(model: PditModel, h_rows: np.ndarray, betas: np.ndarray, d0, u)
     d = d0.copy()
     # Site i's axes are the (2, rows) basic-index views [:, i]: no gather.
     axes = d.reshape(2, n, rows)
-    h_axes = np.ascontiguousarray(h_rows.T).reshape(2, n, rows)
+    h_axes = h.reshape(2, n, rows)
     # field_rows[i] @ d gives both axes' local fields.
     field_rows = np.stack([j[:n], j[n:]], axis=1)
     field, threshold = np.empty((2, 2, rows))
     peak = np.empty((2, rows))
     below = np.empty((n_lev - 1, 2, rows), dtype=bool)
     pick = np.empty((2, rows), dtype=np.intp)
-    out = np.empty((rows, 2 * n))
     # Per (level, axis, row): steps t = x - level, then the move costs
     # -beta t (f - J[i, i] t / 2) turned in place into their softmax CDF.
     t, w = np.empty((2, n_lev, 2, rows))
@@ -394,8 +392,7 @@ def _dpim_sweeps(model: PditModel, h_rows: np.ndarray, betas: np.ndarray, d0, u)
             np.add.reduce(below, axis=0, out=pick)
             # The indices are in range; "clip" lets take write straight into x.
             np.take(levels, pick, out=x, mode="clip")
-        np.copyto(out, d.T)
-        yield out
+        yield d
 
 
 def dpim_solve_many(models: list[PditModel], cfg: SolverConfig, seeds) -> list[SolveOutcome]:
@@ -406,8 +403,8 @@ def dpim_solve_many(models: list[PditModel], cfg: SolverConfig, seeds) -> list[S
     """
     betas = cfg.schedule.peak * cfg.schedule.ramp()
 
-    def kernel(model, h_rows, d0, u):
-        return _dpim_sweeps(model, h_rows, betas, d0, u)
+    def kernel(model, h, d0, u):
+        return _dpim_sweeps(model, h, betas, d0, u)
 
     return _solve_many(kernel, _dpim_draws, models, cfg, seeds)
 
@@ -430,9 +427,8 @@ class _OimBands:
     :class:`_OimBuffers` fit ``_OIM_BAND_BYTES``, or hold one row.
     """
 
-    def __init__(self, j: np.ndarray, h_rows: np.ndarray, params: OimParams):
-        n = j.shape[0]
-        rows = len(h_rows)
+    def __init__(self, j: np.ndarray, h: np.ndarray, params: OimParams):
+        n, rows = h.shape
         n_bands = n // 2
         sites = np.arange(n)
         shift = np.arange(1, n_bands + 1)[:, None]
@@ -446,7 +442,6 @@ class _OimBands:
         self.weights = np.concatenate([j_to, -j_from]).T[:, None, :].copy()
         self.coupling = params.coupling
         self.binarization = params.binarization
-        h_sites = np.ascontiguousarray(h_rows.T)
         per_row = 8 * (4 * n + 2 * n_bands * n)
         width = max(1, min(rows, _OIM_BAND_BYTES // per_row))
         # (rows, bias, buffers) per chunk; all full chunks share one set of
@@ -456,7 +451,7 @@ class _OimBands:
         for lo in range(0, rows, width):
             hi = min(lo + width, rows)
             buffers = full if hi - lo == width else _OimBuffers(n, n_bands, hi - lo)
-            self.chunks.append((slice(lo, hi), h_sites[:, lo:hi], buffers))
+            self.chunks.append((slice(lo, hi), h[:, lo:hi], buffers))
 
 
 class _OimBuffers:
@@ -529,19 +524,19 @@ def _oim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
     return _predraw(seeds, cfg, model.n, initial, "standard_normal")
 
 
-def _oim_sweeps(
-    j: np.ndarray, h_rows: np.ndarray, temps: np.ndarray, params: OimParams, phi0, noise
-):
+def _oim_sweeps(j: np.ndarray, h: np.ndarray, temps: np.ndarray, params: OimParams, phi0, noise):
     """Heun-integrated phase dynamics from the phases ``phi0`` (n, rows), with
-    the normal ``noise`` (n_it, n, rows) scaled by each step's noise level;
-    yields sign(cos phase) per step.
+    the bias ``h`` (n, rows) and the normal ``noise`` (n_it, n, rows) scaled
+    by each step's noise level; yields sign(cos phase) per step.
 
-    Phases and noise are sites-major, (n, rows), the layout of
-    :func:`_oim_drift`. The readout is a C-contiguous (rows, n) array.
+    Phases, bias and noise are sites-major, (n, rows), the layout of
+    :func:`_oim_drift`. The yielded readout is one C-contiguous (n, rows)
+    buffer: the next step rewrites it, and the caller only reads it.
     """
     phi = phi0.copy()
     kick = np.empty(phi.shape)
-    bands = _OimBands(j, h_rows, params)
+    readout = np.empty(phi.shape)
+    bands = _OimBands(j, h, params)
     sqrt_dt = np.sqrt(_OIM_DT)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     for k, temp in enumerate(temps):
@@ -553,7 +548,7 @@ def _oim_sweeps(
         sin_phi, cos_phi = np.sin(phi), np.cos(phi)
         # cos of a finite phase is never +-0, so its sign is +1 exactly
         # where cos >= 0.
-        yield np.copysign(1.0, cos_phi.T, order="C")
+        yield np.copysign(1.0, cos_phi, out=readout)
 
 
 def oim_solve_many(
@@ -563,8 +558,8 @@ def oim_solve_many(
     share one coupling matrix; spins are read out as sign(cos phase)."""
     temps = cfg.schedule.peak * (1.0 - cfg.schedule.ramp())
 
-    def kernel(model, h_rows, phi0, noise):
-        return _oim_sweeps(model.j_matrix, h_rows, temps, oim_params(model.n), phi0, noise)
+    def kernel(model, h, phi0, noise):
+        return _oim_sweeps(model.j_matrix, h, temps, oim_params(model.n), phi0, noise)
 
     return _solve_many(kernel, _oim_draws, models, cfg, seeds)
 

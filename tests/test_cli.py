@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import isingmimo
+from isingmimo import cli
 from isingmimo.cli import main
 from isingmimo.harness import plan_experiment
 from isingmimo.solvers import PARADIGMS, default_parameters
@@ -307,6 +308,21 @@ class TestSweepCommand:
         assert (out / "n2_m4" / "results.csv").exists()
         assert (out / "n4_m4" / "results.csv").exists()
 
+    def test_every_plan_checked_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # 112 bits split into 14 messages of n=4 but not of n=5: the n=4 plan
+        # must not run and write its output before the n=5 plan is refused.
+        runs = []
+        monkeypatch.setattr(cli, "run_ber_sweep", lambda *a, **k: runs.append(a))
+        out = tmp_path / "s1"
+        code = run_cli(
+            "sweep", "--n", "4,5", "--mod", "4", "--ebn0", "5", "--bits", "112",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert runs == []
+        assert not out.exists()
+
 
 class TestFitBetaCommand:
     def test_writes_curve_csv(self, tmp_path, capsys):
@@ -366,6 +382,21 @@ class TestFitBetaCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "x").exists()
 
+    def test_every_pair_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # dpim refuses BPSK: the (2, 4) sweep must not run before (2, 2) is refused.
+        solves = []
+        monkeypatch.setattr(cli, "beta_sweep", lambda *a, **k: solves.append(a))
+        out = tmp_path / "beta"
+        code = run_cli(
+            "fit-beta",
+            "--n", "2,3", "--mod", "4,2", "--paradigm", "dpim", "--beta-grid", "0.5,1",
+            "--instances", "1", "--trials", "2", "--iters", "2", "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert solves == []
+        assert not out.exists()
+
     def test_infinite_peak_exits_before_writing(self, tmp_path, capsys):
         out = tmp_path / "beta"
         code = run_cli(
@@ -377,6 +408,24 @@ class TestFitBetaCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite peak" in err
         assert not (out / "beta_sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, empty",
+    [
+        ("sweep", ["--mod", "4", "--ebn0", "5", "--bits", "112"], "--n="),
+        ("sweep", ["--n", "4", "--ebn0", "5", "--bits", "112"], "--mod="),
+        ("fit-beta", ["--mod", "4", "--beta-grid", "0.5,1"], "--n="),
+        ("fit-beta", ["--n", "2", "--mod", "4"], "--beta-grid="),
+    ],
+)
+def test_empty_list_flag_fails(command, flags, empty, tmp_path, capsys):
+    # An empty list ran nothing and exited 0, or wrote a header-only CSV.
+    out = tmp_path / "x"
+    assert run_cli(command, *flags, empty, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and empty.rstrip("=") in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # Modulation orders each solver supports, out of BPSK (2) and 4-QAM (4).

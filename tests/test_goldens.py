@@ -157,7 +157,7 @@ BETA_GOLDENS = {
             ebn0_list=(4.0, 12.0),
             seed=21,
         ),
-        "8f2cbea7bc4d5296b86caf63820ccac820a0103ffd4c92597e006214853b80fe",
+        "4a1c6d95ab183559b8c4d9898c41e1a09890eee89dc39d82997e863f11e77ebb",
     ),
     "bpim-qam4-n4": (
         dict(
@@ -171,7 +171,7 @@ BETA_GOLDENS = {
             ebn0_list=(4.0, 12.0),
             seed=22,
         ),
-        "4cfc1acd30c69b8c5c58f804c9f3a8486b931d2e4108b5d1b9024747418c8be9",
+        "9a3cca7beb7a54eb9c587b66219321fb9a884d16ed41442e45da0dc7b71be8f7",
     ),
     "bpim-qam16-n3": (
         dict(
@@ -185,7 +185,7 @@ BETA_GOLDENS = {
             ebn0_list=(4.0, 12.0),
             seed=23,
         ),
-        "492a811abe4f264da40827366d0b64274203242f323825fffd3980648a27b40b",
+        "4d766c56416f9aa229fed17f01ee95b04f2b47b7fe05e118244133d5efe7b07f",
     ),
     # fit-beta's oscillator path; the grid is read as peak noise levels.
     "oim-bpsk-n6": (
@@ -200,7 +200,7 @@ BETA_GOLDENS = {
             ebn0_list=(4.0, 12.0),
             seed=24,
         ),
-        "4b52c32364317395221d0f9d55a98801e5588a6f11d3c5d53a005b8467733c43",
+        "d7f00fc1a8e2cf0f49bcb1a78790ccd58f64e11484d7e870e04a9d44c3fad72e",
     ),
 }
 

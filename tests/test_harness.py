@@ -306,6 +306,18 @@ class TestRunBerSweep:
         with pytest.raises(ValueError, match="threads"):
             run_ber_sweep(plan, threads=0)
 
+    @pytest.mark.parametrize("threads", ["2", 2.5])
+    def test_threads_must_be_an_int(self, threads, monkeypatch):
+        # "2" died in min() with a TypeError, and 2.5 ran a two-worker pool.
+        plan = plan_experiment(4, 4, [10.0], 896, seed=8, detectors=("mmse",))
+
+        def no_work(*args):
+            raise AssertionError("a channel ran")
+
+        monkeypatch.setattr(harness, "_channel_errors", no_work)
+        with pytest.raises(ValueError, match="threads must be an int"):
+            run_ber_sweep(plan, threads=threads)
+
     @pytest.mark.parametrize("total_bits", [100, 232])
     def test_plan_not_from_plan_experiment_rejected_before_work(self, monkeypatch, total_bits):
         # 100 bits make no whole channel of 14 messages x 8 bits, and 232 make
@@ -467,6 +479,12 @@ class TestFitScalingLaw:
             fit_scaling_law([(8, 2, 0.1), (8, 2, 0.11), (8, 2, 0.12)])
         with pytest.raises(ValueError, match="positive"):
             fit_scaling_law([(8, 2, 0.1), (16, 2, -0.05), (32, 2, 0.02)])
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        # A NaN or infinite peak gave an all-NaN fit without an error.
+        with pytest.raises(ValueError, match="beta values must be positive and finite"):
+            fit_scaling_law([(4, 2, 0.5), (8, 2, beta), (16, 2, 0.2)])
 
     @pytest.mark.parametrize(
         "points, name",

@@ -24,7 +24,7 @@ from isingmimo.ising_map import binary_couplings, ising_energies, pdit_couplings
 
 def energy(x: np.ndarray, model) -> float:
     """The model's energy -1/2 x'Jx - h'x of one state."""
-    return ising_energies(x[None], model.j_matrix, model.h_vector[None])[0]
+    return ising_energies(x[:, None], model.j_matrix, model.h_vector[:, None])[0]
 
 
 def random_instance(n, order, seed, ebn0_db=9.0):
@@ -306,6 +306,25 @@ class TestPditModel:
             pdit_couplings(rc)
         with pytest.raises(ValueError, match="QAM orders"):
             build_pdit_model(rc)
+
+
+class TestIsingEnergies:
+    @pytest.mark.parametrize("rows", [2, 9, 12, 67])
+    @pytest.mark.parametrize("kind,order,n", [("binary", 4, 8), ("binary", 16, 8), ("pdit", 4, 16)])
+    def test_equal_states_score_alike_in_every_column(self, kind, order, n, rows):
+        # A state's energy must not depend on its column in a stack, so that a
+        # solve's best and its energies do not depend on how its rows are
+        # batched or chunked.
+        _, inst = random_instance(n, order, seed=n + order)
+        build = build_pdit_model if kind == "pdit" else build_binary_model
+        model = build(realify(inst.channel, inst.rx_vector, order))
+        levels = model.pam_levels if kind == "pdit" else np.array([-1.0, 1.0])
+        state = np.random.default_rng(rows).choice(levels, model.h_vector.size)
+        x = np.repeat(state[:, None], rows, axis=1)
+        h = np.repeat(model.h_vector[:, None], rows, axis=1)
+        e = ising_energies(x, model.j_matrix, h)
+        assert e.shape == (rows,)
+        np.testing.assert_array_equal(e, e[0])
 
 
 class TestCrossEncodingConsistency:

@@ -39,7 +39,7 @@ from isingmimo.solvers import (
 
 def energy(x: np.ndarray, model) -> float:
     """The model's energy -1/2 x'Jx - h'x of one state."""
-    return ising_energies(x[None], model.j_matrix, model.h_vector[None])[0]
+    return ising_energies(x[:, None], model.j_matrix, model.h_vector[:, None])[0]
 
 
 def predrawn(paradigm, model, n_it, seed, rows):
@@ -54,19 +54,19 @@ def predrawn(paradigm, model, n_it, seed, rows):
 
 def sample_spin_chain(model, beta, n_sweeps, seed, n_chains=1):
     """Post-sweep states of p-bit chains at fixed beta: (chains, sweeps, n) of +-1."""
-    h_rows = np.broadcast_to(model.h_vector, (n_chains, model.n))
+    h = np.broadcast_to(model.h_vector[:, None], (model.n, n_chains))
     draws = predrawn("bpim", model, n_sweeps, seed, n_chains)
-    sweeps = _bpim_sweeps(model.j_matrix, h_rows, np.full(n_sweeps, beta), *draws)
-    return np.stack([s.astype(np.int8) for s in sweeps], axis=1)
+    sweeps = _bpim_sweeps(model.j_matrix, h, np.full(n_sweeps, beta), *draws)
+    return np.stack([s.T.astype(np.int8) for s in sweeps], axis=1)
 
 
 def sample_pdit_chain(model, beta, n_sweeps, seed, n_chains=1):
     """Post-sweep states of p-dit chains at fixed beta: (chains, sweeps, 2N)
     levels, [Re x; Im x] in each state."""
-    h_rows = np.broadcast_to(model.h_vector, (n_chains, 2 * model.n))
+    h = np.broadcast_to(model.h_vector[:, None], (2 * model.n, n_chains))
     draws = predrawn("dpim", model, n_sweeps, seed, n_chains)
-    sweeps = _dpim_sweeps(model, h_rows, np.full(n_sweeps, beta), *draws)
-    return np.stack([d.astype(np.int8) for d in sweeps], axis=1)
+    sweeps = _dpim_sweeps(model, h, np.full(n_sweeps, beta), *draws)
+    return np.stack([d.T.astype(np.int8) for d in sweeps], axis=1)
 
 
 def ferromagnet(coupling=1.0):
@@ -75,10 +75,11 @@ def ferromagnet(coupling=1.0):
 
 
 def assert_same_states(got, expected):
-    """Equal states after every iteration, ``got`` as C-contiguous arrays."""
+    """Equal states after every iteration: ``got`` as C-contiguous (sites,
+    rows) arrays, ``expected`` as a reference's (rows, sites) ones."""
     for s, e in itertools.zip_longest(got, expected):
-        assert s.shape == e.shape and s.flags.c_contiguous
-        np.testing.assert_array_equal(s, e)
+        assert s.shape == e.T.shape and s.flags.c_contiguous
+        np.testing.assert_array_equal(s, e.T)
 
 
 def assert_same_outcomes(got, expected):
@@ -102,9 +103,9 @@ class TestAnnealSchedule:
         # The noise levels the oscillator solver hands its kernel.
         seen = []
 
-        def recording(j, h_rows, temps, *rest):
+        def recording(j, h, temps, *rest):
             seen.append(temps)
-            return _oim_sweeps(j, h_rows, temps, *rest)
+            return _oim_sweeps(j, h, temps, *rest)
 
         monkeypatch.setattr(solvers, "_oim_sweeps", recording)
         oim_solve_many([ferromagnet()], SolverConfig(1, AnnealSchedule(30.0, 4)), [0])
@@ -283,11 +284,11 @@ class TestPditKernel:
         # so the per-axis kernel and the joint-grid reference must take the
         # same states after every sweep, whatever their uniforms.
         (model,) = channel_models("pdit", order, n, 1, 60 + n, ebn0_db=10.0)
-        h_rows = np.repeat(model.h_vector[None], 6, axis=0)
+        h = np.repeat(model.h_vector[:, None], 6, axis=1)
         betas = np.full(5, 1e6)
         draws = predrawn("dpim", model, 5, 9, 6)
-        per_axis = _dpim_sweeps(model, h_rows, betas, *draws)
-        joint = joint_grid_sweeps(model, h_rows, betas, *draws)
+        per_axis = _dpim_sweeps(model, h, betas, *draws)
+        joint = joint_grid_sweeps(model, h.T, betas, *draws)
         assert_same_states(per_axis, joint)
 
     def test_energy_bookkeeping(self):
@@ -378,15 +379,16 @@ def channel_models(model_kind, order, n, count, seed, ebn0_db=8.0):
 
 
 def kernel_rows(models, layout, replicas=4):
-    """The bias rows and row count of one kernel call in a given row layout:
-    one row, one model broadcast to several rows (as the chain samplers pass
-    it), or a batch of models with their replicas."""
-    h = models[0].h_vector
+    """The (sites, rows) bias and row count of one kernel call in a given row
+    layout: one row, one model broadcast to several rows (as the chain
+    samplers pass it), or a batch of models with their replicas."""
+    h = models[0].h_vector[:, None]
     if layout == "one":
-        return h[None], 1
+        return h, 1
     if layout == "broadcast":
-        return np.broadcast_to(h, (replicas, h.size)), replicas
-    return np.repeat(np.stack([m.h_vector for m in models]), replicas, axis=0), len(models) * replicas
+        return np.broadcast_to(h, (h.size, replicas)), replicas
+    stacked = np.stack([m.h_vector for m in models], axis=1)
+    return np.repeat(stacked, replicas, axis=1), len(models) * replicas
 
 
 class TestSitesMajorKernels:
@@ -399,13 +401,13 @@ class TestSitesMajorKernels:
     def test_bpim_states_match_rowmajor(self, order, hot, layout):
         n = 6
         models = channel_models("binary", order, n, 3, 80 + order)
-        h_rows, rows = kernel_rows(models, layout)
+        h, rows = kernel_rows(models, layout)
         sched = default_parameters("bpim", n, order).schedule
         betas = (0.05 if hot else 1.0) * sched.peak * sched.ramp()[:30]
         j = models[0].j_matrix
         draws = predrawn("bpim", models[0], len(betas), 5, rows)
-        sites = _bpim_sweeps(j, h_rows, betas, *draws)
-        assert_same_states(sites, rowmajor_bpim_sweeps(j, h_rows, betas, *draws))
+        sites = _bpim_sweeps(j, h, betas, *draws)
+        assert_same_states(sites, rowmajor_bpim_sweeps(j, h.T, betas, *draws))
 
     @pytest.mark.parametrize("layout", ["one", "broadcast", "batch"])
     @pytest.mark.parametrize("hot", [False, True])
@@ -413,12 +415,12 @@ class TestSitesMajorKernels:
     def test_dpim_states_match_rowmajor(self, order, hot, layout):
         n = 6
         models = channel_models("pdit", order, n, 3, 90 + order)
-        h_rows, rows = kernel_rows(models, layout)
+        h, rows = kernel_rows(models, layout)
         sched = default_parameters("dpim", n, order).schedule
         betas = (0.05 if hot else 1.0) * sched.peak * sched.ramp()[:30]
         draws = predrawn("dpim", models[0], len(betas), 6, rows)
-        sites = _dpim_sweeps(models[0], h_rows, betas, *draws)
-        assert_same_states(sites, rowmajor_dpim_sweeps(models[0], h_rows, betas, *draws))
+        sites = _dpim_sweeps(models[0], h, betas, *draws)
+        assert_same_states(sites, rowmajor_dpim_sweeps(models[0], h.T, betas, *draws))
 
     @pytest.mark.parametrize(
         "paradigm, kind, order",
@@ -430,7 +432,14 @@ class TestSitesMajorKernels:
         cfg = replace(default_parameters(paradigm, n, order), replicas=16)
         sites = solvers.solve_many(paradigm, models, cfg, [11, 12, 13])
         reference = {"bpim": rowmajor_bpim_sweeps, "dpim": rowmajor_dpim_sweeps}[paradigm]
-        monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", reference)
+
+        def sites_major(first, h, *rest):
+            # The reference's (rows, sites) states, handed over C-contiguous
+            # and sites-major, as the kernels yield theirs.
+            for s in reference(first, h.T, *rest):
+                yield np.ascontiguousarray(s.T)
+
+        monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", sites_major)
         assert_same_outcomes(sites, solvers.solve_many(paradigm, models, cfg, [11, 12, 13]))
 
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
@@ -438,14 +447,14 @@ class TestSitesMajorKernels:
         # A kernel and its reference share their arrays, so neither may write
         # them: predrawn's arrays are read-only, and a rerun must repeat.
         (model,) = channel_models(PARADIGMS[paradigm].model, 4, 3, 1, 8)
-        h_rows = np.repeat(model.h_vector[None], 3, axis=0)
+        h = np.repeat(model.h_vector[:, None], 3, axis=1)
         ramp = np.linspace(0.1, 1.0, 10)
         x0, noise = predrawn(paradigm, model, ramp.size, 4, 3)
         assert not (x0.flags.writeable or noise.flags.writeable)
         args = {
-            "bpim": (model.j_matrix, h_rows, ramp),
-            "dpim": (model, h_rows, ramp),
-            "oim": (model.j_matrix, h_rows, 30.0 * ramp[::-1], oim_params(model.n)),
+            "bpim": (model.j_matrix, h, ramp),
+            "dpim": (model, h, ramp),
+            "oim": (model.j_matrix, h, 30.0 * ramp[::-1], oim_params(model.n)),
         }[paradigm]
         kernel = getattr(solvers, f"_{paradigm}_sweeps")
         first, again = ([s.copy() for s in kernel(*args, x0, noise)] for _ in range(2))
@@ -456,7 +465,7 @@ class TestOscillatorKernel:
     def test_coupling_vanishes_at_equal_phases(self):
         model = ferromagnet()
         phi = np.full((2, 1), 0.83)
-        bands = _OimBands(model.j_matrix, np.zeros((1, 2)), OimParams(1.0, 0.0))
+        bands = _OimBands(model.j_matrix, np.zeros((2, 1)), OimParams(1.0, 0.0))
         drift = _oim_drift(np.sin(phi), np.cos(phi), bands)
         np.testing.assert_allclose(drift, 0.0, atol=1e-12)
 
@@ -474,13 +483,13 @@ class TestOscillatorKernel:
         model = ferromagnet()
         *_, readout = _oim_sweeps(
             model.j_matrix,
-            np.zeros((1, 2)),
+            np.zeros((2, 1)),
             np.zeros(3000),
             OimParams(1.0, 1.0),
             np.random.default_rng(12).uniform(0.0, 2.0 * np.pi, (2, 1)),
             np.zeros((3000, 2, 1)),
         )
-        assert readout[0, 0] == readout[0, 1]
+        assert readout[0, 0] == readout[1, 0]
 
     def test_field_pinning(self):
         # Positive bias must pull the readout to +1 (annealed run).
@@ -488,12 +497,12 @@ class TestOscillatorKernel:
         sched = AnnealSchedule(2.0, 500)
         *_, readout = _oim_sweeps(
             model.j_matrix,
-            np.repeat(model.h_vector[None], 8, axis=0),
+            np.repeat(model.h_vector[:, None], 8, axis=1),
             sched.peak * (1.0 - sched.ramp()),
             OimParams(1.0, 0.2),
             *predrawn("oim", model, 500, 3, 8),
         )
-        assert (readout[:, 0] == 1.0).all()
+        assert (readout[0] == 1.0).all()
 
     def test_readout_local_minimum_property(self):
         # At zero noise with a binarizing slope the converged readout should
@@ -507,13 +516,13 @@ class TestOscillatorKernel:
             np.fill_diagonal(j, 0.0)
             *_, last = _oim_sweeps(
                 j,
-                np.zeros((1, 8)),
+                np.zeros((8, 1)),
                 np.zeros(5000),
                 OimParams(coupling=1.0, binarization=0.15),
                 np.random.default_rng(5000 + trial).uniform(0.0, 2.0 * np.pi, (8, 1)),
                 np.zeros((5000, 8, 1)),
             )
-            s = last[0]
+            s = last[:, 0]
             flip_gain = 2 * s * (j @ s)
             ok += bool((flip_gain >= -1e-9).all())
         assert ok >= 0.9 * n_models
@@ -561,7 +570,7 @@ class TestOscillatorBands:
         phi = rng.uniform(0.0, 2.0 * np.pi, (rows, n))
         params = OimParams(0.7, 0.3)
         expected = full_matrix_drift(np.sin(phi), np.cos(phi), j, h_rows, params)
-        bands = _OimBands(j, h_rows, params)
+        bands = _OimBands(j, np.ascontiguousarray(h_rows.T), params)
         assert len(bands.chunks) == -(-rows // (chunk_rows or rows))
         phi_sites = np.ascontiguousarray(phi.T)
         drift = _oim_drift(np.sin(phi_sites), np.cos(phi_sites), bands)
@@ -571,24 +580,24 @@ class TestOscillatorBands:
         # The pair sums run in another order, by about 1e-15 of the drift;
         # no readout flips over a seeded n = 16 run.
         (model,) = channel_models("binary", 2, 16, 1, 41, ebn0_db=6.0)
-        h_rows = np.repeat(model.h_vector[None], 100, axis=0)
+        h = np.repeat(model.h_vector[:, None], 100, axis=1)
         sched = AnnealSchedule(30.0, 100)
         temps = sched.peak * (1.0 - sched.ramp())
         params = oim_params(16)
         draws = predrawn("oim", model, 100, 6, 100)
-        bands = _oim_sweeps(model.j_matrix, h_rows, temps, params, *draws)
-        full = full_matrix_sweeps(model.j_matrix, h_rows, temps, params, *draws)
+        bands = _oim_sweeps(model.j_matrix, h, temps, params, *draws)
+        full = full_matrix_sweeps(model.j_matrix, h.T, temps, params, *draws)
         assert_same_states(bands, full)
 
     def test_one_row_chunks_bit_identical(self, monkeypatch):
         (model,) = channel_models("binary", 2, 16, 1, 42, ebn0_db=6.0)
-        h_rows = np.repeat(model.h_vector[None], 12, axis=0)
+        h = np.repeat(model.h_vector[:, None], 12, axis=1)
         temps = np.linspace(30.0, 0.0, 40)
         draws = predrawn("oim", model, 40, 8, 12)
         cfg = SolverConfig(6, AnnealSchedule(30.0, 40))
 
         def run():
-            sweeps = _oim_sweeps(model.j_matrix, h_rows, temps, oim_params(16), *draws)
+            sweeps = _oim_sweeps(model.j_matrix, h, temps, oim_params(16), *draws)
             return [s.copy() for s in sweeps], oim_solve_many([model, model], cfg, [3, 4])
 
         whole_readouts, whole = run()
@@ -600,10 +609,10 @@ class TestOscillatorBands:
 
 def sweep_energies(model, betas, s0, u):
     """States and energies after every sweep of a one-row p-bit run."""
-    h = model.h_vector[None]
+    h = model.h_vector[:, None]
     states, energies = [], []
     for s in _bpim_sweeps(model.j_matrix, h, betas, s0, u):
-        states.append(s[0].copy())
+        states.append(s[:, 0].copy())
         energies.append(ising_energies(s, model.j_matrix, h)[0])
     return np.array(states), np.array(energies)
 
@@ -621,25 +630,18 @@ class TestReplication:
         assert out.best_iteration == best + 1
         np.testing.assert_array_equal(out.final_energies, energies[-1:])
 
-    def test_best_energy_monotone_in_replicas(self):
-        (model,) = channel_models("binary", 2, 10, 1, 8, ebn0_db=3.0)
-        sched = AnnealSchedule(0.2, 30)
-        energies = [
-            bpim_solve_many([model], SolverConfig(r, sched), [13])[0].best_energy
-            for r in (1, 2, 4, 8, 16)
-        ]
-        assert all(a >= b for a, b in zip(energies, energies[1:]))
-
-    def test_parallel_serial_bit_identical(self, monkeypatch):
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    def test_parallel_serial_bit_identical(self, paradigm, monkeypatch):
         # All models in one kernel call (rows in parallel) against one call
-        # per model (chunks in series): outcomes must not depend on how the
-        # batch is split or in which order its parts run.
-        models = channel_models("binary", 4, 4, 5, 21, ebn0_db=6.0)
+        # per model (chunks in series): outcomes, and so the sites-major
+        # scoring, must not depend on how the batch is split or in which
+        # order its parts run.
+        models = channel_models(PARADIGMS[paradigm].model, 4, 4, 5, 21, ebn0_db=6.0)
         cfg = SolverConfig(6, AnnealSchedule(1.5, 40))
         seeds = [21, 3, 8, 13, 5]
-        parallel = bpim_solve_many(models, cfg, seeds)
+        parallel = solvers.solve_many(paradigm, models, cfg, seeds)
         monkeypatch.setattr(solvers, "_MAX_PREDRAW", 1)
-        assert_same_outcomes(parallel, bpim_solve_many(models, cfg, seeds))
+        assert_same_outcomes(parallel, solvers.solve_many(paradigm, models, cfg, seeds))
 
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
     def test_predraw_bound_counts_state_entries(self, paradigm, monkeypatch):
@@ -696,24 +698,34 @@ class TestReplication:
         with pytest.raises(ValueError, match="at least one model"):
             solvers.solve_many("bpim", [], default_parameters("bpim", 4, 2), [])
 
-    def test_solve_matches_replica_kernels(self):
-        # Each row of a batched solve equals that replica's chain run alone.
+    @pytest.mark.parametrize("replicas", [1, 2, 16])
+    def test_solve_matches_replica_kernels(self, replicas):
+        # Each row of a batched solve runs that replica's chain alone, and the
+        # solve's best is the minimum over its replicas' own chains.
         (model,) = channel_models("binary", 2, 6, 1, 30)
         # A low peak, so replicas end at different energies above their best.
-        cfg = SolverConfig(5, AnnealSchedule(0.1, 25))
+        cfg = SolverConfig(replicas, AnnealSchedule(0.1, 25))
         (out,) = bpim_solve_many([model], cfg, [77])
         s0, u = predrawn("bpim", model, 25, 77, cfg.replicas)
         betas = cfg.schedule.peak * cfg.schedule.ramp()
-        singles = [
-            sweep_energies(model, betas, s0[:, r : r + 1], u[..., r : r + 1])
-            for r in range(cfg.replicas)
-        ]
+        # (sweeps, n, replicas): each replica's states from its own chain.
+        chains = np.stack(
+            [
+                sweep_energies(model, betas, s0[:, r : r + 1], u[..., r : r + 1])[0]
+                for r in range(cfg.replicas)
+            ],
+            axis=-1,
+        )
+        # Scored as the solve scores them, one (n, replicas) stack per sweep:
+        # numpy sums a lone column in another order than a column of a stack.
+        h = np.repeat(model.h_vector[:, None], replicas, axis=1)
+        energies = np.array([ising_energies(s, model.j_matrix, h) for s in chains])
         # Per replica the first lowest-energy sweep, then the first best replica.
-        best_it = [int(np.argmin(e)) for _, e in singles]
-        best_e = [e[k] for (_, e), k in zip(singles, best_it)]
+        best_it = energies.argmin(axis=0)
+        best_e = energies.min(axis=0)
         best = int(np.argmin(best_e))
-        np.testing.assert_array_equal(out.best_state, singles[best][0][best_it[best]])
-        np.testing.assert_array_equal(out.final_energies, [e[-1] for _, e in singles])
+        np.testing.assert_array_equal(out.best_state, chains[best_it[best], :, best])
+        np.testing.assert_array_equal(out.final_energies, energies[-1])
         assert out.best_energy == best_e[best]
         assert out.best_iteration == best_it[best] + 1
 
