@@ -4,21 +4,23 @@ All three solvers run R independent replicas per model and report the best
 energy seen across every sweep of every replica. One generator per model,
 replicas as columns: each model's ``default_rng(seed)`` draws its R
 replicas' initial states and then their noise, one replica per column. A
-model's draw therefore depends only on its seed and R, never on the batch,
-chunk or position it is solved in; results depend only on seeds, never on
+model's draw therefore depends only on its seed and R, never on the batch
+or position it is solved in; results depend only on seeds, never on
 execution order.
 
 The kernels operate on a stack of rows, one row per (model, replica), and
 yield the rows' state after every iteration. They draw nothing: each
-solver's ``_*_draws`` hands its draw rule to ``_predraw``, the one loop over
-the models' generators. One loop, ``_solve_many``, draws each chunk of
-models, sweeps it with the kernel, scores each state and keeps every row's
-best state, energy and iteration and its final energy. Because the coupling
-matrix of a MIMO instance depends only on the channel, the models of one
-channel are solved in one kernel call with per-row bias vectors. Each solver
-has one such batched entry point, ``*_solve_many``, with the signature
-``(models, cfg, seeds)``. :data:`PARADIGMS` holds one :class:`Paradigm`
-record per solver, and :func:`solve_many` dispatches on its name.
+solver's ``_*_draws`` hands its draw rule to ``_draw``, the one owner of
+the models' generators, which draws the initial states at once and each
+sweep's noise as the sweep starts. One loop, ``_solve_many``, draws the
+models, sweeps them with the kernel in one call, scores each state and keeps
+every row's best state, energy and iteration and its final energy. Because
+the coupling matrix of a MIMO instance depends only on the channel, the
+models of one channel are solved in one kernel call with per-row bias
+vectors. Each solver has one such batched entry point, ``*_solve_many``,
+with the signature ``(models, cfg, seeds)``. :data:`PARADIGMS` holds one
+:class:`Paradigm` record per solver, and :func:`solve_many` dispatches on
+its name.
 
 Each solver fixes its own ramp direction and constants: the p-bit and p-dit
 sweeps raise the inverse temperature to the schedule's peak, and the
@@ -26,13 +28,16 @@ oscillator dynamics lower the noise level from it to zero, with constants
 from :func:`oim_params` scaled by the model size.
 
 A solve's rows stay sites-major, (sites, rows), from the draw to the best
-state: initial states and bias are (sites, rows) and the noise
-(n_iterations, sites, rows), so sweep k reads ``noise[k]`` as it is, and
+state: initial states, bias and each sweep's noise are (sites, rows), and
 each kernel yields its live state, which ``_solve_many`` scores and keeps as
-it is. A site step reads and writes contiguous per-site rows: the p-bit and
-p-dit kernels take a site's local field as one product of the contiguous row
-J[i] (J is symmetric) with the state, and read the site's bias and uniforms
-as contiguous rows. No kernel writes its inputs.
+it is. The noise is an iterable of one (sites, rows) block per sweep, drawn
+as the sweep starts, so nothing in a solve grows with the number of
+iterations; a kernel takes one block per schedule step and raises
+``ValueError`` on a source that runs short or long. A site step reads and
+writes contiguous per-site rows: the p-bit and p-dit kernels take a site's
+local field as one product of the contiguous row J[i] (J is symmetric) with
+the state, and read the site's bias and noise as contiguous rows. No kernel
+writes its inputs.
 
 The p-dit kernel draws a site's Re and Im axes together, each from its own
 softmax over the sqrt(M) PAM levels. This is the site's exact conditional
@@ -72,10 +77,6 @@ __all__ = [
 
 DEFAULT_REPLICAS = 64
 DEFAULT_ITERATIONS = 100
-
-# Upper bound on pre-drawn random numbers held in memory at once, one per
-# state entry per iteration; batches larger than this are solved in chunks.
-_MAX_PREDRAW = 8_000_000
 
 # Time step of the oscillator phase integration.
 _OIM_DT = 0.01
@@ -194,37 +195,52 @@ def solve_many(paradigm: str, models, cfg: SolverConfig, seeds) -> list[SolveOut
     return _paradigm(paradigm).solve(models, cfg, seeds)
 
 
-def _predraw(seeds, cfg: SolverConfig, sites: int, initial, fill: str):
-    """Each model's initial states, ``initial(rng, (sites, replicas))``, then
-    its noise by the generator method named ``fill``, (n_iterations, sites,
-    replicas), from the model's one generator ``default_rng(seed)``: the only
-    loop over generators. A model's replicas are its consecutive columns of
-    the chunk's (sites, rows) and (n_iterations, sites, rows) arrays; a
-    one-model chunk's arrays are its draws, uncopied."""
-    replicas = cfg.replicas
-    rows = len(seeds) * replicas
-    for lo, seed in zip(range(0, rows, replicas), seeds):
-        rng = np.random.default_rng(seed)
-        x = initial(rng, (sites, replicas))
-        u = getattr(rng, fill)((cfg.schedule.n_iterations, sites, replicas))
-        if len(seeds) == 1:
-            return x, u
-        if lo == 0:
-            x0, noise = np.empty((sites, rows)), np.empty((len(u), sites, rows))
-        x0[:, lo : lo + replicas] = x
-        noise[..., lo : lo + replicas] = u
-    return x0, noise
+def _draw(seeds, cfg: SolverConfig, sites: int, initial, fill: str):
+    """The initial states and the lazy noise of one solve, from each model's
+    one generator ``default_rng(seed)``, made here and nowhere else.
+
+    Each model draws its initial states ``initial(rng, (sites, replicas))``
+    at once. The noise yields one (sites, rows) block per sweep, filled when
+    it is asked for by the generator method named ``fill``; a generator
+    fills its stream in order, so the blocks are bit for bit the slices of
+    one (n_iterations, sites, replicas) fill. A model's replicas are its
+    consecutive columns. Every block is one reused buffer, valid until the
+    next is asked for.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    x0 = np.concatenate([initial(rng, (sites, cfg.replicas)) for rng in rngs], axis=1)
+    fills = [getattr(rng, fill) for rng in rngs]
+    return x0, _noise(fills, cfg.schedule.n_iterations, x0.shape)
+
+
+def _noise(fills, n_iterations: int, shape):
+    """``n_iterations`` (sites, rows) blocks of one buffer, each model's fill
+    in its own consecutive columns; see :func:`_draw`."""
+    block = np.empty(shape)
+    if len(fills) == 1:
+        # One model fills the whole block, uncopied.
+        for _ in range(n_iterations):
+            yield fills[0](out=block)
+        return
+    # numpy fills no strided ``out``: each model fills a scratch that is
+    # copied into its columns.
+    width = shape[1] // len(fills)
+    scratch = np.empty((shape[0], width))
+    for _ in range(n_iterations):
+        for lo, fill in zip(range(0, shape[1], width), fills):
+            block[:, lo : lo + width] = fill(out=scratch)
+        yield block
 
 
 def _solve_many(kernel, draw, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
     """The annealing loop of every batched solver.
 
-    ``kernel(model, h, x0, noise)`` sweeps the draws of a chunk's seeds,
+    ``kernel(model, h, x0, noise)`` sweeps the draws of the seeds,
     ``draw(model, seeds, cfg)``, with the (sites, rows) bias ``h`` on the
-    couplings of ``model``, which every model of the chunk shares, and
-    yields the rows' (sites, rows) state after every iteration. Each row
-    keeps its first state of lowest energy, and the energy of its last state
-    is its final energy.
+    couplings of ``model``, which every model shares, and yields the rows'
+    (sites, rows) state after every iteration; one call runs every model.
+    Each row keeps its first state of lowest energy, and the energy of its
+    last state is its final energy.
     """
     if not models:
         raise ValueError("need at least one model")
@@ -234,35 +250,29 @@ def _solve_many(kernel, draw, models, cfg: SolverConfig, seeds) -> list[SolveOut
     for m in models[1:]:
         if m.j_matrix is not j and not np.array_equal(m.j_matrix, j):
             raise ValueError("batched models must share one coupling matrix")
-    per_model = cfg.schedule.n_iterations * models[0].h_vector.size
-    chunk = max(1, _MAX_PREDRAW // max(1, per_model * cfg.replicas))
+    h = np.repeat(np.stack([m.h_vector for m in models], axis=1), cfg.replicas, axis=1)
+    best_s = np.empty(h.shape)
+    best_e = np.full(h.shape[1], np.inf)
+    best_it = np.zeros(h.shape[1], dtype=int)
+    for it, s in enumerate(kernel(models[0], h, *draw(models[0], seeds, cfg)), 1):
+        e = ising_energies(s, j, h)
+        improved = e < best_e
+        best_e[improved] = e[improved]
+        best_s[:, improved] = s[:, improved]
+        best_it[improved] = it
     outcomes = []
-    for lo in range(0, len(models), chunk):
-        hi = min(lo + chunk, len(models))
-        h = np.repeat(np.stack([m.h_vector for m in models[lo:hi]], axis=1), cfg.replicas, axis=1)
-        best_s = np.empty(h.shape)
-        best_e = np.full(h.shape[1], np.inf)
-        best_it = np.zeros(h.shape[1], dtype=int)
-        # Only the kernel holds the draws, so they are freed when it ends.
-        sweeps = kernel(models[lo], h, *draw(models[lo], seeds[lo:hi], cfg))
-        for it, s in enumerate(sweeps, 1):
-            e = ising_energies(s, j, h)
-            improved = e < best_e
-            best_e[improved] = e[improved]
-            best_s[:, improved] = s[:, improved]
-            best_it[improved] = it
-        for first in range(0, (hi - lo) * cfg.replicas, cfg.replicas):
-            rows = slice(first, first + cfg.replicas)
-            best = first + int(np.argmin(best_e[rows]))
-            outcomes.append(
-                SolveOutcome(
-                    best_state=best_s[:, best].copy(),
-                    best_energy=float(best_e[best]),
-                    final_energies=e[rows].copy(),
-                    best_iteration=int(best_it[best]),
-                    n_iterations=cfg.schedule.n_iterations,
-                )
+    for first in range(0, h.shape[1], cfg.replicas):
+        rows = slice(first, first + cfg.replicas)
+        best = first + int(np.argmin(best_e[rows]))
+        outcomes.append(
+            SolveOutcome(
+                best_state=best_s[:, best].copy(),
+                best_energy=float(best_e[best]),
+                final_energies=e[rows].copy(),
+                best_iteration=int(best_it[best]),
+                n_iterations=cfg.schedule.n_iterations,
             )
+        )
     return outcomes
 
 
@@ -274,16 +284,17 @@ def _bpim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
     def initial(rng, size):
         return rng.integers(0, 2, size) * 2.0 - 1.0
 
-    return _predraw(seeds, cfg, model.n, initial, "random")
+    return _draw(seeds, cfg, model.n, initial, "random")
 
 
 def _bpim_sweeps(j: np.ndarray, h: np.ndarray, betas: np.ndarray, s0, u):
     """Sequential p-bit sweeps from the spins ``s0`` with the bias ``h``, both
-    (n, rows), and the uniforms ``u`` (n_it, n, rows); yields the spins after each.
+    (n, rows), one per beta with its (n, rows) block of the uniforms ``u``;
+    yields the spins after each.
 
     Spins, bias and each sweep's uniforms live sites-major, (n, rows), so a
     site step is one product of the contiguous row J[i] (J is symmetric) with
-    the spins, and writes one contiguous row. Each sweep's uniforms u[k] are
+    the spins, and writes one contiguous row. Each sweep's uniforms are
     turned into U = 2u - 1 once. A site takes +1 where
     U + tanh(beta * field) >= 0 and -1 elsewhere: U is never -0.0, so
     neither is that sum, and ``copysign`` gives exactly this sign. The
@@ -292,18 +303,18 @@ def _bpim_sweeps(j: np.ndarray, h: np.ndarray, betas: np.ndarray, s0, u):
     """
     n, rows = s0.shape
     s = s0.copy()
-    u_k = np.empty((n, rows))
+    v = np.empty((n, rows))
     field = np.empty(rows)
-    for k, beta in enumerate(betas):
+    for beta, u_k in zip(betas, u, strict=True):
         # rng.uniform(-1, 1) is -1 + 2u, bit for bit.
-        np.multiply(u[k], 2.0, out=u_k)
-        u_k -= 1.0
+        np.multiply(u_k, 2.0, out=v)
+        v -= 1.0
         for i in range(n):
             np.matmul(j[i], s, out=field)
             field += h[i]
             field *= beta
             np.tanh(field, out=field)
-            field += u_k[i]
+            field += v[i]
             np.copysign(1.0, field, out=s[i])
         yield s
 
@@ -329,14 +340,14 @@ def _dpim_draws(model: PditModel, seeds, cfg: SolverConfig):
         return model.pam_levels[rng.integers(0, model.pam_levels.size, size)]
 
     # 2n sites, the [Re x; Im x] layout of the model's state.
-    return _predraw(seeds, cfg, 2 * model.n, initial, "random")
+    return _draw(seeds, cfg, 2 * model.n, initial, "random")
 
 
 def _dpim_sweeps(model: PditModel, h: np.ndarray, betas: np.ndarray, d0, u):
     """Sequential p-dit sweeps from the axes ``d0`` (2n, rows), with the
-    bias ``h`` (2n, rows) and the uniforms ``u`` (n_it, 2n, rows); each site
-    redraws its two axes, each from the softmax of its own move costs over
-    the PAM levels (exact as J[i, n + i] = 0).
+    bias ``h`` (2n, rows), one per beta with its (2n, rows) block of the
+    uniforms ``u``; each site redraws its two axes, each from the softmax of
+    its own move costs over the PAM levels (exact as J[i, n + i] = 0).
 
     A state column is [Re x; Im x], the layout of ``h`` and of the model's
     ``j_matrix``. State, bias and each sweep's uniforms live sites-major,
@@ -371,8 +382,8 @@ def _dpim_sweeps(model: PditModel, h: np.ndarray, betas: np.ndarray, d0, u):
     t, w = np.empty((2, n_lev, 2, rows))
     planes = list(w)
     level_col = levels[:, None, None]
-    for k, beta in enumerate(betas):
-        u_axes = u[k].reshape(2, n, rows)
+    for beta, u_k in zip(betas, u, strict=True):
+        u_axes = u_k.reshape(2, n, rows)
         for i in range(n):
             x = axes[:, i]
             np.matmul(field_rows[i], d, out=field)
@@ -521,13 +532,14 @@ def _oim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
     def initial(rng, size):
         return rng.uniform(0.0, 2.0 * np.pi, size)
 
-    return _predraw(seeds, cfg, model.n, initial, "standard_normal")
+    return _draw(seeds, cfg, model.n, initial, "standard_normal")
 
 
 def _oim_sweeps(j: np.ndarray, h: np.ndarray, temps: np.ndarray, params: OimParams, phi0, noise):
     """Heun-integrated phase dynamics from the phases ``phi0`` (n, rows), with
-    the bias ``h`` (n, rows) and the normal ``noise`` (n_it, n, rows) scaled
-    by each step's noise level; yields sign(cos phase) per step.
+    the bias ``h`` (n, rows), one step per noise level in ``temps`` with its
+    (n, rows) block of the normal ``noise`` scaled by that level; yields
+    sign(cos phase) per step.
 
     Phases, bias and noise are sites-major, (n, rows), the layout of
     :func:`_oim_drift`. The yielded readout is one C-contiguous (n, rows)
@@ -539,8 +551,8 @@ def _oim_sweeps(j: np.ndarray, h: np.ndarray, temps: np.ndarray, params: OimPara
     bands = _OimBands(j, h, params)
     sqrt_dt = np.sqrt(_OIM_DT)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    for k, temp in enumerate(temps):
-        np.multiply(noise[k], temp * sqrt_dt, out=kick)
+    for temp, noise_k in zip(temps, noise, strict=True):
+        np.multiply(noise_k, temp * sqrt_dt, out=kick)
         f0 = _oim_drift(sin_phi, cos_phi, bands)
         pred = phi + _OIM_DT * f0 + kick
         f1 = _oim_drift(np.sin(pred), np.cos(pred), bands)

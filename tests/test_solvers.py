@@ -1,6 +1,7 @@
 """Solver kernels: update-rule statistics, annealing, replication contracts."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -42,12 +43,19 @@ def energy(x: np.ndarray, model) -> float:
     return ising_energies(x[:, None], model.j_matrix, model.h_vector[:, None])[0]
 
 
+def stacked(noise):
+    """A lazy noise source's per-sweep blocks as one (n_it, sites, rows)
+    array; each block is copied before the next overwrites it."""
+    return np.stack([block.copy() for block in noise])
+
+
 def predrawn(paradigm, model, n_it, seed, rows):
-    """The sites-major initial states (sites, rows) and noise (n_it, sites,
-    rows) a solve draws for ``rows`` replicas of one seed, read-only, so that
-    a kernel that writes its inputs fails."""
+    """The sites-major initial states (sites, rows) and noise, stacked into
+    (n_it, sites, rows), that a solve draws for ``rows`` replicas of one
+    seed, read-only, so that a kernel that writes its inputs fails."""
     cfg = SolverConfig(rows, AnnealSchedule(1.0, n_it))
     x0, noise = getattr(solvers, f"_{paradigm}_draws")(model, [seed], cfg)
+    noise = stacked(noise)
     x0.flags.writeable = noise.flags.writeable = False
     return x0, noise
 
@@ -391,6 +399,18 @@ def kernel_rows(models, layout, replicas=4):
     return np.repeat(stacked, replicas, axis=1), len(models) * replicas
 
 
+def ramped_kernel(paradigm, model, h, ramp):
+    """The paradigm's kernel on ``model`` with the bias ``h`` and a schedule
+    from ``ramp``, as a function of its draws (x0, noise)."""
+    args = {
+        "bpim": (model.j_matrix, h, ramp),
+        "dpim": (model, h, ramp),
+        "oim": (model.j_matrix, h, 30.0 * ramp[::-1], oim_params(model.n)),
+    }[paradigm]
+    kernel = getattr(solvers, f"_{paradigm}_sweeps")
+    return lambda x0, noise: kernel(*args, x0, noise)
+
+
 class TestSitesMajorKernels:
     """The sites-major kernels against their row-major references: the same
     states after every sweep, at the default ramp and at a hot one."""
@@ -433,10 +453,11 @@ class TestSitesMajorKernels:
         sites = solvers.solve_many(paradigm, models, cfg, [11, 12, 13])
         reference = {"bpim": rowmajor_bpim_sweeps, "dpim": rowmajor_dpim_sweeps}[paradigm]
 
-        def sites_major(first, h, *rest):
-            # The reference's (rows, sites) states, handed over C-contiguous
-            # and sites-major, as the kernels yield theirs.
-            for s in reference(first, h.T, *rest):
+        def sites_major(first, h, betas, x0, noise):
+            # The reference's (rows, sites) states, from the solve's noise
+            # stacked into one array, handed over C-contiguous and
+            # sites-major, as the kernels yield theirs.
+            for s in reference(first, h.T, betas, x0, stacked(noise)):
                 yield np.ascontiguousarray(s.T)
 
         monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", sites_major)
@@ -451,14 +472,23 @@ class TestSitesMajorKernels:
         ramp = np.linspace(0.1, 1.0, 10)
         x0, noise = predrawn(paradigm, model, ramp.size, 4, 3)
         assert not (x0.flags.writeable or noise.flags.writeable)
-        args = {
-            "bpim": (model.j_matrix, h, ramp),
-            "dpim": (model, h, ramp),
-            "oim": (model.j_matrix, h, 30.0 * ramp[::-1], oim_params(model.n)),
-        }[paradigm]
-        kernel = getattr(solvers, f"_{paradigm}_sweeps")
-        first, again = ([s.copy() for s in kernel(*args, x0, noise)] for _ in range(2))
+        kernel = ramped_kernel(paradigm, model, h, ramp)
+        first, again = ([s.copy() for s in kernel(x0, noise)] for _ in range(2))
         np.testing.assert_array_equal(first, again)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    def test_noise_must_last_the_schedule(self, paradigm, extra):
+        # A kernel sweeps once per schedule step, one noise block each: a
+        # source one block short, or one block long, fails loudly instead of
+        # running fewer sweeps.
+        (model,) = channel_models(PARADIGMS[paradigm].model, 4, 3, 1, 8)
+        h = np.repeat(model.h_vector[:, None], 3, axis=1)
+        ramp = np.linspace(0.1, 1.0, 6)
+        x0, noise = predrawn(paradigm, model, ramp.size + extra, 4, 3)
+        with pytest.raises(ValueError, match="zip"):
+            for _ in ramped_kernel(paradigm, model, h, ramp)(x0, noise):
+                pass
 
 
 class TestOscillatorKernel:
@@ -631,41 +661,47 @@ class TestReplication:
         np.testing.assert_array_equal(out.final_energies, energies[-1:])
 
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
-    def test_parallel_serial_bit_identical(self, paradigm, monkeypatch):
+    def test_parallel_serial_bit_identical(self, paradigm):
         # All models in one kernel call (rows in parallel) against one call
-        # per model (chunks in series): outcomes, and so the sites-major
-        # scoring, must not depend on how the batch is split or in which
-        # order its parts run.
+        # per model (in series): outcomes, and so the sites-major scoring,
+        # must not depend on how the batch is split or in which order its
+        # parts run.
         models = channel_models(PARADIGMS[paradigm].model, 4, 4, 5, 21, ebn0_db=6.0)
         cfg = SolverConfig(6, AnnealSchedule(1.5, 40))
         seeds = [21, 3, 8, 13, 5]
         parallel = solvers.solve_many(paradigm, models, cfg, seeds)
-        monkeypatch.setattr(solvers, "_MAX_PREDRAW", 1)
-        assert_same_outcomes(parallel, solvers.solve_many(paradigm, models, cfg, seeds))
+        serial = [solvers.solve_many(paradigm, [m], cfg, [s])[0] for m, s in zip(models, seeds)]
+        assert_same_outcomes(parallel, serial)
 
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
-    def test_predraw_bound_counts_state_entries(self, paradigm, monkeypatch):
-        # A row pre-draws one number per state entry per sweep, two per p-dit
-        # symbol: the chunks must keep that, not one per symbol, under the bound.
-        (model,) = channel_models(PARADIGMS[paradigm].model, 4, 3, 1, 0)
-        kernel = getattr(solvers, f"_{paradigm}_sweeps")
-        sizes = []
+    def test_solve_memory_independent_of_iterations(self, paradigm):
+        # A solve draws each sweep's noise as the sweep starts, so its traced
+        # peak at 400 iterations exceeds the peak at 4 by less than one
+        # sweep's (sites, rows) noise block; holding every sweep's noise at
+        # once would add about 400 blocks.
+        models = channel_models(PARADIGMS[paradigm].model, 4, 16, 2, 12)
+        replicas = 32
 
-        def spy(*args):
-            sizes.append(args[-1].size)  # the noise
-            return kernel(*args)
+        def traced_peak(n_it):
+            cfg = SolverConfig(replicas, AnnealSchedule(0.5, n_it))
+            tracemalloc.start()
+            try:
+                solvers.solve_many(paradigm, models, cfg, [1, 2])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", spy)
-        monkeypatch.setattr(solvers, "_MAX_PREDRAW", 2 * 5 * 6)
-        cfg = SolverConfig(2, AnnealSchedule(0.5, 5))
-        solvers.solve_many(paradigm, [model] * 3, cfg, [0, 1, 2])
-        assert sizes == [solvers._MAX_PREDRAW] * 3
+        block = models[0].h_vector.nbytes * len(models) * replicas
+        short, long = traced_peak(4), traced_peak(400)
+        assert long - short < block
 
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
     def test_one_generator_draws_each_model(self, paradigm):
         # A model's generator, default_rng(seed), draws its replicas' initial
-        # states and then their noise, sites-major with one replica per
-        # column; in a batch each model's draws are its own columns.
+        # states first and then their noise, sweep by sweep: the stacked
+        # sweeps are one (n_it, sites, replicas) fill of the same generator,
+        # sites-major with one replica per column; in a batch each model's
+        # draws are its own columns.
         (model,) = channel_models(PARADIGMS[paradigm].model, 4, 3, 1, 5)
         cfg = SolverConfig(4, AnnealSchedule(1.0, 6))
         n, r = model.n, cfg.replicas
@@ -681,13 +717,14 @@ class TestReplication:
 
         draw = getattr(solvers, f"_{paradigm}_draws")
         seed = np.random.SeedSequence((5, 1, 2))
-        for got, want in zip(draw(model, [seed], cfg), expected(seed), strict=True):
-            np.testing.assert_array_equal(got, want)
-        x0, noise = draw(model, [3, seed], cfg)
-        for lo, s in ((0, 3), (r, seed)):
-            want_x0, want_noise = expected(s)
-            np.testing.assert_array_equal(x0[:, lo : lo + r], want_x0)
-            np.testing.assert_array_equal(noise[..., lo : lo + r], want_noise)
+        for seeds in ([seed], [3, seed]):
+            x0, noise = draw(model, seeds, cfg)
+            noise = stacked(noise)
+            assert noise.shape[1:] == x0.shape and x0.shape[1] == len(seeds) * r
+            for lo, s in zip(range(0, x0.shape[1], r), seeds):
+                want_x0, want_noise = expected(s)
+                np.testing.assert_array_equal(x0[:, lo : lo + r], want_x0)
+                np.testing.assert_array_equal(noise[..., lo : lo + r], want_noise)
         # One SeedSequence object solves alike every time: drawing from it
         # spawns nothing and leaves it as it was.
         first = solvers.solve_many(paradigm, [model], cfg, [seed])
