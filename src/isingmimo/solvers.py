@@ -12,13 +12,14 @@ The kernels operate on a stack of rows, one row per (model, replica), and
 yield the rows' state after every iteration. They draw nothing: each
 solver's ``_*_draws`` hands its draw rule to ``_draw``, the one owner of
 the models' generators, which draws the initial states at once and each
-sweep's noise as the sweep starts. One loop, ``_solve_many``, draws the
-models, sweeps them with the kernel in one call, scores each state and keeps
+sweep's noise as the sweep starts. One loop, ``_solve_many``, draws each
+chunk of models, sweeps it with the kernel, scores each state and keeps
 every row's best state, energy and iteration and its final energy. Because
 the coupling matrix of a MIMO instance depends only on the channel, the
-models of one channel are solved in one kernel call with per-row bias
-vectors. Each solver has one such batched entry point, ``*_solve_many``,
-with the signature ``(models, cfg, seeds)``. :data:`PARADIGMS` holds one
+models of one channel share their kernel calls, with per-row bias vectors;
+a call takes as many models as fit in ``_MAX_STATE`` state entries. Each
+solver has one such batched entry point, ``*_solve_many``, with the
+signature ``(models, cfg, seeds)``. :data:`PARADIGMS` holds one
 :class:`Paradigm` record per solver, and :func:`solve_many` dispatches on
 its name.
 
@@ -31,13 +32,13 @@ A solve's rows stay sites-major, (sites, rows), from the draw to the best
 state: initial states, bias and each sweep's noise are (sites, rows), and
 each kernel yields its live state, which ``_solve_many`` scores and keeps as
 it is. The noise is an iterable of one (sites, rows) block per sweep, drawn
-as the sweep starts, so nothing in a solve grows with the number of
-iterations; a kernel takes one block per schedule step and raises
-``ValueError`` on a source that runs short or long. A site step reads and
-writes contiguous per-site rows: the p-bit and p-dit kernels take a site's
-local field as one product of the contiguous row J[i] (J is symmetric) with
-the state, and read the site's bias and noise as contiguous rows. No kernel
-writes its inputs.
+as the sweep starts, so a kernel call holds a few (sites, rows) arrays and
+nothing that grows with the number of iterations; a kernel takes one block
+per schedule step and raises ``ValueError`` on a source that runs short or
+long. A site step reads and writes contiguous per-site rows: the p-bit and
+p-dit kernels take a site's local field as one product of the contiguous
+row J[i] (J is symmetric) with the state, and read the site's bias and noise
+as contiguous rows. No kernel writes its inputs.
 
 The p-dit kernel draws a site's Re and Im axes together, each from its own
 softmax over the sqrt(M) PAM levels. This is the site's exact conditional
@@ -77,6 +78,11 @@ __all__ = [
 
 DEFAULT_REPLICAS = 64
 DEFAULT_ITERATIONS = 100
+
+# Upper bound on the state entries, sites x rows, of one kernel call, which
+# holds a few (sites, rows) arrays; larger batches are solved in chunks of
+# models.
+_MAX_STATE = 1_000_000
 
 # Time step of the oscillator phase integration.
 _OIM_DT = 0.01
@@ -217,11 +223,6 @@ def _noise(fills, n_iterations: int, shape):
     """``n_iterations`` (sites, rows) blocks of one buffer, each model's fill
     in its own consecutive columns; see :func:`_draw`."""
     block = np.empty(shape)
-    if len(fills) == 1:
-        # One model fills the whole block, uncopied.
-        for _ in range(n_iterations):
-            yield fills[0](out=block)
-        return
     # numpy fills no strided ``out``: each model fills a scratch that is
     # copied into its columns.
     width = shape[1] // len(fills)
@@ -235,12 +236,12 @@ def _noise(fills, n_iterations: int, shape):
 def _solve_many(kernel, draw, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
     """The annealing loop of every batched solver.
 
-    ``kernel(model, h, x0, noise)`` sweeps the draws of the seeds,
+    ``kernel(model, h, x0, noise)`` sweeps the draws of a chunk's seeds,
     ``draw(model, seeds, cfg)``, with the (sites, rows) bias ``h`` on the
-    couplings of ``model``, which every model shares, and yields the rows'
-    (sites, rows) state after every iteration; one call runs every model.
-    Each row keeps its first state of lowest energy, and the energy of its
-    last state is its final energy.
+    couplings of ``model``, which every model of the chunk shares, and
+    yields the rows' (sites, rows) state after every iteration. Each row
+    keeps its first state of lowest energy, and the energy of its last state
+    is its final energy.
     """
     if not models:
         raise ValueError("need at least one model")
@@ -250,29 +251,33 @@ def _solve_many(kernel, draw, models, cfg: SolverConfig, seeds) -> list[SolveOut
     for m in models[1:]:
         if m.j_matrix is not j and not np.array_equal(m.j_matrix, j):
             raise ValueError("batched models must share one coupling matrix")
-    h = np.repeat(np.stack([m.h_vector for m in models], axis=1), cfg.replicas, axis=1)
-    best_s = np.empty(h.shape)
-    best_e = np.full(h.shape[1], np.inf)
-    best_it = np.zeros(h.shape[1], dtype=int)
-    for it, s in enumerate(kernel(models[0], h, *draw(models[0], seeds, cfg)), 1):
-        e = ising_energies(s, j, h)
-        improved = e < best_e
-        best_e[improved] = e[improved]
-        best_s[:, improved] = s[:, improved]
-        best_it[improved] = it
+    chunk = max(1, _MAX_STATE // (models[0].h_vector.size * cfg.replicas))
     outcomes = []
-    for first in range(0, h.shape[1], cfg.replicas):
-        rows = slice(first, first + cfg.replicas)
-        best = first + int(np.argmin(best_e[rows]))
-        outcomes.append(
-            SolveOutcome(
-                best_state=best_s[:, best].copy(),
-                best_energy=float(best_e[best]),
-                final_energies=e[rows].copy(),
-                best_iteration=int(best_it[best]),
-                n_iterations=cfg.schedule.n_iterations,
+    for lo in range(0, len(models), chunk):
+        hi = min(lo + chunk, len(models))
+        h = np.repeat(np.stack([m.h_vector for m in models[lo:hi]], axis=1), cfg.replicas, axis=1)
+        best_s = np.empty(h.shape)
+        best_e = np.full(h.shape[1], np.inf)
+        best_it = np.zeros(h.shape[1], dtype=int)
+        sweeps = kernel(models[lo], h, *draw(models[lo], seeds[lo:hi], cfg))
+        for it, s in enumerate(sweeps, 1):
+            e = ising_energies(s, j, h)
+            improved = e < best_e
+            best_e[improved] = e[improved]
+            best_s[:, improved] = s[:, improved]
+            best_it[improved] = it
+        for first in range(0, (hi - lo) * cfg.replicas, cfg.replicas):
+            rows = slice(first, first + cfg.replicas)
+            best = first + int(np.argmin(best_e[rows]))
+            outcomes.append(
+                SolveOutcome(
+                    best_state=best_s[:, best].copy(),
+                    best_energy=float(best_e[best]),
+                    final_energies=e[rows].copy(),
+                    best_iteration=int(best_it[best]),
+                    n_iterations=cfg.schedule.n_iterations,
+                )
             )
-        )
     return outcomes
 
 

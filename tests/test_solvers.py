@@ -674,6 +674,27 @@ class TestReplication:
         assert_same_outcomes(parallel, serial)
 
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    def test_chunk_bound_counts_state_entries(self, paradigm, monkeypatch):
+        # A kernel call holds (sites, rows) arrays, two sites per p-dit
+        # symbol: the chunks must keep that many entries, not one per
+        # symbol, under the bound, and solve as one call does.
+        models = channel_models(PARADIGMS[paradigm].model, 4, 3, 3, 0)
+        cfg = SolverConfig(2, AnnealSchedule(0.5, 5))
+        whole = solvers.solve_many(paradigm, models, cfg, [0, 1, 2])
+        kernel = getattr(solvers, f"_{paradigm}_sweeps")
+        sizes = []
+
+        def spy(*args):
+            sizes.append(args[-2].size)  # the initial states
+            return kernel(*args)
+
+        monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", spy)
+        monkeypatch.setattr(solvers, "_MAX_STATE", 2 * 6 * 2)
+        chunked = solvers.solve_many(paradigm, models, cfg, [0, 1, 2])
+        assert sizes == [solvers._MAX_STATE, solvers._MAX_STATE // 2]
+        assert_same_outcomes(chunked, whole)
+
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
     def test_solve_memory_independent_of_iterations(self, paradigm):
         # A solve draws each sweep's noise as the sweep starts, so its traced
         # peak at 400 iterations exceeds the peak at 4 by less than one
