@@ -50,7 +50,7 @@ from .ising_map import (
     require_ints,
     spins_to_symbols,
 )
-from .solvers import PARADIGMS, SolverConfig, default_parameters, solve_many
+from .solvers import PARADIGMS, SolverConfig, default_parameters, require_peaks, solve_many
 
 __all__ = [
     "ExperimentPlan",
@@ -419,17 +419,17 @@ def plan_beta_sweep(
     plan's is, made before any instance is built, as :func:`plan_experiment`
     checks a plan.
 
-    Returns the sorted peak grid, the Eb/N0 points and one solver config per
-    peak.
+    Returns the sorted peak grid, the Eb/N0 points and the solver config of
+    every cell; the grid's peaks are passed beside it, one per model.
     """
     require_ints(
         n=n, n_instances=n_instances, n_trials=n_trials, n_iterations=n_iterations, seed=seed
     )
     if isinstance(beta_grid, str):
         raise ValueError(f"beta_grid must be a sequence, not the string {beta_grid!r}")
-    beta_grid = np.asarray(sorted(float(b) for b in beta_grid))
-    if beta_grid.size == 0 or beta_grid[0] <= 0:
-        raise ValueError("grid values must be positive")
+    beta_grid = require_peaks(sorted(float(b) for b in beta_grid))
+    if beta_grid.size == 0:
+        raise ValueError("beta_grid needs at least one peak")
     ebn0_list = _ebn0_points(ebn0_list)
     # The random reference's standard error needs two pool instances.
     if n_instances * len(ebn0_list) < 2:
@@ -438,17 +438,14 @@ def plan_beta_sweep(
             f" got {n_instances} x {len(ebn0_list)}"
         )
     base_cfg = default_parameters(paradigm, n, order)  # rejects unknown paradigms
-    # Every peak's config is built before the pool, so that invalid trial or
+    # The config is built before the pool, so that invalid trial or
     # iteration counts fail before any instance is generated.
-    cfgs = [
-        replace(
-            base_cfg,
-            replicas=n_trials,
-            schedule=replace(base_cfg.schedule, peak=float(peak), n_iterations=n_iterations),
-        )
-        for peak in beta_grid
-    ]
-    return beta_grid, ebn0_list, cfgs
+    cfg = replace(
+        base_cfg,
+        replicas=n_trials,
+        schedule=replace(base_cfg.schedule, n_iterations=n_iterations),
+    )
+    return beta_grid, ebn0_list, cfg
 
 
 def beta_sweep(
@@ -471,8 +468,12 @@ def beta_sweep(
     the minimizing peak unchanged. For the oscillator paradigm the grid is
     interpreted as peak noise levels. :func:`plan_beta_sweep` checks every
     argument before any instance is built.
+
+    Each instance is solved at every peak in one solver call, one model per
+    peak; a (peak, instance) cell draws from its own seed, so the result does
+    not depend on how the cells are batched.
     """
-    beta_grid, ebn0_list, cfgs = plan_beta_sweep(
+    beta_grid, ebn0_list, cfg = plan_beta_sweep(
         n, order, paradigm, beta_grid, n_instances, n_trials, n_iterations, ebn0_list, seed
     )
     c = build_constellation(order)
@@ -495,18 +496,17 @@ def beta_sweep(
     scales = np.array(scales)
     random_refs = np.array(random_refs) / scales
 
-    means = np.empty(beta_grid.size)
-    stderrs = np.empty(beta_grid.size)
-    for b_idx, cfg in enumerate(cfgs):
-        finals = []
-        for m_idx, model in enumerate(models):
-            (outcome,) = solve_many(
-                paradigm, [model], cfg, [derive_seed(seed, ROLE_SOLVER, b_idx, m_idx)]
-            )
-            finals.append(outcome.final_energies / scales[m_idx])
-        finals = np.concatenate(finals)
-        means[b_idx] = finals.mean()
-        stderrs[b_idx] = finals.std(ddof=1) / np.sqrt(finals.size)
+    # finals[b, m]: instance m's normalized final energies at peak b.
+    finals = np.empty((beta_grid.size, len(models), cfg.replicas))
+    for m_idx, model in enumerate(models):
+        seeds = [derive_seed(seed, ROLE_SOLVER, b_idx, m_idx) for b_idx in range(beta_grid.size)]
+        outcomes = solve_many(paradigm, [model] * beta_grid.size, cfg, seeds, peaks=beta_grid)
+        for b_idx, outcome in enumerate(outcomes):
+            finals[b_idx, m_idx] = outcome.final_energies / scales[m_idx]
+    # Each peak's energies in instance order, one contiguous row.
+    finals = finals.reshape(beta_grid.size, -1)
+    means = np.array([row.mean() for row in finals])
+    stderrs = np.array([row.std(ddof=1) for row in finals]) / np.sqrt(finals.shape[1])
     return BetaSweepResult(
         beta_grid=beta_grid,
         mean_final_energy=means,

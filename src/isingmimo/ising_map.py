@@ -156,8 +156,13 @@ def ising_energies(x: np.ndarray, j: np.ndarray, h: np.ndarray) -> np.ndarray:
     """-1/2 x'Jx - h'x for each column of an (m, rows) stack; ``h`` is (m, rows) or (m, 1).
 
     The one energy of both encodings: each model passes its own states, spins
-    or [Re x; Im x] level values, one per column, with its ``j_matrix``.
+    or [Re x; Im x] level values, one per column, with its ``j_matrix``. A
+    column scores alike, bit for bit, whatever the width of its stack.
     """
+    if x.shape[1] == 1:
+        # numpy sums a lone column in another order (gemv, contiguous
+        # reductions) than a column of a stack: score it as one of two.
+        return ising_energies(np.repeat(x, 2, axis=1), j, h)[:1]
     # x'J written sites-major, not Jx: OpenBLAS sums Jx's trailing columns in
     # another order, while x'J scores an equal state alike in every column.
     jx = np.empty(x.shape)

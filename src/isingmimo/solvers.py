@@ -19,14 +19,21 @@ the coupling matrix of a MIMO instance depends only on the channel, the
 models of one channel share their kernel calls, with per-row bias vectors;
 a call takes as many models as fit in ``_MAX_STATE`` state entries. Each
 solver has one such batched entry point, ``*_solve_many``, with the
-signature ``(models, cfg, seeds)``. :data:`PARADIGMS` holds one
+signature ``(models, cfg, seeds, peaks=None)``. :data:`PARADIGMS` holds one
 :class:`Paradigm` record per solver, and :func:`solve_many` dispatches on
 its name.
 
 Each solver fixes its own ramp direction and constants: the p-bit and p-dit
 sweeps raise the inverse temperature to the schedule's peak, and the
 oscillator dynamics lower the noise level from it to zero, with constants
-from :func:`oim_params` scaled by the model size.
+from :func:`oim_params` scaled by the model size. By default every model of
+a call anneals to ``cfg.schedule.peak``, and a kernel takes one scalar per
+sweep. Models may instead carry their own peaks, one per model, as the
+annealing-peak sweep solves one instance at all its peaks in one call: the
+kernel then takes one (rows,) vector per sweep, the ramp value times each
+row's peak, made as the sweep starts. Every kernel broadcasts its schedule
+value over the rows, and each product is the float a one-peak solve uses,
+so a model's outcome does not depend on the peaks of the others.
 
 A solve's rows stay sites-major, (sites, rows), from the draw to the best
 state: initial states, bias and each sweep's noise are (sites, rows), and
@@ -70,6 +77,7 @@ __all__ = [
     "PARADIGMS",
     "default_parameters",
     "oim_params",
+    "require_peaks",
     "solve_many",
     "bpim_solve_many",
     "dpim_solve_many",
@@ -106,8 +114,7 @@ class AnnealSchedule:
     n_iterations: int
 
     def __post_init__(self):
-        if not 0 < self.peak < np.inf:
-            raise ValueError(f"schedules need a positive, finite peak; got {self.peak!r}")
+        require_peaks(self.peak)
         require_ints(n_iterations=self.n_iterations)
         if self.n_iterations < 1:
             raise ValueError("schedule needs at least one iteration")
@@ -115,6 +122,15 @@ class AnnealSchedule:
     def ramp(self) -> np.ndarray:
         """k / n_iterations at iterations k = 1..n_iterations."""
         return np.arange(1, self.n_iterations + 1) / self.n_iterations
+
+
+def require_peaks(peaks) -> np.ndarray:
+    """``peaks``, one annealing peak or several, as floats; each must be
+    positive and finite."""
+    peaks = np.asarray(peaks, dtype=float)
+    if not ((peaks > 0) & (peaks < np.inf)).all():
+        raise ValueError(f"annealing needs a positive, finite peak; got {peaks.tolist()!r}")
+    return peaks
 
 
 @dataclass(frozen=True)
@@ -163,7 +179,7 @@ class Paradigm:
     modulations: tuple  # "BPSK" (order 2) and/or "QAM" (orders >= 4)
     model: str  # "binary" spin model or "pdit" symbol-native model
     peak: Callable[[int, int], float]  # default annealing peak for (n, order)
-    solve: Callable  # the batched solver, (models, cfg, seeds) -> outcomes
+    solve: Callable  # the batched solver, (models, cfg, seeds, peaks=None) -> outcomes
 
 
 def _paradigm(name: str) -> Paradigm:
@@ -196,9 +212,15 @@ def default_parameters(paradigm: str, n: int, order: int = 2) -> SolverConfig:
     )
 
 
-def solve_many(paradigm: str, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
-    """Solve models that share one channel with the named paradigm's solver."""
-    return _paradigm(paradigm).solve(models, cfg, seeds)
+def solve_many(
+    paradigm: str, models, cfg: SolverConfig, seeds, peaks=None
+) -> list[SolveOutcome]:
+    """Solve models that share one channel with the named paradigm's solver.
+
+    Every model anneals to ``cfg.schedule.peak``, or, with ``peaks`` given,
+    to its own peak, one per model.
+    """
+    return _paradigm(paradigm).solve(models, cfg, seeds, peaks)
 
 
 def _draw(seeds, cfg: SolverConfig, sites: int, initial, fill: str):
@@ -233,20 +255,30 @@ def _noise(fills, n_iterations: int, shape):
         yield block
 
 
-def _solve_many(kernel, draw, models, cfg: SolverConfig, seeds) -> list[SolveOutcome]:
+def _solve_many(
+    kernel, draw, ramp: np.ndarray, models, cfg: SolverConfig, seeds, peaks
+) -> list[SolveOutcome]:
     """The annealing loop of every batched solver.
 
-    ``kernel(model, h, x0, noise)`` sweeps the draws of a chunk's seeds,
-    ``draw(model, seeds, cfg)``, with the (sites, rows) bias ``h`` on the
-    couplings of ``model``, which every model of the chunk shares, and
-    yields the rows' (sites, rows) state after every iteration. Each row
-    keeps its first state of lowest energy, and the energy of its last state
-    is its final energy.
+    ``kernel(model, h, schedule, x0, noise)`` sweeps the draws of a chunk's
+    seeds, ``draw(model, seeds, cfg)``, with the (sites, rows) bias ``h`` on
+    the couplings of ``model``, which every model of the chunk shares, one
+    sweep per schedule value, and yields the rows' (sites, rows) state after
+    every iteration. The schedule is the solver's ``ramp``, one factor per
+    sweep, times the peak: ``cfg.schedule.peak``, one scalar per sweep, when
+    ``peaks`` is None; else one (rows,) vector per sweep, each row's factor
+    times its model's own peak, made as the sweep starts. Each row keeps its
+    first state of lowest energy, and the energy of its last state is its
+    final energy.
     """
     if not models:
         raise ValueError("need at least one model")
     if len(seeds) != len(models):
         raise ValueError("need one seed per model")
+    if peaks is not None:
+        peaks = require_peaks(peaks)
+        if peaks.shape != (len(models),):
+            raise ValueError("need one peak per model")
     j = models[0].j_matrix
     for m in models[1:]:
         if m.j_matrix is not j and not np.array_equal(m.j_matrix, j):
@@ -259,7 +291,13 @@ def _solve_many(kernel, draw, models, cfg: SolverConfig, seeds) -> list[SolveOut
         best_s = np.empty(h.shape)
         best_e = np.full(h.shape[1], np.inf)
         best_it = np.zeros(h.shape[1], dtype=int)
-        sweeps = kernel(models[lo], h, *draw(models[lo], seeds[lo:hi], cfg))
+        if peaks is None:
+            schedule = cfg.schedule.peak * ramp
+        else:
+            row_peaks = np.repeat(peaks[lo:hi], cfg.replicas)
+            # ramp_k * peak is peak * ramp_k bit for bit.
+            schedule = (factor * row_peaks for factor in ramp)
+        sweeps = kernel(models[lo], h, schedule, *draw(models[lo], seeds[lo:hi], cfg))
         for it, s in enumerate(sweeps, 1):
             e = ising_energies(s, j, h)
             improved = e < best_e
@@ -292,10 +330,10 @@ def _bpim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
     return _draw(seeds, cfg, model.n, initial, "random")
 
 
-def _bpim_sweeps(j: np.ndarray, h: np.ndarray, betas: np.ndarray, s0, u):
+def _bpim_sweeps(j: np.ndarray, h: np.ndarray, betas, s0, u):
     """Sequential p-bit sweeps from the spins ``s0`` with the bias ``h``, both
-    (n, rows), one per beta with its (n, rows) block of the uniforms ``u``;
-    yields the spins after each.
+    (n, rows), one per beta, a scalar or one per row (rows,), with its
+    (n, rows) block of the uniforms ``u``; yields the spins after each.
 
     Spins, bias and each sweep's uniforms live sites-major, (n, rows), so a
     site step is one product of the contiguous row J[i] (J is symmetric) with
@@ -325,15 +363,14 @@ def _bpim_sweeps(j: np.ndarray, h: np.ndarray, betas: np.ndarray, s0, u):
 
 
 def bpim_solve_many(
-    models: list[BinaryIsingModel], cfg: SolverConfig, seeds
+    models: list[BinaryIsingModel], cfg: SolverConfig, seeds, peaks=None
 ) -> list[SolveOutcome]:
     """Best-of-R p-bit annealing of models that share one coupling matrix."""
-    betas = cfg.schedule.peak * cfg.schedule.ramp()
 
-    def kernel(model, h, s0, u):
+    def kernel(model, h, betas, s0, u):
         return _bpim_sweeps(model.j_matrix, h, betas, s0, u)
 
-    return _solve_many(kernel, _bpim_draws, models, cfg, seeds)
+    return _solve_many(kernel, _bpim_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +385,12 @@ def _dpim_draws(model: PditModel, seeds, cfg: SolverConfig):
     return _draw(seeds, cfg, 2 * model.n, initial, "random")
 
 
-def _dpim_sweeps(model: PditModel, h: np.ndarray, betas: np.ndarray, d0, u):
+def _dpim_sweeps(model: PditModel, h: np.ndarray, betas, d0, u):
     """Sequential p-dit sweeps from the axes ``d0`` (2n, rows), with the
-    bias ``h`` (2n, rows), one per beta with its (2n, rows) block of the
-    uniforms ``u``; each site redraws its two axes, each from the softmax of
-    its own move costs over the PAM levels (exact as J[i, n + i] = 0).
+    bias ``h`` (2n, rows), one per beta, a scalar or one per row (rows,),
+    with its (2n, rows) block of the uniforms ``u``; each site redraws its
+    two axes, each from the softmax of its own move costs over the PAM
+    levels (exact as J[i, n + i] = 0).
 
     A state column is [Re x; Im x], the layout of ``h`` and of the model's
     ``j_matrix``. State, bias and each sweep's uniforms live sites-major,
@@ -411,18 +449,15 @@ def _dpim_sweeps(model: PditModel, h: np.ndarray, betas: np.ndarray, d0, u):
         yield d
 
 
-def dpim_solve_many(models: list[PditModel], cfg: SolverConfig, seeds) -> list[SolveOutcome]:
+def dpim_solve_many(
+    models: list[PditModel], cfg: SolverConfig, seeds, peaks=None
+) -> list[SolveOutcome]:
     """Best-of-R p-dit annealing of channel-sharing symbol-native models.
 
     Candidate values are each model's own PAM levels; best states are the
     (2N,) axis values [Re x; Im x].
     """
-    betas = cfg.schedule.peak * cfg.schedule.ramp()
-
-    def kernel(model, h, d0, u):
-        return _dpim_sweeps(model, h, betas, d0, u)
-
-    return _solve_many(kernel, _dpim_draws, models, cfg, seeds)
+    return _solve_many(_dpim_sweeps, _dpim_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +575,11 @@ def _oim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
     return _draw(seeds, cfg, model.n, initial, "standard_normal")
 
 
-def _oim_sweeps(j: np.ndarray, h: np.ndarray, temps: np.ndarray, params: OimParams, phi0, noise):
+def _oim_sweeps(j: np.ndarray, h: np.ndarray, temps, params: OimParams, phi0, noise):
     """Heun-integrated phase dynamics from the phases ``phi0`` (n, rows), with
-    the bias ``h`` (n, rows), one step per noise level in ``temps`` with its
-    (n, rows) block of the normal ``noise`` scaled by that level; yields
-    sign(cos phase) per step.
+    the bias ``h`` (n, rows), one step per noise level in ``temps``, a scalar
+    or one per row (rows,), with its (n, rows) block of the normal ``noise``
+    scaled by that level; yields sign(cos phase) per step.
 
     Phases, bias and noise are sites-major, (n, rows), the layout of
     :func:`_oim_drift`. The yielded readout is one C-contiguous (n, rows)
@@ -569,16 +604,15 @@ def _oim_sweeps(j: np.ndarray, h: np.ndarray, temps: np.ndarray, params: OimPara
 
 
 def oim_solve_many(
-    models: list[BinaryIsingModel], cfg: SolverConfig, seeds
+    models: list[BinaryIsingModel], cfg: SolverConfig, seeds, peaks=None
 ) -> list[SolveOutcome]:
     """Best-of-R oscillator runs, with a decaying noise level, of models that
     share one coupling matrix; spins are read out as sign(cos phase)."""
-    temps = cfg.schedule.peak * (1.0 - cfg.schedule.ramp())
 
-    def kernel(model, h, phi0, noise):
+    def kernel(model, h, temps, phi0, noise):
         return _oim_sweeps(model.j_matrix, h, temps, oim_params(model.n), phi0, noise)
 
-    return _solve_many(kernel, _oim_draws, models, cfg, seeds)
+    return _solve_many(kernel, _oim_draws, 1.0 - cfg.schedule.ramp(), models, cfg, seeds, peaks)
 
 
 def oim_params(n: int) -> OimParams:

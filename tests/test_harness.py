@@ -434,6 +434,8 @@ class TestBetaSweep:
             (dict(beta_grid="12"), "beta_grid must be a sequence"),
             # One instance in all leaves the random reference no standard error.
             (dict(n_instances=1, ebn0_list=[6.0]), "instance pool"),
+            # Every peak is checked, wherever sorting puts a NaN.
+            (dict(beta_grid=[0.5, float("nan")]), "finite peak"),
         ],
     )
     def test_invalid_pool_or_grid_fails_before_any_instance(self, kwargs, message, monkeypatch):
@@ -444,6 +446,31 @@ class TestBetaSweep:
         args = dict(n=2, order=4, paradigm="dpim", beta_grid=[0.5], n_trials=2, n_iterations=2)
         with pytest.raises(ValueError, match=message):
             beta_sweep(**{**args, **kwargs})
+
+    def test_one_solve_per_instance_with_a_model_per_peak(self, monkeypatch):
+        # Every peak of an instance shares the instance's couplings, so one
+        # call solves them all, each cell still from its own seed.
+        calls = []
+        solve = harness.solve_many
+
+        def spy(paradigm, models, cfg, seeds, peaks=None):
+            calls.append((models, cfg, list(seeds), peaks))
+            return solve(paradigm, models, cfg, seeds, peaks=peaks)
+
+        monkeypatch.setattr(harness, "solve_many", spy)
+        grid = [0.6, 0.05, 0.3]
+        beta_sweep(
+            2, 4, "dpim", grid, n_instances=2, n_trials=3, n_iterations=5, ebn0_list=[4.0, 8.0], seed=6
+        )
+        assert len(calls) == 2 * 2
+        for m_idx, (models, cfg, seeds, peaks) in enumerate(calls):
+            assert len(models) == len(grid) and all(m is models[0] for m in models)
+            np.testing.assert_array_equal(peaks, sorted(grid))
+            assert isinstance(cfg, harness.SolverConfig)
+            assert (cfg.replicas, cfg.schedule.n_iterations) == (3, 5)
+            want = [harness.derive_seed(6, harness.ROLE_SOLVER, b, m_idx) for b in range(3)]
+            assert [s.entropy for s in seeds] == [s.entropy for s in want]
+        assert len({id(models[0]) for models, *_ in calls}) == len(calls)
 
     def test_ebn0_list_may_be_a_generator(self):
         # As plan_experiment takes it: the list is checked in one place.

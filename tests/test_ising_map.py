@@ -326,6 +326,23 @@ class TestIsingEnergies:
         assert e.shape == (rows,)
         np.testing.assert_array_equal(e, e[0])
 
+    @pytest.mark.parametrize("h_columns", ["full", "one"])
+    def test_lone_column_scores_as_in_a_stack(self, h_columns):
+        # numpy scores an (m, 1) stack by gemv and contiguous reductions; a
+        # one-replica solve must still score its state as a batch scores it.
+        rng = np.random.default_rng(2005)
+        for _ in range(60):
+            m = int(rng.integers(6, 65))
+            a = rng.standard_normal((m, m))
+            j = a + a.T
+            x = rng.choice([-1.0, 1.0], (m, 5))
+            h = rng.standard_normal((m, 5 if h_columns == "full" else 1))
+            stack = ising_energies(x, j, h)
+            for c in range(5):
+                lone = ising_energies(x[:, c : c + 1], j, h[:, c : c + 1] if h.shape[1] > 1 else h)
+                assert lone.shape == (1,)
+                assert lone[0] == stack[c]
+
 
 class TestCrossEncodingConsistency:
     @pytest.mark.parametrize("order,n", [(4, 5), (16, 3), (64, 2)])

@@ -673,6 +673,56 @@ class TestReplication:
         serial = [solvers.solve_many(paradigm, [m], cfg, [s])[0] for m, s in zip(models, seeds)]
         assert_same_outcomes(parallel, serial)
 
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("replicas", [1, 3])
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    def test_per_model_peaks_match_one_peak_solves(self, paradigm, replicas, chunked, monkeypatch):
+        # One call with a peak per model, as the annealing-peak sweep makes
+        # it, against one call per model with that peak in its config: each
+        # row's schedule must be the one-peak floats, in whatever chunk its
+        # model falls, and a lone replica must score as a column of a batch.
+        order = 2 if paradigm == "oim" else 4
+        first, second = channel_models(PARADIGMS[paradigm].model, order, 4, 2, 17, ebn0_db=6.0)
+        # One instance at several peaks beside another instance.
+        models = [first, second, first, first]
+        peaks = [12.0, 30.0, 5.0, 40.0] if paradigm == "oim" else [0.3, 1.5, 0.05, 2.5]
+        seeds = [4, 9, 1, 30]
+        cfg = SolverConfig(replicas, AnnealSchedule(1.0, 30))
+        serial = [
+            solvers.solve_many(paradigm, [m], replace(cfg, schedule=AnnealSchedule(p, 30)), [s])[0]
+            for m, p, s in zip(models, peaks, seeds)
+        ]
+        kernel = getattr(solvers, f"_{paradigm}_sweeps")
+        rows = []
+
+        def spy(*args):
+            rows.append(args[-2].shape[1])  # the initial states
+            return kernel(*args)
+
+        monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", spy)
+        if chunked:
+            monkeypatch.setattr(solvers, "_MAX_STATE", 3 * first.h_vector.size * replicas)
+        batched = solvers.solve_many(paradigm, models, cfg, seeds, peaks=peaks)
+        assert rows == ([3 * replicas, replicas] if chunked else [4 * replicas])
+        assert_same_outcomes(batched, serial)
+
+    @pytest.mark.parametrize(
+        "peaks, message",
+        [
+            ([0.5], "one peak per model"),
+            ([0.5, 0.5, 0.5], "one peak per model"),
+            ([0.5, 0.0], "positive, finite peak"),
+            ([-1.0, 0.5], "positive, finite peak"),
+            ([0.5, np.inf], "positive, finite peak"),
+            ([np.nan, 0.5], "positive, finite peak"),
+        ],
+    )
+    def test_peaks_checked(self, peaks, message):
+        models = channel_models("binary", 4, 3, 2, 0)
+        cfg = default_parameters("bpim", 3, 4)
+        with pytest.raises(ValueError, match=message):
+            solvers.solve_many("bpim", models, cfg, [0, 1], peaks=peaks)
+
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
     def test_chunk_bound_counts_state_entries(self, paradigm, monkeypatch):
         # A kernel call holds (sites, rows) arrays, two sites per p-dit
@@ -774,8 +824,7 @@ class TestReplication:
             ],
             axis=-1,
         )
-        # Scored as the solve scores them, one (n, replicas) stack per sweep:
-        # numpy sums a lone column in another order than a column of a stack.
+        # Scored as the solve scores them, one (n, replicas) stack per sweep.
         h = np.repeat(model.h_vector[:, None], replicas, axis=1)
         energies = np.array([ising_energies(s, model.j_matrix, h) for s in chains])
         # Per replica the first lowest-energy sweep, then the first best replica.
