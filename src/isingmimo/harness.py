@@ -138,12 +138,17 @@ class BerPoint:
     iterations: int | None
 
 
+def _sequence(name: str, values):
+    """``values``, which must be a sequence, not a string."""
+    if isinstance(values, str):
+        raise ValueError(f"{name} must be a sequence, not the string {values!r}")
+    return values
+
+
 def _ebn0_points(ebn0_list) -> tuple:
     """The Eb/N0 points of a plan or an instance pool as floats: a sequence,
     not a string, with at least one value, none NaN or -inf."""
-    if isinstance(ebn0_list, str):
-        raise ValueError(f"ebn0_list must be a sequence, not the string {ebn0_list!r}")
-    points = tuple(float(v) for v in ebn0_list)
+    points = tuple(float(v) for v in _sequence("ebn0_list", ebn0_list))
     if not points:
         raise ValueError("need at least one Eb/N0 point")
     if any(math.isnan(v) or v == -math.inf for v in points):
@@ -174,8 +179,7 @@ def plan_experiment(
     optional = dict(replicas=replicas, iterations=iterations)
     require_ints(order=order, **counts, **{k: v for k, v in optional.items() if v is not None})
     ebn0_points = _ebn0_points(ebn0_list)
-    if isinstance(detectors, str):
-        raise ValueError(f"detectors must be a sequence, not the string {detectors!r}")
+    _sequence("detectors", detectors)
     if n < 1 or messages_per_channel < 1:
         raise ValueError("n and messages_per_channel must be at least 1")
     axis_level_count(order)  # validates the order
@@ -207,18 +211,19 @@ def plan_experiment(
         )
     for det in plan.detectors:
         if det in PARADIGMS:
-            _heuristic_config(det, plan)  # checks the order, replicas and iterations
+            # Checks the order, replicas and iterations.
+            _solver_config(det, plan.n, plan.order, plan.replicas, plan.iterations)
     return plan
 
 
-def _heuristic_config(detector: str, plan: ExperimentPlan) -> SolverConfig:
-    cfg = default_parameters(detector, plan.n, plan.order)
-    if plan.replicas is not None:
-        cfg = replace(cfg, replicas=plan.replicas)
-    if plan.iterations is not None:
-        cfg = replace(
-            cfg, schedule=replace(cfg.schedule, n_iterations=plan.iterations)
-        )
+def _solver_config(paradigm: str, n: int, order: int, replicas, iterations) -> SolverConfig:
+    """:func:`default_parameters` with the replica and iteration counts that
+    are not None in place of the defaults."""
+    cfg = default_parameters(paradigm, n, order)
+    if replicas is not None:
+        cfg = replace(cfg, replicas=replicas)
+    if iterations is not None:
+        cfg = replace(cfg, schedule=replace(cfg.schedule, n_iterations=iterations))
     return cfg
 
 
@@ -255,7 +260,8 @@ def _detector_bits(
         models, to_symbols = _paradigm_models(
             detector, cells[0].channel, [i.rx_vector for i in cells], c.order
         )
-        outcomes = solve_many(detector, models, _heuristic_config(detector, plan), seeds)
+        cfg = _solver_config(detector, plan.n, plan.order, plan.replicas, plan.iterations)
+        outcomes = solve_many(detector, models, cfg, seeds)
         return [demodulate_symbols(to_symbols(o.best_state), c) for o in outcomes]
     recovered = []
     for inst in cells:
@@ -362,8 +368,9 @@ def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
     bits_per_point = plan.n_channels * plan.messages_per_channel * plan.bits_per_message
     points = []
     for d_idx, detector in enumerate(plan.detectors):
-        heuristic = detector in PARADIGMS
-        cfg = _heuristic_config(detector, plan) if heuristic else None
+        cfg = None
+        if detector in PARADIGMS:
+            cfg = _solver_config(detector, plan.n, plan.order, plan.replicas, plan.iterations)
         for e_idx, ebn0 in enumerate(plan.ebn0_list):
             err = int(errors[d_idx, e_idx])
             points.append(
@@ -374,8 +381,8 @@ def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
                     errors=err,
                     ber=err / bits_per_point,
                     ber_upper_95=ber_upper_bound(bits_per_point),
-                    replicas=cfg.replicas if heuristic else None,
-                    iterations=cfg.schedule.n_iterations if heuristic else None,
+                    replicas=cfg.replicas if cfg is not None else None,
+                    iterations=cfg.schedule.n_iterations if cfg is not None else None,
                 )
             )
     return points
@@ -425,9 +432,7 @@ def plan_beta_sweep(
     require_ints(
         n=n, n_instances=n_instances, n_trials=n_trials, n_iterations=n_iterations, seed=seed
     )
-    if isinstance(beta_grid, str):
-        raise ValueError(f"beta_grid must be a sequence, not the string {beta_grid!r}")
-    beta_grid = require_peaks(sorted(float(b) for b in beta_grid))
+    beta_grid = require_peaks(sorted(float(b) for b in _sequence("beta_grid", beta_grid)))
     if beta_grid.size == 0:
         raise ValueError("beta_grid needs at least one peak")
     ebn0_list = _ebn0_points(ebn0_list)
@@ -437,15 +442,9 @@ def plan_beta_sweep(
             "the instance pool needs at least two instances, n_instances per Eb/N0 value;"
             f" got {n_instances} x {len(ebn0_list)}"
         )
-    base_cfg = default_parameters(paradigm, n, order)  # rejects unknown paradigms
-    # The config is built before the pool, so that invalid trial or
-    # iteration counts fail before any instance is generated.
-    cfg = replace(
-        base_cfg,
-        replicas=n_trials,
-        schedule=replace(base_cfg.schedule, n_iterations=n_iterations),
-    )
-    return beta_grid, ebn0_list, cfg
+    # The config is built before the pool, so that an unknown paradigm or
+    # invalid trial or iteration counts fail before any instance is generated.
+    return beta_grid, ebn0_list, _solver_config(paradigm, n, order, n_trials, n_iterations)
 
 
 def beta_sweep(

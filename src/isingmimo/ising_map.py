@@ -53,6 +53,11 @@ class BinaryIsingModel:
     offset: float
     n: int
 
+    @property
+    def pam_levels(self) -> np.ndarray:
+        """The values every spin takes, -1 and +1: the two PAM levels."""
+        return np.array([-1.0, 1.0])
+
 
 @dataclass(frozen=True, eq=False)
 class PditModel:
@@ -123,17 +128,17 @@ def binary_couplings(rc: RealizedChannel) -> tuple:
 
     Returns (heff, J, trace of heff'heff), where heff is the real-valued
     channel with column block k scaled by the k-th spin weight: a power of
-    two, so every entry is exact. J is -2 heff'heff with a zero diagonal, and
-    its lower triangle is its upper one mirrored, not a sum in another order,
-    so J is exactly symmetric.
+    two, so every entry is exact. J is -2 heff'heff with a zero diagonal,
+    formed in place, and exactly symmetric: numpy forms ``X.T @ X`` with BLAS
+    syrk, which computes one triangle, and copies it to the other; without
+    BLAS, it sums entries (i, k) and (k, i) over the same products in order.
     """
     heff = np.kron(spin_weights(rc.order), rc.h_real)
-    gram = heff.T @ heff
-    j_matrix = -2.0 * gram
+    j_matrix = heff.T @ heff
+    gram_trace = np.trace(j_matrix)
+    j_matrix *= -2.0
     np.fill_diagonal(j_matrix, 0.0)
-    lower = np.tril_indices_from(j_matrix, -1)
-    j_matrix[lower] = j_matrix.T[lower]
-    return heff, j_matrix, np.trace(gram)
+    return heff, j_matrix, gram_trace
 
 
 def build_binary_model(rc: RealizedChannel, couplings: tuple | None = None) -> BinaryIsingModel:
@@ -157,7 +162,9 @@ def ising_energies(x: np.ndarray, j: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     The one energy of both encodings: each model passes its own states, spins
     or [Re x; Im x] level values, one per column, with its ``j_matrix``. A
-    column scores alike, bit for bit, whatever the width of its stack.
+    column of a C-contiguous stack scores alike, bit for bit, whatever the
+    width of its stack. An F-ordered stack, such as ``x[:, idx]`` or the
+    transpose of a C-ordered array, is summed in another order.
     """
     if x.shape[1] == 1:
         # numpy sums a lone column in another order (gemv, contiguous
@@ -211,7 +218,6 @@ def build_pdit_model(rc: RealizedChannel, j_matrix: np.ndarray | None = None) ->
 
 def random_state_energies(model, rng: np.random.Generator, count: int) -> np.ndarray:
     """Energies of ``count`` uniformly random states of a binary or p-dit model."""
-    levels = model.pam_levels if isinstance(model, PditModel) else np.array([-1.0, 1.0])
     # One level index per state entry, drawn in the model's own layout.
-    x = levels[rng.integers(0, levels.size, (count, model.h_vector.size))]
+    x = model.pam_levels[rng.integers(0, model.pam_levels.size, (count, model.h_vector.size))]
     return ising_energies(x.T, model.j_matrix, model.h_vector[:, None])

@@ -10,30 +10,28 @@ execution order.
 
 The kernels operate on a stack of rows, one row per (model, replica), and
 yield the rows' state after every iteration. They draw nothing: each
-solver's ``_*_draws`` hands its draw rule to ``_draw``, the one owner of
-the models' generators, which draws the initial states at once and each
-sweep's noise as the sweep starts. One loop, ``_solve_many``, draws each
-chunk of models, sweeps it with the kernel, scores each state and keeps
-every row's best state, energy and iteration and its final energy. Because
-the coupling matrix of a MIMO instance depends only on the channel, the
-models of one channel share their kernel calls, with per-row bias vectors;
-a call takes as many models as fit in ``_MAX_STATE`` state entries. Each
-solver has one such batched entry point, ``*_solve_many``, with the
-signature ``(models, cfg, seeds, peaks=None)``. :data:`PARADIGMS` holds one
-:class:`Paradigm` record per solver, and :func:`solve_many` dispatches on
-its name.
+solver's draw, ``_level_draws`` or ``_oim_draws``, hands its draw rule to
+``_draw``, the one owner of the models' generators, which draws the initial
+states at once and each sweep's noise as the sweep starts. One loop,
+``_solve_many``, draws each chunk of models, sweeps it with the kernel,
+scores each state and keeps every row's best state, energy and iteration
+and its final energy. Because the coupling matrix of a MIMO instance
+depends only on the channel, the models of one channel share their kernel
+calls, with per-row bias vectors; a call takes as many models as fit in
+``_MAX_STATE`` state entries. Each solver has one such batched entry point,
+``*_solve_many``, with the signature ``(models, cfg, seeds, peaks=None)``.
+:data:`PARADIGMS` holds one :class:`Paradigm` record per solver, and
+:func:`solve_many` dispatches on its name.
 
 Each solver fixes its own ramp direction and constants: the p-bit and p-dit
 sweeps raise the inverse temperature to the schedule's peak, and the
 oscillator dynamics lower the noise level from it to zero, with constants
-from :func:`oim_params` scaled by the model size. By default every model of
-a call anneals to ``cfg.schedule.peak``, and a kernel takes one scalar per
-sweep. Models may instead carry their own peaks, one per model, as the
-annealing-peak sweep solves one instance at all its peaks in one call: the
-kernel then takes one (rows,) vector per sweep, the ramp value times each
-row's peak, made as the sweep starts. Every kernel broadcasts its schedule
-value over the rows, and each product is the float a one-peak solve uses,
-so a model's outcome does not depend on the peaks of the others.
+from :func:`oim_params` scaled by the model size. Every model anneals to its
+own peak: ``cfg.schedule.peak``, unless a call gives one peak per model, as
+the annealing-peak sweep solves one instance at all its peaks in one call. A
+kernel takes one (rows,) schedule value per sweep, the ramp factor times each
+row's peak, made as the sweep starts; each product is the float a one-peak
+solve uses, so a model's outcome does not depend on the peaks of the others.
 
 A solve's rows stay sites-major, (sites, rows), from the draw to the best
 state: initial states, bias and each sweep's noise are (sites, rows), and
@@ -217,8 +215,8 @@ def solve_many(
 ) -> list[SolveOutcome]:
     """Solve models that share one channel with the named paradigm's solver.
 
-    Every model anneals to ``cfg.schedule.peak``, or, with ``peaks`` given,
-    to its own peak, one per model.
+    Each model anneals to its own entry of ``peaks``, one per model, which
+    defaults to ``cfg.schedule.peak`` for every model.
     """
     return _paradigm(paradigm).solve(models, cfg, seeds, peaks)
 
@@ -264,21 +262,20 @@ def _solve_many(
     seeds, ``draw(model, seeds, cfg)``, with the (sites, rows) bias ``h`` on
     the couplings of ``model``, which every model of the chunk shares, one
     sweep per schedule value, and yields the rows' (sites, rows) state after
-    every iteration. The schedule is the solver's ``ramp``, one factor per
-    sweep, times the peak: ``cfg.schedule.peak``, one scalar per sweep, when
-    ``peaks`` is None; else one (rows,) vector per sweep, each row's factor
-    times its model's own peak, made as the sweep starts. Each row keeps its
-    first state of lowest energy, and the energy of its last state is its
-    final energy.
+    every iteration. The schedule is one (rows,) vector per sweep, made as
+    the sweep starts: the solver's ``ramp`` factor for that sweep times each
+    row's peak, its model's entry of ``peaks``, which is
+    ``cfg.schedule.peak`` for every model when ``peaks`` is None. Each row
+    keeps its first state of lowest energy, and the energy of its last state
+    is its final energy.
     """
     if not models:
         raise ValueError("need at least one model")
     if len(seeds) != len(models):
         raise ValueError("need one seed per model")
-    if peaks is not None:
-        peaks = require_peaks(peaks)
-        if peaks.shape != (len(models),):
-            raise ValueError("need one peak per model")
+    peaks = np.full(len(models), cfg.schedule.peak) if peaks is None else require_peaks(peaks)
+    if peaks.shape != (len(models),):
+        raise ValueError("need one peak per model")
     j = models[0].j_matrix
     for m in models[1:]:
         if m.j_matrix is not j and not np.array_equal(m.j_matrix, j):
@@ -291,12 +288,9 @@ def _solve_many(
         best_s = np.empty(h.shape)
         best_e = np.full(h.shape[1], np.inf)
         best_it = np.zeros(h.shape[1], dtype=int)
-        if peaks is None:
-            schedule = cfg.schedule.peak * ramp
-        else:
-            row_peaks = np.repeat(peaks[lo:hi], cfg.replicas)
-            # ramp_k * peak is peak * ramp_k bit for bit.
-            schedule = (factor * row_peaks for factor in ramp)
+        row_peaks = np.repeat(peaks[lo:hi], cfg.replicas)
+        # ramp_k * peak is peak * ramp_k bit for bit.
+        schedule = (factor * row_peaks for factor in ramp)
         sweeps = kernel(models[lo], h, schedule, *draw(models[lo], seeds[lo:hi], cfg))
         for it, s in enumerate(sweeps, 1):
             e = ising_energies(s, j, h)
@@ -319,20 +313,24 @@ def _solve_many(
     return outcomes
 
 
+def _level_draws(model, seeds, cfg: SolverConfig):
+    """The draws of the p-bit and p-dit sweeps: each site starts at one of
+    the model's ``pam_levels``, uniformly, and each sweep draws uniforms."""
+    levels = model.pam_levels
+
+    def initial(rng, size):
+        return levels[rng.integers(0, levels.size, size)]
+
+    return _draw(seeds, cfg, model.h_vector.size, initial, "random")
+
+
 # ---------------------------------------------------------------------------
 # binary-spin probabilistic sweeps
 
 
-def _bpim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
-    def initial(rng, size):
-        return rng.integers(0, 2, size) * 2.0 - 1.0
-
-    return _draw(seeds, cfg, model.n, initial, "random")
-
-
 def _bpim_sweeps(j: np.ndarray, h: np.ndarray, betas, s0, u):
     """Sequential p-bit sweeps from the spins ``s0`` with the bias ``h``, both
-    (n, rows), one per beta, a scalar or one per row (rows,), with its
+    (n, rows), one per beta, each row's inverse temperature (rows,), with its
     (n, rows) block of the uniforms ``u``; yields the spins after each.
 
     Spins, bias and each sweep's uniforms live sites-major, (n, rows), so a
@@ -370,27 +368,19 @@ def bpim_solve_many(
     def kernel(model, h, betas, s0, u):
         return _bpim_sweeps(model.j_matrix, h, betas, s0, u)
 
-    return _solve_many(kernel, _bpim_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
+    return _solve_many(kernel, _level_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
 
 
 # ---------------------------------------------------------------------------
 # symbol-native probabilistic sweeps
 
 
-def _dpim_draws(model: PditModel, seeds, cfg: SolverConfig):
-    def initial(rng, size):
-        return model.pam_levels[rng.integers(0, model.pam_levels.size, size)]
-
-    # 2n sites, the [Re x; Im x] layout of the model's state.
-    return _draw(seeds, cfg, 2 * model.n, initial, "random")
-
-
 def _dpim_sweeps(model: PditModel, h: np.ndarray, betas, d0, u):
     """Sequential p-dit sweeps from the axes ``d0`` (2n, rows), with the
-    bias ``h`` (2n, rows), one per beta, a scalar or one per row (rows,),
-    with its (2n, rows) block of the uniforms ``u``; each site redraws its
-    two axes, each from the softmax of its own move costs over the PAM
-    levels (exact as J[i, n + i] = 0).
+    bias ``h`` (2n, rows), one per beta, each row's inverse temperature
+    (rows,), with its (2n, rows) block of the uniforms ``u``; each site
+    redraws its two axes, each from the softmax of its own move costs over
+    the PAM levels (exact as J[i, n + i] = 0).
 
     A state column is [Re x; Im x], the layout of ``h`` and of the model's
     ``j_matrix``. State, bias and each sweep's uniforms live sites-major,
@@ -425,15 +415,19 @@ def _dpim_sweeps(model: PditModel, h: np.ndarray, betas, d0, u):
     t, w = np.empty((2, n_lev, 2, rows))
     planes = list(w)
     level_col = levels[:, None, None]
+    # Each site's J[i, i], which its two axes share, scaled by 0.5 beta once
+    # per sweep: products commute, so each is (0.5 beta) J[i, i] bit for bit.
+    j_diag = np.diagonal(j)[:n, None]
     for beta, u_k in zip(betas, u, strict=True):
         u_axes = u_k.reshape(2, n, rows)
+        half_beta_j = j_diag * (0.5 * beta)
         for i in range(n):
             x = axes[:, i]
             np.matmul(field_rows[i], d, out=field)
             field += h_axes[:, i]
             field *= beta
             np.subtract(x, level_col, out=t)
-            np.multiply(t, 0.5 * beta * j[i, i], out=w)
+            np.multiply(t, half_beta_j[i], out=w)
             w -= field
             w *= t
             np.maximum.reduce(w, axis=0, out=peak)
@@ -457,7 +451,7 @@ def dpim_solve_many(
     Candidate values are each model's own PAM levels; best states are the
     (2N,) axis values [Re x; Im x].
     """
-    return _solve_many(_dpim_sweeps, _dpim_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
+    return _solve_many(_dpim_sweeps, _level_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +571,8 @@ def _oim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
 
 def _oim_sweeps(j: np.ndarray, h: np.ndarray, temps, params: OimParams, phi0, noise):
     """Heun-integrated phase dynamics from the phases ``phi0`` (n, rows), with
-    the bias ``h`` (n, rows), one step per noise level in ``temps``, a scalar
-    or one per row (rows,), with its (n, rows) block of the normal ``noise``
+    the bias ``h`` (n, rows), one step per noise level in ``temps``, each
+    row's level (rows,), with its (n, rows) block of the normal ``noise``
     scaled by that level; yields sign(cos phase) per step.
 
     Phases, bias and noise are sites-major, (n, rows), the layout of

@@ -1,6 +1,7 @@
 """Hamiltonian encodings against direct residual-norm oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,13 +197,26 @@ class TestBinaryModel:
     def test_exactly_symmetric_with_zero_diagonal(self):
         # The oscillator drift reads each pair's coupling from one triangle.
         rng = np.random.default_rng(23)
-        for order in (2, 4, 16):
-            for n in (2, 3, 4, 5, 8, 16, 32, 64):
+        for order in (2, 4, 16, 256):
+            for n in (1, 2, 3, 4, 5, 8, 16, 31, 32, 33, 64):
                 for trial in range(20):
                     H = generate_channel(n, n, int(rng.integers(2**31)))
                     _, j, _ = binary_couplings(realify(H, np.zeros(n, dtype=complex), order))
                     np.testing.assert_array_equal(j, j.T)
                     assert (np.diag(j) == 0.0).all()
+
+    @pytest.mark.parametrize("order, n", [(2, 256), (2, 33), (16, 64)])
+    def test_coupling_build_holds_heff_and_j_only(self, order, n):
+        # J is formed in the Gram's own buffer: the build's traced peak is
+        # heff and J, with no scaled copy of the Gram and no index pairs.
+        rc = realify(generate_channel(n, n, 3), np.zeros(n, dtype=complex), order)
+        tracemalloc.start()
+        try:
+            heff, j, _ = binary_couplings(rc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= heff.nbytes + j.nbytes + 16_384
 
     def test_coupling_depends_on_channel_only(self):
         c = build_constellation(4)
@@ -318,8 +332,7 @@ class TestIsingEnergies:
         _, inst = random_instance(n, order, seed=n + order)
         build = build_pdit_model if kind == "pdit" else build_binary_model
         model = build(realify(inst.channel, inst.rx_vector, order))
-        levels = model.pam_levels if kind == "pdit" else np.array([-1.0, 1.0])
-        state = np.random.default_rng(rows).choice(levels, model.h_vector.size)
+        state = np.random.default_rng(rows).choice(model.pam_levels, model.h_vector.size)
         x = np.repeat(state[:, None], rows, axis=1)
         h = np.repeat(model.h_vector[:, None], rows, axis=1)
         e = ising_energies(x, model.j_matrix, h)

@@ -49,12 +49,18 @@ def stacked(noise):
     return np.stack([block.copy() for block in noise])
 
 
+def draws(paradigm):
+    """The draw of the paradigm's solve: the p-bit and p-dit solvers share
+    the level draw."""
+    return solvers._oim_draws if paradigm == "oim" else solvers._level_draws
+
+
 def predrawn(paradigm, model, n_it, seed, rows):
     """The sites-major initial states (sites, rows) and noise, stacked into
     (n_it, sites, rows), that a solve draws for ``rows`` replicas of one
     seed, read-only, so that a kernel that writes its inputs fails."""
     cfg = SolverConfig(rows, AnnealSchedule(1.0, n_it))
-    x0, noise = getattr(solvers, f"_{paradigm}_draws")(model, [seed], cfg)
+    x0, noise = draws(paradigm)(model, [seed], cfg)
     noise = stacked(noise)
     x0.flags.writeable = noise.flags.writeable = False
     return x0, noise
@@ -108,16 +114,21 @@ class TestAnnealSchedule:
         assert (np.diff(vals) > 0).all()
 
     def test_temperature_ramp_reaches_zero(self, monkeypatch):
-        # The noise levels the oscillator solver hands its kernel.
+        # The noise levels the oscillator solver hands its kernel, one
+        # (rows,) value per step.
         seen = []
 
         def recording(j, h, temps, *rest):
-            seen.append(temps)
-            return _oim_sweeps(j, h, temps, *rest)
+            def recorded():
+                for temp in temps:
+                    seen.append(temp)
+                    yield temp
+
+            return _oim_sweeps(j, h, recorded(), *rest)
 
         monkeypatch.setattr(solvers, "_oim_sweeps", recording)
         oim_solve_many([ferromagnet()], SolverConfig(1, AnnealSchedule(30.0, 4)), [0])
-        (temps,) = seen
+        temps = np.concatenate(seen)
         np.testing.assert_allclose(temps, [22.5, 15.0, 7.5, 0.0])
 
     def test_validation(self):
@@ -364,6 +375,8 @@ def rowmajor_dpim_sweeps(model, h_rows, betas, d0, u):
     field_cols = np.stack([j[:n], j[n:]], axis=-1)
     t, w = np.empty((2, levels.size, rows, 2))
     for k, beta in enumerate(betas):
+        # A per-row beta (rows,) broadcasts over the (rows, 2) axes.
+        beta = np.asarray(beta)[..., None]
         for i in range(n):
             x = axes[:, :, i]
             f = d @ field_cols[i] + h_axes[:, :, i]
@@ -706,6 +719,33 @@ class TestReplication:
         assert rows == ([3 * replicas, replicas] if chunked else [4 * replicas])
         assert_same_outcomes(batched, serial)
 
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    def test_every_sweep_gets_one_value_per_row(self, paradigm, monkeypatch):
+        # One schedule path: with or without per-model peaks, each sweep of
+        # a kernel call gets a (rows,) vector, and a solve at the config's
+        # peak is a solve with that peak given for every model.
+        models = channel_models(PARADIGMS[paradigm].model, 4, 3, 3, 31)
+        cfg = SolverConfig(2, AnnealSchedule(0.7, 5))
+        kernel = getattr(solvers, f"_{paradigm}_sweeps")
+        shapes = []
+
+        def spy(*args):
+            rows = args[-2].shape[1]  # the initial states
+
+            def recorded(schedule):
+                for value in schedule:
+                    shapes.append((np.shape(value), rows))
+                    yield value
+
+            # Every kernel takes its schedule third.
+            return kernel(*args[:2], recorded(args[2]), *args[3:])
+
+        monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", spy)
+        default = solvers.solve_many(paradigm, models, cfg, [1, 2, 3])
+        given = solvers.solve_many(paradigm, models, cfg, [1, 2, 3], peaks=[0.7] * 3)
+        assert shapes == [((6,), 6)] * 10
+        assert_same_outcomes(default, given)
+
     @pytest.mark.parametrize(
         "peaks, message",
         [
@@ -786,7 +826,7 @@ class TestReplication:
                 return levels[rng.integers(0, levels.size, (2 * n, r))], rng.random((6, 2 * n, r))
             return rng.uniform(0.0, 2.0 * np.pi, (n, r)), rng.standard_normal((6, n, r))
 
-        draw = getattr(solvers, f"_{paradigm}_draws")
+        draw = draws(paradigm)
         seed = np.random.SeedSequence((5, 1, 2))
         for seeds in ([seed], [3, seed]):
             x0, noise = draw(model, seeds, cfg)
