@@ -11,7 +11,6 @@ cell recipe; this module seeds only the solvers and the random references.
 from __future__ import annotations
 
 import csv
-import ctypes
 import json
 import logging
 import math
@@ -50,7 +49,14 @@ from .ising_map import (
     require_ints,
     spins_to_symbols,
 )
-from .solvers import PARADIGMS, SolverConfig, default_parameters, require_peaks, solve_many
+from .solvers import (
+    PARADIGMS,
+    SolverConfig,
+    _openblas,
+    default_parameters,
+    require_peaks,
+    solve_many,
+)
 
 __all__ = [
     "ExperimentPlan",
@@ -76,13 +82,6 @@ KNOWN_DETECTORS = ("zf", "mmse", "ml") + tuple(PARADIGMS)
 
 # Expected baseline failures: the cell counts as all-bits-wrong, never raised.
 _DETECTOR_FAILURES = (SingularChannelError, SearchBudgetError)
-
-# OpenBLAS thread setters, by the names its builds export, in order of preference.
-_BLAS_SET_THREADS = (
-    "scipy_openblas_set_num_threads64_",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
 
 CSV_COLUMNS = (
     "detector",
@@ -313,27 +312,19 @@ def _channel_errors(plan: ExperimentPlan, c: Constellation, channel_index: int) 
 
 
 def _one_blas_thread() -> None:
-    """Set numpy's BLAS to one thread in this process, if it is an OpenBLAS.
-
-    ``dlsym`` on numpy's own extension searches that library's dependency
-    tree, so this finds the BLAS numpy loaded whatever its file is called.
-    """
-    core = getattr(np, "_core", None) or np.core  # numpy 1.x names it core
-    lib = ctypes.CDLL(core._multiarray_umath.__file__)
-    for name in _BLAS_SET_THREADS:
-        set_threads = getattr(lib, name, None)
-        if set_threads is not None:
-            set_threads.argtypes = [ctypes.c_int]
-            set_threads.restype = None
-            set_threads(1)
-            return
+    """Set numpy's BLAS to one thread in this process, if it is an OpenBLAS."""
+    _, set_threads = _openblas()
+    if set_threads is not None:
+        set_threads(1)
 
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """Processes that each run one BLAS thread.
 
     The workers share the cores, so a BLAS that threads inside each of them
-    would oversubscribe the cores. The calling process keeps its setting.
+    would oversubscribe the cores. For the same reason each worker also
+    solves on one thread: an oscillator solve splits its batch over no more
+    threads than numpy's BLAS runs. The calling process keeps its setting.
     """
     return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
 

@@ -128,12 +128,14 @@ def binary_couplings(rc: RealizedChannel) -> tuple:
 
     Returns (heff, J, trace of heff'heff), where heff is the real-valued
     channel with column block k scaled by the k-th spin weight: a power of
-    two, so every entry is exact. J is -2 heff'heff with a zero diagonal,
+    two, so every entry is exact. BPSK's one weight is 1, and its heff is
+    ``rc.h_real`` itself, not a copy. J is -2 heff'heff with a zero diagonal,
     formed in place, and exactly symmetric: numpy forms ``X.T @ X`` with BLAS
     syrk, which computes one triangle, and copies it to the other; without
     BLAS, it sums entries (i, k) and (k, i) over the same products in order.
     """
-    heff = np.kron(spin_weights(rc.order), rc.h_real)
+    weights = spin_weights(rc.order)
+    heff = rc.h_real if weights.size == 1 else np.kron(weights, rc.h_real)
     j_matrix = heff.T @ heff
     gram_trace = np.trace(j_matrix)
     j_matrix *= -2.0

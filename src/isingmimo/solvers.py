@@ -4,9 +4,12 @@ All three solvers run R independent replicas per model and report the best
 energy seen across every sweep of every replica. One generator per model,
 replicas as columns: each model's ``default_rng(seed)`` draws its R
 replicas' initial states and then their noise, one replica per column. A
-model's draw therefore depends only on its seed and R, never on the batch
-or position it is solved in; results depend only on seeds, never on
-execution order.
+model's draw therefore depends only on its seed and R, bit for bit, never on
+the batch or position it is solved in. Its states and energies are the same
+too in every split of a batch that the tests try: whole, halves, one model
+at a time, row chunks and thread groups. That is measured, not built in:
+BLAS products such as ``j[i] @ s`` may round a column's last bits apart at
+stack widths that are not multiples of 8, and no outcome has moved.
 
 The kernels operate on a stack of rows, one row per (model, replica), and
 yield the rows' state after every iteration. They draw nothing: each
@@ -54,12 +57,26 @@ The oscillator drift visits each unordered site pair once: the pairs form
 the circulant bands (i, i+d mod n), d = 1..n//2, and each pair's odd
 coupling term enters both its sites. In the sites-major layout each band is
 one contiguous block of a doubled [x; x] buffer, and the drift runs over row
-chunks whose buffers fit a fixed byte budget.
+chunks whose band buffers fit a fixed byte budget.
+
+Threads: only the oscillator solver runs a batch on several threads, one
+contiguous group of models each, as many as the smallest of numpy's BLAS
+thread count, the cores this process may run on and the models. Most of an
+oscillator step is numpy's sin, cos and tanh, which release the GIL; the
+p-bit and p-dit site steps hold it, and split over two threads they ran
+slower than on one. While the groups run, numpy's OpenBLAS runs one thread,
+so a process that runs one BLAS thread, such as a pool worker, solves on one
+thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,6 +270,24 @@ def _noise(fills, n_iterations: int, shape):
         yield block
 
 
+def _batch_peaks(models, cfg: SolverConfig, seeds, peaks) -> np.ndarray:
+    """The checks of a batched solve: at least one model, one seed per model
+    and one coupling matrix; returns each model's peak, ``cfg.schedule.peak``
+    for every model when ``peaks`` is None."""
+    if not models:
+        raise ValueError("need at least one model")
+    if len(seeds) != len(models):
+        raise ValueError("need one seed per model")
+    peaks = np.full(len(models), cfg.schedule.peak) if peaks is None else require_peaks(peaks)
+    if peaks.shape != (len(models),):
+        raise ValueError("need one peak per model")
+    j = models[0].j_matrix
+    for m in models[1:]:
+        if m.j_matrix is not j and not np.array_equal(m.j_matrix, j):
+            raise ValueError("batched models must share one coupling matrix")
+    return peaks
+
+
 def _solve_many(
     kernel, draw, ramp: np.ndarray, models, cfg: SolverConfig, seeds, peaks
 ) -> list[SolveOutcome]:
@@ -269,17 +304,8 @@ def _solve_many(
     keeps its first state of lowest energy, and the energy of its last state
     is its final energy.
     """
-    if not models:
-        raise ValueError("need at least one model")
-    if len(seeds) != len(models):
-        raise ValueError("need one seed per model")
-    peaks = np.full(len(models), cfg.schedule.peak) if peaks is None else require_peaks(peaks)
-    if peaks.shape != (len(models),):
-        raise ValueError("need one peak per model")
+    peaks = _batch_peaks(models, cfg, seeds, peaks)
     j = models[0].j_matrix
-    for m in models[1:]:
-        if m.j_matrix is not j and not np.array_equal(m.j_matrix, j):
-            raise ValueError("batched models must share one coupling matrix")
     chunk = max(1, _MAX_STATE // (models[0].h_vector.size * cfg.replicas))
     outcomes = []
     for lo in range(0, len(models), chunk):
@@ -468,8 +494,9 @@ class _OimBands:
     enters its first site i with weight J[i, i+d] and its second site k = i+d
     negated, with weight -J[k-d, k]; J must be symmetric, and its diagonal
     never enters. ``weights[i]`` holds site i's 2 x bands weights, first-site
-    ones first. The drift runs over the rows in chunks whose
-    :class:`_OimBuffers` fit ``_OIM_BAND_BYTES``, or hold one row.
+    ones first. The drift runs over the rows in chunks whose band buffers,
+    the ``sin_cos`` and ``pairs`` of :class:`_OimBuffers`, fit
+    ``_OIM_BAND_BYTES``, or hold one row.
     """
 
     def __init__(self, j: np.ndarray, h: np.ndarray, params: OimParams):
@@ -529,18 +556,23 @@ class _OimBuffers:
         # Row views for the gather, and site i's (2 x bands, width) block.
         self.first_rows, self.second_rows = (x.reshape(-1, width) for x in self.pairs)
         self.by_site = self.pairs.reshape(-1, n, width).transpose(1, 0, 2)
+        # The band product, one (1, width) row per site, and one term of the
+        # drift at a time.
+        self.coupling = np.empty((n, 1, width))
+        self.term = np.empty((n, width))
 
 
-def _oim_drift(sin_phi: np.ndarray, cos_phi: np.ndarray, bands: _OimBands) -> np.ndarray:
+def _oim_drift(
+    sin_phi: np.ndarray, cos_phi: np.ndarray, bands: _OimBands, out: np.ndarray
+) -> np.ndarray:
     """Phase velocities of a sites-major (n, rows) stack of oscillators, from
-    the sines and cosines of their phases.
+    the sines and cosines of their phases, written to and returned in ``out``.
 
     Site i moves at -coupling * (sum_j J_ij tanh(10 sin(phi_i - phi_j)) +
     h_i sin(phi_i)) - binarization * sin(2 phi_i). sin and tanh are odd, so
     each pair's tanh is taken once, in its band (see :class:`_OimBands`), and
     enters both its sites.
     """
-    drift = np.empty(sin_phi.shape)
     for rows, h, c in bands.chunks:
         np.copyto(c.sin2, sin_phi[:, rows])
         np.copyto(c.cos2, cos_phi[:, rows])
@@ -551,15 +583,15 @@ def _oim_drift(sin_phi: np.ndarray, cos_phi: np.ndarray, bands: _OimBands) -> np
         np.tanh(t, out=t)
         # The indices are in range; "clip" lets take write straight into out.
         np.take(c.first_rows, bands.from_index, axis=0, out=c.second_rows, mode="clip")
-        coupling = np.matmul(bands.weights, c.by_site)[:, 0]
-        coupling += h * c.sin_phi
+        coupling = np.matmul(bands.weights, c.by_site, out=c.coupling)[:, 0]
+        coupling += np.multiply(h, c.sin_phi, out=c.term)
         coupling *= -bands.coupling
         # binarization * (2 sin cos): a factor 2 is exact wherever it is
         # applied, so this is bit for bit the same.
-        binarize = c.sin_phi * c.cos_phi
+        binarize = np.multiply(c.sin_phi, c.cos_phi, out=c.term)
         binarize *= 2.0 * bands.binarization
-        np.subtract(coupling, binarize, out=drift[:, rows])
-    return drift
+        np.subtract(coupling, binarize, out=out[:, rows])
+    return out
 
 
 def _oim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
@@ -576,37 +608,128 @@ def _oim_sweeps(j: np.ndarray, h: np.ndarray, temps, params: OimParams, phi0, no
     scaled by that level; yields sign(cos phase) per step.
 
     Phases, bias and noise are sites-major, (n, rows), the layout of
-    :func:`_oim_drift`. The yielded readout is one C-contiguous (n, rows)
-    buffer: the next step rewrites it, and the caller only reads it.
+    :func:`_oim_drift`. A step writes into buffers made once per call, in
+    the operation order of pred = phi + dt f0 + kick and
+    phi += 0.5 dt (f0 + f1) + kick: IEEE sums and products commute, so each
+    in-place form is that expression bit for bit. The yielded readout is one
+    C-contiguous (n, rows) buffer: the next step rewrites it, and the caller
+    only reads it.
     """
     phi = phi0.copy()
-    kick = np.empty(phi.shape)
-    readout = np.empty(phi.shape)
+    kick, pred, f0, f1, sin_x, cos_x, readout = np.empty((7, *phi.shape))
     bands = _OimBands(j, h, params)
     sqrt_dt = np.sqrt(_OIM_DT)
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    # sin_x and cos_x hold the sines and cosines of phi, except while they
+    # hold those of pred for its drift f1.
+    np.sin(phi, out=sin_x)
+    np.cos(phi, out=cos_x)
     for temp, noise_k in zip(temps, noise, strict=True):
         np.multiply(noise_k, temp * sqrt_dt, out=kick)
-        f0 = _oim_drift(sin_phi, cos_phi, bands)
-        pred = phi + _OIM_DT * f0 + kick
-        f1 = _oim_drift(np.sin(pred), np.cos(pred), bands)
-        phi += 0.5 * _OIM_DT * (f0 + f1) + kick
-        sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+        _oim_drift(sin_x, cos_x, bands, out=f0)
+        np.multiply(f0, _OIM_DT, out=pred)
+        pred += phi
+        pred += kick
+        np.sin(pred, out=sin_x)
+        np.cos(pred, out=cos_x)
+        _oim_drift(sin_x, cos_x, bands, out=f1)
+        f0 += f1
+        f0 *= 0.5 * _OIM_DT
+        f0 += kick
+        phi += f0
+        np.sin(phi, out=sin_x)
+        np.cos(phi, out=cos_x)
         # cos of a finite phase is never +-0, so its sign is +1 exactly
         # where cos >= 0.
-        yield np.copysign(1.0, cos_phi, out=readout)
+        yield np.copysign(1.0, cos_x, out=readout)
+
+
+# OpenBLAS thread-count (getter, setter) symbols, by the names its builds
+# export, in order of preference.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """The thread-count getter and setter of numpy's BLAS, if it is an
+    OpenBLAS, as (get, set); a symbol numpy's BLAS does not export is None.
+
+    ``dlsym`` on numpy's own extension searches that library's dependency
+    tree, so this finds the BLAS numpy loaded whatever its file is called.
+    """
+    core = getattr(np, "_core", None) or np.core  # numpy 1.x names it core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for get_name, set_name in _OPENBLAS_THREADS:
+        set_threads = getattr(lib, set_name, None)
+        if set_threads is not None:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            get_threads = getattr(lib, get_name, None)
+            if get_threads is not None:
+                get_threads.argtypes = []
+                get_threads.restype = ctypes.c_int
+            return get_threads, set_threads
+    return None, None
+
+
+def _oim_threads(n_models: int) -> int:
+    """The number of threads an oscillator solve of ``n_models`` models runs
+    on: at most numpy's BLAS thread count, the cores this process may run on
+    and the models; one where numpy's BLAS has no OpenBLAS getter or setter."""
+    get_threads, set_threads = _openblas()
+    if get_threads is None or set_threads is None:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(get_threads(), cores or 1, n_models))
+
+
+@contextmanager
+def _blas_on_one_thread():
+    """numpy's OpenBLAS on one thread while the block runs, then back at its
+    thread count; needs both symbols of :func:`_openblas`."""
+    get_threads, set_threads = _openblas()
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def oim_solve_many(
     models: list[BinaryIsingModel], cfg: SolverConfig, seeds, peaks=None
 ) -> list[SolveOutcome]:
     """Best-of-R oscillator runs, with a decaying noise level, of models that
-    share one coupling matrix; spins are read out as sign(cos phase)."""
+    share one coupling matrix; spins are read out as sign(cos phase).
+
+    The batch is split into :func:`_oim_threads` contiguous groups of
+    models, each solved on its own thread, and the outcomes are joined in
+    model order; one group is one solve in this thread. While the groups
+    run, numpy's OpenBLAS runs one thread, so k groups run k BLAS threads,
+    not k times its thread count, and each computes as a pool worker does.
+    numpy's sin, cos and tanh, most of a step, release the GIL, so the
+    groups overlap; the p-bit and p-dit site steps hold it, so their solvers
+    do not split.
+    """
+    peaks = _batch_peaks(models, cfg, seeds, peaks)
+    ramp = 1.0 - cfg.schedule.ramp()
 
     def kernel(model, h, temps, phi0, noise):
         return _oim_sweeps(model.j_matrix, h, temps, oim_params(model.n), phi0, noise)
 
-    return _solve_many(kernel, _oim_draws, 1.0 - cfg.schedule.ramp(), models, cfg, seeds, peaks)
+    def solve(group: slice) -> list[SolveOutcome]:
+        return _solve_many(kernel, _oim_draws, ramp, models[group], cfg, seeds[group], peaks[group])
+
+    k = _oim_threads(len(models))
+    if k == 1:
+        return solve(slice(None))
+    groups = [slice(g * len(models) // k, (g + 1) * len(models) // k) for g in range(k)]
+    with _blas_on_one_thread(), ThreadPoolExecutor(k) as pool:
+        parts = list(pool.map(solve, groups))
+    return [outcome for part in parts for outcome in part]
 
 
 def oim_params(n: int) -> OimParams:

@@ -23,7 +23,7 @@ from isingmimo import (
     report,
     run_ber_sweep,
 )
-from isingmimo import harness
+from isingmimo import harness, solvers
 from isingmimo.baselines import ML_SEARCH_BUDGET
 
 
@@ -349,12 +349,26 @@ class TestWorkerPool:
         with harness._worker_pool(2) as pool:
             assert pool.submit(blas_threads).result(timeout=60) == 1
 
+    def test_workers_solve_on_one_thread(self):
+        # An oscillator solve of eight models in a worker runs on one thread.
+        with harness._worker_pool(2) as pool:
+            assert pool.submit(solvers._oim_threads, 8).result(timeout=60) == 1
+
     def test_caller_blas_threads_unchanged(self):
         before = blas_threads()
         if before is None:
             pytest.skip("numpy's BLAS exports no thread-count getter")
         plan = plan_experiment(4, 4, [10.0], 896, seed=9, detectors=("mmse", "dpim"))
         run_ber_sweep(plan, threads=2)
+        assert blas_threads() == before
+
+    def test_caller_blas_threads_unchanged_by_beta_sweep(self):
+        # The oscillator solves split into threads and pin the BLAS to one
+        # thread while they run.
+        before = blas_threads()
+        if before is None:
+            pytest.skip("numpy's BLAS exports no thread-count getter")
+        beta_sweep(4, 2, "oim", [10.0, 30.0], n_instances=2, n_trials=4, n_iterations=5, seed=3)
         assert blas_threads() == before
 
 

@@ -218,6 +218,30 @@ class TestBinaryModel:
             tracemalloc.stop()
         assert peak <= heff.nbytes + j.nbytes + 16_384
 
+    @pytest.mark.parametrize("n", [1, 33, 64])
+    def test_bpsk_heff_is_h_real(self, n):
+        # BPSK's one spin weight is 1: heff is h_real itself, and J, the
+        # trace and the bias are the bytes of the np.kron form; the build
+        # allocates J alone.
+        _, inst = random_instance(n, 2, 40 + n)
+        rc = realify(inst.channel, inst.rx_vector, 2)
+        tracemalloc.start()
+        try:
+            heff, j, trace = binary_couplings(rc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(heff, rc.h_real)
+        assert peak <= j.nbytes + 16_384
+        kron = np.kron(spin_weights(2), rc.h_real)
+        gram = kron.T @ kron
+        assert trace.tobytes() == np.trace(gram).tobytes()
+        gram *= -2.0
+        np.fill_diagonal(gram, 0.0)
+        assert j.tobytes() == gram.tobytes()
+        h = build_binary_model(rc, (heff, j, trace)).h_vector
+        assert h.tobytes() == (2.0 * (kron.T @ rc.y_real)).tobytes()
+
     def test_coupling_depends_on_channel_only(self):
         c = build_constellation(4)
         inst1, _ = build_instance(c, 4, 9.0, 21, message_index=0)

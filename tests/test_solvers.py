@@ -1,7 +1,10 @@
 """Solver kernels: update-rule statistics, annealing, replication contracts."""
 
 import itertools
+import os
+import sys
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +84,43 @@ def sample_pdit_chain(model, beta, n_sweeps, seed, n_chains=1):
     draws = predrawn("dpim", model, n_sweeps, seed, n_chains)
     sweeps = _dpim_sweeps(model, h, np.full(n_sweeps, beta), *draws)
     return np.stack([d.T.astype(np.int8) for d in sweeps], axis=1)
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_kept():
+    """Every test leaves numpy's BLAS thread count as it found it, so a
+    solve that pins it and does not restore it fails where it runs."""
+    get_threads, _ = solvers._openblas()
+    before = get_threads and get_threads()
+    yield
+    assert (get_threads and get_threads()) == before
+
+
+@contextmanager
+def worker_blas():
+    """numpy's BLAS on one thread while the block runs, as a pool worker
+    runs it, so that an oscillator solve runs on one thread."""
+    if solvers._oim_threads(2) == 1:
+        yield
+    else:
+        with solvers._blas_on_one_thread():
+            yield
+
+
+@pytest.fixture
+def one_solver_thread():
+    """The test runs with numpy's BLAS on one thread, as in a pool worker:
+    its oscillator solves make their kernel calls one after another."""
+    with worker_blas():
+        yield
+
+
+def blas_threads():
+    """numpy's OpenBLAS thread count; skips the test where it has no getter."""
+    get_threads, _ = solvers._openblas()
+    if get_threads is None:
+        pytest.skip("numpy's BLAS exports no thread-count getter")
+    return get_threads()
 
 
 def ferromagnet(coupling=1.0):
@@ -509,7 +549,7 @@ class TestOscillatorKernel:
         model = ferromagnet()
         phi = np.full((2, 1), 0.83)
         bands = _OimBands(model.j_matrix, np.zeros((2, 1)), OimParams(1.0, 0.0))
-        drift = _oim_drift(np.sin(phi), np.cos(phi), bands)
+        drift = _oim_drift(np.sin(phi), np.cos(phi), bands, np.empty(phi.shape))
         np.testing.assert_allclose(drift, 0.0, atol=1e-12)
 
     def test_binarization_term_values(self):
@@ -517,7 +557,7 @@ class TestOscillatorKernel:
         bands = _OimBands(model.j_matrix, np.zeros((1, 1)), OimParams(0.0, 1.0))
         for phi_val, expected in ((np.pi / 2, 0.0), (np.pi / 4, -1.0)):
             phi = np.array([[phi_val]])
-            drift = _oim_drift(np.sin(phi), np.cos(phi), bands)
+            drift = _oim_drift(np.sin(phi), np.cos(phi), bands, np.empty(phi.shape))
             assert drift[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_two_oscillator_locking(self):
@@ -616,7 +656,7 @@ class TestOscillatorBands:
         bands = _OimBands(j, np.ascontiguousarray(h_rows.T), params)
         assert len(bands.chunks) == -(-rows // (chunk_rows or rows))
         phi_sites = np.ascontiguousarray(phi.T)
-        drift = _oim_drift(np.sin(phi_sites), np.cos(phi_sites), bands)
+        drift = _oim_drift(np.sin(phi_sites), np.cos(phi_sites), bands, np.empty(phi_sites.shape))
         np.testing.assert_allclose(drift.T, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     def test_readouts_match_full_matrix_sweeps(self):
@@ -648,6 +688,22 @@ class TestOscillatorBands:
         chunked_readouts, chunked = run()
         np.testing.assert_array_equal(whole_readouts, chunked_readouts)
         assert_same_outcomes(whole, chunked)
+
+
+def band_bytes(n, rows):
+    """The bytes of the oscillator band buffers of ``rows`` rows of n sites."""
+    return rows * 8 * (4 * n + 2 * n * (n // 2))
+
+
+def traced_solve_peak(paradigm, models, replicas, n_iterations):
+    """The traced memory peak of one solve of ``models`` with seeds 1, 2, ..."""
+    cfg = SolverConfig(replicas, AnnealSchedule(0.5, n_iterations))
+    tracemalloc.start()
+    try:
+        solvers.solve_many(paradigm, models, cfg, list(range(1, len(models) + 1)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sweep_energies(model, betas, s0, u):
@@ -686,9 +742,35 @@ class TestReplication:
         serial = [solvers.solve_many(paradigm, [m], cfg, [s])[0] for m, s in zip(models, seeds)]
         assert_same_outcomes(parallel, serial)
 
+    @pytest.mark.parametrize(
+        "paradigm, band_rows", [("bpim", None), ("dpim", None), ("oim", None), ("oim", 7)]
+    )
+    @pytest.mark.usefixtures("one_solver_thread")
+    def test_batch_equals_its_halves_and_singles(self, paradigm, band_rows, monkeypatch):
+        # On one solver thread, ten replicas give stacks of 40, 20 and 10
+        # rows, widths at which BLAS products may round a column's last bits
+        # apart; no outcome may move. Seven-row oscillator band chunks split
+        # those stacks unequally: 7 x 5 + 5, 7 x 2 + 6 and 7 + 3 rows.
+        order = 2 if paradigm == "oim" else 4
+        models = channel_models(PARADIGMS[paradigm].model, order, 4, 4, 23, ebn0_db=6.0)
+        if band_rows is not None:
+            monkeypatch.setattr(solvers, "_OIM_BAND_BYTES", band_bytes(models[0].n, band_rows))
+        cfg = SolverConfig(10, AnnealSchedule(1.5, 30))
+        seeds = [7, 2, 19, 4]
+        whole = solvers.solve_many(paradigm, models, cfg, seeds)
+        halves = [
+            outcome
+            for half in (slice(0, 2), slice(2, 4))
+            for outcome in solvers.solve_many(paradigm, models[half], cfg, seeds[half])
+        ]
+        singles = [solvers.solve_many(paradigm, [m], cfg, [s])[0] for m, s in zip(models, seeds)]
+        assert_same_outcomes(whole, halves)
+        assert_same_outcomes(whole, singles)
+
     @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("replicas", [1, 3])
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    @pytest.mark.usefixtures("one_solver_thread")
     def test_per_model_peaks_match_one_peak_solves(self, paradigm, replicas, chunked, monkeypatch):
         # One call with a peak per model, as the annealing-peak sweep makes
         # it, against one call per model with that peak in its config: each
@@ -720,6 +802,7 @@ class TestReplication:
         assert_same_outcomes(batched, serial)
 
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    @pytest.mark.usefixtures("one_solver_thread")
     def test_every_sweep_gets_one_value_per_row(self, paradigm, monkeypatch):
         # One schedule path: with or without per-model peaks, each sweep of
         # a kernel call gets a (rows,) vector, and a solve at the config's
@@ -764,6 +847,7 @@ class TestReplication:
             solvers.solve_many("bpim", models, cfg, [0, 1], peaks=peaks)
 
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    @pytest.mark.usefixtures("one_solver_thread")
     def test_chunk_bound_counts_state_entries(self, paradigm, monkeypatch):
         # A kernel call holds (sites, rows) arrays, two sites per p-dit
         # symbol: the chunks must keep that many entries, not one per
@@ -784,26 +868,17 @@ class TestReplication:
         assert sizes == [solvers._MAX_STATE, solvers._MAX_STATE // 2]
         assert_same_outcomes(chunked, whole)
 
+    @pytest.mark.usefixtures("one_solver_thread")
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
     def test_solve_memory_independent_of_iterations(self, paradigm):
         # A solve draws each sweep's noise as the sweep starts, so its traced
         # peak at 400 iterations exceeds the peak at 4 by less than one
         # sweep's (sites, rows) noise block; holding every sweep's noise at
-        # once would add about 400 blocks.
+        # once would add about 400 blocks. On one solver thread: the peak of
+        # threaded groups depends on how long they overlap.
         models = channel_models(PARADIGMS[paradigm].model, 4, 16, 2, 12)
-        replicas = 32
-
-        def traced_peak(n_it):
-            cfg = SolverConfig(replicas, AnnealSchedule(0.5, n_it))
-            tracemalloc.start()
-            try:
-                solvers.solve_many(paradigm, models, cfg, [1, 2])
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        block = models[0].h_vector.nbytes * len(models) * replicas
-        short, long = traced_peak(4), traced_peak(400)
+        block = models[0].h_vector.nbytes * len(models) * 32
+        short, long = (traced_solve_peak(paradigm, models, 32, n_it) for n_it in (4, 400))
         assert long - short < block
 
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
@@ -898,6 +973,139 @@ class TestReplication:
         )
         assert out.best_energy <= out.final_energies.min() + 1e-12
         assert 1 <= out.best_iteration <= out.n_iterations
+
+
+def threaded_matches_one_thread(models, cfg, seeds, peaks=None):
+    """The outcomes of an oscillator solve on threads, after checking them
+    against the same solve on one thread."""
+    with worker_blas():
+        one = oim_solve_many(models, cfg, seeds, peaks)
+    threaded = oim_solve_many(models, cfg, seeds, peaks)
+    assert_same_outcomes(threaded, one)
+    return threaded
+
+
+class TestOscillatorThreads:
+    """An oscillator solve splits its batch into contiguous model groups, one
+    thread each, with numpy's BLAS on one thread while they run; its
+    outcomes are those of the solve on one thread, which a pool worker
+    makes. Each solve here runs at the caller's BLAS thread count."""
+
+    def test_thread_count_rule(self):
+        threads = blas_threads()
+        cores = len(os.sched_getaffinity(0))
+        for n_models in (1, 2, 3, 10):
+            assert solvers._oim_threads(n_models) == min(threads, cores, n_models)
+        with worker_blas():
+            assert solvers._oim_threads(10) == 1
+        assert blas_threads() == threads
+
+    @pytest.mark.parametrize("band_rows", [None, 7])
+    def test_threaded_matches_one_thread(self, band_rows, monkeypatch):
+        # Five models in contiguous groups, two and three models on two
+        # threads; seven-row band chunks split those groups' 12 and 18 rows
+        # unequally, 7 + 5 and 7 + 7 + 4.
+        blas_threads()
+        models = channel_models("binary", 2, 6, 5, 27, ebn0_db=6.0)
+        if band_rows is not None:
+            monkeypatch.setattr(solvers, "_OIM_BAND_BYTES", band_bytes(models[0].n, band_rows))
+        cfg = SolverConfig(6, AnnealSchedule(20.0, 40))
+        seeds = [5, 11, 2, 8, 3]
+        solve_many = solvers._solve_many
+        groups = []
+
+        def spy(*args):
+            groups.append((list(args[5]), blas_threads()))  # the group's seeds
+            return solve_many(*args)
+
+        k = solvers._oim_threads(len(models))
+        pinned = 1 if k > 1 else blas_threads()
+        monkeypatch.setattr(solvers, "_solve_many", spy)
+        threaded_matches_one_thread(models, cfg, seeds)
+        contiguous = [(seeds[g * 5 // k : (g + 1) * 5 // k], pinned) for g in range(k)]
+        # The first call is the one-thread solve; the groups start in any
+        # order, each with the BLAS on one thread.
+        assert groups[0] == (seeds, 1) and sorted(groups[1:]) == sorted(contiguous)
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_per_model_peaks_on_threads(self, replicas, chunked, monkeypatch):
+        # test_per_model_peaks_match_one_peak_solves' oscillator batch.
+        blas_threads()
+        first, second = channel_models("binary", 2, 4, 2, 17, ebn0_db=6.0)
+        models = [first, second, first, first]
+        cfg = SolverConfig(replicas, AnnealSchedule(1.0, 30))
+        if chunked:
+            monkeypatch.setattr(solvers, "_MAX_STATE", 3 * first.h_vector.size * replicas)
+        threaded_matches_one_thread(models, cfg, [4, 9, 1, 30], peaks=[12.0, 30.0, 5.0, 40.0])
+
+    def test_every_sweep_on_threads(self):
+        # test_every_sweep_gets_one_value_per_row's oscillator batch.
+        blas_threads()
+        models = channel_models("binary", 4, 3, 3, 31)
+        cfg = SolverConfig(2, AnnealSchedule(0.7, 5))
+        default = threaded_matches_one_thread(models, cfg, [1, 2, 3])
+        given = threaded_matches_one_thread(models, cfg, [1, 2, 3], peaks=[0.7] * 3)
+        assert_same_outcomes(default, given)
+
+    def test_chunk_bound_on_threads(self, monkeypatch):
+        # test_chunk_bound_counts_state_entries' oscillator batch.
+        blas_threads()
+        models = channel_models("binary", 4, 3, 3, 0)
+        cfg = SolverConfig(2, AnnealSchedule(0.5, 5))
+        with worker_blas():
+            whole = oim_solve_many(models, cfg, [0, 1, 2])
+        monkeypatch.setattr(solvers, "_MAX_STATE", 2 * 6 * 2)
+        assert_same_outcomes(threaded_matches_one_thread(models, cfg, [0, 1, 2]), whole)
+
+    def test_one_group_per_model_under_fast_switching(self, monkeypatch):
+        # Five groups on more threads than cores, switching every
+        # microsecond: groups share no buffer, so no outcome may move.
+        blas_threads()
+        models = channel_models("binary", 2, 6, 5, 29, ebn0_db=6.0)
+        cfg = SolverConfig(4, AnnealSchedule(20.0, 30))
+        with worker_blas():
+            one = oim_solve_many(models, cfg, [3, 1, 4, 1, 5])
+        monkeypatch.setattr(solvers, "_oim_threads", lambda n_models: n_models)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_same_outcomes(oim_solve_many(models, cfg, [3, 1, 4, 1, 5]), one)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_memory_independent_of_iterations_on_threads(self):
+        # Each group holds its own working set, and how long the groups
+        # overlap varies; holding every sweep's noise at once would add
+        # about 400 noise blocks, 6.4 MB here, more than the whole one-thread
+        # solve's peak.
+        models = channel_models("binary", 4, 16, 2, 12)
+        with worker_blas():
+            one = traced_solve_peak("oim", models, 32, 400)
+        assert traced_solve_peak("oim", models, 32, 400) < 2 * one
+
+    def test_caller_blas_threads_unchanged(self):
+        threads = blas_threads()
+        models = channel_models("binary", 2, 4, 3, 5)
+        oim_solve_many(models, SolverConfig(2, AnnealSchedule(10.0, 5)), [1, 2, 3])
+        assert blas_threads() == threads
+
+    def test_group_exception_reaches_caller(self, monkeypatch):
+        # The group that holds the last model fails, the other runs to its
+        # end, and the caller's BLAS thread count is restored.
+        threads = blas_threads()
+        models = channel_models("binary", 2, 4, 3, 5)
+        kernel = solvers._oim_sweeps
+
+        def failing(j, h, *rest):
+            if np.array_equal(h[:, -1], models[-1].h_vector):
+                raise RuntimeError("the last group failed")
+            return kernel(j, h, *rest)
+
+        monkeypatch.setattr(solvers, "_oim_sweeps", failing)
+        with pytest.raises(RuntimeError, match="the last group failed"):
+            oim_solve_many(models, SolverConfig(2, AnnealSchedule(10.0, 5)), [1, 2, 3])
+        assert blas_threads() == threads
 
 
 class TestChainSampling:
