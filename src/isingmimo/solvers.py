@@ -20,11 +20,12 @@ states at once and each sweep's noise as the sweep starts. One loop,
 scores each state and keeps every row's best state, energy and iteration
 and its final energy. Because the coupling matrix of a MIMO instance
 depends only on the channel, the models of one channel share their kernel
-calls, with per-row bias vectors; a call takes as many models as fit in
-``_MAX_STATE`` state entries. Each solver has one such batched entry point,
-``*_solve_many``, with the signature ``(models, cfg, seeds, peaks=None)``.
-:data:`PARADIGMS` holds one :class:`Paradigm` record per solver, and
-:func:`solve_many` dispatches on its name.
+calls, with per-row bias vectors. ``_solve_many`` alone splits a batch:
+one contiguous group of models per thread, cut into chunks of as many
+models as fit in ``_MAX_STATE`` state entries. Each solver has one batched
+entry point, ``*_solve_many``, with the signature ``(models, cfg, seeds,
+peaks=None)``. :data:`PARADIGMS` holds one :class:`Paradigm` record per
+solver, and :func:`solve_many` dispatches on its name.
 
 Each solver fixes its own ramp direction and constants: the p-bit and p-dit
 sweeps raise the inverse temperature to the schedule's peak, and the
@@ -59,14 +60,13 @@ coupling term enters both its sites. In the sites-major layout each band is
 one contiguous block of a doubled [x; x] buffer, and the drift runs over row
 chunks whose band buffers fit a fixed byte budget.
 
-Threads: only the oscillator solver runs a batch on several threads, one
-contiguous group of models each, as many as the smallest of numpy's BLAS
-thread count, the cores this process may run on and the models. Most of an
-oscillator step is numpy's sin, cos and tanh, which release the GIL; the
-p-bit and p-dit site steps hold it, and split over two threads they ran
-slower than on one. While the groups run, numpy's OpenBLAS runs one thread,
-so a process that runs one BLAS thread, such as a pool worker, solves on one
-thread.
+Threads: only the oscillator solver asks ``_solve_many`` for more than
+one, as many as the smallest of numpy's BLAS thread count, the cores this
+process may run on and the models, so a pool worker, which runs one BLAS
+thread, solves on one. Most of an oscillator step is numpy's sin, cos and
+tanh, which release the GIL; the p-bit and p-dit site steps hold it, and
+split over two threads they ran slower than on one. While a batch's chunks
+run on threads, numpy's OpenBLAS runs one thread.
 """
 
 from __future__ import annotations
@@ -270,28 +270,16 @@ def _noise(fills, n_iterations: int, shape):
         yield block
 
 
-def _batch_peaks(models, cfg: SolverConfig, seeds, peaks) -> np.ndarray:
-    """The checks of a batched solve: at least one model, one seed per model
-    and one coupling matrix; returns each model's peak, ``cfg.schedule.peak``
-    for every model when ``peaks`` is None."""
-    if not models:
-        raise ValueError("need at least one model")
-    if len(seeds) != len(models):
-        raise ValueError("need one seed per model")
-    peaks = np.full(len(models), cfg.schedule.peak) if peaks is None else require_peaks(peaks)
-    if peaks.shape != (len(models),):
-        raise ValueError("need one peak per model")
-    j = models[0].j_matrix
-    for m in models[1:]:
-        if m.j_matrix is not j and not np.array_equal(m.j_matrix, j):
-            raise ValueError("batched models must share one coupling matrix")
-    return peaks
-
-
 def _solve_many(
-    kernel, draw, ramp: np.ndarray, models, cfg: SolverConfig, seeds, peaks
+    kernel, draw, ramp: np.ndarray, models, cfg: SolverConfig, seeds, peaks, threads: int = 1
 ) -> list[SolveOutcome]:
-    """The annealing loop of every batched solver.
+    """The annealing loop of every batched solver, and the one place that
+    splits a batch: into ``threads`` equal contiguous groups of models, each
+    cut from its start into chunks of as many models as fit in
+    ``_MAX_STATE`` state entries, one kernel call each. One thread solves
+    the chunks in order; more solve them on a pool while numpy's OpenBLAS
+    runs one thread, so k threads run k BLAS threads. Outcomes are joined in
+    model order.
 
     ``kernel(model, h, schedule, x0, noise)`` sweeps the draws of a chunk's
     seeds, ``draw(model, seeds, cfg)``, with the (sites, rows) bias ``h`` on
@@ -304,12 +292,27 @@ def _solve_many(
     keeps its first state of lowest energy, and the energy of its last state
     is its final energy.
     """
-    peaks = _batch_peaks(models, cfg, seeds, peaks)
+    if not models:
+        raise ValueError("need at least one model")
+    if len(seeds) != len(models):
+        raise ValueError("need one seed per model")
+    peaks = np.full(len(models), cfg.schedule.peak) if peaks is None else require_peaks(peaks)
+    if peaks.shape != (len(models),):
+        raise ValueError("need one peak per model")
     j = models[0].j_matrix
-    chunk = max(1, _MAX_STATE // (models[0].h_vector.size * cfg.replicas))
-    outcomes = []
-    for lo in range(0, len(models), chunk):
-        hi = min(lo + chunk, len(models))
+    for m in models[1:]:
+        if m.j_matrix is not j and not np.array_equal(m.j_matrix, j):
+            raise ValueError("batched models must share one coupling matrix")
+    per_call = max(1, _MAX_STATE // (models[0].h_vector.size * cfg.replicas))
+    bounds = [g * len(models) // threads for g in range(threads + 1)]
+    chunks = [
+        (lo, min(lo + per_call, end))
+        for start, end in zip(bounds, bounds[1:])
+        for lo in range(start, end, per_call)
+    ]
+
+    def solve(chunk: tuple[int, int]) -> list[SolveOutcome]:
+        lo, hi = chunk
         h = np.repeat(np.stack([m.h_vector for m in models[lo:hi]], axis=1), cfg.replicas, axis=1)
         best_s = np.empty(h.shape)
         best_e = np.full(h.shape[1], np.inf)
@@ -324,6 +327,7 @@ def _solve_many(
             best_e[improved] = e[improved]
             best_s[:, improved] = s[:, improved]
             best_it[improved] = it
+        outcomes = []
         for first in range(0, (hi - lo) * cfg.replicas, cfg.replicas):
             rows = slice(first, first + cfg.replicas)
             best = first + int(np.argmin(best_e[rows]))
@@ -336,7 +340,12 @@ def _solve_many(
                     n_iterations=cfg.schedule.n_iterations,
                 )
             )
-    return outcomes
+        return outcomes
+
+    if threads == 1:
+        return [outcome for chunk in chunks for outcome in solve(chunk)]
+    with _blas_on_one_thread(), ThreadPoolExecutor(threads) as pool:
+        return [outcome for part in pool.map(solve, chunks) for outcome in part]
 
 
 def _level_draws(model, seeds, cfg: SolverConfig):
@@ -705,31 +714,20 @@ def oim_solve_many(
     """Best-of-R oscillator runs, with a decaying noise level, of models that
     share one coupling matrix; spins are read out as sign(cos phase).
 
-    The batch is split into :func:`_oim_threads` contiguous groups of
-    models, each solved on its own thread, and the outcomes are joined in
-    model order; one group is one solve in this thread. While the groups
-    run, numpy's OpenBLAS runs one thread, so k groups run k BLAS threads,
-    not k times its thread count, and each computes as a pool worker does.
-    numpy's sin, cos and tanh, most of a step, release the GIL, so the
-    groups overlap; the p-bit and p-dit site steps hold it, so their solvers
-    do not split.
+    The batch is solved on :func:`_oim_threads` threads, one contiguous
+    group of models each, with numpy's OpenBLAS on one thread, so each
+    computes as a pool worker does. numpy's sin, cos and tanh, most of a
+    step, release the GIL, so the groups overlap; the p-bit and p-dit site
+    steps hold it, so their solvers run on one thread.
     """
-    peaks = _batch_peaks(models, cfg, seeds, peaks)
     ramp = 1.0 - cfg.schedule.ramp()
 
     def kernel(model, h, temps, phi0, noise):
         return _oim_sweeps(model.j_matrix, h, temps, oim_params(model.n), phi0, noise)
 
-    def solve(group: slice) -> list[SolveOutcome]:
-        return _solve_many(kernel, _oim_draws, ramp, models[group], cfg, seeds[group], peaks[group])
-
-    k = _oim_threads(len(models))
-    if k == 1:
-        return solve(slice(None))
-    groups = [slice(g * len(models) // k, (g + 1) * len(models) // k) for g in range(k)]
-    with _blas_on_one_thread(), ThreadPoolExecutor(k) as pool:
-        parts = list(pool.map(solve, groups))
-    return [outcome for part in parts for outcome in part]
+    return _solve_many(
+        kernel, _oim_draws, ramp, models, cfg, seeds, peaks, threads=_oim_threads(len(models))
+    )
 
 
 def oim_params(n: int) -> OimParams:

@@ -1,6 +1,5 @@
 """Experiment planning, BER sweeps, confidence bounds, calibration, reporting."""
 
-import ctypes
 import logging
 import math
 import re
@@ -29,14 +28,8 @@ from isingmimo.baselines import ML_SEARCH_BUDGET
 
 def blas_threads():
     """Thread count of numpy's OpenBLAS in this process; None if it has no getter."""
-    core = getattr(np, "_core", None) or np.core  # numpy 1.x names it core
-    lib = ctypes.CDLL(core._multiarray_umath.__file__)
-    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    if get is None:
-        return None
-    get.argtypes = []
-    get.restype = ctypes.c_int
-    return get()
+    get_threads, _ = solvers._openblas()
+    return get_threads and get_threads()
 
 
 class TestPlanExperiment:

