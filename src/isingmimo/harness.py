@@ -171,8 +171,9 @@ def plan_experiment(
     Each channel carries ``messages_per_channel`` messages of
     n * log2(order) bits, so total_bits must be a multiple of that block;
     otherwise the error suggests the nearest valid budget. Counts, order and
-    seed must be ints, never rounded, and no list may be a string. Every
-    check of the plan happens here, so an invalid plan fails before any work.
+    seed must be ints, never rounded, the seed non-negative; no list may be a
+    string, and no detector named twice. Every check of the plan happens
+    here, so an invalid plan fails before any work.
     """
     counts = dict(n=n, total_bits=total_bits, seed=seed, messages_per_channel=messages_per_channel)
     optional = dict(replicas=replicas, iterations=iterations)
@@ -181,6 +182,8 @@ def plan_experiment(
     _sequence("detectors", detectors)
     if n < 1 or messages_per_channel < 1:
         raise ValueError("n and messages_per_channel must be at least 1")
+    if seed < 0:  # a SeedSequence takes no negative entropy
+        raise ValueError(f"seed must be non-negative; got {seed}")
     axis_level_count(order)  # validates the order
     plan = ExperimentPlan(
         n=n,
@@ -201,9 +204,12 @@ def plan_experiment(
             f"messages of {plan.bits_per_message} bits per channel; nearest valid value "
             f"is {nearest}"
         )
-    for det in plan.detectors:
+    for d_idx, det in enumerate(plan.detectors):
         if det not in KNOWN_DETECTORS:
             raise ValueError(f"unknown detector {det!r}; known: {KNOWN_DETECTORS}")
+        # A repeat would write a second row under the same name.
+        if det in plan.detectors[:d_idx]:
+            raise ValueError(f"detector {det!r} is named more than once")
     if "ml" in plan.detectors and float(order) ** n > ML_SEARCH_BUDGET:
         raise ValueError(
             f"exact-ml detector refused: {order}**{n} exceeds the search budget"
@@ -421,8 +427,16 @@ def plan_beta_sweep(
     every cell; the grid's peaks are passed beside it, one per model.
     """
     require_ints(
-        n=n, n_instances=n_instances, n_trials=n_trials, n_iterations=n_iterations, seed=seed
+        n=n,
+        order=order,
+        n_instances=n_instances,
+        n_trials=n_trials,
+        n_iterations=n_iterations,
+        seed=seed,
     )
+    if seed < 0:  # a SeedSequence takes no negative entropy
+        raise ValueError(f"seed must be non-negative; got {seed}")
+    axis_level_count(order)  # validates the order
     beta_grid = require_peaks(sorted(float(b) for b in _sequence("beta_grid", beta_grid)))
     if beta_grid.size == 0:
         raise ValueError("beta_grid needs at least one peak")
@@ -459,44 +473,40 @@ def beta_sweep(
     interpreted as peak noise levels. :func:`plan_beta_sweep` checks every
     argument before any instance is built.
 
-    Each instance is solved at every peak in one solver call, one model per
-    peak; a (peak, instance) cell draws from its own seed, so the result does
-    not depend on how the cells are batched.
+    Each instance is built, scored against its random reference and solved
+    at every peak in one solver call, one model per peak, before the next is
+    built, so memory does not grow with the pool. A (peak, instance) cell
+    draws from its own seed, so the result does not depend on how the cells
+    are batched.
     """
     beta_grid, ebn0_list, cfg = plan_beta_sweep(
         n, order, paradigm, beta_grid, n_instances, n_trials, n_iterations, ebn0_list, seed
     )
     c = build_constellation(order)
-    models = []
-    scales = []
-    random_refs = []
-    pool_index = 0
-    for e_idx, ebn0 in enumerate(ebn0_list):
-        for k in range(n_instances):
-            inst, _ = build_instance(
-                c, n, ebn0, seed, channel_index=pool_index, ebn0_index=e_idx
-            )
-            pool_index += 1
-            (model,), _ = _paradigm_models(paradigm, inst.channel, [inst.rx_vector], order)
-            rng = derive_rng(seed, ROLE_RANDOM_CONFIG, pool_index)
-            energies = random_state_energies(model, rng, 1000)
-            models.append(model)
-            scales.append(np.mean(np.abs(energies)))
-            random_refs.append(np.mean(energies))
-    scales = np.array(scales)
-    random_refs = np.array(random_refs) / scales
-
+    n_models = n_instances * len(ebn0_list)
+    random_refs = np.empty(n_models)
     # finals[b, m]: instance m's normalized final energies at peak b.
-    finals = np.empty((beta_grid.size, len(models), cfg.replicas))
-    for m_idx, model in enumerate(models):
+    finals = np.empty((beta_grid.size, n_models, cfg.replicas))
+    for m_idx in range(n_models):
+        e_idx = m_idx // n_instances
+        inst, _ = build_instance(
+            c, n, ebn0_list[e_idx], seed, channel_index=m_idx, ebn0_index=e_idx
+        )
+        (model,), _ = _paradigm_models(paradigm, inst.channel, [inst.rx_vector], order)
+        # The reference stream is keyed by the 1-based pool index (m_idx + 1),
+        # kept so that the goldens hold.
+        rng = derive_rng(seed, ROLE_RANDOM_CONFIG, m_idx + 1)
+        energies = random_state_energies(model, rng, 1000)
+        scale = np.mean(np.abs(energies))
+        random_refs[m_idx] = np.mean(energies) / scale
         seeds = [derive_seed(seed, ROLE_SOLVER, b_idx, m_idx) for b_idx in range(beta_grid.size)]
         outcomes = solve_many(paradigm, [model] * beta_grid.size, cfg, seeds, peaks=beta_grid)
         for b_idx, outcome in enumerate(outcomes):
-            finals[b_idx, m_idx] = outcome.final_energies / scales[m_idx]
+            finals[b_idx, m_idx] = outcome.final_energies / scale
     # Each peak's energies in instance order, one contiguous row.
     finals = finals.reshape(beta_grid.size, -1)
-    means = np.array([row.mean() for row in finals])
-    stderrs = np.array([row.std(ddof=1) for row in finals]) / np.sqrt(finals.shape[1])
+    means = finals.mean(axis=1)
+    stderrs = finals.std(axis=1, ddof=1) / np.sqrt(finals.shape[1])
     return BetaSweepResult(
         beta_grid=beta_grid,
         mean_final_energy=means,

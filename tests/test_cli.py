@@ -296,6 +296,32 @@ class TestReportCommand:
         assert not (tmp_path / "o").exists()
 
 
+    def test_edited_manifest_with_a_negative_seed_fails(self, tmp_path, capsys, monkeypatch):
+        # The seed was planned, then stopped the run at its first SeedSequence.
+        first = tmp_path / "first"
+        assert (
+            run_cli(
+                "run",
+                "--n", "4", "--mod", "4", "--ebn0", "9", "--bits", "448",
+                "--seed", "8", "--out", str(first),
+            )
+            == 0
+        )
+        path = first / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["plan"]["seed"] = -1
+        path.write_text(json.dumps(manifest))
+        runs = []
+        monkeypatch.setattr(cli, "run_ber_sweep", lambda *a, **k: runs.append(a))
+        capsys.readouterr()
+        code = run_cli("report", "--manifest", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be non-negative" in err
+        assert runs == []
+        assert not (tmp_path / "o").exists()
+
+
 class TestSweepCommand:
     def test_grid_of_plans(self, tmp_path):
         out = tmp_path / "grid"
@@ -394,6 +420,23 @@ class TestFitBetaCommand:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert solves == []
+        assert not out.exists()
+
+    def test_invalid_order_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # Order 8 was refused only after the order-2 sweep had run.
+        solves = []
+        monkeypatch.setattr(cli, "beta_sweep", lambda *a, **k: solves.append(a))
+        out = tmp_path / "o"
+        code = run_cli(
+            "fit-beta",
+            "--n", "4", "--mod", "2,8", "--paradigm", "bpim", "--beta-grid", "0.5,1",
+            "--instances", "1", "--trials", "4", "--iters", "5", "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "modulation order" in captured.err
+        assert "optimal peak" not in captured.out
         assert solves == []
         assert not out.exists()
 

@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,27 @@ class TestPlanExperiment:
             plan_experiment(4, 2, [10.0], 112, seed=1, detectors=("dpim",))
         with pytest.raises(ValueError, match="Eb/N0"):
             plan_experiment(4, 2, [], 112, seed=1)
+
+    def test_repeated_detector_rejected_naming_it(self):
+        # Solver seeds are keyed by the detector's position, so a repeated
+        # bpim wrote two bpim rows with different BERs.
+        with pytest.raises(ValueError, match="'bpim' is named more than once"):
+            plan_experiment(4, 4, [2.0], 448, seed=1, detectors=("bpim", "mmse", "bpim"))
+        with pytest.raises(ValueError, match="'mmse' is named more than once"):
+            plan_experiment(4, 4, [2.0], 448, seed=1, detectors=("mmse", "mmse"))
+
+    def test_negative_seed_rejected_before_work(self, monkeypatch):
+        # It was planned, then stopped at the first SeedSequence.
+        def no_instances(*args, **kwargs):
+            raise AssertionError("an instance was built before validation")
+
+        monkeypatch.setattr(harness, "build_instance", no_instances)
+        with pytest.raises(ValueError, match="seed must be non-negative; got -1"):
+            plan_experiment(4, 4, [10.0], 448, seed=-1)
+        with pytest.raises(ValueError, match="seed must be non-negative; got -1"):
+            harness.plan_beta_sweep(4, 4, "bpim", [0.1], seed=-1)
+        with pytest.raises(ValueError, match="seed must be non-negative; got -1"):
+            beta_sweep(4, 4, "bpim", [0.1], seed=-1)
 
     def test_ml_budget_checked_before_running(self):
         with pytest.raises(ValueError, match="budget"):
@@ -404,6 +426,7 @@ class TestBetaSweep:
             # Counts and the seed are ints, never rounded.
             for name, value in [
                 ("n", 4.0),
+                ("order", 4.0),
                 ("n_instances", 1.5),
                 ("n_trials", 10.0),
                 ("n_iterations", 20.0),
@@ -453,6 +476,40 @@ class TestBetaSweep:
         args = dict(n=2, order=4, paradigm="dpim", beta_grid=[0.5], n_trials=2, n_iterations=2)
         with pytest.raises(ValueError, match=message):
             beta_sweep(**{**args, **kwargs})
+
+    @pytest.mark.parametrize("order", [0, 3, 8])
+    def test_invalid_order_fails_before_any_instance(self, order, monkeypatch):
+        # Order 8 was planned and failed only once its sweep was reached; order
+        # 0 divided by zero into a misleading "finite peak" error.
+        def no_instances(*args, **kwargs):
+            raise AssertionError("an instance was built before validation")
+
+        monkeypatch.setattr(harness, "build_instance", no_instances)
+        args = dict(beta_grid=[0.5, 1.0], n_instances=1, n_trials=4, n_iterations=5)
+        # fit-beta plans every (n, order) pair before its first sweep.
+        with pytest.raises(ValueError, match="modulation order"):
+            harness.plan_beta_sweep(4, order, "bpim", **args)
+        with pytest.raises(ValueError, match="modulation order"):
+            beta_sweep(4, order, "bpim", **args)
+
+    def test_memory_does_not_grow_with_the_pool(self):
+        # Each instance is solved before the next is built, so no pool of
+        # coupling matrices is held: 8 instances per Eb/N0 value peak within
+        # one J of 1 instance per value, where holding the pool took 21 more.
+        args = dict(n=64, order=16, paradigm="bpim", beta_grid=[0.05, 0.2], n_trials=2)
+        inst, _ = build_instance(build_constellation(16), 64, 3.0, 0)
+        (model,), _ = harness._paradigm_models("bpim", inst.channel, [inst.rx_vector], 16)
+        one_j = model.j_matrix.nbytes
+        beta_sweep(**args, n_instances=1, n_iterations=1)  # warm caches and imports
+        peaks = []
+        for n_instances in (1, 8):
+            tracemalloc.start()
+            try:
+                beta_sweep(**args, n_instances=n_instances, n_iterations=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < one_j, (peaks, one_j)
 
     def test_one_solve_per_instance_with_a_model_per_peak(self, monkeypatch):
         # Every peak of an instance shares the instance's couplings, so one
