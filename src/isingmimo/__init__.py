@@ -9,6 +9,7 @@ results against zero-forcing, MMSE, and an exact sphere decoder.
 __version__ = "0.1.0"
 
 from .baselines import (
+    ChannelFactors,
     DetectionResult,
     SearchBudgetError,
     SingularChannelError,

@@ -1,13 +1,12 @@
 """Classical detectors: zero-forcing, MMSE, and exact maximum likelihood.
 
-All the cells of a channel share H, so what a detector takes from H alone is
-computed once per channel, on first use, and kept for the last channel seen,
-keyed on H's contents (shape, dtype and bytes), never its identity: ZF's
-pseudo-inverse from one SVD, rank-checked by ``lstsq``'s default test; MMSE's
-H^H and Gram matrix H^H H; and the QR factor of the real-valued channel of
-each order. A cell is then one matvec (ZF), one small solve (MMSE) or one
-rotation of y and a search (ML), followed by the constellation's
-table-driven decision.
+All the cells of a channel share H, so the detectors take a
+:class:`ChannelFactors` of H in its place, which computes what a detector
+takes from H alone once, on first use: ZF's pseudo-inverse from one SVD,
+rank-checked by ``lstsq``'s default test; MMSE's H^H and Gram matrix H^H H;
+and the QR factor of the real-valued channel of each order. A cell is then
+one matvec (ZF), one small solve (MMSE) or one rotation of y and a search
+(ML), followed by the constellation's table-driven decision.
 
 The exact detector is a depth-first sphere decoder on the real-valued model
 with closest-first (Schnorr-Euchner) child ordering and an initially
@@ -33,6 +32,7 @@ from .channel import complex_symbols, real_channel, stack_real
 from .constellation import Constellation, demodulate_symbols, quantize_to_alphabet
 
 __all__ = [
+    "ChannelFactors",
     "DetectionResult",
     "SingularChannelError",
     "SearchBudgetError",
@@ -71,14 +71,15 @@ def _result(symbols: np.ndarray, H: np.ndarray, y: np.ndarray, c: Constellation,
     return DetectionResult(symbols, demodulate_symbols(symbols, c), residual, method)
 
 
-class _ChannelFactors:
+class ChannelFactors:
     """What the detectors take from one channel H alone, each part computed
     on first use: the ZF pseudo-inverse, the MMSE Gram matrix, and the QR
-    factor of the real-valued channel of each order."""
+    factor of the real-valued channel of each order. Reuse is per object,
+    one for all the cells of a channel, and H is held as given, not copied:
+    a caller who changes H in place must build a new one."""
 
-    def __init__(self, key: tuple, H: np.ndarray):
-        self.key = key
-        self.H = H.copy()
+    def __init__(self, H: np.ndarray):
+        self.H = np.asarray(H)
         self._qr: dict = {}
 
     @cached_property
@@ -110,49 +111,32 @@ class _ChannelFactors:
         return self._qr[order]
 
 
-# The factors of the last channel a detector saw. One entry is enough: the
-# harness solves all the cells of a channel in a row.
-_last_channel: _ChannelFactors | None = None
-
-
-def _channel(H: np.ndarray) -> _ChannelFactors:
-    """The factors of H, reused while calls repeat H's contents (shape, dtype
-    and bytes; never its identity)."""
-    global _last_channel
-    key = (H.shape, H.dtype.str, H.tobytes())
-    if _last_channel is None or _last_channel.key != key:
-        _last_channel = _ChannelFactors(key, H)
-    return _last_channel
-
-
-def zf_detect(H: np.ndarray, y: np.ndarray, c: Constellation) -> DetectionResult:
+def zf_detect(factors: ChannelFactors, y: np.ndarray, c: Constellation) -> DetectionResult:
     """Pseudo-inverse of H applied to y, followed by per-entry quantization."""
-    H = np.asarray(H)
     y = np.asarray(y)
-    pinv, rank = _channel(H).zf
+    pinv, rank = factors.zf
     if pinv is None:
         raise SingularChannelError(
-            f"channel has rank {rank} < {H.shape[1]} transmit antennas"
+            f"channel has rank {rank} < {factors.H.shape[1]} transmit antennas"
         )
     symbols = quantize_to_alphabet(pinv @ y, c)
-    return _result(symbols, H, y, c, "zf")
+    return _result(symbols, factors.H, y, c, "zf")
 
 
 def mmse_detect(
-    H: np.ndarray, y: np.ndarray, sigma_sq: float, es: float, c: Constellation
+    factors: ChannelFactors, y: np.ndarray, sigma_sq: float, es: float, c: Constellation
 ) -> DetectionResult:
     """Regularized inversion (H'H + I sigma^2/Es)^-1 H'y, then quantization."""
-    H = np.asarray(H)
     y = np.asarray(y)
     if sigma_sq < 0:
         raise ValueError("sigma_sq must be nonnegative")
-    h_herm, gram, eye = _channel(H).mmse
+    h_herm, gram, eye = factors.mmse
     try:
         soft = np.linalg.solve(gram + (sigma_sq / es) * eye, h_herm @ y)
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError(str(exc)) from exc
     symbols = quantize_to_alphabet(soft, c)
-    return _result(symbols, H, y, c, "mmse")
+    return _result(symbols, factors.H, y, c, "mmse")
 
 
 def _sphere_decode(r_mat: np.ndarray, z: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -219,17 +203,21 @@ def _sphere_decode(r_mat: np.ndarray, z: np.ndarray, levels: np.ndarray) -> np.n
 
 
 def ml_exact(
-    H: np.ndarray, y: np.ndarray, c: Constellation, max_search_space: float = ML_SEARCH_BUDGET
+    factors: ChannelFactors,
+    y: np.ndarray,
+    c: Constellation,
+    max_search_space: float = ML_SEARCH_BUDGET,
 ) -> DetectionResult:
     """Exact minimizer of ||y - Hx||^2 over the constellation grid.
 
     Refuses when order**n_tx exceeds ``max_search_space`` so scripted runs
     cannot start an unbounded exponential search by accident. The real-valued
-    channel is QR-factored (and rank-checked) once per channel: successive
-    calls with the same H and order reuse the factor, so each cell only
-    rotates its own ``y`` and searches.
+    channel is QR-factored (and rank-checked) once per order and per
+    ``factors`` object: every call with the same ``factors`` and order reuses
+    the factor, so each cell only rotates its own ``y`` and searches. A caller
+    who changes H in place must build a new :class:`ChannelFactors`.
     """
-    H = np.asarray(H)
+    H = factors.H
     y = np.asarray(y)
     n = H.shape[1]
     space = float(c.order) ** n
@@ -237,7 +225,7 @@ def ml_exact(
         raise SearchBudgetError(
             f"search space {c.order}**{n} = {space:.3g} exceeds budget {max_search_space:.3g}"
         )
-    q_mat, r_mat = _channel(H).ml(c.order)
+    q_mat, r_mat = factors.ml(c.order)
     if q_mat is None:
         raise SingularChannelError("real-valued channel is numerically rank deficient")
     z = q_mat.T @ stack_real(y)

@@ -57,8 +57,6 @@ def derive_rng(master_seed: int, *fields: int) -> np.random.Generator:
 class MimoInstance:
     """One detection problem: y = H x0 + n at a given noise level."""
 
-    n_tx: int
-    n_rx: int
     channel: np.ndarray
     tx_symbols: np.ndarray
     rx_vector: np.ndarray
@@ -187,8 +185,6 @@ def channel_instances(
             sigma_sq = noise_sigma_sq(n, c.symbol_energy, c.order, ebn0)
             noise_seed = derive_seed(master_seed, ROLE_NOISE, channel_index, msg, e_idx)
             inst = MimoInstance(
-                n_tx=n,
-                n_rx=n,
                 channel=H,
                 tx_symbols=x0,
                 rx_vector=transmit(H, x0, sigma_sq, noise_seed),

@@ -61,7 +61,12 @@ def _nonempty(values: list) -> list:
 
 
 def int_list(text: str) -> list[int]:
-    return _nonempty([int(v) for v in text.split(",") if v != ""])
+    """A grid of sizes or orders; a repeat would run a plan twice."""
+    values = _nonempty([int(v) for v in text.split(",") if v != ""])
+    for idx, v in enumerate(values):
+        if v in values[:idx]:
+            raise argparse.ArgumentTypeError(f"value {v} is named more than once")
+    return values
 
 
 def float_list(text: str) -> list[float]:

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .baselines import (
     ML_SEARCH_BUDGET,
+    ChannelFactors,
     SearchBudgetError,
     SingularChannelError,
     ml_exact,
@@ -144,14 +145,22 @@ def _sequence(name: str, values):
     return values
 
 
+def _distinct(name: str, values) -> None:
+    """Reject a repeated value: its seeds, keyed by position, would differ."""
+    for idx, v in enumerate(values):
+        if v in values[:idx]:
+            raise ValueError(f"{name} {v!r} is named more than once")
+
+
 def _ebn0_points(ebn0_list) -> tuple:
     """The Eb/N0 points of a plan or an instance pool as floats: a sequence,
-    not a string, with at least one value, none NaN or -inf."""
+    not a string, with at least one value, none NaN, -inf or repeated."""
     points = tuple(float(v) for v in _sequence("ebn0_list", ebn0_list))
     if not points:
         raise ValueError("need at least one Eb/N0 point")
     if any(math.isnan(v) or v == -math.inf for v in points):
         raise ValueError(f"Eb/N0 values must be real or +inf; got {points}")
+    _distinct("Eb/N0 value", points)
     return points
 
 
@@ -204,12 +213,10 @@ def plan_experiment(
             f"messages of {plan.bits_per_message} bits per channel; nearest valid value "
             f"is {nearest}"
         )
-    for d_idx, det in enumerate(plan.detectors):
+    for det in plan.detectors:
         if det not in KNOWN_DETECTORS:
             raise ValueError(f"unknown detector {det!r}; known: {KNOWN_DETECTORS}")
-        # A repeat would write a second row under the same name.
-        if det in plan.detectors[:d_idx]:
-            raise ValueError(f"detector {det!r} is named more than once")
+    _distinct("detector", plan.detectors)
     if "ml" in plan.detectors and float(order) ** n > ML_SEARCH_BUDGET:
         raise ValueError(
             f"exact-ml detector refused: {order}**{n} exceeds the search budget"
@@ -254,7 +261,8 @@ def _detector_bits(
     """The recovered bits of each of a channel's cells under one detector, or
     None where a baseline failed as expected. A heuristic solves all the
     cells in one batched kernel call, since its couplings depend on the
-    channel only; each cell's replica streams match a standalone solve."""
+    channel only; each cell's replica streams match a standalone solve. The
+    baselines share one :class:`ChannelFactors` over the channel's cells."""
     if detector in PARADIGMS:
         seeds = [
             derive_seed(
@@ -268,17 +276,16 @@ def _detector_bits(
         cfg = _solver_config(detector, plan.n, plan.order, plan.replicas, plan.iterations)
         outcomes = solve_many(detector, models, cfg, seeds)
         return [demodulate_symbols(to_symbols(o.best_state), c) for o in outcomes]
+    factors = ChannelFactors(cells[0].channel)
     recovered = []
     for inst in cells:
         try:
             if detector == "zf":
-                result = zf_detect(inst.channel, inst.rx_vector, c)
+                result = zf_detect(factors, inst.rx_vector, c)
             elif detector == "mmse":
-                result = mmse_detect(
-                    inst.channel, inst.rx_vector, inst.sigma_sq, c.symbol_energy, c
-                )
+                result = mmse_detect(factors, inst.rx_vector, inst.sigma_sq, c.symbol_energy, c)
             else:
-                result = ml_exact(inst.channel, inst.rx_vector, c)
+                result = ml_exact(factors, inst.rx_vector, c)
         except _DETECTOR_FAILURES:
             logger.exception(
                 "detector %s failed on channel %d message %d point %d (%g dB); "
@@ -440,6 +447,7 @@ def plan_beta_sweep(
     beta_grid = require_peaks(sorted(float(b) for b in _sequence("beta_grid", beta_grid)))
     if beta_grid.size == 0:
         raise ValueError("beta_grid needs at least one peak")
+    _distinct("peak", beta_grid.tolist())
     ebn0_list = _ebn0_points(ebn0_list)
     # The random reference's standard error needs two pool instances.
     if n_instances * len(ebn0_list) < 2:

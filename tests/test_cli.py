@@ -454,6 +454,31 @@ class TestFitBetaCommand:
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "--n", "4", "--mod", "4", "--ebn0", "6,6", "--bits", "224",
+          "--detectors", "mmse,bpim"], "Eb/N0 value 6.0"),
+        (["sweep", "--n", "2,2", "--mod", "4", "--ebn0", "6", "--bits", "224"], "value 2"),
+        (["sweep", "--n", "2", "--mod", "4,16,4", "--ebn0", "6", "--bits", "448"], "value 4"),
+        (["fit-beta", "--n", "4", "--mod", "4", "--beta-grid", "0.5,0.5,1"], "peak 0.5"),
+        (["fit-beta", "--n", "3,3,4", "--mod", "4", "--beta-grid", "0.5,1"], "value 3"),
+    ],
+)
+def test_repeated_grid_value_fails_naming_it(argv, named, tmp_path, capsys, monkeypatch):
+    # Seeds are keyed by a value's position, so a repeat wrote two different
+    # rows under one value, or ran one plan twice into one directory.
+    runs = []
+    monkeypatch.setattr(cli, "run_ber_sweep", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(cli, "beta_sweep", lambda *a, **k: runs.append(a))
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{named} is named more than once" in err
+    assert runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, flags, empty",
     [
         ("sweep", ["--mod", "4", "--ebn0", "5", "--bits", "112"], "--n="),

@@ -72,6 +72,15 @@ class TestPlanExperiment:
         with pytest.raises(ValueError, match="'mmse' is named more than once"):
             plan_experiment(4, 4, [2.0], 448, seed=1, detectors=("mmse", "mmse"))
 
+    @pytest.mark.parametrize(
+        "ebn0_list, named", [([6.0, 6.0], "6.0"), ([0.0, 3.0, 0], "0.0"), ([-0.0, 0.0], "0.0")]
+    )
+    def test_repeated_ebn0_rejected_naming_it(self, ebn0_list, named):
+        # Noise and solver seeds are keyed by the point's position, so a
+        # repeated 6 dB wrote two bpim rows at 6 dB with different errors.
+        with pytest.raises(ValueError, match=f"Eb/N0 value {named} is named more than once"):
+            plan_experiment(4, 4, ebn0_list, 224, seed=1, detectors=("mmse", "bpim"))
+
     def test_negative_seed_rejected_before_work(self, monkeypatch):
         # It was planned, then stopped at the first SeedSequence.
         def no_instances(*args, **kwargs):
@@ -212,9 +221,9 @@ class TestRunBerSweep:
         )
         seen = []
 
-        def recording(H, y, sigma_sq, es, c):
-            seen.append((H, y, sigma_sq))
-            return real_detect(H, y, sigma_sq, es, c)
+        def recording(factors, y, sigma_sq, es, c):
+            seen.append((factors.H, y, sigma_sq))
+            return real_detect(factors, y, sigma_sq, es, c)
 
         real_detect = harness.mmse_detect
         monkeypatch.setattr(harness, "mmse_detect", recording)
@@ -228,6 +237,40 @@ class TestRunBerSweep:
             np.testing.assert_array_equal(inst.channel, H)
             np.testing.assert_array_equal(inst.rx_vector, y)
             assert inst.sigma_sq == sigma_sq
+
+    def test_baselines_share_one_channel_factors_per_channel(self, monkeypatch):
+        # Three channels under zf, mmse and ml: one SVD and one QR per
+        # channel, and every call for channel k gets factors of channel k.
+        plan = plan_experiment(
+            3, 4, [6.0, 12.0], 36, seed=11, detectors=("zf", "mmse", "ml"), messages_per_channel=2
+        )
+        assert plan.n_channels == 3
+        calls = {}
+
+        def spy(module, name, record):
+            real = getattr(module, name)
+            calls[name] = []
+            monkeypatch.setattr(
+                module, name, lambda *a, **k: calls[name].append(record(a)) or real(*a, **k)
+            )
+
+        for name in ("svd", "qr"):
+            spy(np.linalg, name, lambda args: None)
+        for name in ("zf_detect", "mmse_detect", "ml_exact"):
+            spy(harness, name, lambda args: args[0])
+        run_ber_sweep(plan)
+        assert len(calls["svd"]) == 3
+        assert len(calls["qr"]) == 3
+        c = build_constellation(4)
+        for name in ("zf_detect", "mmse_detect", "ml_exact"):
+            factors = calls[name]
+            assert len(factors) == 3 * 2 * 2, name
+            for k in range(3):
+                mine = factors[4 * k : 4 * k + 4]
+                assert all(isinstance(f, harness.ChannelFactors) for f in mine)
+                assert all(f is mine[0] for f in mine), name
+                inst, _ = build_instance(c, 3, 6.0, 11, k)
+                np.testing.assert_array_equal(mine[0].H, inst.channel)
 
     def test_detector_failure_counts_all_bits(self, monkeypatch, caplog):
         plan = plan_experiment(
@@ -491,6 +534,26 @@ class TestBetaSweep:
             harness.plan_beta_sweep(4, order, "bpim", **args)
         with pytest.raises(ValueError, match="modulation order"):
             beta_sweep(4, order, "bpim", **args)
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (dict(beta_grid=[0.5, 0.5, 1.0]), "peak 0.5"),
+            (dict(beta_grid=[1.0, 0.5, 1]), "peak 1.0"),
+            (dict(beta_grid=[0.5, 1.0], ebn0_list=[3.0, 6.0, 3]), "Eb/N0 value 3.0"),
+        ],
+    )
+    def test_repeated_value_fails_before_any_instance(self, args, named, monkeypatch):
+        # Solver seeds are keyed by the peak's position: a repeated 0.5 wrote
+        # two rows at 0.5 with different means.
+        def no_instances(*args, **kwargs):
+            raise AssertionError("an instance was built before validation")
+
+        monkeypatch.setattr(harness, "build_instance", no_instances)
+        args = dict(n_instances=1, n_trials=4, n_iterations=5, **args)
+        for sweep in (harness.plan_beta_sweep, beta_sweep):
+            with pytest.raises(ValueError, match=f"{named} is named more than once"):
+                sweep(4, 4, "bpim", **args)
 
     def test_memory_does_not_grow_with_the_pool(self):
         # Each instance is solved before the next is built, so no pool of
