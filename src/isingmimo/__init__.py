@@ -34,9 +34,11 @@ from .channel import (
 from .constellation import (
     Constellation,
     build_constellation,
+    decide,
     demodulate_symbols,
     modulate_bits,
     pam_levels,
+    points_at,
     quantize_to_alphabet,
 )
 from .harness import (

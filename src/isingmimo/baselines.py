@@ -6,7 +6,10 @@ takes from H alone once, on first use: ZF's pseudo-inverse from one SVD,
 rank-checked by ``lstsq``'s default test; MMSE's H^H and Gram matrix H^H H;
 and the QR factor of the real-valued channel of each order. A cell is then
 one matvec (ZF), one small solve (MMSE) or one rotation of y and a search
-(ML), followed by the constellation's table-driven decision.
+(ML). Each cell then decides its symbols and bits once, from the per-axis
+level ranks that produced them: ZF and MMSE round their soft values to ranks
+with :func:`~isingmimo.constellation.decide`, and ML maps the level indices
+its search found with :func:`~isingmimo.constellation.points_at`.
 
 The exact detector is a depth-first sphere decoder on the real-valued model
 with closest-first (Schnorr-Euchner) child ordering and an initially
@@ -14,7 +17,8 @@ unbounded radius that shrinks at each leaf, so it returns the true residual
 minimizer. A node's children are generated on demand: bisect its centre into
 the sorted PAM levels, then step outward one level at a time, the lower level
 first when two are equally far. The search runs on Python floats and lists,
-which are several times faster than numpy scalars at these sizes. A
+which are several times faster than numpy scalars at these sizes; R's rows,
+its diagonal and the levels are turned into lists once per channel. A
 brute-force enumerator over the full candidate space is kept alongside as an
 independent oracle for tests.
 """
@@ -29,7 +33,14 @@ from functools import cached_property
 import numpy as np
 
 from .channel import complex_symbols, real_channel, stack_real
-from .constellation import Constellation, demodulate_symbols, quantize_to_alphabet
+from .constellation import (
+    Constellation,
+    axis_level_count,
+    decide,
+    demodulate_symbols,
+    pam_levels,
+    points_at,
+)
 
 __all__ = [
     "ChannelFactors",
@@ -65,10 +76,22 @@ class DetectionResult:
     method: str
 
 
-def _result(symbols: np.ndarray, H: np.ndarray, y: np.ndarray, c: Constellation, method: str) -> DetectionResult:
+def _received(y) -> np.ndarray:
+    """``y`` as an array, rejected if any entry is non-finite: a NaN or an
+    infinity would otherwise reach the search or the rounding through the
+    matrix products, as a warning and then a failure far from its cause."""
+    y = np.asarray(y)
+    if not np.isfinite(y).all():
+        raise ValueError("cannot detect from non-finite values in y")
+    return y
+
+
+def _result(
+    symbols: np.ndarray, bits: np.ndarray, H: np.ndarray, y: np.ndarray, method: str
+) -> DetectionResult:
     r = y - H @ symbols
     residual = float(np.vdot(r, r).real)
-    return DetectionResult(symbols, demodulate_symbols(symbols, c), residual, method)
+    return DetectionResult(symbols, bits, residual, method)
 
 
 class ChannelFactors:
@@ -100,34 +123,42 @@ class ChannelFactors:
         return h_herm, h_herm @ self.H, np.eye(self.H.shape[1])
 
     def ml(self, order: int) -> tuple:
-        """(Q, R) of the real-valued channel of ``order``; Q is None when R's
-        diagonal shows H to be numerically rank deficient."""
+        """(Q, R, R's rows, R's diagonal, levels) of the real-valued channel
+        of ``order``, the last three as Python lists for the search; Q is None
+        when R's diagonal shows H to be numerically rank deficient."""
         if order not in self._qr:
             q_mat, r_mat = np.linalg.qr(real_channel(self.H, order))
             diag = np.abs(np.diag(r_mat))
             if diag.min() <= 1e-12 * max(diag.max(), 1.0):
                 q_mat = None
-            self._qr[order] = (q_mat, r_mat)
+            rows = r_mat.tolist()
+            self._qr[order] = (
+                q_mat,
+                r_mat,
+                rows,
+                [row[k] for k, row in enumerate(rows)],
+                pam_levels(axis_level_count(order)).tolist(),
+            )
         return self._qr[order]
 
 
 def zf_detect(factors: ChannelFactors, y: np.ndarray, c: Constellation) -> DetectionResult:
     """Pseudo-inverse of H applied to y, followed by per-entry quantization."""
-    y = np.asarray(y)
+    y = _received(y)
     pinv, rank = factors.zf
     if pinv is None:
         raise SingularChannelError(
             f"channel has rank {rank} < {factors.H.shape[1]} transmit antennas"
         )
-    symbols = quantize_to_alphabet(pinv @ y, c)
-    return _result(symbols, factors.H, y, c, "zf")
+    symbols, bits = decide(pinv @ y, c)
+    return _result(symbols, bits, factors.H, y, "zf")
 
 
 def mmse_detect(
     factors: ChannelFactors, y: np.ndarray, sigma_sq: float, es: float, c: Constellation
 ) -> DetectionResult:
     """Regularized inversion (H'H + I sigma^2/Es)^-1 H'y, then quantization."""
-    y = np.asarray(y)
+    y = _received(y)
     if sigma_sq < 0:
         raise ValueError("sigma_sq must be nonnegative")
     h_herm, gram, eye = factors.mmse
@@ -135,71 +166,74 @@ def mmse_detect(
         soft = np.linalg.solve(gram + (sigma_sq / es) * eye, h_herm @ y)
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError(str(exc)) from exc
-    symbols = quantize_to_alphabet(soft, c)
-    return _result(symbols, factors.H, y, c, "mmse")
+    symbols, bits = decide(soft, c)
+    return _result(symbols, bits, factors.H, y, "mmse")
 
 
-def _sphere_decode(r_mat: np.ndarray, z: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def _sphere_decode(rows: list, diag: list, z: list, lev: list) -> list | None:
     """argmin over the level grid of ||z - R x||^2 for upper-triangular R.
 
-    ``levels`` must be sorted ascending. Each depth keeps the next unvisited
-    level index below its centre (``lo``) and at or above it (``hi``); the
-    next child is the nearer of the two, the lower one on a tie. A child whose
-    cost is not below the best leaf so far prunes itself and all its later
-    siblings, and the first leaf found wins ties.
+    R is given as its ``rows`` and its ``diag``onal, and ``lev`` are the
+    levels sorted ascending, all as lists of floats. Returns the index into
+    ``lev`` of each entry of the minimizer, or None when no leaf has a finite
+    cost. Each depth keeps the next unvisited level index below its centre
+    (``lo``) and at or above it (``hi``); the next child is the nearer of the
+    two, the lower one on a tie. A child whose cost is not below the best
+    leaf so far prunes itself and all its later siblings, and the first leaf
+    found wins ties.
     """
-    r = r_mat.tolist()
-    zs = z.tolist()
-    lev = levels.tolist()
-    q = len(zs)
+    q = len(z)
     top = len(lev)
-    x = [0.0] * q
+    x = [0.0] * q  # level of each fixed depth
+    index = [0] * q  # its index into lev
     lo = [0] * q
     hi = [0] * q
     centre = [0.0] * q
     acc = [0.0] * q  # cost of the fixed tail x[k+1:]
     e = [0.0] * q  # tail-adjusted target at each depth
-    best_x = None
+    best = None
     best_cost = float("inf")
 
-    def enter(k: int) -> None:
-        row = r[k]
-        dot = 0.0
-        for j in range(k + 1, q):
-            dot += row[j] * x[j]
-        e[k] = zs[k] - dot
-        centre[k] = c = e[k] / row[k]
-        hi[k] = i = bisect_left(lev, c)
-        lo[k] = i - 1
-
     k = q - 1
-    enter(k)
+    e[k] = z[k]  # nothing fixed below the root: the target is z itself
+    centre[k] = c = z[k] / diag[k]
+    hi[k] = i = bisect_left(lev, c)
+    lo[k] = i - 1
     while True:
         below, above, c = lo[k], hi[k], centre[k]
         if below >= 0 and (above == top or c - lev[below] <= lev[above] - c):
-            level = lev[below]
+            i = below
             lo[k] = below - 1
         elif above < top:
-            level = lev[above]
+            i = above
             hi[k] = above + 1
         else:
-            level = None
-        if level is not None:
-            cost = acc[k] + (e[k] - r[k][k] * level) ** 2
+            i = -1
+        if i >= 0:
+            level = lev[i]
+            cost = acc[k] + (e[k] - diag[k] * level) ** 2
             if cost < best_cost:
                 x[k] = level
+                index[k] = i
                 if k > 0:
                     acc[k - 1] = cost
                     k -= 1
-                    enter(k)
+                    row = rows[k]
+                    dot = 0.0
+                    for j in range(k + 1, q):
+                        dot += row[j] * x[j]
+                    e[k] = t = z[k] - dot
+                    centre[k] = c = t / diag[k]
+                    hi[k] = i = bisect_left(lev, c)
+                    lo[k] = i - 1
                     continue
                 best_cost = cost
-                best_x = x.copy()
+                best = index.copy()
             # Closest-first ordering: the remaining siblings only cost more.
         k += 1
         if k == q:
             break
-    return None if best_x is None else np.array(best_x)
+    return best
 
 
 def ml_exact(
@@ -218,19 +252,21 @@ def ml_exact(
     who changes H in place must build a new :class:`ChannelFactors`.
     """
     H = factors.H
-    y = np.asarray(y)
+    y = _received(y)
     n = H.shape[1]
     space = float(c.order) ** n
     if space > max_search_space:
         raise SearchBudgetError(
             f"search space {c.order}**{n} = {space:.3g} exceeds budget {max_search_space:.3g}"
         )
-    q_mat, r_mat = factors.ml(c.order)
+    q_mat, _, rows, diag, levels = factors.ml(c.order)
     if q_mat is None:
         raise SingularChannelError("real-valued channel is numerically rank deficient")
-    z = q_mat.T @ stack_real(y)
-    symbols = complex_symbols(_sphere_decode(r_mat, z, c.levels), n)
-    return _result(symbols, H, y, c, "ml")
+    # y is finite, so the first leaf's cost is below the initial infinite
+    # radius and the search returns a minimizer.
+    index = _sphere_decode(rows, diag, (q_mat.T @ stack_real(y)).tolist(), levels)
+    symbols, bits = points_at(complex_symbols(index, n), c)
+    return _result(symbols, bits, H, y, "ml")
 
 
 def ml_exhaustive(
@@ -248,4 +284,5 @@ def ml_exhaustive(
     grid = np.array(list(itertools.product(c.alphabet, repeat=n)))
     residuals = np.abs(y[None, :] - grid @ H.T) ** 2
     best = int(np.argmin(residuals.sum(axis=1)))
-    return _result(grid[best], H, y, c, "ml-exhaustive")
+    symbols = grid[best]
+    return _result(symbols, demodulate_symbols(symbols, c), H, y, "ml-exhaustive")

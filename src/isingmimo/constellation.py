@@ -9,11 +9,14 @@ points differ in exactly one bit. The first half of each symbol's bits (MSB
 first; BPSK: its one bit) addresses the real axis, the rest the imaginary
 axis.
 
-Decisions are table driven and treat both axes alike: quantization and the
-inverse labelling each make one pass over the ``(..., 2)`` real view of a
-complex array, with the per-axis level counts broadcast along its last
-dimension, and demodulation looks each word up in a word->bits table built
-once per constellation.
+Decisions are table driven and treat both axes alike, in one pass over the
+``(..., 2)`` real view of a complex array with the per-axis level counts
+broadcast along its last dimension. A decision works out each point's
+per-axis level ranks once; the ranks address a word table, and the word
+gives both the alphabet point and its bits. :func:`decide` rounds soft values
+to ranks, :func:`points_at` takes ranks a search has already found, and
+:func:`demodulate_symbols` recovers the ranks of given symbols, rejecting
+off-alphabet points.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ __all__ = [
     "axis_level_count",
     "modulate_bits",
     "demodulate_symbols",
+    "decide",
+    "points_at",
     "quantize_to_alphabet",
     "pam_levels",
 ]
@@ -156,6 +161,12 @@ def modulate_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:
     return c.alphabet[groups @ weights]
 
 
+def _rank_words_at(rank: np.ndarray, c: Constellation) -> np.ndarray:
+    """Words of the points at the per-axis level indices ``rank``, a
+    ``(size, 2)`` float array of integral values."""
+    return c._rank_words[np.dot(rank, (c.axis_levels[1], 1)).astype(np.intp)]
+
+
 def _words_of_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     """Invert the alphabet labelling; raises on off-alphabet points."""
     symbols = np.asarray(symbols, dtype=complex)
@@ -167,7 +178,7 @@ def _words_of_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     if not ok.all():
         bad = symbols.reshape(-1)[~ok.all(axis=1)][0]
         raise ValueError(f"symbol {bad} is not a point of the order-{c.order} alphabet")
-    return c._rank_words[np.dot(index, (c.axis_levels[1], 1)).astype(np.intp)]
+    return _rank_words_at(index, c)
 
 
 def demodulate_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
@@ -175,22 +186,57 @@ def demodulate_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     return c.bit_table[_words_of_symbols(symbols, c)].ravel()
 
 
-def quantize_to_alphabet(z, c: Constellation):
-    """Nearest alphabet point, per axis, ties toward the more positive level.
-
-    Accepts a complex scalar or array; returns the same shape. A one-level
-    axis (BPSK's imaginary axis) quantizes to +0.0.
-    """
-    arr = np.asarray(z, dtype=complex)
+def _nearest_words(arr: np.ndarray, c: Constellation) -> np.ndarray:
+    """Words of the points nearest to the complex array ``arr``, per axis,
+    ties toward the more positive level."""
     pairs = _real_pairs(arr)
     if not np.isfinite(pairs).all():
         raise ValueError("cannot quantize non-finite values")
     top = c._top_rank
     # Half-up rounding of the continuous level index resolves ties upward.
     # The floor is never -0.0, so clamping by maximum/minimum gives the same
-    # bits as np.clip, in fewer calls.
+    # ranks as np.clip, in fewer calls.
     rank = np.minimum(np.maximum(np.floor((pairs + top) / 2 + 0.5), 0.0), top)
-    out = (2 * rank - top).view(complex).reshape(arr.shape)
+    return _rank_words_at(rank, c)
+
+
+def _points_and_bits(words: np.ndarray, shape: tuple, c: Constellation) -> tuple:
+    """The alphabet points labelled ``words``, in ``shape``, and their bits."""
+    return c.alphabet[words].reshape(shape), c.bit_table[words].ravel()
+
+
+def decide(z, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest alphabet points of the soft values ``z`` and their bits.
+
+    Each point is rounded per axis to its nearest level, ties toward the more
+    positive level and values beyond the outermost level clamped to it; a
+    one-level axis (BPSK's imaginary axis) decides +0.0. Returns the symbols,
+    in ``z``'s shape, and the bits of :func:`demodulate_symbols` of them, from
+    one rounding.
+    """
+    arr = np.asarray(z, dtype=complex)
+    return _points_and_bits(_nearest_words(arr, c), arr.shape, c)
+
+
+def points_at(ranks, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """The alphabet points at the per-axis level indices ``ranks`` and their bits.
+
+    ``ranks`` is complex: the real-axis level index plus 1j times the
+    imaginary-axis one (0 on BPSK), each an integer in [0, L - 1] of the axis
+    ladder sorted ascending. Returns the symbols, in ``ranks``' shape, and
+    their bits.
+    """
+    ranks = np.asarray(ranks, dtype=complex)
+    return _points_and_bits(_rank_words_at(_real_pairs(ranks), c), ranks.shape, c)
+
+
+def quantize_to_alphabet(z, c: Constellation):
+    """The symbols of :func:`decide`, without the bits.
+
+    Accepts a complex scalar or array; returns the same shape.
+    """
+    arr = np.asarray(z, dtype=complex)
+    out = c.alphabet[_nearest_words(arr, c)].reshape(arr.shape)
     if np.isscalar(z) or arr.ndim == 0:
         return complex(out)
     return out

@@ -144,6 +144,17 @@ def _argsort_sphere_decode(r_mat, z, levels):
     return best_x
 
 
+def _decoded_levels(r_mat, z, levels):
+    """The sphere decoder's minimizer as levels, from the level indices it
+    returns on list inputs, as ``ChannelFactors.ml`` builds them."""
+    rows = r_mat.tolist()
+    index = baselines._sphere_decode(
+        rows, [row[k] for k, row in enumerate(rows)], z.tolist(), levels.tolist()
+    )
+    assert all(0 <= i < levels.size for i in index)
+    return levels[index]
+
+
 class TestExactMl:
     def test_1x1_bpsk(self, bpsk):
         res = ml_exact(ChannelFactors(np.array([[1.0 + 0j]])), np.array([0.3 + 0j]), bpsk)
@@ -163,6 +174,7 @@ class TestExactMl:
             sd = ml_exact(ChannelFactors(inst.channel), inst.rx_vector, c)
             brute = ml_exhaustive(inst.channel, inst.rx_vector, c)
             np.testing.assert_array_equal(sd.symbols, brute.symbols)
+            np.testing.assert_array_equal(sd.bits, demodulate_symbols(sd.symbols, c))
             assert sd.residual_energy == pytest.approx(
                 brute.residual_energy, rel=1e-9
             )
@@ -178,7 +190,7 @@ class TestExactMl:
             q_mat, r_mat = np.linalg.qr(rc.h_real)
             z = q_mat.T @ rc.y_real
             np.testing.assert_array_equal(
-                baselines._sphere_decode(r_mat, z, c.levels),
+                _decoded_levels(r_mat, z, c.levels),
                 _argsort_sphere_decode(r_mat, z, c.levels),
             )
 
@@ -197,11 +209,12 @@ class TestExactMl:
     )
     def test_equidistant_levels_pick_the_lower(self, n_levels, z, expected):
         levels = pam_levels(n_levels)
-        x = baselines._sphere_decode(np.eye(1), np.array([z]), levels)
-        assert x.tolist() == [expected]
-        # The same rule with a scaled diagonal: the centre is z / R[0, 0].
-        x = baselines._sphere_decode(2.0 * np.eye(1), np.array([2.0 * z]), levels)
-        assert x.tolist() == [expected]
+        for scale in (1.0, 2.0):
+            # The same rule with a scaled diagonal: the centre is z / R[0, 0].
+            args = (scale * np.eye(1), np.array([scale * z]), levels)
+            x = _decoded_levels(*args)
+            assert x.tolist() == [expected]
+            np.testing.assert_array_equal(x, _argsort_sphere_decode(*args))
 
     def test_shared_factor_does_not_leak_between_channels(self):
         # Cells of channels A, B, A, then A as 4-QAM and BPSK, and a singular
@@ -293,6 +306,21 @@ class TestExactMl:
             ml_exact(factors, inst.rx_vector, bpsk, max_search_space=2**7)
         res = ml_exact(factors, inst.rx_vector, bpsk, max_search_space=2**8)
         assert res.method == "ml"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("detector", ["zf", "mmse", "ml"])
+def test_non_finite_y_rejected(detector, bad):
+    qam16 = build_constellation(16)
+    factors = ChannelFactors(np.eye(3) + 0j)
+    y = np.array([bad, 1, 1], dtype=complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        if detector == "zf":
+            zf_detect(factors, y, qam16)
+        elif detector == "mmse":
+            mmse_detect(factors, y, 0.1, qam16.symbol_energy, qam16)
+        else:
+            ml_exact(factors, y, qam16)
 
 
 class TestPerChannelFactors:

@@ -1,17 +1,19 @@
-"""Constellation construction, Gray labelling, and quantization."""
+"""Constellation construction, Gray labelling, and decisions."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingmimo import (
     build_constellation,
+    decide,
     demodulate_symbols,
     modulate_bits,
     pam_levels,
+    points_at,
     quantize_to_alphabet,
 )
 
@@ -195,6 +197,85 @@ class TestQuantize:
             quantize_to_alphabet(np.array([np.inf + 0j]), c)
         with pytest.raises(ValueError):
             quantize_to_alphabet(complex(np.nan, 0), c)
+
+
+def _nearest_level(value, levels):
+    """Brute force: the level nearest to ``value``, the more positive one on a tie."""
+    best = min(abs(value - level) for level in levels)
+    return max(level for level in levels if abs(value - level) == best)
+
+
+# Quarter steps are exact in binary, so values midway between two levels
+# occur and are decided exactly; beyond +-16 every order clamps.
+_quarters = st.integers(-80, 80).map(lambda k: k / 4)
+_axis_value = st.one_of(_quarters, st.floats(-1e6, 1e6))
+_soft = st.builds(complex, _axis_value, _axis_value)
+# Every input of the quantize_to_alphabet tests above, with its order.
+_QUANTIZE_CASES = [
+    (2, [0.3 + 0j, -2.7 + 5j, 0.0 + 0j]),
+    (16, [2.2 + 0.1j, -8 - 8j, 0 + 2j]),
+    *((2, [z, -z]) for z in (0.3 + 0j, -2.7 - 5j, 0.0 - 0j, 4.0 + 1e300j)),
+    *((order, build_constellation(order).alphabet.tolist()) for order in ALL_ORDERS),
+]
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for order, z in cases:
+            test = example(order=order, z=z)(test)
+        return test
+
+    return decorate
+
+
+class TestDecide:
+    @settings(max_examples=300, deadline=None)
+    @given(order=st.sampled_from(ALL_ORDERS), z=st.lists(_soft, min_size=1, max_size=6))
+    @_with_examples(_QUANTIZE_CASES)
+    def test_nearest_point_and_its_bits(self, order, z):
+        c = build_constellation(order)
+        z = np.array(z, dtype=complex)
+        symbols, bits = decide(z, c)
+        assert symbols.shape == z.shape
+        assert symbols.tobytes() == quantize_to_alphabet(z, c).tobytes()
+        assert symbols.tobytes() == _old_quantize(z, c).tobytes()
+        expected = demodulate_symbols(symbols, c)
+        assert bits.dtype == expected.dtype
+        np.testing.assert_array_equal(bits, expected)
+        for values, got, n_levels in zip(
+            (z.real, z.imag), (symbols.real, symbols.imag), c.axis_levels
+        ):
+            levels = pam_levels(n_levels).tolist()
+            for value, level in zip(values.tolist(), got.tolist()):
+                if 4 * value == int(4 * value):  # exact: ties toward +, clamped at the edge
+                    assert level == _nearest_level(value, levels)
+                else:
+                    slack = 1e-12 * max(1.0, abs(value))
+                    assert all(abs(value - level) <= abs(value - other) + slack for other in levels)
+        if order == 2:
+            assert not np.signbit(symbols.imag).any()
+
+    def test_scalar_gives_a_zero_dimensional_symbol(self):
+        c = build_constellation(4)
+        symbols, bits = decide(0.3 - 2j, c)
+        assert symbols.shape == ()
+        assert complex(symbols) == 1 - 1j
+        np.testing.assert_array_equal(bits, demodulate_symbols(np.array([1 - 1j]), c))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        c = build_constellation(16)
+        with pytest.raises(ValueError, match="non-finite"):
+            decide(np.array([1 + 1j, complex(1, bad)]), c)
+
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_points_at_the_ranks_of_the_alphabet(self, order):
+        c = build_constellation(order)
+        top_re, top_im = (n - 1 for n in c.axis_levels)
+        ranks = (c.alphabet.real + top_re) / 2 + 1j * (c.alphabet.imag + top_im) / 2
+        symbols, bits = points_at(ranks, c)
+        assert symbols.tobytes() == c.alphabet.tobytes()
+        np.testing.assert_array_equal(bits, c.bit_table.ravel())
 
 
 # The decision rules as they were written per axis, with a separate BPSK
