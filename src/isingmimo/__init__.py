@@ -39,7 +39,6 @@ from .constellation import (
     modulate_bits,
     pam_levels,
     points_at,
-    quantize_to_alphabet,
 )
 from .harness import (
     BerPoint,

@@ -33,14 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import complex_symbols, real_channel, stack_real
-from .constellation import (
-    Constellation,
-    axis_level_count,
-    decide,
-    demodulate_symbols,
-    pam_levels,
-    points_at,
-)
+from .constellation import Constellation, decide, demodulate_symbols, points_at
 
 __all__ = [
     "ChannelFactors",
@@ -122,24 +115,25 @@ class ChannelFactors:
         h_herm = self.H.conj().T
         return h_herm, h_herm @ self.H, np.eye(self.H.shape[1])
 
-    def ml(self, order: int) -> tuple:
-        """(Q, R, R's rows, R's diagonal, levels) of the real-valued channel
-        of ``order``, the last three as Python lists for the search; Q is None
-        when R's diagonal shows H to be numerically rank deficient."""
-        if order not in self._qr:
-            q_mat, r_mat = np.linalg.qr(real_channel(self.H, order))
+    def ml(self, c: Constellation) -> tuple:
+        """(Q, R, R's rows, R's diagonal, ``c.levels``) of the real-valued
+        channel of ``c``'s order, the last three as Python lists for the
+        search; Q is None when R's diagonal shows H to be numerically rank
+        deficient."""
+        if c.order not in self._qr:
+            q_mat, r_mat = np.linalg.qr(real_channel(self.H, c.order))
             diag = np.abs(np.diag(r_mat))
             if diag.min() <= 1e-12 * max(diag.max(), 1.0):
                 q_mat = None
             rows = r_mat.tolist()
-            self._qr[order] = (
+            self._qr[c.order] = (
                 q_mat,
                 r_mat,
                 rows,
                 [row[k] for k, row in enumerate(rows)],
-                pam_levels(axis_level_count(order)).tolist(),
+                c.levels.tolist(),
             )
-        return self._qr[order]
+        return self._qr[c.order]
 
 
 def zf_detect(factors: ChannelFactors, y: np.ndarray, c: Constellation) -> DetectionResult:
@@ -155,15 +149,16 @@ def zf_detect(factors: ChannelFactors, y: np.ndarray, c: Constellation) -> Detec
 
 
 def mmse_detect(
-    factors: ChannelFactors, y: np.ndarray, sigma_sq: float, es: float, c: Constellation
+    factors: ChannelFactors, y: np.ndarray, sigma_sq: float, c: Constellation
 ) -> DetectionResult:
-    """Regularized inversion (H'H + I sigma^2/Es)^-1 H'y, then quantization."""
+    """Regularized inversion (H'H + I sigma^2/Es)^-1 H'y, with Es the symbol
+    energy of ``c``, then quantization."""
     y = _received(y)
     if sigma_sq < 0:
         raise ValueError("sigma_sq must be nonnegative")
     h_herm, gram, eye = factors.mmse
     try:
-        soft = np.linalg.solve(gram + (sigma_sq / es) * eye, h_herm @ y)
+        soft = np.linalg.solve(gram + (sigma_sq / c.symbol_energy) * eye, h_herm @ y)
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError(str(exc)) from exc
     symbols, bits = decide(soft, c)
@@ -246,10 +241,12 @@ def ml_exact(
 
     Refuses when order**n_tx exceeds ``max_search_space`` so scripted runs
     cannot start an unbounded exponential search by accident. The real-valued
-    channel is QR-factored (and rank-checked) once per order and per
-    ``factors`` object: every call with the same ``factors`` and order reuses
-    the factor, so each cell only rotates its own ``y`` and searches. A caller
-    who changes H in place must build a new :class:`ChannelFactors`.
+    channel is QR-factored (and rank-checked) once per order of ``c`` and
+    per ``factors`` object: every call with the same ``factors`` and order
+    reuses the factor, so each cell only rotates its own ``y`` and searches.
+    A caller who changes H in place must build a new :class:`ChannelFactors`.
+    A ``y`` so large that a squared residual overflows is rejected with a
+    ``ValueError``.
     """
     H = factors.H
     y = _received(y)
@@ -259,12 +256,17 @@ def ml_exact(
         raise SearchBudgetError(
             f"search space {c.order}**{n} = {space:.3g} exceeds budget {max_search_space:.3g}"
         )
-    q_mat, _, rows, diag, levels = factors.ml(c.order)
+    q_mat, _, rows, diag, levels = factors.ml(c)
     if q_mat is None:
         raise SingularChannelError("real-valued channel is numerically rank deficient")
-    # y is finite, so the first leaf's cost is below the initial infinite
-    # radius and the search returns a minimizer.
-    index = _sphere_decode(rows, diag, (q_mat.T @ stack_real(y)).tolist(), levels)
+    # The search finds a minimizer unless a cost overflows: Python's float **
+    # raises, and a sum that reaches inf leaves no leaf below the radius.
+    try:
+        index = _sphere_decode(rows, diag, (q_mat.T @ stack_real(y)).tolist(), levels)
+    except OverflowError:
+        index = None
+    if index is None:
+        raise ValueError("y is too large for the exact search: a squared residual overflows")
     symbols, bits = points_at(complex_symbols(index, n), c)
     return _result(symbols, bits, H, y, "ml")
 

@@ -10,6 +10,7 @@ owns the cell recipe; the harness draws every cell through it, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,15 +104,24 @@ def generate_channel(n_rx: int, n_tx: int, seed) -> np.ndarray:
     )
 
 
-def noise_sigma_sq(n_tx: int, es: float, order: int, ebn0_db: float) -> float:
+def noise_sigma_sq(n_tx: int, c: Constellation, ebn0_db: float) -> float:
     """Total per-entry complex noise variance for a target Eb/N0 in dB.
 
-    sigma^2 = n_tx * Es / (log2(order) * 10**(ebn0_db / 10)). ``ebn0_db``
-    may be +inf (noiseless), giving 0.
+    sigma^2 = n_tx * c.symbol_energy / (log2(c.order) * 10**(ebn0_db / 10)).
+    ``ebn0_db`` may be +inf (noiseless), giving 0; a finite value whose
+    variance overflows, or is zero, is rejected.
     """
     if np.isnan(ebn0_db) or ebn0_db == -np.inf:
         raise ValueError(f"ebn0_db must be a real value or +inf; got {ebn0_db}")
-    return n_tx * es / (np.log2(order) * 10.0 ** (ebn0_db / 10.0))
+    # log2(order) is bits_per_symbol. On Python floats an overflowing power or
+    # a zero divisor raises, and an overflowing product gives inf, then 0.
+    try:
+        sigma_sq = n_tx * c.symbol_energy / (c.bits_per_symbol * 10.0 ** (float(ebn0_db) / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma_sq = math.inf
+    if ebn0_db != math.inf and not 0.0 < sigma_sq < math.inf:
+        raise ValueError(f"Eb/N0 of {ebn0_db} dB gives no usable noise variance")
+    return sigma_sq
 
 
 def transmit(H: np.ndarray, x0: np.ndarray, sigma_sq: float, seed) -> np.ndarray:
@@ -175,14 +185,14 @@ def channel_instances(
     """
     points = list(points)
     H = generate_channel(n, n, derive_seed(master_seed, ROLE_CHANNEL, channel_index))
+    sigmas = [noise_sigma_sq(n, c, ebn0) for _, ebn0 in points]
     cells = []
     for msg in messages:
         bits = derive_rng(master_seed, ROLE_MESSAGE, channel_index, msg).integers(
             0, 2, n * c.bits_per_symbol
         )
         x0 = modulate_bits(bits, c)
-        for e_idx, ebn0 in points:
-            sigma_sq = noise_sigma_sq(n, c.symbol_energy, c.order, ebn0)
+        for (e_idx, ebn0), sigma_sq in zip(points, sigmas):
             noise_seed = derive_seed(master_seed, ROLE_NOISE, channel_index, msg, e_idx)
             inst = MimoInstance(
                 channel=H,

@@ -34,7 +34,6 @@ __all__ = [
     "demodulate_symbols",
     "decide",
     "points_at",
-    "quantize_to_alphabet",
     "pam_levels",
 ]
 
@@ -186,20 +185,6 @@ def demodulate_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     return c.bit_table[_words_of_symbols(symbols, c)].ravel()
 
 
-def _nearest_words(arr: np.ndarray, c: Constellation) -> np.ndarray:
-    """Words of the points nearest to the complex array ``arr``, per axis,
-    ties toward the more positive level."""
-    pairs = _real_pairs(arr)
-    if not np.isfinite(pairs).all():
-        raise ValueError("cannot quantize non-finite values")
-    top = c._top_rank
-    # Half-up rounding of the continuous level index resolves ties upward.
-    # The floor is never -0.0, so clamping by maximum/minimum gives the same
-    # ranks as np.clip, in fewer calls.
-    rank = np.minimum(np.maximum(np.floor((pairs + top) / 2 + 0.5), 0.0), top)
-    return _rank_words_at(rank, c)
-
-
 def _points_and_bits(words: np.ndarray, shape: tuple, c: Constellation) -> tuple:
     """The alphabet points labelled ``words``, in ``shape``, and their bits."""
     return c.alphabet[words].reshape(shape), c.bit_table[words].ravel()
@@ -215,7 +200,15 @@ def decide(z, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     one rounding.
     """
     arr = np.asarray(z, dtype=complex)
-    return _points_and_bits(_nearest_words(arr, c), arr.shape, c)
+    pairs = _real_pairs(arr)
+    if not np.isfinite(pairs).all():
+        raise ValueError("cannot quantize non-finite values")
+    top = c._top_rank
+    # Half-up rounding of the continuous level index resolves ties upward.
+    # The floor is never -0.0, so clamping by maximum/minimum gives the same
+    # ranks as np.clip, in fewer calls.
+    rank = np.minimum(np.maximum(np.floor((pairs + top) / 2 + 0.5), 0.0), top)
+    return _points_and_bits(_rank_words_at(rank, c), arr.shape, c)
 
 
 def points_at(ranks, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
@@ -229,14 +222,3 @@ def points_at(ranks, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     ranks = np.asarray(ranks, dtype=complex)
     return _points_and_bits(_rank_words_at(_real_pairs(ranks), c), ranks.shape, c)
 
-
-def quantize_to_alphabet(z, c: Constellation):
-    """The symbols of :func:`decide`, without the bits.
-
-    Accepts a complex scalar or array; returns the same shape.
-    """
-    arr = np.asarray(z, dtype=complex)
-    out = c.alphabet[_nearest_words(arr, c)].reshape(arr.shape)
-    if np.isscalar(z) or arr.ndim == 0:
-        return complex(out)
-    return out

@@ -16,6 +16,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +39,10 @@ from .channel import (
     complex_symbols,
     derive_rng,
     derive_seed,
+    noise_sigma_sq,
     realify,
 )
-from .constellation import Constellation, axis_level_count, build_constellation, demodulate_symbols
+from .constellation import Constellation, build_constellation, demodulate_symbols
 from .ising_map import (
     binary_couplings,
     build_binary_model,
@@ -117,9 +119,14 @@ class ExperimentPlan:
     replicas: int | None
     iterations: int | None
 
+    @cached_property
+    def constellation(self) -> Constellation:
+        """The constellation of ``order``, built once per plan object."""
+        return build_constellation(self.order)
+
     @property
     def bits_per_message(self) -> int:
-        return self.n * int(round(math.log2(self.order)))
+        return self.n * self.constellation.bits_per_symbol
 
     @property
     def n_channels(self) -> int:
@@ -193,7 +200,6 @@ def plan_experiment(
         raise ValueError("n and messages_per_channel must be at least 1")
     if seed < 0:  # a SeedSequence takes no negative entropy
         raise ValueError(f"seed must be non-negative; got {seed}")
-    axis_level_count(order)  # validates the order
     plan = ExperimentPlan(
         n=n,
         order=order,
@@ -205,6 +211,9 @@ def plan_experiment(
         replicas=replicas,
         iterations=iterations,
     )
+    c = plan.constellation  # validates the order
+    for ebn0 in ebn0_points:  # rejects a point with no usable noise variance
+        noise_sigma_sq(n, c, ebn0)
     block = plan.bits_per_message * messages_per_channel
     if total_bits <= 0 or total_bits % block != 0:
         nearest = max(block, round(total_bits / block) * block)
@@ -239,11 +248,12 @@ def _solver_config(paradigm: str, n: int, order: int, replicas, iterations) -> S
     return cfg
 
 
-def _paradigm_models(paradigm: str, H: np.ndarray, ys, order: int) -> tuple:
-    """The paradigm's Ising models of received vectors ``ys`` over channel
-    ``H``, and the map from one of its solver states to symbols."""
+def _paradigm_models(paradigm: str, H: np.ndarray, ys, c: Constellation) -> tuple:
+    """The paradigm's Ising models of received vectors ``ys`` of
+    constellation ``c`` over channel ``H``, and the map from one of its
+    solver states to symbols."""
     n = H.shape[1]
-    rc = realify(H, ys[0], order)
+    rc = realify(H, ys[0], c.order)
     # The couplings depend on H only: build them once, and per cell only the
     # bias (and offset). Every model then shares one j_matrix object.
     if PARADIGMS[paradigm].model == "pdit":
@@ -252,17 +262,16 @@ def _paradigm_models(paradigm: str, H: np.ndarray, ys, order: int) -> tuple:
         return models, lambda d: complex_symbols(d, n)
     couplings = binary_couplings(rc)
     models = [build_binary_model(rc.with_received(y), couplings) for y in ys]
-    return models, lambda s: spins_to_symbols(s, n, order)
+    return models, lambda s: spins_to_symbols(s, n, c.order)
 
 
-def _detector_bits(
-    detector: str, d_idx: int, cells: list, c: Constellation, plan: ExperimentPlan
-) -> list:
+def _detector_bits(detector: str, d_idx: int, cells: list, plan: ExperimentPlan) -> list:
     """The recovered bits of each of a channel's cells under one detector, or
     None where a baseline failed as expected. A heuristic solves all the
     cells in one batched kernel call, since its couplings depend on the
     channel only; each cell's replica streams match a standalone solve. The
     baselines share one :class:`ChannelFactors` over the channel's cells."""
+    c = plan.constellation
     if detector in PARADIGMS:
         seeds = [
             derive_seed(
@@ -271,7 +280,7 @@ def _detector_bits(
             for i in cells
         ]
         models, to_symbols = _paradigm_models(
-            detector, cells[0].channel, [i.rx_vector for i in cells], c.order
+            detector, cells[0].channel, [i.rx_vector for i in cells], c
         )
         cfg = _solver_config(detector, plan.n, plan.order, plan.replicas, plan.iterations)
         outcomes = solve_many(detector, models, cfg, seeds)
@@ -283,7 +292,7 @@ def _detector_bits(
             if detector == "zf":
                 result = zf_detect(factors, inst.rx_vector, c)
             elif detector == "mmse":
-                result = mmse_detect(factors, inst.rx_vector, inst.sigma_sq, c.symbol_energy, c)
+                result = mmse_detect(factors, inst.rx_vector, inst.sigma_sq, c)
             else:
                 result = ml_exact(factors, inst.rx_vector, c)
         except _DETECTOR_FAILURES:
@@ -303,17 +312,15 @@ def _detector_bits(
     return recovered
 
 
-def _channel_errors(plan: ExperimentPlan, c: Constellation, channel_index: int) -> np.ndarray:
-    """Bit-error counts for one channel: shape (detectors, ebn0 points).
-
-    ``c`` is the plan's constellation, built once per sweep.
-    """
+def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
+    """Bit-error counts for one channel: shape (detectors, ebn0 points)."""
     messages, points = range(plan.messages_per_channel), enumerate(plan.ebn0_list)
+    c = plan.constellation
     cells = channel_instances(c, plan.n, plan.seed, channel_index, messages, points)
     instances = [inst for inst, _ in cells]
     errors = np.zeros((len(plan.detectors), len(plan.ebn0_list)), dtype=np.int64)
     for d_idx, detector in enumerate(plan.detectors):
-        recovered = _detector_bits(detector, d_idx, instances, c, plan)
+        recovered = _detector_bits(detector, d_idx, instances, plan)
         for (inst, bits), det_bits in zip(cells, recovered):
             # A failed cell counts all its bits as errors; denominators stay fixed.
             errors[d_idx, inst.ebn0_index] += (
@@ -355,19 +362,13 @@ def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
     if threads < 1:
         raise ValueError(f"threads must be at least 1; got {threads}")
     workers = min(threads, plan.n_channels)
-    c = build_constellation(plan.order)
     if workers > 1:
         with _worker_pool(workers) as pool:
             per_channel = list(
-                pool.map(
-                    _channel_errors,
-                    [plan] * plan.n_channels,
-                    [c] * plan.n_channels,
-                    range(plan.n_channels),
-                )
+                pool.map(_channel_errors, [plan] * plan.n_channels, range(plan.n_channels))
             )
     else:
-        per_channel = [_channel_errors(plan, c, ch) for ch in range(plan.n_channels)]
+        per_channel = [_channel_errors(plan, ch) for ch in range(plan.n_channels)]
     errors = np.sum(per_channel, axis=0)
     bits_per_point = plan.n_channels * plan.messages_per_channel * plan.bits_per_message
     points = []
@@ -430,8 +431,9 @@ def plan_beta_sweep(
     plan's is, made before any instance is built, as :func:`plan_experiment`
     checks a plan.
 
-    Returns the sorted peak grid, the Eb/N0 points and the solver config of
-    every cell; the grid's peaks are passed beside it, one per model.
+    Returns the sorted peak grid, the Eb/N0 points, the solver config of
+    every cell and the constellation; the grid's peaks are passed beside the
+    config, one per model.
     """
     require_ints(
         n=n,
@@ -443,7 +445,7 @@ def plan_beta_sweep(
     )
     if seed < 0:  # a SeedSequence takes no negative entropy
         raise ValueError(f"seed must be non-negative; got {seed}")
-    axis_level_count(order)  # validates the order
+    c = build_constellation(order)  # validates the order
     beta_grid = require_peaks(sorted(float(b) for b in _sequence("beta_grid", beta_grid)))
     if beta_grid.size == 0:
         raise ValueError("beta_grid needs at least one peak")
@@ -457,7 +459,10 @@ def plan_beta_sweep(
         )
     # The config is built before the pool, so that an unknown paradigm or
     # invalid trial or iteration counts fail before any instance is generated.
-    return beta_grid, ebn0_list, _solver_config(paradigm, n, order, n_trials, n_iterations)
+    cfg = _solver_config(paradigm, n, order, n_trials, n_iterations)
+    for ebn0 in ebn0_list:  # rejects a point with no usable noise variance
+        noise_sigma_sq(n, c, ebn0)
+    return beta_grid, ebn0_list, cfg, c
 
 
 def beta_sweep(
@@ -487,10 +492,9 @@ def beta_sweep(
     draws from its own seed, so the result does not depend on how the cells
     are batched.
     """
-    beta_grid, ebn0_list, cfg = plan_beta_sweep(
+    beta_grid, ebn0_list, cfg, c = plan_beta_sweep(
         n, order, paradigm, beta_grid, n_instances, n_trials, n_iterations, ebn0_list, seed
     )
-    c = build_constellation(order)
     n_models = n_instances * len(ebn0_list)
     random_refs = np.empty(n_models)
     # finals[b, m]: instance m's normalized final energies at peak b.
@@ -500,7 +504,7 @@ def beta_sweep(
         inst, _ = build_instance(
             c, n, ebn0_list[e_idx], seed, channel_index=m_idx, ebn0_index=e_idx
         )
-        (model,), _ = _paradigm_models(paradigm, inst.channel, [inst.rx_vector], order)
+        (model,), _ = _paradigm_models(paradigm, inst.channel, [inst.rx_vector], c)
         # The reference stream is keyed by the 1-based pool index (m_idx + 1),
         # kept so that the goldens hold.
         rng = derive_rng(seed, ROLE_RANDOM_CONFIG, m_idx + 1)

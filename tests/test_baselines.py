@@ -10,6 +10,7 @@ from isingmimo import (
     SingularChannelError,
     build_constellation,
     build_instance,
+    decide,
     demodulate_symbols,
     generate_channel,
     ml_exact,
@@ -18,7 +19,6 @@ from isingmimo import (
     modulate_bits,
     noise_sigma_sq,
     pam_levels,
-    quantize_to_alphabet,
     realify,
     transmit,
     zf_detect,
@@ -73,14 +73,13 @@ class TestMmse:
             y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             factors = ChannelFactors(H)
             a = zf_detect(factors, y, qam4)
-            b = mmse_detect(factors, y, 0.0, qam4.symbol_energy, qam4)
+            b = mmse_detect(factors, y, 0.0, qam4)
             np.testing.assert_array_equal(a.symbols, b.symbols)
 
     def test_1x1_worked_example(self, qam4):
-        # (1 + 2/2)^-1 * (1+1j) = (1+1j)/2, quantized to 1+1j.
-        res = mmse_detect(
-            ChannelFactors(np.array([[1.0 + 0j]])), np.array([1.0 + 1j]), 2.0, 2.0, qam4
-        )
+        # (1 + 2/2)^-1 * (1+1j) = (1+1j)/2, quantized to 1+1j; Es = 2.
+        assert qam4.symbol_energy == pytest.approx(2.0)
+        res = mmse_detect(ChannelFactors(np.array([[1.0 + 0j]])), np.array([1.0 + 1j]), 2.0, qam4)
         assert res.symbols[0] == 1 + 1j
 
     def test_against_independent_reimplementation(self, bpsk):
@@ -91,20 +90,44 @@ class TestMmse:
             n = 16
             H = generate_channel(n, n, 200 + trial)
             x = rng.choice(bpsk.alphabet, n).real.astype(complex)
-            sigma_sq = noise_sigma_sq(n, 1.0, 2, 8.0)
+            sigma_sq = noise_sigma_sq(n, bpsk, 8.0)
             y = transmit(H, x, sigma_sq, 300 + trial)
-            res = mmse_detect(ChannelFactors(H), y, sigma_sq, 1.0, bpsk)
+            res = mmse_detect(ChannelFactors(H), y, sigma_sq, bpsk)
 
             reg = sigma_sq / 1.0
             gram = H.conj().T @ H + reg * np.eye(n)
             soft = np.linalg.inv(gram) @ H.conj().T @ y
-            oracle = quantize_to_alphabet(soft, bpsk)
+            oracle = decide(soft, bpsk)[0]
             np.testing.assert_array_equal(res.symbols, oracle)
+
+    @pytest.mark.parametrize("order", [2, 4, 16, 64, 256])
+    def test_same_float_as_the_formula_of_es(self, order, monkeypatch):
+        # Es comes from the constellation; the soft values, symbols, bits and
+        # residual are those of the formula with Es passed apart.
+        c = build_constellation(order)
+        softs = []
+        real_decide = baselines.decide
+        monkeypatch.setattr(
+            baselines, "decide", lambda z, c: softs.append(z) or real_decide(z, c)
+        )
+        for trial in range(12):
+            inst, _ = build_instance(c, 4, 3.0 * trial - 6.0, 40 + trial)
+            factors = ChannelFactors(inst.channel)
+            res = mmse_detect(factors, inst.rx_vector, inst.sigma_sq, c)
+            es = c.symbol_energy
+            h_herm, gram, eye = factors.mmse
+            soft = np.linalg.solve(gram + (inst.sigma_sq / es) * eye, h_herm @ inst.rx_vector)
+            symbols, bits = real_decide(soft, c)
+            r = inst.rx_vector - inst.channel @ symbols
+            assert softs[-1].tobytes() == soft.tobytes()
+            assert res.symbols.tobytes() == symbols.tobytes()
+            assert res.bits.tobytes() == bits.tobytes()
+            assert res.residual_energy == float(np.vdot(r, r).real)
 
     def test_negative_noise_rejected(self, bpsk):
         with pytest.raises(ValueError):
             mmse_detect(
-                ChannelFactors(np.eye(2, dtype=complex)), np.ones(2, dtype=complex), -1.0, 1.0, bpsk
+                ChannelFactors(np.eye(2, dtype=complex)), np.ones(2, dtype=complex), -1.0, bpsk
             )
 
 
@@ -275,11 +298,7 @@ class TestExactMl:
             args = (ChannelFactors(inst.channel), inst.rx_vector)
             best = ml_exact(*args, qam4).residual_energy
             assert best <= zf_detect(*args, qam4).residual_energy + 1e-9
-            assert (
-                best
-                <= mmse_detect(*args, inst.sigma_sq, qam4.symbol_energy, qam4).residual_energy
-                + 1e-9
-            )
+            assert best <= mmse_detect(*args, inst.sigma_sq, qam4).residual_energy + 1e-9
 
     def test_budget_guard(self, qam4):
         H = generate_channel(40, 40, 0)
@@ -318,9 +337,20 @@ def test_non_finite_y_rejected(detector, bad):
         if detector == "zf":
             zf_detect(factors, y, qam16)
         elif detector == "mmse":
-            mmse_detect(factors, y, 0.1, qam16.symbol_energy, qam16)
+            mmse_detect(factors, y, 0.1, qam16)
         else:
             ml_exact(factors, y, qam16)
+
+
+@pytest.mark.parametrize(
+    "y", [[1e200, 1, 1], [1e160, 1, 1], [1.3e154, 1.3e154, 1], [1e154, 1e154j, 1e154]]
+)
+def test_ml_overflowing_y_rejected_naming_it(y):
+    # Squaring 1e200 or 1e160 raised OverflowError from Python's float **;
+    # two squares of 1.3e154 sum to inf, which left no leaf below the radius.
+    factors = ChannelFactors(np.eye(3) + 0j)
+    with pytest.raises(ValueError, match="too large for the exact search"):
+        ml_exact(factors, np.array(y, dtype=complex), build_constellation(16))
 
 
 class TestPerChannelFactors:
@@ -331,7 +361,7 @@ class TestPerChannelFactors:
         out = []
         for detect in (
             lambda: zf_detect(factors, y, c),
-            lambda: mmse_detect(factors, y, sigma_sq, c.symbol_energy, c),
+            lambda: mmse_detect(factors, y, sigma_sq, c),
             lambda: ml_exact(factors, y, c),
         ):
             try:
@@ -416,7 +446,7 @@ class TestPerChannelFactors:
             for message in range(4):
                 inst, _ = build_instance(qam16, 3, 10.0, 67, channel, message)
                 zf_detect(factors, inst.rx_vector, qam16)
-                mmse_detect(factors, inst.rx_vector, inst.sigma_sq, qam16.symbol_energy, qam16)
+                mmse_detect(factors, inst.rx_vector, inst.sigma_sq, qam16)
                 grams.append(factors.mmse[1])
         assert len(svd_calls) == 3
         assert len({id(g) for g in grams}) == 3
@@ -436,13 +466,7 @@ class TestOrderings:
                 ("zf", zf_detect(factors, inst.rx_vector, qam4)),
                 (
                     "mmse",
-                    mmse_detect(
-                        factors,
-                        inst.rx_vector,
-                        inst.sigma_sq,
-                        qam4.symbol_energy,
-                        qam4,
-                    ),
+                    mmse_detect(factors, inst.rx_vector, inst.sigma_sq, qam4),
                 ),
             ):
                 errs[name] += int(np.count_nonzero(res.bits != bits))

@@ -1,5 +1,7 @@
 """Channel generation, noise statistics, realification, and seeding."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,22 +58,49 @@ class TestGenerateChannel:
 
 class TestNoiseSigmaSq:
     def test_unity_case(self):
-        assert noise_sigma_sq(1, 1.0, 2, 0.0) == pytest.approx(1.0)
+        assert noise_sigma_sq(1, build_constellation(2), 0.0) == pytest.approx(1.0)
 
     def test_paper_formula_value(self):
         # n_tx * Es / (log2(M) * linear Eb/N0) = 32*2/(2*10)
-        assert noise_sigma_sq(32, 2.0, 4, 10.0) == pytest.approx(3.2)
+        assert noise_sigma_sq(32, build_constellation(4), 10.0) == pytest.approx(3.2)
 
     def test_strictly_decreasing_in_ebn0(self):
-        vals = [noise_sigma_sq(16, 10.0, 16, db) for db in np.linspace(-5, 25, 13)]
+        qam16 = build_constellation(16)
+        vals = [noise_sigma_sq(16, qam16, db) for db in np.linspace(-5, 25, 13)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_noiseless_limit_and_rejects(self):
-        assert noise_sigma_sq(4, 2.0, 4, np.inf) == 0.0
+        qam4 = build_constellation(4)
+        assert noise_sigma_sq(4, qam4, np.inf) == 0.0
         with pytest.raises(ValueError):
-            noise_sigma_sq(4, 2.0, 4, np.nan)
+            noise_sigma_sq(4, qam4, np.nan)
         with pytest.raises(ValueError):
-            noise_sigma_sq(4, 2.0, 4, -np.inf)
+            noise_sigma_sq(4, qam4, -np.inf)
+
+    @pytest.mark.parametrize("order", [2, 4, 16, 64, 256])
+    def test_same_float_as_the_formula_of_es_and_order(self, order):
+        # The constellation supplies Es and the order; the float operations
+        # and their order are those of the formula with both passed apart.
+        c = build_constellation(order)
+        grid = np.concatenate([np.linspace(-30.0, 60.0, 91), [-7.3, 0.1, 12.345, 3000.0]])
+        for n in (1, 3, 16, 64):
+            for db in grid.tolist():
+                for value in (db, np.float64(db)):
+                    expected = n * c.symbol_energy / (np.log2(c.order) * 10.0 ** (value / 10.0))
+                    got = noise_sigma_sq(n, c, value)
+                    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize(
+        "order, ebn0",
+        [(4, 4000.0), (4, -4000.0), (2, -3500.0), (256, 3080.0), (2, -3200.0), (16, 1e300)],
+    )
+    def test_no_usable_variance_rejected(self, order, ebn0):
+        # 4000 dB overflowed Python's float power, -4000 dB divided by zero,
+        # and 3080 dB overflowed the product with log2(order); none may warn.
+        c = build_constellation(order)
+        for value in (ebn0, np.float64(ebn0)):
+            with pytest.raises(ValueError, match=re.escape(f"Eb/N0 of {ebn0} dB gives no usable")):
+                noise_sigma_sq(4, c, value)
 
 
 class TestTransmit:
@@ -175,7 +204,7 @@ class TestInstanceIO:
         np.testing.assert_array_equal(inst1.channel, inst2.channel)
         np.testing.assert_array_equal(inst1.rx_vector, inst2.rx_vector)
         np.testing.assert_array_equal(bits1, bits2)
-        assert inst1.sigma_sq == noise_sigma_sq(4, c.symbol_energy, 4, 9.0)
+        assert inst1.sigma_sq == noise_sigma_sq(4, c, 9.0)
 
     def test_tx_symbols_match_bits(self):
         c = build_constellation(16)

@@ -479,6 +479,27 @@ def test_repeated_grid_value_fails_naming_it(argv, named, tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize(
+    "argv, ebn0",
+    [
+        (["run", "--n", "2", "--mod", "4", "--ebn0", "4000", "--bits", "56"], "4000.0"),
+        (["run", "--n", "2", "--mod", "4", "--ebn0=-4000", "--bits", "56"], "-4000.0"),
+        (["sweep", "--n", "2", "--mod", "2,4", "--ebn0=5,-3500", "--bits", "56"], "-3500.0"),
+    ],
+)
+def test_ebn0_without_usable_noise_fails_in_one_line(argv, ebn0, tmp_path, capsys, monkeypatch):
+    # 4000 dB ended in an OverflowError traceback, and -4000 dB in a
+    # divide-by-zero warning and then an error at the first cell.
+    runs = []
+    monkeypatch.setattr(cli, "run_ber_sweep", lambda *a, **k: runs.append(a))
+    out = tmp_path / "D"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: Eb/N0 of {ebn0} dB gives no usable noise variance\n"
+    assert runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, flags, empty",
     [
         ("sweep", ["--mod", "4", "--ebn0", "5", "--bits", "112"], "--n="),

@@ -14,7 +14,6 @@ from isingmimo import (
     modulate_bits,
     pam_levels,
     points_at,
-    quantize_to_alphabet,
 )
 
 ALL_ORDERS = [2, 4, 16, 64, 256]
@@ -156,28 +155,30 @@ class TestModulateDemodulate:
 
 
 class TestQuantize:
+    """The symbols half of :func:`decide`: ``decide(z, c)[0]``."""
+
     def test_bpsk_examples(self):
         c = build_constellation(2)
-        assert quantize_to_alphabet(0.3 + 0j, c) == 1
-        assert quantize_to_alphabet(-2.7 + 5j, c) == -1
-        assert quantize_to_alphabet(0.0 + 0j, c) == 1  # tie toward positive
+        assert decide(0.3 + 0j, c)[0] == 1
+        assert decide(-2.7 + 5j, c)[0] == -1
+        assert decide(0.0 + 0j, c)[0] == 1  # tie toward positive
 
     def test_16qam_per_axis_rounding(self):
         c = build_constellation(16)
-        assert quantize_to_alphabet(2.2 + 0.1j, c) == 3 + 1j
-        assert quantize_to_alphabet(-8 - 8j, c) == -3 - 3j  # clamped
-        assert quantize_to_alphabet(0 + 2j, c) == 1 + 3j  # double tie upward
+        assert decide(2.2 + 0.1j, c)[0] == 3 + 1j
+        assert decide(-8 - 8j, c)[0] == -3 - 3j  # clamped
+        assert decide(0 + 2j, c)[0] == 1 + 3j  # double tie upward
 
     @pytest.mark.parametrize("order", ALL_ORDERS)
     def test_alphabet_is_fixed_point(self, order):
         c = build_constellation(order)
-        np.testing.assert_array_equal(quantize_to_alphabet(c.alphabet, c), c.alphabet)
+        np.testing.assert_array_equal(decide(c.alphabet, c)[0], c.alphabet)
 
     def test_nearest_in_euclidean_distance(self):
         c = build_constellation(64)
         rng = np.random.default_rng(7)
         z = 10 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
-        q = quantize_to_alphabet(z, c)
+        q = decide(z, c)[0]
         # Oracle: brute-force nearest alphabet point (ties are measure zero here).
         dists = np.abs(z[:, None] - c.alphabet[None, :])
         brute = c.alphabet[np.argmin(dists, axis=1)]
@@ -186,17 +187,17 @@ class TestQuantize:
     @pytest.mark.parametrize("z", [0.3 + 0j, -2.7 - 5j, 0.0 - 0j, 4.0 + 1e300j])
     def test_bpsk_imaginary_part_is_positive_zero(self, z):
         c = build_constellation(2)
-        q = quantize_to_alphabet(np.array([z, -z]), c)
+        q = decide(np.array([z, -z]), c)[0]
         np.testing.assert_array_equal(q.imag, [0.0, 0.0])
         assert not np.signbit(q.imag).any()
-        assert not np.signbit(quantize_to_alphabet(z, c).imag)
+        assert not np.signbit(decide(z, c)[0].imag)
 
     def test_non_finite_rejected(self):
         c = build_constellation(4)
         with pytest.raises(ValueError):
-            quantize_to_alphabet(np.array([np.inf + 0j]), c)
+            decide(np.array([np.inf + 0j]), c)
         with pytest.raises(ValueError):
-            quantize_to_alphabet(complex(np.nan, 0), c)
+            decide(complex(np.nan, 0), c)
 
 
 def _nearest_level(value, levels):
@@ -210,7 +211,7 @@ def _nearest_level(value, levels):
 _quarters = st.integers(-80, 80).map(lambda k: k / 4)
 _axis_value = st.one_of(_quarters, st.floats(-1e6, 1e6))
 _soft = st.builds(complex, _axis_value, _axis_value)
-# Every input of the quantize_to_alphabet tests above, with its order.
+# Every input of the TestQuantize cases above, with its order.
 _QUANTIZE_CASES = [
     (2, [0.3 + 0j, -2.7 + 5j, 0.0 + 0j]),
     (16, [2.2 + 0.1j, -8 - 8j, 0 + 2j]),
@@ -237,7 +238,6 @@ class TestDecide:
         z = np.array(z, dtype=complex)
         symbols, bits = decide(z, c)
         assert symbols.shape == z.shape
-        assert symbols.tobytes() == quantize_to_alphabet(z, c).tobytes()
         assert symbols.tobytes() == _old_quantize(z, c).tobytes()
         expected = demodulate_symbols(symbols, c)
         assert bits.dtype == expected.dtype
@@ -345,7 +345,7 @@ class TestPerAxisOracle:
             cases.append(np.asarray(z, dtype=complex))
         rejected = 0
         for z in cases:
-            assert quantize_to_alphabet(z, c).tobytes() == _old_quantize(z, c).tobytes()
+            assert decide(z, c)[0].tobytes() == _old_quantize(z, c).tobytes()
             expected = _old_demodulate(z, c)
             if expected is None:
                 rejected += 1

@@ -1,0 +1,78 @@
+"""Every public name of the library is used by the library itself."""
+
+import ast
+from pathlib import Path
+
+import isingmimo
+
+SRC = Path(isingmimo.__file__).parent
+
+# The only public names that library code may leave unused, each with why.
+UNREFERENCED_ALLOWED = {
+    "ml_exhaustive": "the brute-force oracle that the sphere decoder is tested against",
+    "symbols_to_spins": "the binary model's image of a transmitted vector, kept for "
+    "the planned per-cell search-error check of the run telemetry (ROADMAP.md)",
+}
+
+
+def _exports(tree: ast.Module) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _bound(node: ast.stmt) -> set:
+    """Names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _references(trees: dict) -> set:
+    """Names read anywhere in the library outside the package ``__init__``,
+    each statement's reads of the names it defines left out."""
+    seen = set()
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            bound = _bound(node)
+            if "__all__" in bound:
+                continue
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            seen |= read - bound
+    return seen
+
+
+def _unreferenced(src: Path) -> list:
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    seen = _references(trees)
+    return [
+        (module, name)
+        for module, tree in trees.items()
+        for name in _exports(tree)
+        if name not in seen
+    ]
+
+
+def test_every_exported_name_is_used_in_the_library():
+    unused = [(m, n) for m, n in _unreferenced(SRC) if n not in UNREFERENCED_ALLOWED]
+    assert unused == []
+
+
+def test_allowlist_names_only_unused_exports():
+    # An entry whose name gained a caller, or left the exports, is stale.
+    assert sorted(n for _, n in _unreferenced(SRC)) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_a_name_used_only_by_itself_is_unused(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import f, g\n")
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["f", "g"]\n\n\ndef f(n):\n    return f(n - 1) if n else g()\n\n\n'
+        "def g():\n    return 0\n"
+    )
+    assert _unreferenced(tmp_path) == [("a.py", "f")]

@@ -94,6 +94,21 @@ class TestPlanExperiment:
         with pytest.raises(ValueError, match="seed must be non-negative; got -1"):
             beta_sweep(4, 4, "bpim", [0.1], seed=-1)
 
+    @pytest.mark.parametrize("ebn0", [4000.0, -4000.0, -3500.0])
+    def test_ebn0_without_usable_noise_rejected_before_work(self, ebn0, monkeypatch):
+        # 4000 dB raised OverflowError in noise_sigma_sq at the first cell;
+        # -4000 dB warned "divide by zero", then failed at the first detector.
+        def no_instances(*args, **kwargs):
+            raise AssertionError("an instance was built before validation")
+
+        monkeypatch.setattr(harness, "channel_instances", no_instances)
+        message = f"Eb/N0 of {ebn0} dB gives no usable noise variance"
+        with pytest.raises(ValueError, match=message):
+            plan_experiment(2, 4, [5.0, ebn0], 56, seed=1)
+        plan = harness.ExperimentPlan(2, 4, (5.0, ebn0), 56, 1, ("mmse",), 14, None, None)
+        with pytest.raises(ValueError, match=message):
+            run_ber_sweep(plan)
+
     def test_ml_budget_checked_before_running(self):
         with pytest.raises(ValueError, match="budget"):
             plan_experiment(64, 4, [10.0], 64 * 2 * 14, seed=1, detectors=("ml",))
@@ -221,9 +236,9 @@ class TestRunBerSweep:
         )
         seen = []
 
-        def recording(factors, y, sigma_sq, es, c):
+        def recording(factors, y, sigma_sq, c):
             seen.append((factors.H, y, sigma_sq))
-            return real_detect(factors, y, sigma_sq, es, c)
+            return real_detect(factors, y, sigma_sq, c)
 
         real_detect = harness.mmse_detect
         monkeypatch.setattr(harness, "mmse_detect", recording)
@@ -328,7 +343,7 @@ class TestRunBerSweep:
         c = build_constellation(order)
         insts = [build_instance(c, 3, 8.0, 31, 0, msg, e)[0] for msg in range(3) for e in range(2)]
         H = insts[0].channel
-        models, _ = harness._paradigm_models(paradigm, H, [i.rx_vector for i in insts], order)
+        models, _ = harness._paradigm_models(paradigm, H, [i.rx_vector for i in insts], c)
         assert all(m.j_matrix is models[0].j_matrix for m in models)
         for inst, model in zip(insts, models):
             if paradigm == "bpim":
@@ -555,13 +570,24 @@ class TestBetaSweep:
             with pytest.raises(ValueError, match=f"{named} is named more than once"):
                 sweep(4, 4, "bpim", **args)
 
+    def test_ebn0_without_usable_noise_fails_before_any_instance(self, monkeypatch):
+        # A -3500 dB point returned NaN means with beta_opt 0.5.
+        def no_instances(*args, **kwargs):
+            raise AssertionError("an instance was built before validation")
+
+        monkeypatch.setattr(harness, "build_instance", no_instances)
+        for sweep in (harness.plan_beta_sweep, beta_sweep):
+            with pytest.raises(ValueError, match="Eb/N0 of -3500.0 dB gives no usable"):
+                sweep(4, 2, "bpim", [0.5, 1.0], 1, 2, 2, ebn0_list=(-3500.0, 5.0))
+
     def test_memory_does_not_grow_with_the_pool(self):
         # Each instance is solved before the next is built, so no pool of
         # coupling matrices is held: 8 instances per Eb/N0 value peak within
         # one J of 1 instance per value, where holding the pool took 21 more.
         args = dict(n=64, order=16, paradigm="bpim", beta_grid=[0.05, 0.2], n_trials=2)
-        inst, _ = build_instance(build_constellation(16), 64, 3.0, 0)
-        (model,), _ = harness._paradigm_models("bpim", inst.channel, [inst.rx_vector], 16)
+        qam16 = build_constellation(16)
+        inst, _ = build_instance(qam16, 64, 3.0, 0)
+        (model,), _ = harness._paradigm_models("bpim", inst.channel, [inst.rx_vector], qam16)
         one_j = model.j_matrix.nbytes
         beta_sweep(**args, n_instances=1, n_iterations=1)  # warm caches and imports
         peaks = []
