@@ -26,6 +26,7 @@ independent oracle for tests.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,8 +83,13 @@ def _received(y) -> np.ndarray:
 def _result(
     symbols: np.ndarray, bits: np.ndarray, H: np.ndarray, y: np.ndarray, method: str
 ) -> DetectionResult:
+    """The detection of ``symbols``, with its residual energy ||y - H x||^2;
+    a residual that overflows is rejected with a ``ValueError``."""
     r = y - H @ symbols
     residual = float(np.vdot(r, r).real)
+    # A finite y can still overflow its residual; every detector rejects it.
+    if not residual < math.inf:
+        raise ValueError(f"y is too large for {method} detection: its residual energy overflows")
     return DetectionResult(symbols, bits, residual, method)
 
 

@@ -55,10 +55,11 @@ from .ising_map import (
 from .solvers import (
     PARADIGMS,
     SolverConfig,
-    _openblas,
     default_parameters,
+    pin_blas_to_one_thread,
     require_peaks,
     solve_many,
+    solve_threads,
 )
 
 __all__ = [
@@ -331,13 +332,6 @@ def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
     return errors
 
 
-def _one_blas_thread() -> None:
-    """Set numpy's BLAS to one thread in this process, if it is an OpenBLAS."""
-    _, set_threads = _openblas()
-    if set_threads is not None:
-        set_threads(1)
-
-
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """Processes that each run one BLAS thread.
 
@@ -346,7 +340,7 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     solves on one thread: an oscillator solve splits its batch over no more
     threads than numpy's BLAS runs. The calling process keeps its setting.
     """
-    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+    return ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_to_one_thread)
 
 
 def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
@@ -480,43 +474,56 @@ def beta_sweep(
 
     The instance pool mixes ``n_instances`` fresh instances per Eb/N0 value,
     at least two in all; each (peak, instance) cell runs ``n_trials``
-    independent replicas and averages their final energies. Energies are normalized per instance by
-    the mean |energy| of 1000 uniformly random configurations, which leaves
-    the minimizing peak unchanged. For the oscillator paradigm the grid is
-    interpreted as peak noise levels. :func:`plan_beta_sweep` checks every
-    argument before any instance is built.
+    independent replicas and averages their final energies. Energies are
+    normalized per instance by the mean |energy| of 1000 uniformly random
+    configurations, which leaves the minimizing peak unchanged. For the
+    oscillator paradigm the grid is interpreted as peak noise levels.
+    :func:`plan_beta_sweep` checks every argument before any instance is
+    built.
 
-    Each instance is built, scored against its random reference and solved
-    at every peak in one solver call, one model per peak, before the next is
-    built, so memory does not grow with the pool. A (peak, instance) cell
-    draws from its own seed, so the result does not depend on how the cells
-    are batched.
+    The pool is solved in batches of ``k`` instances, ``k`` the number of
+    threads the paradigm's solver runs (:func:`solve_threads`), one on the
+    p-bit and p-dit solvers. A batch's instances are built and scored
+    against their random references in pool order, then solved at every
+    peak in one solver call, instance-major, one model per (instance, peak),
+    so each solver thread gets whole instances. At most ``k`` instances are
+    held at a time, so memory grows with the thread count, not the pool. A
+    (peak, instance) cell draws from its own seed, so the result does not
+    depend on how the cells are batched.
     """
     beta_grid, ebn0_list, cfg, c = plan_beta_sweep(
         n, order, paradigm, beta_grid, n_instances, n_trials, n_iterations, ebn0_list, seed
     )
     n_models = n_instances * len(ebn0_list)
+    n_peaks = beta_grid.size
     random_refs = np.empty(n_models)
     # finals[b, m]: instance m's normalized final energies at peak b.
-    finals = np.empty((beta_grid.size, n_models, cfg.replicas))
-    for m_idx in range(n_models):
-        e_idx = m_idx // n_instances
-        inst, _ = build_instance(
-            c, n, ebn0_list[e_idx], seed, channel_index=m_idx, ebn0_index=e_idx
-        )
-        (model,), _ = _paradigm_models(paradigm, inst.channel, [inst.rx_vector], c)
-        # The reference stream is keyed by the 1-based pool index (m_idx + 1),
-        # kept so that the goldens hold.
-        rng = derive_rng(seed, ROLE_RANDOM_CONFIG, m_idx + 1)
-        energies = random_state_energies(model, rng, 1000)
-        scale = np.mean(np.abs(energies))
-        random_refs[m_idx] = np.mean(energies) / scale
-        seeds = [derive_seed(seed, ROLE_SOLVER, b_idx, m_idx) for b_idx in range(beta_grid.size)]
-        outcomes = solve_many(paradigm, [model] * beta_grid.size, cfg, seeds, peaks=beta_grid)
-        for b_idx, outcome in enumerate(outcomes):
-            finals[b_idx, m_idx] = outcome.final_energies / scale
+    finals = np.empty((n_peaks, n_models, cfg.replicas))
+    k = solve_threads(paradigm, n_models)
+    for first in range(0, n_models, k):
+        batch = range(first, min(first + k, n_models))
+        models, scales, seeds = [], [], []
+        for m_idx in batch:
+            e_idx = m_idx // n_instances
+            inst, _ = build_instance(
+                c, n, ebn0_list[e_idx], seed, channel_index=m_idx, ebn0_index=e_idx
+            )
+            (model,), _ = _paradigm_models(paradigm, inst.channel, [inst.rx_vector], c)
+            # The reference stream is keyed by the 1-based pool index
+            # (m_idx + 1), kept so that the goldens hold.
+            rng = derive_rng(seed, ROLE_RANDOM_CONFIG, m_idx + 1)
+            energies = random_state_energies(model, rng, 1000)
+            scale = np.mean(np.abs(energies))
+            random_refs[m_idx] = np.mean(energies) / scale
+            models += [model] * n_peaks
+            scales.append(scale)
+            seeds += [derive_seed(seed, ROLE_SOLVER, b_idx, m_idx) for b_idx in range(n_peaks)]
+        outcomes = solve_many(paradigm, models, cfg, seeds, peaks=np.tile(beta_grid, len(batch)))
+        for i, outcome in enumerate(outcomes):
+            b_idx, offset = i % n_peaks, i // n_peaks
+            finals[b_idx, first + offset] = outcome.final_energies / scales[offset]
     # Each peak's energies in instance order, one contiguous row.
-    finals = finals.reshape(beta_grid.size, -1)
+    finals = finals.reshape(n_peaks, -1)
     means = finals.mean(axis=1)
     stderrs = finals.std(axis=1, ddof=1) / np.sqrt(finals.shape[1])
     return BetaSweepResult(

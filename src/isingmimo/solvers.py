@@ -18,14 +18,16 @@ solver's draw, ``_level_draws`` or ``_oim_draws``, hands its draw rule to
 states at once and each sweep's noise as the sweep starts. One loop,
 ``_solve_many``, draws each chunk of models, sweeps it with the kernel,
 scores each state and keeps every row's best state, energy and iteration
-and its final energy. Because the coupling matrix of a MIMO instance
-depends only on the channel, the models of one channel share their kernel
-calls, with per-row bias vectors. ``_solve_many`` alone splits a batch:
-one contiguous group of models per thread, cut into chunks of as many
-models as fit in ``_MAX_STATE`` state entries. Each solver has one batched
-entry point, ``*_solve_many``, with the signature ``(models, cfg, seeds,
-peaks=None)``. :data:`PARADIGMS` holds one :class:`Paradigm` record per
-solver, and :func:`solve_many` dispatches on its name.
+and its final energy. A batch may hold the models of several channels. The
+coupling matrix of a MIMO instance depends only on the channel, so
+consecutive models of one channel share their kernel calls, with per-row
+bias vectors, and a batch's kernel calls are cut where the couplings
+change. ``_solve_many`` alone splits a batch: one contiguous group of
+models per thread, cut into chunks where the couplings change and where a
+chunk would hold more than ``_MAX_STATE`` state entries. Each solver has one
+batched entry point, ``*_solve_many``, with the signature ``(models, cfg,
+seeds, peaks=None)``. :data:`PARADIGMS` holds one :class:`Paradigm` record
+per solver, and :func:`solve_many` dispatches on its name.
 
 Each solver fixes its own ramp direction and constants: the p-bit and p-dit
 sweeps raise the inverse temperature to the schedule's peak, and the
@@ -60,13 +62,15 @@ coupling term enters both its sites. In the sites-major layout each band is
 one contiguous block of a doubled [x; x] buffer, and the drift runs over row
 chunks whose band buffers fit a fixed byte budget.
 
-Threads: only the oscillator solver asks ``_solve_many`` for more than
-one, as many as the smallest of numpy's BLAS thread count, the cores this
-process may run on and the models, so a pool worker, which runs one BLAS
-thread, solves on one. Most of an oscillator step is numpy's sin, cos and
-tanh, which release the GIL; the p-bit and p-dit site steps hold it, and
-split over two threads they ran slower than on one. While a batch's chunks
-run on threads, numpy's OpenBLAS runs one thread.
+Threads: :func:`solve_threads` alone decides how many threads a solve
+runs on. Only the oscillator solver asks ``_solve_many`` for more than one,
+as many as the smallest of numpy's BLAS thread count, the cores this
+process may run on and the models, so a pool worker, whose BLAS
+:func:`pin_blas_to_one_thread` pins to one thread, solves on one. Most of an
+oscillator step is numpy's sin, cos and tanh, which release the GIL; the
+p-bit and p-dit site steps hold it, and split over two threads they ran
+slower than on one. While a batch's chunks run on threads, numpy's OpenBLAS
+runs one thread.
 """
 
 from __future__ import annotations
@@ -92,8 +96,10 @@ __all__ = [
     "PARADIGMS",
     "default_parameters",
     "oim_params",
+    "pin_blas_to_one_thread",
     "require_peaks",
     "solve_many",
+    "solve_threads",
     "bpim_solve_many",
     "dpim_solve_many",
     "oim_solve_many",
@@ -195,6 +201,7 @@ class Paradigm:
     model: str  # "binary" spin model or "pdit" symbol-native model
     peak: Callable[[int, int], float]  # default annealing peak for (n, order)
     solve: Callable  # the batched solver, (models, cfg, seeds, peaks=None) -> outcomes
+    threaded: bool = False  # whether a solve splits its batch over threads
 
 
 def _paradigm(name: str) -> Paradigm:
@@ -230,10 +237,12 @@ def default_parameters(paradigm: str, n: int, order: int = 2) -> SolverConfig:
 def solve_many(
     paradigm: str, models, cfg: SolverConfig, seeds, peaks=None
 ) -> list[SolveOutcome]:
-    """Solve models that share one channel with the named paradigm's solver.
+    """Solve models with the named paradigm's solver.
 
-    Each model anneals to its own entry of ``peaks``, one per model, which
-    defaults to ``cfg.schedule.peak`` for every model.
+    The models may come from several channels; the kernel calls are cut
+    where the couplings change. Each model anneals to its own entry of
+    ``peaks``, one per model, which defaults to ``cfg.schedule.peak`` for
+    every model.
     """
     return _paradigm(paradigm).solve(models, cfg, seeds, peaks)
 
@@ -275,22 +284,24 @@ def _solve_many(
 ) -> list[SolveOutcome]:
     """The annealing loop of every batched solver, and the one place that
     splits a batch: into ``threads`` equal contiguous groups of models, each
-    cut from its start into chunks of as many models as fit in
-    ``_MAX_STATE`` state entries, one kernel call each. One thread solves
-    the chunks in order; more solve them on a pool while numpy's OpenBLAS
-    runs one thread, so k threads run k BLAS threads. Outcomes are joined in
-    model order.
+    cut from its start into chunks, one kernel call each, where the
+    couplings change and where a chunk reaches as many models as fit in
+    ``_MAX_STATE`` state entries. Two models share couplings when their
+    ``j_matrix`` is one object or equal arrays. One thread solves the chunks
+    in order; more solve them on a pool while numpy's OpenBLAS runs one
+    thread, so k threads run k BLAS threads. Outcomes are joined in model
+    order.
 
     ``kernel(model, h, schedule, x0, noise)`` sweeps the draws of a chunk's
     seeds, ``draw(model, seeds, cfg)``, with the (sites, rows) bias ``h`` on
-    the couplings of ``model``, which every model of the chunk shares, one
-    sweep per schedule value, and yields the rows' (sites, rows) state after
-    every iteration. The schedule is one (rows,) vector per sweep, made as
-    the sweep starts: the solver's ``ramp`` factor for that sweep times each
-    row's peak, its model's entry of ``peaks``, which is
-    ``cfg.schedule.peak`` for every model when ``peaks`` is None. Each row
-    keeps its first state of lowest energy, and the energy of its last state
-    is its final energy.
+    the couplings of ``model``, the chunk's first, which every model of the
+    chunk shares, one sweep per schedule value, and yields the rows'
+    (sites, rows) state after every iteration. The schedule is one (rows,)
+    vector per sweep, made as the sweep starts: the solver's ``ramp`` factor
+    for that sweep times each row's peak, its model's entry of ``peaks``,
+    which is ``cfg.schedule.peak`` for every model when ``peaks`` is None.
+    Each row keeps its first state of lowest energy, and the energy of its
+    last state is its final energy.
     """
     if not models:
         raise ValueError("need at least one model")
@@ -299,17 +310,15 @@ def _solve_many(
     peaks = np.full(len(models), cfg.schedule.peak) if peaks is None else require_peaks(peaks)
     if peaks.shape != (len(models),):
         raise ValueError("need one peak per model")
-    j = models[0].j_matrix
-    for m in models[1:]:
-        if m.j_matrix is not j and not np.array_equal(m.j_matrix, j):
-            raise ValueError("batched models must share one coupling matrix")
-    per_call = max(1, _MAX_STATE // (models[0].h_vector.size * cfg.replicas))
     bounds = [g * len(models) // threads for g in range(threads + 1)]
-    chunks = [
-        (lo, min(lo + per_call, end))
-        for start, end in zip(bounds, bounds[1:])
-        for lo in range(start, end, per_call)
-    ]
+    chunks = []
+    for start, end in zip(bounds, bounds[1:]):
+        lo = start
+        for hi in range(start + 1, end + 1):
+            per_call = max(1, _MAX_STATE // (models[lo].h_vector.size * cfg.replicas))
+            if hi == end or hi - lo == per_call or not _share_couplings(models[lo], models[hi]):
+                chunks.append((lo, hi))
+                lo = hi
 
     def solve(chunk: tuple[int, int]) -> list[SolveOutcome]:
         lo, hi = chunk
@@ -321,6 +330,7 @@ def _solve_many(
         # ramp_k * peak is peak * ramp_k bit for bit.
         schedule = (factor * row_peaks for factor in ramp)
         sweeps = kernel(models[lo], h, schedule, *draw(models[lo], seeds[lo:hi], cfg))
+        j = models[lo].j_matrix
         for it, s in enumerate(sweeps, 1):
             e = ising_energies(s, j, h)
             improved = e < best_e
@@ -346,6 +356,12 @@ def _solve_many(
         return [outcome for chunk in chunks for outcome in solve(chunk)]
     with _blas_on_one_thread(), ThreadPoolExecutor(threads) as pool:
         return [outcome for part in pool.map(solve, chunks) for outcome in part]
+
+
+def _share_couplings(a, b) -> bool:
+    """Whether models ``a`` and ``b`` have one coupling matrix: one object,
+    or equal arrays."""
+    return a.j_matrix is b.j_matrix or np.array_equal(a.j_matrix, b.j_matrix)
 
 
 def _level_draws(model, seeds, cfg: SolverConfig):
@@ -398,7 +414,8 @@ def _bpim_sweeps(j: np.ndarray, h: np.ndarray, betas, s0, u):
 def bpim_solve_many(
     models: list[BinaryIsingModel], cfg: SolverConfig, seeds, peaks=None
 ) -> list[SolveOutcome]:
-    """Best-of-R p-bit annealing of models that share one coupling matrix."""
+    """Best-of-R p-bit annealing of models, one kernel call per run of
+    models that share one coupling matrix."""
 
     def kernel(model, h, betas, s0, u):
         return _bpim_sweeps(model.j_matrix, h, betas, s0, u)
@@ -481,7 +498,8 @@ def _dpim_sweeps(model: PditModel, h: np.ndarray, betas, d0, u):
 def dpim_solve_many(
     models: list[PditModel], cfg: SolverConfig, seeds, peaks=None
 ) -> list[SolveOutcome]:
-    """Best-of-R p-dit annealing of channel-sharing symbol-native models.
+    """Best-of-R p-dit annealing of symbol-native models, one kernel call per
+    run of models that share one coupling matrix.
 
     Candidate values are each model's own PAM levels; best states are the
     (2N,) axis values [Re x; Im x].
@@ -695,6 +713,21 @@ def _oim_threads(n_models: int) -> int:
     return max(1, min(get_threads(), cores or 1, n_models))
 
 
+def solve_threads(paradigm: str, n_models: int) -> int:
+    """The number of threads the named paradigm's solver splits a batch of
+    ``n_models`` models over: :func:`_oim_threads` for a solver that
+    threads, one for the others."""
+    return _oim_threads(n_models) if _paradigm(paradigm).threaded else 1
+
+
+def pin_blas_to_one_thread() -> None:
+    """Set numpy's BLAS to one thread in this process, if it is an OpenBLAS,
+    as a worker process that shares the cores with others should run it."""
+    _, set_threads = _openblas()
+    if set_threads is not None:
+        set_threads(1)
+
+
 @contextmanager
 def _blas_on_one_thread():
     """numpy's OpenBLAS on one thread while the block runs, then back at its
@@ -712,22 +745,22 @@ def oim_solve_many(
     models: list[BinaryIsingModel], cfg: SolverConfig, seeds, peaks=None
 ) -> list[SolveOutcome]:
     """Best-of-R oscillator runs, with a decaying noise level, of models that
-    share one coupling matrix; spins are read out as sign(cos phase).
+    may come from several channels; spins are read out as sign(cos phase).
 
-    The batch is solved on :func:`_oim_threads` threads, one contiguous
+    The batch is solved on :func:`solve_threads` threads, one contiguous
     group of models each, with numpy's OpenBLAS on one thread, so each
-    computes as a pool worker does. numpy's sin, cos and tanh, most of a
-    step, release the GIL, so the groups overlap; the p-bit and p-dit site
-    steps hold it, so their solvers run on one thread.
+    computes as a pool worker does; each group's kernel calls are cut where
+    the couplings change. numpy's sin, cos and tanh, most of a step, release
+    the GIL, so the groups overlap; the p-bit and p-dit site steps hold it,
+    so their solvers run on one thread.
     """
     ramp = 1.0 - cfg.schedule.ramp()
 
     def kernel(model, h, temps, phi0, noise):
         return _oim_sweeps(model.j_matrix, h, temps, oim_params(model.n), phi0, noise)
 
-    return _solve_many(
-        kernel, _oim_draws, ramp, models, cfg, seeds, peaks, threads=_oim_threads(len(models))
-    )
+    threads = solve_threads("oim", len(models))
+    return _solve_many(kernel, _oim_draws, ramp, models, cfg, seeds, peaks, threads=threads)
 
 
 def oim_params(n: int) -> OimParams:
@@ -755,5 +788,6 @@ PARADIGMS = {
         model="binary",
         peak=lambda n, order: 30.0,
         solve=oim_solve_many,
+        threaded=True,
     ),
 }

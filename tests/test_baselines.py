@@ -1,5 +1,7 @@
 """Linear detectors and the exact-ML sphere decoder against oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -351,6 +353,33 @@ def test_ml_overflowing_y_rejected_naming_it(y):
     factors = ChannelFactors(np.eye(3) + 0j)
     with pytest.raises(ValueError, match="too large for the exact search"):
         ml_exact(factors, np.array(y, dtype=complex), build_constellation(16))
+
+
+@pytest.mark.parametrize("detector", ["zf", "mmse", "ml"])
+@pytest.mark.parametrize("y", [[1e200, 1, 1], [1.3e154, 1.3e154, 1], [1e154, 1e154j, 1e154]])
+def test_overflowing_residual_rejected_by_every_detector(detector, y):
+    # ZF and MMSE returned residual_energy inf, with no warning, for a
+    # finite y that ml_exact rejects.
+    factors = ChannelFactors(np.eye(3) + 0j)
+    y = np.array(y, dtype=complex)
+    qam16 = build_constellation(16)
+    detect = {
+        "zf": lambda: zf_detect(factors, y, qam16),
+        "mmse": lambda: mmse_detect(factors, y, 0.1, qam16),
+        "ml": lambda: ml_exact(factors, y, qam16),
+    }[detector]
+    with pytest.raises(ValueError, match="y is too large for"):
+        detect()
+
+
+@pytest.mark.parametrize("detector", [zf_detect, mmse_detect])
+def test_large_finite_residual_kept(detector):
+    # Only a residual that overflows is rejected: 1e153 leaves one near 1e306.
+    factors = ChannelFactors(np.eye(3) + 0j)
+    qam16 = build_constellation(16)
+    args = (0.1,) if detector is mmse_detect else ()
+    res = detector(factors, np.array([1e153, 1, 1], dtype=complex), *args, qam16)
+    assert 1e305 < res.residual_energy < math.inf
 
 
 class TestPerChannelFactors:

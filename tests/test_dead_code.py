@@ -1,4 +1,5 @@
-"""Every public name of the library is used by the library itself."""
+"""Every public name of the library is used by the library itself, and no
+library module imports another's private names."""
 
 import ast
 from pathlib import Path
@@ -59,6 +60,24 @@ def _unreferenced(src: Path) -> list:
     ]
 
 
+def _private_imports(src: Path) -> list:
+    """(module, name) for each underscore name, dunders aside, that a
+    library module imports from another library module."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != src.name:
+                continue
+            found += [
+                (path.name, alias.name)
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.endswith("__")
+            ]
+    return found
+
+
 def test_every_exported_name_is_used_in_the_library():
     unused = [(m, n) for m, n in _unreferenced(SRC) if n not in UNREFERENCED_ALLOWED]
     assert unused == []
@@ -76,3 +95,17 @@ def test_a_name_used_only_by_itself_is_unused(tmp_path):
         "def g():\n    return 0\n"
     )
     assert _unreferenced(tmp_path) == [("a.py", "f")]
+
+
+def test_no_private_name_imported_between_modules():
+    assert _private_imports(SRC) == []
+
+
+def test_a_private_import_is_found(tmp_path):
+    (tmp_path / "__init__.py").write_text("from . import __version__\n")
+    (tmp_path / "a.py").write_text(
+        "from .b import _hidden, shown\nfrom . import __version__\nimport numpy as _np\n\n\n"
+        "def f():\n    from .b import _late\n\n    return _late\n"
+    )
+    (tmp_path / "b.py").write_text(f"from {tmp_path.name}.a import _f\nfrom os import _exit\n")
+    assert _private_imports(tmp_path) == [("a.py", "_hidden"), ("a.py", "_late"), ("b.py", "_f")]

@@ -625,6 +625,55 @@ class TestBetaSweep:
             assert [s.entropy for s in seeds] == [s.entropy for s in want]
         assert len({id(models[0]) for models, *_ in calls}) == len(calls)
 
+    def test_oim_sweep_same_on_one_blas_thread(self):
+        # The threads a sweep runs on set how many instances share a solver
+        # call, never the result: an odd pool on the solver's own threads
+        # against one call per instance with numpy's BLAS on one thread.
+        get_threads, set_threads = solvers._openblas()
+        if get_threads is None or set_threads is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count setter")
+        args = dict(n_instances=3, n_trials=5, n_iterations=20, ebn0_list=[6.0], seed=4)
+        threaded = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
+        with solvers._blas_on_one_thread():
+            assert harness.solve_threads("oim", 3) == 1
+            one = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
+        for name in ("beta_grid", "mean_final_energy", "stderr"):
+            np.testing.assert_array_equal(getattr(threaded, name), getattr(one, name))
+        for name in ("beta_opt", "random_reference", "random_reference_stderr"):
+            assert getattr(threaded, name) == getattr(one, name)
+
+    def test_oim_sweep_solves_a_batch_of_instances_per_call(self, monkeypatch):
+        # On two solver threads, nine instances make four calls of two
+        # instances and one of the last, each instance-major: an instance's
+        # model at every peak, the peaks tiled and each cell's own seed.
+        if blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread-count getter")
+        monkeypatch.setattr(solvers, "_oim_threads", lambda n_models: min(2, n_models))
+        calls = []
+        solve = harness.solve_many
+
+        def spy(paradigm, models, cfg, seeds, peaks=None):
+            calls.append((models, list(seeds), peaks))
+            return solve(paradigm, models, cfg, seeds, peaks=peaks)
+
+        monkeypatch.setattr(harness, "solve_many", spy)
+        grid = [30.0, 10.0, 40.0, 20.0]
+        beta_sweep(4, 2, "oim", grid, n_instances=3, n_trials=2, n_iterations=3, seed=8)
+        assert [len(models) for models, _, _ in calls] == [8, 8, 8, 8, 4]
+        m_idx = 0
+        for models, seeds, peaks in calls:
+            instances = len(models) // len(grid)
+            np.testing.assert_array_equal(peaks, np.tile(sorted(grid), instances))
+            for i in range(instances):
+                mine = models[i * len(grid) : (i + 1) * len(grid)]
+                assert all(m is mine[0] for m in mine)
+                want = [harness.derive_seed(8, harness.ROLE_SOLVER, b, m_idx) for b in range(4)]
+                got = seeds[i * len(grid) : (i + 1) * len(grid)]
+                assert [s.entropy for s in got] == [s.entropy for s in want]
+                m_idx += 1
+        assert m_idx == 9
+        assert len({id(models[0]) for models, _, _ in calls}) == len(calls)
+
     def test_ebn0_list_may_be_a_generator(self):
         # As plan_experiment takes it: the list is checked in one place.
         args = dict(n_instances=1, n_trials=2, n_iterations=2, seed=3)

@@ -967,12 +967,45 @@ class TestReplication:
         singles = [bpim_solve_many([m], cfg, [seed])[0] for m, seed in zip(models, seeds)]
         assert_same_outcomes(bpim_solve_many(models, cfg, seeds), singles)
 
-    @pytest.mark.parametrize("paradigm", ["bpim", "dpim"])
-    def test_batched_requires_shared_coupling(self, paradigm):
-        kind = PARADIGMS[paradigm].model
-        models = [channel_models(kind, 4, 3, 1, ch)[0] for ch in range(2)]
-        with pytest.raises(ValueError, match="share"):
-            solvers.solve_many(paradigm, models, default_parameters(paradigm, 3, 4), [0, 1])
+    @pytest.mark.parametrize(
+        "n_threads, calls",
+        [(1, [[8, 1, 6], [3, 5, 7]]), (2, [[8, 1, 6], [3, 5, 7]]), (3, [[8, 1], [6], [3], [5, 7]])],
+        ids=["one-thread", "two-threads-aligned", "three-threads-crossing"],
+    )
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    def test_batch_of_two_channels_equals_one_call_per_channel(
+        self, paradigm, n_threads, calls, monkeypatch
+    ):
+        # A batch may hold several channels' models: its kernel calls are cut
+        # where the couplings change. On one thread, on two threads aligned
+        # to the channels and on three whose middle group crosses the
+        # boundary, the outcomes are those of one call per channel.
+        if n_threads > 1:
+            blas_threads()
+        kind, order = PARADIGMS[paradigm].model, 2 if paradigm == "oim" else 4
+        first, second = (channel_models(kind, order, 4, 3, ch, ebn0_db=6.0) for ch in (5, 6))
+        cfg = SolverConfig(3, AnnealSchedule(1.5, 20))
+        seeds = [8, 1, 6, 3, 5, 7]
+        with worker_blas():
+            per_channel = [
+                *solvers.solve_many(paradigm, first, cfg, seeds[:3]),
+                *solvers.solve_many(paradigm, second, cfg, seeds[3:]),
+            ]
+        solve, draw = solvers._solve_many, draws(paradigm)
+        chunks = []
+
+        def on_threads(*args, threads=1):
+            return solve(*args, threads=n_threads)
+
+        def spy(model, chunk_seeds, cfg):
+            chunks.append(list(chunk_seeds))
+            return draw(model, chunk_seeds, cfg)
+
+        monkeypatch.setattr(solvers, "_solve_many", on_threads)
+        monkeypatch.setattr(solvers, draw.__name__, spy)
+        batched = solvers.solve_many(paradigm, first + second, cfg, seeds)
+        assert sorted(chunks) == sorted(calls)
+        assert_same_outcomes(batched, per_channel)
 
     def test_outcome_energy_consistent(self):
         (model,) = channel_models("binary", 2, 12, 1, 19, ebn0_db=6.0)
