@@ -122,7 +122,7 @@ class ChannelFactors:
         return h_herm, h_herm @ self.H, np.eye(self.H.shape[1])
 
     def ml(self, c: Constellation) -> tuple:
-        """(Q, R, R's rows, R's diagonal, ``c.levels``) of the real-valued
+        """(Q, R's rows, R's diagonal, ``c.levels``) of the real-valued
         channel of ``c``'s order, the last three as Python lists for the
         search; Q is None when R's diagonal shows H to be numerically rank
         deficient."""
@@ -134,7 +134,6 @@ class ChannelFactors:
             rows = r_mat.tolist()
             self._qr[c.order] = (
                 q_mat,
-                r_mat,
                 rows,
                 [row[k] for k, row in enumerate(rows)],
                 c.levels.tolist(),
@@ -262,7 +261,7 @@ def ml_exact(
         raise SearchBudgetError(
             f"search space {c.order}**{n} = {space:.3g} exceeds budget {max_search_space:.3g}"
         )
-    q_mat, _, rows, diag, levels = factors.ml(c)
+    q_mat, rows, diag, levels = factors.ml(c)
     if q_mat is None:
         raise SingularChannelError("real-valued channel is numerically rank deficient")
     # The search finds a minimizer unless a cost overflows: Python's float **

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, modulate_bits
+from .constellation import Constellation, build_constellation, modulate_bits
 
 __all__ = [
     "MimoInstance",
@@ -70,7 +70,7 @@ class MimoInstance:
 
 @dataclass(frozen=True, eq=False)
 class RealizedChannel:
-    """Real-valued stacking of a complex instance of modulation ``order``.
+    """Real-valued stacking of a complex instance, with its ``constellation``.
 
     QAM: h_real is the 2Nr x 2Nt block matrix [[Re H, -Im H], [Im H, Re H]]
     and the unknown is [Re x; Im x]. BPSK: h_real is the 2Nr x Nt stack
@@ -81,11 +81,11 @@ class RealizedChannel:
 
     h_real: np.ndarray
     y_real: np.ndarray
-    order: int
+    constellation: Constellation
 
     def with_received(self, y: np.ndarray) -> RealizedChannel:
-        """The same channel with received vector ``y`` in place of its own."""
-        return RealizedChannel(self.h_real, stack_real(y), self.order)
+        """The same channel and constellation objects with received vector ``y``."""
+        return RealizedChannel(self.h_real, stack_real(y), self.constellation)
 
 
 def stack_real(v: np.ndarray) -> np.ndarray:
@@ -155,8 +155,11 @@ def real_channel(H: np.ndarray, order: int) -> np.ndarray:
 
 
 def realify(H: np.ndarray, y: np.ndarray, order: int) -> RealizedChannel:
-    """Stack a complex instance into its real-valued form."""
-    return RealizedChannel(real_channel(H, order), stack_real(y), order)
+    """Stack a complex instance of modulation ``order`` into its real-valued
+    form, with the order's constellation, built once per call. An invalid
+    order fails before the real-valued channel is formed."""
+    c = build_constellation(order)
+    return RealizedChannel(real_channel(H, c.order), stack_real(y), c)
 
 
 def complex_symbols(x_real: np.ndarray, n: int) -> np.ndarray:

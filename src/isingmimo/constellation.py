@@ -29,7 +29,6 @@ import numpy as np
 __all__ = [
     "Constellation",
     "build_constellation",
-    "axis_level_count",
     "modulate_bits",
     "demodulate_symbols",
     "decide",
@@ -114,17 +113,6 @@ class Constellation:
         return words
 
 
-def axis_level_count(order: int) -> int:
-    """Real-axis PAM level count of a valid order: 2 for BPSK, sqrt(M) for M-QAM."""
-    if isinstance(order, (int, np.integer)):
-        exp = int(order).bit_length() - 1  # bits per symbol, if order is a power of 2
-        if order == 2 or (order >= 4 and (1 << exp) == order and exp % 2 == 0):
-            return 1 << _axis_bits(exp)[0]
-    raise ValueError(
-        f"modulation order must be 2 or an even power of 2 (4, 16, 64, ...); got {order!r}"
-    )
-
-
 def build_constellation(order: int) -> Constellation:
     """Build the Gray-labelled constellation of the given modulation order.
 
@@ -134,9 +122,15 @@ def build_constellation(order: int) -> Constellation:
     Returns:
         An immutable :class:`Constellation`.
     """
-    axis_level_count(order)  # rejects invalid orders
+    is_int = isinstance(order, (int, np.integer))
+    bits_per_symbol = int(order).bit_length() - 1 if is_int else 0
+    if not is_int or not (
+        order == 2 or (order >= 4 and 1 << bits_per_symbol == order and bits_per_symbol % 2 == 0)
+    ):
+        raise ValueError(
+            f"modulation order must be 2 or an even power of 2 (4, 16, 64, ...); got {order!r}"
+        )
     order = int(order)
-    bits_per_symbol = order.bit_length() - 1
     re_bits, im_bits = _axis_bits(bits_per_symbol)
     words = np.arange(order)
     re_rank = _gray_decode(words >> im_bits)

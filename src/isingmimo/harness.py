@@ -3,9 +3,10 @@
 A run is a pure function of its plan (which embeds the master seed), so
 repeated runs produce byte-identical CSVs regardless of worker count.
 Channels are the parallel unit; every random draw inside a channel worker
-comes from a seed derived from (master, role, channel, message, point), so
-results do not depend on scheduling. ``channel.channel_instances`` owns the
-cell recipe; this module seeds only the solvers and the random references.
+comes from a seed derived from (master, role, channel, message, point),
+with the detector's index after the role in a solver's seed, so results do
+not depend on scheduling. ``channel.channel_instances`` owns the cell
+recipe; this module seeds only the solvers and the random references.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .ising_map import (
     build_pdit_model,
     pdit_couplings,
     random_state_energies,
-    require_ints,
     spins_to_symbols,
 )
 from .solvers import (
@@ -57,6 +57,7 @@ from .solvers import (
     SolverConfig,
     default_parameters,
     pin_blas_to_one_thread,
+    require_ints,
     require_peaks,
     solve_many,
     solve_threads,
@@ -188,9 +189,10 @@ def plan_experiment(
     Each channel carries ``messages_per_channel`` messages of
     n * log2(order) bits, so total_bits must be a multiple of that block;
     otherwise the error suggests the nearest valid budget. Counts, order and
-    seed must be ints, never rounded, the seed non-negative; no list may be a
-    string, and no detector named twice. Every check of the plan happens
-    here, so an invalid plan fails before any work.
+    seed must be ints, never rounded, the seed non-negative, and a given
+    replica or iteration count at least 1, whatever the detectors; no list
+    may be a string, and no detector named twice. Every check of the plan
+    happens here, so an invalid plan fails before any work.
     """
     counts = dict(n=n, total_bits=total_bits, seed=seed, messages_per_channel=messages_per_channel)
     optional = dict(replicas=replicas, iterations=iterations)
@@ -199,6 +201,9 @@ def plan_experiment(
     _sequence("detectors", detectors)
     if n < 1 or messages_per_channel < 1:
         raise ValueError("n and messages_per_channel must be at least 1")
+    for name, value in optional.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1; got {value}")
     if seed < 0:  # a SeedSequence takes no negative entropy
         raise ValueError(f"seed must be non-negative; got {seed}")
     plan = ExperimentPlan(
@@ -263,15 +268,16 @@ def _paradigm_models(paradigm: str, H: np.ndarray, ys, c: Constellation) -> tupl
         return models, lambda d: complex_symbols(d, n)
     couplings = binary_couplings(rc)
     models = [build_binary_model(rc.with_received(y), couplings) for y in ys]
-    return models, lambda s: spins_to_symbols(s, n, c.order)
+    return models, lambda s: spins_to_symbols(s, n, c)
 
 
 def _detector_bits(detector: str, d_idx: int, cells: list, plan: ExperimentPlan) -> list:
     """The recovered bits of each of a channel's cells under one detector, or
     None where a baseline failed as expected. A heuristic solves all the
-    cells in one batched kernel call, since its couplings depend on the
-    channel only; each cell's replica streams match a standalone solve. The
-    baselines share one :class:`ChannelFactors` over the channel's cells."""
+    cells in one :func:`solve_many` call, since its couplings depend on the
+    channel only; that call may split them into kernel calls by state size
+    and over oscillator threads, and each cell's replica streams match a
+    standalone solve. The baselines share one :class:`ChannelFactors`."""
     c = plan.constellation
     if detector in PARADIGMS:
         seeds = [
@@ -597,9 +603,24 @@ def _csv_value(v) -> str:
     return str(v)
 
 
+def _require_csv_name(csv_name, source) -> None:
+    """A CSV name must be a plain file name, so the CSV is written inside the
+    output directory and does not overwrite the manifest."""
+    if (
+        not isinstance(csv_name, str)
+        or Path(csv_name).name != csv_name
+        or csv_name in ("", ".", "..", "manifest.json")
+    ):
+        raise ValueError(
+            f"{source}: csv must be a plain file name other than manifest.json; got {csv_name!r}"
+        )
+
+
 def report(points: list, plan: ExperimentPlan, out_dir, csv_name: str = "results.csv"):
-    """Write the results CSV and the reproduction manifest; return their paths."""
+    """Write the results CSV and the reproduction manifest; return their paths.
+    A bad ``csv_name`` fails before any file is written."""
     out = Path(out_dir)
+    _require_csv_name(csv_name, out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / csv_name
     with open(csv_path, "w", newline="") as fh:
@@ -638,11 +659,8 @@ def write_manifest(plan: ExperimentPlan, out_dir, csv_name: str) -> Path:
 
 
 def plan_from_manifest(path) -> tuple:
-    """Rebuild (plan, csv_name) from a manifest written by :func:`report`.
-
-    The CSV name must be a plain file name, so the CSV is written inside
-    the output directory and does not overwrite the manifest.
-    """
+    """Rebuild (plan, csv_name) from a manifest written by :func:`report`;
+    its CSV name is checked as :func:`report` checks one."""
     manifest = json.loads(Path(path).read_text())
     if not isinstance(manifest, dict) or manifest.get("format") != "isingmimo-manifest v1":
         raise ValueError(f"{path}: not an isingmimo manifest")
@@ -655,14 +673,7 @@ def plan_from_manifest(path) -> tuple:
         raise ValueError(f"{path}: manifest plan lacks {', '.join(missing)}")
     plan = plan_experiment(**{key: p[key] for key in keys})
     csv_name = manifest.get("csv", "results.csv")
-    if (
-        not isinstance(csv_name, str)
-        or Path(csv_name).name != csv_name
-        or csv_name in ("", ".", "..", "manifest.json")
-    ):
-        raise ValueError(
-            f"{path}: csv must be a plain file name other than manifest.json; got {csv_name!r}"
-        )
+    _require_csv_name(csv_name, path)
     return plan, csv_name
 
 

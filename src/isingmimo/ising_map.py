@@ -14,13 +14,12 @@ enough constants that their energies can be compared against residual norms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import RealizedChannel, complex_symbols, stack_real
-from .constellation import axis_level_count, pam_levels
+from .constellation import Constellation
 
 __all__ = [
     "BinaryIsingModel",
@@ -35,13 +34,6 @@ __all__ = [
     "build_pdit_model",
     "random_state_energies",
 ]
-
-
-def require_ints(**values) -> None:
-    """Counts, orders and seeds are ints, never rounded; a bool is not one."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int; got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,19 +68,19 @@ class PditModel:
     n: int
 
 
-def spin_weights(order: int) -> np.ndarray:
-    """Weights L/2, L/4, ..., 1 of the B spins behind one real axis.
+def spin_weights(c: Constellation) -> np.ndarray:
+    """Weights L/2, L/4, ..., 1 of the B spins behind one real axis of ``c``.
 
-    L = 2^B is the number of PAM levels per axis: 2 for BPSK (one spin of
+    L = 2^B is ``c``'s number of real-axis PAM levels: 2 for BPSK (one spin of
     weight 1), sqrt(M) for M-QAM. A spin vector holds B significance groups,
     most significant first, each with one spin per entry of the real unknown,
     and the unknown is ``weights @ s.reshape(B, -1)``.
     """
-    n_levels = axis_level_count(order)  # rejects invalid orders
+    n_levels = c.axis_levels[0]
     return n_levels / 2.0 ** np.arange(1, n_levels.bit_length())
 
 
-def symbols_to_spins(x: np.ndarray, order: int) -> np.ndarray:
+def symbols_to_spins(x: np.ndarray, c: Constellation) -> np.ndarray:
     """Binarize symbols into the spin layout of :func:`spin_weights`.
 
     Each entry of the real unknown (x for BPSK, [Re x; Im x] for QAM) is
@@ -97,10 +89,10 @@ def symbols_to_spins(x: np.ndarray, order: int) -> np.ndarray:
     down to weight 1.
     """
     x = np.asarray(x, dtype=complex)
-    weights = spin_weights(order)
-    # B of a symbol's log2(M) spins carry one axis: one axis per BPSK
+    weights = spin_weights(c)
+    # B of a symbol's bits_per_symbol spins carry one axis: one axis per BPSK
     # symbol, two per QAM symbol.
-    n_axes = x.size * round(math.log2(order)) // weights.size
+    n_axes = x.size * c.bits_per_symbol // weights.size
     rem = stack_real(x)[:n_axes]
     groups = []
     for weight in weights:
@@ -108,18 +100,18 @@ def symbols_to_spins(x: np.ndarray, order: int) -> np.ndarray:
         rem = rem - weight * s_k
         groups.append(s_k)
     spins = np.concatenate(groups)
-    if not np.array_equal(spins_to_symbols(spins, x.size, order), x):
-        raise ValueError(f"symbols must lie on the order-{order} alphabet")
+    if not np.array_equal(spins_to_symbols(spins, x.size, c), x):
+        raise ValueError(f"symbols must lie on the order-{c.order} alphabet")
     return spins
 
 
-def spins_to_symbols(s: np.ndarray, n_sym: int, order: int) -> np.ndarray:
+def spins_to_symbols(s: np.ndarray, n_sym: int, c: Constellation) -> np.ndarray:
     """Inverse of :func:`symbols_to_spins`: weigh the spin groups, recombine axes."""
     s = np.asarray(s, dtype=float)
-    n_spins = n_sym * round(math.log2(order))
+    n_spins = n_sym * c.bits_per_symbol
     if s.shape != (n_spins,):
-        raise ValueError(f"expected {n_spins} spins for N={n_sym}, M={order}; got {s.shape}")
-    weights = spin_weights(order)
+        raise ValueError(f"expected {n_spins} spins for N={n_sym}, M={c.order}; got {s.shape}")
+    weights = spin_weights(c)
     return complex_symbols(weights @ s.reshape(weights.size, -1), n_sym)
 
 
@@ -134,7 +126,7 @@ def binary_couplings(rc: RealizedChannel) -> tuple:
     syrk, which computes one triangle, and copies it to the other; without
     BLAS, it sums entries (i, k) and (k, i) over the same products in order.
     """
-    weights = spin_weights(rc.order)
+    weights = spin_weights(rc.constellation)
     heff = rc.h_real if weights.size == 1 else np.kron(weights, rc.h_real)
     j_matrix = heff.T @ heff
     gram_trace = np.trace(j_matrix)
@@ -181,7 +173,7 @@ def ising_energies(x: np.ndarray, j: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def _symbol_count(rc: RealizedChannel) -> int:
     """N of a QAM channel, whose unknown [Re x; Im x] has 2N entries."""
-    if rc.order < 4:
+    if rc.constellation.order < 4:
         raise ValueError("symbol-native model is defined for QAM orders >= 4")
     return rc.h_real.shape[1] // 2
 
@@ -191,7 +183,7 @@ def pdit_couplings(rc: RealizedChannel) -> np.ndarray:
     -2 h_real'h_real, from h_real's Re and Im column blocks. J12's lower
     triangle is its negated upper one, not a sum in another order, so J is
     exactly symmetric and J12's diagonal exactly 0. It depends on neither
-    rc's order nor its received vector."""
+    rc's constellation nor its received vector."""
     n = _symbol_count(rc)
     re_cols, im_cols = rc.h_real[:, :n], rc.h_real[:, n:]
     j11 = -2.0 * (re_cols.T @ re_cols)
@@ -205,7 +197,7 @@ def build_pdit_model(rc: RealizedChannel, j_matrix: np.ndarray | None = None) ->
 
     Like :func:`build_binary_model`, it takes the instance from a
     :func:`realify` channel, and its bias 2 h_real'y_real is the binary one at
-    spin weight 1; ``rc.order`` fixes only the admissible PAM levels.
+    spin weight 1; ``rc.constellation`` fixes only the admissible PAM levels.
     ``j_matrix``, the :func:`pdit_couplings` of rc's channel, leaves only the
     bias to compute, and every model built from it shares its J.
     """
@@ -213,7 +205,7 @@ def build_pdit_model(rc: RealizedChannel, j_matrix: np.ndarray | None = None) ->
     return PditModel(
         j_matrix=pdit_couplings(rc) if j_matrix is None else j_matrix,
         h_vector=2.0 * (rc.h_real.T @ rc.y_real),
-        pam_levels=pam_levels(axis_level_count(rc.order)),
+        pam_levels=rc.constellation.levels,
         n=n,
     )
 

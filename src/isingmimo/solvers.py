@@ -85,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising_map import BinaryIsingModel, PditModel, ising_energies, require_ints
+from .ising_map import BinaryIsingModel, PditModel, ising_energies
 
 __all__ = [
     "AnnealSchedule",
@@ -97,6 +97,7 @@ __all__ = [
     "default_parameters",
     "oim_params",
     "pin_blas_to_one_thread",
+    "require_ints",
     "require_peaks",
     "solve_many",
     "solve_threads",
@@ -143,6 +144,13 @@ class AnnealSchedule:
     def ramp(self) -> np.ndarray:
         """k / n_iterations at iterations k = 1..n_iterations."""
         return np.arange(1, self.n_iterations + 1) / self.n_iterations
+
+
+def require_ints(**values) -> None:
+    """Counts, orders and seeds are ints, never rounded; a bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int; got {value!r}")
 
 
 def require_peaks(peaks) -> np.ndarray:

@@ -452,8 +452,8 @@ class TestPerChannelFactors:
         np.testing.assert_array_equal(ml_exact(factors, H @ xb, bpsk).symbols, xb)
         qr = factors._qr
         assert set(qr) == {2, 4}
-        assert qr[2][1].shape == (3, 3)
-        assert qr[4][1].shape == (6, 6)
+        assert np.shape(qr[2][1]) == (3, 3)
+        assert np.shape(qr[4][1]) == (6, 6)
 
     def test_one_factorization_per_channel_and_none_per_cell(self, monkeypatch):
         # ZF takes one SVD and MMSE one Gram matrix per ChannelFactors; no

@@ -138,13 +138,13 @@ class TestRealify:
         rc = realify(np.array([[1j]]), np.array([1.0 + 0j]), 4)
         np.testing.assert_array_equal(rc.h_real, [[0, -1], [1, 0]])
         np.testing.assert_array_equal(rc.y_real, [1, 0])
-        assert rc.order == 4
+        assert rc.constellation.order == 4
 
     def test_bpsk_example(self):
         rc = realify(np.array([[1 + 1j]]), np.array([2.0 + 0j]), 2)
         np.testing.assert_array_equal(rc.h_real, [[1], [1]])
         np.testing.assert_array_equal(rc.y_real, [2, 0])
-        assert rc.order == 2
+        assert rc.constellation.order == 2
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 16]))
@@ -177,8 +177,22 @@ class TestRealify:
         assert rc.h_real.shape == expected.shape
         assert rc.h_real.tobytes() == expected.tobytes()
         other = rc.with_received(y2)
-        assert other.h_real is rc.h_real and other.order == order
+        assert other.h_real is rc.h_real and other.constellation.order == order
         np.testing.assert_array_equal(other.y_real, realify(H, y2, order).y_real)
+
+    def test_one_constellation_per_call_shared_by_with_received(self, monkeypatch):
+        calls = []
+
+        def spy(order):
+            calls.append(order)
+            return build_constellation(order)
+
+        monkeypatch.setattr("isingmimo.channel.build_constellation", spy)
+        H = generate_channel(3, 3, 73)
+        rc = realify(H, np.ones(3, dtype=complex), 16)
+        assert calls == [16]
+        assert rc.with_received(np.zeros(3, dtype=complex)).constellation is rc.constellation
+        assert calls == [16]
 
     def test_complex_symbols_reads_the_length(self):
         np.testing.assert_array_equal(complex_symbols([1.0, -1.0], 2), [1, -1])

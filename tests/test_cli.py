@@ -80,6 +80,19 @@ class TestRun:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [("--replicas", "0"), ("--iters", "-3")])
+    def test_count_below_one_fails_without_a_heuristic(self, flag, value, tmp_path, capsys):
+        # mmse reads neither count, but the manifest would record it.
+        code = run_cli(
+            "run",
+            "--n", "2", "--mod", "4", "--ebn0", "5", "--bits", "56",
+            "--detectors", "mmse", flag, value, "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "plan.json"
         cfg.write_text(

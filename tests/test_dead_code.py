@@ -1,5 +1,5 @@
-"""Every public name of the library is used by the library itself, and no
-library module imports another's private names."""
+"""Every public name of the library is used by the library itself, and a
+library module imports from another only names that it exports."""
 
 import ast
 from pathlib import Path
@@ -78,6 +78,30 @@ def _private_imports(src: Path) -> list:
     return found
 
 
+def _unexported_imports(src: Path) -> list:
+    """(module, source, name) for each name, dunders aside, that a library
+    module imports from a library module whose ``__all__`` lacks it."""
+    exports = {p.stem: _exports(ast.parse(p.read_text())) for p in src.glob("*.py")}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != src.name:
+                    continue
+                parts = parts[1:]
+            source = parts[0] if parts and parts[0] else "__init__"
+            found += [
+                (path.name, source, alias.name)
+                for alias in node.names
+                if not (alias.name.startswith("__") and alias.name.endswith("__"))
+                and alias.name not in exports.get(source, [])
+            ]
+    return found
+
+
 def test_every_exported_name_is_used_in_the_library():
     unused = [(m, n) for m, n in _unreferenced(SRC) if n not in UNREFERENCED_ALLOWED]
     assert unused == []
@@ -109,3 +133,23 @@ def test_a_private_import_is_found(tmp_path):
     )
     (tmp_path / "b.py").write_text(f"from {tmp_path.name}.a import _f\nfrom os import _exit\n")
     assert _private_imports(tmp_path) == [("a.py", "_hidden"), ("a.py", "_late"), ("b.py", "_f")]
+
+
+def test_every_imported_name_is_exported_by_its_module():
+    assert _unexported_imports(SRC) == []
+
+
+def test_an_unexported_import_is_found(tmp_path):
+    (tmp_path / "__init__.py").write_text('__version__ = "0"\nfrom .a import f\n')
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["f"]\nfrom .b import shown, kept\nfrom . import __version__\n\n\n'
+        "def f():\n    from .b import late\n\n    return late\n"
+    )
+    (tmp_path / "b.py").write_text(
+        f'__all__ = ["shown"]\nfrom {tmp_path.name}.a import f, g\nfrom os import path\n'
+    )
+    assert _unexported_imports(tmp_path) == [
+        ("a.py", "b", "kept"),
+        ("a.py", "b", "late"),
+        ("b.py", "a", "g"),
+    ]

@@ -151,6 +151,18 @@ class TestPlanExperiment:
         if isinstance(value, str):
             assert name in str(info.value)
 
+    @pytest.mark.parametrize("detectors", [("mmse",), ("zf", "ml")])
+    @pytest.mark.parametrize(
+        "change", [dict(replicas=0), dict(replicas=-3), dict(iterations=0), dict(iterations=-3)]
+    )
+    def test_counts_below_one_rejected_without_a_heuristic(self, detectors, change):
+        # With no heuristic detector nothing else reads these counts, and a
+        # manifest recorded them as given.
+        kwargs = dict(n=2, order=4, ebn0_list=[5.0], total_bits=56, seed=1, detectors=detectors)
+        ((name, _),) = change.items()
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            plan_experiment(**kwargs, **change)
+
 
 class TestConfidenceBounds:
     def test_paper_scale_value(self):
@@ -355,6 +367,28 @@ class TestRunBerSweep:
             assert np.array_equal(model.j_matrix, alone.j_matrix)
             assert np.array_equal(model.h_vector, alone.h_vector)
             assert model.n == alone.n
+
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim"])
+    def test_models_build_no_constellation_per_cell(self, paradigm, monkeypatch):
+        # realify builds the call's one constellation; no cell's model, and
+        # no decoding of a state, builds another.
+        c = build_constellation(4)
+        insts = [build_instance(c, 3, 8.0, 31, 0, msg)[0] for msg in range(3)]
+        built = []
+
+        def spy(order):
+            built.append(order)
+            return build_constellation(order)
+
+        monkeypatch.setattr("isingmimo.channel.build_constellation", spy)
+        monkeypatch.setattr(harness, "build_constellation", spy)
+        models, to_symbols = harness._paradigm_models(
+            paradigm, insts[0].channel, [i.rx_vector for i in insts], c
+        )
+        for model in models:
+            to_symbols(np.ones(model.h_vector.size))
+        assert len(models) == 3
+        assert built == [4]
 
     def test_constellation_built_once_per_sweep(self, monkeypatch):
         plan = plan_experiment(
@@ -741,6 +775,18 @@ class TestReport:
         plan2, csv_name = harness.plan_from_manifest(manifest_path)
         assert plan2 == plan
         assert csv_name == "results.csv"
+
+    @pytest.mark.parametrize(
+        "csv_name", ["manifest.json", "../escape.csv", "sub/results.csv", "", ".", ".."]
+    )
+    def test_csv_name_checked_before_any_file_is_written(self, csv_name, tmp_path):
+        # The manifest overwrote a CSV named manifest.json, and ../escape.csv
+        # was written outside the output directory.
+        plan = plan_experiment(4, 4, [8.0], 448, seed=11, detectors=("mmse",))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="csv must be a plain file name"):
+            report([], plan, out, csv_name)
+        assert list(tmp_path.rglob("*")) == []
 
     def test_empty_results_header_only(self, tmp_path):
         plan = plan_experiment(4, 4, [8.0], 448, seed=11, detectors=("mmse",))

@@ -46,22 +46,22 @@ class TestTransform:
     """The spin-to-axis transform: one weight per spin of an axis."""
 
     def test_m4_is_identity(self):
-        np.testing.assert_array_equal(spin_weights(4), [1.0])
+        np.testing.assert_array_equal(spin_weights(build_constellation(4)), [1.0])
 
     def test_bpsk_is_identity(self):
         # BPSK is the one-axis case of the same map.
-        np.testing.assert_array_equal(spin_weights(2), [1.0])
+        np.testing.assert_array_equal(spin_weights(build_constellation(2)), [1.0])
 
     def test_m16_block_levels(self):
         # One axis of one symbol: spins (s1, s2) at weights (2, 1).
-        weights = spin_weights(16)
+        weights = spin_weights(build_constellation(16))
         expected = {(1, 1): 3, (1, -1): 1, (-1, 1): -1, (-1, -1): -3}
         for spins, level in expected.items():
             assert weights @ np.array(spins, dtype=float) == level
 
     @pytest.mark.parametrize("order", [2, 4, 16, 64, 256])
     def test_axis_image_is_pam_grid(self, order):
-        weights = spin_weights(order)
+        weights = spin_weights(build_constellation(order))
         images = sorted(
             weights @ np.array(spins)
             for spins in itertools.product((-1.0, 1.0), repeat=weights.size)
@@ -69,12 +69,18 @@ class TestTransform:
         np.testing.assert_array_equal(images, build_constellation(order).levels)
 
     @pytest.mark.parametrize("order", [1, 3, 8, 32])
-    def test_invalid_order_rejected(self, order):
+    def test_invalid_order_rejected(self, order, monkeypatch):
+        # The order fails before the real-valued channel is formed.
+        def no_real_channel(*args):
+            raise AssertionError("real_channel was called")
+
+        monkeypatch.setattr("isingmimo.channel.real_channel", no_real_channel)
         with pytest.raises(ValueError):
-            spin_weights(order)
+            realify(np.eye(2, dtype=complex), np.ones(2, dtype=complex), order)
 
     def test_decoding_builds_no_constellation(self, monkeypatch):
         calls = []
+        constellations = [build_constellation(order) for order in (2, 4, 16, 256)]
 
         def spy(order):
             calls.append(order)
@@ -82,9 +88,9 @@ class TestTransform:
 
         monkeypatch.setattr("isingmimo.constellation.build_constellation", spy)
         monkeypatch.setattr(ising_map, "build_constellation", spy, raising=False)
-        for order in (2, 4, 16, 256):
-            n_spins = 3 * round(np.log2(order))
-            spins_to_symbols(np.ones(n_spins), 3, order)
+        for c in constellations:
+            n_spins = 3 * round(np.log2(c.order))
+            spins_to_symbols(np.ones(n_spins), 3, c)
         assert calls == []
 
 
@@ -115,17 +121,18 @@ class TestDenseTransformOracle:
             else:
                 x_real = t @ s
                 dense = x_real[:n] + 1j * x_real[n:]
-            assert np.array_equal(spins_to_symbols(s, n, order), dense)
+            assert np.array_equal(spins_to_symbols(s, n, rc.constellation), dense)
 
 
 class TestSpinConversions:
     def test_bpsk_passthrough(self):
         x = np.array([1, -1, -1, 1], dtype=complex)
-        np.testing.assert_array_equal(symbols_to_spins(x, 2), x.real)
-        np.testing.assert_array_equal(spins_to_symbols(x.real, 4, 2), x)
+        bpsk = build_constellation(2)
+        np.testing.assert_array_equal(symbols_to_spins(x, bpsk), x.real)
+        np.testing.assert_array_equal(spins_to_symbols(x.real, 4, bpsk), x)
 
     def test_level_minus_one_spins(self):
-        s = symbols_to_spins(np.array([-1 + 3j]), 16)
+        s = symbols_to_spins(np.array([-1 + 3j]), build_constellation(16))
         # significance-major layout: real-axis spins are entries 0 and 2
         assert (s[0], s[2]) == (-1.0, 1.0)
         assert (s[1], s[3]) == (1.0, 1.0)
@@ -136,7 +143,7 @@ class TestSpinConversions:
         for x in c.alphabet:
             xv = np.array([x])
             np.testing.assert_array_equal(
-                spins_to_symbols(symbols_to_spins(xv, order), 1, order), xv
+                spins_to_symbols(symbols_to_spins(xv, c), 1, c), xv
             )
 
     @pytest.mark.parametrize("order", [2, 4, 16, 64, 256])
@@ -148,26 +155,29 @@ class TestSpinConversions:
             if order == 2:
                 x = x.real.astype(complex)
             np.testing.assert_array_equal(
-                spins_to_symbols(symbols_to_spins(x, order), 6, order), x
+                spins_to_symbols(symbols_to_spins(x, c), 6, c), x
             )
 
     def test_rejects_bad_inputs(self):
+        bpsk, qam4, qam16 = (build_constellation(order) for order in (2, 4, 16))
         with pytest.raises(ValueError):
-            symbols_to_spins(np.array([0.5 + 0j]), 4)
+            symbols_to_spins(np.array([0.5 + 0j]), qam4)
         with pytest.raises(ValueError):
-            symbols_to_spins(np.array([5 + 1j]), 16)
+            symbols_to_spins(np.array([5 + 1j]), qam16)
         with pytest.raises(ValueError):
-            symbols_to_spins(np.array([1 + 1j]), 2)
+            symbols_to_spins(np.array([1 + 1j]), bpsk)
         with pytest.raises(ValueError):
-            spins_to_symbols(np.ones(3), 4, 4)
+            spins_to_symbols(np.ones(3), 4, qam4)
         with pytest.raises(ValueError):
             # n * log2(M) spins: 4 spins are two 4-QAM symbols, not four.
-            spins_to_symbols(np.ones(4), 4, 4)
+            spins_to_symbols(np.ones(4), 4, qam4)
 
 
 class TestBinaryModel:
     def test_1x1_bpsk_example(self):
-        rc = RealizedChannel(np.array([[1.0], [0.0]]), np.array([0.5, 0.0]), 2)
+        rc = RealizedChannel(
+            np.array([[1.0], [0.0]]), np.array([0.5, 0.0]), build_constellation(2)
+        )
         model = build_binary_model(rc)
         assert model.n == 1
         np.testing.assert_allclose(model.h_vector, [1.0])
@@ -181,7 +191,7 @@ class TestBinaryModel:
         rng = np.random.default_rng(0)
         for _ in range(32):
             s = rng.integers(0, 2, model.n) * 2.0 - 1.0
-            x = spins_to_symbols(s, n, order)
+            x = spins_to_symbols(s, n, c)
             resid = np.linalg.norm(inst.rx_vector - inst.channel @ x) ** 2
             assert energy(s, model) + model.offset == pytest.approx(
                 resid, rel=1e-9
@@ -233,7 +243,7 @@ class TestBinaryModel:
             tracemalloc.stop()
         assert np.shares_memory(heff, rc.h_real)
         assert peak <= j.nbytes + 16_384
-        kron = np.kron(spin_weights(2), rc.h_real)
+        kron = np.kron(spin_weights(rc.constellation), rc.h_real)
         gram = kron.T @ kron
         assert trace.tobytes() == np.trace(gram).tobytes()
         gram *= -2.0
@@ -391,7 +401,7 @@ class TestCrossEncodingConsistency:
         y_norm = np.linalg.norm(inst.rx_vector) ** 2
         for _ in range(50):
             x = rng.choice(c.alphabet, n)
-            s = symbols_to_spins(x, order)
+            s = symbols_to_spins(x, c)
             d = np.concatenate([x.real, x.imag])
             binary_side = energy(s, bm) + bm.offset
             pdit_side = energy(d, pm) + y_norm
