@@ -53,8 +53,7 @@ from .harness import (
     run_ber_sweep,
 )
 from .ising_map import (
-    BinaryIsingModel,
-    PditModel,
+    IsingModel,
     build_binary_model,
     build_pdit_model,
     spin_weights,

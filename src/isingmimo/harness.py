@@ -77,7 +77,6 @@ __all__ = [
     "fit_scaling_law",
     "report",
     "format_summary",
-    "write_manifest",
     "plan_from_manifest",
 ]
 
@@ -393,11 +392,12 @@ def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
     return points
 
 
-def ber_upper_bound(n_bits: int, confidence: float = 0.95) -> float:
-    """Upper BER bound consistent with observing zero errors in n_bits."""
+def ber_upper_bound(n_bits: int) -> float:
+    """Upper 95% BER bound consistent with observing zero errors in n_bits."""
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
-    return -math.log(1.0 - confidence) / n_bits
+    # 1.0 - 0.95 is not the float 0.05; the CSVs' goldens pin this one.
+    return -math.log(1.0 - 0.95) / n_bits
 
 
 # ---------------------------------------------------------------------------
@@ -642,20 +642,15 @@ def report(points: list, plan: ExperimentPlan, out_dir, csv_name: str = "results
                     plan.seed,
                 ]
             )
-    manifest_path = write_manifest(plan, out, csv_name)
-    return csv_path, manifest_path
-
-
-def write_manifest(plan: ExperimentPlan, out_dir, csv_name: str) -> Path:
     manifest = {
         "format": "isingmimo-manifest v1",
         "version": __version__,
         "csv": csv_name,
         "plan": asdict(plan),
     }
-    path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+    manifest_path = out / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    return csv_path, manifest_path
 
 
 def plan_from_manifest(path) -> tuple:
@@ -671,6 +666,9 @@ def plan_from_manifest(path) -> tuple:
     missing = [key for key in keys if key not in p]
     if missing:
         raise ValueError(f"{path}: manifest plan lacks {', '.join(missing)}")
+    unknown = [key for key in p if key not in keys]
+    if unknown:
+        raise ValueError(f"{path}: manifest plan has unknown keys {', '.join(unknown)}")
     plan = plan_experiment(**{key: p[key] for key in keys})
     csv_name = manifest.get("csv", "results.csv")
     _require_csv_name(csv_name, path)

