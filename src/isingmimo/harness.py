@@ -15,7 +15,9 @@ import csv
 import json
 import logging
 import math
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -55,6 +57,7 @@ from .ising_map import (
 from .solvers import (
     PARADIGMS,
     SolverConfig,
+    blas_on_one_thread,
     default_parameters,
     pin_blas_to_one_thread,
     require_ints,
@@ -337,15 +340,28 @@ def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
     return errors
 
 
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """Processes that each run one BLAS thread.
+@contextmanager
+def _worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """Processes that each run one BLAS thread, while the block runs.
 
     The workers share the cores, so a BLAS that threads inside each of them
     would oversubscribe the cores. For the same reason each worker also
     solves on one thread: an oscillator solve splits its batch over no more
-    threads than numpy's BLAS runs. The calling process keeps its setting.
+    threads than numpy's BLAS runs.
+
+    The caller's BLAS runs one thread for the life of the pool, so a worker
+    forked from it inherits that count and never calls the setter, which
+    after a fork would start a busy-waiting OpenBLAS thread in every worker
+    (see the ``solvers`` module). The caller gets its own count back when
+    the block ends, also when a worker raises; that restore starts the
+    caller's OpenBLAS pool again, once, after the workers have exited. The
+    initializer still pins a worker that ``spawn`` or ``forkserver``
+    started, which inherits no count.
     """
-    return ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_to_one_thread)
+    with blas_on_one_thread(), ProcessPoolExecutor(
+        max_workers=workers, initializer=pin_blas_to_one_thread
+    ) as pool:
+        yield pool
 
 
 def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:

@@ -65,12 +65,22 @@ chunks whose band buffers fit a fixed byte budget.
 Threads: :func:`solve_threads` alone decides how many threads a solve
 runs on. Only the oscillator solver asks ``_solve_many`` for more than one,
 as many as the smallest of numpy's BLAS thread count, the cores this
-process may run on and the models, so a pool worker, whose BLAS
-:func:`pin_blas_to_one_thread` pins to one thread, solves on one. Most of an
-oscillator step is numpy's sin, cos and tanh, which release the GIL; the
-p-bit and p-dit site steps hold it, and split over two threads they ran
-slower than on one. While a batch's chunks run on threads, numpy's OpenBLAS
-runs one thread.
+process may run on and the models, so a pool worker, whose BLAS runs one
+thread, solves on one. Most of an oscillator step is numpy's sin, cos and
+tanh, which release the GIL; the p-bit and p-dit site steps hold it, and
+split over two threads they ran slower than on one. While a batch's chunks
+run on threads, numpy's OpenBLAS runs one thread.
+
+A pool worker gets its one BLAS thread by the fork rule: fork it from a
+caller whose OpenBLAS already runs one thread (:func:`blas_on_one_thread`),
+so that the worker inherits the count and never sets it. OpenBLAS shuts its
+thread pool down across a fork, and setting the count in the forked child
+starts the pool again: a second native thread that busy-waits before it
+sleeps, for about 0.13 s of CPU on a 2-core x86-64 machine. So
+:func:`pin_blas_to_one_thread` and :func:`blas_on_one_thread` call the
+setter only when the count would change.
+A worker started by ``spawn`` or ``forkserver`` inherits no count, and
+:func:`pin_blas_to_one_thread`, the pool's initializer, sets it there.
 """
 
 from __future__ import annotations
@@ -95,6 +105,7 @@ __all__ = [
     "Paradigm",
     "PARADIGMS",
     "default_parameters",
+    "blas_on_one_thread",
     "oim_params",
     "pin_blas_to_one_thread",
     "require_ints",
@@ -363,7 +374,7 @@ def _solve_many(
 
     if threads == 1:
         return [outcome for chunk in chunks for outcome in solve(chunk)]
-    with _blas_on_one_thread(), ThreadPoolExecutor(threads) as pool:
+    with blas_on_one_thread(), ThreadPoolExecutor(threads) as pool:
         return [outcome for part in pool.map(solve, chunks) for outcome in part]
 
 
@@ -731,18 +742,33 @@ def solve_threads(paradigm: str, n_models: int) -> int:
 
 def pin_blas_to_one_thread() -> None:
     """Set numpy's BLAS to one thread in this process, if it is an OpenBLAS,
-    as a worker process that shares the cores with others should run it."""
-    _, set_threads = _openblas()
-    if set_threads is not None:
+    as a worker process that shares the cores with others should run it.
+
+    The setter is called only when the count is not already one: a worker
+    forked from a caller on one thread inherits the count, and setting it
+    again would start the thread pool that OpenBLAS shut down across the
+    fork. Where numpy's BLAS has a setter but no getter, it is called."""
+    get_threads, set_threads = _openblas()
+    if set_threads is not None and (get_threads is None or get_threads() != 1):
         set_threads(1)
 
 
 @contextmanager
-def _blas_on_one_thread():
+def blas_on_one_thread():
     """numpy's OpenBLAS on one thread while the block runs, then back at its
-    thread count; needs both symbols of :func:`_openblas`."""
+    thread count, also when the block raises; nothing where numpy's BLAS
+    exports no OpenBLAS getter or setter.
+
+    The setter is called only when the count changes: at one thread already
+    the block runs as it is, since each call of the setter may start the
+    thread pool that OpenBLAS shuts down across a fork. A process pool
+    forked inside the block starts workers on one thread that never set it.
+    """
     get_threads, set_threads = _openblas()
-    before = get_threads()
+    before = 1 if get_threads is None or set_threads is None else get_threads()
+    if before == 1:
+        yield
+        return
     set_threads(1)
     try:
         yield

@@ -3,8 +3,12 @@
 import json
 import logging
 import math
+import multiprocessing
+import os
 import re
+import time
 import tracemalloc
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +37,20 @@ def blas_threads():
     """Thread count of numpy's OpenBLAS in this process; None if it has no getter."""
     get_threads, _ = solvers._openblas()
     return get_threads and get_threads()
+
+
+def worker_threads():
+    """(pid, native threads, OpenBLAS thread count) of this process, read
+    after a BLAS product and a pause that keeps a pool worker busy while
+    another takes the next task."""
+    block = np.ones((256, 256))
+    block @ block
+    time.sleep(0.5)
+    return os.getpid(), len(os.listdir("/proc/self/task")), blas_threads()
+
+
+def failing_channel(plan, channel):
+    raise RuntimeError(f"channel {channel} failed")
 
 
 class TestPlanExperiment:
@@ -455,18 +473,52 @@ class TestWorkerPool:
         with harness._worker_pool(2) as pool:
             assert pool.submit(blas_threads).result(timeout=60) == 1
 
+    def test_forked_workers_run_one_native_thread(self):
+        # A worker forked from a caller on one BLAS thread inherits the
+        # count and never sets it, so OpenBLAS starts no thread in it.
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc to count a process's threads")
+        if blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread-count getter")
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers that are not forked set their BLAS count")
+        with harness._worker_pool(2) as pool:
+            seen = [f.result(timeout=60) for f in [pool.submit(worker_threads) for _ in range(2)]]
+        assert len({pid for pid, _, _ in seen}) == 2
+        assert [(tasks, count) for _, tasks, count in seen] == [(1, 1), (1, 1)]
+
     def test_workers_solve_on_one_thread(self):
         # An oscillator solve of eight models in a worker runs on one thread.
         with harness._worker_pool(2) as pool:
             assert pool.submit(solvers._oim_threads, 8).result(timeout=60) == 1
 
-    def test_caller_blas_threads_unchanged(self):
+    @pytest.mark.parametrize("one_thread", [False, True], ids=["default", "one-thread"])
+    def test_caller_blas_threads_unchanged(self, one_thread):
+        if blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread-count getter")
+        plan = plan_experiment(4, 4, [10.0], 896, seed=9, detectors=("mmse", "dpim"))
+        with solvers.blas_on_one_thread() if one_thread else nullcontext():
+            before = blas_threads()
+            run_ber_sweep(plan, threads=2)
+            assert blas_threads() == before
+
+    def test_caller_blas_threads_unchanged_when_a_worker_raises(self, monkeypatch):
         before = blas_threads()
         if before is None:
             pytest.skip("numpy's BLAS exports no thread-count getter")
-        plan = plan_experiment(4, 4, [10.0], 896, seed=9, detectors=("mmse", "dpim"))
-        run_ber_sweep(plan, threads=2)
+        monkeypatch.setattr(harness, "_channel_errors", failing_channel)
+        plan = plan_experiment(4, 4, [10.0], 896, seed=9, detectors=("mmse",))
+        with pytest.raises(RuntimeError, match="channel 0 failed"):
+            run_ber_sweep(plan, threads=2)
         assert blas_threads() == before
+
+    def test_pool_without_openblas_symbols_gives_the_serial_points(self, monkeypatch):
+        # Where numpy's BLAS exports neither symbol, the pool sets nothing
+        # and still gives the one-worker sweep's points.
+        plan = plan_experiment(4, 4, [10.0], 896, seed=9, detectors=("mmse", "dpim"))
+        serial = run_ber_sweep(plan, threads=1)
+        monkeypatch.setattr(solvers, "_openblas", lambda: (None, None))
+        assert run_ber_sweep(plan, threads=2) == serial
 
     def test_caller_blas_threads_unchanged_by_beta_sweep(self):
         # The oscillator solves split into threads and pin the BLAS to one
@@ -667,7 +719,7 @@ class TestBetaSweep:
             pytest.skip("numpy's BLAS exports no OpenBLAS thread-count setter")
         args = dict(n_instances=3, n_trials=5, n_iterations=20, ebn0_list=[6.0], seed=4)
         threaded = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
-        with solvers._blas_on_one_thread():
+        with solvers.blas_on_one_thread():
             assert harness.solve_threads("oim", 3) == 1
             one = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
         for name in ("beta_grid", "mean_final_energy", "stderr"):

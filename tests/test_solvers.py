@@ -93,7 +93,7 @@ def worker_blas():
     if solvers._oim_threads(2) == 1:
         yield
     else:
-        with solvers._blas_on_one_thread():
+        with solvers.blas_on_one_thread():
             yield
 
 
