@@ -236,15 +236,10 @@ def _sphere_decode(rows: list, diag: list, z: list, lev: list) -> list | None:
     return best
 
 
-def ml_exact(
-    factors: ChannelFactors,
-    y: np.ndarray,
-    c: Constellation,
-    max_search_space: float = ML_SEARCH_BUDGET,
-) -> DetectionResult:
+def ml_exact(factors: ChannelFactors, y: np.ndarray, c: Constellation) -> DetectionResult:
     """Exact minimizer of ||y - Hx||^2 over the constellation grid.
 
-    Refuses when order**n_tx exceeds ``max_search_space`` so scripted runs
+    Refuses when order**n_tx exceeds :data:`ML_SEARCH_BUDGET` so scripted runs
     cannot start an unbounded exponential search by accident. The real-valued
     channel is QR-factored (and rank-checked) once per order of ``c`` and
     per ``factors`` object: every call with the same ``factors`` and order
@@ -257,9 +252,9 @@ def ml_exact(
     y = _received(y)
     n = H.shape[1]
     space = float(c.order) ** n
-    if space > max_search_space:
+    if space > ML_SEARCH_BUDGET:
         raise SearchBudgetError(
-            f"search space {c.order}**{n} = {space:.3g} exceeds budget {max_search_space:.3g}"
+            f"search space {c.order}**{n} = {space:.3g} exceeds budget {ML_SEARCH_BUDGET:.3g}"
         )
     q_mat, rows, diag, levels = factors.ml(c)
     if q_mat is None:

@@ -144,10 +144,10 @@ def _check_writable(out_dir: str) -> Path:
     return out
 
 
-def _run_plan(plan, threads: int, out_dir: str, csv_name: str = "results.csv") -> None:
+def _run_plan(plan, threads: int, out_dir: str) -> None:
     out = _check_writable(out_dir)
     points = run_ber_sweep(plan, threads=threads)
-    csv_path, manifest_path = report(points, plan, out, csv_name)
+    csv_path, manifest_path = report(points, plan, out)
     print(format_summary(points))
     print(f"wrote {csv_path} and {manifest_path}")
 
@@ -222,8 +222,7 @@ def _cmd_fit_beta(args: argparse.Namespace) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> None:
     _require(args, "manifest", "out")
-    plan, csv_name = plan_from_manifest(args.manifest)
-    _run_plan(plan, args.threads, args.out, csv_name)
+    _run_plan(plan_from_manifest(args.manifest), args.threads, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

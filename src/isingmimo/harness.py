@@ -15,9 +15,6 @@ import csv
 import json
 import logging
 import math
-from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -57,13 +54,12 @@ from .ising_map import (
 from .solvers import (
     PARADIGMS,
     SolverConfig,
-    blas_on_one_thread,
     default_parameters,
-    pin_blas_to_one_thread,
     require_ints,
     require_peaks,
     solve_many,
     solve_threads,
+    worker_pool,
 )
 
 __all__ = [
@@ -340,36 +336,13 @@ def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
     return errors
 
 
-@contextmanager
-def _worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
-    """Processes that each run one BLAS thread, while the block runs.
-
-    The workers share the cores, so a BLAS that threads inside each of them
-    would oversubscribe the cores. For the same reason each worker also
-    solves on one thread: an oscillator solve splits its batch over no more
-    threads than numpy's BLAS runs.
-
-    The caller's BLAS runs one thread for the life of the pool, so a worker
-    forked from it inherits that count and never calls the setter, which
-    after a fork would start a busy-waiting OpenBLAS thread in every worker
-    (see the ``solvers`` module). The caller gets its own count back when
-    the block ends, also when a worker raises; that restore starts the
-    caller's OpenBLAS pool again, once, after the workers have exited. The
-    initializer still pins a worker that ``spawn`` or ``forkserver``
-    started, which inherits no count.
-    """
-    with blas_on_one_thread(), ProcessPoolExecutor(
-        max_workers=workers, initializer=pin_blas_to_one_thread
-    ) as pool:
-        yield pool
-
-
 def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
     """Run every (channel, message, point, detector) cell and aggregate BER.
 
-    ``threads`` is the number of worker processes, at most one per channel;
-    each worker runs one BLAS thread. With one, the sweep runs in this
-    process under the caller's BLAS setting. The result does not depend on it.
+    ``threads`` is the number of worker processes of
+    :func:`solvers.worker_pool`, at most one per channel, each on one BLAS
+    thread. With one, the sweep runs in this process under the caller's BLAS
+    setting. The result does not depend on it.
     An invalid plan fails in :func:`plan_experiment` before any work.
     """
     plan = plan_experiment(**{f.name: getattr(plan, f.name) for f in fields(ExperimentPlan)})
@@ -378,7 +351,7 @@ def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
         raise ValueError(f"threads must be at least 1; got {threads}")
     workers = min(threads, plan.n_channels)
     if workers > 1:
-        with _worker_pool(workers) as pool:
+        with worker_pool(workers) as pool:
             per_channel = list(
                 pool.map(_channel_errors, [plan] * plan.n_channels, range(plan.n_channels))
             )
@@ -619,26 +592,11 @@ def _csv_value(v) -> str:
     return str(v)
 
 
-def _require_csv_name(csv_name, source) -> None:
-    """A CSV name must be a plain file name, so the CSV is written inside the
-    output directory and does not overwrite the manifest."""
-    if (
-        not isinstance(csv_name, str)
-        or Path(csv_name).name != csv_name
-        or csv_name in ("", ".", "..", "manifest.json")
-    ):
-        raise ValueError(
-            f"{source}: csv must be a plain file name other than manifest.json; got {csv_name!r}"
-        )
-
-
-def report(points: list, plan: ExperimentPlan, out_dir, csv_name: str = "results.csv"):
-    """Write the results CSV and the reproduction manifest; return their paths.
-    A bad ``csv_name`` fails before any file is written."""
+def report(points: list, plan: ExperimentPlan, out_dir):
+    """Write ``results.csv`` and the reproduction manifest; return their paths."""
     out = Path(out_dir)
-    _require_csv_name(csv_name, out)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / csv_name
+    csv_path = out / "results.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -661,7 +619,7 @@ def report(points: list, plan: ExperimentPlan, out_dir, csv_name: str = "results
     manifest = {
         "format": "isingmimo-manifest v1",
         "version": __version__,
-        "csv": csv_name,
+        "csv": csv_path.name,
         "plan": asdict(plan),
     }
     manifest_path = out / "manifest.json"
@@ -669,9 +627,9 @@ def report(points: list, plan: ExperimentPlan, out_dir, csv_name: str = "results
     return csv_path, manifest_path
 
 
-def plan_from_manifest(path) -> tuple:
-    """Rebuild (plan, csv_name) from a manifest written by :func:`report`;
-    its CSV name is checked as :func:`report` checks one."""
+def plan_from_manifest(path) -> ExperimentPlan:
+    """Rebuild the plan from a manifest written by :func:`report`, which
+    names its CSV ``results.csv``."""
     manifest = json.loads(Path(path).read_text())
     if not isinstance(manifest, dict) or manifest.get("format") != "isingmimo-manifest v1":
         raise ValueError(f"{path}: not an isingmimo manifest")
@@ -685,10 +643,9 @@ def plan_from_manifest(path) -> tuple:
     unknown = [key for key in p if key not in keys]
     if unknown:
         raise ValueError(f"{path}: manifest plan has unknown keys {', '.join(unknown)}")
-    plan = plan_experiment(**{key: p[key] for key in keys})
-    csv_name = manifest.get("csv", "results.csv")
-    _require_csv_name(csv_name, path)
-    return plan, csv_name
+    if manifest.get("csv", "results.csv") != "results.csv":
+        raise ValueError(f"{path}: csv must be results.csv; got {manifest['csv']!r}")
+    return plan_experiment(**{key: p[key] for key in keys})
 
 
 def format_summary(points: list) -> str:

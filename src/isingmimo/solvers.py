@@ -71,16 +71,15 @@ tanh, which release the GIL; the p-bit and p-dit site steps hold it, and
 split over two threads they ran slower than on one. While a batch's chunks
 run on threads, numpy's OpenBLAS runs one thread.
 
-A pool worker gets its one BLAS thread by the fork rule: fork it from a
-caller whose OpenBLAS already runs one thread (:func:`blas_on_one_thread`),
-so that the worker inherits the count and never sets it. OpenBLAS shuts its
-thread pool down across a fork, and setting the count in the forked child
-starts the pool again: a second native thread that busy-waits before it
-sleeps, for about 0.13 s of CPU on a 2-core x86-64 machine. So
-:func:`pin_blas_to_one_thread` and :func:`blas_on_one_thread` call the
-setter only when the count would change.
-A worker started by ``spawn`` or ``forkserver`` inherits no count, and
-:func:`pin_blas_to_one_thread`, the pool's initializer, sets it there.
+The fork rule: a pool worker gets its one BLAS thread by being forked from a
+caller whose OpenBLAS already runs one thread, so that it inherits the count
+and never sets it. OpenBLAS shuts its thread pool down across a fork, and
+setting the count in the forked child starts the pool again: a second native
+thread that busy-waits before it sleeps, for about 0.13 s of CPU on a 2-core
+x86-64 machine. So this module alone sets numpy's BLAS thread count, and
+only when the count changes, and :func:`worker_pool` alone makes the worker
+processes. A worker started by ``spawn`` or ``forkserver`` inherits no
+count, and the pool's initializer sets it there.
 """
 
 from __future__ import annotations
@@ -88,8 +87,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterator
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -105,9 +104,7 @@ __all__ = [
     "Paradigm",
     "PARADIGMS",
     "default_parameters",
-    "blas_on_one_thread",
     "oim_params",
-    "pin_blas_to_one_thread",
     "require_ints",
     "require_peaks",
     "solve_many",
@@ -115,6 +112,7 @@ __all__ = [
     "bpim_solve_many",
     "dpim_solve_many",
     "oim_solve_many",
+    "worker_pool",
 ]
 
 DEFAULT_REPLICAS = 64
@@ -374,7 +372,7 @@ def _solve_many(
 
     if threads == 1:
         return [outcome for chunk in chunks for outcome in solve(chunk)]
-    with blas_on_one_thread(), ThreadPoolExecutor(threads) as pool:
+    with _blas_on_one_thread(), ThreadPoolExecutor(threads) as pool:
         return [outcome for part in pool.map(solve, chunks) for outcome in part]
 
 
@@ -700,9 +698,9 @@ _OPENBLAS_THREADS = (
 
 
 @functools.cache
-def _openblas() -> tuple:
+def _openblas() -> tuple | None:
     """The thread-count getter and setter of numpy's BLAS, if it is an
-    OpenBLAS, as (get, set); a symbol numpy's BLAS does not export is None.
+    OpenBLAS that exports both, as (get, set); None otherwise.
 
     ``dlsym`` on numpy's own extension searches that library's dependency
     tree, so this finds the BLAS numpy loaded whatever its file is called.
@@ -710,27 +708,26 @@ def _openblas() -> tuple:
     core = getattr(np, "_core", None) or np.core  # numpy 1.x names it core
     lib = ctypes.CDLL(core._multiarray_umath.__file__)
     for get_name, set_name in _OPENBLAS_THREADS:
+        get_threads = getattr(lib, get_name, None)
         set_threads = getattr(lib, set_name, None)
-        if set_threads is not None:
+        if get_threads is not None and set_threads is not None:
+            get_threads.argtypes = []
+            get_threads.restype = ctypes.c_int
             set_threads.argtypes = [ctypes.c_int]
             set_threads.restype = None
-            get_threads = getattr(lib, get_name, None)
-            if get_threads is not None:
-                get_threads.argtypes = []
-                get_threads.restype = ctypes.c_int
             return get_threads, set_threads
-    return None, None
+    return None
 
 
 def _oim_threads(n_models: int) -> int:
     """The number of threads an oscillator solve of ``n_models`` models runs
     on: at most numpy's BLAS thread count, the cores this process may run on
-    and the models; one where numpy's BLAS has no OpenBLAS getter or setter."""
-    get_threads, set_threads = _openblas()
-    if get_threads is None or set_threads is None:
+    and the models; one where numpy's BLAS is not an OpenBLAS."""
+    blas = _openblas()
+    if blas is None:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(get_threads(), cores or 1, n_models))
+    return max(1, min(blas[0](), cores or 1, n_models))
 
 
 def solve_threads(paradigm: str, n_models: int) -> int:
@@ -740,40 +737,41 @@ def solve_threads(paradigm: str, n_models: int) -> int:
     return _oim_threads(n_models) if _paradigm(paradigm).threaded else 1
 
 
-def pin_blas_to_one_thread() -> None:
-    """Set numpy's BLAS to one thread in this process, if it is an OpenBLAS,
-    as a worker process that shares the cores with others should run it.
-
-    The setter is called only when the count is not already one: a worker
-    forked from a caller on one thread inherits the count, and setting it
-    again would start the thread pool that OpenBLAS shut down across the
-    fork. Where numpy's BLAS has a setter but no getter, it is called."""
-    get_threads, set_threads = _openblas()
-    if set_threads is not None and (get_threads is None or get_threads() != 1):
-        set_threads(1)
+def _set_blas_threads(count: int) -> int:
+    """Set numpy's OpenBLAS to ``count`` threads in this process and return
+    the count it had; ``count`` itself, with nothing set, where numpy's BLAS
+    is not an OpenBLAS. The setter is called only when the count changes, as
+    the fork rule asks."""
+    blas = _openblas()
+    before = count if blas is None else blas[0]()
+    if before != count:
+        blas[1](count)
+    return before
 
 
 @contextmanager
-def blas_on_one_thread():
+def _blas_on_one_thread() -> Iterator[None]:
     """numpy's OpenBLAS on one thread while the block runs, then back at its
-    thread count, also when the block raises; nothing where numpy's BLAS
-    exports no OpenBLAS getter or setter.
-
-    The setter is called only when the count changes: at one thread already
-    the block runs as it is, since each call of the setter may start the
-    thread pool that OpenBLAS shuts down across a fork. A process pool
-    forked inside the block starts workers on one thread that never set it.
-    """
-    get_threads, set_threads = _openblas()
-    before = 1 if get_threads is None or set_threads is None else get_threads()
-    if before == 1:
-        yield
-        return
-    set_threads(1)
+    thread count, also when the block raises."""
+    before = _set_blas_threads(1)
     try:
         yield
     finally:
-        set_threads(before)
+        _set_blas_threads(before)
+
+
+@contextmanager
+def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """Processes that each run one BLAS thread, as workers that share the
+    cores should, while the block runs; an oscillator solve in a worker runs
+    on one thread. The caller's BLAS runs one thread for the life of the
+    pool, so a forked worker inherits that count (the fork rule); the
+    caller's count comes back when the block ends, also when a worker raises,
+    and that restore starts the caller's OpenBLAS pool again."""
+    with _blas_on_one_thread(), ProcessPoolExecutor(
+        max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
+    ) as pool:
+        yield pool
 
 
 def oim_solve_many(

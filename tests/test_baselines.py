@@ -302,7 +302,7 @@ class TestExactMl:
             assert best <= zf_detect(*args, qam4).residual_energy + 1e-9
             assert best <= mmse_detect(*args, inst.sigma_sq, qam4).residual_energy + 1e-9
 
-    def test_budget_guard(self, qam4):
+    def test_budget_guard(self, qam4, monkeypatch):
         H = generate_channel(40, 40, 0)
         y = np.zeros(40, dtype=complex)
         with pytest.raises(SearchBudgetError):
@@ -315,17 +315,20 @@ class TestExactMl:
         H = generate_channel(24, 24, 1)
         factors = ChannelFactors(H)
         np.testing.assert_array_equal(ml_exact(factors, H @ x, qam4).symbols, x)
+        monkeypatch.setattr(baselines, "ML_SEARCH_BUDGET", np.nextafter(budget, 0))
         with pytest.raises(SearchBudgetError):
-            ml_exact(factors, H @ x, qam4, max_search_space=np.nextafter(budget, 0))
+            ml_exact(factors, H @ x, qam4)
         with pytest.raises(SearchBudgetError):
             ml_exhaustive(H, y, qam4, max_candidates=2**10)
 
-    def test_budget_configurable(self, bpsk):
+    def test_budget_configurable(self, bpsk, monkeypatch):
         inst, _ = build_instance(bpsk, 8, 10.0, 3)
         factors = ChannelFactors(inst.channel)
+        monkeypatch.setattr(baselines, "ML_SEARCH_BUDGET", 2**7)
         with pytest.raises(SearchBudgetError):
-            ml_exact(factors, inst.rx_vector, bpsk, max_search_space=2**7)
-        res = ml_exact(factors, inst.rx_vector, bpsk, max_search_space=2**8)
+            ml_exact(factors, inst.rx_vector, bpsk)
+        monkeypatch.setattr(baselines, "ML_SEARCH_BUDGET", 2**8)
+        res = ml_exact(factors, inst.rx_vector, bpsk)
         assert res.method == "ml"
 
 

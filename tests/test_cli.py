@@ -232,10 +232,20 @@ class TestReportCommand:
 
     @pytest.mark.parametrize(
         "csv_name",
-        ["../escaped.csv", "{tmp}/escaped.csv", "sub/results.csv", "", ".", "..", "manifest.json"],
+        [
+            "../escaped.csv",
+            "{tmp}/escaped.csv",
+            "sub/results.csv",
+            "",
+            ".",
+            "..",
+            "manifest.json",
+            "other.csv",
+        ],
     )
     def test_csv_name_must_be_a_plain_file_name(self, csv_name, tmp_path, capsys):
-        # Anything else would write outside --out, or over the manifest.
+        # Only results.csv: some other names would write outside --out, or
+        # over the manifest.
         first = tmp_path / "first"
         assert (
             run_cli(

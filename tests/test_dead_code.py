@@ -1,5 +1,6 @@
-"""Every public name of the library is used by the library itself, and a
-library module imports from another only names that it exports."""
+"""Every public name of the library is used by the library itself, a
+library module imports from another only names that it exports, and only
+``solvers`` reaches numpy's BLAS threads or makes a pool."""
 
 import ast
 from pathlib import Path
@@ -78,6 +79,35 @@ def _private_imports(src: Path) -> list:
     return found
 
 
+# Modules that only the owner of the thread budget may import: ``ctypes``
+# reaches numpy's OpenBLAS thread count, and ``concurrent.futures`` makes the
+# thread and process pools that count must match.
+THREAD_BUDGET_MODULES = ("ctypes", "concurrent")
+THREAD_BUDGET_OWNER = "solvers.py"
+
+
+def _thread_budget_imports(src: Path) -> list:
+    """(module, imported module) for each import of a thread-budget module
+    by a library module other than its owner."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == THREAD_BUDGET_OWNER:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                (path.name, name)
+                for name in names
+                if name.split(".")[0] in THREAD_BUDGET_MODULES
+            ]
+    return found
+
+
 def _unexported_imports(src: Path) -> list:
     """(module, source, name) for each name, dunders aside, that a library
     module imports from a library module whose ``__all__`` lacks it."""
@@ -152,4 +182,23 @@ def test_an_unexported_import_is_found(tmp_path):
         ("a.py", "b", "kept"),
         ("a.py", "b", "late"),
         ("b.py", "a", "g"),
+    ]
+
+
+def test_only_solvers_imports_the_thread_budget_modules():
+    assert _thread_budget_imports(SRC) == []
+
+
+def test_a_thread_budget_import_is_found(tmp_path):
+    (tmp_path / "__init__.py").write_text("import concurrent\n")
+    (tmp_path / "a.py").write_text(
+        "import os, ctypes.util\nfrom .concurrent import x\n\n\n"
+        "def f():\n    from concurrent.futures import ProcessPoolExecutor\n\n"
+        "    return ProcessPoolExecutor\n"
+    )
+    (tmp_path / THREAD_BUDGET_OWNER).write_text("import ctypes\nfrom concurrent import futures\n")
+    assert _thread_budget_imports(tmp_path) == [
+        ("__init__.py", "concurrent"),
+        ("a.py", "ctypes.util"),
+        ("a.py", "concurrent.futures"),
     ]

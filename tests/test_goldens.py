@@ -131,7 +131,7 @@ def test_manifest_matches_golden_hash(name, tmp_path):
     plan = plan_experiment(**kwargs)
     _, path = report([], plan, tmp_path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MANIFEST_GOLDENS[name]
-    assert plan_from_manifest(path) == (plan, "results.csv")
+    assert plan_from_manifest(path) == plan
 
 
 def test_pool_run_matches_golden_hash(tmp_path):

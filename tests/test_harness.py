@@ -35,8 +35,8 @@ from isingmimo.baselines import ML_SEARCH_BUDGET
 
 def blas_threads():
     """Thread count of numpy's OpenBLAS in this process; None if it has no getter."""
-    get_threads, _ = solvers._openblas()
-    return get_threads and get_threads()
+    blas = solvers._openblas()
+    return blas and blas[0]()
 
 
 def worker_threads():
@@ -470,7 +470,7 @@ class TestWorkerPool:
     def test_workers_run_one_blas_thread(self):
         if blas_threads() is None:
             pytest.skip("numpy's BLAS exports no thread-count getter")
-        with harness._worker_pool(2) as pool:
+        with solvers.worker_pool(2) as pool:
             assert pool.submit(blas_threads).result(timeout=60) == 1
 
     def test_forked_workers_run_one_native_thread(self):
@@ -482,22 +482,48 @@ class TestWorkerPool:
             pytest.skip("numpy's BLAS exports no thread-count getter")
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("workers that are not forked set their BLAS count")
-        with harness._worker_pool(2) as pool:
+        with solvers.worker_pool(2) as pool:
             seen = [f.result(timeout=60) for f in [pool.submit(worker_threads) for _ in range(2)]]
         assert len({pid for pid, _, _ in seen}) == 2
         assert [(tasks, count) for _, tasks, count in seen] == [(1, 1), (1, 1)]
 
     def test_workers_solve_on_one_thread(self):
         # An oscillator solve of eight models in a worker runs on one thread.
-        with harness._worker_pool(2) as pool:
+        with solvers.worker_pool(2) as pool:
             assert pool.submit(solvers._oim_threads, 8).result(timeout=60) == 1
+
+    def test_spawned_workers_solve_on_one_thread(self, monkeypatch):
+        # A worker started by spawn or forkserver (the Linux default from
+        # Python 3.14) inherits no BLAS count: only the pool's initializer
+        # puts it on one thread.
+        if blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread-count getter")
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("on one core an oscillator solve runs on one thread anyway")
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
+        with solvers.worker_pool(2) as pool:
+            assert pool.submit(solvers._oim_threads, 8).result(timeout=60) == 1
+
+    @pytest.mark.parametrize("one_thread", [False, True], ids=["default", "one-thread"])
+    def test_pool_sets_the_caller_count_only_when_it_changes(self, one_thread, blas_setter_calls):
+        # The caller goes to one thread and back; a forked worker sets nothing
+        # in the caller, and a caller on one thread already sets nothing.
+        count = blas_threads()
+        if count == 1 and not one_thread:
+            pytest.skip("the caller's BLAS already runs one thread")
+        plan = plan_experiment(4, 4, [10.0], 896, seed=9, detectors=("mmse", "dpim"))
+        with solvers._blas_on_one_thread() if one_thread else nullcontext():
+            blas_setter_calls.clear()
+            run_ber_sweep(plan, threads=2)
+            assert blas_setter_calls == ([] if one_thread else [1, count])
 
     @pytest.mark.parametrize("one_thread", [False, True], ids=["default", "one-thread"])
     def test_caller_blas_threads_unchanged(self, one_thread):
         if blas_threads() is None:
             pytest.skip("numpy's BLAS exports no thread-count getter")
         plan = plan_experiment(4, 4, [10.0], 896, seed=9, detectors=("mmse", "dpim"))
-        with solvers.blas_on_one_thread() if one_thread else nullcontext():
+        with solvers._blas_on_one_thread() if one_thread else nullcontext():
             before = blas_threads()
             run_ber_sweep(plan, threads=2)
             assert blas_threads() == before
@@ -517,7 +543,7 @@ class TestWorkerPool:
         # and still gives the one-worker sweep's points.
         plan = plan_experiment(4, 4, [10.0], 896, seed=9, detectors=("mmse", "dpim"))
         serial = run_ber_sweep(plan, threads=1)
-        monkeypatch.setattr(solvers, "_openblas", lambda: (None, None))
+        monkeypatch.setattr(solvers, "_openblas", lambda: None)
         assert run_ber_sweep(plan, threads=2) == serial
 
     def test_caller_blas_threads_unchanged_by_beta_sweep(self):
@@ -714,12 +740,11 @@ class TestBetaSweep:
         # The threads a sweep runs on set how many instances share a solver
         # call, never the result: an odd pool on the solver's own threads
         # against one call per instance with numpy's BLAS on one thread.
-        get_threads, set_threads = solvers._openblas()
-        if get_threads is None or set_threads is None:
+        if solvers._openblas() is None:
             pytest.skip("numpy's BLAS exports no OpenBLAS thread-count setter")
         args = dict(n_instances=3, n_trials=5, n_iterations=20, ebn0_list=[6.0], seed=4)
         threaded = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
-        with solvers.blas_on_one_thread():
+        with solvers._blas_on_one_thread():
             assert harness.solve_threads("oim", 3) == 1
             one = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
         for name in ("beta_grid", "mean_final_energy", "stderr"):
@@ -823,21 +848,23 @@ class TestReport:
         lines = csv_path.read_text().splitlines()
         assert lines[0].startswith("detector,n,order,")
         assert len(lines) == 1 + len(points)
-        plan2, csv_name = harness.plan_from_manifest(manifest_path)
-        assert plan2 == plan
-        assert csv_name == "results.csv"
+        assert csv_path.name == "results.csv"
+        assert harness.plan_from_manifest(manifest_path) == plan
 
     @pytest.mark.parametrize(
         "csv_name", ["manifest.json", "../escape.csv", "sub/results.csv", "", ".", ".."]
     )
     def test_csv_name_checked_before_any_file_is_written(self, csv_name, tmp_path):
-        # The manifest overwrote a CSV named manifest.json, and ../escape.csv
+        # A hand-edited manifest is the only source of another CSV name; a
+        # CSV named manifest.json overwrote the manifest, and ../escape.csv
         # was written outside the output directory.
         plan = plan_experiment(4, 4, [8.0], 448, seed=11, detectors=("mmse",))
-        out = tmp_path / "out"
-        with pytest.raises(ValueError, match="csv must be a plain file name"):
-            report([], plan, out, csv_name)
-        assert list(tmp_path.rglob("*")) == []
+        _, manifest_path = report([], plan, tmp_path)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["csv"] = csv_name
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="csv must be results.csv"):
+            harness.plan_from_manifest(manifest_path)
 
     def test_empty_results_header_only(self, tmp_path):
         plan = plan_experiment(4, 4, [8.0], 448, seed=11, detectors=("mmse",))
@@ -866,7 +893,7 @@ class TestReport:
         plan = plan_experiment(4, 4, [9.0], 896, seed=12, detectors=("mmse", "dpim"))
         points = run_ber_sweep(plan)
         csv_path, manifest_path = report(points, plan, tmp_path / "a")
-        plan2, _ = harness.plan_from_manifest(manifest_path)
+        plan2 = harness.plan_from_manifest(manifest_path)
         points2 = run_ber_sweep(plan2, threads=2)
         csv_path2, _ = report(points2, plan2, tmp_path / "b")
         assert csv_path.read_bytes() == csv_path2.read_bytes()

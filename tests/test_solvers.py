@@ -93,7 +93,7 @@ def worker_blas():
     if solvers._oim_threads(2) == 1:
         yield
     else:
-        with solvers.blas_on_one_thread():
+        with solvers._blas_on_one_thread():
             yield
 
 
@@ -107,10 +107,10 @@ def one_solver_thread():
 
 def blas_threads():
     """numpy's OpenBLAS thread count; skips the test where it has no getter."""
-    get_threads, _ = solvers._openblas()
-    if get_threads is None:
+    blas = solvers._openblas()
+    if blas is None:
         pytest.skip("numpy's BLAS exports no thread-count getter")
-    return get_threads()
+    return blas[0]()
 
 
 def spin_model(j, h):
@@ -1046,6 +1046,16 @@ class TestOscillatorThreads:
         with worker_blas():
             assert solvers._oim_threads(10) == 1
         assert blas_threads() == threads
+
+    def test_threads_set_the_count_only_when_it_changes(self, blas_setter_calls, monkeypatch):
+        # One thread and back around the thread groups, at the caller's count.
+        count = blas_threads()
+        if count == 1:
+            pytest.skip("the caller's BLAS already runs one thread")
+        monkeypatch.setattr(solvers, "_oim_threads", lambda n_models: min(2, n_models))
+        models = channel_models("binary", 2, 4, 2, 17, ebn0_db=6.0)
+        oim_solve_many(models, SolverConfig(2, AnnealSchedule(10.0, 5)), [4, 9])
+        assert blas_setter_calls == [1, count]
 
     @pytest.mark.parametrize("band_rows", [None, 7])
     def test_threaded_matches_one_thread(self, band_rows, monkeypatch):
