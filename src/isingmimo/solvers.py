@@ -23,11 +23,12 @@ coupling matrix of a MIMO instance depends only on the channel, so
 consecutive models of one channel share their kernel calls, with per-row
 bias vectors, and a batch's kernel calls are cut where the couplings
 change. ``_solve_many`` alone splits a batch: one contiguous group of
-models per thread, cut into chunks where the couplings change and where a
-chunk would hold more than ``_MAX_STATE`` state entries. Each solver has one
-batched entry point, ``*_solve_many``, with the signature ``(models, cfg,
-seeds, peaks=None)``. :data:`PARADIGMS` holds one :class:`Paradigm` record
-per solver, and :func:`solve_many` dispatches on its name.
+models per thread, cut into chunks where the couplings or the levels change
+and where a chunk would hold more than ``_MAX_STATE`` state entries. Each
+solver has one batched entry point, ``*_solve_many``, with the signature
+``(models, cfg, seeds, peaks=None)``. :data:`PARADIGMS` holds one
+:class:`Paradigm` record per solver, and :func:`solve_many` dispatches on
+its name.
 
 Each solver fixes its own ramp direction and constants: the p-bit and p-dit
 sweeps raise the inverse temperature to the schedule's peak, and the
@@ -47,14 +48,20 @@ as the sweep starts, so a kernel call holds a few (sites, rows) arrays and
 nothing that grows with the number of iterations; a kernel takes one block
 per schedule step and raises ``ValueError`` on a source that runs short or
 long. A site step reads and writes contiguous per-site rows: the p-bit and
-p-dit kernels take a site's local field as one product of the contiguous
-row J[i] (J is symmetric) with the state, and read the site's bias and noise
-as contiguous rows. No kernel writes its inputs.
+p-dit kernels take a site's local fields as one product of its contiguous
+rows of J (J is symmetric) with the state, and read the site's bias and
+noise as contiguous rows. No kernel writes its inputs.
 
-The p-dit kernel draws a site's Re and Im axes together, each from its own
-softmax over the sqrt(M) PAM levels. This is the site's exact conditional
-because the one coupling that could join its axes, J[i, n + i] (J12's
-diagonal), is 0 by construction.
+A p-dit site's Re and Im axes are drawn together, each from its own
+conditional over the sqrt(M) PAM levels. This is the site's exact
+conditional because the one coupling that could join its axes,
+J[i, n + i] (J12's diagonal), is 0 by construction. A two-level axis
+(4-QAM) is a p-bit: the heat-bath draw over -1 and +1 is the p-bit rule
+U + tanh(beta g) >= 0, g the axis's field without its own coupling, so
+``dpim`` sweeps two-level models with the p-bit kernel and keeps the softmax
+kernel for four or more levels. Both kernels read one uniform per axis and
+sweep, and at two levels they pick the same level except where that uniform
+lies within rounding of its threshold.
 
 The oscillator drift visits each unordered site pair once: the pairs form
 the circulant bands (i, i+d mod n), d = 1..n//2, and each pair's odd
@@ -303,9 +310,12 @@ def _solve_many(
     """The annealing loop of every batched solver, and the one place that
     splits a batch: into ``threads`` equal contiguous groups of models, each
     cut from its start into chunks, one kernel call each, where the
-    couplings change and where a chunk reaches as many models as fit in
-    ``_MAX_STATE`` state entries. Two models share couplings when their
-    ``j_matrix`` is one object or equal arrays. One thread solves the chunks
+    couplings or the levels change and where a chunk reaches as many models
+    as fit in ``_MAX_STATE`` state entries. Two models share a kernel call
+    when their ``j_matrix`` is one object or equal arrays and their
+    ``pam_levels`` are equal: a p-dit J does not depend on the QAM order, and
+    a chunk is drawn and swept on its first model's levels, by a kernel
+    chosen for them. One thread solves the chunks
     in order; more solve them on a pool while numpy's OpenBLAS runs one
     thread, so k threads run k BLAS threads. Outcomes are joined in model
     order.
@@ -334,7 +344,7 @@ def _solve_many(
         lo = start
         for hi in range(start + 1, end + 1):
             per_call = max(1, _MAX_STATE // (models[lo].h_vector.size * cfg.replicas))
-            if hi == end or hi - lo == per_call or not _share_couplings(models[lo], models[hi]):
+            if hi == end or hi - lo == per_call or not _share_call(models[lo], models[hi]):
                 chunks.append((lo, hi))
                 lo = hi
 
@@ -376,10 +386,12 @@ def _solve_many(
         return [outcome for part in pool.map(solve, chunks) for outcome in part]
 
 
-def _share_couplings(a, b) -> bool:
-    """Whether models ``a`` and ``b`` have one coupling matrix: one object,
-    or equal arrays."""
-    return a.j_matrix is b.j_matrix or np.array_equal(a.j_matrix, b.j_matrix)
+def _share_call(a, b) -> bool:
+    """Whether models ``a`` and ``b`` can share a kernel call: equal levels,
+    and one coupling matrix, one object or equal arrays."""
+    return np.array_equal(a.pam_levels, b.pam_levels) and (
+        a.j_matrix is b.j_matrix or np.array_equal(a.j_matrix, b.j_matrix)
+    )
 
 
 def _level_draws(model, seeds, cfg: SolverConfig):
@@ -394,38 +406,56 @@ def _level_draws(model, seeds, cfg: SolverConfig):
 
 
 # ---------------------------------------------------------------------------
-# binary-spin probabilistic sweeps
+# p-bit sweeps: binary spins and two-level p-dits
 
 
-def _bpim_sweeps(j: np.ndarray, h: np.ndarray, betas, s0, u):
-    """Sequential p-bit sweeps from the spins ``s0`` with the bias ``h``, both
-    (n, rows), one per beta, each row's inverse temperature (rows,), with its
-    (n, rows) block of the uniforms ``u``; yields the spins after each.
+def _pbit_sweeps(model: IsingModel, h: np.ndarray, betas, s0, u):
+    """Sequential p-bit sweeps of ``model``'s sites from the state ``s0``
+    with the bias ``h``, both (sites x axes, rows), one per beta, each row's
+    inverse temperature (rows,), with its block of the uniforms ``u``; yields
+    the state after each.
 
-    Spins, bias and each sweep's uniforms live sites-major, (n, rows), so a
-    site step is one product of the contiguous row J[i] (J is symmetric) with
-    the spins, and writes one contiguous row. Each sweep's uniforms are
-    turned into U = 2u - 1 once. A site takes +1 where
-    U + tanh(beta * field) >= 0 and -1 elsewhere: U is never -0.0, so
-    neither is that sum, and ``copysign`` gives exactly this sign. The
-    yielded array is the live C-contiguous (n, rows) state: the next sweep
-    rewrites it, and the caller only reads it.
+    A site is one spin of a binary model, or the Re and Im axes of one p-dit
+    of a two-level p-dit model (4-QAM, levels -1 and +1), which the p-bit
+    rule draws together: the one coupling that could join them, J[i, n + i],
+    is 0 by construction. An axis takes +1 where U + tanh(beta * g) >= 0 and
+    -1 elsewhere, with U = 2u - 1 and g its field without its own coupling:
+    the heat-bath draw over two levels. U is never -0.0, so neither is that
+    sum, and ``copysign`` gives exactly this sign.
+
+    State, bias and each sweep's uniforms live sites-major, so site i's axes
+    are the contiguous rows i (and n + i), and both their fields are one
+    product of J's matching rows, (axes, width), with the state. A binary
+    J's diagonal is 0, so its rows are a view of J; a p-dit J keeps its
+    diagonal, so its site rows are one copy with J[i, i] and J[n + i, n + i]
+    set to 0. Each sweep's uniforms are turned into U once. The yielded
+    array is the live C-contiguous state: the next sweep rewrites it, and
+    the caller only reads it.
     """
-    n, rows = s0.shape
+    sites, rows = model.n, s0.shape[1]
+    n_axes = s0.shape[0] // sites
+    site_rows = model.j_matrix.reshape(n_axes, sites, -1).swapaxes(0, 1)
+    if n_axes > 1:
+        site_rows = site_rows.copy()
+        own = np.arange(sites)
+        for axis in range(n_axes):
+            site_rows[own, axis, axis * sites + own] = 0.0
     s = s0.copy()
-    v = np.empty((n, rows))
-    field = np.empty(rows)
+    v = np.empty(s.shape)
+    # Site i's axes, bias and U are the (axes, rows) basic-index views [:, i].
+    axes, h_axes, v_axes = (x.reshape(n_axes, sites, rows) for x in (s, h, v))
+    field = np.empty((n_axes, rows))
     for beta, u_k in zip(betas, u, strict=True):
         # rng.uniform(-1, 1) is -1 + 2u, bit for bit.
         np.multiply(u_k, 2.0, out=v)
         v -= 1.0
-        for i in range(n):
-            np.matmul(j[i], s, out=field)
-            field += h[i]
+        for i in range(sites):
+            np.matmul(site_rows[i], s, out=field)
+            field += h_axes[:, i]
             field *= beta
             np.tanh(field, out=field)
-            field += v[i]
-            np.copysign(1.0, field, out=s[i])
+            field += v_axes[:, i]
+            np.copysign(1.0, field, out=axes[:, i])
         yield s
 
 
@@ -434,11 +464,7 @@ def bpim_solve_many(
 ) -> list[SolveOutcome]:
     """Best-of-R p-bit annealing of models, one kernel call per run of
     models that share one coupling matrix."""
-
-    def kernel(model, h, betas, s0, u):
-        return _bpim_sweeps(model.j_matrix, h, betas, s0, u)
-
-    return _solve_many(kernel, _level_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
+    return _solve_many(_pbit_sweeps, _level_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +476,11 @@ def _dpim_sweeps(model: IsingModel, h: np.ndarray, betas, d0, u):
     bias ``h`` (2n, rows), one per beta, each row's inverse temperature
     (rows,), with its (2n, rows) block of the uniforms ``u``; each site
     redraws its two axes, each from the softmax of its own move costs over
-    the PAM levels (exact as J[i, n + i] = 0).
+    the PAM levels (exact as J[i, n + i] = 0). A ``dpim`` solve runs it on
+    models of four or more levels (16-QAM and up); two-level axes are p-bits
+    and sweep with :func:`_pbit_sweeps`, which draws the same level from the
+    same uniform except where the uniform lies within rounding of its
+    threshold, so this kernel serves as its reference at two levels.
 
     A state column is [Re x; Im x], the layout of ``h`` and of the model's
     ``j_matrix``. State, bias and each sweep's uniforms live sites-major,
@@ -517,12 +547,20 @@ def dpim_solve_many(
     models: list[IsingModel], cfg: SolverConfig, seeds, peaks=None
 ) -> list[SolveOutcome]:
     """Best-of-R p-dit annealing of symbol-native models, one kernel call per
-    run of models that share one coupling matrix.
+    run of models that share one coupling matrix and one level set.
 
     Candidate values are each model's own PAM levels; best states are the
-    (2N,) axis values [Re x; Im x].
+    (2N,) axis values [Re x; Im x]. Each kernel call is :func:`_dpim_kernel`.
     """
-    return _solve_many(_dpim_sweeps, _level_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
+    return _solve_many(_dpim_kernel, _level_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
+
+
+def _dpim_kernel(model: IsingModel, h: np.ndarray, betas, d0, u):
+    """The p-dit sweeps of one kernel call: :func:`_pbit_sweeps` where the
+    model's levels are the spin levels -1 and +1, as every 4-QAM axis is,
+    and the softmax :func:`_dpim_sweeps` on four or more levels."""
+    two_level = np.array_equal(model.pam_levels, (-1.0, 1.0))
+    return (_pbit_sweeps if two_level else _dpim_sweeps)(model, h, betas, d0, u)
 
 
 # ---------------------------------------------------------------------------

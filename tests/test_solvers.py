@@ -25,15 +25,16 @@ from isingmimo import (
     realify,
 )
 from isingmimo import solvers
-from isingmimo.ising_map import ising_energies
+from isingmimo.ising_map import ising_energies, pdit_couplings
 from isingmimo.solvers import (
     _OIM_DT,
     PARADIGMS,
-    _bpim_sweeps,
+    _dpim_kernel,
     _dpim_sweeps,
     _oim_drift,
     _OimBands,
     _oim_sweeps,
+    _pbit_sweeps,
     bpim_solve_many,
     dpim_solve_many,
     oim_params,
@@ -73,16 +74,17 @@ def sample_spin_chain(model, beta, n_sweeps, seed, n_chains=1):
     """Post-sweep states of p-bit chains at fixed beta: (chains, sweeps, n) of +-1."""
     h = np.broadcast_to(model.h_vector[:, None], (model.n, n_chains))
     draws = predrawn("bpim", model, n_sweeps, seed, n_chains)
-    sweeps = _bpim_sweeps(model.j_matrix, h, np.full(n_sweeps, beta), *draws)
+    sweeps = _pbit_sweeps(model, h, np.full(n_sweeps, beta), *draws)
     return np.stack([s.T.astype(np.int8) for s in sweeps], axis=1)
 
 
 def sample_pdit_chain(model, beta, n_sweeps, seed, n_chains=1):
     """Post-sweep states of p-dit chains at fixed beta: (chains, sweeps, 2N)
-    levels, [Re x; Im x] in each state."""
+    levels, [Re x; Im x] in each state, from the kernel a ``dpim`` solve
+    picks for the model's levels."""
     h = np.broadcast_to(model.h_vector[:, None], (2 * model.n, n_chains))
     draws = predrawn("dpim", model, n_sweeps, seed, n_chains)
-    sweeps = _dpim_sweeps(model, h, np.full(n_sweeps, beta), *draws)
+    sweeps = _dpim_kernel(model, h, np.full(n_sweeps, beta), *draws)
     return np.stack([d.T.astype(np.int8) for d in sweeps], axis=1)
 
 
@@ -116,6 +118,14 @@ def blas_threads():
 def spin_model(j, h):
     """A binary model with couplings ``j``, biases ``h`` and no offset."""
     return IsingModel(j, h, np.array([-1.0, 1.0]), 0.0, h.size)
+
+
+def kernel_name(paradigm, order):
+    """The kernel a solve of ``paradigm`` at ``order`` runs: ``dpim`` sweeps
+    4-QAM with the p-bit kernel and larger orders with the softmax one."""
+    if paradigm == "oim":
+        return "_oim_sweeps"
+    return "_dpim_sweeps" if paradigm == "dpim" and order > 4 else "_pbit_sweeps"
 
 
 def ferromagnet(coupling=1.0):
@@ -335,15 +345,34 @@ class TestPditKernel:
     @pytest.mark.parametrize("order", [4, 16, 64, 256])
     def test_greedy_trajectory_matches_joint_grid(self, order, n):
         # At beta = 1e6 every draw is the argmax of the site's conditional,
-        # so the per-axis kernel and the joint-grid reference must take the
-        # same states after every sweep, whatever their uniforms.
+        # so the per-axis kernel a solve picks (the p-bit kernel at 4-QAM)
+        # and the joint-grid reference must take the same states after
+        # every sweep, whatever their uniforms.
         (model,) = channel_models("pdit", order, n, 1, 60 + n, ebn0_db=10.0)
         h = np.repeat(model.h_vector[:, None], 6, axis=1)
         betas = np.full(5, 1e6)
         draws = predrawn("dpim", model, 5, 9, 6)
-        per_axis = _dpim_sweeps(model, h, betas, *draws)
+        per_axis = _dpim_kernel(model, h, betas, *draws)
         joint = joint_grid_sweeps(model, h.T, betas, *draws)
         assert_same_states(per_axis, joint)
+
+    @pytest.mark.parametrize("peak_scale", [0.1, 1.0, 100.0])
+    @pytest.mark.parametrize("ebn0_db", [0.0, 12.0, np.inf])
+    @pytest.mark.parametrize("n", [2, 8, 16, 32])
+    def test_two_level_pbit_sweeps_match_softmax(self, n, ebn0_db, peak_scale):
+        # A two-level axis is a p-bit: on the same draws, the p-bit kernel
+        # and the softmax kernel, its reference at two levels, take the same
+        # states after every sweep. They could differ only where a uniform
+        # lies within rounding of its threshold.
+        models = channel_models("pdit", 4, n, 2, 50 + n, ebn0_db=ebn0_db)
+        h, rows = kernel_rows(models, "batch")
+        sched = default_parameters("dpim", n, 4).schedule
+        betas = peak_scale * sched.peak * sched.ramp()
+        draws = predrawn("dpim", models[0], betas.size, n, rows)
+        pbit = _pbit_sweeps(models[0], h, betas, *draws)
+        softmax = _dpim_sweeps(models[0], h, betas, *draws)
+        for p, d in itertools.zip_longest(pbit, softmax):
+            np.testing.assert_array_equal(p, d)
 
     def test_energy_bookkeeping(self):
         (model,) = channel_models("pdit", 16, 6, 1, 77, ebn0_db=10.0)
@@ -447,16 +476,30 @@ def kernel_rows(models, layout, replicas=4):
     return np.repeat(stacked, replicas, axis=1), len(models) * replicas
 
 
-def ramped_kernel(paradigm, model, h, ramp):
-    """The paradigm's kernel on ``model`` with the bias ``h`` and a schedule
+def ramped_kernel(name, model, h, ramp):
+    """The named kernel on ``model`` with the bias ``h`` and a schedule
     from ``ramp``, as a function of its draws (x0, noise)."""
-    args = {
-        "bpim": (model.j_matrix, h, ramp),
-        "dpim": (model, h, ramp),
-        "oim": (model.j_matrix, h, 30.0 * ramp[::-1], oim_params(model.n)),
-    }[paradigm]
-    kernel = getattr(solvers, f"_{paradigm}_sweeps")
+    if name == "_oim_sweeps":
+        args = (model.j_matrix, h, 30.0 * ramp[::-1], oim_params(model.n))
+    else:
+        args = (model, h, ramp)
+    kernel = getattr(solvers, name)
     return lambda x0, noise: kernel(*args, x0, noise)
+
+
+# Each solver's kernel on a 4-QAM model of its own kind, and the p-bit
+# kernel on a 4-QAM p-dit model ("pbit-pdit"). dpim runs the p-bit kernel
+# there; the softmax kernel stays callable at two levels as its reference.
+KERNEL_CASES = pytest.mark.parametrize(
+    "paradigm, name",
+    [
+        ("bpim", "_pbit_sweeps"),
+        ("dpim", "_dpim_sweeps"),
+        ("oim", "_oim_sweeps"),
+        ("dpim", "_pbit_sweeps"),
+    ],
+    ids=["bpim", "dpim", "oim", "pbit-pdit"],
+)
 
 
 class TestSitesMajorKernels:
@@ -474,7 +517,7 @@ class TestSitesMajorKernels:
         betas = (0.05 if hot else 1.0) * sched.peak * sched.ramp()[:30]
         j = models[0].j_matrix
         draws = predrawn("bpim", models[0], len(betas), 5, rows)
-        sites = _bpim_sweeps(j, h, betas, *draws)
+        sites = _pbit_sweeps(models[0], h, betas, *draws)
         assert_same_states(sites, rowmajor_bpim_sweeps(j, h.T, betas, *draws))
 
     @pytest.mark.parametrize("layout", ["one", "broadcast", "batch"])
@@ -505,28 +548,34 @@ class TestSitesMajorKernels:
             # The reference's (rows, sites) states, from the solve's noise
             # stacked into one array, handed over C-contiguous and
             # sites-major, as the kernels yield theirs.
+            first = first.j_matrix if paradigm == "bpim" else first
             for s in reference(first, h.T, betas, x0, stacked(noise)):
                 yield np.ascontiguousarray(s.T)
 
-        monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", sites_major)
+        monkeypatch.setattr(solvers, kernel_name(paradigm, order), sites_major)
         assert_same_outcomes(sites, solvers.solve_many(paradigm, models, cfg, [11, 12, 13]))
 
-    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
-    def test_kernels_leave_inputs_unwritten(self, paradigm):
+    @KERNEL_CASES
+    def test_kernels_leave_inputs_unwritten(self, paradigm, name):
         # A kernel and its reference share their arrays, so neither may write
-        # them: predrawn's arrays are read-only, and a rerun must repeat.
+        # them: predrawn's arrays and the couplings are read-only, and a
+        # rerun must repeat. The p-bit kernel zeroes a p-dit's own couplings
+        # in a copy, never in the model's J.
         (model,) = channel_models(PARADIGMS[paradigm].model, 4, 3, 1, 8)
+        j = model.j_matrix.copy()
+        model.j_matrix.flags.writeable = False
         h = np.repeat(model.h_vector[:, None], 3, axis=1)
         ramp = np.linspace(0.1, 1.0, 10)
         x0, noise = predrawn(paradigm, model, ramp.size, 4, 3)
         assert not (x0.flags.writeable or noise.flags.writeable)
-        kernel = ramped_kernel(paradigm, model, h, ramp)
+        kernel = ramped_kernel(name, model, h, ramp)
         first, again = ([s.copy() for s in kernel(x0, noise)] for _ in range(2))
         np.testing.assert_array_equal(first, again)
+        np.testing.assert_array_equal(model.j_matrix, j)
 
     @pytest.mark.parametrize("extra", [-1, 1])
-    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
-    def test_noise_must_last_the_schedule(self, paradigm, extra):
+    @KERNEL_CASES
+    def test_noise_must_last_the_schedule(self, paradigm, name, extra):
         # A kernel sweeps once per schedule step, one noise block each: a
         # source one block short, or one block long, fails loudly instead of
         # running fewer sweeps.
@@ -535,7 +584,7 @@ class TestSitesMajorKernels:
         ramp = np.linspace(0.1, 1.0, 6)
         x0, noise = predrawn(paradigm, model, ramp.size + extra, 4, 3)
         with pytest.raises(ValueError, match="zip"):
-            for _ in ramped_kernel(paradigm, model, h, ramp)(x0, noise):
+            for _ in ramped_kernel(name, model, h, ramp)(x0, noise):
                 pass
 
 
@@ -705,7 +754,7 @@ def sweep_energies(model, betas, s0, u):
     """States and energies after every sweep of a one-row p-bit run."""
     h = model.h_vector[:, None]
     states, energies = [], []
-    for s in _bpim_sweeps(model.j_matrix, h, betas, s0, u):
+    for s in _pbit_sweeps(model, h, betas, s0, u):
         states.append(s[:, 0].copy())
         energies.append(ising_energies(s, model.j_matrix, h)[0])
     return np.array(states), np.array(energies)
@@ -783,14 +832,20 @@ class TestReplication:
 
     @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("replicas", [1, 3])
-    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    @pytest.mark.parametrize(
+        "paradigm, order",
+        [("bpim", 4), ("dpim", 16), ("oim", 2), ("dpim", 4)],
+        ids=["bpim", "dpim", "oim", "dpim-qam4"],
+    )
     @pytest.mark.usefixtures("one_solver_thread")
-    def test_per_model_peaks_match_one_peak_solves(self, paradigm, replicas, chunked, monkeypatch):
+    def test_per_model_peaks_match_one_peak_solves(
+        self, paradigm, order, replicas, chunked, monkeypatch
+    ):
         # One call with a peak per model, as the annealing-peak sweep makes
         # it, against one call per model with that peak in its config: each
         # row's schedule must be the one-peak floats, in whatever chunk its
         # model falls, and a lone replica must score as a column of a batch.
-        order = 2 if paradigm == "oim" else 4
+        # dpim runs its softmax kernel at 16-QAM and the p-bit one at 4-QAM.
         first, second = channel_models(PARADIGMS[paradigm].model, order, 4, 2, 17, ebn0_db=6.0)
         # One instance at several peaks beside another instance.
         models = [first, second, first, first]
@@ -801,29 +856,35 @@ class TestReplication:
             solvers.solve_many(paradigm, [m], replace(cfg, schedule=AnnealSchedule(p, 30)), [s])[0]
             for m, p, s in zip(models, peaks, seeds)
         ]
-        kernel = getattr(solvers, f"_{paradigm}_sweeps")
+        name = kernel_name(paradigm, order)
+        kernel = getattr(solvers, name)
         rows = []
 
         def spy(*args):
             rows.append(args[-2].shape[1])  # the initial states
             return kernel(*args)
 
-        monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", spy)
+        monkeypatch.setattr(solvers, name, spy)
         if chunked:
             monkeypatch.setattr(solvers, "_MAX_STATE", 3 * first.h_vector.size * replicas)
         batched = solvers.solve_many(paradigm, models, cfg, seeds, peaks=peaks)
         assert rows == ([3 * replicas, replicas] if chunked else [4 * replicas])
         assert_same_outcomes(batched, serial)
 
-    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    @pytest.mark.parametrize(
+        "paradigm, order",
+        [("bpim", 4), ("dpim", 16), ("oim", 4), ("dpim", 4)],
+        ids=["bpim", "dpim", "oim", "dpim-qam4"],
+    )
     @pytest.mark.usefixtures("one_solver_thread")
-    def test_every_sweep_gets_one_value_per_row(self, paradigm, monkeypatch):
+    def test_every_sweep_gets_one_value_per_row(self, paradigm, order, monkeypatch):
         # One schedule path: with or without per-model peaks, each sweep of
         # a kernel call gets a (rows,) vector, and a solve at the config's
         # peak is a solve with that peak given for every model.
-        models = channel_models(PARADIGMS[paradigm].model, 4, 3, 3, 31)
+        models = channel_models(PARADIGMS[paradigm].model, order, 3, 3, 31)
         cfg = SolverConfig(2, AnnealSchedule(0.7, 5))
-        kernel = getattr(solvers, f"_{paradigm}_sweeps")
+        name = kernel_name(paradigm, order)
+        kernel = getattr(solvers, name)
         shapes = []
 
         def spy(*args):
@@ -837,7 +898,7 @@ class TestReplication:
             # Every kernel takes its schedule third.
             return kernel(*args[:2], recorded(args[2]), *args[3:])
 
-        monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", spy)
+        monkeypatch.setattr(solvers, name, spy)
         default = solvers.solve_many(paradigm, models, cfg, [1, 2, 3])
         given = solvers.solve_many(paradigm, models, cfg, [1, 2, 3], peaks=[0.7] * 3)
         assert shapes == [((6,), 6)] * 10
@@ -860,23 +921,28 @@ class TestReplication:
         with pytest.raises(ValueError, match=message):
             solvers.solve_many("bpim", models, cfg, [0, 1], peaks=peaks)
 
-    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    @pytest.mark.parametrize(
+        "paradigm, order",
+        [("bpim", 4), ("dpim", 16), ("oim", 4), ("dpim", 4)],
+        ids=["bpim", "dpim", "oim", "dpim-qam4"],
+    )
     @pytest.mark.usefixtures("one_solver_thread")
-    def test_chunk_bound_counts_state_entries(self, paradigm, monkeypatch):
+    def test_chunk_bound_counts_state_entries(self, paradigm, order, monkeypatch):
         # A kernel call holds (sites, rows) arrays, two sites per p-dit
         # symbol: the chunks must keep that many entries, not one per
         # symbol, under the bound, and solve as one call does.
-        models = channel_models(PARADIGMS[paradigm].model, 4, 3, 3, 0)
+        models = channel_models(PARADIGMS[paradigm].model, order, 3, 3, 0)
         cfg = SolverConfig(2, AnnealSchedule(0.5, 5))
         whole = solvers.solve_many(paradigm, models, cfg, [0, 1, 2])
-        kernel = getattr(solvers, f"_{paradigm}_sweeps")
+        name = kernel_name(paradigm, order)
+        kernel = getattr(solvers, name)
         sizes = []
 
         def spy(*args):
             sizes.append(args[-2].size)  # the initial states
             return kernel(*args)
 
-        monkeypatch.setattr(solvers, f"_{paradigm}_sweeps", spy)
+        monkeypatch.setattr(solvers, name, spy)
         monkeypatch.setattr(solvers, "_MAX_STATE", 2 * 6 * 2)
         chunked = solvers.solve_many(paradigm, models, cfg, [0, 1, 2])
         assert sizes == [solvers._MAX_STATE, solvers._MAX_STATE // 2]
@@ -1011,6 +1077,24 @@ class TestReplication:
         batched = solvers.solve_many(paradigm, first + second, cfg, seeds)
         assert sorted(chunks) == sorted(calls)
         assert_same_outcomes(batched, per_channel)
+
+    def test_orders_sharing_couplings_solve_as_alone(self):
+        # A p-dit J does not depend on the QAM order, so one channel's 4-QAM
+        # and 16-QAM models may share one J object; the kernel calls are cut
+        # where the levels change, and each model is drawn and swept on its
+        # own levels, by its own kernel, as when it is solved alone.
+        n, j, models = 4, None, []
+        for order in (4, 16):
+            c = build_constellation(order)
+            ((inst, _),) = channel_instances(c, n, 3, 0, range(1), [(0, 10.0)])
+            rc = realify(inst.channel, inst.rx_vector, order)
+            j = pdit_couplings(rc) if j is None else j
+            models.append(build_pdit_model(rc, j))
+        models = [*models, *models]
+        cfg = SolverConfig(4, AnnealSchedule(1.0, 30))
+        seeds = [5, 6, 7, 8]
+        alone = [dpim_solve_many([m], cfg, [s])[0] for m, s in zip(models, seeds)]
+        assert_same_outcomes(dpim_solve_many(models, cfg, seeds), alone)
 
     def test_outcome_energy_consistent(self):
         (model,) = channel_models("binary", 2, 12, 1, 19, ebn0_db=6.0)
