@@ -46,6 +46,7 @@ __all__ = [
     "ml_exact",
     "ml_exhaustive",
     "ML_SEARCH_BUDGET",
+    "require_ml_budget",
 ]
 
 
@@ -60,6 +61,19 @@ class SingularChannelError(ValueError):
 
 class SearchBudgetError(ValueError):
     """Exact search refused: candidate space exceeds the configured budget."""
+
+
+def require_ml_budget(order: int, n: int) -> None:
+    """Refuse, with a :class:`SearchBudgetError`, an exact search of the
+    ``order**n`` transmit vectors of ``n`` symbols beyond
+    :data:`ML_SEARCH_BUDGET`: the one check of both the plan and the
+    detector. The space stays an exact int: as a float it overflows from
+    BPSK n = 1024, and Python compares an int with a Python float exactly,
+    where a numpy float would convert the int and overflow too."""
+    if order**n > float(ML_SEARCH_BUDGET):
+        raise SearchBudgetError(
+            f"exact ML search space {order}**{n} exceeds the budget {ML_SEARCH_BUDGET:.3g}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,11 +253,12 @@ def _sphere_decode(rows: list, diag: list, z: list, lev: list) -> list | None:
 def ml_exact(factors: ChannelFactors, y: np.ndarray, c: Constellation) -> DetectionResult:
     """Exact minimizer of ||y - Hx||^2 over the constellation grid.
 
-    Refuses when order**n_tx exceeds :data:`ML_SEARCH_BUDGET` so scripted runs
-    cannot start an unbounded exponential search by accident. The real-valued
-    channel is QR-factored (and rank-checked) once per order of ``c`` and
-    per ``factors`` object: every call with the same ``factors`` and order
-    reuses the factor, so each cell only rotates its own ``y`` and searches.
+    Refuses when order**n_tx exceeds :data:`ML_SEARCH_BUDGET`
+    (:func:`require_ml_budget`), so scripted runs cannot start an unbounded
+    exponential search by accident. The real-valued channel is QR-factored
+    (and rank-checked) once per order of ``c`` and per ``factors`` object:
+    every call with the same ``factors`` and order reuses the factor, so
+    each cell only rotates its own ``y`` and searches.
     A caller who changes H in place must build a new :class:`ChannelFactors`.
     A ``y`` so large that a squared residual overflows is rejected with a
     ``ValueError``.
@@ -251,11 +266,7 @@ def ml_exact(factors: ChannelFactors, y: np.ndarray, c: Constellation) -> Detect
     H = factors.H
     y = _received(y)
     n = H.shape[1]
-    space = float(c.order) ** n
-    if space > ML_SEARCH_BUDGET:
-        raise SearchBudgetError(
-            f"search space {c.order}**{n} = {space:.3g} exceeds budget {ML_SEARCH_BUDGET:.3g}"
-        )
+    require_ml_budget(c.order, n)
     q_mat, rows, diag, levels = factors.ml(c)
     if q_mat is None:
         raise SingularChannelError("real-valued channel is numerically rank deficient")

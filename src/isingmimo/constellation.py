@@ -82,10 +82,13 @@ class Constellation:
         re_bits, im_bits = _axis_bits(self.bits_per_symbol)
         return 1 << re_bits, 1 << im_bits
 
-    @property
+    @cached_property
     def levels(self) -> np.ndarray:
-        """PAM levels of the real axis (BPSK: the two real points)."""
-        return pam_levels(self.axis_levels[0])
+        """PAM levels of the real axis (BPSK: the two real points), one
+        read-only array that every model of this constellation shares."""
+        levels = pam_levels(self.axis_levels[0])
+        levels.flags.writeable = False
+        return levels
 
     @cached_property
     def bit_table(self) -> np.ndarray:

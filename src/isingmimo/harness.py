@@ -23,12 +23,12 @@ import numpy as np
 
 from . import __version__
 from .baselines import (
-    ML_SEARCH_BUDGET,
     ChannelFactors,
     SearchBudgetError,
     SingularChannelError,
     ml_exact,
     mmse_detect,
+    require_ml_budget,
     zf_detect,
 )
 from .channel import (
@@ -145,11 +145,24 @@ class BerPoint:
     iterations: int | None
 
 
-def _sequence(name: str, values):
-    """``values``, which must be a sequence, not a string."""
+def _sequence(name: str, values) -> tuple:
+    """``values``, which must be a sequence or another iterable, not a string,
+    as a tuple."""
     if isinstance(values, str):
         raise ValueError(f"{name} must be a sequence, not the string {values!r}")
-    return values
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence; got {values!r}") from None
+
+
+def _numbers(name: str, values) -> tuple:
+    """``values``, a :func:`_sequence` of numbers, as a tuple of floats."""
+    items = _sequence(name, values)
+    try:
+        return tuple(float(v) for v in items)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must hold numbers only; got {list(items)!r}") from None
 
 
 def _distinct(name: str, values) -> None:
@@ -162,7 +175,7 @@ def _distinct(name: str, values) -> None:
 def _ebn0_points(ebn0_list) -> tuple:
     """The Eb/N0 points of a plan or an instance pool as floats: a sequence,
     not a string, with at least one value, none NaN, -inf or repeated."""
-    points = tuple(float(v) for v in _sequence("ebn0_list", ebn0_list))
+    points = _numbers("ebn0_list", ebn0_list)
     if not points:
         raise ValueError("need at least one Eb/N0 point")
     if any(math.isnan(v) or v == -math.inf for v in points):
@@ -188,15 +201,20 @@ def plan_experiment(
     n * log2(order) bits, so total_bits must be a multiple of that block;
     otherwise the error suggests the nearest valid budget. Counts, order and
     seed must be ints, never rounded, the seed non-negative, and a given
-    replica or iteration count at least 1, whatever the detectors; no list
-    may be a string, and no detector named twice. Every check of the plan
-    happens here, so an invalid plan fails before any work.
+    replica or iteration count at least 1, whatever the detectors. Each list
+    is an iterable, not a string, with at least one entry: the Eb/N0 points
+    numbers, and the detectors known and none named twice. An ``ml`` plan
+    must fit the exact search's budget (:func:`baselines.require_ml_budget`).
+    Every check of the plan happens here, so an invalid plan fails before
+    any work.
     """
     counts = dict(n=n, total_bits=total_bits, seed=seed, messages_per_channel=messages_per_channel)
     optional = dict(replicas=replicas, iterations=iterations)
     require_ints(order=order, **counts, **{k: v for k, v in optional.items() if v is not None})
     ebn0_points = _ebn0_points(ebn0_list)
-    _sequence("detectors", detectors)
+    detectors = _sequence("detectors", detectors)
+    if not detectors:
+        raise ValueError("detectors must name at least one detector")
     if n < 1 or messages_per_channel < 1:
         raise ValueError("n and messages_per_channel must be at least 1")
     for name, value in optional.items():
@@ -210,7 +228,7 @@ def plan_experiment(
         ebn0_list=ebn0_points,
         total_bits=total_bits,
         seed=seed,
-        detectors=tuple(detectors),
+        detectors=detectors,
         messages_per_channel=messages_per_channel,
         replicas=replicas,
         iterations=iterations,
@@ -230,10 +248,8 @@ def plan_experiment(
         if det not in KNOWN_DETECTORS:
             raise ValueError(f"unknown detector {det!r}; known: {KNOWN_DETECTORS}")
     _distinct("detector", plan.detectors)
-    if "ml" in plan.detectors and float(order) ** n > ML_SEARCH_BUDGET:
-        raise ValueError(
-            f"exact-ml detector refused: {order}**{n} exceeds the search budget"
-        )
+    if "ml" in plan.detectors:
+        require_ml_budget(order, n)
     for det in plan.detectors:
         if det in PARADIGMS:
             # Checks the order, replicas and iterations.
@@ -435,7 +451,7 @@ def plan_beta_sweep(
     if seed < 0:  # a SeedSequence takes no negative entropy
         raise ValueError(f"seed must be non-negative; got {seed}")
     c = build_constellation(order)  # validates the order
-    beta_grid = require_peaks(sorted(float(b) for b in _sequence("beta_grid", beta_grid)))
+    beta_grid = require_peaks(sorted(_numbers("beta_grid", beta_grid)))
     if beta_grid.size == 0:
         raise ValueError("beta_grid needs at least one peak")
     _distinct("peak", beta_grid.tolist())

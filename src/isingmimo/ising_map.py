@@ -34,6 +34,10 @@ __all__ = [
     "random_state_energies",
 ]
 
+# The levels of a binary model's spins, one read-only array for every model.
+_SPIN_LEVELS = np.array([-1.0, 1.0])
+_SPIN_LEVELS.flags.writeable = False
+
 
 @dataclass(frozen=True, eq=False)
 class IsingModel:
@@ -137,7 +141,7 @@ def build_binary_model(rc: RealizedChannel, couplings: tuple | None = None) -> I
     heff, j_matrix, gram_trace = binary_couplings(rc) if couplings is None else couplings
     h_vector = 2.0 * (heff.T @ rc.y_real)
     offset = float(gram_trace + rc.y_real @ rc.y_real)
-    return IsingModel(j_matrix, h_vector, np.array([-1.0, 1.0]), offset, n=h_vector.size)
+    return IsingModel(j_matrix, h_vector, _SPIN_LEVELS, offset, n=h_vector.size)
 
 
 def ising_energies(x: np.ndarray, j: np.ndarray, h: np.ndarray) -> np.ndarray:

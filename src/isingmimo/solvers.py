@@ -12,23 +12,30 @@ BLAS products such as ``j[i] @ s`` may round a column's last bits apart at
 stack widths that are not multiples of 8, and no outcome has moved.
 
 The kernels operate on a stack of rows, one row per (model, replica), and
-yield the rows' state after every iteration. They draw nothing: each
-solver's draw, ``_level_draws`` or ``_oim_draws``, hands its draw rule to
-``_draw``, the one owner of the models' generators, which draws the initial
-states at once and each sweep's noise as the sweep starts. One loop,
-``_solve_many``, draws each chunk of models, sweeps it with the kernel,
-scores each state and keeps every row's best state, energy and iteration
-and its final energy. A batch may hold the models of several channels. The
-coupling matrix of a MIMO instance depends only on the channel, so
-consecutive models of one channel share their kernel calls, with per-row
-bias vectors, and a batch's kernel calls are cut where the couplings
-change. ``_solve_many`` alone splits a batch: one contiguous group of
-models per thread, cut into chunks where the couplings or the levels change
-and where a chunk would hold more than ``_MAX_STATE`` state entries. Each
-solver has one batched entry point, ``*_solve_many``, with the signature
-``(models, cfg, seeds, peaks=None)``. :data:`PARADIGMS` holds one
-:class:`Paradigm` record per solver, and :func:`solve_many` dispatches on
-its name.
+yield the rows' state after every iteration. Every kernel has one contract,
+``kernel(model, h, schedule, x0, noise)``: it sweeps the couplings of
+``model``, which all the rows share, with the (sites, rows) bias ``h``, one
+sweep per schedule value, from the initial states ``x0`` with one noise
+block per sweep, and reads any constant it needs from the model. The p-bit
+and p-dit solvers share one, ``_level_sweeps``, which picks the kernel for a
+model's levels; the oscillator kernel ``_oim_sweeps`` takes its gains from
+:func:`oim_params`. Kernels draw nothing: each solver's draw,
+``_level_draws`` or ``_oim_draws``, hands its draw rule to ``_draw``, the
+one owner of the models' generators, which draws the initial states at once
+and each sweep's noise as the sweep starts. So each ``*_solve_many`` is one
+call of the one loop, ``_solve_many(kernel, draw, ramp, ...)``, which draws
+each chunk of models, sweeps it with the kernel, scores each state and keeps
+every row's best state, energy and iteration and its final energy. A batch
+may hold the models of several channels. The coupling matrix of a MIMO
+instance depends only on the channel, so consecutive models of one channel
+share their kernel calls, with per-row bias vectors, and a batch's kernel
+calls are cut where the couplings change. ``_solve_many`` alone splits a
+batch: one contiguous group of models per thread, cut into chunks where the
+couplings or the levels change and where a chunk would hold more than
+``_MAX_STATE`` state entries. Each solver has one batched entry point,
+``*_solve_many``, with the signature ``(models, cfg, seeds, peaks=None)``.
+:data:`PARADIGMS` holds one :class:`Paradigm` record per solver, and
+:func:`solve_many` dispatches on its name.
 
 Each solver fixes its own ramp direction and constants: the p-bit and p-dit
 sweeps raise the inverse temperature to the schedule's peak, and the
@@ -58,16 +65,19 @@ conditional because the one coupling that could join its axes,
 J[i, n + i] (J12's diagonal), is 0 by construction. A two-level axis
 (4-QAM) is a p-bit: the heat-bath draw over -1 and +1 is the p-bit rule
 U + tanh(beta g) >= 0, g the axis's field without its own coupling, so
-``dpim`` sweeps two-level models with the p-bit kernel and keeps the softmax
-kernel for four or more levels. Both kernels read one uniform per axis and
-sweep, and at two levels they pick the same level except where that uniform
-lies within rounding of its threshold.
+``_level_sweeps`` sweeps two-level models, binary ones and 4-QAM p-dit ones,
+with the p-bit kernel and keeps the softmax kernel for four or more levels.
+Both kernels read one uniform per axis and sweep, and at two levels they
+pick the same level except where that uniform lies within rounding of its
+threshold.
 
-The oscillator drift visits each unordered site pair once: the pairs form
-the circulant bands (i, i+d mod n), d = 1..n//2, and each pair's odd
-coupling term enters both its sites. In the sites-major layout each band is
-one contiguous block of a doubled [x; x] buffer, and the drift runs over row
-chunks whose band buffers fit a fixed byte budget.
+The oscillator drift is one object per kernel call, ``_OimDrift(j, h,
+params)``, applied to the phases as ``drift(sin_phi, cos_phi, out)``. It
+visits each unordered site pair once: the pairs form the circulant bands
+(i, i+d mod n), d = 1..n//2, and each pair's odd coupling term enters both
+its sites. In the sites-major layout each band is one contiguous block of a
+doubled [x; x] buffer, and the drift runs over row chunks whose band
+buffers fit a fixed byte budget.
 
 Threads: :func:`solve_threads` alone decides how many threads a solve
 runs on. Only the oscillator solver asks ``_solve_many`` for more than one,
@@ -287,21 +297,18 @@ def _draw(seeds, cfg: SolverConfig, sites: int, initial, fill: str):
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x0 = np.concatenate([initial(rng, (sites, cfg.replicas)) for rng in rngs], axis=1)
     fills = [getattr(rng, fill) for rng in rngs]
-    return x0, _noise(fills, cfg.schedule.n_iterations, x0.shape)
 
+    def noise():
+        block = np.empty(x0.shape)
+        # numpy fills no strided ``out``: each model fills a scratch that is
+        # copied into its columns.
+        scratch = np.empty((sites, cfg.replicas))
+        for _ in range(cfg.schedule.n_iterations):
+            for lo, fill in zip(range(0, block.shape[1], cfg.replicas), fills):
+                block[:, lo : lo + cfg.replicas] = fill(out=scratch)
+            yield block
 
-def _noise(fills, n_iterations: int, shape):
-    """``n_iterations`` (sites, rows) blocks of one buffer, each model's fill
-    in its own consecutive columns; see :func:`_draw`."""
-    block = np.empty(shape)
-    # numpy fills no strided ``out``: each model fills a scratch that is
-    # copied into its columns.
-    width = shape[1] // len(fills)
-    scratch = np.empty((shape[0], width))
-    for _ in range(n_iterations):
-        for lo, fill in zip(range(0, shape[1], width), fills):
-            block[:, lo : lo + width] = fill(out=scratch)
-        yield block
+    return x0, noise()
 
 
 def _solve_many(
@@ -315,21 +322,18 @@ def _solve_many(
     when their ``j_matrix`` is one object or equal arrays and their
     ``pam_levels`` are equal: a p-dit J does not depend on the QAM order, and
     a chunk is drawn and swept on its first model's levels, by a kernel
-    chosen for them. One thread solves the chunks
-    in order; more solve them on a pool while numpy's OpenBLAS runs one
-    thread, so k threads run k BLAS threads. Outcomes are joined in model
-    order.
+    chosen for them. One thread solves the chunks in order; more solve them
+    on a pool while numpy's OpenBLAS runs one thread, so k threads run k BLAS
+    threads. Outcomes are joined in model order.
 
-    ``kernel(model, h, schedule, x0, noise)`` sweeps the draws of a chunk's
-    seeds, ``draw(model, seeds, cfg)``, with the (sites, rows) bias ``h`` on
-    the couplings of ``model``, the chunk's first, which every model of the
-    chunk shares, one sweep per schedule value, and yields the rows'
-    (sites, rows) state after every iteration. The schedule is one (rows,)
-    vector per sweep, made as the sweep starts: the solver's ``ramp`` factor
-    for that sweep times each row's peak, its model's entry of ``peaks``,
-    which is ``cfg.schedule.peak`` for every model when ``peaks`` is None.
-    Each row keeps its first state of lowest energy, and the energy of its
-    last state is its final energy.
+    ``kernel``, by the module's kernel contract, sweeps the draws of a
+    chunk's seeds, ``draw(model, seeds, cfg)``, on the chunk's first model,
+    whose couplings every model of the chunk shares. The schedule is one
+    (rows,) vector per sweep, made as the sweep starts: the solver's
+    ``ramp`` factor for that sweep times each row's peak, its model's entry
+    of ``peaks``, which is ``cfg.schedule.peak`` for every model when
+    ``peaks`` is None. Each row keeps its first state of lowest energy, and
+    the energy of its last state is its final energy.
     """
     if not models:
         raise ValueError("need at least one model")
@@ -354,6 +358,7 @@ def _solve_many(
         best_s = np.empty(h.shape)
         best_e = np.full(h.shape[1], np.inf)
         best_it = np.zeros(h.shape[1], dtype=int)
+        improved = np.empty(h.shape[1], dtype=bool)
         row_peaks = np.repeat(peaks[lo:hi], cfg.replicas)
         # ramp_k * peak is peak * ramp_k bit for bit.
         schedule = (factor * row_peaks for factor in ramp)
@@ -361,10 +366,10 @@ def _solve_many(
         j = models[lo].j_matrix
         for it, s in enumerate(sweeps, 1):
             e = ising_energies(s, j, h)
-            improved = e < best_e
-            best_e[improved] = e[improved]
-            best_s[:, improved] = s[:, improved]
-            best_it[improved] = it
+            np.less(e, best_e, out=improved)
+            np.copyto(best_e, e, where=improved)
+            np.copyto(best_s, s, where=improved)
+            np.copyto(best_it, it, where=improved)
         outcomes = []
         for first in range(0, (hi - lo) * cfg.replicas, cfg.replicas):
             rows = slice(first, first + cfg.replicas)
@@ -403,6 +408,15 @@ def _level_draws(model, seeds, cfg: SolverConfig):
         return levels[rng.integers(0, levels.size, size)]
 
     return _draw(seeds, cfg, model.h_vector.size, initial, "random")
+
+
+def _level_sweeps(model: IsingModel, h: np.ndarray, betas, x0, u):
+    """The p-bit and p-dit sweeps of one kernel call: :func:`_pbit_sweeps`
+    where the model's levels are the spin levels -1 and +1, as every spin and
+    every 4-QAM axis is, and the softmax :func:`_dpim_sweeps` on four or more
+    levels."""
+    two_level = np.array_equal(model.pam_levels, (-1.0, 1.0))
+    return (_pbit_sweeps if two_level else _dpim_sweeps)(model, h, betas, x0, u)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +478,7 @@ def bpim_solve_many(
 ) -> list[SolveOutcome]:
     """Best-of-R p-bit annealing of models, one kernel call per run of
     models that share one coupling matrix."""
-    return _solve_many(_pbit_sweeps, _level_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
+    return _solve_many(_level_sweeps, _level_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
 
 
 # ---------------------------------------------------------------------------
@@ -550,36 +564,33 @@ def dpim_solve_many(
     run of models that share one coupling matrix and one level set.
 
     Candidate values are each model's own PAM levels; best states are the
-    (2N,) axis values [Re x; Im x]. Each kernel call is :func:`_dpim_kernel`.
+    (2N,) axis values [Re x; Im x].
     """
-    return _solve_many(_dpim_kernel, _level_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
-
-
-def _dpim_kernel(model: IsingModel, h: np.ndarray, betas, d0, u):
-    """The p-dit sweeps of one kernel call: :func:`_pbit_sweeps` where the
-    model's levels are the spin levels -1 and +1, as every 4-QAM axis is,
-    and the softmax :func:`_dpim_sweeps` on four or more levels."""
-    two_level = np.array_equal(model.pam_levels, (-1.0, 1.0))
-    return (_pbit_sweeps if two_level else _dpim_sweeps)(model, h, betas, d0, u)
+    return _solve_many(_level_sweeps, _level_draws, cfg.schedule.ramp(), models, cfg, seeds, peaks)
 
 
 # ---------------------------------------------------------------------------
 # oscillator phase dynamics
 
 
-class _OimBands:
-    """One oscillator kernel call's couplings as circulant bands, with its
-    gains and its row chunks.
+class _OimDrift:
+    """The phase velocities of one oscillator kernel call's sites-major
+    (n, rows) stack, on the couplings ``j`` with the (n, rows) bias ``h`` and
+    the gains ``params``: ``drift(sin_phi, cos_phi, out)`` takes the sines
+    and cosines of the phases and writes and returns the velocities in
+    ``out``.
 
-    Band d = 1..n//2 holds the site pairs (i, i+d mod n), i = 0..n-1, so
-    every unordered pair lies in exactly one band; on even n the last band
-    meets each pair twice, and its second half has weight 0. A pair's value
-    enters its first site i with weight J[i, i+d] and its second site k = i+d
-    negated, with weight -J[k-d, k]; J must be symmetric, and its diagonal
-    never enters. ``weights[i]`` holds site i's 2 x bands weights, first-site
-    ones first. The drift runs over the rows in chunks whose band buffers,
-    the ``sin_cos`` and ``pairs`` of :class:`_OimBuffers`, fit
-    ``_OIM_BAND_BYTES``, or hold one row.
+    Site i moves at -coupling * (sum_j J_ij tanh(10 sin(phi_i - phi_j)) +
+    h_i sin(phi_i)) - binarization * sin(2 phi_i). sin and tanh are odd, so
+    each pair's tanh is taken once, in its circulant band, and enters both
+    its sites. Band d = 1..n//2 holds the site pairs (i, i+d mod n),
+    i = 0..n-1, so every unordered pair lies in exactly one band; on even n
+    the last band meets each pair twice, and its second half has weight 0. A
+    pair's value enters its first site i with weight J[i, i+d] and its second
+    site k = i+d negated, with weight -J[k-d, k]; J must be symmetric, and
+    its diagonal never enters. ``weights[i]`` holds site i's 2 x bands
+    weights, first-site ones first. The rows are taken in chunks whose band
+    buffers (see :meth:`_buffers`) fit ``_OIM_BAND_BYTES``, or hold one row.
     """
 
     def __init__(self, j: np.ndarray, h: np.ndarray, params: OimParams):
@@ -601,80 +612,65 @@ class _OimBands:
         width = max(1, min(rows, _OIM_BAND_BYTES // per_row))
         # (rows, bias, buffers) per chunk; all full chunks share one set of
         # buffers.
-        full = _OimBuffers(n, n_bands, width)
+        full = self._buffers(n, n_bands, width)
         self.chunks = []
         for lo in range(0, rows, width):
             hi = min(lo + width, rows)
-            buffers = full if hi - lo == width else _OimBuffers(n, n_bands, hi - lo)
+            buffers = full if hi - lo == width else self._buffers(n, n_bands, hi - lo)
             self.chunks.append((slice(lo, hi), h[:, lo:hi], buffers))
 
+    @staticmethod
+    def _buffers(n: int, n_bands: int, width: int) -> tuple:
+        """The work buffers of a chunk of ``width`` rows, as the views that
+        the drift reads them through. Every buffer is sites-major, so that a
+        band is one contiguous block:
 
-class _OimBuffers:
-    """The work buffers of the oscillator drift for a chunk of ``width``
-    rows, and the views that read them. Every buffer is sites-major, so that
-    a band is one contiguous block:
-
-    - ``sin_cos`` (2, 2, n, width) holds [sin; sin] and [cos; cos] of the
-      chunk's phases, doubled along the sites, so that every band's partner
-      phases x[i + d mod n] are one zero-copy strided view, ``partners``;
-    - ``pairs`` (2, bands, n, width) holds each band's values at their first
-      site, and the same values gathered to their second site:
-      ``pairs[1, d-1, k] = pairs[0, d-1, k-d mod n]``.
-    """
-
-    def __init__(self, n: int, n_bands: int, width: int):
+        - ``sin_cos`` (2, 2, n, width) holds [sin; sin] and [cos; cos] of the
+          chunk's phases, doubled along the sites, so that every band's
+          partner phases x[i + d mod n] are one zero-copy strided view,
+          ``partners``;
+        - ``pairs`` (2, bands, n, width) holds each band's values at their
+          first site, and the same values gathered to their second site:
+          ``pairs[1, d-1, k] = pairs[0, d-1, k-d mod n]``; ``first`` and
+          ``second`` are its halves as (bands x n, width) rows, and
+          ``by_site`` is site i's (2 x bands, width) block;
+        - ``product`` holds the band product, one (1, width) row per site,
+          and ``term`` one term of the drift at a time.
+        """
         sin_cos = np.empty((2, 2, n, width))
-        self.sin2, self.cos2 = sin_cos
-        self.sin_phi, self.cos_phi = sin_cos[:, 0]
-        self.heads = sin_cos[:, :1]
         plane, _, site, row = sin_cos.strides
         # [cos; sin] and [sin; cos] at x[i + d], d = 1..n_bands, so that one
-        # product with ``heads``, [sin; cos] at x[i], gives sin_i cos_j and
+        # product with the heads, [sin; cos] at x[i], gives sin_i cos_j and
         # cos_i sin_j.
-        self.partners = np.lib.stride_tricks.as_strided(
+        partners = np.lib.stride_tricks.as_strided(
             sin_cos[::-1, :, 1:], (2, n_bands, n, width), (-plane, site, site, row)
         )
-        self.pairs = np.empty((2, n_bands, n, width))
-        self.first, self.second = self.pairs
-        # Row views for the gather, and site i's (2 x bands, width) block.
-        self.first_rows, self.second_rows = (x.reshape(-1, width) for x in self.pairs)
-        self.by_site = self.pairs.reshape(-1, n, width).transpose(1, 0, 2)
-        # The band product, one (1, width) row per site, and one term of the
-        # drift at a time.
-        self.coupling = np.empty((n, 1, width))
-        self.term = np.empty((n, width))
+        pairs = np.empty((2, n_bands, n, width))
+        first, second = (x.reshape(-1, width) for x in pairs)
+        by_site = pairs.reshape(-1, n, width).transpose(1, 0, 2)
+        product, term = np.empty((n, 1, width)), np.empty((n, width))
+        return (*sin_cos, sin_cos[:, :1], partners, pairs, first, second, by_site, product, term)
 
-
-def _oim_drift(
-    sin_phi: np.ndarray, cos_phi: np.ndarray, bands: _OimBands, out: np.ndarray
-) -> np.ndarray:
-    """Phase velocities of a sites-major (n, rows) stack of oscillators, from
-    the sines and cosines of their phases, written to and returned in ``out``.
-
-    Site i moves at -coupling * (sum_j J_ij tanh(10 sin(phi_i - phi_j)) +
-    h_i sin(phi_i)) - binarization * sin(2 phi_i). sin and tanh are odd, so
-    each pair's tanh is taken once, in its band (see :class:`_OimBands`), and
-    enters both its sites.
-    """
-    for rows, h, c in bands.chunks:
-        np.copyto(c.sin2, sin_phi[:, rows])
-        np.copyto(c.cos2, cos_phi[:, rows])
-        t = c.first
-        np.multiply(c.heads, c.partners, out=c.pairs)
-        t -= c.second  # sin(phi_i - phi_{i+d})
-        t *= 10.0
-        np.tanh(t, out=t)
-        # The indices are in range; "clip" lets take write straight into out.
-        np.take(c.first_rows, bands.from_index, axis=0, out=c.second_rows, mode="clip")
-        coupling = np.matmul(bands.weights, c.by_site, out=c.coupling)[:, 0]
-        coupling += np.multiply(h, c.sin_phi, out=c.term)
-        coupling *= -bands.coupling
-        # binarization * (2 sin cos): a factor 2 is exact wherever it is
-        # applied, so this is bit for bit the same.
-        binarize = np.multiply(c.sin_phi, c.cos_phi, out=c.term)
-        binarize *= 2.0 * bands.binarization
-        np.subtract(coupling, binarize, out=out[:, rows])
-    return out
+    def __call__(self, sin_phi: np.ndarray, cos_phi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for rows, h, buffers in self.chunks:
+            sin2, cos2, heads, partners, pairs, first, second, by_site, product, term = buffers
+            np.copyto(sin2, sin_phi[:, rows])
+            np.copyto(cos2, cos_phi[:, rows])
+            np.multiply(heads, partners, out=pairs)
+            first -= second  # sin(phi_i - phi_{i+d})
+            first *= 10.0
+            np.tanh(first, out=first)
+            # The indices are in range; "clip" lets take write straight into out.
+            np.take(first, self.from_index, axis=0, out=second, mode="clip")
+            coupling = np.matmul(self.weights, by_site, out=product)[:, 0]
+            coupling += np.multiply(h, sin2[0], out=term)
+            coupling *= -self.coupling
+            # binarization * (2 sin cos): a factor 2 is exact wherever it is
+            # applied, so this is bit for bit the same.
+            binarize = np.multiply(sin2[0], cos2[0], out=term)
+            binarize *= 2.0 * self.binarization
+            np.subtract(coupling, binarize, out=out[:, rows])
+        return out
 
 
 def _oim_draws(model: IsingModel, seeds, cfg: SolverConfig):
@@ -684,14 +680,15 @@ def _oim_draws(model: IsingModel, seeds, cfg: SolverConfig):
     return _draw(seeds, cfg, model.n, initial, "standard_normal")
 
 
-def _oim_sweeps(j: np.ndarray, h: np.ndarray, temps, params: OimParams, phi0, noise):
-    """Heun-integrated phase dynamics from the phases ``phi0`` (n, rows), with
-    the bias ``h`` (n, rows), one step per noise level in ``temps``, each
-    row's level (rows,), with its (n, rows) block of the normal ``noise``
-    scaled by that level; yields sign(cos phase) per step.
+def _oim_sweeps(model: IsingModel, h: np.ndarray, temps, phi0, noise):
+    """Heun-integrated phase dynamics of ``model`` from the phases ``phi0``
+    (n, rows), with the bias ``h`` (n, rows) and the gains of
+    :func:`oim_params`, one step per noise level in ``temps``, each row's
+    level (rows,), with its (n, rows) block of the normal ``noise`` scaled by
+    that level; yields sign(cos phase) per step.
 
     Phases, bias and noise are sites-major, (n, rows), the layout of
-    :func:`_oim_drift`. A step writes into buffers made once per call, in
+    :class:`_OimDrift`. A step writes into buffers made once per call, in
     the operation order of pred = phi + dt f0 + kick and
     phi += 0.5 dt (f0 + f1) + kick: IEEE sums and products commute, so each
     in-place form is that expression bit for bit. The yielded readout is one
@@ -700,7 +697,7 @@ def _oim_sweeps(j: np.ndarray, h: np.ndarray, temps, params: OimParams, phi0, no
     """
     phi = phi0.copy()
     kick, pred, f0, f1, sin_x, cos_x, readout = np.empty((7, *phi.shape))
-    bands = _OimBands(j, h, params)
+    drift = _OimDrift(model.j_matrix, h, oim_params(model.n))
     sqrt_dt = np.sqrt(_OIM_DT)
     # sin_x and cos_x hold the sines and cosines of phi, except while they
     # hold those of pred for its drift f1.
@@ -708,13 +705,13 @@ def _oim_sweeps(j: np.ndarray, h: np.ndarray, temps, params: OimParams, phi0, no
     np.cos(phi, out=cos_x)
     for temp, noise_k in zip(temps, noise, strict=True):
         np.multiply(noise_k, temp * sqrt_dt, out=kick)
-        _oim_drift(sin_x, cos_x, bands, out=f0)
+        drift(sin_x, cos_x, f0)
         np.multiply(f0, _OIM_DT, out=pred)
         pred += phi
         pred += kick
         np.sin(pred, out=sin_x)
         np.cos(pred, out=cos_x)
-        _oim_drift(sin_x, cos_x, bands, out=f1)
+        drift(sin_x, cos_x, f1)
         f0 += f1
         f0 *= 0.5 * _OIM_DT
         f0 += kick
@@ -826,12 +823,8 @@ def oim_solve_many(
     so their solvers run on one thread.
     """
     ramp = 1.0 - cfg.schedule.ramp()
-
-    def kernel(model, h, temps, phi0, noise):
-        return _oim_sweeps(model.j_matrix, h, temps, oim_params(model.n), phi0, noise)
-
     threads = solve_threads("oim", len(models))
-    return _solve_many(kernel, _oim_draws, ramp, models, cfg, seeds, peaks, threads=threads)
+    return _solve_many(_oim_sweeps, _oim_draws, ramp, models, cfg, seeds, peaks, threads=threads)
 
 
 def oim_params(n: int) -> OimParams:

@@ -321,6 +321,13 @@ class TestExactMl:
         with pytest.raises(SearchBudgetError):
             ml_exhaustive(H, y, qam4, max_candidates=2**10)
 
+    @pytest.mark.parametrize("order, n", [(2, 1024), (16, 256)])
+    def test_budget_guard_past_the_float_range(self, order, n):
+        # order**n is 2**1024: as a float it raised OverflowError.
+        factors = ChannelFactors(np.ones((1, n), dtype=complex))
+        with pytest.raises(SearchBudgetError, match=f"{order}\\*\\*{n}"):
+            ml_exact(factors, np.zeros(1, dtype=complex), build_constellation(order))
+
     def test_budget_configurable(self, bpsk, monkeypatch):
         inst, _ = build_instance(bpsk, 8, 10.0, 3)
         factors = ChannelFactors(inst.channel)

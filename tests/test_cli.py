@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,18 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "threads" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_ml_past_the_float_range_fails_without_traceback(self, tmp_path, capsys):
+        # The budget check raised OverflowError on 2.0**1024.
+        code = run_cli(
+            "run",
+            "--n", "1024", "--mod", "2", "--ebn0", "5", "--bits", "14336",
+            "--detectors", "ml", "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "budget" in err
         assert not (tmp_path / "x").exists()
 
     def test_unwritable_output_rejected_before_compute(self, tmp_path, capsys):
@@ -339,6 +352,28 @@ class TestReportCommand:
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "o").exists()
 
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ebn0_list", 5),
+            ("ebn0_list", [None]),
+            ("ebn0_list", [[1]]),
+            ("detectors", 5),
+            ("detectors", []),
+        ],
+    )
+    def test_edited_manifest_with_a_malformed_list_fails(self, key, value, tmp_path, capsys):
+        # Each ended in a TypeError traceback, but for no detectors, which
+        # planned a run that detects nothing.
+        plan = {**asdict(plan_experiment(4, 4, [9.0], 448, seed=8)), key: value}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format": "isingmimo-manifest v1", "plan": plan}))
+        code = run_cli("report", "--manifest", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and key in err
+        assert not (tmp_path / "o").exists()
 
     def test_edited_manifest_with_a_negative_seed_fails(self, tmp_path, capsys, monkeypatch):
         # The seed was planned, then stopped the run at its first SeedSequence.

@@ -68,6 +68,8 @@ class TestBuildConstellation:
         c = build_constellation(order)
         assert c.axis_levels == levels
         np.testing.assert_array_equal(c.levels, pam_levels(levels[0]))
+        # One read-only array, which every model of the constellation shares.
+        assert c.levels is c.levels and not c.levels.flags.writeable
 
     @pytest.mark.parametrize("order", ALL_ORDERS)
     def test_bit_table_is_the_msb_first_word(self, order):

@@ -1,6 +1,7 @@
-"""Every public name of the library is used by the library itself, a
-library module imports from another only names that it exports, and only
-``solvers`` reaches numpy's BLAS threads or makes a pool."""
+"""Every public name of the library is used by the library itself, and so is
+every private top-level name, a library module imports from another only
+names that it exports, and only ``solvers`` reaches numpy's BLAS threads or
+makes a pool."""
 
 import ast
 from pathlib import Path
@@ -27,11 +28,19 @@ def _exports(tree: ast.Module) -> list:
 
 
 def _bound(node: ast.stmt) -> set:
-    """Names a top-level statement defines."""
+    """Names a top-level statement defines, or sets an attribute or an item
+    of, as ``_X.flags.writeable = False`` does: such a statement does not
+    read its name."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return {node.name}
     targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
-    return {t.id for t in targets if isinstance(t, ast.Name)}
+    names = set()
+    for t in targets:
+        while isinstance(t, (ast.Attribute, ast.Subscript)):
+            t = t.value
+        if isinstance(t, ast.Name):
+            names.add(t.id)
+    return names
 
 
 def _references(trees: dict) -> set:
@@ -58,6 +67,20 @@ def _unreferenced(src: Path) -> list:
         for module, tree in trees.items()
         for name in _exports(tree)
         if name not in seen
+    ]
+
+
+def _unread_private(src: Path) -> list:
+    """(module, name) for each private top-level name, dunders aside, that
+    no library module reads outside the statement that defines it."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    seen = _references(trees)
+    return [
+        (module, name)
+        for module, tree in trees.items()
+        # Each name once, at the first statement that binds it.
+        for name in dict.fromkeys(n for node in tree.body for n in sorted(_bound(node)))
+        if name.startswith("_") and not name.endswith("__") and name not in seen
     ]
 
 
@@ -149,6 +172,28 @@ def test_a_name_used_only_by_itself_is_unused(tmp_path):
         "def g():\n    return 0\n"
     )
     assert _unreferenced(tmp_path) == [("a.py", "f")]
+
+
+def test_every_private_name_is_read_in_the_library():
+    assert _unread_private(SRC) == []
+
+
+def test_an_unread_private_name_is_found(tmp_path):
+    # A private helper read only by itself, or by nothing, is left behind.
+    (tmp_path / "__init__.py").write_text("from .a import f\n")
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["f"]\n_LIMIT = 3\n_STALE = 4\n_FROZEN = _LIMIT * [0.0]\n_FROZEN[0] = 1.0\n\n\n'
+        "def _helper(n):\n    return _helper(n - 1) if n else _LIMIT\n\n\n"
+        "def _alone(n):\n    return _alone(n - 1) if n else 0\n\n\n"
+        "class _Old:\n    pass\n\n\n"
+        "def f():\n    return _helper(2)\n"
+    )
+    assert _unread_private(tmp_path) == [
+        ("a.py", "_STALE"),
+        ("a.py", "_FROZEN"),
+        ("a.py", "_alone"),
+        ("a.py", "_Old"),
+    ]
 
 
 def test_no_private_name_imported_between_modules():

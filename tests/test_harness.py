@@ -138,6 +138,13 @@ class TestPlanExperiment:
         with pytest.raises(ValueError, match="budget"):
             plan_experiment(25, 4, [10.0], 25 * 2 * 14, seed=1, detectors=("ml",))
 
+    @pytest.mark.parametrize("n, order", [(1024, 2), (256, 16)])
+    def test_ml_budget_checked_past_the_float_range(self, n, order):
+        # order**n is 2**1024 here: as a float it raised OverflowError.
+        bits = n * build_constellation(order).bits_per_symbol * 14
+        with pytest.raises(ValueError, match="budget"):
+            plan_experiment(n, order, [5.0], bits, seed=1, detectors=("ml",))
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -161,6 +168,13 @@ class TestPlanExperiment:
             # A string is not split into characters.
             dict(ebn0_list="10"),
             dict(detectors="mmse"),
+            # A manifest may hold any JSON value: each raised TypeError.
+            dict(ebn0_list=5),
+            dict(ebn0_list=[None]),
+            dict(ebn0_list=[[1]]),
+            dict(detectors=5),
+            # It planned a run that detects nothing.
+            dict(detectors=[]),
         ],
     )
     def test_invalid_plan_fails_at_planning(self, change):
@@ -367,13 +381,16 @@ class TestRunBerSweep:
         "paradigm, order", [("bpim", 2), ("bpim", 4), ("bpim", 16), ("dpim", 4), ("dpim", 64)]
     )
     def test_models_share_couplings_built_once(self, paradigm, order):
-        # A channel's models share one j_matrix object and equal, bit for bit,
-        # the models built one cell at a time.
+        # A channel's models share one j_matrix object and one read-only
+        # level array, and equal, bit for bit, the models built one cell at a
+        # time.
         c = build_constellation(order)
         insts = [build_instance(c, 3, 8.0, 31, 0, msg, e)[0] for msg in range(3) for e in range(2)]
         H = insts[0].channel
         models, _ = harness._paradigm_models(paradigm, H, [i.rx_vector for i in insts], c)
         assert all(m.j_matrix is models[0].j_matrix for m in models)
+        assert all(m.pam_levels is models[0].pam_levels for m in models)
+        assert not models[0].pam_levels.flags.writeable
         for inst, model in zip(insts, models):
             if paradigm == "bpim":
                 alone = build_binary_model(realify(H, inst.rx_vector, order))

@@ -29,10 +29,9 @@ from isingmimo.ising_map import ising_energies, pdit_couplings
 from isingmimo.solvers import (
     _OIM_DT,
     PARADIGMS,
-    _dpim_kernel,
     _dpim_sweeps,
-    _oim_drift,
-    _OimBands,
+    _level_sweeps,
+    _OimDrift,
     _oim_sweeps,
     _pbit_sweeps,
     bpim_solve_many,
@@ -84,7 +83,7 @@ def sample_pdit_chain(model, beta, n_sweeps, seed, n_chains=1):
     picks for the model's levels."""
     h = np.broadcast_to(model.h_vector[:, None], (2 * model.n, n_chains))
     draws = predrawn("dpim", model, n_sweeps, seed, n_chains)
-    sweeps = _dpim_kernel(model, h, np.full(n_sweeps, beta), *draws)
+    sweeps = _level_sweeps(model, h, np.full(n_sweeps, beta), *draws)
     return np.stack([d.T.astype(np.int8) for d in sweeps], axis=1)
 
 
@@ -163,13 +162,13 @@ class TestAnnealSchedule:
         # (rows,) value per step.
         seen = []
 
-        def recording(j, h, temps, *rest):
+        def recording(model, h, temps, *rest):
             def recorded():
                 for temp in temps:
                     seen.append(temp)
                     yield temp
 
-            return _oim_sweeps(j, h, recorded(), *rest)
+            return _oim_sweeps(model, h, recorded(), *rest)
 
         monkeypatch.setattr(solvers, "_oim_sweeps", recording)
         oim_solve_many([ferromagnet()], SolverConfig(1, AnnealSchedule(30.0, 4)), [0])
@@ -352,7 +351,7 @@ class TestPditKernel:
         h = np.repeat(model.h_vector[:, None], 6, axis=1)
         betas = np.full(5, 1e6)
         draws = predrawn("dpim", model, 5, 9, 6)
-        per_axis = _dpim_kernel(model, h, betas, *draws)
+        per_axis = _level_sweeps(model, h, betas, *draws)
         joint = joint_grid_sweeps(model, h.T, betas, *draws)
         assert_same_states(per_axis, joint)
 
@@ -479,12 +478,9 @@ def kernel_rows(models, layout, replicas=4):
 def ramped_kernel(name, model, h, ramp):
     """The named kernel on ``model`` with the bias ``h`` and a schedule
     from ``ramp``, as a function of its draws (x0, noise)."""
-    if name == "_oim_sweeps":
-        args = (model.j_matrix, h, 30.0 * ramp[::-1], oim_params(model.n))
-    else:
-        args = (model, h, ramp)
+    schedule = 30.0 * ramp[::-1] if name == "_oim_sweeps" else ramp
     kernel = getattr(solvers, name)
-    return lambda x0, noise: kernel(*args, x0, noise)
+    return lambda x0, noise: kernel(model, h, schedule, x0, noise)
 
 
 # Each solver's kernel on a 4-QAM model of its own kind, and the p-bit
@@ -592,49 +588,51 @@ class TestOscillatorKernel:
     def test_coupling_vanishes_at_equal_phases(self):
         model = ferromagnet()
         phi = np.full((2, 1), 0.83)
-        bands = _OimBands(model.j_matrix, np.zeros((2, 1)), OimParams(1.0, 0.0))
-        drift = _oim_drift(np.sin(phi), np.cos(phi), bands, np.empty(phi.shape))
+        bands = _OimDrift(model.j_matrix, np.zeros((2, 1)), OimParams(1.0, 0.0))
+        drift = bands(np.sin(phi), np.cos(phi), np.empty(phi.shape))
         np.testing.assert_allclose(drift, 0.0, atol=1e-12)
 
     def test_binarization_term_values(self):
         model = spin_model(np.zeros((1, 1)), np.zeros(1))
-        bands = _OimBands(model.j_matrix, np.zeros((1, 1)), OimParams(0.0, 1.0))
+        bands = _OimDrift(model.j_matrix, np.zeros((1, 1)), OimParams(0.0, 1.0))
         for phi_val, expected in ((np.pi / 2, 0.0), (np.pi / 4, -1.0)):
             phi = np.array([[phi_val]])
-            drift = _oim_drift(np.sin(phi), np.cos(phi), bands, np.empty(phi.shape))
+            drift = bands(np.sin(phi), np.cos(phi), np.empty(phi.shape))
             assert drift[0, 0] == pytest.approx(expected, abs=1e-12)
 
-    def test_two_oscillator_locking(self):
+    def test_two_oscillator_locking(self, monkeypatch):
         # Noiseless relaxation from a small phase split locks in phase and
         # reads out aligned spins.
         model = ferromagnet()
+        monkeypatch.setattr(solvers, "oim_params", lambda n: OimParams(1.0, 1.0))
         *_, readout = _oim_sweeps(
-            model.j_matrix,
+            model,
             np.zeros((2, 1)),
             np.zeros(3000),
-            OimParams(1.0, 1.0),
             np.random.default_rng(12).uniform(0.0, 2.0 * np.pi, (2, 1)),
             np.zeros((3000, 2, 1)),
         )
         assert readout[0, 0] == readout[1, 0]
 
-    def test_field_pinning(self):
+    def test_field_pinning(self, monkeypatch):
         # Positive bias must pull the readout to +1 (annealed run).
         model = spin_model(np.zeros((1, 1)), np.array([2.0]))
         sched = AnnealSchedule(2.0, 500)
+        monkeypatch.setattr(solvers, "oim_params", lambda n: OimParams(1.0, 0.2))
         *_, readout = _oim_sweeps(
-            model.j_matrix,
+            model,
             np.repeat(model.h_vector[:, None], 8, axis=1),
             sched.peak * (1.0 - sched.ramp()),
-            OimParams(1.0, 0.2),
             *predrawn("oim", model, 500, 3, 8),
         )
         assert (readout[0] == 1.0).all()
 
-    def test_readout_local_minimum_property(self):
+    def test_readout_local_minimum_property(self, monkeypatch):
         # At zero noise with a binarizing slope the converged readout should
         # be single-flip stable on most random coupling instances.
         rng = np.random.default_rng(123)
+        params = OimParams(coupling=1.0, binarization=0.15)
+        monkeypatch.setattr(solvers, "oim_params", lambda n: params)
         ok = 0
         n_models = 60
         for trial in range(n_models):
@@ -642,10 +640,9 @@ class TestOscillatorKernel:
             j = (a + a.T) / 2
             np.fill_diagonal(j, 0.0)
             *_, last = _oim_sweeps(
-                j,
+                spin_model(j, np.zeros(8)),
                 np.zeros((8, 1)),
                 np.zeros(5000),
-                OimParams(coupling=1.0, binarization=0.15),
                 np.random.default_rng(5000 + trial).uniform(0.0, 2.0 * np.pi, (8, 1)),
                 np.zeros((5000, 8, 1)),
             )
@@ -697,10 +694,10 @@ class TestOscillatorBands:
         phi = rng.uniform(0.0, 2.0 * np.pi, (rows, n))
         params = OimParams(0.7, 0.3)
         expected = full_matrix_drift(np.sin(phi), np.cos(phi), j, h_rows, params)
-        bands = _OimBands(j, np.ascontiguousarray(h_rows.T), params)
+        bands = _OimDrift(j, np.ascontiguousarray(h_rows.T), params)
         assert len(bands.chunks) == -(-rows // (chunk_rows or rows))
         phi_sites = np.ascontiguousarray(phi.T)
-        drift = _oim_drift(np.sin(phi_sites), np.cos(phi_sites), bands, np.empty(phi_sites.shape))
+        drift = bands(np.sin(phi_sites), np.cos(phi_sites), np.empty(phi_sites.shape))
         np.testing.assert_allclose(drift.T, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     def test_readouts_match_full_matrix_sweeps(self):
@@ -712,7 +709,7 @@ class TestOscillatorBands:
         temps = sched.peak * (1.0 - sched.ramp())
         params = oim_params(16)
         draws = predrawn("oim", model, 100, 6, 100)
-        bands = _oim_sweeps(model.j_matrix, h, temps, params, *draws)
+        bands = _oim_sweeps(model, h, temps, *draws)
         full = full_matrix_sweeps(model.j_matrix, h.T, temps, params, *draws)
         assert_same_states(bands, full)
 
@@ -724,7 +721,7 @@ class TestOscillatorBands:
         cfg = SolverConfig(6, AnnealSchedule(30.0, 40))
 
         def run():
-            sweeps = _oim_sweeps(model.j_matrix, h, temps, oim_params(16), *draws)
+            sweeps = _oim_sweeps(model, h, temps, *draws)
             return [s.copy() for s in sweeps], oim_solve_many([model, model], cfg, [3, 4])
 
         whole_readouts, whole = run()
@@ -1238,10 +1235,10 @@ class TestOscillatorThreads:
         models = channel_models("binary", 2, 4, 3, 5)
         kernel = solvers._oim_sweeps
 
-        def failing(j, h, *rest):
+        def failing(model, h, *rest):
             if np.array_equal(h[:, -1], models[-1].h_vector):
                 raise RuntimeError("the last group failed")
-            return kernel(j, h, *rest)
+            return kernel(model, h, *rest)
 
         monkeypatch.setattr(solvers, "_oim_sweeps", failing)
         with pytest.raises(RuntimeError, match="the last group failed"):
