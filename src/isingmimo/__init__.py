@@ -38,7 +38,6 @@ from .constellation import (
     demodulate_symbols,
     modulate_bits,
     pam_levels,
-    points_at,
 )
 from .harness import (
     BerPoint,

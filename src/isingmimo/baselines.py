@@ -6,10 +6,10 @@ takes from H alone once, on first use: ZF's pseudo-inverse from one SVD,
 rank-checked by ``lstsq``'s default test; MMSE's H^H and Gram matrix H^H H;
 and the QR factor of the real-valued channel of each order. A cell is then
 one matvec (ZF), one small solve (MMSE) or one rotation of y and a search
-(ML). Each cell then decides its symbols and bits once, from the per-axis
-level ranks that produced them: ZF and MMSE round their soft values to ranks
-with :func:`~isingmimo.constellation.decide`, and ML maps the level indices
-its search found with :func:`~isingmimo.constellation.points_at`.
+(ML). Each cell then decides its symbols and bits once, by the one decision
+rule :func:`~isingmimo.constellation.decide`: ZF and MMSE decide their soft
+values, and ML the levels of the minimizer its search found, which decide
+themselves.
 
 The exact detector is a depth-first sphere decoder on the real-valued model
 with closest-first (Schnorr-Euchner) child ordering and an initially
@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import complex_symbols, real_channel, stack_real
-from .constellation import Constellation, decide, demodulate_symbols, points_at
+from .constellation import Constellation, decide, demodulate_symbols
 
 __all__ = [
     "ChannelFactors",
@@ -188,8 +188,8 @@ def _sphere_decode(rows: list, diag: list, z: list, lev: list) -> list | None:
     """argmin over the level grid of ||z - R x||^2 for upper-triangular R.
 
     R is given as its ``rows`` and its ``diag``onal, and ``lev`` are the
-    levels sorted ascending, all as lists of floats. Returns the index into
-    ``lev`` of each entry of the minimizer, or None when no leaf has a finite
+    levels sorted ascending, all as lists of floats. Returns the minimizer,
+    the level of each entry as a list, or None when no leaf has a finite
     cost. Each depth keeps the next unvisited level index below its centre
     (``lo``) and at or above it (``hi``); the next child is the nearer of the
     two, the lower one on a tie. A child whose cost is not below the best
@@ -199,7 +199,6 @@ def _sphere_decode(rows: list, diag: list, z: list, lev: list) -> list | None:
     q = len(z)
     top = len(lev)
     x = [0.0] * q  # level of each fixed depth
-    index = [0] * q  # its index into lev
     lo = [0] * q
     hi = [0] * q
     centre = [0.0] * q
@@ -228,7 +227,6 @@ def _sphere_decode(rows: list, diag: list, z: list, lev: list) -> list | None:
             cost = acc[k] + (e[k] - diag[k] * level) ** 2
             if cost < best_cost:
                 x[k] = level
-                index[k] = i
                 if k > 0:
                     acc[k - 1] = cost
                     k -= 1
@@ -242,7 +240,7 @@ def _sphere_decode(rows: list, diag: list, z: list, lev: list) -> list | None:
                     lo[k] = i - 1
                     continue
                 best_cost = cost
-                best = index.copy()
+                best = x.copy()
             # Closest-first ordering: the remaining siblings only cost more.
         k += 1
         if k == q:
@@ -258,7 +256,9 @@ def ml_exact(factors: ChannelFactors, y: np.ndarray, c: Constellation) -> Detect
     exponential search by accident. The real-valued channel is QR-factored
     (and rank-checked) once per order of ``c`` and per ``factors`` object:
     every call with the same ``factors`` and order reuses the factor, so
-    each cell only rotates its own ``y`` and searches.
+    each cell only rotates its own ``y``, searches, and decides the
+    minimizer's levels (:func:`~isingmimo.constellation.decide`) into its
+    symbols and bits.
     A caller who changes H in place must build a new :class:`ChannelFactors`.
     A ``y`` so large that a squared residual overflows is rejected with a
     ``ValueError``.
@@ -273,12 +273,12 @@ def ml_exact(factors: ChannelFactors, y: np.ndarray, c: Constellation) -> Detect
     # The search finds a minimizer unless a cost overflows: Python's float **
     # raises, and a sum that reaches inf leaves no leaf below the radius.
     try:
-        index = _sphere_decode(rows, diag, (q_mat.T @ stack_real(y)).tolist(), levels)
+        x = _sphere_decode(rows, diag, (q_mat.T @ stack_real(y)).tolist(), levels)
     except OverflowError:
-        index = None
-    if index is None:
+        x = None
+    if x is None:
         raise ValueError("y is too large for the exact search: a squared residual overflows")
-    symbols, bits = points_at(complex_symbols(index, n), c)
+    symbols, bits = decide(complex_symbols(x, n), c)
     return _result(symbols, bits, H, y, "ml")
 
 

@@ -9,14 +9,14 @@ points differ in exactly one bit. The first half of each symbol's bits (MSB
 first; BPSK: its one bit) addresses the real axis, the rest the imaginary
 axis.
 
-Decisions are table driven and treat both axes alike, in one pass over the
-``(..., 2)`` real view of a complex array with the per-axis level counts
-broadcast along its last dimension. A decision works out each point's
-per-axis level ranks once; the ranks address a word table, and the word
-gives both the alphabet point and its bits. :func:`decide` rounds soft values
-to ranks, :func:`points_at` takes ranks a search has already found, and
-:func:`demodulate_symbols` recovers the ranks of given symbols, rejecting
-off-alphabet points.
+One rule maps values to symbols and bits: :func:`decide`. It is table
+driven and treats both axes alike, in one pass over the ``(..., 2)`` real view
+of a complex array with the per-axis level counts broadcast along its last
+dimension: it rounds each value to its per-axis level ranks once, the ranks
+address a word table, and the word gives both the alphabet point and its
+bits. Soft estimates and exact levels (a search's minimizer) are decided
+alike, and :func:`demodulate_symbols` is :func:`decide` of given symbols,
+each of which must come back unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "modulate_bits",
     "demodulate_symbols",
     "decide",
-    "points_at",
     "pam_levels",
 ]
 
@@ -107,11 +106,19 @@ class Constellation:
         return top
 
     @cached_property
+    def _rank_strides(self) -> np.ndarray:
+        """(L_im, 1), as floats: level indices (i, k) dotted with it give the
+        entry i * L_im + k of :attr:`_rank_words`."""
+        strides = np.array([self.axis_levels[1], 1], dtype=float)
+        strides.flags.writeable = False
+        return strides
+
+    @cached_property
     def _rank_words(self) -> np.ndarray:
         """Word of the point at level indices (i, k), at entry i * L_im + k."""
-        ranks = ((_real_pairs(self.alphabet) + self._top_rank) / 2).astype(np.int64)
+        ranks = (_real_pairs(self.alphabet) + self._top_rank) / 2
         words = np.empty(self.order, dtype=np.int64)
-        words[ranks @ (self.axis_levels[1], 1)] = np.arange(self.order)
+        words[(ranks @ self._rank_strides).astype(np.intp)] = np.arange(self.order)
         words.flags.writeable = False
         return words
 
@@ -157,44 +164,15 @@ def modulate_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:
     return c.alphabet[groups @ weights]
 
 
-def _rank_words_at(rank: np.ndarray, c: Constellation) -> np.ndarray:
-    """Words of the points at the per-axis level indices ``rank``, a
-    ``(size, 2)`` float array of integral values."""
-    return c._rank_words[np.dot(rank, (c.axis_levels[1], 1)).astype(np.intp)]
-
-
-def _words_of_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
-    """Invert the alphabet labelling; raises on off-alphabet points."""
-    symbols = np.asarray(symbols, dtype=complex)
-    rank = (_real_pairs(symbols) + c._top_rank) / 2
-    # An axis value is a level iff its index is an integer in [0, L - 1], that
-    # is iff clamping its nearest integer into that range gives it back.
-    index = np.minimum(np.maximum(np.rint(rank), 0.0), c._top_rank)
-    ok = rank == index
-    if not ok.all():
-        bad = symbols.reshape(-1)[~ok.all(axis=1)][0]
-        raise ValueError(f"symbol {bad} is not a point of the order-{c.order} alphabet")
-    return _rank_words_at(index, c)
-
-
-def demodulate_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
-    """Exact inverse of :func:`modulate_bits`; rejects off-alphabet symbols."""
-    return c.bit_table[_words_of_symbols(symbols, c)].ravel()
-
-
-def _points_and_bits(words: np.ndarray, shape: tuple, c: Constellation) -> tuple:
-    """The alphabet points labelled ``words``, in ``shape``, and their bits."""
-    return c.alphabet[words].reshape(shape), c.bit_table[words].ravel()
-
-
 def decide(z, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest alphabet points of the soft values ``z`` and their bits.
+    """Nearest alphabet points of the values ``z`` and their bits: the one
+    map from values to symbols and bits.
 
     Each point is rounded per axis to its nearest level, ties toward the more
     positive level and values beyond the outermost level clamped to it; a
-    one-level axis (BPSK's imaginary axis) decides +0.0. Returns the symbols,
-    in ``z``'s shape, and the bits of :func:`demodulate_symbols` of them, from
-    one rounding.
+    one-level axis (BPSK's imaginary axis) decides +0.0. An alphabet point
+    decides itself. Returns the symbols, in ``z``'s shape, and their bits,
+    MSB first, from one rounding.
     """
     arr = np.asarray(z, dtype=complex)
     pairs = _real_pairs(arr)
@@ -205,17 +183,20 @@ def decide(z, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     # The floor is never -0.0, so clamping by maximum/minimum gives the same
     # ranks as np.clip, in fewer calls.
     rank = np.minimum(np.maximum(np.floor((pairs + top) / 2 + 0.5), 0.0), top)
-    return _points_and_bits(_rank_words_at(rank, c), arr.shape, c)
+    words = c._rank_words[np.dot(rank, c._rank_strides).astype(np.intp)]
+    return c.alphabet[words].reshape(arr.shape), c.bit_table[words].ravel()
 
 
-def points_at(ranks, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
-    """The alphabet points at the per-axis level indices ``ranks`` and their bits.
-
-    ``ranks`` is complex: the real-axis level index plus 1j times the
-    imaginary-axis one (0 on BPSK), each an integer in [0, L - 1] of the axis
-    ladder sorted ascending. Returns the symbols, in ``ranks``' shape, and
-    their bits.
-    """
-    ranks = np.asarray(ranks, dtype=complex)
-    return _points_and_bits(_rank_words_at(_real_pairs(ranks), c), ranks.shape, c)
-
+def demodulate_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
+    """Exact inverse of :func:`modulate_bits`: the bits of :func:`decide` of
+    ``symbols``, each of which must decide itself; rejects off-alphabet and
+    non-finite symbols."""
+    symbols = np.asarray(symbols, dtype=complex)
+    ok = np.isfinite(symbols)
+    if ok.all():
+        decided, bits = decide(symbols, c)
+        ok = decided == symbols
+        if ok.all():
+            return bits
+    bad = symbols[~ok][0]
+    raise ValueError(f"symbol {bad} is not a point of the order-{c.order} alphabet")

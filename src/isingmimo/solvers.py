@@ -366,10 +366,11 @@ def _solve_many(
         j = models[lo].j_matrix
         for it, s in enumerate(sweeps, 1):
             e = ising_energies(s, j, h)
-            np.less(e, best_e, out=improved)
-            np.copyto(best_e, e, where=improved)
-            np.copyto(best_s, s, where=improved)
-            np.copyto(best_it, it, where=improved)
+            # Late in a solve most sweeps improve no row.
+            if np.less(e, best_e, out=improved).any():
+                np.copyto(best_e, e, where=improved)
+                np.copyto(best_s, s, where=improved)
+                np.copyto(best_it, it, where=improved)
         outcomes = []
         for first in range(0, (hi - lo) * cfg.replicas, cfg.replicas):
             rows = slice(first, first + cfg.replicas)
@@ -442,9 +443,12 @@ def _pbit_sweeps(model: IsingModel, h: np.ndarray, betas, s0, u):
     product of J's matching rows, (axes, width), with the state. A binary
     J's diagonal is 0, so its rows are a view of J; a p-dit J keeps its
     diagonal, so its site rows are one copy with J[i, i] and J[n + i, n + i]
-    set to 0. Each sweep's uniforms are turned into U once. The yielded
-    array is the live C-contiguous state: the next sweep rewrites it, and
-    the caller only reads it.
+    set to 0. Each sweep's uniforms are turned into U once, and its (rows,)
+    beta is written once into an (axes, rows) buffer, so that every site
+    step multiplies arrays of one shape. Each site's J rows, bias, U and
+    state rows are bound once per call, its bias rows side by side in one
+    contiguous block (a copy for two axes). The yielded array is the live C-contiguous state: the
+    next sweep rewrites it, and the caller only reads it.
     """
     sites, rows = model.n, s0.shape[1]
     n_axes = s0.shape[0] // sites
@@ -456,20 +460,23 @@ def _pbit_sweeps(model: IsingModel, h: np.ndarray, betas, s0, u):
             site_rows[own, axis, axis * sites + own] = 0.0
     s = s0.copy()
     v = np.empty(s.shape)
-    # Site i's axes, bias and U are the (axes, rows) basic-index views [:, i].
-    axes, h_axes, v_axes = (x.reshape(n_axes, sites, rows) for x in (s, h, v))
-    field = np.empty((n_axes, rows))
+    # Site i's axes and U are the (axes, rows) basic-index views [:, i].
+    axes, v_axes = (x.reshape(n_axes, sites, rows) for x in (s, v))
+    h_sites = np.ascontiguousarray(h.reshape(n_axes, sites, rows).swapaxes(0, 1))
+    steps = [(site_rows[i], h_sites[i], v_axes[:, i], axes[:, i]) for i in range(sites)]
+    field, beta_rows = np.empty((2, n_axes, rows))
     for beta, u_k in zip(betas, u, strict=True):
         # rng.uniform(-1, 1) is -1 + 2u, bit for bit.
         np.multiply(u_k, 2.0, out=v)
         v -= 1.0
-        for i in range(sites):
-            np.matmul(site_rows[i], s, out=field)
-            field += h_axes[:, i]
-            field *= beta
+        beta_rows[...] = beta
+        for j_rows, h_rows, v_rows, s_rows in steps:
+            np.matmul(j_rows, s, out=field)
+            field += h_rows
+            field *= beta_rows
             np.tanh(field, out=field)
-            field += v_axes[:, i]
-            np.copysign(1.0, field, out=axes[:, i])
+            field += v_rows
+            np.copysign(1.0, field, out=s_rows)
         yield s
 
 
@@ -529,17 +536,22 @@ def _dpim_sweeps(model: IsingModel, h: np.ndarray, betas, d0, u):
     t, w = np.empty((2, n_lev, 2, rows))
     planes = list(w)
     level_col = levels[:, None, None]
-    # Each site's J[i, i], which its two axes share, scaled by 0.5 beta once
-    # per sweep: products commute, so each is (0.5 beta) J[i, i] bit for bit.
-    j_diag = np.diagonal(j)[:n, None]
+    # Each sweep's beta as (2, rows) rows, and each site's J[i, i], which its
+    # two axes share, scaled by 0.5 beta as (n, 2, rows) rows: products
+    # commute, so each is (0.5 beta) J[i, i] bit for bit. Arrays of one shape
+    # multiply faster than a (rows,) vector broadcast.
+    beta_rows = np.empty((2, rows))
+    half_beta_j = np.empty((n, 2, rows))
+    j_diag = np.diagonal(j)[:n, None, None]
     for beta, u_k in zip(betas, u, strict=True):
         u_axes = u_k.reshape(2, n, rows)
-        half_beta_j = j_diag * (0.5 * beta)
+        beta_rows[...] = beta
+        np.multiply(j_diag, 0.5 * beta, out=half_beta_j)
         for i in range(n):
             x = axes[:, i]
             np.matmul(field_rows[i], d, out=field)
             field += h_axes[:, i]
-            field *= beta
+            field *= beta_rows
             np.subtract(x, level_col, out=t)
             np.multiply(t, half_beta_j[i], out=w)
             w -= field

@@ -170,14 +170,14 @@ def _argsort_sphere_decode(r_mat, z, levels):
 
 
 def _decoded_levels(r_mat, z, levels):
-    """The sphere decoder's minimizer as levels, from the level indices it
-    returns on list inputs, as ``ChannelFactors.ml`` builds them."""
+    """The sphere decoder's minimizer, the levels it returns on list inputs,
+    as ``ChannelFactors.ml`` builds them."""
     rows = r_mat.tolist()
-    index = baselines._sphere_decode(
+    x = baselines._sphere_decode(
         rows, [row[k] for k, row in enumerate(rows)], z.tolist(), levels.tolist()
     )
-    assert all(0 <= i < levels.size for i in index)
-    return levels[index]
+    assert all(level in levels for level in x)
+    return np.array(x)
 
 
 class TestExactMl:

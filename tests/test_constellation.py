@@ -13,7 +13,6 @@ from isingmimo import (
     demodulate_symbols,
     modulate_bits,
     pam_levels,
-    points_at,
 )
 
 ALL_ORDERS = [2, 4, 16, 64, 256]
@@ -173,8 +172,12 @@ class TestQuantize:
 
     @pytest.mark.parametrize("order", ALL_ORDERS)
     def test_alphabet_is_fixed_point(self, order):
+        # Exact levels, as the sphere decoder's minimizer holds them, decide
+        # themselves bit for bit, with each point's label as its bits.
         c = build_constellation(order)
-        np.testing.assert_array_equal(decide(c.alphabet, c)[0], c.alphabet)
+        symbols, bits = decide(c.alphabet, c)
+        assert symbols.tobytes() == c.alphabet.tobytes()
+        np.testing.assert_array_equal(bits, c.bit_table.ravel())
 
     def test_nearest_in_euclidean_distance(self):
         c = build_constellation(64)
@@ -269,15 +272,6 @@ class TestDecide:
         c = build_constellation(16)
         with pytest.raises(ValueError, match="non-finite"):
             decide(np.array([1 + 1j, complex(1, bad)]), c)
-
-    @pytest.mark.parametrize("order", ALL_ORDERS)
-    def test_points_at_the_ranks_of_the_alphabet(self, order):
-        c = build_constellation(order)
-        top_re, top_im = (n - 1 for n in c.axis_levels)
-        ranks = (c.alphabet.real + top_re) / 2 + 1j * (c.alphabet.imag + top_im) / 2
-        symbols, bits = points_at(ranks, c)
-        assert symbols.tobytes() == c.alphabet.tobytes()
-        np.testing.assert_array_equal(bits, c.bit_table.ravel())
 
 
 # The decision rules as they were written per axis, with a separate BPSK
