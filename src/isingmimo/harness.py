@@ -285,13 +285,16 @@ def _paradigm_models(paradigm: str, H: np.ndarray, ys, c: Constellation) -> tupl
     return models, lambda s: spins_to_symbols(s, n, c)
 
 
-def _detector_bits(detector: str, d_idx: int, cells: list, plan: ExperimentPlan) -> list:
+def _detector_bits(
+    detector: str, d_idx: int, cells: list, plan: ExperimentPlan, factors: ChannelFactors
+) -> list:
     """The recovered bits of each of a channel's cells under one detector, or
     None where a baseline failed as expected. A heuristic solves all the
     cells in one :func:`solve_many` call, since its couplings depend on the
     channel only; that call may split them into kernel calls by state size
     and over oscillator threads, and each cell's replica streams match a
-    standalone solve. The baselines share one :class:`ChannelFactors`."""
+    standalone solve. A baseline detects with ``factors``, the channel's
+    :class:`ChannelFactors`, which every baseline of the channel shares."""
     c = plan.constellation
     if detector in PARADIGMS:
         seeds = [
@@ -306,7 +309,6 @@ def _detector_bits(detector: str, d_idx: int, cells: list, plan: ExperimentPlan)
         cfg = _solver_config(detector, plan.n, plan.order, plan.replicas, plan.iterations)
         outcomes = solve_many(detector, models, cfg, seeds)
         return [demodulate_symbols(to_symbols(o.best_state), c) for o in outcomes]
-    factors = ChannelFactors(cells[0].channel)
     recovered = []
     for inst in cells:
         try:
@@ -339,9 +341,12 @@ def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
     c = plan.constellation
     cells = channel_instances(c, plan.n, plan.seed, channel_index, messages, points)
     instances = [inst for inst, _ in cells]
+    # Each part of the factors is computed on first use, so a channel whose
+    # plan has no baseline computes none.
+    factors = ChannelFactors(instances[0].channel)
     errors = np.zeros((len(plan.detectors), len(plan.ebn0_list)), dtype=np.int64)
     for d_idx, detector in enumerate(plan.detectors):
-        recovered = _detector_bits(detector, d_idx, instances, plan)
+        recovered = _detector_bits(detector, d_idx, instances, plan, factors)
         for (inst, bits), det_bits in zip(cells, recovered):
             # A failed cell counts all its bits as errors; denominators stay fixed.
             errors[d_idx, inst.ebn0_index] += (

@@ -79,12 +79,32 @@ its sites. In the sites-major layout each band is one contiguous block of a
 doubled [x; x] buffer, and the drift runs over row chunks whose band
 buffers fit a fixed byte budget.
 
+Precision: the oscillator integrates in float32, ``_OIM_FLOAT``: its phases,
+the noise kick, the Heun predictor, both drifts, the sines and cosines, the
+drift's band buffers and its copies of J's band weights and of the bias.
+Three things stay float64. Its draws: ``_oim_draws`` draws the float64
+``default_rng(seed)`` uniform and normal streams, and the noise is rounded
+only as it is scaled into the float32 kick. Its yielded readout, +-1, so
+``_solve_many`` scores and keeps the states of every kernel alike. And the
+models. A float32 phase rounds by about 1e-7 rad, far below a step's noise
+kick of up to 30 sqrt(dt) = 3 rad, so the heuristic is the same; a
+trajectory parts from a float64 integration's as the noise amplifies the
+rounding, so the two agree in distribution, not state by state. The p-bit
+and p-dit kernels stay float64. numpy's float32 sin, cos and tanh follow its
+SIMD dispatch, as its float64 tanh already does: seeded oscillator outcomes
+repeat on one machine, and a CPU on another SIMD path may round them apart.
+
 Threads: :func:`solve_threads` alone decides how many threads a solve
 runs on. Only the oscillator solver asks ``_solve_many`` for more than one,
 as many as the smallest of numpy's BLAS thread count, the cores this
 process may run on and the models, so a pool worker, whose BLAS runs one
-thread, solves on one. Most of an oscillator step is numpy's sin, cos and
-tanh, which release the GIL; the p-bit and p-dit site steps hold it, and
+thread, solves on one. numpy's sin, cos and tanh, which release the GIL,
+were most of a float64 oscillator step. In float32, sin and cos cost about
+a thirtieth as much and tanh a quarter, and the groups gain little: on a
+shared 2-core x86-64 machine, a fit-beta plan at n=16 (36 solves of 64
+replicas) ran on two threads from 1.05x faster (0.32 s against 0.34 s) to
+1.3x slower than on one as the machine's other load varied, where float64
+ran 1.4-1.7x faster on two. The p-bit and p-dit site steps hold the GIL, and
 split over two threads they ran slower than on one. While a batch's chunks
 run on threads, numpy's OpenBLAS runs one thread.
 
@@ -146,6 +166,10 @@ _OIM_DT = 0.01
 # Upper bound on the oscillator drift's band buffers; larger row stacks are
 # processed in row chunks.
 _OIM_BAND_BYTES = 4_000_000
+
+# The float type of the oscillator's phase integration (see the module's
+# precision contract).
+_OIM_FLOAT = np.float32
 
 
 @dataclass(frozen=True)
@@ -601,8 +625,10 @@ class _OimDrift:
     pair's value enters its first site i with weight J[i, i+d] and its second
     site k = i+d negated, with weight -J[k-d, k]; J must be symmetric, and
     its diagonal never enters. ``weights[i]`` holds site i's 2 x bands
-    weights, first-site ones first. The rows are taken in chunks whose band
-    buffers (see :meth:`_buffers`) fit ``_OIM_BAND_BYTES``, or hold one row.
+    weights, first-site ones first. Weights, bias and buffers are
+    ``_OIM_FLOAT`` copies. The rows are taken in chunks whose buffers (see
+    :meth:`_buffers`), all of them, fit ``_OIM_BAND_BYTES``, or hold one
+    row.
     """
 
     def __init__(self, j: np.ndarray, h: np.ndarray, params: OimParams):
@@ -617,10 +643,14 @@ class _OimDrift:
         # at site k in band d.
         self.from_index = ((shift - 1) * n + (sites - shift) % n).ravel()
         j_from = j_to.ravel()[self.from_index].reshape(j_to.shape)
-        self.weights = np.concatenate([j_to, -j_from]).T[:, None, :].copy()
+        weights = np.concatenate([j_to, -j_from]).T[:, None, :]
+        self.weights = np.ascontiguousarray(weights, dtype=_OIM_FLOAT)
         self.coupling = params.coupling
         self.binarization = params.binarization
-        per_row = 8 * (4 * n + 2 * n_bands * n)
+        h = np.ascontiguousarray(h, dtype=_OIM_FLOAT)
+        # The bytes of one row of the chunk buffers: sin_cos 4n, pairs
+        # 2 x bands x n, product n and term n entries.
+        per_row = np.dtype(_OIM_FLOAT).itemsize * (6 * n + 2 * n_bands * n)
         width = max(1, min(rows, _OIM_BAND_BYTES // per_row))
         # (rows, bias, buffers) per chunk; all full chunks share one set of
         # buffers.
@@ -649,7 +679,7 @@ class _OimDrift:
         - ``product`` holds the band product, one (1, width) row per site,
           and ``term`` one term of the drift at a time.
         """
-        sin_cos = np.empty((2, 2, n, width))
+        sin_cos = np.empty((2, 2, n, width), dtype=_OIM_FLOAT)
         plane, _, site, row = sin_cos.strides
         # [cos; sin] and [sin; cos] at x[i + d], d = 1..n_bands, so that one
         # product with the heads, [sin; cos] at x[i], gives sin_i cos_j and
@@ -657,10 +687,11 @@ class _OimDrift:
         partners = np.lib.stride_tricks.as_strided(
             sin_cos[::-1, :, 1:], (2, n_bands, n, width), (-plane, site, site, row)
         )
-        pairs = np.empty((2, n_bands, n, width))
+        pairs = np.empty((2, n_bands, n, width), dtype=_OIM_FLOAT)
         first, second = (x.reshape(-1, width) for x in pairs)
         by_site = pairs.reshape(-1, n, width).transpose(1, 0, 2)
-        product, term = np.empty((n, 1, width)), np.empty((n, width))
+        product = np.empty((n, 1, width), dtype=_OIM_FLOAT)
+        term = np.empty((n, width), dtype=_OIM_FLOAT)
         return (*sin_cos, sin_cos[:, :1], partners, pairs, first, second, by_site, product, term)
 
     def __call__(self, sin_phi: np.ndarray, cos_phi: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -686,6 +717,9 @@ class _OimDrift:
 
 
 def _oim_draws(model: IsingModel, seeds, cfg: SolverConfig):
+    """The draws of the oscillator, in float64: each phase starts uniform on
+    [0, 2 pi), and each step draws standard normals."""
+
     def initial(rng, size):
         return rng.uniform(0.0, 2.0 * np.pi, size)
 
@@ -700,15 +734,18 @@ def _oim_sweeps(model: IsingModel, h: np.ndarray, temps, phi0, noise):
     that level; yields sign(cos phase) per step.
 
     Phases, bias and noise are sites-major, (n, rows), the layout of
-    :class:`_OimDrift`. A step writes into buffers made once per call, in
-    the operation order of pred = phi + dt f0 + kick and
-    phi += 0.5 dt (f0 + f1) + kick: IEEE sums and products commute, so each
-    in-place form is that expression bit for bit. The yielded readout is one
-    C-contiguous (n, rows) buffer: the next step rewrites it, and the caller
-    only reads it.
+    :class:`_OimDrift`. The phases are integrated in ``_OIM_FLOAT`` (see the
+    module's precision contract): ``phi0`` is rounded to it once, and each
+    noise block as it is scaled into the kick. A step writes into buffers
+    made once per call, in the operation order of pred = phi + dt f0 + kick
+    and phi += 0.5 dt (f0 + f1) + kick: IEEE sums and products commute, so
+    each in-place form is that expression bit for bit. The yielded float64
+    readout is one C-contiguous (n, rows) buffer: the next step rewrites it,
+    and the caller only reads it.
     """
-    phi = phi0.copy()
-    kick, pred, f0, f1, sin_x, cos_x, readout = np.empty((7, *phi.shape))
+    phi = phi0.astype(_OIM_FLOAT)
+    kick, pred, f0, f1, sin_x, cos_x = np.empty((6, *phi.shape), dtype=_OIM_FLOAT)
+    readout = np.empty(phi.shape)
     drift = _OimDrift(model.j_matrix, h, oim_params(model.n))
     sqrt_dt = np.sqrt(_OIM_DT)
     # sin_x and cos_x hold the sines and cosines of phi, except while they
@@ -830,9 +867,10 @@ def oim_solve_many(
     The batch is solved on :func:`solve_threads` threads, one contiguous
     group of models each, with numpy's OpenBLAS on one thread, so each
     computes as a pool worker does; each group's kernel calls are cut where
-    the couplings change. numpy's sin, cos and tanh, most of a step, release
-    the GIL, so the groups overlap; the p-bit and p-dit site steps hold it,
-    so their solvers run on one thread.
+    the couplings change. numpy's sin, cos and tanh release the GIL, so the
+    groups overlap, by less since the phases are float32 (see the module's
+    Threads paragraph); the p-bit and p-dit site steps hold it, so their
+    solvers run on one thread.
     """
     ramp = 1.0 - cfg.schedule.ramp()
     threads = solve_threads("oim", len(models))

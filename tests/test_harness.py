@@ -298,7 +298,8 @@ class TestRunBerSweep:
 
     def test_baselines_share_one_channel_factors_per_channel(self, monkeypatch):
         # Three channels under zf, mmse and ml: one SVD and one QR per
-        # channel, and every call for channel k gets factors of channel k.
+        # channel, and every call of every baseline for channel k gets one
+        # factors object, of channel k.
         plan = plan_experiment(
             3, 4, [6.0, 12.0], 36, seed=11, detectors=("zf", "mmse", "ml"), messages_per_channel=2
         )
@@ -320,15 +321,14 @@ class TestRunBerSweep:
         assert len(calls["svd"]) == 3
         assert len(calls["qr"]) == 3
         c = build_constellation(4)
-        for name in ("zf_detect", "mmse_detect", "ml_exact"):
-            factors = calls[name]
-            assert len(factors) == 3 * 2 * 2, name
-            for k in range(3):
-                mine = factors[4 * k : 4 * k + 4]
-                assert all(isinstance(f, harness.ChannelFactors) for f in mine)
-                assert all(f is mine[0] for f in mine), name
-                inst, _ = build_instance(c, 3, 6.0, 11, k)
-                np.testing.assert_array_equal(mine[0].H, inst.channel)
+        names = ("zf_detect", "mmse_detect", "ml_exact")
+        assert all(len(calls[name]) == 3 * 2 * 2 for name in names)
+        for k in range(3):
+            mine = [f for name in names for f in calls[name][4 * k : 4 * k + 4]]
+            assert all(isinstance(f, harness.ChannelFactors) for f in mine)
+            assert all(f is mine[0] for f in mine)
+            inst, _ = build_instance(c, 3, 6.0, 11, k)
+            np.testing.assert_array_equal(mine[0].H, inst.channel)
 
     def test_detector_failure_counts_all_bits(self, monkeypatch, caplog):
         plan = plan_experiment(
