@@ -3,7 +3,9 @@
 Subcommands: ``run`` executes one experiment plan and writes a CSV plus a
 reproduction manifest, ``sweep`` runs a grid of (n, order) plans, ``fit-beta``
 performs the annealing-peak calibration sweep, and ``report`` re-runs the
-plan stored in a manifest (byte-identical CSV for the same seed).
+plan stored in a manifest (byte-identical CSV for the same seed). ``fit-beta``
+writes its curves, then exits 1 without a scaling fit, naming each (n, order),
+when any size's lowest mean lies at the grid's first or last peak.
 
 ``--config`` names a JSON object of option values. Its keys are the flag
 names, with ``_`` in place of ``-`` where it suits, and must match a flag of
@@ -198,7 +200,8 @@ def _cmd_fit_beta(args: argparse.Namespace) -> None:
     for n, order in pairs:
         result = beta_sweep(n, order, **settings)
         rows.append((n, order, result))
-        print(f"n={n} order={order}: optimal peak {result.beta_opt:.6g}")
+        found = "lowest mean at the grid's edge, peak" if result.at_edge else "optimal peak"
+        print(f"n={n} order={order}: {found} {result.beta_opt:.6g}")
     out.mkdir(parents=True, exist_ok=True)
     curve_path = out / "beta_sweep.csv"
     with open(curve_path, "w") as fh:
@@ -209,9 +212,15 @@ def _cmd_fit_beta(args: argparse.Namespace) -> None:
             ):
                 fh.write(f"{n},{order},{float(b)!r},{float(m)!r},{float(s)!r}\n")
     print(f"wrote {curve_path}")
+    edges = [f"n={n} order={order}" for n, order, result in rows if result.at_edge]
+    if edges:
+        raise ValueError(
+            f"the lowest mean is at the grid's edge for {', '.join(edges)}: not an optimum;"
+            " widen the grid there (scaling fit skipped)"
+        )
     if len(rows) >= 3:
         try:
-            fit = fit_scaling_law([(n, order, r.beta_opt) for n, order, r in rows])
+            fit = fit_scaling_law(rows)
             print(
                 f"scaling fit ({fit.family}): coefficient {fit.coefficient:.4g}, "
                 f"exponent {fit.exponent:.4g}"

@@ -425,6 +425,14 @@ class BetaSweepResult:
     random_reference: float
     random_reference_stderr: float
 
+    @property
+    def at_edge(self) -> bool:
+        """Whether the lowest mean lies at the grid's first or last peak, as
+        it always does on a grid of one or two peaks: the sweep then bounds
+        the optimum on one side only, and ``beta_opt`` is the grid's end, not
+        an optimum."""
+        return int(np.argmin(self.mean_final_energy)) in (0, self.beta_grid.size - 1)
+
 
 def plan_beta_sweep(
     n: int,
@@ -498,14 +506,22 @@ def beta_sweep(
     built.
 
     The pool is solved in batches of ``k`` instances, ``k`` the number of
-    threads the paradigm's solver runs (:func:`solve_threads`), one on the
-    p-bit and p-dit solvers. A batch's instances are built and scored
-    against their random references in pool order, then solved at every
-    peak in one solver call, instance-major, one model per (instance, peak),
-    so each solver thread gets whole instances. At most ``k`` instances are
-    held at a time, so memory grows with the thread count, not the pool. A
-    (peak, instance) cell draws from its own seed, so the result does not
-    depend on how the cells are batched.
+    threads the paradigm's solver runs with one instance, all its peaks, on
+    each (:func:`solve_threads`): one on the p-bit and p-dit solvers, and
+    one on the oscillator where one instance sweeps fewer site pairs per
+    step than the solver's thread floor, 70,000 (n (n // 2) pairs times
+    peaks times trials), below which two threads ran slower than one. So
+    the default 100 trials of a 4-peak grid run on one thread up to n=18
+    (51,200 pairs at n=16) and on threads from n=20 (80,000). A batch's
+    instances are built and scored against their random references in pool
+    order, then solved at every peak in one solver call, instance-major, one
+    model per (instance, peak), so each solver thread gets whole instances.
+    At most ``k`` instances are held at a time, so memory grows with the
+    thread count, not the pool. A (peak, instance) cell draws from its own
+    seed, so the result does not depend on how the cells are batched.
+
+    The result's ``at_edge`` tells whether the lowest mean lies at the
+    grid's first or last peak, where ``beta_opt`` is no optimum.
     """
     beta_grid, ebn0_list, cfg, c = plan_beta_sweep(
         n, order, paradigm, beta_grid, n_instances, n_trials, n_iterations, ebn0_list, seed
@@ -515,7 +531,10 @@ def beta_sweep(
     random_refs = np.empty(n_models)
     # finals[b, m]: instance m's normalized final energies at peak b.
     finals = np.empty((n_peaks, n_models, cfg.replicas))
-    k = solve_threads(paradigm, n_models)
+    rows = n_peaks * cfg.replicas  # one instance's rows
+    k = solve_threads(paradigm, n_models, rows, n)
+    if solve_threads(paradigm, k, rows, n) < k:  # one instance is below the floor
+        k = 1
     for first in range(0, n_models, k):
         batch = range(first, min(first + k, n_models))
         models, scales, seeds = [], [], []
@@ -565,13 +584,25 @@ class ScalingFit:
 
 
 def fit_scaling_law(points) -> ScalingFit:
-    """Least-squares power law through (n, order, beta_opt) triples.
+    """Least-squares power law through (n, order, beta) triples, ``beta`` an
+    optimal peak or the :class:`BetaSweepResult` whose ``beta_opt`` it is.
 
     BPSK points (order 2) are fitted as c * n**p; QAM points as
     c * (n * sqrt(order))**p. Sizes and orders must be ints, never rounded.
-    Mixing families or giving fewer than three points is rejected.
+    Mixing families, giving fewer than three points or a sweep whose lowest
+    mean lies at its grid's edge (``at_edge``) is rejected.
     """
-    points = [(n, order, float(b)) for n, order, b in points]
+    optima = []
+    for n, order, b in points:
+        if isinstance(b, BetaSweepResult):
+            if b.at_edge:
+                raise ValueError(
+                    f"n={n} order={order}: the lowest mean is at the grid's edge, peak"
+                    f" {b.beta_opt!r}, so it is not an optimum"
+                )
+            b = b.beta_opt
+        optima.append((n, order, float(b)))
+    points = optima
     for n, order, _ in points:
         require_ints(n=n, order=order)
     if len(points) < 3:

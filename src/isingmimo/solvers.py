@@ -95,18 +95,23 @@ SIMD dispatch, as its float64 tanh already does: seeded oscillator outcomes
 repeat on one machine, and a CPU on another SIMD path may round them apart.
 
 Threads: :func:`solve_threads` alone decides how many threads a solve
-runs on. Only the oscillator solver asks ``_solve_many`` for more than one,
-as many as the smallest of numpy's BLAS thread count, the cores this
-process may run on and the models, so a pool worker, whose BLAS runs one
-thread, solves on one. numpy's sin, cos and tanh, which release the GIL,
-were most of a float64 oscillator step. In float32, sin and cos cost about
-a thirtieth as much and tanh a quarter, and the groups gain little: on a
-shared 2-core x86-64 machine, a fit-beta plan at n=16 (36 solves of 64
-replicas) ran on two threads from 1.05x faster (0.32 s against 0.34 s) to
-1.3x slower than on one as the machine's other load varied, where float64
-ran 1.4-1.7x faster on two. The p-bit and p-dit site steps hold the GIL, and
-split over two threads they ran slower than on one. While a batch's chunks
-run on threads, numpy's OpenBLAS runs one thread.
+runs on. Only the oscillator solver asks ``_solve_many`` for more than one:
+as many as the smallest of numpy's BLAS thread count, the cores this process
+may run on and the models, and no more than leave each thread's group of
+models ``_OIM_THREAD_PAIRS`` (70,000) site pairs or more per step, n (n // 2)
+pairs times its rows. So a pool worker, whose BLAS runs one thread, solves
+on one, and so does a small batch. numpy's sin, cos and tanh release the
+GIL, but a float32 oscillator step is some 40 numpy calls in the kernel
+alone, and two threads that each sweep a small share spend more handing the
+GIL over than they overlap. On a shared 2-core x86-64 machine, two models of
+100 steps on two threads against one thread (medians of five alternating
+rounds at n = 16, 32 and 48): 0.54x at 16,384 pairs per thread, 0.69-0.83x
+at 32,768, 0.89x at 51,200 (n=16 at 400 rows, the fit-beta instance of 4
+peaks x 100 trials), 0.90-1.07x at 65,536, 1.01x at 73,728 (n=48 at 64
+rows), 1.16x at 81,920 (n=16 at 640 rows, half a BER channel of 21 models),
+1.48x at 102,400 and 1.28-1.66x from 131,072 up. The p-bit and p-dit site
+steps hold the GIL, and split over two threads they ran slower than on one.
+While a batch's chunks run on threads, numpy's OpenBLAS runs one thread.
 
 The fork rule: a pool worker gets its one BLAS thread by being forked from a
 caller whose OpenBLAS already runs one thread, so that it inherits the count
@@ -170,6 +175,11 @@ _OIM_BAND_BYTES = 4_000_000
 # The float type of the oscillator's phase integration (see the module's
 # precision contract).
 _OIM_FLOAT = np.float32
+
+# The fewest site pairs times rows, n (n // 2) per row, that each thread of
+# an oscillator solve must sweep per step for its thread to pay (see the
+# module's Threads paragraph); a smaller share runs on fewer threads.
+_OIM_THREAD_PAIRS = 70_000
 
 
 @dataclass(frozen=True)
@@ -803,22 +813,27 @@ def _openblas() -> tuple | None:
     return None
 
 
-def _oim_threads(n_models: int) -> int:
-    """The number of threads an oscillator solve of ``n_models`` models runs
-    on: at most numpy's BLAS thread count, the cores this process may run on
-    and the models; one where numpy's BLAS is not an OpenBLAS."""
+def _oim_threads(n_models: int, rows: int, sites: int) -> int:
+    """The number of threads an oscillator solve of ``n_models`` models of
+    ``rows`` rows and ``sites`` sites each runs on: the most threads t, up to
+    numpy's BLAS thread count, the cores this process may run on and the
+    models, whose contiguous groups of ``n_models // t`` models or more each
+    sweep ``_OIM_THREAD_PAIRS`` site pairs per step or more; one where no
+    group does, or where numpy's BLAS is not an OpenBLAS."""
     blas = _openblas()
     if blas is None:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(blas[0](), cores or 1, n_models))
+    # The fewest models whose pairs reach the floor.
+    least = max(1, -(-_OIM_THREAD_PAIRS // max(1, rows * sites * (sites // 2))))
+    return max(1, min(blas[0](), cores or 1, n_models // least))
 
 
-def solve_threads(paradigm: str, n_models: int) -> int:
+def solve_threads(paradigm: str, n_models: int, rows: int, sites: int) -> int:
     """The number of threads the named paradigm's solver splits a batch of
-    ``n_models`` models over: :func:`_oim_threads` for a solver that
-    threads, one for the others."""
-    return _oim_threads(n_models) if _paradigm(paradigm).threaded else 1
+    ``n_models`` models of ``rows`` rows and ``sites`` sites each over:
+    :func:`_oim_threads` for a solver that threads, one for the others."""
+    return _oim_threads(n_models, rows, sites) if _paradigm(paradigm).threaded else 1
 
 
 def _set_blas_threads(count: int) -> int:
@@ -867,13 +882,20 @@ def oim_solve_many(
     The batch is solved on :func:`solve_threads` threads, one contiguous
     group of models each, with numpy's OpenBLAS on one thread, so each
     computes as a pool worker does; each group's kernel calls are cut where
-    the couplings change. numpy's sin, cos and tanh release the GIL, so the
-    groups overlap, by less since the phases are float32 (see the module's
-    Threads paragraph); the p-bit and p-dit site steps hold it, so their
-    solvers run on one thread.
+    the couplings change. A thread is used only where each group sweeps at
+    least ``_OIM_THREAD_PAIRS`` (70,000) site pairs per step, n (n // 2)
+    times its rows: numpy's sin, cos and tanh release the GIL, so larger
+    groups overlap, and smaller ones lose more to handing the GIL over than
+    they gain. Two threads tied with one at 65,536-73,728 pairs each, lost
+    below (0.89x at 51,200) and won 1.16-1.66x from 81,920 up (see the
+    module's Threads paragraph). The models are of one size, that of the
+    first. The p-bit and p-dit site steps hold the GIL, so their solvers run
+    on one thread.
     """
     ramp = 1.0 - cfg.schedule.ramp()
-    threads = solve_threads("oim", len(models))
+    # An empty batch gets one thread, and _solve_many refuses it.
+    sites = models[0].n if models else 0
+    threads = solve_threads("oim", len(models), cfg.replicas, sites)
     return _solve_many(_oim_sweeps, _oim_draws, ramp, models, cfg, seeds, peaks, threads=threads)
 
 

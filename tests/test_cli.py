@@ -8,12 +8,13 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isingmimo
 from isingmimo import cli
 from isingmimo.cli import main
-from isingmimo.harness import plan_experiment
+from isingmimo.harness import BetaSweepResult, plan_experiment
 from isingmimo.solvers import PARADIGMS, default_parameters
 
 
@@ -435,7 +436,7 @@ class TestFitBetaCommand:
         code = run_cli(
             "fit-beta",
             "--n", "4", "--mod", "4", "--paradigm", "bpim",
-            "--beta-grid", "0.2,0.8,3.2",
+            "--beta-grid", "0.2,3.2,1000",
             "--instances", "2", "--trials", "8", "--iters", "20",
             "--seed", "2", "--out", str(out),
         )
@@ -448,11 +449,49 @@ class TestFitBetaCommand:
             assert len(fields) == 5
         assert "optimal peak" in capsys.readouterr().out
 
+    def test_edge_minimum_exits_1_after_writing(self, tmp_path, capsys):
+        # bpim at n=4: the lowest mean on 0.2, 0.8, 3.2 lies at 3.2, the
+        # grid's last peak, so it is no optimum.
+        out = tmp_path / "beta"
+        code = run_cli(
+            "fit-beta",
+            "--n", "4", "--mod", "4", "--paradigm", "bpim",
+            "--beta-grid", "0.2,0.8,3.2",
+            "--instances", "2", "--trials", "8", "--iters", "20",
+            "--seed", "2", "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "n=4 order=4: lowest mean at the grid's edge, peak 3.2" in captured.out
+        assert captured.err.startswith("error: ") and "edge for n=4 order=4:" in captured.err
+        assert len((out / "beta_sweep.csv").read_text().splitlines()) == 4
+
+    def test_edge_sizes_named_and_fit_skipped(self, tmp_path, capsys, monkeypatch):
+        # Of three sizes, the two whose lowest mean lies at an edge are
+        # named, every curve is written and no fit is made.
+        def sweep(n, order, beta_grid, **settings):
+            grid = np.array(beta_grid)
+            means = (grid - grid[1]) ** 2 if n == 3 else grid
+            return BetaSweepResult(grid, means, grid, float(grid[np.argmin(means)]), 0.0, 0.0)
+
+        fits = []
+        monkeypatch.setattr(cli, "beta_sweep", sweep)
+        monkeypatch.setattr(cli, "fit_scaling_law", fits.append)
+        out = tmp_path / "beta"
+        code = run_cli(
+            "fit-beta", "--n", "2,3,4", "--mod", "4", "--beta-grid", "0.5,1,2", "--out", str(out)
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "edge for n=2 order=4, n=4 order=4:" in err and "scaling fit skipped" in err
+        assert fits == []
+        assert len((out / "beta_sweep.csv").read_text().splitlines()) == 1 + 3 * 3
+
     def test_three_sizes_are_fitted(self, tmp_path, capsys, caplog):
         # The sizes and orders the command passes to the fit are plain ints.
         code = run_cli(
             "fit-beta",
-            "--n", "2,3,4", "--mod", "4", "--paradigm", "dpim", "--beta-grid", "0.5,2",
+            "--n", "2,3,4", "--mod", "4", "--paradigm", "dpim", "--beta-grid", "0.001,0.5,2,8",
             "--instances", "1", "--trials", "2", "--iters", "2",
             "--out", str(tmp_path / "beta"),
         )
@@ -463,7 +502,7 @@ class TestFitBetaCommand:
     @pytest.mark.parametrize("key", ["beta_grid", "beta-grid"])
     def test_config_key_takes_underscore_or_dash(self, key, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({key: "0.5,1", "paradigm": "dpim"}))
+        cfg.write_text(json.dumps({key: "0.5,5,1000", "paradigm": "dpim"}))
         out = tmp_path / "beta"
         code = run_cli(
             "fit-beta",
@@ -472,7 +511,7 @@ class TestFitBetaCommand:
         )
         assert code == 0
         lines = (out / "beta_sweep.csv").read_text().splitlines()
-        assert [float(line.split(",")[2]) for line in lines[1:]] == [0.5, 1.0]
+        assert [float(line.split(",")[2]) for line in lines[1:]] == [0.5, 5.0, 1000.0]
 
     @pytest.mark.parametrize("flag", ["--instances", "--trials", "--iters"])
     def test_invalid_count_leaves_no_output_directory(self, flag, tmp_path, capsys):
@@ -614,8 +653,8 @@ def test_registry_names_accepted_and_orders_checked_alike(paradigm, tmp_path):
             code = run_cli(
                 "fit-beta",
                 "--n", "2", "--mod", str(order), "--paradigm", paradigm,
-                "--beta-grid", "0.5", "--instances", "1", "--trials", "2", "--iters", "2",
-                "--out", str(tmp_path / f"m{order}"),
+                "--beta-grid", "0.5,5,1000", "--instances", "1", "--trials", "2",
+                "--iters", "2", "--out", str(tmp_path / f"m{order}"),
             )
             assert code == 0
         else:
@@ -633,7 +672,7 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     run = ["run", "--n", "2", "--mod", "4", "--ebn0", "10", "--bits", "56",
            "--detectors", "mmse,bpim", "--replicas", "2", "--iters", "2",
            "--out", str(tmp_path / "run")]
-    fit = ["fit-beta", "--n", "2", "--mod", "4", "--beta-grid", "0.5",
+    fit = ["fit-beta", "--n", "2", "--mod", "4", "--beta-grid", "0.5,5,1000",
            "--instances", "1", "--trials", "2", "--iters", "2",
            "--out", str(tmp_path / "fit")]
     code = (

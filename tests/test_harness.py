@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from contextlib import nullcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -483,6 +484,18 @@ class TestRunBerSweep:
             run_ber_sweep(plan)
 
 
+def spy_oim_threads(monkeypatch) -> list:
+    """The (models, threads) of each oscillator solve from here on."""
+    calls, solve = [], solvers._solve_many
+
+    def spy(kernel, draw, ramp, models, *args, threads=1):
+        calls.append((len(models), threads))
+        return solve(kernel, draw, ramp, models, *args, threads=threads)
+
+    monkeypatch.setattr(solvers, "_solve_many", spy)
+    return calls
+
+
 class TestWorkerPool:
     def test_workers_run_one_blas_thread(self):
         if blas_threads() is None:
@@ -505,9 +518,10 @@ class TestWorkerPool:
         assert [(tasks, count) for _, tasks, count in seen] == [(1, 1), (1, 1)]
 
     def test_workers_solve_on_one_thread(self):
-        # An oscillator solve of eight models in a worker runs on one thread.
+        # An oscillator solve of eight models in a worker runs on one thread,
+        # at 64 rows of 64 sites each far above the thread floor.
         with solvers.worker_pool(2) as pool:
-            assert pool.submit(solvers._oim_threads, 8).result(timeout=60) == 1
+            assert pool.submit(solvers._oim_threads, 8, 64, 64).result(timeout=60) == 1
 
     def test_spawned_workers_solve_on_one_thread(self, monkeypatch):
         # A worker started by spawn or forkserver (the Linux default from
@@ -520,7 +534,7 @@ class TestWorkerPool:
         spawn = multiprocessing.get_context("spawn")
         monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
         with solvers.worker_pool(2) as pool:
-            assert pool.submit(solvers._oim_threads, 8).result(timeout=60) == 1
+            assert pool.submit(solvers._oim_threads, 8, 64, 64).result(timeout=60) == 1
 
     @pytest.mark.parametrize("one_thread", [False, True], ids=["default", "one-thread"])
     def test_pool_sets_the_caller_count_only_when_it_changes(self, one_thread, blas_setter_calls):
@@ -563,12 +577,13 @@ class TestWorkerPool:
         monkeypatch.setattr(solvers, "_openblas", lambda: None)
         assert run_ber_sweep(plan, threads=2) == serial
 
-    def test_caller_blas_threads_unchanged_by_beta_sweep(self):
-        # The oscillator solves split into threads and pin the BLAS to one
-        # thread while they run.
+    def test_caller_blas_threads_unchanged_by_beta_sweep(self, monkeypatch):
+        # The oscillator solves split into threads, with the thread floor at
+        # one site pair, and pin the BLAS to one thread while they run.
         before = blas_threads()
         if before is None:
             pytest.skip("numpy's BLAS exports no thread-count getter")
+        monkeypatch.setattr(solvers, "_OIM_THREAD_PAIRS", 1)
         beta_sweep(4, 2, "oim", [10.0, 30.0], n_instances=2, n_trials=4, n_iterations=5, seed=3)
         assert blas_threads() == before
 
@@ -753,16 +768,18 @@ class TestBetaSweep:
             assert [s.entropy for s in seeds] == [s.entropy for s in want]
         assert len({id(models[0]) for models, *_ in calls}) == len(calls)
 
-    def test_oim_sweep_same_on_one_blas_thread(self):
+    def test_oim_sweep_same_on_one_blas_thread(self, monkeypatch):
         # The threads a sweep runs on set how many instances share a solver
-        # call, never the result: an odd pool on the solver's own threads
-        # against one call per instance with numpy's BLAS on one thread.
+        # call, never the result: an odd pool on the solver's own threads,
+        # with the thread floor at one site pair, against one call per
+        # instance with numpy's BLAS on one thread.
         if solvers._openblas() is None:
             pytest.skip("numpy's BLAS exports no OpenBLAS thread-count setter")
+        monkeypatch.setattr(solvers, "_OIM_THREAD_PAIRS", 1)
         args = dict(n_instances=3, n_trials=5, n_iterations=20, ebn0_list=[6.0], seed=4)
         threaded = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
         with solvers._blas_on_one_thread():
-            assert harness.solve_threads("oim", 3) == 1
+            assert harness.solve_threads("oim", 3, 15, 6) == 1
             one = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
         for name in ("beta_grid", "mean_final_energy", "stderr"):
             np.testing.assert_array_equal(getattr(threaded, name), getattr(one, name))
@@ -775,7 +792,7 @@ class TestBetaSweep:
         # model at every peak, the peaks tiled and each cell's own seed.
         if blas_threads() is None:
             pytest.skip("numpy's BLAS exports no thread-count getter")
-        monkeypatch.setattr(solvers, "_oim_threads", lambda n_models: min(2, n_models))
+        monkeypatch.setattr(solvers, "_oim_threads", lambda n_models, *size: min(2, n_models))
         calls = []
         solve = harness.solve_many
 
@@ -801,6 +818,69 @@ class TestBetaSweep:
         assert m_idx == 9
         assert len({id(models[0]) for models, _, _ in calls}) == len(calls)
 
+    @pytest.mark.parametrize(
+        "grid, energy, at_edge, beta_opt",
+        [
+            ([1.0, 2.0, 3.0], lambda peak: peak, True, 1.0),
+            ([1.0, 2.0, 3.0], lambda peak: -peak, True, 3.0),
+            ([1.0, 2.0, 3.0], lambda peak: (peak - 2.0) ** 2, False, 2.0),
+            ([2.0], lambda peak: peak, True, 2.0),
+        ],
+        ids=["low-edge", "high-edge", "interior", "one-peak"],
+    )
+    def test_minimum_at_the_grid_edge_is_flagged(
+        self, grid, energy, at_edge, beta_opt, monkeypatch
+    ):
+        # Each cell's final energies depend on its peak alone, so the lowest
+        # mean lies where ``energy`` is lowest.
+        def solve(paradigm, models, cfg, seeds, peaks=None):
+            return [
+                SimpleNamespace(final_energies=np.full(cfg.replicas, energy(peak)))
+                for peak in peaks
+            ]
+
+        monkeypatch.setattr(harness, "solve_many", solve)
+        res = beta_sweep(4, 4, "bpim", grid, n_instances=2, n_trials=3, n_iterations=2)
+        assert (res.at_edge, res.beta_opt) == (at_edge, beta_opt)
+
+    def test_oim_sweep_below_the_thread_floor_runs_one_instance_on_one_thread(
+        self, monkeypatch
+    ):
+        # The benchmark's fit-beta cells at n=16: 4 peaks x 100 trials x 128
+        # pairs, 51,200 per instance, below the floor of 70,000: one instance
+        # per solver call, on one thread.
+        calls = spy_oim_threads(monkeypatch)
+        grid = [10.0, 20.0, 30.0, 40.0]
+        beta_sweep(16, 2, "oim", grid, n_instances=3, n_iterations=1, ebn0_list=[6.0], seed=1)
+        assert calls == [(4, 1)] * 3
+
+    def test_oim_sweep_above_the_thread_floor_gives_each_thread_an_instance(
+        self, monkeypatch
+    ):
+        # At n=48, 4 peaks x 64 trials x 1,152 pairs is 294,912 per instance:
+        # a batch of k instances on k threads, k the cap, and the last
+        # instance's peaks split over the cap as well.
+        k = solvers._oim_threads(3, solvers._OIM_THREAD_PAIRS, 2)
+        if k < 2:
+            pytest.skip("one BLAS thread or one core: every solve runs on one thread")
+        calls = spy_oim_threads(monkeypatch)
+        grid = [10.0, 20.0, 30.0, 40.0]
+        args = dict(n_instances=3, n_trials=64, n_iterations=1, ebn0_list=[6.0], seed=1)
+        beta_sweep(48, 2, "oim", grid, **args)
+        batches = [min(k, 3 - first) for first in range(0, 3, k)]
+        assert calls == [(4 * b, min(k, 4 * b)) for b in batches]
+
+    def test_oim_ber_channel_above_the_thread_floor_gets_the_cap(self, monkeypatch):
+        # One BER channel of 21 models at n=16, 64 replicas each: on two
+        # threads, groups of 10 and 11 models sweep 81,920 and 90,112 pairs.
+        calls = spy_oim_threads(monkeypatch)
+        plan = plan_experiment(
+            16, 2, [4.0, 8.0, 12.0], 112, seed=1, detectors=("oim",),
+            messages_per_channel=7, iterations=2,
+        )
+        run_ber_sweep(plan, threads=1)
+        assert calls == [(21, solvers._oim_threads(21, solvers._OIM_THREAD_PAIRS, 2))]
+
     def test_ebn0_list_may_be_a_generator(self):
         # As plan_experiment takes it: the list is checked in one place.
         args = dict(n_instances=1, n_trials=2, n_iterations=2, seed=3)
@@ -811,6 +891,22 @@ class TestBetaSweep:
 
 
 class TestFitScalingLaw:
+    def test_edge_point_refused(self):
+        # A sweep whose lowest mean is at its grid's edge bounds the optimum
+        # on one side only; an interior one is fitted by its beta_opt.
+        def swept(beta_opt, means):
+            grid = np.array([beta_opt / 2, beta_opt, beta_opt * 2])
+            return harness.BetaSweepResult(grid, np.array(means), grid, beta_opt, 0.0, 0.0)
+
+        inner = [(n, 2, swept(math.sqrt(3) * n ** (-2 / 3), [1, 0, 1])) for n in (8, 16, 32)]
+        assert not any(result.at_edge for _, _, result in inner)
+        fit = fit_scaling_law(inner)
+        assert fit.exponent == pytest.approx(-2 / 3, abs=1e-9)
+        edge = [*inner[:2], (32, 2, swept(0.2, [0, 1, 2]))]
+        assert edge[2][2].at_edge
+        with pytest.raises(ValueError, match="n=32 order=2: the lowest mean is at the grid's edge"):
+            fit_scaling_law(edge)
+
     def test_recovers_qam_law_exactly(self):
         points = [(n, m, 13.0 / (n * math.sqrt(m))) for n in (8, 16, 32) for m in (4, 16, 64)]
         fit = fit_scaling_law(points)

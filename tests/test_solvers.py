@@ -91,11 +91,17 @@ def sample_pdit_chain(model, beta, n_sweeps, seed, n_chains=1):
     return np.stack([d.T.astype(np.int8) for d in sweeps], axis=1)
 
 
+def capped_threads(n_models):
+    """The threads of an oscillator solve of ``n_models`` models far above
+    its thread floor: the cap of BLAS threads, cores and models alone."""
+    return solvers._oim_threads(n_models, solvers._OIM_THREAD_PAIRS, 2)
+
+
 @contextmanager
 def worker_blas():
     """numpy's BLAS on one thread while the block runs, as a pool worker
     runs it, so that an oscillator solve runs on one thread."""
-    if solvers._oim_threads(2) == 1:
+    if capped_threads(2) == 1:
         yield
     else:
         with solvers._blas_on_one_thread():
@@ -1184,15 +1190,21 @@ class TestOscillatorThreads:
     """An oscillator solve splits its batch into contiguous model groups, one
     thread each, with numpy's BLAS on one thread while they run; its
     outcomes are those of the solve on one thread, which a pool worker
-    makes. Each solve here runs at the caller's BLAS thread count."""
+    makes. Each solve here runs at the caller's BLAS thread count, with the
+    thread floor at one site pair, so that its small batches split as a
+    batch above the floor does."""
+
+    @pytest.fixture(autouse=True)
+    def floor_of_one_pair(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_OIM_THREAD_PAIRS", 1)
 
     def test_thread_count_rule(self):
         threads = blas_threads()
         cores = len(os.sched_getaffinity(0))
         for n_models in (1, 2, 3, 10):
-            assert solvers._oim_threads(n_models) == min(threads, cores, n_models)
+            assert solvers._oim_threads(n_models, 2, 4) == min(threads, cores, n_models)
         with worker_blas():
-            assert solvers._oim_threads(10) == 1
+            assert solvers._oim_threads(10, 2, 4) == 1
         assert blas_threads() == threads
 
     def test_threads_set_the_count_only_when_it_changes(self, blas_setter_calls, monkeypatch):
@@ -1200,7 +1212,7 @@ class TestOscillatorThreads:
         count = blas_threads()
         if count == 1:
             pytest.skip("the caller's BLAS already runs one thread")
-        monkeypatch.setattr(solvers, "_oim_threads", lambda n_models: min(2, n_models))
+        monkeypatch.setattr(solvers, "_oim_threads", lambda n_models, *size: min(2, n_models))
         models = channel_models("binary", 2, 4, 2, 17, ebn0_db=6.0)
         oim_solve_many(models, SolverConfig(2, AnnealSchedule(10.0, 5)), [4, 9])
         assert blas_setter_calls == [1, count]
@@ -1223,7 +1235,7 @@ class TestOscillatorThreads:
             groups.append((list(args[1]), blas_threads()))  # the chunk's seeds
             return draw(*args)
 
-        k = solvers._oim_threads(len(models))
+        k = solvers._oim_threads(len(models), cfg.replicas, models[0].n)
         pinned = 1 if k > 1 else blas_threads()
         monkeypatch.setattr(solvers, "_oim_draws", spy)
         threaded_matches_one_thread(models, cfg, seeds)
@@ -1293,7 +1305,7 @@ class TestOscillatorThreads:
         cfg = SolverConfig(4, AnnealSchedule(20.0, 30))
         with worker_blas():
             one = oim_solve_many(models, cfg, [3, 1, 4, 1, 5])
-        monkeypatch.setattr(solvers, "_oim_threads", lambda n_models: n_models)
+        monkeypatch.setattr(solvers, "_oim_threads", lambda n_models, *size: n_models)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1333,6 +1345,68 @@ class TestOscillatorThreads:
         with pytest.raises(RuntimeError, match="the last group failed"):
             oim_solve_many(models, SolverConfig(2, AnnealSchedule(10.0, 5)), [1, 2, 3])
         assert blas_threads() == threads
+
+
+class TestOscillatorThreadFloor:
+    """An oscillator solve uses t threads only while each thread's group of
+    models sweeps at least ``_OIM_THREAD_PAIRS`` site pairs per step, n
+    (n // 2) pairs times its rows; below that, fewer threads, down to one."""
+
+    def test_fit_beta_instance_at_n16_runs_on_one_thread(self):
+        # One fit-beta instance at n=16, 4 peaks x 100 trials: 400 rows of
+        # 128 pairs, 51,200 per step, below the floor.
+        assert solvers._oim_threads(4, 100, 16) == 1
+        assert solvers.solve_threads("oim", 4, 100, 16) == 1
+
+    @pytest.mark.parametrize(
+        "n_models, rows, sites",
+        [(21, 64, 16), (4, 64, 48), (8, 64, 48)],
+        ids=["ber-channel-n16", "fit-beta-instance-n48", "two-fit-beta-instances-n48"],
+    )
+    def test_batches_above_the_floor_get_the_cap(self, n_models, rows, sites):
+        # A BER channel of 21 models at n=16 splits into groups of 10 and 11
+        # models of 64 rows, 81,920 pairs or more each on two threads; a
+        # fit-beta instance at n=48 holds 4 peaks x 64 trials x 1,152 pairs.
+        assert solvers._oim_threads(n_models, rows, sites) == capped_threads(n_models)
+
+    def test_each_thread_keeps_the_floor(self, monkeypatch):
+        # Eight BLAS threads and cores, and a floor of three models' pairs:
+        # t threads need t groups of three models or more.
+        get_threads = lambda: 8  # noqa: E731
+        monkeypatch.setattr(solvers, "_openblas", lambda: (get_threads, None))
+        eight_cores = set(range(8))
+        monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: eight_cores, raising=False)
+        monkeypatch.setattr(solvers, "_OIM_THREAD_PAIRS", 3 * 5 * 6 * 3)
+        counts = [(1, 1), (2, 1), (5, 1), (6, 2), (8, 2), (10, 3), (24, 8), (99, 8)]
+        for n_models, threads in counts:
+            assert solvers._oim_threads(n_models, 5, 6) == threads
+        monkeypatch.setattr(solvers, "_OIM_THREAD_PAIRS", 3 * 5 * 6 * 3 + 1)
+        assert solvers._oim_threads(10, 5, 6) == 2
+        # One site has no pair: such a solve runs on one thread.
+        assert solvers._oim_threads(10, 5, 1) == 1
+
+    def test_outcomes_equal_on_both_sides_of_the_floor(self, monkeypatch):
+        # Four models at n=16 of 10 rows each: two groups of 2,560 pairs on
+        # two threads. At that floor they split, one pair above it they run
+        # on one thread, and both give the same outcomes.
+        if capped_threads(4) < 2:
+            pytest.skip("one BLAS thread or one core: every solve runs on one thread")
+        models = channel_models("binary", 2, 16, 4, 41, ebn0_db=4.0)
+        cfg = replace(default_parameters("oim", 16), replicas=10)
+        seeds = [7, 2, 9, 4]
+        solve, seen = solvers._solve_many, []
+
+        def spy(*args, threads=1):
+            seen.append(threads)
+            return solve(*args, threads=threads)
+
+        monkeypatch.setattr(solvers, "_solve_many", spy)
+        outcomes = []
+        for floor in (2 * 10 * 16 * 8, 2 * 10 * 16 * 8 + 1):
+            monkeypatch.setattr(solvers, "_OIM_THREAD_PAIRS", floor)
+            outcomes.append(oim_solve_many(models, cfg, seeds))
+        assert seen == [2, 1]
+        assert_same_outcomes(*outcomes)
 
 
 class TestChainSampling:
