@@ -192,6 +192,7 @@ def _cmd_fit_beta(args: argparse.Namespace) -> None:
         n_trials=args.trials,
         n_iterations=args.iters,
         seed=args.seed,
+        threads=args.threads,
     )
     # Every pair is checked before the first solve.
     for n, order in pairs:
@@ -258,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--trials", type=int, default=100, help="trials per instance")
     p_fit.add_argument("--iters", type=int, default=100, help="iterations per trial")
     p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_fit.add_argument("--out")
     p_fit.add_argument("--config", help=CONFIG_HELP)
     p_fit.set_defaults(handler=_cmd_fit_beta)

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,6 @@ from .solvers import (
     require_ints,
     require_peaks,
     solve_many,
-    solve_threads,
     worker_pool,
 )
 
@@ -291,10 +290,10 @@ def _detector_bits(
     """The recovered bits of each of a channel's cells under one detector, or
     None where a baseline failed as expected. A heuristic solves all the
     cells in one :func:`solve_many` call, since its couplings depend on the
-    channel only; that call may split them into kernel calls by state size
-    and over oscillator threads, and each cell's replica streams match a
-    standalone solve. A baseline detects with ``factors``, the channel's
-    :class:`ChannelFactors`, which every baseline of the channel shares."""
+    channel only; that call may split them into kernel calls by state size,
+    and each cell's replica streams match a standalone solve. A baseline
+    detects with ``factors``, the channel's :class:`ChannelFactors`, which
+    every baseline of the channel shares."""
     c = plan.constellation
     if detector in PARADIGMS:
         seeds = [
@@ -357,27 +356,37 @@ def _channel_errors(plan: ExperimentPlan, channel_index: int) -> np.ndarray:
     return errors
 
 
-def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
-    """Run every (channel, message, point, detector) cell and aggregate BER.
-
-    ``threads`` is the number of worker processes of
-    :func:`solvers.worker_pool`, at most one per channel, each on one BLAS
-    thread. With one, the sweep runs in this process under the caller's BLAS
-    setting. The result does not depend on it.
-    An invalid plan fails in :func:`plan_experiment` before any work.
-    """
-    plan = plan_experiment(**{f.name: getattr(plan, f.name) for f in fields(ExperimentPlan)})
+def _require_threads(threads) -> None:
+    """A sweep's ``threads``, its worker processes, is an int of at least 1."""
     require_ints(threads=threads)
     if threads < 1:
         raise ValueError(f"threads must be at least 1; got {threads}")
-    workers = min(threads, plan.n_channels)
-    if workers > 1:
-        with worker_pool(workers) as pool:
-            per_channel = list(
-                pool.map(_channel_errors, [plan] * plan.n_channels, range(plan.n_channels))
-            )
-    else:
-        per_channel = [_channel_errors(plan, ch) for ch in range(plan.n_channels)]
+
+
+def _map(function, items, threads: int) -> list:
+    """``function`` of each of ``items``, in order: the sweeps' one parallel
+    path. With ``threads`` above one, the items are mapped over that many
+    processes of :func:`solvers.worker_pool`, at most one per item, each on
+    one BLAS thread; with one, they run in this process under the caller's
+    BLAS setting. ``function`` draws only from seeds keyed by its item, so
+    the result does not depend on ``threads``."""
+    workers = min(threads, len(items))
+    if workers <= 1:
+        return [function(item) for item in items]
+    with worker_pool(workers) as pool:
+        return list(pool.map(function, items))
+
+
+def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
+    """Run every (channel, message, point, detector) cell and aggregate BER.
+
+    The channels are mapped over ``threads`` worker processes (:func:`_map`);
+    the result does not depend on it. An invalid plan fails in
+    :func:`plan_experiment` before any work.
+    """
+    plan = plan_experiment(**{f.name: getattr(plan, f.name) for f in fields(ExperimentPlan)})
+    _require_threads(threads)
+    per_channel = _map(partial(_channel_errors, plan), range(plan.n_channels), threads)
     errors = np.sum(per_channel, axis=0)
     bits_per_point = plan.n_channels * plan.messages_per_channel * plan.bits_per_message
     points = []
@@ -444,6 +453,7 @@ def plan_beta_sweep(
     n_iterations: int = 100,
     ebn0_list=(3.0, 6.0, 9.0),
     seed: int = 0,
+    threads: int = 1,
 ) -> tuple:
     """Every check of :func:`beta_sweep`'s arguments, the Eb/N0 list as a
     plan's is, made before any instance is built, as :func:`plan_experiment`
@@ -463,6 +473,7 @@ def plan_beta_sweep(
     )
     if seed < 0:  # a SeedSequence takes no negative entropy
         raise ValueError(f"seed must be non-negative; got {seed}")
+    _require_threads(threads)
     c = build_constellation(order)  # validates the order
     beta_grid = require_peaks(sorted(_numbers("beta_grid", beta_grid)))
     if beta_grid.size == 0:
@@ -483,6 +494,26 @@ def plan_beta_sweep(
     return beta_grid, ebn0_list, cfg, c
 
 
+def _instance_finals(
+    n: int, paradigm: str, beta_grid, ebn0_list, n_instances: int, cfg, c, seed: int, m_idx: int
+) -> tuple:
+    """Pool instance ``m_idx`` of a checked :func:`beta_sweep`: its random
+    reference, and its (peaks, trials) final energies, each normalized by
+    the mean |energy| of its 1000 random configurations. The instance is
+    built, scored and then solved at every peak in one :func:`solve_many`
+    call, one model per peak, each cell from its own seed."""
+    e_idx = m_idx // n_instances
+    inst, _ = build_instance(c, n, ebn0_list[e_idx], seed, channel_index=m_idx, ebn0_index=e_idx)
+    (model,), _ = _paradigm_models(paradigm, inst.channel, [inst.rx_vector], c)
+    # The reference stream is keyed by the 1-based pool index (m_idx + 1),
+    # kept so that the goldens hold.
+    energies = random_state_energies(model, derive_rng(seed, ROLE_RANDOM_CONFIG, m_idx + 1), 1000)
+    scale = np.mean(np.abs(energies))
+    seeds = [derive_seed(seed, ROLE_SOLVER, b_idx, m_idx) for b_idx in range(beta_grid.size)]
+    outcomes = solve_many(paradigm, [model] * beta_grid.size, cfg, seeds, peaks=beta_grid)
+    return np.mean(energies) / scale, np.stack([o.final_energies for o in outcomes]) / scale
+
+
 def beta_sweep(
     n: int,
     order: int,
@@ -493,6 +524,7 @@ def beta_sweep(
     n_iterations: int = 100,
     ebn0_list=(3.0, 6.0, 9.0),
     seed: int = 0,
+    threads: int = 1,
 ) -> BetaSweepResult:
     """Mean final solver energy as a function of the annealing peak.
 
@@ -505,60 +537,27 @@ def beta_sweep(
     :func:`plan_beta_sweep` checks every argument before any instance is
     built.
 
-    The pool is solved in batches of ``k`` instances, ``k`` the number of
-    threads the paradigm's solver runs with one instance, all its peaks, on
-    each (:func:`solve_threads`): one on the p-bit and p-dit solvers, and
-    one on the oscillator where one instance sweeps fewer site pairs per
-    step than the solver's thread floor, 70,000 (n (n // 2) pairs times
-    peaks times trials), below which two threads ran slower than one. So
-    the default 100 trials of a 4-peak grid run on one thread up to n=18
-    (51,200 pairs at n=16) and on threads from n=20 (80,000). A batch's
-    instances are built and scored against their random references in pool
-    order, then solved at every peak in one solver call, instance-major, one
-    model per (instance, peak), so each solver thread gets whole instances.
-    At most ``k`` instances are held at a time, so memory grows with the
-    thread count, not the pool. A (peak, instance) cell draws from its own
-    seed, so the result does not depend on how the cells are batched.
+    The instances are mapped over ``threads`` worker processes (:func:`_map`),
+    whole: each is built, scored and solved at all its peaks by
+    :func:`_instance_finals`, which the one-process loop calls too. A
+    process holds one instance at a time, so memory does not grow with the
+    pool. Each cell draws from its own seed, so the result does not depend
+    on ``threads``.
 
     The result's ``at_edge`` tells whether the lowest mean lies at the
     grid's first or last peak, where ``beta_opt`` is no optimum.
     """
     beta_grid, ebn0_list, cfg, c = plan_beta_sweep(
-        n, order, paradigm, beta_grid, n_instances, n_trials, n_iterations, ebn0_list, seed
+        n, order, paradigm, beta_grid, n_instances, n_trials, n_iterations, ebn0_list, seed,
+        threads,
     )
-    n_models = n_instances * len(ebn0_list)
-    n_peaks = beta_grid.size
-    random_refs = np.empty(n_models)
-    # finals[b, m]: instance m's normalized final energies at peak b.
-    finals = np.empty((n_peaks, n_models, cfg.replicas))
-    rows = n_peaks * cfg.replicas  # one instance's rows
-    k = solve_threads(paradigm, n_models, rows, n)
-    if solve_threads(paradigm, k, rows, n) < k:  # one instance is below the floor
-        k = 1
-    for first in range(0, n_models, k):
-        batch = range(first, min(first + k, n_models))
-        models, scales, seeds = [], [], []
-        for m_idx in batch:
-            e_idx = m_idx // n_instances
-            inst, _ = build_instance(
-                c, n, ebn0_list[e_idx], seed, channel_index=m_idx, ebn0_index=e_idx
-            )
-            (model,), _ = _paradigm_models(paradigm, inst.channel, [inst.rx_vector], c)
-            # The reference stream is keyed by the 1-based pool index
-            # (m_idx + 1), kept so that the goldens hold.
-            rng = derive_rng(seed, ROLE_RANDOM_CONFIG, m_idx + 1)
-            energies = random_state_energies(model, rng, 1000)
-            scale = np.mean(np.abs(energies))
-            random_refs[m_idx] = np.mean(energies) / scale
-            models += [model] * n_peaks
-            scales.append(scale)
-            seeds += [derive_seed(seed, ROLE_SOLVER, b_idx, m_idx) for b_idx in range(n_peaks)]
-        outcomes = solve_many(paradigm, models, cfg, seeds, peaks=np.tile(beta_grid, len(batch)))
-        for i, outcome in enumerate(outcomes):
-            b_idx, offset = i % n_peaks, i // n_peaks
-            finals[b_idx, first + offset] = outcome.final_energies / scales[offset]
+    instance = partial(
+        _instance_finals, n, paradigm, beta_grid, ebn0_list, n_instances, cfg, c, seed
+    )
+    per_instance = _map(instance, range(n_instances * len(ebn0_list)), threads)
+    random_refs = np.array([ref for ref, _ in per_instance])
     # Each peak's energies in instance order, one contiguous row.
-    finals = finals.reshape(n_peaks, -1)
+    finals = np.stack([f for _, f in per_instance], axis=1).reshape(beta_grid.size, -1)
     means = finals.mean(axis=1)
     stderrs = finals.std(axis=1, ddof=1) / np.sqrt(finals.shape[1])
     return BetaSweepResult(

@@ -7,9 +7,9 @@ replicas' initial states and then their noise, one replica per column. A
 model's draw therefore depends only on its seed and R, bit for bit, never on
 the batch or position it is solved in. Its states and energies are the same
 too in every split of a batch that the tests try: whole, halves, one model
-at a time, row chunks and thread groups. That is measured, not built in:
-BLAS products such as ``j[i] @ s`` may round a column's last bits apart at
-stack widths that are not multiples of 8, and no outcome has moved.
+at a time and row chunks. That is measured, not built in: BLAS products such
+as ``j[i] @ s`` may round a column's last bits apart at stack widths that
+are not multiples of 8, and no outcome has moved.
 
 The kernels operate on a stack of rows, one row per (model, replica), and
 yield the rows' state after every iteration. Every kernel has one contract,
@@ -30,12 +30,11 @@ may hold the models of several channels. The coupling matrix of a MIMO
 instance depends only on the channel, so consecutive models of one channel
 share their kernel calls, with per-row bias vectors, and a batch's kernel
 calls are cut where the couplings change. ``_solve_many`` alone splits a
-batch: one contiguous group of models per thread, cut into chunks where the
-couplings or the levels change and where a chunk would hold more than
-``_MAX_STATE`` state entries. Each solver has one batched entry point,
-``*_solve_many``, with the signature ``(models, cfg, seeds, peaks=None)``.
-:data:`PARADIGMS` holds one :class:`Paradigm` record per solver, and
-:func:`solve_many` dispatches on its name.
+batch, into chunks cut where the couplings or the levels change and where a
+chunk would hold more than ``_MAX_STATE`` state entries. Each solver has one
+batched entry point, ``*_solve_many``, with the signature ``(models, cfg,
+seeds, peaks=None)``. :data:`PARADIGMS` holds one :class:`Paradigm` record
+per solver, and :func:`solve_many` dispatches on its name.
 
 Each solver fixes its own ramp direction and constants: the p-bit and p-dit
 sweeps raise the inverse temperature to the schedule's peak, and the
@@ -94,24 +93,15 @@ and p-dit kernels stay float64. numpy's float32 sin, cos and tanh follow its
 SIMD dispatch, as its float64 tanh already does: seeded oscillator outcomes
 repeat on one machine, and a CPU on another SIMD path may round them apart.
 
-Threads: :func:`solve_threads` alone decides how many threads a solve
-runs on. Only the oscillator solver asks ``_solve_many`` for more than one:
-as many as the smallest of numpy's BLAS thread count, the cores this process
-may run on and the models, and no more than leave each thread's group of
-models ``_OIM_THREAD_PAIRS`` (70,000) site pairs or more per step, n (n // 2)
-pairs times its rows. So a pool worker, whose BLAS runs one thread, solves
-on one, and so does a small batch. numpy's sin, cos and tanh release the
-GIL, but a float32 oscillator step is some 40 numpy calls in the kernel
-alone, and two threads that each sweep a small share spend more handing the
-GIL over than they overlap. On a shared 2-core x86-64 machine, two models of
-100 steps on two threads against one thread (medians of five alternating
-rounds at n = 16, 32 and 48): 0.54x at 16,384 pairs per thread, 0.69-0.83x
-at 32,768, 0.89x at 51,200 (n=16 at 400 rows, the fit-beta instance of 4
-peaks x 100 trials), 0.90-1.07x at 65,536, 1.01x at 73,728 (n=48 at 64
-rows), 1.16x at 81,920 (n=16 at 640 rows, half a BER channel of 21 models),
-1.48x at 102,400 and 1.28-1.66x from 131,072 up. The p-bit and p-dit site
-steps hold the GIL, and split over two threads they ran slower than on one.
-While a batch's chunks run on threads, numpy's OpenBLAS runs one thread.
+Threads: every solve runs its chunks in order on its calling thread, under
+the caller's BLAS setting. The one parallel path is :func:`worker_pool`,
+whose processes each run one BLAS thread: ``harness.run_ber_sweep`` maps
+channels over it and ``harness.beta_sweep`` maps instances, and a model's
+outcome does not depend on the process that solves it. The p-bit and p-dit
+site steps hold the GIL, and an oscillator step is some 40 short numpy
+calls, so threads within one solve paid only on large batches; on a shared
+2-core x86-64 machine two processes over whole fit-beta instances beat the
+oscillator's thread groups at n = 16 to 64 (``BENCH_38.json``).
 
 The fork rule: a pool worker gets its one BLAS thread by being forked from a
 caller whose OpenBLAS already runs one thread, so that it inherits the count
@@ -128,9 +118,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import os
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -150,7 +139,6 @@ __all__ = [
     "require_ints",
     "require_peaks",
     "solve_many",
-    "solve_threads",
     "bpim_solve_many",
     "dpim_solve_many",
     "oim_solve_many",
@@ -175,11 +163,6 @@ _OIM_BAND_BYTES = 4_000_000
 # The float type of the oscillator's phase integration (see the module's
 # precision contract).
 _OIM_FLOAT = np.float32
-
-# The fewest site pairs times rows, n (n // 2) per row, that each thread of
-# an oscillator solve must sweep per step for its thread to pay (see the
-# module's Threads paragraph); a smaller share runs on fewer threads.
-_OIM_THREAD_PAIRS = 70_000
 
 
 @dataclass(frozen=True)
@@ -270,7 +253,6 @@ class Paradigm:
     model: str  # "binary" spin model or "pdit" symbol-native model
     peak: Callable[[int, int], float]  # default annealing peak for (n, order)
     solve: Callable  # the batched solver, (models, cfg, seeds, peaks=None) -> outcomes
-    threaded: bool = False  # whether a solve splits its batch over threads
 
 
 def _paradigm(name: str) -> Paradigm:
@@ -346,19 +328,17 @@ def _draw(seeds, cfg: SolverConfig, sites: int, initial, fill: str):
 
 
 def _solve_many(
-    kernel, draw, ramp: np.ndarray, models, cfg: SolverConfig, seeds, peaks, threads: int = 1
+    kernel, draw, ramp: np.ndarray, models, cfg: SolverConfig, seeds, peaks
 ) -> list[SolveOutcome]:
     """The annealing loop of every batched solver, and the one place that
-    splits a batch: into ``threads`` equal contiguous groups of models, each
-    cut from its start into chunks, one kernel call each, where the
+    splits a batch: into chunks, one kernel call each, cut where the
     couplings or the levels change and where a chunk reaches as many models
     as fit in ``_MAX_STATE`` state entries. Two models share a kernel call
     when their ``j_matrix`` is one object or equal arrays and their
     ``pam_levels`` are equal: a p-dit J does not depend on the QAM order, and
     a chunk is drawn and swept on its first model's levels, by a kernel
-    chosen for them. One thread solves the chunks in order; more solve them
-    on a pool while numpy's OpenBLAS runs one thread, so k threads run k BLAS
-    threads. Outcomes are joined in model order.
+    chosen for them. The chunks are solved in order on the calling thread,
+    so the outcomes come in model order.
 
     ``kernel``, by the module's kernel contract, sweeps the draws of a
     chunk's seeds, ``draw(model, seeds, cfg)``, on the chunk's first model,
@@ -376,18 +356,15 @@ def _solve_many(
     peaks = np.full(len(models), cfg.schedule.peak) if peaks is None else require_peaks(peaks)
     if peaks.shape != (len(models),):
         raise ValueError("need one peak per model")
-    bounds = [g * len(models) // threads for g in range(threads + 1)]
-    chunks = []
-    for start, end in zip(bounds, bounds[1:]):
-        lo = start
-        for hi in range(start + 1, end + 1):
-            per_call = max(1, _MAX_STATE // (models[lo].h_vector.size * cfg.replicas))
-            if hi == end or hi - lo == per_call or not _share_call(models[lo], models[hi]):
-                chunks.append((lo, hi))
-                lo = hi
+    chunks, lo = [], 0
+    for hi in range(1, len(models) + 1):
+        per_call = max(1, _MAX_STATE // (models[lo].h_vector.size * cfg.replicas))
+        if hi == len(models) or hi - lo == per_call or not _share_call(models[lo], models[hi]):
+            chunks.append((lo, hi))
+            lo = hi
 
-    def solve(chunk: tuple[int, int]) -> list[SolveOutcome]:
-        lo, hi = chunk
+    outcomes = []
+    for lo, hi in chunks:
         h = np.repeat(np.stack([m.h_vector for m in models[lo:hi]], axis=1), cfg.replicas, axis=1)
         best_s = np.empty(h.shape)
         best_e = np.full(h.shape[1], np.inf)
@@ -405,7 +382,6 @@ def _solve_many(
                 np.copyto(best_e, e, where=improved)
                 np.copyto(best_s, s, where=improved)
                 np.copyto(best_it, it, where=improved)
-        outcomes = []
         for first in range(0, (hi - lo) * cfg.replicas, cfg.replicas):
             rows = slice(first, first + cfg.replicas)
             best = first + int(np.argmin(best_e[rows]))
@@ -418,12 +394,7 @@ def _solve_many(
                     n_iterations=cfg.schedule.n_iterations,
                 )
             )
-        return outcomes
-
-    if threads == 1:
-        return [outcome for chunk in chunks for outcome in solve(chunk)]
-    with _blas_on_one_thread(), ThreadPoolExecutor(threads) as pool:
-        return [outcome for part in pool.map(solve, chunks) for outcome in part]
+    return outcomes
 
 
 def _share_call(a, b) -> bool:
@@ -813,29 +784,6 @@ def _openblas() -> tuple | None:
     return None
 
 
-def _oim_threads(n_models: int, rows: int, sites: int) -> int:
-    """The number of threads an oscillator solve of ``n_models`` models of
-    ``rows`` rows and ``sites`` sites each runs on: the most threads t, up to
-    numpy's BLAS thread count, the cores this process may run on and the
-    models, whose contiguous groups of ``n_models // t`` models or more each
-    sweep ``_OIM_THREAD_PAIRS`` site pairs per step or more; one where no
-    group does, or where numpy's BLAS is not an OpenBLAS."""
-    blas = _openblas()
-    if blas is None:
-        return 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # The fewest models whose pairs reach the floor.
-    least = max(1, -(-_OIM_THREAD_PAIRS // max(1, rows * sites * (sites // 2))))
-    return max(1, min(blas[0](), cores or 1, n_models // least))
-
-
-def solve_threads(paradigm: str, n_models: int, rows: int, sites: int) -> int:
-    """The number of threads the named paradigm's solver splits a batch of
-    ``n_models`` models of ``rows`` rows and ``sites`` sites each over:
-    :func:`_oim_threads` for a solver that threads, one for the others."""
-    return _oim_threads(n_models, rows, sites) if _paradigm(paradigm).threaded else 1
-
-
 def _set_blas_threads(count: int) -> int:
     """Set numpy's OpenBLAS to ``count`` threads in this process and return
     the count it had; ``count`` itself, with nothing set, where numpy's BLAS
@@ -862,11 +810,12 @@ def _blas_on_one_thread() -> Iterator[None]:
 @contextmanager
 def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
     """Processes that each run one BLAS thread, as workers that share the
-    cores should, while the block runs; an oscillator solve in a worker runs
-    on one thread. The caller's BLAS runs one thread for the life of the
-    pool, so a forked worker inherits that count (the fork rule); the
-    caller's count comes back when the block ends, also when a worker raises,
-    and that restore starts the caller's OpenBLAS pool again."""
+    cores should, while the block runs: the one parallel path, over channels
+    or over instances, never within one solve. The caller's BLAS runs one
+    thread for the life of the pool, so a forked worker inherits that count
+    (the fork rule); the caller's count comes back when the block ends, also
+    when a worker raises, and that restore starts the caller's OpenBLAS pool
+    again."""
     with _blas_on_one_thread(), ProcessPoolExecutor(
         max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
     ) as pool:
@@ -877,26 +826,10 @@ def oim_solve_many(
     models: list[IsingModel], cfg: SolverConfig, seeds, peaks=None
 ) -> list[SolveOutcome]:
     """Best-of-R oscillator runs, with a decaying noise level, of models that
-    may come from several channels; spins are read out as sign(cos phase).
-
-    The batch is solved on :func:`solve_threads` threads, one contiguous
-    group of models each, with numpy's OpenBLAS on one thread, so each
-    computes as a pool worker does; each group's kernel calls are cut where
-    the couplings change. A thread is used only where each group sweeps at
-    least ``_OIM_THREAD_PAIRS`` (70,000) site pairs per step, n (n // 2)
-    times its rows: numpy's sin, cos and tanh release the GIL, so larger
-    groups overlap, and smaller ones lose more to handing the GIL over than
-    they gain. Two threads tied with one at 65,536-73,728 pairs each, lost
-    below (0.89x at 51,200) and won 1.16-1.66x from 81,920 up (see the
-    module's Threads paragraph). The models are of one size, that of the
-    first. The p-bit and p-dit site steps hold the GIL, so their solvers run
-    on one thread.
-    """
+    may come from several channels, one kernel call per run of models that
+    share one coupling matrix; spins are read out as sign(cos phase)."""
     ramp = 1.0 - cfg.schedule.ramp()
-    # An empty batch gets one thread, and _solve_many refuses it.
-    sites = models[0].n if models else 0
-    threads = solve_threads("oim", len(models), cfg.replicas, sites)
-    return _solve_many(_oim_sweeps, _oim_draws, ramp, models, cfg, seeds, peaks, threads=threads)
+    return _solve_many(_oim_sweeps, _oim_draws, ramp, models, cfg, seeds, peaks)
 
 
 def oim_params(n: int) -> OimParams:
@@ -924,6 +857,5 @@ PARADIGMS = {
         model="binary",
         peak=lambda n, order: 30.0,
         solve=oim_solve_many,
-        threaded=True,
     ),
 }

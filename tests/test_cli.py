@@ -526,6 +526,20 @@ class TestFitBetaCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "x").exists()
 
+    def test_zero_threads_fails_without_traceback(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli, "beta_sweep", lambda *a, **k: solves.append(a))
+        code = run_cli(
+            "fit-beta",
+            "--n", "2", "--mod", "4", "--beta-grid", "0.5,1", "--threads", "0",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "threads" in err
+        assert solves == []
+        assert not (tmp_path / "x").exists()
+
     def test_every_pair_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
         # dpim refuses BPSK: the (2, 4) sweep must not run before (2, 2) is refused.
         solves = []

@@ -233,6 +233,12 @@ def test_beta_sweep_matches_golden_hash(name):
     assert beta_sweep_digest(beta_sweep(**kwargs)) == digest
 
 
+@pytest.mark.parametrize("name", sorted(BETA_GOLDENS))
+def test_pool_beta_sweep_matches_golden_hash(name):
+    kwargs, digest = BETA_GOLDENS[name]
+    assert beta_sweep_digest(beta_sweep(**kwargs, threads=2)) == digest
+
+
 # One channel of the ``ber-qam4-n16-x2`` benchmark workload, solved at the
 # width the benchmark solves it: 7 messages x 3 Eb/N0 points = 21 models x 64
 # replicas = 1,344 rows per kernel call. A product's last bits can depend on

@@ -50,6 +50,13 @@ def worker_threads():
     return os.getpid(), len(os.listdir("/proc/self/task")), blas_threads()
 
 
+def solve_blas_threads():
+    """numpy's OpenBLAS thread count in this process, read after a small
+    oscillator fit-beta sweep has run under it."""
+    beta_sweep(4, 2, "oim", [10.0, 30.0], n_instances=2, n_trials=2, n_iterations=3, seed=5)
+    return blas_threads()
+
+
 def failing_channel(plan, channel):
     raise RuntimeError(f"channel {channel} failed")
 
@@ -484,18 +491,6 @@ class TestRunBerSweep:
             run_ber_sweep(plan)
 
 
-def spy_oim_threads(monkeypatch) -> list:
-    """The (models, threads) of each oscillator solve from here on."""
-    calls, solve = [], solvers._solve_many
-
-    def spy(kernel, draw, ramp, models, *args, threads=1):
-        calls.append((len(models), threads))
-        return solve(kernel, draw, ramp, models, *args, threads=threads)
-
-    monkeypatch.setattr(solvers, "_solve_many", spy)
-    return calls
-
-
 class TestWorkerPool:
     def test_workers_run_one_blas_thread(self):
         if blas_threads() is None:
@@ -518,10 +513,11 @@ class TestWorkerPool:
         assert [(tasks, count) for _, tasks, count in seen] == [(1, 1), (1, 1)]
 
     def test_workers_solve_on_one_thread(self):
-        # An oscillator solve of eight models in a worker runs on one thread,
-        # at 64 rows of 64 sites each far above the thread floor.
+        # A forked worker solves with the one BLAS thread it inherits.
+        if blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread-count getter")
         with solvers.worker_pool(2) as pool:
-            assert pool.submit(solvers._oim_threads, 8, 64, 64).result(timeout=60) == 1
+            assert pool.submit(solve_blas_threads).result(timeout=60) == 1
 
     def test_spawned_workers_solve_on_one_thread(self, monkeypatch):
         # A worker started by spawn or forkserver (the Linux default from
@@ -529,12 +525,10 @@ class TestWorkerPool:
         # puts it on one thread.
         if blas_threads() is None:
             pytest.skip("numpy's BLAS exports no thread-count getter")
-        if len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("on one core an oscillator solve runs on one thread anyway")
         spawn = multiprocessing.get_context("spawn")
         monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
         with solvers.worker_pool(2) as pool:
-            assert pool.submit(solvers._oim_threads, 8, 64, 64).result(timeout=60) == 1
+            assert pool.submit(solve_blas_threads).result(timeout=60) == 1
 
     @pytest.mark.parametrize("one_thread", [False, True], ids=["default", "one-thread"])
     def test_pool_sets_the_caller_count_only_when_it_changes(self, one_thread, blas_setter_calls):
@@ -577,15 +571,23 @@ class TestWorkerPool:
         monkeypatch.setattr(solvers, "_openblas", lambda: None)
         assert run_ber_sweep(plan, threads=2) == serial
 
-    def test_caller_blas_threads_unchanged_by_beta_sweep(self, monkeypatch):
-        # The oscillator solves split into threads, with the thread floor at
-        # one site pair, and pin the BLAS to one thread while they run.
+    def test_caller_blas_threads_unchanged_by_beta_sweep(self):
+        # The sweep's pool holds the caller's BLAS on one thread while it
+        # runs; the caller's count comes back when it ends.
         before = blas_threads()
         if before is None:
             pytest.skip("numpy's BLAS exports no thread-count getter")
-        monkeypatch.setattr(solvers, "_OIM_THREAD_PAIRS", 1)
-        beta_sweep(4, 2, "oim", [10.0, 30.0], n_instances=2, n_trials=4, n_iterations=5, seed=3)
+        args = dict(n_instances=2, n_trials=4, n_iterations=5, seed=3, threads=2)
+        beta_sweep(4, 2, "oim", [10.0, 30.0], **args)
         assert blas_threads() == before
+
+
+def assert_same_sweep(got, expected):
+    """Two beta sweeps agree field for field, every float to the bit."""
+    for name in ("beta_grid", "mean_final_energy", "stderr"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+    for name in ("beta_opt", "random_reference", "random_reference_stderr"):
+        assert getattr(got, name) == getattr(expected, name)
 
 
 class TestBetaSweep:
@@ -667,6 +669,12 @@ class TestBetaSweep:
             (dict(n_instances=1, ebn0_list=[6.0]), "instance pool"),
             # Every peak is checked, wherever sorting puts a NaN.
             (dict(beta_grid=[0.5, float("nan")]), "finite peak"),
+            # The worker processes are a count of at least one; a bool or a
+            # float, as a config file may give them, is no count.
+            (dict(threads=0), "threads must be at least 1"),
+            (dict(threads=-1), "threads must be at least 1"),
+            (dict(threads=True), "threads must be an int"),
+            (dict(threads=1.5), "threads must be an int"),
         ],
     )
     def test_invalid_pool_or_grid_fails_before_any_instance(self, kwargs, message, monkeypatch):
@@ -768,55 +776,33 @@ class TestBetaSweep:
             assert [s.entropy for s in seeds] == [s.entropy for s in want]
         assert len({id(models[0]) for models, *_ in calls}) == len(calls)
 
-    def test_oim_sweep_same_on_one_blas_thread(self, monkeypatch):
-        # The threads a sweep runs on set how many instances share a solver
-        # call, never the result: an odd pool on the solver's own threads,
-        # with the thread floor at one site pair, against one call per
-        # instance with numpy's BLAS on one thread.
+    def test_oim_sweep_same_on_one_blas_thread(self):
+        # A pool worker solves with its BLAS on one thread, the caller under
+        # its own count: the result is the same.
         if solvers._openblas() is None:
             pytest.skip("numpy's BLAS exports no OpenBLAS thread-count setter")
-        monkeypatch.setattr(solvers, "_OIM_THREAD_PAIRS", 1)
         args = dict(n_instances=3, n_trials=5, n_iterations=20, ebn0_list=[6.0], seed=4)
-        threaded = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
+        caller = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
         with solvers._blas_on_one_thread():
-            assert harness.solve_threads("oim", 3, 15, 6) == 1
             one = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
-        for name in ("beta_grid", "mean_final_energy", "stderr"):
-            np.testing.assert_array_equal(getattr(threaded, name), getattr(one, name))
-        for name in ("beta_opt", "random_reference", "random_reference_stderr"):
-            assert getattr(threaded, name) == getattr(one, name)
+        assert_same_sweep(caller, one)
 
-    def test_oim_sweep_solves_a_batch_of_instances_per_call(self, monkeypatch):
-        # On two solver threads, nine instances make four calls of two
-        # instances and one of the last, each instance-major: an instance's
-        # model at every peak, the peaks tiled and each cell's own seed.
-        if blas_threads() is None:
-            pytest.skip("numpy's BLAS exports no thread-count getter")
-        monkeypatch.setattr(solvers, "_oim_threads", lambda n_models, *size: min(2, n_models))
-        calls = []
-        solve = harness.solve_many
-
-        def spy(paradigm, models, cfg, seeds, peaks=None):
-            calls.append((models, list(seeds), peaks))
-            return solve(paradigm, models, cfg, seeds, peaks=peaks)
-
-        monkeypatch.setattr(harness, "solve_many", spy)
-        grid = [30.0, 10.0, 40.0, 20.0]
-        beta_sweep(4, 2, "oim", grid, n_instances=3, n_trials=2, n_iterations=3, seed=8)
-        assert [len(models) for models, _, _ in calls] == [8, 8, 8, 8, 4]
-        m_idx = 0
-        for models, seeds, peaks in calls:
-            instances = len(models) // len(grid)
-            np.testing.assert_array_equal(peaks, np.tile(sorted(grid), instances))
-            for i in range(instances):
-                mine = models[i * len(grid) : (i + 1) * len(grid)]
-                assert all(m is mine[0] for m in mine)
-                want = [harness.derive_seed(8, harness.ROLE_SOLVER, b, m_idx) for b in range(4)]
-                got = seeds[i * len(grid) : (i + 1) * len(grid)]
-                assert [s.entropy for s in got] == [s.entropy for s in want]
-                m_idx += 1
-        assert m_idx == 9
-        assert len({id(models[0]) for models, _, _ in calls}) == len(calls)
+    @pytest.mark.parametrize("start", ["fork", "spawn"])
+    @pytest.mark.parametrize(
+        "paradigm, order, grid",
+        [("oim", 2, [10.0, 20.0, 30.0]), ("bpim", 4, [0.2, 0.8])],
+        ids=["oim", "bpim"],
+    )
+    def test_pool_gives_the_one_process_result(self, paradigm, order, grid, start, monkeypatch):
+        # An odd pool of whole instances over two workers, forked or
+        # spawned, against the one-process loop: each instance draws only
+        # from seeds keyed by its pool index.
+        args = dict(n_instances=3, n_trials=5, n_iterations=20, ebn0_list=[6.0], seed=4)
+        one = beta_sweep(6, order, paradigm, grid, **args)
+        if start == "spawn":
+            spawn = multiprocessing.get_context("spawn")
+            monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
+        assert_same_sweep(beta_sweep(6, order, paradigm, grid, threads=2, **args), one)
 
     @pytest.mark.parametrize(
         "grid, energy, at_edge, beta_opt",
@@ -842,44 +828,6 @@ class TestBetaSweep:
         monkeypatch.setattr(harness, "solve_many", solve)
         res = beta_sweep(4, 4, "bpim", grid, n_instances=2, n_trials=3, n_iterations=2)
         assert (res.at_edge, res.beta_opt) == (at_edge, beta_opt)
-
-    def test_oim_sweep_below_the_thread_floor_runs_one_instance_on_one_thread(
-        self, monkeypatch
-    ):
-        # The benchmark's fit-beta cells at n=16: 4 peaks x 100 trials x 128
-        # pairs, 51,200 per instance, below the floor of 70,000: one instance
-        # per solver call, on one thread.
-        calls = spy_oim_threads(monkeypatch)
-        grid = [10.0, 20.0, 30.0, 40.0]
-        beta_sweep(16, 2, "oim", grid, n_instances=3, n_iterations=1, ebn0_list=[6.0], seed=1)
-        assert calls == [(4, 1)] * 3
-
-    def test_oim_sweep_above_the_thread_floor_gives_each_thread_an_instance(
-        self, monkeypatch
-    ):
-        # At n=48, 4 peaks x 64 trials x 1,152 pairs is 294,912 per instance:
-        # a batch of k instances on k threads, k the cap, and the last
-        # instance's peaks split over the cap as well.
-        k = solvers._oim_threads(3, solvers._OIM_THREAD_PAIRS, 2)
-        if k < 2:
-            pytest.skip("one BLAS thread or one core: every solve runs on one thread")
-        calls = spy_oim_threads(monkeypatch)
-        grid = [10.0, 20.0, 30.0, 40.0]
-        args = dict(n_instances=3, n_trials=64, n_iterations=1, ebn0_list=[6.0], seed=1)
-        beta_sweep(48, 2, "oim", grid, **args)
-        batches = [min(k, 3 - first) for first in range(0, 3, k)]
-        assert calls == [(4 * b, min(k, 4 * b)) for b in batches]
-
-    def test_oim_ber_channel_above_the_thread_floor_gets_the_cap(self, monkeypatch):
-        # One BER channel of 21 models at n=16, 64 replicas each: on two
-        # threads, groups of 10 and 11 models sweep 81,920 and 90,112 pairs.
-        calls = spy_oim_threads(monkeypatch)
-        plan = plan_experiment(
-            16, 2, [4.0, 8.0, 12.0], 112, seed=1, detectors=("oim",),
-            messages_per_channel=7, iterations=2,
-        )
-        run_ber_sweep(plan, threads=1)
-        assert calls == [(21, solvers._oim_threads(21, solvers._OIM_THREAD_PAIRS, 2))]
 
     def test_ebn0_list_may_be_a_generator(self):
         # As plan_experiment takes it: the list is checked in one place.

@@ -1,11 +1,9 @@
 """Solver kernels: update-rule statistics, annealing, replication contracts."""
 
 import itertools
-import os
-import sys
 import tracemalloc
-from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -89,39 +87,6 @@ def sample_pdit_chain(model, beta, n_sweeps, seed, n_chains=1):
     draws = predrawn("dpim", model, n_sweeps, seed, n_chains)
     sweeps = _level_sweeps(model, h, np.full(n_sweeps, beta), *draws)
     return np.stack([d.T.astype(np.int8) for d in sweeps], axis=1)
-
-
-def capped_threads(n_models):
-    """The threads of an oscillator solve of ``n_models`` models far above
-    its thread floor: the cap of BLAS threads, cores and models alone."""
-    return solvers._oim_threads(n_models, solvers._OIM_THREAD_PAIRS, 2)
-
-
-@contextmanager
-def worker_blas():
-    """numpy's BLAS on one thread while the block runs, as a pool worker
-    runs it, so that an oscillator solve runs on one thread."""
-    if capped_threads(2) == 1:
-        yield
-    else:
-        with solvers._blas_on_one_thread():
-            yield
-
-
-@pytest.fixture
-def one_solver_thread():
-    """The test runs with numpy's BLAS on one thread, as in a pool worker:
-    its oscillator solves make their kernel calls one after another."""
-    with worker_blas():
-        yield
-
-
-def blas_threads():
-    """numpy's OpenBLAS thread count; skips the test where it has no getter."""
-    blas = solvers._openblas()
-    if blas is None:
-        pytest.skip("numpy's BLAS exports no thread-count getter")
-    return blas[0]()
 
 
 def spin_model(j, h):
@@ -817,6 +782,72 @@ def traced_solve_peak(paradigm, models, replicas, n_iterations):
         tracemalloc.stop()
 
 
+def traced_peak_growth(paradigm, models, replicas):
+    """How far the traced memory peak of a solve at 400 iterations exceeds
+    that at 4, both in this process after a solve at each count warms it."""
+    short, long = (traced_solve_peak(paradigm, models, replicas, n_it) for n_it in (4, 400))
+    short, long = (traced_solve_peak(paradigm, models, replicas, n_it) for n_it in (4, 400))
+    return long - short
+
+
+def recorded_solve(paradigm, models, cfg, seeds, peaks=None, settings=None):
+    """``solvers.solve_many``'s outcomes and the seeds of each of its kernel
+    calls, in order, with the ``solvers`` names in ``settings`` (name to
+    value) set while it runs; a worker-pool process runs it as the caller
+    does, whatever its start method."""
+    draw = draws(paradigm)
+    chunks = []
+
+    def spy(model, chunk_seeds, cfg):
+        chunks.append(list(chunk_seeds))
+        return draw(model, chunk_seeds, cfg)
+
+    patched = {**(settings or {}), draw.__name__: spy}
+    saved = {name: getattr(solvers, name) for name in patched}
+    for name, value in patched.items():
+        setattr(solvers, name, value)
+    try:
+        return solvers.solve_many(paradigm, models, cfg, seeds, peaks), chunks
+    finally:
+        for name, value in saved.items():
+            setattr(solvers, name, value)
+
+
+def pool_solve(paradigm, models, cfg, seeds, groups, peaks=None, settings=None):
+    """The outcomes of a batch solved in contiguous groups of ``groups``
+    models each, one group per thread of ``solvers.worker_pool`` (its
+    processes), or on the calling thread for one group, with each group's
+    kernel-call seeds (:func:`recorded_solve`)."""
+    bounds = list(itertools.accumulate(groups, initial=0))
+    parts = [
+        (paradigm, models[a:b], cfg, seeds[a:b], None if peaks is None else peaks[a:b], settings)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    if len(parts) == 1:
+        results = [recorded_solve(*parts[0])]
+    else:
+        with solvers.worker_pool(len(parts)) as pool:
+            futures = [pool.submit(recorded_solve, *part) for part in parts]
+            results = [future.result(timeout=120) for future in futures]
+    return [o for outcomes, _ in results for o in outcomes], [chunks for _, chunks in results]
+
+
+def failing_sweeps(last_h, model, h, *rest):
+    """The oscillator kernel, except that a call whose last bias column is
+    ``last_h`` raises."""
+    if np.array_equal(h[:, -1], last_h):
+        raise RuntimeError("the last group failed")
+    return _oim_sweeps(model, h, *rest)
+
+
+def blas_threads():
+    """numpy's OpenBLAS thread count; skips the test where it has no getter."""
+    blas = solvers._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS exports no thread-count getter")
+    return blas[0]()
+
+
 def sweep_energies(model, betas, s0, u):
     """States and energies after every sweep of a one-row p-bit run."""
     h = model.h_vector[:, None]
@@ -855,8 +886,8 @@ class TestReplication:
 
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
     def test_batch_checked_once(self, paradigm, monkeypatch):
-        # One model per kernel call, and the oscillator batch on as many
-        # threads as it gets: the batch's checks still run once per solve.
+        # One model per kernel call: the batch's checks still run once per
+        # solve.
         order = 2 if paradigm == "oim" else 4
         models = channel_models(PARADIGMS[paradigm].model, order, 4, 4, 23, ebn0_db=6.0)
         cfg = SolverConfig(2, AnnealSchedule(1.5, 5))
@@ -875,12 +906,11 @@ class TestReplication:
     @pytest.mark.parametrize(
         "paradigm, band_rows", [("bpim", None), ("dpim", None), ("oim", None), ("oim", 7)]
     )
-    @pytest.mark.usefixtures("one_solver_thread")
     def test_batch_equals_its_halves_and_singles(self, paradigm, band_rows, monkeypatch):
-        # On one solver thread, ten replicas give stacks of 40, 20 and 10
-        # rows, widths at which BLAS products may round a column's last bits
-        # apart; no outcome may move. Seven-row oscillator band chunks split
-        # those stacks unequally: 7 x 5 + 5, 7 x 2 + 6 and 7 + 3 rows.
+        # Ten replicas give stacks of 40, 20 and 10 rows, widths at which
+        # BLAS products may round a column's last bits apart; no outcome may
+        # move. Seven-row oscillator band chunks split those stacks
+        # unequally: 7 x 5 + 5, 7 x 2 + 6 and 7 + 3 rows.
         order = 2 if paradigm == "oim" else 4
         models = channel_models(PARADIGMS[paradigm].model, order, 4, 4, 23, ebn0_db=6.0)
         if band_rows is not None:
@@ -904,7 +934,6 @@ class TestReplication:
         [("bpim", 4), ("dpim", 16), ("oim", 2), ("dpim", 4)],
         ids=["bpim", "dpim", "oim", "dpim-qam4"],
     )
-    @pytest.mark.usefixtures("one_solver_thread")
     def test_per_model_peaks_match_one_peak_solves(
         self, paradigm, order, replicas, chunked, monkeypatch
     ):
@@ -943,7 +972,6 @@ class TestReplication:
         [("bpim", 4), ("dpim", 16), ("oim", 4), ("dpim", 4)],
         ids=["bpim", "dpim", "oim", "dpim-qam4"],
     )
-    @pytest.mark.usefixtures("one_solver_thread")
     def test_every_sweep_gets_one_value_per_row(self, paradigm, order, monkeypatch):
         # One schedule path: with or without per-model peaks, each sweep of
         # a kernel call gets a (rows,) vector, and a solve at the config's
@@ -993,7 +1021,6 @@ class TestReplication:
         [("bpim", 4), ("dpim", 16), ("oim", 4), ("dpim", 4)],
         ids=["bpim", "dpim", "oim", "dpim-qam4"],
     )
-    @pytest.mark.usefixtures("one_solver_thread")
     def test_chunk_bound_counts_state_entries(self, paradigm, order, monkeypatch):
         # A kernel call holds (sites, rows) arrays, two sites per p-dit
         # symbol: the chunks must keep that many entries, not one per
@@ -1015,14 +1042,12 @@ class TestReplication:
         assert sizes == [solvers._MAX_STATE, solvers._MAX_STATE // 2]
         assert_same_outcomes(chunked, whole)
 
-    @pytest.mark.usefixtures("one_solver_thread")
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
     def test_solve_memory_independent_of_iterations(self, paradigm):
         # A solve draws each sweep's noise as the sweep starts, so its traced
         # peak at 400 iterations exceeds the peak at 4 by less than one
         # sweep's (sites, rows) noise block; holding every sweep's noise at
-        # once would add about 400 blocks. On one solver thread: the peak of
-        # threaded groups depends on how long they overlap.
+        # once would add about 400 blocks.
         models = channel_models(PARADIGMS[paradigm].model, 4, 16, 2, 12)
         block = models[0].h_vector.nbytes * len(models) * 32
         short, long = (traced_solve_peak(paradigm, models, 32, n_it) for n_it in (4, 400))
@@ -1109,44 +1134,65 @@ class TestReplication:
         assert_same_outcomes(bpim_solve_many(models, cfg, seeds), singles)
 
     @pytest.mark.parametrize(
-        "n_threads, calls",
-        [(1, [[8, 1, 6], [3, 5, 7]]), (2, [[8, 1, 6], [3, 5, 7]]), (3, [[8, 1], [6], [3], [5, 7]])],
-        ids=["one-thread", "two-threads-aligned", "three-threads-crossing"],
+        "threads, chunk_models, calls",
+        [
+            (1, None, [[8, 1, 6], [3, 5, 7]]),
+            (2, None, [[8, 1, 6], [3, 5, 7]]),
+            (3, None, [[8, 1], [6], [3], [5, 7]]),
+            (1, 2, [[8, 1], [6], [3, 5], [7]]),
+        ],
+        ids=["one-thread", "two-threads-aligned", "three-threads-crossing", "two-model-chunks"],
     )
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
     def test_batch_of_two_channels_equals_one_call_per_channel(
-        self, paradigm, n_threads, calls, monkeypatch
+        self, paradigm, threads, chunk_models, calls
     ):
         # A batch may hold several channels' models: its kernel calls are cut
-        # where the couplings change. On one thread, on two threads aligned
-        # to the channels and on three whose middle group crosses the
-        # boundary, the outcomes are those of one call per channel.
-        if n_threads > 1:
-            blas_threads()
+        # where the couplings change, and the chunk bound counts again from
+        # each cut. On one thread, whole or in chunks of two models, on two
+        # pool threads aligned to the channels and on three whose middle
+        # group crosses the boundary, the outcomes are those of one call per
+        # channel.
         kind, order = PARADIGMS[paradigm].model, 2 if paradigm == "oim" else 4
         first, second = (channel_models(kind, order, 4, 3, ch, ebn0_db=6.0) for ch in (5, 6))
         cfg = SolverConfig(3, AnnealSchedule(1.5, 20))
         seeds = [8, 1, 6, 3, 5, 7]
-        with worker_blas():
-            per_channel = [
-                *solvers.solve_many(paradigm, first, cfg, seeds[:3]),
-                *solvers.solve_many(paradigm, second, cfg, seeds[3:]),
-            ]
-        solve, draw = solvers._solve_many, draws(paradigm)
-        chunks = []
-
-        def on_threads(*args, threads=1):
-            return solve(*args, threads=n_threads)
-
-        def spy(model, chunk_seeds, cfg):
-            chunks.append(list(chunk_seeds))
-            return draw(model, chunk_seeds, cfg)
-
-        monkeypatch.setattr(solvers, "_solve_many", on_threads)
-        monkeypatch.setattr(solvers, draw.__name__, spy)
-        batched = solvers.solve_many(paradigm, first + second, cfg, seeds)
-        assert sorted(chunks) == sorted(calls)
+        per_channel = [
+            *solvers.solve_many(paradigm, first, cfg, seeds[:3]),
+            *solvers.solve_many(paradigm, second, cfg, seeds[3:]),
+        ]
+        settings = {}
+        if chunk_models is not None:
+            settings["_MAX_STATE"] = chunk_models * first[0].h_vector.size * cfg.replicas
+        groups = [len(seeds) // threads] * threads
+        batched, chunks = pool_solve(
+            paradigm, first + second, cfg, seeds, groups, settings=settings
+        )
+        assert [c for group in chunks for c in group] == calls
         assert_same_outcomes(batched, per_channel)
+
+    @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
+    def test_kernel_exception_reaches_caller(self, paradigm, monkeypatch):
+        # The chunk that holds the last model fails after the first chunk
+        # ran, and its error reaches the caller unchanged.
+        order = 2 if paradigm == "oim" else 4
+        models = channel_models(PARADIGMS[paradigm].model, order, 4, 3, 5)
+        cfg = SolverConfig(2, AnnealSchedule(1.5, 5))
+        monkeypatch.setattr(solvers, "_MAX_STATE", 2 * models[0].h_vector.size * cfg.replicas)
+        name = kernel_name(paradigm, order)
+        kernel = getattr(solvers, name)
+        rows = []
+
+        def failing(model, h, *rest):
+            rows.append(h.shape[1])
+            if np.array_equal(h[:, -1], models[-1].h_vector):
+                raise RuntimeError("the last chunk failed")
+            return kernel(model, h, *rest)
+
+        monkeypatch.setattr(solvers, name, failing)
+        with pytest.raises(RuntimeError, match="the last chunk failed"):
+            solvers.solve_many(paradigm, models, cfg, [1, 2, 3])
+        assert rows == [4, 2]
 
     def test_orders_sharing_couplings_solve_as_alone(self):
         # A p-dit J does not depend on the QAM order, so one channel's 4-QAM
@@ -1176,237 +1222,127 @@ class TestReplication:
         assert 1 <= out.best_iteration <= out.n_iterations
 
 
-def threaded_matches_one_thread(models, cfg, seeds, peaks=None):
-    """The outcomes of an oscillator solve on threads, after checking them
-    against the same solve on one thread."""
-    with worker_blas():
-        one = oim_solve_many(models, cfg, seeds, peaks)
-    threaded = oim_solve_many(models, cfg, seeds, peaks)
+def threaded_matches_one_thread(models, cfg, seeds, peaks=None, settings=None):
+    """The outcomes of an oscillator batch on two pool threads, its first
+    half of the models on one and the rest on the other, with each group's
+    kernel-call seeds, after checking the outcomes against the whole batch
+    on the calling thread under the same ``settings``."""
+    one, _ = recorded_solve("oim", models, cfg, seeds, peaks, settings)
+    half = len(models) // 2
+    threaded, chunks = pool_solve(
+        "oim", models, cfg, seeds, [half, len(models) - half], peaks, settings
+    )
     assert_same_outcomes(threaded, one)
-    return threaded
+    return threaded, chunks
 
 
 class TestOscillatorThreads:
-    """An oscillator solve splits its batch into contiguous model groups, one
-    thread each, with numpy's BLAS on one thread while they run; its
-    outcomes are those of the solve on one thread, which a pool worker
-    makes. Each solve here runs at the caller's BLAS thread count, with the
-    thread floor at one site pair, so that its small batches split as a
-    batch above the floor does."""
-
-    @pytest.fixture(autouse=True)
-    def floor_of_one_pair(self, monkeypatch):
-        monkeypatch.setattr(solvers, "_OIM_THREAD_PAIRS", 1)
-
-    def test_thread_count_rule(self):
-        threads = blas_threads()
-        cores = len(os.sched_getaffinity(0))
-        for n_models in (1, 2, 3, 10):
-            assert solvers._oim_threads(n_models, 2, 4) == min(threads, cores, n_models)
-        with worker_blas():
-            assert solvers._oim_threads(10, 2, 4) == 1
-        assert blas_threads() == threads
-
-    def test_threads_set_the_count_only_when_it_changes(self, blas_setter_calls, monkeypatch):
-        # One thread and back around the thread groups, at the caller's count.
-        count = blas_threads()
-        if count == 1:
-            pytest.skip("the caller's BLAS already runs one thread")
-        monkeypatch.setattr(solvers, "_oim_threads", lambda n_models, *size: min(2, n_models))
-        models = channel_models("binary", 2, 4, 2, 17, ebn0_db=6.0)
-        oim_solve_many(models, SolverConfig(2, AnnealSchedule(10.0, 5)), [4, 9])
-        assert blas_setter_calls == [1, count]
+    """An oscillator batch split into contiguous groups of models, one per
+    thread of the worker pool (the processes that ``--threads`` counts),
+    each on one BLAS thread: its outcomes are those of the whole batch on the
+    calling thread, so a sweep's result does not depend on ``threads``."""
 
     @pytest.mark.parametrize("band_rows", [None, 7])
-    def test_threaded_matches_one_thread(self, band_rows, monkeypatch):
+    def test_threaded_matches_one_thread(self, band_rows):
         # Five models in contiguous groups, two and three models on two
         # threads; seven-row band chunks split those groups' 12 and 18 rows
         # unequally, 7 + 5 and 7 + 7 + 4.
-        blas_threads()
         models = channel_models("binary", 2, 6, 5, 27, ebn0_db=6.0)
+        settings = {}
         if band_rows is not None:
-            monkeypatch.setattr(solvers, "_OIM_BAND_BYTES", band_bytes(models[0].n, band_rows))
+            settings["_OIM_BAND_BYTES"] = band_bytes(models[0].n, band_rows)
         cfg = SolverConfig(6, AnnealSchedule(20.0, 40))
-        seeds = [5, 11, 2, 8, 3]
-        draw = solvers._oim_draws
-        groups = []
-
-        def spy(*args):
-            groups.append((list(args[1]), blas_threads()))  # the chunk's seeds
-            return draw(*args)
-
-        k = solvers._oim_threads(len(models), cfg.replicas, models[0].n)
-        pinned = 1 if k > 1 else blas_threads()
-        monkeypatch.setattr(solvers, "_oim_draws", spy)
-        threaded_matches_one_thread(models, cfg, seeds)
-        contiguous = [(seeds[g * 5 // k : (g + 1) * 5 // k], pinned) for g in range(k)]
-        # The first call is the one-thread solve; the groups start in any
-        # order, each with the BLAS on one thread.
-        assert groups[0] == (seeds, 1) and sorted(groups[1:]) == sorted(contiguous)
+        _, chunks = threaded_matches_one_thread(models, cfg, [5, 11, 2, 8, 3], settings=settings)
+        assert chunks == [[[5, 11]], [[2, 8, 3]]]
 
     @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("replicas", [1, 3])
-    def test_per_model_peaks_on_threads(self, replicas, chunked, monkeypatch):
+    def test_per_model_peaks_on_threads(self, replicas, chunked):
         # test_per_model_peaks_match_one_peak_solves' oscillator batch.
-        blas_threads()
         first, second = channel_models("binary", 2, 4, 2, 17, ebn0_db=6.0)
         models = [first, second, first, first]
         cfg = SolverConfig(replicas, AnnealSchedule(1.0, 30))
-        if chunked:
-            monkeypatch.setattr(solvers, "_MAX_STATE", 3 * first.h_vector.size * replicas)
-        threaded_matches_one_thread(models, cfg, [4, 9, 1, 30], peaks=[12.0, 30.0, 5.0, 40.0])
+        settings = {"_MAX_STATE": 3 * first.h_vector.size * replicas} if chunked else None
+        threaded_matches_one_thread(
+            models, cfg, [4, 9, 1, 30], peaks=[12.0, 30.0, 5.0, 40.0], settings=settings
+        )
 
     def test_every_sweep_on_threads(self):
         # test_every_sweep_gets_one_value_per_row's oscillator batch.
-        blas_threads()
         models = channel_models("binary", 4, 3, 3, 31)
         cfg = SolverConfig(2, AnnealSchedule(0.7, 5))
-        default = threaded_matches_one_thread(models, cfg, [1, 2, 3])
-        given = threaded_matches_one_thread(models, cfg, [1, 2, 3], peaks=[0.7] * 3)
+        default, _ = threaded_matches_one_thread(models, cfg, [1, 2, 3])
+        given, _ = threaded_matches_one_thread(models, cfg, [1, 2, 3], peaks=[0.7] * 3)
         assert_same_outcomes(default, given)
 
-    def test_chunk_bound_on_threads(self, monkeypatch):
-        # test_chunk_bound_counts_state_entries' oscillator batch.
-        blas_threads()
+    def test_chunk_bound_on_threads(self):
+        # test_chunk_bound_counts_state_entries' oscillator batch, one model
+        # per kernel call on each thread.
         models = channel_models("binary", 4, 3, 3, 0)
         cfg = SolverConfig(2, AnnealSchedule(0.5, 5))
-        with worker_blas():
-            whole = oim_solve_many(models, cfg, [0, 1, 2])
-        monkeypatch.setattr(solvers, "_MAX_STATE", 2 * 6 * 2)
-        assert_same_outcomes(threaded_matches_one_thread(models, cfg, [0, 1, 2]), whole)
+        whole = oim_solve_many(models, cfg, [0, 1, 2])
+        settings = {"_MAX_STATE": models[0].h_vector.size * cfg.replicas}
+        threaded, chunks = threaded_matches_one_thread(models, cfg, [0, 1, 2], settings=settings)
+        assert chunks == [[[0]], [[1], [2]]]
+        assert_same_outcomes(threaded, whole)
 
     def test_default_schedule_splits_alike(self):
         # The default oscillator schedule, noise from 30 down, gives the
         # float32 phases their largest kicks: a seeded batch solves alike
-        # whole on threads, whole on one thread, in halves and one model at
-        # a time, with float64 states and energies.
-        blas_threads()
+        # whole on two threads, whole on the calling thread, in halves and
+        # one model at a time, with float64 states and energies.
         models = channel_models("binary", 2, 16, 4, 37, ebn0_db=4.0)
         cfg = replace(default_parameters("oim", 16), replicas=10)
         seeds = [6, 1, 8, 3]
-        whole = threaded_matches_one_thread(models, cfg, seeds)
-        with worker_blas():
-            halves = [
-                outcome
-                for half in (slice(0, 2), slice(2, 4))
-                for outcome in oim_solve_many(models[half], cfg, seeds[half])
-            ]
-            singles = [oim_solve_many([m], cfg, [s])[0] for m, s in zip(models, seeds)]
+        whole, _ = threaded_matches_one_thread(models, cfg, seeds)
+        halves = [
+            outcome
+            for half in (slice(0, 2), slice(2, 4))
+            for outcome in oim_solve_many(models[half], cfg, seeds[half])
+        ]
+        singles = [oim_solve_many([m], cfg, [s])[0] for m, s in zip(models, seeds)]
         assert_same_outcomes(whole, halves)
         assert_same_outcomes(whole, singles)
         for outcome in whole:
             assert outcome.best_state.dtype == outcome.final_energies.dtype == np.float64
 
-    def test_one_group_per_model_under_fast_switching(self, monkeypatch):
-        # Five groups on more threads than cores, switching every
-        # microsecond: groups share no buffer, so no outcome may move.
-        blas_threads()
-        models = channel_models("binary", 2, 6, 5, 29, ebn0_db=6.0)
-        cfg = SolverConfig(4, AnnealSchedule(20.0, 30))
-        with worker_blas():
-            one = oim_solve_many(models, cfg, [3, 1, 4, 1, 5])
-        monkeypatch.setattr(solvers, "_oim_threads", lambda n_models, *size: n_models)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert_same_outcomes(oim_solve_many(models, cfg, [3, 1, 4, 1, 5]), one)
-        finally:
-            sys.setswitchinterval(interval)
-
     def test_memory_independent_of_iterations_on_threads(self):
-        # Each group holds its own working set, and how long the groups
-        # overlap varies; holding every sweep's noise at once would add
-        # about 400 noise blocks, 6.4 MB here, more than the whole one-thread
-        # solve's peak.
+        # Each thread holds its own working set: its traced peak at 400
+        # iterations exceeds the peak at 4 by less than one sweep's noise
+        # block of its one model; holding every sweep's noise at once would
+        # add about 400 blocks.
         models = channel_models("binary", 4, 16, 2, 12)
-        with worker_blas():
-            one = traced_solve_peak("oim", models, 32, 400)
-        assert traced_solve_peak("oim", models, 32, 400) < 2 * one
+        block = models[0].h_vector.nbytes * 32
+        with solvers.worker_pool(2) as pool:
+            futures = [pool.submit(traced_peak_growth, "oim", [model], 32) for model in models]
+            growths = [future.result(timeout=120) for future in futures]
+        assert all(growth < block for growth in growths)
+
+    def test_threads_set_the_count_only_when_it_changes(self, blas_setter_calls):
+        # One thread and back around the pool's groups, at the caller's count.
+        count = blas_threads()
+        if count == 1:
+            pytest.skip("the caller's BLAS already runs one thread")
+        models = channel_models("binary", 2, 4, 2, 17, ebn0_db=6.0)
+        pool_solve("oim", models, SolverConfig(2, AnnealSchedule(10.0, 5)), [4, 9], [1, 1])
+        assert blas_setter_calls == [1, count]
 
     def test_caller_blas_threads_unchanged(self):
         threads = blas_threads()
         models = channel_models("binary", 2, 4, 3, 5)
-        oim_solve_many(models, SolverConfig(2, AnnealSchedule(10.0, 5)), [1, 2, 3])
+        threaded_matches_one_thread(models, SolverConfig(2, AnnealSchedule(10.0, 5)), [1, 2, 3])
         assert blas_threads() == threads
 
-    def test_group_exception_reaches_caller(self, monkeypatch):
-        # The group that holds the last model fails, the other runs to its
-        # end, and the caller's BLAS thread count is restored.
+    def test_group_exception_reaches_caller(self):
+        # The group that holds the last model fails in its thread; the error
+        # reaches the caller and the caller's BLAS thread count is restored.
         threads = blas_threads()
         models = channel_models("binary", 2, 4, 3, 5)
-        kernel = solvers._oim_sweeps
-
-        def failing(model, h, *rest):
-            if np.array_equal(h[:, -1], models[-1].h_vector):
-                raise RuntimeError("the last group failed")
-            return kernel(model, h, *rest)
-
-        monkeypatch.setattr(solvers, "_oim_sweeps", failing)
+        settings = {"_oim_sweeps": partial(failing_sweeps, models[-1].h_vector)}
+        cfg = SolverConfig(2, AnnealSchedule(10.0, 5))
         with pytest.raises(RuntimeError, match="the last group failed"):
-            oim_solve_many(models, SolverConfig(2, AnnealSchedule(10.0, 5)), [1, 2, 3])
+            pool_solve("oim", models, cfg, [1, 2, 3], [1, 2], settings=settings)
         assert blas_threads() == threads
-
-
-class TestOscillatorThreadFloor:
-    """An oscillator solve uses t threads only while each thread's group of
-    models sweeps at least ``_OIM_THREAD_PAIRS`` site pairs per step, n
-    (n // 2) pairs times its rows; below that, fewer threads, down to one."""
-
-    def test_fit_beta_instance_at_n16_runs_on_one_thread(self):
-        # One fit-beta instance at n=16, 4 peaks x 100 trials: 400 rows of
-        # 128 pairs, 51,200 per step, below the floor.
-        assert solvers._oim_threads(4, 100, 16) == 1
-        assert solvers.solve_threads("oim", 4, 100, 16) == 1
-
-    @pytest.mark.parametrize(
-        "n_models, rows, sites",
-        [(21, 64, 16), (4, 64, 48), (8, 64, 48)],
-        ids=["ber-channel-n16", "fit-beta-instance-n48", "two-fit-beta-instances-n48"],
-    )
-    def test_batches_above_the_floor_get_the_cap(self, n_models, rows, sites):
-        # A BER channel of 21 models at n=16 splits into groups of 10 and 11
-        # models of 64 rows, 81,920 pairs or more each on two threads; a
-        # fit-beta instance at n=48 holds 4 peaks x 64 trials x 1,152 pairs.
-        assert solvers._oim_threads(n_models, rows, sites) == capped_threads(n_models)
-
-    def test_each_thread_keeps_the_floor(self, monkeypatch):
-        # Eight BLAS threads and cores, and a floor of three models' pairs:
-        # t threads need t groups of three models or more.
-        get_threads = lambda: 8  # noqa: E731
-        monkeypatch.setattr(solvers, "_openblas", lambda: (get_threads, None))
-        eight_cores = set(range(8))
-        monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: eight_cores, raising=False)
-        monkeypatch.setattr(solvers, "_OIM_THREAD_PAIRS", 3 * 5 * 6 * 3)
-        counts = [(1, 1), (2, 1), (5, 1), (6, 2), (8, 2), (10, 3), (24, 8), (99, 8)]
-        for n_models, threads in counts:
-            assert solvers._oim_threads(n_models, 5, 6) == threads
-        monkeypatch.setattr(solvers, "_OIM_THREAD_PAIRS", 3 * 5 * 6 * 3 + 1)
-        assert solvers._oim_threads(10, 5, 6) == 2
-        # One site has no pair: such a solve runs on one thread.
-        assert solvers._oim_threads(10, 5, 1) == 1
-
-    def test_outcomes_equal_on_both_sides_of_the_floor(self, monkeypatch):
-        # Four models at n=16 of 10 rows each: two groups of 2,560 pairs on
-        # two threads. At that floor they split, one pair above it they run
-        # on one thread, and both give the same outcomes.
-        if capped_threads(4) < 2:
-            pytest.skip("one BLAS thread or one core: every solve runs on one thread")
-        models = channel_models("binary", 2, 16, 4, 41, ebn0_db=4.0)
-        cfg = replace(default_parameters("oim", 16), replicas=10)
-        seeds = [7, 2, 9, 4]
-        solve, seen = solvers._solve_many, []
-
-        def spy(*args, threads=1):
-            seen.append(threads)
-            return solve(*args, threads=threads)
-
-        monkeypatch.setattr(solvers, "_solve_many", spy)
-        outcomes = []
-        for floor in (2 * 10 * 16 * 8, 2 * 10 * 16 * 8 + 1):
-            monkeypatch.setattr(solvers, "_OIM_THREAD_PAIRS", floor)
-            outcomes.append(oim_solve_many(models, cfg, seeds))
-        assert seen == [2, 1]
-        assert_same_outcomes(*outcomes)
 
 
 class TestChainSampling:
