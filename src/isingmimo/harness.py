@@ -15,7 +15,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -85,21 +85,6 @@ KNOWN_DETECTORS = ("zf", "mmse", "ml") + tuple(PARADIGMS)
 # Expected baseline failures: the cell counts as all-bits-wrong, never raised.
 _DETECTOR_FAILURES = (SingularChannelError, SearchBudgetError)
 
-CSV_COLUMNS = (
-    "detector",
-    "n",
-    "order",
-    "ebn0_db",
-    "bits",
-    "errors",
-    "ber",
-    "ber_upper_95",
-    "replicas",
-    "iterations",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Fully seeded description of one BER experiment.
@@ -134,7 +119,22 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class BerPoint:
+    """One (detector, Eb/N0 point) result: one row of ``results.csv``, whose
+    columns are these fields in order.
+
+    ``n`` and ``order`` are the plan's antennas and constellation order.
+    ``bits`` counts the bits sent per (detector, point) over all channels
+    and messages, and ``errors`` those the detector got wrong; ``ber`` is
+    their ratio. ``ber_upper_95`` is -ln(0.05) / bits, the zero-error bound,
+    on every row whatever the errors: it is not a confidence interval.
+    ``replicas`` and ``iterations`` are the heuristic's solver config, and
+    empty (None) for ``zf``, ``mmse`` and ``ml``. ``seed`` is the plan's
+    master seed.
+    """
+
     detector: str
+    n: int
+    order: int
     ebn0_db: float
     bits: int
     errors: int
@@ -142,6 +142,7 @@ class BerPoint:
     ber_upper_95: float
     replicas: int | None
     iterations: int | None
+    seed: int
 
 
 def _sequence(name: str, values) -> tuple:
@@ -399,6 +400,8 @@ def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
             points.append(
                 BerPoint(
                     detector=detector,
+                    n=plan.n,
+                    order=plan.order,
                     ebn0_db=float(ebn0),
                     bits=bits_per_point,
                     errors=err,
@@ -406,6 +409,7 @@ def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:
                     ber_upper_95=ber_upper_bound(bits_per_point),
                     replicas=cfg.replicas if cfg is not None else None,
                     iterations=cfg.schedule.n_iterations if cfg is not None else None,
+                    seed=plan.seed,
                 )
             )
     return points
@@ -644,29 +648,16 @@ def _csv_value(v) -> str:
 
 
 def report(points: list, plan: ExperimentPlan, out_dir):
-    """Write ``results.csv`` and the reproduction manifest; return their paths."""
+    """Write ``results.csv``, one row of :class:`BerPoint` fields per point,
+    and the reproduction manifest; return their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(f.name for f in fields(BerPoint))
         for p in points:
-            writer.writerow(
-                [
-                    p.detector,
-                    plan.n,
-                    plan.order,
-                    _csv_value(p.ebn0_db),
-                    p.bits,
-                    p.errors,
-                    _csv_value(p.ber),
-                    _csv_value(p.ber_upper_95),
-                    _csv_value(p.replicas),
-                    _csv_value(p.iterations),
-                    plan.seed,
-                ]
-            )
+            writer.writerow(map(_csv_value, astuple(p)))
     manifest = {
         "format": "isingmimo-manifest v1",
         "version": __version__,

@@ -1,5 +1,6 @@
 """Experiment planning, BER sweeps, confidence bounds, calibration, reporting."""
 
+import csv
 import json
 import logging
 import math
@@ -9,6 +10,7 @@ import re
 import time
 import tracemalloc
 from contextlib import nullcontext
+from dataclasses import astuple, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +19,7 @@ import pytest
 from scipy import stats
 
 from isingmimo import (
+    BerPoint,
     SingularChannelError,
     ber_upper_bound,
     beta_sweep,
@@ -930,7 +933,29 @@ class TestReport:
     def test_empty_results_header_only(self, tmp_path):
         plan = plan_experiment(4, 4, [8.0], 448, seed=11, detectors=("mmse",))
         csv_path, _ = report([], plan, tmp_path)
-        assert csv_path.read_text().splitlines() == [",".join(harness.CSV_COLUMNS)]
+        assert csv_path.read_text().splitlines() == [",".join(f.name for f in fields(BerPoint))]
+
+    def test_columns_are_the_point_fields(self, tmp_path):
+        # One schema: the header is the point's field names, and each row is
+        # its point's fields, ints as str, floats as repr and None empty.
+        plan = plan_experiment(
+            4, 4, [8.0, 12.0], 448, seed=11, detectors=("mmse", "bpim"), replicas=2, iterations=5
+        )
+        points = run_ber_sweep(plan)
+        csv_path, _ = report(points, plan, tmp_path)
+        with open(csv_path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == [f.name for f in fields(BerPoint)]
+
+        def cell(v):
+            return "" if v is None else repr(v) if isinstance(v, float) else str(v)
+
+        assert rows == [[cell(v) for v in astuple(p)] for p in points]
+        assert [row[0] for row in rows] == ["mmse", "mmse", "bpim", "bpim"]
+        for row in (dict(zip(header, r)) for r in rows):
+            assert (row["n"], row["order"], row["seed"]) == ("4", "4", "11")
+            solver = ("2", "5") if row["detector"] == "bpim" else ("", "")
+            assert (row["replicas"], row["iterations"]) == solver
 
     def test_manifest_with_unknown_plan_keys_is_refused(self, tmp_path):
         plan = plan_experiment(4, 4, [8.0], 448, seed=11, detectors=("mmse",))

@@ -3,7 +3,6 @@
 import itertools
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -782,72 +781,6 @@ def traced_solve_peak(paradigm, models, replicas, n_iterations):
         tracemalloc.stop()
 
 
-def traced_peak_growth(paradigm, models, replicas):
-    """How far the traced memory peak of a solve at 400 iterations exceeds
-    that at 4, both in this process after a solve at each count warms it."""
-    short, long = (traced_solve_peak(paradigm, models, replicas, n_it) for n_it in (4, 400))
-    short, long = (traced_solve_peak(paradigm, models, replicas, n_it) for n_it in (4, 400))
-    return long - short
-
-
-def recorded_solve(paradigm, models, cfg, seeds, peaks=None, settings=None):
-    """``solvers.solve_many``'s outcomes and the seeds of each of its kernel
-    calls, in order, with the ``solvers`` names in ``settings`` (name to
-    value) set while it runs; a worker-pool process runs it as the caller
-    does, whatever its start method."""
-    draw = draws(paradigm)
-    chunks = []
-
-    def spy(model, chunk_seeds, cfg):
-        chunks.append(list(chunk_seeds))
-        return draw(model, chunk_seeds, cfg)
-
-    patched = {**(settings or {}), draw.__name__: spy}
-    saved = {name: getattr(solvers, name) for name in patched}
-    for name, value in patched.items():
-        setattr(solvers, name, value)
-    try:
-        return solvers.solve_many(paradigm, models, cfg, seeds, peaks), chunks
-    finally:
-        for name, value in saved.items():
-            setattr(solvers, name, value)
-
-
-def pool_solve(paradigm, models, cfg, seeds, groups, peaks=None, settings=None):
-    """The outcomes of a batch solved in contiguous groups of ``groups``
-    models each, one group per thread of ``solvers.worker_pool`` (its
-    processes), or on the calling thread for one group, with each group's
-    kernel-call seeds (:func:`recorded_solve`)."""
-    bounds = list(itertools.accumulate(groups, initial=0))
-    parts = [
-        (paradigm, models[a:b], cfg, seeds[a:b], None if peaks is None else peaks[a:b], settings)
-        for a, b in zip(bounds, bounds[1:])
-    ]
-    if len(parts) == 1:
-        results = [recorded_solve(*parts[0])]
-    else:
-        with solvers.worker_pool(len(parts)) as pool:
-            futures = [pool.submit(recorded_solve, *part) for part in parts]
-            results = [future.result(timeout=120) for future in futures]
-    return [o for outcomes, _ in results for o in outcomes], [chunks for _, chunks in results]
-
-
-def failing_sweeps(last_h, model, h, *rest):
-    """The oscillator kernel, except that a call whose last bias column is
-    ``last_h`` raises."""
-    if np.array_equal(h[:, -1], last_h):
-        raise RuntimeError("the last group failed")
-    return _oim_sweeps(model, h, *rest)
-
-
-def blas_threads():
-    """numpy's OpenBLAS thread count; skips the test where it has no getter."""
-    blas = solvers._openblas()
-    if blas is None:
-        pytest.skip("numpy's BLAS exports no thread-count getter")
-    return blas[0]()
-
-
 def sweep_energies(model, betas, s0, u):
     """States and energies after every sweep of a one-row p-bit run."""
     h = model.h_vector[:, None]
@@ -926,6 +859,26 @@ class TestReplication:
         singles = [solvers.solve_many(paradigm, [m], cfg, [s])[0] for m, s in zip(models, seeds)]
         assert_same_outcomes(whole, halves)
         assert_same_outcomes(whole, singles)
+
+    def test_default_schedule_splits_alike(self):
+        # The default oscillator schedule, noise from 30 down, gives the
+        # float32 phases their largest kicks: a seeded batch solves alike
+        # whole, in halves and one model at a time, with float64 states and
+        # energies.
+        models = channel_models("binary", 2, 16, 4, 37, ebn0_db=4.0)
+        cfg = replace(default_parameters("oim", 16), replicas=10)
+        seeds = [6, 1, 8, 3]
+        whole = oim_solve_many(models, cfg, seeds)
+        halves = [
+            outcome
+            for half in (slice(0, 2), slice(2, 4))
+            for outcome in oim_solve_many(models[half], cfg, seeds[half])
+        ]
+        singles = [oim_solve_many([m], cfg, [s])[0] for m, s in zip(models, seeds)]
+        assert_same_outcomes(whole, halves)
+        assert_same_outcomes(whole, singles)
+        for outcome in whole:
+            assert outcome.best_state.dtype == outcome.final_energies.dtype == np.float64
 
     @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("replicas", [1, 3])
@@ -1134,7 +1087,7 @@ class TestReplication:
         assert_same_outcomes(bpim_solve_many(models, cfg, seeds), singles)
 
     @pytest.mark.parametrize(
-        "threads, chunk_models, calls",
+        "groups, chunk_models, calls",
         [
             (1, None, [[8, 1, 6], [3, 5, 7]]),
             (2, None, [[8, 1, 6], [3, 5, 7]]),
@@ -1145,14 +1098,14 @@ class TestReplication:
     )
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
     def test_batch_of_two_channels_equals_one_call_per_channel(
-        self, paradigm, threads, chunk_models, calls
+        self, paradigm, groups, chunk_models, calls, monkeypatch
     ):
         # A batch may hold several channels' models: its kernel calls are cut
         # where the couplings change, and the chunk bound counts again from
-        # each cut. On one thread, whole or in chunks of two models, on two
-        # pool threads aligned to the channels and on three whose middle
-        # group crosses the boundary, the outcomes are those of one call per
-        # channel.
+        # each cut. Solved whole, in chunks of two models, and as contiguous
+        # groups of one solve each, two aligned to the channels or three
+        # whose middle group crosses the boundary, the outcomes are those of
+        # one call per channel.
         kind, order = PARADIGMS[paradigm].model, 2 if paradigm == "oim" else 4
         first, second = (channel_models(kind, order, 4, 3, ch, ebn0_db=6.0) for ch in (5, 6))
         cfg = SolverConfig(3, AnnealSchedule(1.5, 20))
@@ -1161,14 +1114,26 @@ class TestReplication:
             *solvers.solve_many(paradigm, first, cfg, seeds[:3]),
             *solvers.solve_many(paradigm, second, cfg, seeds[3:]),
         ]
-        settings = {}
         if chunk_models is not None:
-            settings["_MAX_STATE"] = chunk_models * first[0].h_vector.size * cfg.replicas
-        groups = [len(seeds) // threads] * threads
-        batched, chunks = pool_solve(
-            paradigm, first + second, cfg, seeds, groups, settings=settings
-        )
-        assert [c for group in chunks for c in group] == calls
+            size = chunk_models * first[0].h_vector.size * cfg.replicas
+            monkeypatch.setattr(solvers, "_MAX_STATE", size)
+        draw = draws(paradigm)
+        chunks = []
+
+        def spy(model, chunk_seeds, config):
+            chunks.append(list(chunk_seeds))
+            return draw(model, chunk_seeds, config)
+
+        monkeypatch.setattr(solvers, draw.__name__, spy)
+        models, step = first + second, len(seeds) // groups
+        batched = [
+            outcome
+            for lo in range(0, len(seeds), step)
+            for outcome in solvers.solve_many(
+                paradigm, models[lo : lo + step], cfg, seeds[lo : lo + step]
+            )
+        ]
+        assert chunks == calls
         assert_same_outcomes(batched, per_channel)
 
     @pytest.mark.parametrize("paradigm", ["bpim", "dpim", "oim"])
@@ -1220,129 +1185,6 @@ class TestReplication:
         )
         assert out.best_energy <= out.final_energies.min() + 1e-12
         assert 1 <= out.best_iteration <= out.n_iterations
-
-
-def threaded_matches_one_thread(models, cfg, seeds, peaks=None, settings=None):
-    """The outcomes of an oscillator batch on two pool threads, its first
-    half of the models on one and the rest on the other, with each group's
-    kernel-call seeds, after checking the outcomes against the whole batch
-    on the calling thread under the same ``settings``."""
-    one, _ = recorded_solve("oim", models, cfg, seeds, peaks, settings)
-    half = len(models) // 2
-    threaded, chunks = pool_solve(
-        "oim", models, cfg, seeds, [half, len(models) - half], peaks, settings
-    )
-    assert_same_outcomes(threaded, one)
-    return threaded, chunks
-
-
-class TestOscillatorThreads:
-    """An oscillator batch split into contiguous groups of models, one per
-    thread of the worker pool (the processes that ``--threads`` counts),
-    each on one BLAS thread: its outcomes are those of the whole batch on the
-    calling thread, so a sweep's result does not depend on ``threads``."""
-
-    @pytest.mark.parametrize("band_rows", [None, 7])
-    def test_threaded_matches_one_thread(self, band_rows):
-        # Five models in contiguous groups, two and three models on two
-        # threads; seven-row band chunks split those groups' 12 and 18 rows
-        # unequally, 7 + 5 and 7 + 7 + 4.
-        models = channel_models("binary", 2, 6, 5, 27, ebn0_db=6.0)
-        settings = {}
-        if band_rows is not None:
-            settings["_OIM_BAND_BYTES"] = band_bytes(models[0].n, band_rows)
-        cfg = SolverConfig(6, AnnealSchedule(20.0, 40))
-        _, chunks = threaded_matches_one_thread(models, cfg, [5, 11, 2, 8, 3], settings=settings)
-        assert chunks == [[[5, 11]], [[2, 8, 3]]]
-
-    @pytest.mark.parametrize("chunked", [False, True])
-    @pytest.mark.parametrize("replicas", [1, 3])
-    def test_per_model_peaks_on_threads(self, replicas, chunked):
-        # test_per_model_peaks_match_one_peak_solves' oscillator batch.
-        first, second = channel_models("binary", 2, 4, 2, 17, ebn0_db=6.0)
-        models = [first, second, first, first]
-        cfg = SolverConfig(replicas, AnnealSchedule(1.0, 30))
-        settings = {"_MAX_STATE": 3 * first.h_vector.size * replicas} if chunked else None
-        threaded_matches_one_thread(
-            models, cfg, [4, 9, 1, 30], peaks=[12.0, 30.0, 5.0, 40.0], settings=settings
-        )
-
-    def test_every_sweep_on_threads(self):
-        # test_every_sweep_gets_one_value_per_row's oscillator batch.
-        models = channel_models("binary", 4, 3, 3, 31)
-        cfg = SolverConfig(2, AnnealSchedule(0.7, 5))
-        default, _ = threaded_matches_one_thread(models, cfg, [1, 2, 3])
-        given, _ = threaded_matches_one_thread(models, cfg, [1, 2, 3], peaks=[0.7] * 3)
-        assert_same_outcomes(default, given)
-
-    def test_chunk_bound_on_threads(self):
-        # test_chunk_bound_counts_state_entries' oscillator batch, one model
-        # per kernel call on each thread.
-        models = channel_models("binary", 4, 3, 3, 0)
-        cfg = SolverConfig(2, AnnealSchedule(0.5, 5))
-        whole = oim_solve_many(models, cfg, [0, 1, 2])
-        settings = {"_MAX_STATE": models[0].h_vector.size * cfg.replicas}
-        threaded, chunks = threaded_matches_one_thread(models, cfg, [0, 1, 2], settings=settings)
-        assert chunks == [[[0]], [[1], [2]]]
-        assert_same_outcomes(threaded, whole)
-
-    def test_default_schedule_splits_alike(self):
-        # The default oscillator schedule, noise from 30 down, gives the
-        # float32 phases their largest kicks: a seeded batch solves alike
-        # whole on two threads, whole on the calling thread, in halves and
-        # one model at a time, with float64 states and energies.
-        models = channel_models("binary", 2, 16, 4, 37, ebn0_db=4.0)
-        cfg = replace(default_parameters("oim", 16), replicas=10)
-        seeds = [6, 1, 8, 3]
-        whole, _ = threaded_matches_one_thread(models, cfg, seeds)
-        halves = [
-            outcome
-            for half in (slice(0, 2), slice(2, 4))
-            for outcome in oim_solve_many(models[half], cfg, seeds[half])
-        ]
-        singles = [oim_solve_many([m], cfg, [s])[0] for m, s in zip(models, seeds)]
-        assert_same_outcomes(whole, halves)
-        assert_same_outcomes(whole, singles)
-        for outcome in whole:
-            assert outcome.best_state.dtype == outcome.final_energies.dtype == np.float64
-
-    def test_memory_independent_of_iterations_on_threads(self):
-        # Each thread holds its own working set: its traced peak at 400
-        # iterations exceeds the peak at 4 by less than one sweep's noise
-        # block of its one model; holding every sweep's noise at once would
-        # add about 400 blocks.
-        models = channel_models("binary", 4, 16, 2, 12)
-        block = models[0].h_vector.nbytes * 32
-        with solvers.worker_pool(2) as pool:
-            futures = [pool.submit(traced_peak_growth, "oim", [model], 32) for model in models]
-            growths = [future.result(timeout=120) for future in futures]
-        assert all(growth < block for growth in growths)
-
-    def test_threads_set_the_count_only_when_it_changes(self, blas_setter_calls):
-        # One thread and back around the pool's groups, at the caller's count.
-        count = blas_threads()
-        if count == 1:
-            pytest.skip("the caller's BLAS already runs one thread")
-        models = channel_models("binary", 2, 4, 2, 17, ebn0_db=6.0)
-        pool_solve("oim", models, SolverConfig(2, AnnealSchedule(10.0, 5)), [4, 9], [1, 1])
-        assert blas_setter_calls == [1, count]
-
-    def test_caller_blas_threads_unchanged(self):
-        threads = blas_threads()
-        models = channel_models("binary", 2, 4, 3, 5)
-        threaded_matches_one_thread(models, SolverConfig(2, AnnealSchedule(10.0, 5)), [1, 2, 3])
-        assert blas_threads() == threads
-
-    def test_group_exception_reaches_caller(self):
-        # The group that holds the last model fails in its thread; the error
-        # reaches the caller and the caller's BLAS thread count is restored.
-        threads = blas_threads()
-        models = channel_models("binary", 2, 4, 3, 5)
-        settings = {"_oim_sweeps": partial(failing_sweeps, models[-1].h_vector)}
-        cfg = SolverConfig(2, AnnealSchedule(10.0, 5))
-        with pytest.raises(RuntimeError, match="the last group failed"):
-            pool_solve("oim", models, cfg, [1, 2, 3], [1, 2], settings=settings)
-        assert blas_threads() == threads
 
 
 class TestChainSampling:
