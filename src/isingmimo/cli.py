@@ -39,7 +39,11 @@ from .solvers import PARADIGMS
 
 log = logging.getLogger("isingmimo")
 
-THREADS_HELP = "worker processes, each running one BLAS thread (default 1: no pool)"
+THREADS_HELP = (
+    "worker processes, each running one BLAS thread (default 1: no pool); they take "
+    "whole channels (run, sweep, report) or whole instances (fit-beta), so a count "
+    "above that number adds nothing and a one-channel plan runs on one core"
+)
 CONFIG_HELP = (
     "JSON file of flag values: keys are flag names (_ may stand for -), matched "
     "exactly; values are written as on the command line; flags on the command line win"

@@ -2,7 +2,10 @@
 
 A run is a pure function of its plan (which embeds the master seed), so
 repeated runs produce byte-identical CSVs regardless of worker count.
-Channels are the parallel unit; every random draw inside a channel worker
+``--threads`` spreads one kind of item over worker processes (:func:`_map`):
+channels for a BER sweep (``run``, ``sweep`` and ``report``) and whole
+instances for ``fit-beta``. So threads beyond that count add nothing, and a
+one-channel plan runs on one core. Every random draw inside a channel worker
 comes from a seed derived from (master, role, channel, message, point),
 with the detector's index after the role in a solver's seed, so results do
 not depend on scheduling. ``channel.channel_instances`` owns the cell
@@ -15,6 +18,7 @@ import csv
 import json
 import logging
 import math
+import numbers
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property, partial
 from pathlib import Path
@@ -157,12 +161,13 @@ def _sequence(name: str, values) -> tuple:
 
 
 def _numbers(name: str, values) -> tuple:
-    """``values``, a :func:`_sequence` of numbers, as a tuple of floats."""
+    """``values``, a :func:`_sequence` of real numbers, as a tuple of
+    floats. A string, bytes or a bool is no number, though ``float`` reads
+    one; a numpy scalar is."""
     items = _sequence(name, values)
-    try:
-        return tuple(float(v) for v in items)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must hold numbers only; got {list(items)!r}") from None
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
+        raise ValueError(f"{name} must hold numbers only; got {list(items)!r}")
+    return tuple(float(v) for v in items)
 
 
 def _distinct(name: str, values) -> None:
@@ -366,11 +371,14 @@ def _require_threads(threads) -> None:
 
 def _map(function, items, threads: int) -> list:
     """``function`` of each of ``items``, in order: the sweeps' one parallel
-    path. With ``threads`` above one, the items are mapped over that many
-    processes of :func:`solvers.worker_pool`, at most one per item, each on
-    one BLAS thread; with one, they run in this process under the caller's
-    BLAS setting. ``function`` draws only from seeds keyed by its item, so
-    the result does not depend on ``threads``."""
+    path. The items are channels for :func:`run_ber_sweep` and whole
+    instances for :func:`beta_sweep`. With ``threads`` above one, they are
+    mapped over that many processes of :func:`solvers.worker_pool`, at most
+    one per item, each on one BLAS thread; with one, they run in this
+    process under the caller's BLAS setting. So ``threads`` beyond the item
+    count adds nothing, and one item runs on one core. ``function`` draws
+    only from seeds keyed by its item, so the result does not depend on
+    ``threads``."""
     workers = min(threads, len(items))
     if workers <= 1:
         return [function(item) for item in items]

@@ -22,7 +22,7 @@ model's levels; the oscillator kernel ``_oim_sweeps`` takes its gains from
 :func:`oim_params`. Kernels draw nothing: each solver's draw,
 ``_level_draws`` or ``_oim_draws``, hands its draw rule to ``_draw``, the
 one owner of the models' generators, which draws the initial states at once
-and each sweep's noise as the sweep starts. So each ``*_solve_many`` is one
+and each sweep's uniforms as the sweep starts. So each ``*_solve_many`` is one
 call of the one loop, ``_solve_many(kernel, draw, ramp, ...)``, which draws
 each chunk of models, sweeps it with the kernel, scores each state and keeps
 every row's best state, energy and iteration and its final energy. A batch
@@ -47,10 +47,11 @@ row's peak, made as the sweep starts; each product is the float a one-peak
 solve uses, so a model's outcome does not depend on the peaks of the others.
 
 A solve's rows stay sites-major, (sites, rows), from the draw to the best
-state: initial states, bias and each sweep's noise are (sites, rows), and
-each kernel yields its live state, which ``_solve_many`` scores and keeps as
-it is. The noise is an iterable of one (sites, rows) block per sweep, drawn
-as the sweep starts, so a kernel call holds a few (sites, rows) arrays and
+state: initial states, bias and each sweep's noise are (sites, rows), the
+oscillator's noise (n + n % 2, rows) with one padding row on odd n, and each
+kernel yields its live state, which ``_solve_many`` scores and keeps as it
+is. The noise is an iterable of one block of uniforms per sweep, drawn as
+the sweep starts, so a kernel call holds a few (sites, rows) arrays and
 nothing that grows with the number of iterations; a kernel takes one block
 per schedule step and raises ``ValueError`` on a source that runs short or
 long. A site step reads and writes contiguous per-site rows: the p-bit and
@@ -78,20 +79,25 @@ its sites. In the sites-major layout each band is one contiguous block of a
 doubled [x; x] buffer, and the drift runs over row chunks whose band
 buffers fit a fixed byte budget.
 
-Precision: the oscillator integrates in float32, ``_OIM_FLOAT``: its phases,
-the noise kick, the Heun predictor, both drifts, the sines and cosines, the
-drift's band buffers and its copies of J's band weights and of the bias.
-Three things stay float64. Its draws: ``_oim_draws`` draws the float64
-``default_rng(seed)`` uniform and normal streams, and the noise is rounded
-only as it is scaled into the float32 kick. Its yielded readout, +-1, so
-``_solve_many`` scores and keeps the states of every kernel alike. And the
-models. A float32 phase rounds by about 1e-7 rad, far below a step's noise
-kick of up to 30 sqrt(dt) = 3 rad, so the heuristic is the same; a
-trajectory parts from a float64 integration's as the noise amplifies the
-rounding, so the two agree in distribution, not state by state. The p-bit
-and p-dit kernels stay float64. numpy's float32 sin, cos and tanh follow its
-SIMD dispatch, as its float64 tanh already does: seeded oscillator outcomes
-repeat on one machine, and a CPU on another SIMD path may round them apart.
+Precision: every solver draws float64 uniforms, and the oscillator forms
+its normals from them in float32, ``_OIM_FLOAT``. ``_draw`` fills each
+sweep's block with the ``default_rng(seed)`` stream of ``rng.random``, and
+``_oim_draws`` takes the initial phases from ``rng.uniform``, all float64.
+The oscillator turns each step's uniforms into its kick in float32 by the
+Box-Muller transform (:func:`_oim_kicks`), and integrates in float32: its
+phases, the kick, the Heun predictor, both drifts, the sines and cosines,
+the drift's band buffers and its copies of J's band weights and of the
+bias. Two things besides the draws stay float64: its yielded readout, +-1,
+so ``_solve_many`` scores and keeps the states of every kernel alike, and
+the models. A float32 phase rounds by about 1e-7 rad, far below a step's
+noise kick of up to 30 sqrt(dt) = 3 rad, and a float32 kick is a standard
+normal to within its rounding, so the heuristic is the same; a trajectory
+parts from a float64 integration's as the noise amplifies the rounding, so
+the two agree in distribution, not state by state. The p-bit and p-dit
+kernels stay float64 and read the uniforms as drawn. numpy's float32 sin,
+cos, log and tanh follow its SIMD dispatch, as its float64 tanh already
+does: seeded oscillator outcomes repeat on one machine, and a CPU on
+another SIMD path may round them apart.
 
 Threads: every solve runs its chunks in order on its calling thread, under
 the caller's BLAS setting. The one parallel path is :func:`worker_pool`,
@@ -298,30 +304,29 @@ def solve_many(
     return _paradigm(paradigm).solve(models, cfg, seeds, peaks)
 
 
-def _draw(seeds, cfg: SolverConfig, sites: int, initial, fill: str):
+def _draw(seeds, cfg: SolverConfig, sites: int, initial, noise_rows: int):
     """The initial states and the lazy noise of one solve, from each model's
     one generator ``default_rng(seed)``, made here and nowhere else.
 
     Each model draws its initial states ``initial(rng, (sites, replicas))``
-    at once. The noise yields one (sites, rows) block per sweep, filled when
-    it is asked for by the generator method named ``fill``; a generator
-    fills its stream in order, so the blocks are bit for bit the slices of
-    one (n_iterations, sites, replicas) fill. A model's replicas are its
-    consecutive columns. Every block is one reused buffer, valid until the
-    next is asked for.
+    at once. The noise yields one (noise_rows, rows) block of float64
+    uniforms on [0, 1) per sweep, filled by ``rng.random`` when it is asked
+    for; a generator fills its stream in order, so the blocks are bit for
+    bit the slices of one (n_iterations, noise_rows, replicas) fill. A
+    model's replicas are its consecutive columns. Every block is one reused
+    buffer, valid until the next is asked for.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x0 = np.concatenate([initial(rng, (sites, cfg.replicas)) for rng in rngs], axis=1)
-    fills = [getattr(rng, fill) for rng in rngs]
 
     def noise():
-        block = np.empty(x0.shape)
+        block = np.empty((noise_rows, x0.shape[1]))
         # numpy fills no strided ``out``: each model fills a scratch that is
         # copied into its columns.
-        scratch = np.empty((sites, cfg.replicas))
+        scratch = np.empty((noise_rows, cfg.replicas))
         for _ in range(cfg.schedule.n_iterations):
-            for lo, fill in zip(range(0, block.shape[1], cfg.replicas), fills):
-                block[:, lo : lo + cfg.replicas] = fill(out=scratch)
+            for lo, rng in zip(range(0, block.shape[1], cfg.replicas), rngs):
+                block[:, lo : lo + cfg.replicas] = rng.random(out=scratch)
             yield block
 
     return x0, noise()
@@ -413,7 +418,8 @@ def _level_draws(model, seeds, cfg: SolverConfig):
     def initial(rng, size):
         return levels[rng.integers(0, levels.size, size)]
 
-    return _draw(seeds, cfg, model.h_vector.size, initial, "random")
+    sites = model.h_vector.size
+    return _draw(seeds, cfg, sites, initial, sites)
 
 
 def _level_sweeps(model: IsingModel, h: np.ndarray, betas, x0, u):
@@ -698,43 +704,79 @@ class _OimDrift:
 
 
 def _oim_draws(model: IsingModel, seeds, cfg: SolverConfig):
-    """The draws of the oscillator, in float64: each phase starts uniform on
-    [0, 2 pi), and each step draws standard normals."""
+    """The draws of the oscillator: each phase starts uniform on [0, 2 pi),
+    and each step draws one uniform per site, plus one padding row on odd n,
+    from which :func:`_oim_kicks` forms the step's normal kick."""
 
     def initial(rng, size):
         return rng.uniform(0.0, 2.0 * np.pi, size)
 
-    return _draw(seeds, cfg, model.n, initial, "standard_normal")
+    return _draw(seeds, cfg, model.n, initial, model.n + model.n % 2)
+
+
+def _oim_kicks(temps, uniforms, shape: tuple) -> Iterator[np.ndarray]:
+    """The Langevin kicks of the oscillator's (n, rows) phases, one per noise
+    level in ``temps``, each row's level (rows,), from the step's
+    (n + n % 2, rows) block of ``uniforms``: standard normals by the
+    Box-Muller transform, scaled by temp sqrt(dt), in ``_OIM_FLOAT``.
+
+    With m = ceil(n / 2), the first m rows of a block give the radii
+    sqrt(-2 ln(1 - u)) and the next m rows the angles 2 pi u; the cosines
+    fill sites [0, m) and the sines sites [m, n), so on odd n the last
+    angle's sine is left out. Each column's kick comes from that column's
+    uniforms alone. 1 - u is taken in float64, where it is exact, and
+    rounded to the float as a positive number, so every radius is finite:
+    at most sqrt(106 ln 2), about 8.6. The yielded kick is one reused
+    buffer, valid until the next is asked for.
+    """
+    n, rows = shape
+    half = (n + 1) // 2
+    kick = np.empty(shape, dtype=_OIM_FLOAT)
+    cos_kick, sin_kick = kick[:half], kick[half:]
+    radius, angle = np.empty((2, half, rows), dtype=_OIM_FLOAT)
+    scale = np.empty(rows, dtype=_OIM_FLOAT)
+    sqrt_dt = np.sqrt(_OIM_DT)
+    for temp, u in zip(temps, uniforms, strict=True):
+        np.subtract(1.0, u[:half], out=radius)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        np.multiply(temp, sqrt_dt, out=scale)
+        radius *= scale
+        np.multiply(u[half:], 2.0 * np.pi, out=angle)
+        np.cos(angle, out=cos_kick)
+        cos_kick *= radius
+        np.sin(angle[: n - half], out=sin_kick)
+        sin_kick *= radius[: n - half]
+        yield kick
 
 
 def _oim_sweeps(model: IsingModel, h: np.ndarray, temps, phi0, noise):
     """Heun-integrated phase dynamics of ``model`` from the phases ``phi0``
     (n, rows), with the bias ``h`` (n, rows) and the gains of
     :func:`oim_params`, one step per noise level in ``temps``, each row's
-    level (rows,), with its (n, rows) block of the normal ``noise`` scaled by
-    that level; yields sign(cos phase) per step.
+    level (rows,), with the kick :func:`_oim_kicks` forms from the step's
+    (n + n % 2, rows) block of the uniforms ``noise``; yields sign(cos
+    phase) per step.
 
-    Phases, bias and noise are sites-major, (n, rows), the layout of
+    Phases and bias are sites-major, (n, rows), the layout of
     :class:`_OimDrift`. The phases are integrated in ``_OIM_FLOAT`` (see the
-    module's precision contract): ``phi0`` is rounded to it once, and each
-    noise block as it is scaled into the kick. A step writes into buffers
-    made once per call, in the operation order of pred = phi + dt f0 + kick
-    and phi += 0.5 dt (f0 + f1) + kick: IEEE sums and products commute, so
-    each in-place form is that expression bit for bit. The yielded float64
-    readout is one C-contiguous (n, rows) buffer: the next step rewrites it,
-    and the caller only reads it.
+    module's precision contract): ``phi0`` is rounded to it once. A step
+    writes into buffers made once per call, in the operation order of
+    pred = phi + dt f0 + kick and phi += 0.5 dt (f0 + f1) + kick: IEEE sums
+    and products commute, so each in-place form is that expression bit for
+    bit. The yielded float64 readout is one C-contiguous (n, rows) buffer:
+    the next step rewrites it, and the caller only reads it.
     """
     phi = phi0.astype(_OIM_FLOAT)
-    kick, pred, f0, f1, sin_x, cos_x = np.empty((6, *phi.shape), dtype=_OIM_FLOAT)
+    pred, f0, f1, sin_x, cos_x = np.empty((5, *phi.shape), dtype=_OIM_FLOAT)
     readout = np.empty(phi.shape)
     drift = _OimDrift(model.j_matrix, h, oim_params(model.n))
-    sqrt_dt = np.sqrt(_OIM_DT)
     # sin_x and cos_x hold the sines and cosines of phi, except while they
     # hold those of pred for its drift f1.
     np.sin(phi, out=sin_x)
     np.cos(phi, out=cos_x)
-    for temp, noise_k in zip(temps, noise, strict=True):
-        np.multiply(noise_k, temp * sqrt_dt, out=kick)
+    for kick in _oim_kicks(temps, noise, phi.shape):
         drift(sin_x, cos_x, f0)
         np.multiply(f0, _OIM_DT, out=pred)
         pred += phi

@@ -362,6 +362,9 @@ class TestReportCommand:
             ("ebn0_list", [[1]]),
             ("detectors", 5),
             ("detectors", []),
+            # float() read each as a number; JSON holds no bytes.
+            ("ebn0_list", ["5"]),
+            ("ebn0_list", [True]),
         ],
     )
     def test_edited_manifest_with_a_malformed_list_fails(self, key, value, tmp_path, capsys):

@@ -39,7 +39,7 @@ GOLDENS = {
             replicas=3,
             iterations=12,
         ),
-        "6b930b332dc37bf7f059fe08138cb236b5b6dd03c79d733f76803c10a7916c3b",
+        "3aa05fb47807abfa68027ee34621439e11a7f6b584e6910e38617211c4ec78f1",
     ),
     "qam4-n6": (
         dict(
@@ -210,7 +210,7 @@ BETA_GOLDENS = {
             ebn0_list=(4.0, 12.0),
             seed=24,
         ),
-        "d7f00fc1a8e2cf0f49bcb1a78790ccd58f64e11484d7e870e04a9d44c3fad72e",
+        "bef1824ac7a334430b9ec99e7067da3404b88bc67660634323b3abf8f88095c9",
     ),
 }
 

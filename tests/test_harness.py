@@ -186,6 +186,10 @@ class TestPlanExperiment:
             dict(detectors=5),
             # It planned a run that detects nothing.
             dict(detectors=[]),
+            # float() reads each as a number: they planned 5, 3 and 1 dB.
+            dict(ebn0_list=["5"]),
+            dict(ebn0_list=[b"3"]),
+            dict(ebn0_list=[True]),
         ],
     )
     def test_invalid_plan_fails_at_planning(self, change):
@@ -651,7 +655,15 @@ class TestBetaSweep:
 
     @pytest.mark.parametrize(
         "ebn0_list, message",
-        [("10", "ebn0_list"), ([10.0, float("nan")], "Eb/N0"), ([-math.inf], "Eb/N0")],
+        [
+            ("10", "ebn0_list"),
+            ([10.0, float("nan")], "Eb/N0"),
+            ([-math.inf], "Eb/N0"),
+            # float() reads each as a number.
+            (["5"], "ebn0_list"),
+            ([b"3"], "ebn0_list"),
+            ([True], "ebn0_list"),
+        ],
     )
     def test_invalid_ebn0_fails_before_any_instance(self, ebn0_list, message, monkeypatch):
         def no_instances(*args, **kwargs):
@@ -678,6 +690,10 @@ class TestBetaSweep:
             (dict(threads=-1), "threads must be at least 1"),
             (dict(threads=True), "threads must be an int"),
             (dict(threads=1.5), "threads must be an int"),
+            # float() reads each as a peak: they planned 0.5, 10 and 1.
+            (dict(beta_grid=["0.5"]), "beta_grid must hold numbers"),
+            (dict(beta_grid=[0.5, b"1e1"]), "beta_grid must hold numbers"),
+            (dict(beta_grid=[True]), "beta_grid must hold numbers"),
         ],
     )
     def test_invalid_pool_or_grid_fails_before_any_instance(self, kwargs, message, monkeypatch):

@@ -1,6 +1,7 @@
 """Solver kernels: update-rule statistics, annealing, replication contracts."""
 
 import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -588,6 +589,31 @@ class TestOscillatorKernel:
             assert s.dtype == np.float64 and s.shape == (6, 4) and s.flags.c_contiguous
             assert set(np.unique(s)) <= {-1.0, 1.0}
 
+    def test_kicks_are_scaled_standard_normals(self):
+        # 105,000 kicks of one seeded model at a constant noise level,
+        # divided by temp sqrt(dt), against N(0, 1): the mean within about
+        # six standard errors (1 / sqrt(N)), the variance within about seven
+        # (sqrt(2 / N)), and the Kolmogorov-Smirnov distance within twice its
+        # 1% critical value, 1.63 / sqrt(N). Fifteen spins give each step's
+        # uniforms their padding row.
+        (model,) = channel_models("binary", 2, 15, 1, 19)
+        n_steps, temp = 70, 30.0
+        cfg = SolverConfig(100, AnnealSchedule(temp, n_steps))
+        phi0, noise = solvers._oim_draws(model, [4], cfg)
+        kicks = np.stack(
+            [k.copy() for k in solvers._oim_kicks(np.full(n_steps, temp), noise, phi0.shape)]
+        )
+        assert kicks.dtype == OIM_FLOAT and kicks.shape == (n_steps, 15, 100)
+        z = np.sort(kicks.ravel() / (temp * np.sqrt(_OIM_DT)))
+        size = z.size
+        assert np.isfinite(z).all() and size >= 100_000
+        assert abs(z.mean()) < 0.02
+        assert abs(z.var() - 1.0) < 0.03
+        cdf = 0.5 * (1.0 + np.vectorize(math.erf)(z / np.sqrt(2.0)))
+        ranks = np.arange(1, size + 1) / size
+        distance = max((ranks - cdf).max(), (cdf - ranks + 1.0 / size).max())
+        assert distance < 3.3 / np.sqrt(size)
+
     def test_two_oscillator_locking(self, monkeypatch):
         # Noiseless relaxation from a small phase split locks in phase and
         # reads out aligned spins.
@@ -651,12 +677,22 @@ def full_matrix_drift(sin_phi, cos_phi, j, h_rows, params):
     return -params.coupling * coupling - params.binarization * binarize
 
 
+def box_muller(u, n):
+    """The n standard normals of each column of the (n + n % 2, rows)
+    uniforms ``u``, in float64: radii sqrt(-2 ln(1 - u)) from the first
+    ceil(n / 2) rows and angles 2 pi u from the rest, cosines first."""
+    half = (n + 1) // 2
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:half]))
+    angle = 2.0 * np.pi * u[half:]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+
+
 def full_matrix_sweeps(j, h_rows, temps, params, phi0, noise):
     """The Heun loop of the oscillator kernel on :func:`full_matrix_drift`,
-    rows-major."""
+    rows-major, with each step's kick formed from its uniforms in float64."""
     phi = phi0.T.copy()
     for k, temp in enumerate(temps):
-        kick = (temp * np.sqrt(_OIM_DT)) * noise[k].T
+        kick = (temp * np.sqrt(_OIM_DT)) * box_muller(noise[k], j.shape[0]).T
         f0 = full_matrix_drift(np.sin(phi), np.cos(phi), j, h_rows, params)
         pred = phi + _OIM_DT * f0 + kick
         f1 = full_matrix_drift(np.sin(pred), np.cos(pred), j, h_rows, params)
@@ -837,18 +873,32 @@ class TestReplication:
         assert calls == [[1.5, 0.5, 1.0, 2.0]]
 
     @pytest.mark.parametrize(
-        "paradigm, band_rows", [("bpim", None), ("dpim", None), ("oim", None), ("oim", 7)]
+        "paradigm, band_rows, n, replicas",
+        [
+            ("bpim", None, 4, 10),
+            ("dpim", None, 4, 10),
+            ("oim", None, 4, 10),
+            ("oim", 7, 4, 10),
+            ("oim", None, 5, 10),
+            ("oim", 7, 5, 10),
+            ("oim", None, 3, 1),
+        ],
+        ids=["bpim-None", "dpim-None", "oim-None", "oim-7", "oim-n5", "oim-7-n5", "oim-n3-r1"],
     )
-    def test_batch_equals_its_halves_and_singles(self, paradigm, band_rows, monkeypatch):
+    def test_batch_equals_its_halves_and_singles(
+        self, paradigm, band_rows, n, replicas, monkeypatch
+    ):
         # Ten replicas give stacks of 40, 20 and 10 rows, widths at which
         # BLAS products may round a column's last bits apart; no outcome may
         # move. Seven-row oscillator band chunks split those stacks
-        # unequally: 7 x 5 + 5, 7 x 2 + 6 and 7 + 3 rows.
+        # unequally: 7 x 5 + 5, 7 x 2 + 6 and 7 + 3 rows. An odd number of
+        # BPSK spins gives the oscillator's noise its padding row, and one
+        # replica makes each model one column.
         order = 2 if paradigm == "oim" else 4
-        models = channel_models(PARADIGMS[paradigm].model, order, 4, 4, 23, ebn0_db=6.0)
+        models = channel_models(PARADIGMS[paradigm].model, order, n, 4, 23, ebn0_db=6.0)
         if band_rows is not None:
             monkeypatch.setattr(solvers, "_OIM_BAND_BYTES", band_bytes(models[0].n, band_rows))
-        cfg = SolverConfig(10, AnnealSchedule(1.5, 30))
+        cfg = SolverConfig(replicas, AnnealSchedule(1.5, 30))
         seeds = [7, 2, 19, 4]
         whole = solvers.solve_many(paradigm, models, cfg, seeds)
         halves = [
@@ -1013,7 +1063,9 @@ class TestReplication:
         # sweeps are one (n_it, sites, replicas) fill of the same generator,
         # sites-major with one replica per column; in a batch each model's
         # draws are its own columns.
-        (model,) = channel_models(PARADIGMS[paradigm].model, 4, 3, 1, 5)
+        # Three BPSK spins give the oscillator's noise its padding row.
+        order = 2 if paradigm == "oim" else 4
+        (model,) = channel_models(PARADIGMS[paradigm].model, order, 3, 1, 5)
         cfg = SolverConfig(4, AnnealSchedule(1.0, 6))
         n, r = model.n, cfg.replicas
 
@@ -1024,16 +1076,17 @@ class TestReplication:
             if paradigm == "dpim":
                 levels = model.pam_levels
                 return levels[rng.integers(0, levels.size, (2 * n, r))], rng.random((6, 2 * n, r))
-            return rng.uniform(0.0, 2.0 * np.pi, (n, r)), rng.standard_normal((6, n, r))
+            # One uniform per phase, and a padding row on odd n.
+            return rng.uniform(0.0, 2.0 * np.pi, (n, r)), rng.random((6, n + n % 2, r))
 
         draw = draws(paradigm)
         seed = np.random.SeedSequence((5, 1, 2))
         for seeds in ([seed], [3, seed]):
             x0, noise = draw(model, seeds, cfg)
             noise = stacked(noise)
-            assert noise.shape[1:] == x0.shape and x0.shape[1] == len(seeds) * r
-            # Every solver draws in float64, the oscillator too: its kernel
-            # rounds the draws to its own float only as it takes them in.
+            assert noise.shape[2] == x0.shape[1] == len(seeds) * r
+            # Every solver draws float64 uniforms, the oscillator too: its
+            # kernel forms its float32 normals from them.
             assert x0.dtype == noise.dtype == np.float64
             for lo, s in zip(range(0, x0.shape[1], r), seeds):
                 want_x0, want_noise = expected(s)
