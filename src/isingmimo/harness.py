@@ -59,10 +59,10 @@ from .solvers import (
     PARADIGMS,
     SolverConfig,
     default_parameters,
+    pool_map,
     require_ints,
     require_peaks,
     solve_many,
-    worker_pool,
 )
 
 __all__ = [
@@ -372,18 +372,17 @@ def _require_threads(threads) -> None:
 def _map(function, items, threads: int) -> list:
     """``function`` of each of ``items``, in order: the sweeps' one parallel
     path. The items are channels for :func:`run_ber_sweep` and whole
-    instances for :func:`beta_sweep`. With ``threads`` above one, they are
-    mapped over that many processes of :func:`solvers.worker_pool`, at most
-    one per item, each on one BLAS thread; with one, they run in this
-    process under the caller's BLAS setting. So ``threads`` beyond the item
-    count adds nothing, and one item runs on one core. ``function`` draws
-    only from seeds keyed by its item, so the result does not depend on
-    ``threads``."""
+    instances for :func:`beta_sweep`. With two or more workers, at most one
+    per item, they go to :func:`solvers.pool_map`, whose processes each run
+    one BLAS thread; with one worker or one item they run here, under the
+    caller's BLAS setting, and no pool starts. So ``threads`` beyond the
+    item count adds nothing, and one item runs on one core. ``function``
+    draws only from seeds keyed by its item, so the result does not depend
+    on ``threads``."""
     workers = min(threads, len(items))
-    if workers <= 1:
+    if workers <= 1:  # here, not in solvers, so a traced run's spans nest under no map
         return [function(item) for item in items]
-    with worker_pool(workers) as pool:
-        return list(pool.map(function, items))
+    return pool_map(function, items, workers)
 
 
 def run_ber_sweep(plan: ExperimentPlan, threads: int = 1) -> list[BerPoint]:

@@ -100,14 +100,17 @@ does: seeded oscillator outcomes repeat on one machine, and a CPU on
 another SIMD path may round them apart.
 
 Threads: every solve runs its chunks in order on its calling thread, under
-the caller's BLAS setting. The one parallel path is :func:`worker_pool`,
-whose processes each run one BLAS thread: ``harness.run_ber_sweep`` maps
-channels over it and ``harness.beta_sweep`` maps instances, and a model's
-outcome does not depend on the process that solves it. The p-bit and p-dit
-site steps hold the GIL, and an oscillator step is some 40 short numpy
-calls, so threads within one solve paid only on large batches; on a shared
-2-core x86-64 machine two processes over whole fit-beta instances beat the
-oscillator's thread groups at n = 16 to 64 (``BENCH_38.json``).
+the caller's BLAS setting. The one parallel path is one call,
+:func:`pool_map`, which maps a function over items on worker processes that
+each run one BLAS thread: ``harness.run_ber_sweep`` maps channels through it
+and ``harness.beta_sweep`` maps instances, and a model's outcome does not
+depend on the process that solves it. The harness calls it only with two
+or more workers, and runs one worker or one item in its own process. The
+p-bit and p-dit site steps hold the GIL, and an oscillator step is some 40
+short numpy calls, so threads within one solve paid only on large batches;
+on a shared 2-core x86-64 machine two processes over whole fit-beta
+instances beat the oscillator's thread groups at n = 16 to 64
+(``BENCH_38.json``).
 
 The fork rule: a pool worker gets its one BLAS thread by being forked from a
 caller whose OpenBLAS already runs one thread, so that it inherits the count
@@ -115,9 +118,11 @@ and never sets it. OpenBLAS shuts its thread pool down across a fork, and
 setting the count in the forked child starts the pool again: a second native
 thread that busy-waits before it sleeps, for about 0.13 s of CPU on a 2-core
 x86-64 machine. So this module alone sets numpy's BLAS thread count, and
-only when the count changes, and :func:`worker_pool` alone makes the worker
-processes. A worker started by ``spawn`` or ``forkserver`` inherits no
-count, and the pool's initializer sets it there.
+only when the count changes, and :func:`pool_map` alone makes the worker
+processes: it puts the caller on one BLAS thread before the pool starts and
+gives the caller its count back when the map ends. A worker started by
+``spawn`` or ``forkserver`` inherits no count, and the pool's initializer
+sets it there.
 """
 
 from __future__ import annotations
@@ -126,7 +131,6 @@ import ctypes
 import functools
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +152,7 @@ __all__ = [
     "bpim_solve_many",
     "dpim_solve_many",
     "oim_solve_many",
-    "worker_pool",
+    "pool_map",
 ]
 
 DEFAULT_REPLICAS = 64
@@ -264,7 +268,7 @@ class Paradigm:
 def _paradigm(name: str) -> Paradigm:
     try:
         return PARADIGMS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(
             f"unknown paradigm {name!r}; expected one of {tuple(PARADIGMS)}"
         ) from None
@@ -838,30 +842,23 @@ def _set_blas_threads(count: int) -> int:
     return before
 
 
-@contextmanager
-def _blas_on_one_thread() -> Iterator[None]:
-    """numpy's OpenBLAS on one thread while the block runs, then back at its
-    thread count, also when the block raises."""
+def pool_map(function: Callable, items, workers: int) -> list:
+    """``function`` of each of ``items``, in item order, computed on
+    ``workers`` processes that each run one BLAS thread, as workers that
+    share the cores should: the one parallel path, over channels or over
+    instances, never within one solve. The caller's BLAS runs one thread
+    while the pool lives, so a forked worker inherits that count (the fork
+    rule); the caller's count comes back when the map ends, also when a
+    worker raises, and that restore starts the caller's OpenBLAS pool
+    again."""
     before = _set_blas_threads(1)
     try:
-        yield
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
+        ) as pool:
+            return list(pool.map(function, items))
     finally:
         _set_blas_threads(before)
-
-
-@contextmanager
-def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
-    """Processes that each run one BLAS thread, as workers that share the
-    cores should, while the block runs: the one parallel path, over channels
-    or over instances, never within one solve. The caller's BLAS runs one
-    thread for the life of the pool, so a forked worker inherits that count
-    (the fork rule); the caller's count comes back when the block ends, also
-    when a worker raises, and that restore starts the caller's OpenBLAS pool
-    again."""
-    with _blas_on_one_thread(), ProcessPoolExecutor(
-        max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
-    ) as pool:
-        yield pool
 
 
 def oim_solve_many(

@@ -9,7 +9,7 @@ import os
 import re
 import time
 import tracemalloc
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -37,13 +37,23 @@ from isingmimo import harness, solvers
 from isingmimo.baselines import ML_SEARCH_BUDGET
 
 
-def blas_threads():
+def blas_threads(item=None):
     """Thread count of numpy's OpenBLAS in this process; None if it has no getter."""
     blas = solvers._openblas()
     return blas and blas[0]()
 
 
-def worker_threads():
+@contextmanager
+def blas_on_one_thread():
+    """numpy's OpenBLAS on one thread while the block runs, then back at its count."""
+    before = solvers._set_blas_threads(1)
+    try:
+        yield
+    finally:
+        solvers._set_blas_threads(before)
+
+
+def worker_threads(item):
     """(pid, native threads, OpenBLAS thread count) of this process, read
     after a BLAS product and a pause that keeps a pool worker busy while
     another takes the next task."""
@@ -53,7 +63,7 @@ def worker_threads():
     return os.getpid(), len(os.listdir("/proc/self/task")), blas_threads()
 
 
-def solve_blas_threads():
+def solve_blas_threads(item):
     """numpy's OpenBLAS thread count in this process, read after a small
     oscillator fit-beta sweep has run under it."""
     beta_sweep(4, 2, "oim", [10.0, 30.0], n_instances=2, n_trials=2, n_iterations=3, seed=5)
@@ -502,8 +512,7 @@ class TestWorkerPool:
     def test_workers_run_one_blas_thread(self):
         if blas_threads() is None:
             pytest.skip("numpy's BLAS exports no thread-count getter")
-        with solvers.worker_pool(2) as pool:
-            assert pool.submit(blas_threads).result(timeout=60) == 1
+        assert solvers.pool_map(blas_threads, [0, 1], 2) == [1, 1]
 
     def test_forked_workers_run_one_native_thread(self):
         # A worker forked from a caller on one BLAS thread inherits the
@@ -514,8 +523,7 @@ class TestWorkerPool:
             pytest.skip("numpy's BLAS exports no thread-count getter")
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("workers that are not forked set their BLAS count")
-        with solvers.worker_pool(2) as pool:
-            seen = [f.result(timeout=60) for f in [pool.submit(worker_threads) for _ in range(2)]]
+        seen = solvers.pool_map(worker_threads, [0, 1], 2)
         assert len({pid for pid, _, _ in seen}) == 2
         assert [(tasks, count) for _, tasks, count in seen] == [(1, 1), (1, 1)]
 
@@ -523,8 +531,7 @@ class TestWorkerPool:
         # A forked worker solves with the one BLAS thread it inherits.
         if blas_threads() is None:
             pytest.skip("numpy's BLAS exports no thread-count getter")
-        with solvers.worker_pool(2) as pool:
-            assert pool.submit(solve_blas_threads).result(timeout=60) == 1
+        assert solvers.pool_map(solve_blas_threads, [0, 1], 2) == [1, 1]
 
     def test_spawned_workers_solve_on_one_thread(self, monkeypatch):
         # A worker started by spawn or forkserver (the Linux default from
@@ -534,8 +541,7 @@ class TestWorkerPool:
             pytest.skip("numpy's BLAS exports no thread-count getter")
         spawn = multiprocessing.get_context("spawn")
         monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
-        with solvers.worker_pool(2) as pool:
-            assert pool.submit(solve_blas_threads).result(timeout=60) == 1
+        assert solvers.pool_map(solve_blas_threads, [0, 1], 2) == [1, 1]
 
     @pytest.mark.parametrize("one_thread", [False, True], ids=["default", "one-thread"])
     def test_pool_sets_the_caller_count_only_when_it_changes(self, one_thread, blas_setter_calls):
@@ -545,7 +551,7 @@ class TestWorkerPool:
         if count == 1 and not one_thread:
             pytest.skip("the caller's BLAS already runs one thread")
         plan = plan_experiment(4, 4, [10.0], 896, seed=9, detectors=("mmse", "dpim"))
-        with solvers._blas_on_one_thread() if one_thread else nullcontext():
+        with blas_on_one_thread() if one_thread else nullcontext():
             blas_setter_calls.clear()
             run_ber_sweep(plan, threads=2)
             assert blas_setter_calls == ([] if one_thread else [1, count])
@@ -555,7 +561,7 @@ class TestWorkerPool:
         if blas_threads() is None:
             pytest.skip("numpy's BLAS exports no thread-count getter")
         plan = plan_experiment(4, 4, [10.0], 896, seed=9, detectors=("mmse", "dpim"))
-        with solvers._blas_on_one_thread() if one_thread else nullcontext():
+        with blas_on_one_thread() if one_thread else nullcontext():
             before = blas_threads()
             run_ber_sweep(plan, threads=2)
             assert blas_threads() == before
@@ -577,6 +583,31 @@ class TestWorkerPool:
         serial = run_ber_sweep(plan, threads=1)
         monkeypatch.setattr(solvers, "_openblas", lambda: None)
         assert run_ber_sweep(plan, threads=2) == serial
+
+    def test_one_item_or_one_thread_starts_no_pool(self, monkeypatch):
+        # A one-channel plan and a one-thread beta sweep run in the caller,
+        # as a traced run needs its spans under its own root span.
+        def no_pool(*args):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(harness, "pool_map", no_pool)
+        plan = plan_experiment(4, 4, [10.0], 112, seed=9, detectors=("mmse", "dpim"))
+        assert plan.n_channels == 1
+        assert len(run_ber_sweep(plan, threads=2)) == 2
+        args = dict(n_instances=2, n_trials=4, n_iterations=5, seed=3, threads=1)
+        assert beta_sweep(4, 2, "oim", [10.0, 30.0], **args).beta_grid.tolist() == [10.0, 30.0]
+
+    def test_two_channels_map_once_over_two_workers(self, monkeypatch):
+        calls = []
+
+        def in_process(function, items, workers):
+            calls.append((list(items), workers))
+            return [function(item) for item in items]
+
+        monkeypatch.setattr(harness, "pool_map", in_process)
+        plan = plan_experiment(4, 4, [10.0], 224, seed=9, detectors=("mmse", "dpim"))
+        assert run_ber_sweep(plan, threads=2) == run_ber_sweep(plan, threads=1)
+        assert calls == [([0, 1], 2)]
 
     def test_caller_blas_threads_unchanged_by_beta_sweep(self):
         # The sweep's pool holds the caller's BLAS on one thread while it
@@ -618,6 +649,9 @@ class TestBetaSweep:
             beta_sweep(4, 4, "bpim", [-0.1, 0.2])
         with pytest.raises(ValueError):
             beta_sweep(4, 4, "annealer", [0.1])
+        for sweep in (harness.plan_beta_sweep, beta_sweep):
+            with pytest.raises(ValueError, match="unknown paradigm"):
+                sweep(4, 2, ["oim"], [1.0, 2.0])
         with pytest.raises(ValueError, match="instance pool"):
             beta_sweep(4, 4, "bpim", [0.1], n_instances=0)
         with pytest.raises(ValueError, match="Eb/N0 point"):
@@ -802,7 +836,7 @@ class TestBetaSweep:
             pytest.skip("numpy's BLAS exports no OpenBLAS thread-count setter")
         args = dict(n_instances=3, n_trials=5, n_iterations=20, ebn0_list=[6.0], seed=4)
         caller = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
-        with solvers._blas_on_one_thread():
+        with blas_on_one_thread():
             one = beta_sweep(6, 2, "oim", [10.0, 20.0, 30.0], **args)
         assert_same_sweep(caller, one)
 

@@ -199,6 +199,9 @@ class TestDefaultParameters:
     def test_unknown_paradigm(self):
         with pytest.raises(ValueError):
             default_parameters("tabu", 16, 2)
+        # An unhashable name is unknown too, not a TypeError.
+        with pytest.raises(ValueError, match="unknown paradigm"):
+            default_parameters(["bpim"], 4)
 
 
 class TestPbitKernel:
